@@ -36,8 +36,7 @@ def _cmd_train(args):
     data_dir = args.data or cfg.data_dir
     if not data_dir:
         raise ConfigError("no dataset: set data_dir in the config or pass --data")
-    dataset = sc.load_dataset(data_dir)
-    dataset.cameras, _ = tr.apply_gravity_align(dataset.cameras)
+    dataset = _load_aligned(data_dir)
     os.makedirs(args.out, exist_ok=True)
     trainer = tr.Trainer(dataset, cfg,
                          log_path=os.path.join(args.out, "losses.csv"))
@@ -48,8 +47,17 @@ def _cmd_train(args):
     return 0
 
 
+def _load_aligned(path):
+    """The dataset with its cameras gravity-aligned. The alignment is a
+    deterministic function of the camera centers, so every command recovers
+    the frame that training used without storing it in the checkpoint."""
+    dataset = sc.load_dataset(path)
+    dataset.cameras, _ = tr.apply_gravity_align(dataset.cameras)
+    return dataset
+
+
 def _load(args):
-    dataset = sc.load_dataset(args.dataset)
+    dataset = _load_aligned(args.dataset)
     trainer = tr.load_checkpoint(args.ckpt, dataset)
     return dataset, trainer
 

@@ -1,14 +1,19 @@
 """Learnable SDF and albedo grid fields with NeuS-style volume rendering.
 
 Both fields are dense trilinear grids over the cube [-extent, extent]^3
-covering the contracted unit ball. Queries outside the cube are clamped to
-the boundary (callers can ask for the clamp mask). The SDF carries a single
-global steepness parameter for the logistic CDF used by the NeuS weight
-construction, stored in log space so it stays positive.
+covering the contracted unit ball. They are read through ``multilinear``,
+the one interpolation kernel that every grid in the package shares (the
+spherical DDF too). Queries outside the cube take the value at the nearest
+boundary point. The SDF carries a single global steepness parameter for the
+logistic CDF used by the NeuS weight construction, stored in log space so it
+stays positive.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,98 +22,70 @@ from . import tape as tp
 from .geometry import WORLD_UP, contract, ray_sphere_exit
 
 
-def _grid_coords(x, resolution, extent):
-    """Map points to grid space: base corner indices, fractions, clamp mask."""
-    x = np.asarray(x, dtype=np.float64)
-    scale = (resolution - 1) / (2.0 * extent)
-    u = (x + extent) * scale
-    outside = np.any((u < 0.0) | (u > resolution - 1), axis=-1)
-    u = np.clip(u, 0.0, resolution - 1)
-    i0 = np.minimum(u.astype(np.int64), resolution - 2)
-    return u, i0, outside, scale
+def multilinear(grid, u, wrap, spatial_grad=False):
+    """Multilinear interpolation of a grid Var at continuous cell coordinates.
 
-
-def _corner_flat(i0, resolution, corner):
-    dx, dy, dz = corner
-    return ((i0[..., 0] + dx) * resolution + (i0[..., 1] + dy)) * resolution + (
-        i0[..., 2] + dz
-    )
-
-
-_CORNERS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-
-
-def trilinear(grid, x, resolution, extent, return_outside=False):
-    """Trilinear interpolation of a Var grid at points ``x``.
-
-    ``grid`` is (R,R,R) or (R,R,R,C); ``x`` may be numpy (N,3) or a Var (N,3)
-    in which case the output is differentiable in the query positions too.
+    ``grid`` has k interpolated axes, optionally followed by one channel
+    axis; ``u`` holds k coordinate arrays (numpy or Var, in cells) of one
+    rank whose shapes broadcast. An axis whose ``wrap`` flag is set is
+    periodic; any other is clamped to its end nodes. Corners are gathered
+    once, in lexicographic order, and each corner weight is the
+    left-to-right product of the per-axis weights. The result is
+    differentiable in the grid and in Var coordinates. With
+    ``spatial_grad`` it holds the k partials along ``u`` (in cell units,
+    stacked on a new last axis) instead of the value.
     """
-    x_np = x.data if isinstance(x, tp.Var) else np.asarray(x, dtype=np.float64)
-    u_np, i0, outside, scale = _grid_coords(x_np, resolution, extent)
-    channels = grid.data.ndim == 4
-    flat = (
-        tp.reshape(grid, (resolution**3, grid.data.shape[-1]))
-        if channels
-        else grid
-    )
+    k = len(u)
+    u_np = [v.data if isinstance(v, tp.Var) else np.asarray(v, dtype=np.float64)
+            for v in u]
+    # flat corner indices, built with the corner axis first so that numpy's
+    # inner loops run over the queries
+    idx = np.zeros((1,) * (u_np[0].ndim + 1), dtype=np.int64)
+    pairs = []
+    for n, uj, uj_np, periodic in zip(grid.data.shape, u, u_np, wrap):
+        if periodic:
+            i0 = np.floor(uj_np).astype(np.int64)
+            frac = uj - i0.astype(np.float64)
+            ends = (i0 % n, (i0 + 1) % n)
+        else:
+            i0 = np.minimum(np.floor(np.clip(uj_np, 0.0, n - 1)).astype(np.int64),
+                            n - 2)
+            frac = tp.minimum(tp.maximum(uj, 0.0), float(n - 1)) - i0.astype(np.float64)
+            ends = (i0, i0 + 1)
+        idx = idx[:, None] * n + np.stack(ends)
+        idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
+        pairs.append((1.0 - frac, frac))
+    idx = np.ascontiguousarray(np.moveaxis(idx, 0, -1))
 
-    if isinstance(x, tp.Var):
-        u = tp.minimum(tp.maximum((x + extent) * scale, 0.0), float(resolution - 1))
-        frac = u - i0.astype(np.float64)
-        fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
+    if grid.data.ndim == k:
+        vals = tp.take(grid, idx)
     else:
-        f_np = u_np - i0
-        fx, fy, fz = (tp._lift(f_np[..., k], None) for k in range(3))
+        vals = tp.take_rows(tp.reshape(grid, (-1, grid.data.shape[-1])), idx)
 
-    one = 1.0
-    wx = (one - fx, fx)
-    wy = (one - fy, fy)
-    wz = (one - fz, fz)
+    def combine(factors):
+        w = tp.stack_last([functools.reduce(operator.mul, corner)
+                           for corner in itertools.product(*factors)])
+        if grid.data.ndim == k:
+            return tp.vsum(w * vals, axis=-1)
+        return tp.vsum(tp.reshape(w, w.data.shape + (1,)) * vals, axis=-2)
 
-    idx = np.stack(
-        [_corner_flat(i0, resolution, corner) for corner in _CORNERS], axis=-1
-    )
-    weights = tp.stack_last(
-        [wx[a] * wy[b] * wz[c] for a, b, c in _CORNERS]
-    )
-    if channels:
-        vals = tp.take_rows(flat, idx)  # (N,8,3)
-        out = tp.vsum(tp.reshape(weights, weights.data.shape + (1,)) * vals,
-                      axis=-2)
-    else:
-        out = tp.vsum(weights * tp.take(grid, idx), axis=-1)
-    if return_outside:
-        return out, outside
-    return out
+    if not spatial_grad:
+        return combine(pairs)
+    return tp.stack_last([combine(pairs[:j] + [(-1.0, 1.0)] + pairs[j + 1:])
+                          for j in range(k)])
 
 
-def trilinear_spatial_grad(grid, x_np, resolution, extent):
-    """Analytic gradient of the interpolant w.r.t. position; (N,3) Var.
+def cell_coords(x, resolution, extent):
+    """Continuous cell coordinates of points on a grid spanning
+    [-extent, extent]^3. Numpy points beyond the unit ball are contracted
+    first; Var points are taken as given."""
+    if not isinstance(x, tp.Var):
+        x = contract(x)
+    u = (x + extent) * ((resolution - 1) / (2.0 * extent))
+    return [u[..., k] for k in range(3)]
 
-    Positions are plain numpy (the gradient is differentiable in the grid
-    values, which is what the losses need).
-    """
-    u_np, i0, _, scale = _grid_coords(x_np, resolution, extent)
-    f_np = u_np - i0
-    w = [(1.0 - f_np[..., k], f_np[..., k]) for k in range(3)]
-    idx = np.stack(
-        [_corner_flat(i0, resolution, corner) for corner in _CORNERS], axis=-1
-    )
-    vals = tp.take(grid, idx)  # (N,8)
-    comps = []
-    for axis in range(3):
-        coef = np.stack(
-            [
-                (1.0 if corner[axis] else -1.0)
-                * np.prod([w[a][corner[a]] for a in range(3) if a != axis], axis=0)
-                * scale
-                for corner in _CORNERS
-            ],
-            axis=-1,
-        )
-        comps.append(tp.vsum(vals * coef, axis=-1))
-    return tp.stack_last(comps)
+
+CLAMPED_3D = (False, False, False)
 
 
 class SdfField:
@@ -137,18 +114,8 @@ class SdfField:
 
     def sdf_np(self, pts):
         """Plain-numpy trilinear evaluation (sphere tracing, oracles)."""
-        pts = contract(pts)
-        u, i0, _, _ = _grid_coords(pts, self.resolution, self.extent)
-        f = u - i0
-        flat = self.grid.reshape(-1)
-        out = np.zeros(pts.shape[:-1])
-        for corner in _CORNERS:
-            idx = _corner_flat(i0, self.resolution, corner)
-            w = np.ones_like(out)
-            for a in range(3):
-                w = w * (f[..., a] if corner[a] else 1.0 - f[..., a])
-            out += w * flat[idx]
-        return out
+        u = cell_coords(pts, self.resolution, self.extent)
+        return multilinear(tp._lift(self.grid, None), u, CLAMPED_3D).data
 
 
 class AlbedoField:
@@ -209,14 +176,12 @@ class BoundFields:
         return tp.exp(self.log_inv_s)
 
 
-def sdf_eval(bound, x, return_outside=False):
-    """Interpolated signed distance at ``x`` (numpy or Var); points beyond the
-    unit ball are contracted first, then clamped to the grid with a flag."""
-    if not isinstance(x, tp.Var):
-        x = contract(x)
+def sdf_eval(bound, x):
+    """Interpolated signed distance at ``x`` (numpy or Var); numpy points
+    beyond the unit ball are contracted first, then clamped to the grid."""
     f = bound.fields.sdf
-    return trilinear(bound.sdf_grid, x, f.resolution, f.extent,
-                     return_outside=return_outside)
+    return multilinear(bound.sdf_grid, cell_coords(x, f.resolution, f.extent),
+                       CLAMPED_3D)
 
 
 def sdf_normals(bound, x_np):
@@ -224,7 +189,9 @@ def sdf_normals(bound, x_np):
     normals Var plus a mask of degenerate (vanishing-gradient) queries that
     fell back to world-up."""
     f = bound.fields.sdf
-    g = trilinear_spatial_grad(bound.sdf_grid, contract(x_np), f.resolution, f.extent)
+    u = cell_coords(x_np, f.resolution, f.extent)
+    g = multilinear(bound.sdf_grid, u, CLAMPED_3D, spatial_grad=True) * (
+        (f.resolution - 1) / (2.0 * f.extent))
     norm = np.linalg.norm(g.data, axis=-1)
     degen = norm < 1e-8
     n = g / tp.reshape(tp.maximum(tp.norm_last(g), 1e-12), (-1, 1))
@@ -235,9 +202,8 @@ def sdf_normals(bound, x_np):
 
 def albedo_eval(bound, x):
     f = bound.fields.albedo
-    if not isinstance(x, tp.Var):
-        x = contract(x)
-    raw = trilinear(bound.albedo_grid, x, f.resolution, f.extent)
+    raw = multilinear(bound.albedo_grid, cell_coords(x, f.resolution, f.extent),
+                      CLAMPED_3D)
     return tp.sigmoid(raw)
 
 

@@ -7,7 +7,6 @@ bottom-up per the format convention, PPM/PGM top-down.
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
@@ -157,12 +156,3 @@ def read_blob(fh):
     count = int(np.prod(dims)) if dims else 1
     data = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
     return data.reshape(dims), list(meta)
-
-
-def worker_count():
-    """Worker cap from SKYLIT_THREADS (default 1: fully deterministic)."""
-    raw = os.environ.get("SKYLIT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1

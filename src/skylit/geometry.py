@@ -278,13 +278,6 @@ def spherical_to_dir(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def dir_to_spherical(d):
-    d = np.asarray(d, dtype=np.float64)
-    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    return theta, phi
-
-
 def sample_sphere(rng, n, min_z=-1.0, max_z=1.0):
     """Uniform points on the unit sphere with z in [min_z, max_z]."""
     z = rng.uniform(min_z, max_z, size=n)

@@ -11,7 +11,7 @@ vertical axis an exact latent permutation on the ring lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,10 +97,6 @@ class IlluminationBank:
     def state(self, i):
         return IlluminationState(self.decoder, self.Z[i],
                                 np.array(self.log_gamma[i]))
-
-    def set_state(self, i, state):
-        self.Z[i] = state.Z
-        self.log_gamma[i] = np.asarray(state.log_gamma).reshape(())
 
 
 class BoundIllumination:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import tape as tp
-from .fields import sdf_eval, sphere_trace
+from .fields import CLAMPED_3D, cell_coords, multilinear, sphere_trace
 from .geometry import SRGB_LINEAR_KNEE, sample_sphere, vmf_sample_batch
 from .visibility import BoundDdf, ddf_eval
 
@@ -39,9 +39,6 @@ class LossWeights:
         for f in dc_fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"loss weight {f.name} must be >= 0")
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
 def tonemap(linear):
@@ -173,17 +170,9 @@ def ddf_levelset_loss(batch, bound_ddf, bound_fields, to_sdf=True):
     pred = ddf_eval(bound_ddf, s, d)
     land = tp._lift(s, None) + tp.reshape(pred, (-1, 1)) * d
     grid = bound_fields.sdf_grid if to_sdf else tp.stop_gradient(bound_fields.sdf_grid)
-    shim = _GridShim(grid, bound_fields)
-    f = sdf_eval(shim, land)
+    sdf = bound_fields.fields.sdf
+    f = multilinear(grid, cell_coords(land, sdf.resolution, sdf.extent), CLAMPED_3D)
     return tp.vsum(f * f)
-
-
-class _GridShim:
-    """BoundFields stand-in with a substituted (possibly detached) SDF grid."""
-
-    def __init__(self, grid, bound_fields):
-        self.sdf_grid = grid
-        self.fields = bound_fields.fields
 
 
 def ddf_multiview_loss(pairs, bound_ddf):

@@ -18,6 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 
@@ -37,17 +39,23 @@ class GradientCheckError(Exception):
 class Var:
     """A value recorded on a tape (or a free constant when ``tape is None``)."""
 
-    __slots__ = ("data", "tape", "parents", "op", "_fwd")
+    __slots__ = ("data", "_tape", "parents", "op")
     __array_ufunc__ = None  # numpy defers to our reflected operators
 
-    def __init__(self, data, tape=None, parents=(), op="const", fwd=None):
+    def __init__(self, data, tape=None, parents=(), op="const"):
         self.data = data
-        self.tape = tape
+        # A weak reference: the tape holds its nodes, so a strong one back
+        # would make every graph a reference cycle that outlives its step
+        # until the cyclic garbage collector happens to run.
+        self._tape = None if tape is None else weakref.ref(tape)
         self.parents = parents
         self.op = op
-        self._fwd = fwd
         if tape is not None:
             tape.nodes.append(self)
+
+    @property
+    def tape(self):
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self):
@@ -104,15 +112,6 @@ class Tape:
         self.params[name] = v
         return v
 
-    def replay_ok(self):
-        """Recompute every node from its parents; True if all match bit-exactly."""
-        for node in self.nodes:
-            if node._fwd is None:
-                continue
-            if not np.array_equal(node._fwd(), node.data):
-                return False
-        return True
-
 
 def _as_array(x):
     return np.asarray(x, dtype=np.float64)
@@ -144,7 +143,7 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _node(op, out, inputs, vjps, fwd):
+def _node(op, out, inputs, vjps):
     """Record one op. ``vjps[i]`` maps the output adjoint to input i's adjoint."""
     tape = _tape_of(*inputs)
     parents = tuple(
@@ -152,7 +151,7 @@ def _node(op, out, inputs, vjps, fwd):
         for inp, vjp in zip(inputs, vjps)
         if inp.tape is not None or inp.parents
     )
-    return Var(out, tape=tape, parents=parents, op=op, fwd=fwd)
+    return Var(out, tape=tape, parents=parents, op=op)
 
 
 # -- arithmetic ----------------------------------------------------------
@@ -162,16 +161,14 @@ def add(a, b):
     t = _tape_of(a, b)
     a, b = _lift(a, t), _lift(b, t)
     out = a.data + b.data
-    return _node("add", out, (a, b), (lambda g: g, lambda g: g),
-                 lambda: a.data + b.data)
+    return _node("add", out, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b):
     t = _tape_of(a, b)
     a, b = _lift(a, t), _lift(b, t)
     out = a.data - b.data
-    return _node("sub", out, (a, b), (lambda g: g, lambda g: -g),
-                 lambda: a.data - b.data)
+    return _node("sub", out, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a, b):
@@ -179,8 +176,7 @@ def mul(a, b):
     a, b = _lift(a, t), _lift(b, t)
     out = a.data * b.data
     return _node("mul", out, (a, b),
-                 (lambda g: g * b.data, lambda g: g * a.data),
-                 lambda: a.data * b.data)
+                 (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b):
@@ -188,31 +184,28 @@ def div(a, b):
     a, b = _lift(a, t), _lift(b, t)
     out = a.data / b.data
     return _node("div", out, (a, b),
-                 (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)),
-                 lambda: a.data / b.data)
+                 (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def power(a, p):
     p = float(p)
     out = a.data ** p
-    return _node("pow", out, (a,), (lambda g: g * p * a.data ** (p - 1.0),),
-                 lambda: a.data ** p)
+    return _node("pow", out, (a,), (lambda g: g * p * a.data ** (p - 1.0),))
 
 
 def exp(a):
     out = np.exp(a.data)
-    return _node("exp", out, (a,), (lambda g: g * out,), lambda: np.exp(a.data))
+    return _node("exp", out, (a,), (lambda g: g * out,))
 
 
 def log(a):
     out = np.log(a.data)
-    return _node("log", out, (a,), (lambda g: g / a.data,), lambda: np.log(a.data))
+    return _node("log", out, (a,), (lambda g: g / a.data,))
 
 
 def log1p(a):
     out = np.log1p(a.data)
-    return _node("log1p", out, (a,), (lambda g: g / (1.0 + a.data),),
-                 lambda: np.log1p(a.data))
+    return _node("log1p", out, (a,), (lambda g: g / (1.0 + a.data),))
 
 
 def sqrt(a):
@@ -223,7 +216,7 @@ def sqrt(a):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(out > 0.0, g * 0.5 / out, 0.0)
 
-    return _node("sqrt", out, (a,), (vjp,), lambda: np.sqrt(a.data))
+    return _node("sqrt", out, (a,), (vjp,))
 
 
 def sigmoid(a):
@@ -233,23 +226,20 @@ def sigmoid(a):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return _node("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),),
-                 lambda: np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))))
+    return _node("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
 def absolute(a):
     out = np.abs(a.data)
     sign = np.sign(a.data)
-    return _node("abs", out, (a,), (lambda g: g * sign,), lambda: np.abs(a.data))
+    return _node("abs", out, (a,), (lambda g: g * sign,))
 
 
 def arccos(a):
     x = np.clip(a.data, -1.0, 1.0)
     out = np.arccos(x)
     denom = np.sqrt(np.maximum(1.0 - x * x, 1e-14))
-    return _node("arccos", out, (a,), (lambda g: -g / denom,),
-                 lambda: np.arccos(np.clip(a.data, -1.0, 1.0)))
+    return _node("arccos", out, (a,), (lambda g: -g / denom,))
 
 
 def arctan2(y, x):
@@ -258,8 +248,7 @@ def arctan2(y, x):
     out = np.arctan2(y.data, x.data)
     r2 = np.maximum(y.data * y.data + x.data * x.data, 1e-14)
     return _node("atan2", out, (y, x),
-                 (lambda g: g * x.data / r2, lambda g: -g * y.data / r2),
-                 lambda: np.arctan2(y.data, x.data))
+                 (lambda g: g * x.data / r2, lambda g: -g * y.data / r2))
 
 
 def maximum(a, b):
@@ -268,8 +257,7 @@ def maximum(a, b):
     out = np.maximum(a.data, b.data)
     win_a = a.data > b.data  # ties go to b
     return _node("max", out, (a, b),
-                 (lambda g: g * win_a, lambda g: g * ~win_a),
-                 lambda: np.maximum(a.data, b.data))
+                 (lambda g: g * win_a, lambda g: g * ~win_a))
 
 
 def minimum(a, b):
@@ -278,8 +266,7 @@ def minimum(a, b):
     out = np.minimum(a.data, b.data)
     win_a = a.data < b.data  # ties go to b
     return _node("min", out, (a, b),
-                 (lambda g: g * win_a, lambda g: g * ~win_a),
-                 lambda: np.minimum(a.data, b.data))
+                 (lambda g: g * win_a, lambda g: g * ~win_a))
 
 
 def clip01_straight_through(a):
@@ -290,8 +277,7 @@ def clip01_straight_through(a):
     toward the valid range while leaving in-range behavior untouched.
     """
     out = np.clip(a.data, 0.0, 1.0)
-    return _node("clip01_st", out, (a,), (lambda g: g,),
-                 lambda: np.clip(a.data, 0.0, 1.0))
+    return _node("clip01_st", out, (a,), (lambda g: g,))
 
 
 def where(mask, a, b):
@@ -301,8 +287,7 @@ def where(mask, a, b):
     mask = np.asarray(mask, dtype=bool)
     out = np.where(mask, a.data, b.data)
     return _node("where", out, (a, b),
-                 (lambda g: g * mask, lambda g: g * ~mask),
-                 lambda: np.where(mask, a.data, b.data))
+                 (lambda g: g * mask, lambda g: g * ~mask))
 
 
 def vsum(a, axis=None, keepdims=False):
@@ -316,19 +301,13 @@ def vsum(a, axis=None, keepdims=False):
             gg = np.expand_dims(g, axis)
         return np.broadcast_to(gg, a.data.shape).copy()
 
-    return _node("sum", np.asarray(out, dtype=np.float64), (a,), (vjp,),
-                 lambda: np.asarray(a.data.sum(axis=axis, keepdims=keepdims),
-                                    dtype=np.float64))
+    return _node("sum", np.asarray(out, dtype=np.float64), (a,), (vjp,))
 
 
 def vmean(a, axis=None, keepdims=False):
     n = a.data.size if axis is None else a.data.shape[axis]
     return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
-
-def dot_last(a, b):
-    """Row-wise dot product over the last axis."""
-    return vsum(mul(a, b), axis=-1)
 
 
 def norm_last(a, eps=0.0):
@@ -348,7 +327,7 @@ def take(a, flat_index):
         np.add.at(buf, idx.reshape(-1), np.asarray(g).reshape(-1))
         return buf.reshape(a.data.shape)
 
-    return _node("take", out, (a,), (vjp,), lambda: a.data.reshape(-1)[idx])
+    return _node("take", out, (a,), (vjp,))
 
 
 def take_rows(a, row_index):
@@ -361,13 +340,12 @@ def take_rows(a, row_index):
         np.add.at(buf, idx, g)
         return buf
 
-    return _node("take_rows", out, (a,), (vjp,), lambda: np.take(a.data, idx, axis=0))
+    return _node("take_rows", out, (a,), (vjp,))
 
 
 def reshape(a, shape):
     out = a.data.reshape(shape)
-    return _node("reshape", out, (a,), (lambda g: g.reshape(a.data.shape),),
-                 lambda: a.data.reshape(shape))
+    return _node("reshape", out, (a,), (lambda g: g.reshape(a.data.shape),))
 
 
 def index(a, key):
@@ -379,8 +357,7 @@ def index(a, key):
         np.add.at(buf, key, g)
         return buf
 
-    return _node("index", np.asarray(out, dtype=np.float64), (a,), (vjp,),
-                 lambda: np.asarray(a.data[key], dtype=np.float64))
+    return _node("index", np.asarray(out, dtype=np.float64), (a,), (vjp,))
 
 
 def stack_last(vars_):
@@ -389,8 +366,7 @@ def stack_last(vars_):
     vs = [_lift(v, t) for v in vars_]
     out = np.stack([v.data for v in vs], axis=-1)
     vjps = tuple((lambda i: lambda g: g[..., i])(i) for i in range(len(vs)))
-    return _node("stack", out, tuple(vs), vjps,
-                 lambda: np.stack([v.data for v in vs], axis=-1))
+    return _node("stack", out, tuple(vs), vjps)
 
 
 def concat(vars_, axis=0):
@@ -410,8 +386,7 @@ def concat(vars_, axis=0):
 
         return vjp
 
-    return _node("concat", out, tuple(vs), tuple(make_vjp(i) for i in range(len(vs))),
-                 lambda: np.concatenate([v.data for v in vs], axis=axis))
+    return _node("concat", out, tuple(vs), tuple(make_vjp(i) for i in range(len(vs))))
 
 
 def einsum2(subscripts, a, b):
@@ -425,8 +400,7 @@ def einsum2(subscripts, a, b):
     return _node(
         "einsum", out, (a, b),
         (lambda g: np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data),
-         lambda g: np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data)),
-        lambda: np.einsum(subscripts, a.data, b.data))
+         lambda g: np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data)))
 
 
 def exclusive_cumprod_last(a):
@@ -444,20 +418,14 @@ def exclusive_cumprod_last(a):
             r[..., i] = g[..., i + 1] + x[..., i + 1] * r[..., i + 1]
         return out * r
 
-    def fwd():
-        o = np.ones_like(a.data)
-        np.cumprod(a.data[..., :-1], axis=-1, out=o[..., 1:])
-        return o
-
-    return _node("excumprod", out, (a,), (vjp,), fwd)
+    return _node("excumprod", out, (a,), (vjp,))
 
 
 def stop_gradient(a):
     """Forward value unchanged; contributes nothing to any gradient."""
     if not isinstance(a, Var):
         return _lift(a, None)
-    data = a.data
-    return Var(data, tape=a.tape, parents=(), op="stopgrad", fwd=lambda: data)
+    return Var(a.data, tape=a.tape, parents=(), op="stopgrad")
 
 
 def softplus(a):

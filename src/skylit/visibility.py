@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import sphere_trace
+from .fields import multilinear, sphere_trace
 from .geometry import WORLD_UP, icosphere_directions
 
 SCENE_DIAMETER = 2.0
@@ -45,13 +45,6 @@ class DdfField:
     def zero_init(cls, pos_res=(32, 64), dir_res=(16, 32)):
         """Raw zeros: mid-range depth 1 everywhere."""
         return cls(np.zeros(tuple(pos_res) + tuple(dir_res)))
-
-    @classmethod
-    def far_init(cls, pos_res=(32, 64), dir_res=(16, 32), raw=2.0):
-        """Biased toward 'no occluder' (depth ~1.76): nothing is considered
-        occluded until the field learns otherwise, matching the large
-        initial visibility threshold."""
-        return cls(np.full(tuple(pos_res) + tuple(dir_res), float(raw)))
 
     @classmethod
     def chord_init(cls, pos_res=(32, 64), dir_res=(16, 32), scale=1.0,
@@ -155,19 +148,6 @@ def _local_dir_components(s, d):
     return d_x, d_y, d_z
 
 
-def _wrap_axis(u, n):
-    """Indices and fraction for a wrapping azimuth axis with n cells."""
-    i0 = np.floor(u.data).astype(np.int64)
-    frac = u - i0.astype(np.float64)
-    return i0 % n, (i0 + 1) % n, frac
-
-
-def _clamp_axis(u, n):
-    i0 = np.minimum(np.maximum(np.floor(u.data).astype(np.int64), 0), n - 2)
-    frac_v = tp.minimum(tp.maximum(u, 0.0), float(n - 1)) - i0.astype(np.float64)
-    return i0, i0 + 1, frac_v
-
-
 def ddf_eval(bound, s, d_world, strict=True):
     """Predicted depth in (0,2) at sphere points ``s`` looking inward along
     ``d_world``. Differentiable in the grid and (when Vars) in s and d.
@@ -190,32 +170,11 @@ def ddf_eval(bound, s, d_world, strict=True):
     theta_d = tp.arccos(tp.minimum(tp.maximum(-d_y, -1.0), 1.0))
     phi_d = tp.arctan2(d_z, d_x)
 
-    u0 = theta_s * ((n_ts - 1) / np.pi)
-    u1 = (phi_s + np.pi) * (n_ps / (2.0 * np.pi))
-    u2 = theta_d * ((n_td - 1) / (np.pi / 2.0))
-    u3 = (phi_d + np.pi) * (n_pd / (2.0 * np.pi))
-
-    i0a, i0b, f0 = _clamp_axis(u0, n_ts)
-    i1a, i1b, f1 = _wrap_axis(u1, n_ps)
-    i2a, i2b, f2 = _clamp_axis(u2, n_td)
-    i3a, i3b, f3 = _wrap_axis(u3, n_pd)
-
-    idx = ((i0a, i0b), (i1a, i1b), (i2a, i2b), (i3a, i3b))
-    w01 = tuple((1.0 - f0) * wf1 if c0 == 0 else f0 * wf1
-                for c0 in (0, 1) for wf1 in (1.0 - f1, f1))
-    w23 = tuple((1.0 - f2) * wf3 if c2 == 0 else f2 * wf3
-                for c2 in (0, 1) for wf3 in (1.0 - f3, f3))
-    corners = [(c0, c1, c2, c3) for c0 in (0, 1) for c1 in (0, 1)
-               for c2 in (0, 1) for c3 in (0, 1)]
-    flat = np.stack(
-        [((idx[0][c0] * n_ps + idx[1][c1]) * n_td + idx[2][c2]) * n_pd
-         + idx[3][c3] for c0, c1, c2, c3 in corners],
-        axis=-1,
-    )
-    weights = tp.stack_last(
-        [w01[2 * c0 + c1] * w23[2 * c2 + c3] for c0, c1, c2, c3 in corners]
-    )
-    raw = tp.vsum(weights * tp.take(bound.grid, flat), axis=-1)
+    u = (theta_s * ((n_ts - 1) / np.pi),
+         (phi_s + np.pi) * (n_ps / (2.0 * np.pi)),
+         theta_d * ((n_td - 1) / (np.pi / 2.0)),
+         (phi_d + np.pi) * (n_pd / (2.0 * np.pi)))
+    raw = multilinear(bound.grid, u, (False, True, False, True))
     gate = tp.minimum(tp.maximum(tp.sigmoid(raw), 1e-12), 1.0 - 1e-12)
     return SCENE_DIAMETER * gate
 

@@ -5,6 +5,7 @@ import pytest
 
 from skylit import fields as fd
 from skylit import tape as tp
+from skylit.geometry import contract
 
 
 @pytest.fixture
@@ -47,14 +48,89 @@ def test_interpolation_matches_eight_corner_oracle():
     assert np.abs(got - want).max() < 1e-9
 
 
-def test_outside_domain_clamped_with_flag():
+def test_outside_domain_takes_clamped_boundary_value():
+    rng = np.random.default_rng(8)
     t = tp.Tape()
-    scene = fd.SceneFields.default(resolution=8)
+    scene = fd.SceneFields(fd.SdfField(rng.normal(size=(8, 8, 8))),
+                           fd.AlbedoField.constant_init(8))
     bound = fd.BoundFields(t, scene)
     # norm > 1 contracts to < 2 but beyond the [-1,1] grid box
-    _, outside = fd.sdf_eval(bound, np.array([[1.8, 0.0, 0.0], [0.2, 0.0, 0.0]]),
-                             return_outside=True)
-    assert outside.tolist() == [True, False]
+    far = np.array([[1.8, 0.3, -0.2], [0.5, -2.5, 1.4]])
+    contracted = contract(far)
+    assert np.all(np.abs(contracted).max(axis=1) > 1.0)
+    # the clamped point is passed as a Var, which is taken as given
+    boundary = tp._lift(np.clip(contracted, -1.0, 1.0), None)
+    assert np.array_equal(fd.sdf_eval(bound, far).data,
+                          fd.sdf_eval(bound, boundary).data)
+
+
+def _oracle_16_corner(grid, u, wrap):
+    """Loop-by-loop quadrilinear interpolation of one query."""
+    ends, fracs = [], []
+    for n, x, periodic in zip(grid.shape, u, wrap):
+        if periodic:
+            i = int(np.floor(x))
+            ends.append((i % n, (i + 1) % n))
+            fracs.append(x - i)
+        else:
+            x = min(max(x, 0.0), n - 1.0)
+            i = min(int(np.floor(x)), n - 2)
+            ends.append((i, i + 1))
+            fracs.append(x - i)
+    total = 0.0
+    for c0 in (0, 1):
+        for c1 in (0, 1):
+            for c2 in (0, 1):
+                for c3 in (0, 1):
+                    w = 1.0
+                    for c, f in zip((c0, c1, c2, c3), fracs):
+                        w *= f if c else 1.0 - f
+                    total += w * grid[ends[0][c0], ends[1][c1], ends[2][c2],
+                                      ends[3][c3]]
+    return total
+
+
+def test_multilinear_4d_matches_16_corner_oracle_at_seams_and_poles():
+    # the DDF layout: polar (clamped), azimuth (wrapped), twice
+    rng = np.random.default_rng(9)
+    grid = rng.normal(size=(4, 6, 3, 5))
+    wrap = (False, True, False, True)
+    n_q = 40
+    theta = rng.uniform(0.0, np.pi, size=(2, n_q))
+    phi = rng.uniform(-np.pi, np.pi, size=(2, n_q))
+    # azimuths within 1e-9 of the seam at +-pi, on both sides and exactly on it
+    phi[0, :8] = [np.pi - 1e-9, -np.pi + 1e-9, np.pi, -np.pi,
+                  np.pi - 1e-10, -np.pi + 1e-10, np.pi - 1e-9, -np.pi]
+    phi[1, 4:12] = phi[0, :8]
+    # polar clamps: exactly at the poles and just beyond them
+    theta[0, 8:14] = [0.0, np.pi, -1e-3, np.pi + 1e-3, 0.0, np.pi]
+    theta[1, :6] = [np.pi, 0.0, np.pi + 1e-3, -1e-3, np.pi, 0.0]
+    # queries 1 and 3 differ from 0 and 2 only across the first seam
+    theta[:, [1, 3]] = theta[:, [0, 2]]
+    phi[1, [1, 3]] = phi[1, [0, 2]]
+    u = [theta[0] * (3 / np.pi), (phi[0] + np.pi) * (6 / (2 * np.pi)),
+         theta[1] * (2 / np.pi), (phi[1] + np.pi) * (5 / (2 * np.pi))]
+
+    got = fd.multilinear(tp._lift(grid, None), u, wrap).data
+    want = [_oracle_16_corner(grid, [c[q] for c in u], wrap) for q in range(n_q)]
+    assert np.abs(got - want).max() < 1e-12
+    # the seam is continuous: both sides of +-pi give the same value
+    assert abs(got[0] - got[1]) < 1e-8 and abs(got[2] - got[3]) < 1e-12
+
+    weights = rng.normal(size=n_q)
+
+    def loss(t, pv):
+        return tp.vsum(fd.multilinear(pv["grid"], u, wrap) * weights)
+
+    # the value is linear in the grid, so a unit step is an exact central
+    # difference; it keeps rounding far below the ~1e-9 weights that seam
+    # queries give their far corners
+    assert tp.gradient_check(loss, {"grid": grid}, h=1.0) < 1e-4
+    t = tp.Tape()
+    g = tp.backward(t, loss(t, {"grid": t.parameter("grid", grid)}))["grid"]
+    # seam queries reach both the first and the last azimuth column
+    assert np.any(g[:, 0]) and np.any(g[:, -1])
+    assert np.any(g[..., 0]) and np.any(g[..., -1])
 
 
 def test_normals_radial_on_sphere_init(sphere_bound):
@@ -72,7 +148,9 @@ def test_normals_match_finite_differences():
     scene = fd.SceneFields(fd.SdfField(grid), fd.AlbedoField.constant_init(9))
     bound = fd.BoundFields(t, scene)
     pts = rng.uniform(-0.55, 0.55, size=(20, 3))
-    analytic = fd.trilinear_spatial_grad(bound.sdf_grid, pts, 9, 1.0).data
+    # partials in cell units; the 9-node grid over [-1, 1] has 4 cells per unit
+    analytic = fd.multilinear(bound.sdf_grid, fd.cell_coords(pts, 9, 1.0),
+                              fd.CLAMPED_3D, spatial_grad=True).data * 4.0
     h = 1e-6
     for axis in range(3):
         e = np.zeros(3)
@@ -149,7 +227,8 @@ def test_weight_gradients_pass_gradient_check():
     samples = np.linspace(-0.6, 0.6, 7)[:, None] * np.array([[0.0, 0.0, 1.0]])
 
     def loss(t, pv):
-        f = fd.trilinear(pv["grid"], samples, 4, 1.0)
+        f = fd.multilinear(pv["grid"], fd.cell_coords(samples, 4, 1.0),
+                           fd.CLAMPED_3D)
         w = fd.neus_weights(tp.reshape(f, (1, 7)), tp.exp(pv["log_inv_s"]))
         return tp.vsum(w * np.arange(7.0))
 
