@@ -6,6 +6,12 @@ unterminated rays.
 The hemisphere quadrature carries a 4*pi/D weight so radiance is independent
 of the direction count; the Lambertian 1/pi is folded into albedo. With unit
 radiance and full visibility a surface therefore shades to pi * albedo.
+
+Each hemisphere's sum over directions of radiance x clamped cosine is one
+fused tape op, ``tape.lambert_quadrature``: two ``matmul`` calls forward and
+two per gradient, saving only the clamped cosines. A direction exactly
+perpendicular to a normal passes that normal no gradient (the tape's
+``maximum(expr, 0.0)`` tie convention).
 """
 
 from __future__ import annotations
@@ -102,8 +108,7 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
         radiance = tp.take_rows(bound_illum.radiance_all(d_sub), image_idx)
         if vis is not None:
             radiance = radiance * tp.reshape(vis, vis.data.shape + (1,))
-        cos = tp.maximum(tp.einsum2("rsc,uc->rsu", normals, d_sub), 0.0)
-        return tp.einsum2("rsu,ruc->rsc", cos, radiance)
+        return tp.lambert_quadrature(normals, d_sub, radiance)
 
     irr = None
     if np.any(upper):

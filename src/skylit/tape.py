@@ -12,12 +12,16 @@ Conventions:
   * ``maximum``/``minimum`` route the gradient to the *second* argument on
     ties, so hinges written ``maximum(expr, 0.0)`` have subgradient 0 at the
     kink,
+  * ``lambert_quadrature`` fuses the clamped-cosine irradiance sum into one
+    node with ``matmul`` VJPs; a cosine of exactly 0 gives its normal
+    subgradient 0, the ``maximum(expr, 0.0)`` convention,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -318,27 +322,33 @@ def norm_last(a, eps=0.0):
 
 
 def take(a, flat_index):
-    """Gather from the flattened array; output has ``flat_index``'s shape."""
+    """Gather from the flattened array; output has ``flat_index``'s shape.
+    Indices are non-negative."""
     idx = np.asarray(flat_index)
     out = a.data.reshape(-1)[idx]
 
     def vjp(g):
-        buf = np.zeros(a.data.size)
-        np.add.at(buf, idx.reshape(-1), np.asarray(g).reshape(-1))
+        # bincount sums repeated indices in order into zeros, as np.add.at
+        # would, bit for bit
+        buf = np.bincount(idx.reshape(-1), weights=np.asarray(g).reshape(-1),
+                          minlength=a.data.size)
         return buf.reshape(a.data.shape)
 
     return _node("take", out, (a,), (vjp,))
 
 
 def take_rows(a, row_index):
-    """Gather along axis 0."""
+    """Gather along axis 0; row indices are non-negative."""
     idx = np.asarray(row_index)
     out = np.take(a.data, idx, axis=0)
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        return buf
+        # one flat index per gathered element: row * row size + offset
+        row = math.prod(a.data.shape[1:])
+        flat = idx[..., None] * row + np.arange(row)
+        buf = np.bincount(flat.reshape(-1), weights=np.asarray(g).reshape(-1),
+                          minlength=a.data.size)
+        return buf.reshape(a.data.shape)
 
     return _node("take_rows", out, (a,), (vjp,))
 
@@ -348,13 +358,23 @@ def reshape(a, shape):
     return _node("reshape", out, (a,), (lambda g: g.reshape(a.data.shape),))
 
 
+def _has_int_array(key):
+    parts = key if isinstance(key, tuple) else (key,)
+    return any(np.ndim(k) > 0 and np.asarray(k).dtype.kind in "iu" for k in parts)
+
+
 def index(a, key):
     """Static slice/index (key is plain numpy-style, no Vars)."""
     out = a.data[key]
+    repeats = _has_int_array(key)
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        buf = np.zeros(a.data.shape)
+        if repeats:
+            np.add.at(buf, key, g)
+        else:
+            # slices, Ellipsis, scalars and masks select each element once
+            buf[key] += g
         return buf
 
     return _node("index", np.asarray(out, dtype=np.float64), (a,), (vjp,))
@@ -401,6 +421,32 @@ def einsum2(subscripts, a, b):
         "einsum", out, (a, b),
         (lambda g: np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data),
          lambda g: np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data)))
+
+
+def lambert_quadrature(normals, dirs, radiance):
+    """Clamped-cosine quadrature ``irr[r, s, :] = sum_u max(n[r, s] . d[u], 0)
+    * radiance[r, u, :]``.
+
+    ``normals`` is (R, S, 3), ``dirs`` a constant (U, 3) array and
+    ``radiance`` (R, U, C); the result is (R, S, C). Only the clamped cosines
+    are saved for the gradient, and a cosine of exactly 0 passes no gradient
+    to the normal, as ``maximum(expr, 0.0)`` would.
+    """
+    t = _tape_of(normals, radiance)
+    normals, radiance = _lift(normals, t), _lift(radiance, t)
+    d = np.asarray(dirs, dtype=np.float64)
+    n_rays, n_samples, _ = normals.data.shape
+    cos = (normals.data.reshape(-1, 3) @ d.T).reshape(n_rays, n_samples, -1)
+    np.maximum(cos, 0.0, out=cos)
+    out = cos @ radiance.data
+
+    def vjp_normals(g):
+        g_cos = g @ radiance.data.transpose(0, 2, 1)
+        g_cos *= cos > 0.0
+        return (g_cos.reshape(-1, d.shape[0]) @ d).reshape(normals.data.shape)
+
+    return _node("lambert", out, (normals, radiance),
+                 (vjp_normals, lambda g: cos.transpose(0, 2, 1) @ g))
 
 
 def exclusive_cumprod_last(a):
@@ -451,7 +497,7 @@ def backward(tape, output):
     if np.asarray(output.data).size != 1:
         raise TapeError("backward expects a scalar output")
     param_names = {id(p): name for name, p in tape.params.items()}
-    grads = {name: np.zeros_like(p.data) for name, p in tape.params.items()}
+    grads = {}
     adj = {id(output): np.ones_like(output.data)}
     for node in reversed(tape.nodes):
         g = adj.pop(id(node), None)
@@ -468,7 +514,8 @@ def backward(tape, output):
                 adj[key] = adj[key] + contrib
             else:
                 adj[key] = contrib
-    return grads
+    return {name: grads[name] if name in grads else np.zeros_like(p.data)
+            for name, p in tape.params.items()}
 
 
 def gradient_check(loss_fn, params, h=1e-4):

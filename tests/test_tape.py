@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skylit import tape as tp
 
@@ -190,3 +192,143 @@ def test_duplicate_parameter_slot_rejected():
     t.parameter("p", 1.0)
     with pytest.raises(tp.TapeError):
         t.parameter("p", 2.0)
+
+
+# -- fused irradiance quadrature -----------------------------------------
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _lambert_composition(normals, dirs, radiance):
+    """The generic-op reference: einsum, clamp, einsum."""
+    cos = tp.maximum(tp.einsum2("rsc,uc->rsu", normals, dirs), 0.0)
+    return tp.einsum2("rsu,ruc->rsc", cos, radiance)
+
+
+def _value_and_grads(op, normals, dirs, radiance, upstream):
+    t = tp.Tape()
+    n = t.parameter("n", normals)
+    r = t.parameter("r", radiance)
+    out = op(n, dirs, r)
+    grads = tp.backward(t, tp.vsum(out * upstream))
+    return out.data, grads["n"], grads["r"]
+
+
+def _assert_matches_composition(rng, n_rays, n_samples, n_dirs, channels=3):
+    normals = _unit(rng.normal(size=(n_rays, n_samples, 3)))
+    dirs = _unit(rng.normal(size=(n_dirs, 3)))
+    radiance = rng.random((n_rays, n_dirs, channels))
+    upstream = rng.normal(size=(n_rays, n_samples, channels))
+    fused = _value_and_grads(tp.lambert_quadrature, normals, dirs, radiance, upstream)
+    ref = _value_and_grads(_lambert_composition, normals, dirs, radiance, upstream)
+    for got, want in zip(fused, ref):
+        assert got.shape == want.shape
+        scale = max(np.abs(want).max(), 1e-300)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_lambert_quadrature_gradient_check_with_perpendicular_direction():
+    rng = np.random.default_rng(4)
+    dirs = _unit(rng.normal(size=(5, 3)))
+    dirs[0] = [1.0, 0.0, 0.0]
+    # sample (0, 0) lies exactly on the kink of direction 0; it stays a
+    # constant here because a central difference across a kink reads half
+    # the slope, not the subgradient
+    tie = np.array([[[0.0, 0.6, 0.8]]])
+    free = _unit(rng.normal(size=(2, 1, 3)))
+    cos = np.concatenate([tie, free]) @ dirs.T
+    assert cos[0, 0, 0] == 0.0
+    assert np.abs(cos[1:]).min() > 1e-2  # free samples keep clear of kinks
+    radiance = rng.random((3, 5, 2))
+    upstream = rng.normal(size=(3, 1, 2))
+
+    def loss(t, pv):
+        normals = tp.concat([tie, pv["n"]], axis=0)
+        return tp.vsum(tp.lambert_quadrature(normals, dirs, pv["r"]) * upstream)
+
+    err = tp.gradient_check(loss, {"n": free, "r": radiance})
+    assert err < 1e-6
+
+
+def test_lambert_quadrature_tie_gives_zero_normal_gradient():
+    # direction 0 is exactly perpendicular to the normal and the others are
+    # below its horizon, so every cosine is clamped and the subgradient is 0
+    normals = np.array([[[0.0, 0.0, 1.0]]])
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.0, -1.0]])
+    radiance = np.full((1, 3, 3), 2.0)
+    upstream = np.ones((1, 1, 3))
+    value, g_n, g_r = _value_and_grads(
+        tp.lambert_quadrature, normals, dirs, radiance, upstream)
+    assert np.all(value == 0.0)
+    assert np.all(g_n == 0.0)
+    assert np.all(g_r == 0.0)
+    ref = _value_and_grads(_lambert_composition, normals, dirs, radiance, upstream)
+    assert np.array_equal(g_n, ref[1])
+
+
+def test_lambert_quadrature_matches_composition_at_default_size():
+    # 128 rays x 48 samples x one hemisphere of the 642-direction set
+    _assert_matches_composition(np.random.default_rng(5), 128, 48, 321)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rays=st.integers(1, 6), n_samples=st.integers(1, 7),
+       n_dirs=st.integers(1, 20), channels=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_rays=1, n_samples=1, n_dirs=1, channels=1, seed=0)
+@example(n_rays=1, n_samples=5, n_dirs=1, channels=3, seed=1)
+def test_lambert_quadrature_matches_composition_property(
+        n_rays, n_samples, n_dirs, channels, seed):
+    _assert_matches_composition(np.random.default_rng(seed), n_rays, n_samples,
+                                n_dirs, channels)
+
+
+# -- scatter VJPs against np.add.at ---------------------------------------
+
+
+def _scatter_grad(op, shape, rng):
+    """The VJP of ``op`` for a random upstream gradient, and that gradient."""
+    t = tp.Tape()
+    a = t.parameter("a", rng.normal(size=shape))
+    out = op(a)
+    upstream = rng.normal(size=out.data.shape)
+    return tp.backward(t, tp.vsum(out * upstream))["a"], upstream
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_take_vjp_equals_add_at_bitwise():
+    rng = np.random.default_rng(6)
+    idx = rng.integers(0, 30, size=(8, 50))  # heavy repeats
+    got, g = _scatter_grad(lambda a: tp.take(a, idx), (5, 6), rng)
+    ref = np.zeros(30)
+    np.add.at(ref, idx.reshape(-1), g.reshape(-1))
+    assert _same_bits(got, ref.reshape(5, 6))
+
+
+def test_take_rows_vjp_equals_add_at_bitwise():
+    rng = np.random.default_rng(7)
+    idx = rng.integers(0, 4, size=(3, 17))  # 2-D row index with repeats
+    got, g = _scatter_grad(lambda a: tp.take_rows(a, idx), (4, 5, 3), rng)
+    ref = np.zeros((4, 5, 3))
+    np.add.at(ref, idx, g)
+    assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("key", [
+    (slice(1, 4), slice(None, None, 2)),
+    (Ellipsis, 1),
+    2,
+    np.array([True, False, True, True, False]),
+    (np.array([0, 3, 3, 1, 0]), slice(2, None)),
+])
+def test_index_vjp_equals_add_at_bitwise(key):
+    rng = np.random.default_rng(8)
+    got, g = _scatter_grad(lambda a: tp.index(a, key), (5, 4), rng)
+    ref = np.zeros((5, 4))
+    np.add.at(ref, key, g)
+    assert _same_bits(got, ref)
