@@ -10,14 +10,11 @@ from .cameras import Camera
 from .fields import AlbedoField, RaySamples, SceneFields, SdfField, sphere_trace
 from .geometry import (
     DirectionSet,
-    LocalFrame,
     contract,
     icosphere_directions,
-    local_frame,
     ray_sphere_exit,
     so3_jitter,
     srgb,
-    vmf_sample,
 )
 from .illumination import (
     IlluminationBank,
@@ -30,7 +27,7 @@ from .illumination import (
 )
 from .losses import DdfBatch, LossWeights
 from .metrics import mse, psnr
-from .render import RenderOutput, render_image, shade
+from .render import RenderOutput, render_image
 from .scenes import Dataset, SyntheticScene, generate_dataset, load_dataset, make_scene
 from .tape import Tape, Var, backward, gradient_check, stop_gradient
 from .train import (

@@ -122,17 +122,14 @@ def _cmd_eval(args):
 
 
 def _cmd_ddf_viz(args):
-    from . import tape as tp
-
     dataset, trainer = _load(args)
     os.makedirs(args.out, exist_ok=True)
+    bound = vz.BoundDdf(None, trainer.ddf, trainer.vis_params, trainable=False)
     for i in range(args.views):
         az = 2.0 * np.pi * i / args.views
         eye = normalize(np.array([np.cos(az), np.sin(az), 0.7]))
         cam = Camera.look_at(eye, np.zeros(3), args.width, args.height)
         dirs = cam.ray_dirs(cam.all_pixels())
-        t = tp.Tape()
-        bound = vz.BoundDdf(t, trainer.ddf, trainer.vis_params, trainable=False)
         depth = vz.ddf_eval(bound, np.broadcast_to(eye, dirs.shape), dirs,
                             strict=False)
         img = depth.data.reshape(args.height, args.width)

@@ -31,20 +31,6 @@ class DirectionSet:
         return self.directions.shape[0]
 
 
-@dataclass(frozen=True)
-class LocalFrame:
-    """Right-handed orthonormal frame whose y-axis is the sphere position."""
-
-    x_axis: np.ndarray
-    y_axis: np.ndarray
-    z_axis: np.ndarray
-
-    @property
-    def matrix(self):
-        """Rows are the axes; world vector v maps to local coords via M @ v."""
-        return np.stack([self.x_axis, self.y_axis, self.z_axis])
-
-
 def normalize(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -78,36 +64,6 @@ def ray_sphere_exit(origin, direction, radius=1.0):
     t = np.maximum(t, 0.0)
     s = o + t[..., None] * d
     return s, t
-
-
-def local_frame(s, world_up=WORLD_UP):
-    """Frame at sphere point s: y = s, x orthogonal to y and world-up,
-    z = x cross y. Near the poles x falls back to (1,0,0) re-orthogonalized."""
-    s = np.asarray(s, dtype=np.float64)
-    x = np.cross(world_up, s)
-    nx = np.linalg.norm(x)
-    if nx < 1e-6:
-        x = np.array([1.0, 0.0, 0.0])
-        x = x - np.dot(x, s) * s
-        x = x / np.linalg.norm(x)
-    else:
-        x = x / nx
-    z = np.cross(x, s)
-    return LocalFrame(x_axis=x, y_axis=s, z_axis=z)
-
-
-def local_frames(s, world_up=WORLD_UP):
-    """Vectorized local_frame: s is (N,3); returns (N,3,3) with axis rows."""
-    s = np.asarray(s, dtype=np.float64)
-    x = np.cross(np.broadcast_to(world_up, s.shape), s)
-    nx = np.linalg.norm(x, axis=-1, keepdims=True)
-    pole = nx[..., 0] < 1e-6
-    x = np.where(pole[..., None], [1.0, 0.0, 0.0], x / np.maximum(nx, 1e-300))
-    if np.any(pole):
-        xp = x[pole] - np.sum(x[pole] * s[pole], axis=-1, keepdims=True) * s[pole]
-        x[pole] = xp / np.linalg.norm(xp, axis=-1, keepdims=True)
-    z = np.cross(x, s)
-    return np.stack([x, s, z], axis=-2)
 
 
 def _icosahedron():
@@ -184,34 +140,15 @@ def so3_jitter(rng):
     )
 
 
-def vmf_sample(mean_dir, kappa, n, rng):
-    """n unit vectors from the von Mises-Fisher distribution on the sphere.
+def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
+    """``n_per`` von Mises-Fisher samples around each of N means; returns
+    (N, n_per, 3).
 
     Polar angle via the closed-form inverse CDF w = 1 + log(u + (1-u)e^{-2k})/k,
-    uniform azimuth, then rotated so the mode lies at ``mean_dir``.
+    uniform azimuth, then a per-row rotation of the mode onto its mean.
     """
     if kappa <= 0:
         raise ConfigError("vMF concentration must be positive")
-    mean_dir = normalize(mean_dir)
-    u = rng.random(n)
-    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
-    phi = rng.random(n) * 2.0 * np.pi
-    r = np.sqrt(np.maximum(1.0 - w * w, 0.0))
-    local = np.stack([r * np.cos(phi), r * np.sin(phi), w], axis=1)
-    # rotate +z to mean_dir
-    z = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(z, mean_dir)
-    na = np.linalg.norm(axis)
-    if na < 1e-12:
-        return local if mean_dir[2] > 0 else local * np.array([1.0, 1.0, -1.0])
-    axis /= na
-    angle = np.arccos(np.clip(mean_dir[2], -1.0, 1.0))
-    return rotate_about_axis(local, axis, angle)
-
-
-def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
-    """One vectorized draw of ``n_per`` vMF samples around each of N means;
-    returns (N, n_per, 3)."""
     means = normalize(np.atleast_2d(mean_dirs))
     n = means.shape[0]
     u = rng.random((n, n_per))
@@ -240,18 +177,6 @@ def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     if np.any(keep):
         rotated[keep] = local[keep]
     return rotated
-
-
-def rotate_about_axis(points, axis, angle):
-    """Rodrigues rotation of row vectors about a unit axis."""
-    p = np.asarray(points, dtype=np.float64)
-    k = np.asarray(axis, dtype=np.float64)
-    c, s = np.cos(angle), np.sin(angle)
-    return (
-        p * c
-        + np.cross(np.broadcast_to(k, p.shape), p) * s
-        + np.outer(p @ k, k) * (1.0 - c)
-    )
 
 
 def rot_z(theta):

@@ -43,37 +43,6 @@ class RenderOutput:
         return srgb(self.rgb)
 
 
-def shade(x_e, normal, albedo, state, ddf=None, params=None, dirs=None,
-          jitter=None):
-    """Outgoing linear radiance at one surface point (plain numpy).
-
-    Quadrature over ``dirs`` (default the 642-direction set), optionally
-    jittered by a rotation; visibility comes from the DDF when given,
-    otherwise every direction is fully visible. Lower-hemisphere directions
-    are always fully visible.
-    """
-    if dirs is None:
-        dirs = icosphere_directions(3)
-    d = dirs.directions
-    if jitter is not None:
-        d = d @ np.asarray(jitter).T
-    radiance = il.radiance(state, d)
-    cos = np.maximum(d @ np.asarray(normal, dtype=np.float64), 0.0)
-    vis = np.ones(d.shape[0])
-    if ddf is not None:
-        upper = d[:, 2] >= 0.0
-        if np.any(upper):
-            t = tp.Tape()
-            bound = vz.BoundDdf(t, ddf, params, trainable=False)
-            x = np.broadcast_to(np.asarray(x_e, dtype=np.float64), (1, 1, 3))
-            v = vz.soft_visibility(bound, x, d[upper][None, :, :])
-            vis[upper] = v.data.reshape(-1)
-    quad = (4.0 * np.pi / d.shape[0]) * np.sum(
-        radiance * (vis * cos)[:, None], axis=0
-    )
-    return np.asarray(albedo, dtype=np.float64) * quad
-
-
 def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
                 image_idx, dir_set, jitter, rng, n_samples=64,
                 use_visibility=True, stop_grad_vis=False, near=0.02):
@@ -163,21 +132,21 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
     acc = np.zeros(n_px)
     ao = np.zeros(n_px) if with_ao else None
     jitter = np.eye(3)
+    # constants without a tape: no op records a node or keeps its inputs
+    bf = fd.BoundFields(None, scene_fields, trainable=False)
+    bi = il.BoundIllumination(None, bank, trainable=False)
+    bd = (
+        vz.BoundDdf(None, ddf, params, trainable=False)
+        if (ddf is not None and use_visibility)
+        else None
+    )
 
     for lo in range(0, n_px, chunk):
         px = pixels[lo:lo + chunk]
-        t = tp.Tape()
-        bf = fd.BoundFields(t, scene_fields, trainable=False)
-        bi = il.BoundIllumination(t, bank, trainable=False)
-        bd = (
-            vz.BoundDdf(t, ddf, params, trainable=False)
-            if (ddf is not None and use_visibility)
-            else None
-        )
         ray_d = camera.ray_dirs(px)
         ray_o = np.broadcast_to(camera.origin, ray_d.shape)
         out = render_rays(
-            t, bf, bi, bd, ray_o, ray_d, np.zeros(len(px), dtype=np.int64),
+            None, bf, bi, bd, ray_o, ray_d, np.zeros(len(px), dtype=np.int64),
             dir_set, jitter, rng, n_samples=n_samples,
             use_visibility=use_visibility,
         )

@@ -16,7 +16,10 @@ Conventions:
     node with ``matmul`` VJPs; a cosine of exactly 0 gives its normal
     subgradient 0, the ``maximum(expr, 0.0)`` convention,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
-    arrays and carry no gradient.
+    arrays and carry no gradient,
+  * an op whose inputs are all constants (Vars with no tape) records no node
+    and keeps no parents; inference binds its fields with ``tape=None`` and
+    relies on this to compute values without building a graph.
 """
 
 from __future__ import annotations

@@ -81,6 +81,8 @@ class TrainConfig:
             raise ConfigError("loss_reduction must be 'mean' or 'sum'")
         if (self.illum_lobes - 2) % 2:
             raise ConfigError("illum_lobes must be 2 + 2*ring_size")
+        if self.vmf_kappa <= 0:
+            raise ConfigError("vmf_kappa must be positive")
 
     def loss_weights(self):
         return ls.LossWeights(
@@ -457,8 +459,7 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
                              view_index, steps=400, lr=1e-2, batch_size=256,
                              samples_per_ray=48, dir_level=2, seed=0,
                              use_visibility=True, image_override=None,
-                             init_state=None, freeze_latent=False,
-                             stop_on=None):
+                             init_state=None, freeze_latent=False):
     """Freeze all fields and fit only (Z, gamma) on one holdout view.
 
     The loss is the appearance error plus the sky-pixel color error (no
@@ -518,29 +519,27 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
         adam.update("illum_log_gamma", bank.log_gamma,
                     grads["illum_log_gamma"], rate)
         history.append(float(loss.data))
-        if stop_on and stop_on(history):
-            break
     info = {"no_sky_pixels": no_sky, "losses": history}
     return bank.state(0), info
 
 
 def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
-                     n_positions=8, n_directions=128, kappa=20.0,
-                     multiview_pairs=64, min_z=0.0, seed=0, sdf_resolution=64,
-                     cosine=True, w_depth=1.0, w_levelset=1.0, w_multiview=1.0,
-                     progress_every=0):
+                     n_positions=8, n_directions=128, multiview_pairs=64,
+                     seed=0, w_levelset=1.0, progress_every=0):
     """Fit a DDF to frozen geometry with the three consistency losses
     (depth + levelset + multiview); fresh supervision batches every step.
 
     ``sdf_like`` exposes ``sdf_np`` (an analytic scene or a grid field); the
-    levelset term runs against a grid sampling of it. Returns (ddf, history).
+    levelset term runs against a 64^3 grid sampling of it. Batches come from
+    the samplers' defaults (upper-hemisphere positions, vMF kappa 20).
+    Returns (ddf, history).
     """
     if ddf is None:
         ddf = vz.DdfField.zero_init()
     grid_sdf = (
         sdf_like
         if isinstance(sdf_like, fd.SdfField)
-        else fd.SdfField.from_function(sdf_like.sdf_np, resolution=sdf_resolution)
+        else fd.SdfField.from_function(sdf_like.sdf_np, resolution=64)
     )
     frozen = fd.SceneFields(grid_sdf, fd.AlbedoField.constant_init(2))
     params = vz.VisibilityParams.default()
@@ -548,30 +547,25 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
     rng = np.random.default_rng(seed)
     history = []
     for step in range(steps):
-        batch = ls.sample_ddf_batch(sdf_like, rng, n_positions, n_directions,
-                                    kappa=kappa, min_z=min_z)
-        pairs = ls.sample_multiview_pairs(sdf_like, rng, multiview_pairs,
-                                          kappa=kappa, min_z=min_z)
+        batch = ls.sample_ddf_batch(sdf_like, rng, n_positions, n_directions)
+        pairs = ls.sample_multiview_pairs(sdf_like, rng, multiview_pairs)
         tape = tp.Tape()
         bd = vz.BoundDdf(tape, ddf, params)
         bf = fd.BoundFields(tape, frozen, trainable=False)
         n = batch.flat_depths.size
         loss = (
-            w_depth * ls.ddf_depth_loss(batch, bd) / n
+            ls.ddf_depth_loss(batch, bd) / n
             + w_levelset * ls.ddf_levelset_loss(batch, bd, bf) / n
-            + w_multiview * ls.ddf_multiview_loss(pairs, bd) / multiview_pairs
+            + ls.ddf_multiview_loss(pairs, bd) / multiview_pairs
         )
         grads = tp.backward(tape, loss)
         ramp = min(step / warmup, 1.0) if warmup else 1.0
-        if cosine:
-            # hold the full rate for half the run (miss-ray chords need the
-            # raw values to travel far through the sigmoid), then anneal
-            half = steps // 2
-            tail = 1.0 if step < half else 0.5 * (
-                1.0 + np.cos(np.pi * (step - half) / max(steps - half, 1)))
-            rate = lr * ramp * tail
-        else:
-            rate = lr * ramp
+        # hold the full rate for half the run (miss-ray chords need the raw
+        # values to travel far through the sigmoid), then anneal
+        half = steps // 2
+        tail = 1.0 if step < half else 0.5 * (
+            1.0 + np.cos(np.pi * (step - half) / max(steps - half, 1)))
+        rate = lr * ramp * tail
         adam.update("ddf_grid", ddf.grid, grads["ddf_grid"], rate)
         history.append(float(loss.data))
         if progress_every and step % progress_every == 0:

@@ -46,24 +46,6 @@ class DdfField:
         """Raw zeros: mid-range depth 1 everywhere."""
         return cls(np.zeros(tuple(pos_res) + tuple(dir_res)))
 
-    @classmethod
-    def chord_init(cls, pos_res=(32, 64), dir_res=(16, 32), scale=1.0,
-                   max_raw=8.0):
-        """Initialize the depth profile at ``scale`` times the chord to the
-        sphere exit (2*cos(theta_d)), a function of the direction's polar
-        axis alone. A scale below 1 keeps the sigmoid un-saturated so both
-        surface cells (shorter) and miss cells (longer) start within easy
-        reach of their targets."""
-        n_td = dir_res[0]
-        theta = np.arange(n_td) / (n_td - 1) * (np.pi / 2.0)
-        frac = np.clip(scale * np.cos(theta), 1e-9, 1.0 - 1e-9)
-        raw = np.clip(np.log(frac / (1.0 - frac)), -max_raw, max_raw)
-        grid = np.broadcast_to(
-            raw[None, None, :, None],
-            tuple(pos_res) + tuple(dir_res),
-        ).copy()
-        return cls(grid)
-
     @property
     def shape(self):
         return self.grid.shape
@@ -256,11 +238,10 @@ def shadow_map(ddf, params, sun_dir, camera, scene_fields, n_samples=64,
     sun /= np.linalg.norm(sun)
     pixels = camera.all_pixels()
     out = np.ones(pixels.shape[0])
+    bnd_f = fd.BoundFields(None, scene_fields, trainable=False)
+    bnd_d = BoundDdf(None, ddf, params, trainable=False)
     for lo in range(0, pixels.shape[0], chunk):
         px = pixels[lo:lo + chunk]
-        t = tp.Tape()
-        bnd_f = fd.BoundFields(t, scene_fields, trainable=False)
-        bnd_d = BoundDdf(t, ddf, params, trainable=False)
         dirs = camera.ray_dirs(px)
         origins = np.broadcast_to(camera.origin, dirs.shape)
         rs = fd.stratified_samples(origins, dirs, n_samples, rng)

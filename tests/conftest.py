@@ -8,9 +8,12 @@ computed once per session; tests that need them share the same artifacts.
 import numpy as np
 import pytest
 
-from skylit import losses as ls
+from skylit import fields as fd
+from skylit import illumination as il
+from skylit import render as rd
 from skylit import train as tr
 from skylit import visibility as vz
+from skylit.geometry import icosphere_directions, normalize
 from skylit.scenes import generate_dataset, make_scene
 
 
@@ -74,3 +77,36 @@ def tiny_train_config(**overrides):
 def tiny_trainer(tiny_dataset):
     _, dataset = tiny_dataset
     return tr.Trainer(dataset, tiny_train_config())
+
+
+def plane_shading(normal, state, albedo_raw=0.0, ddf=None, params=None,
+                  jitter=None):
+    """``render_rays`` on one ray that meets an opaque plane through the
+    origin with the given normal (from 0.4 * normal, looking along -normal).
+
+    Returns (surface radiance, weighted albedo): the ray's color minus its
+    (1 - W) share of background, and the weighted albedo sum_s w_s a_s. A
+    trilinear grid holds the plane's linear SDF exactly, so every sample
+    has the plane's normal and their ratio is the irradiance that
+    ``render_rays``'s 642-direction quadrature gives that normal. Visibility
+    is on when ``ddf`` is given, else every direction counts as visible.
+    """
+    n = normalize(normal)
+    sdf = fd.SdfField.from_function(lambda p: p @ n, resolution=8)
+    sdf.log_inv_s = np.asarray(np.log(400.0))
+    albedo = fd.AlbedoField(np.broadcast_to(albedo_raw, (8, 8, 8, 3)).copy())
+    bank = il.IlluminationBank(state.decoder, 1)
+    bank.Z[0] = state.Z
+    bank.log_gamma[0] = np.asarray(state.log_gamma).reshape(())
+    bound_ddf = None if ddf is None else vz.BoundDdf(None, ddf, params,
+                                                     trainable=False)
+    out = rd.render_rays(
+        None, fd.BoundFields(None, fd.SceneFields(sdf, albedo), trainable=False),
+        il.BoundIllumination(None, bank, trainable=False), bound_ddf,
+        0.4 * n[None, :], -n[None, :], np.zeros(1, dtype=np.int64),
+        icosphere_directions(3),
+        np.eye(3) if jitter is None else jitter, np.random.default_rng(0),
+        n_samples=32, use_visibility=ddf is not None,
+    )
+    rgb, w, background = (out[k].data[0] for k in ("rgb", "W", "background"))
+    return rgb - (1.0 - w) * background, out["weighted_albedo"].data[0]

@@ -16,7 +16,9 @@ from skylit import scenes as sc
 from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
-from skylit.geometry import icosphere_directions, sample_sphere, srgb
+from skylit.geometry import (icosphere_directions, normalize, sample_sphere,
+                             vmf_sample_batch)
+from tests.conftest import plane_shading
 
 
 def report(criterion, ok, detail):
@@ -177,18 +179,18 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_irradiance_quadrature():
     state = il.IlluminationState.zero(il.LobeDecoder.default())
-    dirs = icosphere_directions(3)
     rng = np.random.default_rng(0)
     worst = 0.0
+    lower = 0
     for _ in range(100):
         n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        a = rng.uniform(0.05, 1.0, size=3)
-        c = rd.shade(np.zeros(3), n, a, state, dirs=dirs)
-        worst = max(worst, np.abs(c / (np.pi * a) - 1.0).max())
+        lower += n[2] < 0.0
+        surface, albedo = plane_shading(n, state,
+                                        albedo_raw=rng.uniform(-3.0, 3.0, size=3))
+        worst = max(worst, np.abs(surface / (np.pi * albedo) - 1.0).max())
     report(2, worst < 0.01,
-           f"shade(V=1, L=1) vs pi*albedo over 100 normals at D=642: "
-           f"max rel err {worst:.4f}")
+           f"render_rays radiance (V=1, L=1) vs pi*albedo over 100 normals "
+           f"({lower} facing down) at D=642: max rel err {worst:.4f}")
 
 
 # -- criterion 3: soft-visibility fixed points -------------------------------
@@ -284,16 +286,18 @@ def test_criterion_5_ddf_depth_fidelity(two_sphere_scene, fitted_two_sphere_ddf)
 
 
 def test_criterion_9_vmf_statistics():
-    from skylit.geometry import vmf_sample
-
     rng = np.random.default_rng(6)
-    v = vmf_sample([0.2, -0.3, 0.933], 20.0, 100_000, rng)
-    mrl = float(np.linalg.norm(v.mean(axis=0)))
+    mean = normalize([0.2, -0.3, 0.933])
+    v = vmf_sample_batch(mean, 20.0, 100_000, rng)[0]
+    resultant = v.mean(axis=0)
+    mrl = float(np.linalg.norm(resultant))
     expected = 1.0 / np.tanh(20.0) - 1.0 / 20.0
     rel = abs(mrl - expected) / expected
-    report(9, rel < 0.02,
+    off = float(np.linalg.norm(resultant / mrl - mean))
+    report(9, rel < 0.02 and off < 0.01,
            f"vMF(kappa=20) mean resultant length {mrl:.4f} vs coth(20)-1/20 "
-           f"= {expected:.4f} (rel err {rel:.4f}, need < 0.02)")
+           f"= {expected:.4f} (rel err {rel:.4f}, need < 0.02); mean direction "
+           f"off by {off:.4f} (need < 0.01)")
 
 
 # -- criterion 11: determinism ------------------------------------------------

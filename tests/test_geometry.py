@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skylit import geometry as geo
+from skylit import visibility as vz
 
 
 def test_contract_identity_inside_unit_ball():
@@ -67,28 +68,37 @@ def test_ray_sphere_exit_distance_matches_t():
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-9)
 
 
+def ddf_frames(s):
+    """(N, 3, 3) frames in which the DDF reads directions at sphere points
+    ``s``, from the local components of the world axes: row 0 is the
+    x-axis, row 1 is s, row 2 is z."""
+    comps = vz._local_dir_components(np.atleast_2d(s)[:, None, :],
+                                     np.eye(3)[None, :, :])
+    return np.stack([c.data for c in comps], axis=1)
+
+
 def test_local_frame_pole_fallback():
-    fr = geo.local_frame(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(fr.x_axis, [1.0, 0.0, 0.0])
-    assert np.allclose(fr.y_axis, [0.0, 0.0, 1.0])
+    frames = ddf_frames([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert np.allclose(frames[:, 0], [1.0, 0.0, 0.0])
+    assert np.allclose(frames[:, 1], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 def test_local_frame_cross_product_oracle():
-    fr = geo.local_frame(np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(fr.x_axis, [0, 1, 0])
-    assert np.allclose(fr.y_axis, [1, 0, 0])
-    assert np.allclose(fr.z_axis, [0, 0, -1])
+    frame = ddf_frames([1.0, 0.0, 0.0])[0]
+    assert np.allclose(frame[0], [0, 1, 0])
+    assert np.allclose(frame[1], [1, 0, 0])
+    assert np.allclose(frame[2], [0, 0, -1])
 
 
 def test_local_frame_orthonormal_many():
     rng = np.random.default_rng(2)
     s = rng.normal(size=(10_000, 3))
     s /= np.linalg.norm(s, axis=1, keepdims=True)
-    frames = geo.local_frames(s)
+    frames = ddf_frames(s)
     eye = np.einsum("nij,nkj->nik", frames, frames)
     assert np.abs(eye - np.eye(3)).max() < 1e-9
-    assert np.abs(np.einsum("ni,ni->n", frames[:, 1], frames[:, 0])).max() < 1e-9
-    assert np.abs(np.einsum("ni,ni->n", frames[:, 1], frames[:, 2])).max() < 1e-9
+    assert np.array_equal(frames[:, 1], s)
+    assert np.all(np.linalg.det(frames) > 0.0)
 
 
 @pytest.mark.parametrize("level,count", [(0, 12), (1, 42), (2, 162), (3, 642)])
@@ -138,17 +148,36 @@ def test_so3_jitter_mean_symmetry():
 
 def test_vmf_concentration_limit():
     rng = np.random.default_rng(5)
-    v = geo.vmf_sample([0.0, 0.0, 1.0], 1e6, 100, rng)
+    v = geo.vmf_sample_batch([0.0, 0.0, 1.0], 1e6, 100, rng)
+    assert v.shape == (1, 100, 3)
     assert np.allclose(v, [0, 0, 1], atol=5e-3)
 
 
 def test_vmf_mean_resultant_length():
     rng = np.random.default_rng(6)
-    v = geo.vmf_sample([0.3, -0.4, 0.866], 20.0, 100_000, rng)
+    mean = geo.normalize([0.3, -0.4, 0.866])
+    v = geo.vmf_sample_batch(mean, 20.0, 100_000, rng)[0]
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
     mrl = np.linalg.norm(v.mean(axis=0))
     expected = 1.0 / np.tanh(20.0) - 1.0 / 20.0
     assert abs(mrl - expected) / expected < 0.02
+    assert np.allclose(v.mean(axis=0) / mrl, mean, atol=0.01)
+
+
+def test_vmf_rotates_each_row_to_its_own_mean():
+    # the poles take the degenerate (no rotation axis) branch
+    rng = np.random.default_rng(7)
+    means = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.0, -0.8],
+                      [-0.36, 0.48, 0.8]])
+    v = geo.vmf_sample_batch(means, 1e6, 50, rng)
+    assert np.allclose(v, means[:, None, :], atol=5e-3)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
+def test_vmf_rejects_non_positive_concentration(kappa):
+    # kappa = 0 would divide 0 by 0 into NaN directions
+    with pytest.raises(geo.ConfigError):
+        geo.vmf_sample_batch([0.0, 0.0, 1.0], kappa, 4, np.random.default_rng(0))
 
 
 def test_srgb_fixed_points_and_reference():

@@ -8,6 +8,7 @@ from skylit import tape as tp
 from skylit import visibility as vz
 from skylit.cameras import Camera
 from skylit.geometry import icosphere_directions, so3_jitter, srgb
+from tests.conftest import plane_shading
 
 
 @pytest.fixture(scope="module")
@@ -20,20 +21,20 @@ def dirs642():
     return icosphere_directions(3)
 
 
-def test_shade_black_albedo(unit_sky, dirs642):
-    c = rd.shade(np.zeros(3), np.array([0.0, 0.0, 1.0]), np.zeros(3), unit_sky,
-                 dirs=dirs642)
-    assert np.all(c == 0.0)
+def test_shade_black_albedo(unit_sky):
+    surface, albedo = plane_shading([0.0, 0.0, 1.0], unit_sky, albedo_raw=-1000.0)
+    assert np.all(albedo == 0.0)
+    assert np.abs(surface).max() < 1e-15
 
 
-def test_shade_uniform_sky_gives_pi_albedo(unit_sky, dirs642):
+def test_shade_uniform_sky_gives_pi_albedo(unit_sky):
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        a = rng.uniform(0.1, 1.0, size=3)
-        c = rd.shade(np.zeros(3), n, a, unit_sky, dirs=dirs642)
-        assert np.abs(c / (np.pi * a) - 1.0).max() < 0.01
+    for _ in range(20):
+        raw = rng.uniform(-2.0, 2.0, size=3)
+        surface, albedo = plane_shading(rng.normal(size=3), unit_sky,
+                                        albedo_raw=raw)
+        assert np.allclose(albedo, 1.0 / (1.0 + np.exp(-raw)), rtol=1e-6)
+        assert np.abs(surface / (np.pi * albedo) - 1.0).max() < 0.01
 
 
 def test_shade_visibility_blocks_upper_hemisphere(unit_sky, dirs642):
@@ -43,54 +44,83 @@ def test_shade_visibility_blocks_upper_hemisphere(unit_sky, dirs642):
     params = vz.VisibilityParams.default(epsilon=1e-5)
     n = np.array([0.3, -0.2, 0.933])
     n /= np.linalg.norm(n)
-    a = np.full(3, 0.8)
-    x = np.array([0.0, 0.0, 0.1])
-    got = rd.shade(x, n, a, unit_sky, ddf=ddf, params=params, dirs=dirs642)
+    surface, albedo = plane_shading(n, unit_sky, ddf=ddf, params=params)
     d = dirs642.directions
     lower = d[:, 2] < 0.0
     cos = np.maximum(d[lower] @ n, 0.0)
-    brute = a * (4.0 * np.pi / d.shape[0]) * cos.sum()
-    assert np.allclose(got, brute, rtol=1e-4)
+    brute = (4.0 * np.pi / d.shape[0]) * cos.sum()
+    assert np.allclose(surface / albedo, brute, rtol=1e-4)
+    # the same normal under an open sky gathers the upper hemisphere too
+    open_sky, _ = plane_shading(n, unit_sky)
+    assert np.all(open_sky > 1.5 * surface)
 
 
-def test_shade_isotropy_uniform_sky(unit_sky, dirs642):
+def test_shade_isotropy_uniform_sky(unit_sky):
     rng = np.random.default_rng(1)
     vals = []
     for _ in range(20):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        vals.append(rd.shade(np.zeros(3), n, np.ones(3), unit_sky, dirs=dirs642)[0])
+        surface, albedo = plane_shading(rng.normal(size=3), unit_sky)
+        vals.append(surface[0] / albedo[0])
     assert (max(vals) - min(vals)) / np.pi < 0.01
 
 
-def test_shade_jitter_stability(dirs642):
+def test_shade_jitter_stability():
     rng = np.random.default_rng(2)
     dec = il.LobeDecoder.default()
     z = il.sample_latent(dec, rng)
     state = il.IlluminationState(dec, z, np.asarray(0.0))
     n = np.array([0.0, 0.0, 1.0])
-    c1 = rd.shade(np.zeros(3), n, np.ones(3), state, dirs=dirs642,
-                  jitter=so3_jitter(rng))
-    c2 = rd.shade(np.zeros(3), n, np.ones(3), state, dirs=dirs642,
-                  jitter=so3_jitter(rng))
+    c1, _ = plane_shading(n, state, jitter=so3_jitter(rng))
+    c2, _ = plane_shading(n, state, jitter=so3_jitter(rng))
     assert np.abs(c1 / c2 - 1.0).max() < 0.02
 
 
-def test_shade_monotone_in_visibility(unit_sky, dirs642):
-    # increasing a single direction's visibility never decreases any channel:
-    # with everything else fixed this is the quadrature-sum structure
-    n = np.array([0.0, 0.0, 1.0])
-    d = dirs642.directions
-    cos = np.maximum(d @ n, 0.0)
+def test_shade_monotone_in_visibility(dirs642):
+    # raising one direction's visibility (a factor on its radiance, as in
+    # render_rays) never lowers any output of the quadrature op
     rng = np.random.default_rng(3)
+    dec = il.LobeDecoder.default()
+    state = il.IlluminationState(dec, il.sample_latent(dec, rng), np.asarray(0.0))
+    d = dirs642.directions
+    normals = rng.normal(size=(2, 8, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     vis = rng.uniform(0.0, 1.0, size=len(d))
-    rad = il.radiance(unit_sky, d)
-    base = (4 * np.pi / len(d)) * ((vis * cos)[:, None] * rad).sum(axis=0)
-    k = int(np.argmax(cos))
-    vis2 = vis.copy()
-    vis2[k] = min(vis2[k] + 0.3, 1.0)
-    bumped = (4 * np.pi / len(d)) * ((vis2 * cos)[:, None] * rad).sum(axis=0)
-    assert np.all(bumped >= base)
+    rad = il.radiance(state, d)
+
+    def quad(v):
+        radiance = np.broadcast_to(rad * v[:, None], (2,) + rad.shape)
+        return tp.lambert_quadrature(normals, d, radiance).data
+
+    base = quad(vis)
+    raised = 0
+    for k in range(0, len(d), 7):
+        vis2 = vis.copy()
+        vis2[k] = min(vis2[k] + 0.3, 1.0)
+        bumped = quad(vis2)
+        assert np.all(bumped >= base)
+        raised += int(np.any(bumped > base))
+    assert raised > 0
+
+
+def test_render_rays_with_constant_bindings_records_nothing(unit_sky):
+    # the inference path: fields bound as constants build no graph, even
+    # when a tape is at hand
+    t = tp.Tape()
+    scene = make_plane_scene(resolution=16)
+    bank = il.IlluminationBank(unit_sky.decoder, 1)
+    ddf = vz.DdfField(np.random.default_rng(8).normal(size=(4, 8, 3, 6)))
+    out = rd.render_rays(
+        t, fd.BoundFields(t, scene, trainable=False),
+        il.BoundIllumination(t, bank, trainable=False),
+        vz.BoundDdf(t, ddf, vz.VisibilityParams.default(), trainable=False),
+        np.tile([[0.0, 0.0, 0.4]], (4, 1)), np.tile([[0.0, 0.0, -1.0]], (4, 1)),
+        np.zeros(4, dtype=np.int64), icosphere_directions(1), np.eye(3),
+        np.random.default_rng(9), n_samples=16,
+    )
+    assert len(t.nodes) == 0
+    vars_ = [v for v in out.values() if isinstance(v, tp.Var)]
+    assert out["rgb"] in vars_
+    assert all(v.parents == () and v.tape is None for v in vars_)
 
 
 def make_plane_scene(resolution=48):
@@ -137,7 +167,7 @@ def test_render_rays_opaque_plane_uniform_sky(unit_sky):
     )
     w = out["W"].data
     assert np.all(w > 0.95)
-    # composition of the shade oracle: albedo ~1, irradiance ~pi (upper) with
+    # composition of the quadrature: albedo ~1, irradiance ~pi (upper) with
     # the background contributing (1-W)
     expect = np.pi * 1.0 * w + (1.0 - w)
     assert np.abs(out["rgb"].data / expect[:, None] - 1.0).max() < 0.02

@@ -165,6 +165,14 @@ def test_config_validation():
     assert back == cfg
 
 
+def test_config_rejects_non_positive_vmf_kappa():
+    # kappa = 0 gives NaN vMF directions, on which DDF batch sampling spins
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(vmf_kappa=0.0)
+    with pytest.raises(ConfigError):
+        tr.TrainConfig.from_entries({"vmf_kappa": "-2"})
+
+
 def test_zero_weights_leave_parameters_unchanged(tiny_dataset):
     _, dataset = tiny_dataset
     cfg = tiny_train_config(
