@@ -76,9 +76,8 @@ def run(tag, use_visibility, steps, dataset, scene, out, lr_eps=4e-3):
     pts = shadow_region_points(scene)
     m = albedo_region_mse(trainer, scene, pts)
     img = render_image(dataset.cameras[0], trainer.fields, trainer.state(0),
-                       ddf=trainer.ddf, params=trainer.vis_params,
-                       dir_level=2, n_samples=32,
-                       use_visibility=use_visibility)
+                       ddf=trainer.ddf if use_visibility else None,
+                       params=trainer.vis_params, dir_level=2, n_samples=32)
     p = psnr(img.srgb, srgb(dataset.images[0]),
              dataset.masks[0] != sc.CLASS_TRANSIENT)
     print(f"{tag}: region albedo MSE {m:.5f}  view0 PSNR {p:.2f}")

@@ -43,6 +43,9 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     idx = np.zeros((1,) * (u_np[0].ndim + 1), dtype=np.int64)
     pairs = []
     for n, uj, uj_np, periodic in zip(grid.data.shape, u, u_np, wrap):
+        # a non-finite coordinate gathers node 0 and keeps its non-finite
+        # weights, so the value is NaN instead of an out-of-range index
+        uj_np = np.where(np.isfinite(uj_np), uj_np, 0.0)
         if periodic:
             i0 = np.floor(uj_np).astype(np.int64)
             frac = uj - i0.astype(np.float64)

@@ -45,14 +45,15 @@ class RenderOutput:
 
 def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
                 image_idx, dir_set, jitter, rng, n_samples=64,
-                use_visibility=True, stop_grad_vis=False, near=0.02):
+                stop_grad_vis=False, near=0.02):
     """Differentiable forward render of a ray batch.
 
     Returns a dict of Vars: linear color ``rgb``, accumulated weight ``W``,
     expected depth ``t_e``, termination points ``x_e``, the un-normalized
     volume-rendered normals, per-sample weights, and the background radiance
     along each ray. Visibility is evaluated once at x_e and shared by every
-    sample on the ray.
+    sample on the ray; it is off (every direction visible) when
+    ``bound_ddf`` is None.
     """
     origins = np.atleast_2d(origins)
     dirs = np.atleast_2d(dirs)
@@ -82,7 +83,7 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
     irr = None
     if np.any(upper):
         vis = None
-        if use_visibility and bound_ddf is not None:
+        if bound_ddf is not None:
             vis = vz.soft_visibility(
                 bound_ddf, tp.reshape(x_e, (n_rays, 1, 3)),
                 d_world[upper][None, :, :], stop_grad=stop_grad_vis,
@@ -114,9 +115,9 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
 
 
 def render_image(camera, scene_fields, state, ddf=None, params=None,
-                 dir_level=3, n_samples=64, seed=0, with_ao=False,
-                 use_visibility=True, chunk=2048):
-    """Full-frame inference render; deterministic under a fixed seed."""
+                 dir_level=3, n_samples=64, seed=0, with_ao=False, chunk=2048):
+    """Full-frame inference render; deterministic under a fixed seed.
+    Visibility is off when no ``ddf`` is passed (``ao`` then stays zero)."""
     rng = np.random.default_rng(seed)
     dir_set = icosphere_directions(dir_level)
     pixels = camera.all_pixels()
@@ -135,11 +136,7 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
     # constants without a tape: no op records a node or keeps its inputs
     bf = fd.BoundFields(None, scene_fields, trainable=False)
     bi = il.BoundIllumination(None, bank, trainable=False)
-    bd = (
-        vz.BoundDdf(None, ddf, params, trainable=False)
-        if (ddf is not None and use_visibility)
-        else None
-    )
+    bd = None if ddf is None else vz.BoundDdf(None, ddf, params, trainable=False)
 
     for lo in range(0, n_px, chunk):
         px = pixels[lo:lo + chunk]
@@ -148,7 +145,6 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
         out = render_rays(
             None, bf, bi, bd, ray_o, ray_d, np.zeros(len(px), dtype=np.int64),
             dir_set, jitter, rng, n_samples=n_samples,
-            use_visibility=use_visibility,
         )
         sl = slice(lo, lo + len(px))
         rgb[sl] = out["rgb"].data

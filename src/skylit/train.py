@@ -3,9 +3,10 @@ pixels, gravity alignment, concurrent DDF supervision, the stop-gradient
 ablation switch, and the holdout relighting fit.
 
 Field/DDF groups follow a 500-step warmup into cosine decay; illumination
-latents and the visibility threshold use exponentially decaying rates. A
-non-finite loss or gradient rejects the step (parameters untouched) and logs
-the event instead of clipping.
+latents and the visibility threshold use exponentially decaying rates. The
+trainer, the holdout fit and the DDF fit all step through ``Adam.step``: a
+non-finite loss or gradient rejects the step (parameters and moments
+untouched) instead of clipping, and the trainer logs it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ from . import render as rd
 from . import tape as tp
 from . import visibility as vz
 from .cameras import Camera
-from .geometry import ConfigError, icosphere_directions, so3_jitter, srgb
+from .geometry import ConfigError, icosphere_directions, so3_jitter
 from .scenes import CLASS_GROUND, CLASS_SKY, CLASS_TRANSIENT
+
+
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 @dataclass
@@ -40,7 +45,6 @@ class TrainConfig:
     lr_ddf: float = 1e-3
     lr_illum: float = 1e-2
     lr_eps: float = 1e-3
-    lr_low: float = 1e-4
     warmup_steps: int = 500
     seed: int = 0
     stop_gradient: bool = False
@@ -59,7 +63,6 @@ class TrainConfig:
     ddf_refresh_every: int = 50
     ddf_multiview_pairs: int = 64
     ddf_losses_to_sdf: bool = True
-    loss_reduction: str = "mean"
     weight_appearance: float = 1.0
     weight_prior: float = 1.0
     weight_sky: float = 1.0
@@ -72,13 +75,11 @@ class TrainConfig:
     data_dir: str = ""
 
     def __post_init__(self):
-        for name in ("lr_fields", "lr_ddf", "lr_illum", "lr_eps", "lr_low"):
+        for name in ("lr_fields", "lr_ddf", "lr_illum", "lr_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0 <= self.warmup_steps < max(self.steps, 1):
             raise ConfigError("warmup_steps must be < steps")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ConfigError("loss_reduction must be 'mean' or 'sum'")
         if (self.illum_lobes - 2) % 2:
             raise ConfigError("illum_lobes must be 2 + 2*ring_size")
         if self.vmf_kappa <= 0:
@@ -110,14 +111,14 @@ class TrainConfig:
             ty = types[key]
             try:
                 if ty in ("bool", bool):
-                    kwargs[key] = str(raw).strip().lower() in ("1", "true", "yes")
+                    kwargs[key] = _BOOLS[str(raw).strip().lower()]
                 elif ty in ("int", int):
                     kwargs[key] = int(str(raw))
                 elif ty in ("float", float):
                     kwargs[key] = float(str(raw))
                 else:
                     kwargs[key] = str(raw)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
         return cls(**kwargs)
 
@@ -139,6 +140,22 @@ class Adam:
         self.m = {}
         self.v = {}
         self.t = {}
+
+    def step(self, tape, loss, rates):
+        """One optimizer step on ``loss``: backward, then an update of each
+        slot in ``rates`` (slot name -> learning rate) with the value the
+        tape bound. Returns None, or why the step was rejected: a non-finite
+        loss or gradient leaves every parameter and every moment untouched.
+        """
+        if not np.isfinite(loss.data):
+            return "non-finite loss"
+        grads = tp.backward(tape, loss)
+        for name in rates:
+            if not np.all(np.isfinite(grads[name])):
+                return f"non-finite gradient in {name}"
+        for name, lr in rates.items():
+            self.update(name, tape.params[name].data, grads[name], lr)
+        return None
 
     def update(self, name, param, grad, lr):
         m = self.m.setdefault(name, np.zeros_like(param))
@@ -330,9 +347,6 @@ class Trainer:
             kappa=cfg.vmf_kappa, min_z=cfg.ddf_min_z,
         )
 
-    def _norm(self, count):
-        return count if self.cfg.loss_reduction == "mean" else 1
-
     def train_step(self):
         cfg = self.cfg
         step = self.step_count
@@ -351,44 +365,44 @@ class Trainer:
             tape, bf, bi, bd if cfg.use_visibility else None,
             batch.origins, batch.dirs, batch.image_idx, self.dir_set, jitter,
             self.rng, n_samples=cfg.samples_per_ray,
-            use_visibility=cfg.use_visibility,
             stop_grad_vis=cfg.stop_gradient, near=cfg.near,
         )
 
         terms = {}
         w = self.weights
-        n_rays = cfg.rays_per_batch
         if w.appearance > 0:
             terms["appearance"] = ls.appearance_loss(out["rgb"], batch.gt) \
-                / self._norm(n_rays)
+                / cfg.rays_per_batch
         if w.prior > 0:
-            terms["prior"] = il.prior_loss(bi.Z) / self._norm(self.bank.n_images)
+            terms["prior"] = il.prior_loss(bi.Z) / self.bank.n_images
         sky_mask = batch.classes == CLASS_SKY
         if w.sky > 0 and np.any(sky_mask):
             terms["sky"] = ls.sky_loss(
                 out["background"][sky_mask], batch.gt[sky_mask],
                 out["W"][sky_mask],
-            ) / self._norm(int(sky_mask.sum()))
+            ) / int(sky_mask.sum())
         if w.ddf_depth > 0:
             terms["ddf_depth"] = ls.ddf_depth_loss(self.ddf_batch, bd) \
-                / self._norm(self.ddf_batch.flat_depths.size)
+                / self.ddf_batch.flat_depths.size
         if w.ddf_levelset > 0:
             terms["ddf_levelset"] = ls.ddf_levelset_loss(
                 self.ddf_batch, bd, bf, to_sdf=cfg.ddf_losses_to_sdf,
-            ) / self._norm(self.ddf_batch.flat_depths.size)
-        if w.ddf_multiview > 0:
+            ) / self.ddf_batch.flat_depths.size
+        # a grid SDF with no zero crossing yields no pairs, hence no term
+        n_pairs = len(self.mv_pairs[0])
+        if w.ddf_multiview > 0 and n_pairs:
             terms["ddf_multiview"] = ls.ddf_multiview_loss(self.mv_pairs, bd) \
-                / self._norm(len(self.mv_pairs[0]))
+                / n_pairs
         if w.ddf_sky > 0 and np.any(sky_mask):
             sky_term, _ = ls.ddf_sky_loss(
                 batch.origins[sky_mask], batch.dirs[sky_mask], bd,
             )
-            terms["ddf_sky"] = sky_term / self._norm(int(sky_mask.sum()))
+            terms["ddf_sky"] = sky_term / int(sky_mask.sum())
         ground_mask = batch.classes == CLASS_GROUND
         if w.ground_plane > 0 and np.any(ground_mask):
             terms["ground_plane"] = ls.ground_plane_loss(
                 out["weighted_normals"][ground_mask],
-            ) / self._norm(int(ground_mask.sum()))
+            ) / int(ground_mask.sum())
         if w.eps_anneal > 0:
             terms["eps_anneal"] = ls.eps_anneal_loss(bd.epsilon())
 
@@ -398,26 +412,14 @@ class Trainer:
             total = contrib if total is None else total + contrib
         if total is None:
             record = self._record(step, terms, 0.0)
-            self.step_count += 1
-            return record
-
-        lrs = self.learning_rates(step)
-        if not np.isfinite(total.data):
-            self.rejected_steps.append(step)
-            record = self._record(step, terms, float(total.data), rejected=True)
-            self.step_count += 1
-            return record
-        grads = tp.backward(tape, total)
-        if any(not np.all(np.isfinite(g)) for g in grads.values()):
-            self.rejected_steps.append(step)
-            record = self._record(step, terms, float(total.data), rejected=True)
-            self.step_count += 1
-            return record
-        for name, grad in grads.items():
-            group = PARAM_GROUPS[name]
-            self.adam.update(name, tape.params[name].data, grad, lrs[group])
-
-        record = self._record(step, terms, float(total.data))
+        else:
+            lrs = self.learning_rates(step)
+            reason = self.adam.step(tape, total, {
+                name: lrs[PARAM_GROUPS[name]] for name in tape.params})
+            if reason is not None:
+                self.rejected_steps.append(step)
+            record = self._record(step, terms, float(total.data),
+                                  rejected=reason is not None)
         self.step_count += 1
         return record
 
@@ -425,8 +427,8 @@ class Trainer:
         lrs = self.learning_rates(step)
         rec = {name: float(terms[name].data) if name in terms else 0.0
                for name in LOSS_TERMS}
-        rec.update(step=step, total=total, epsilon=self.vis_params.epsilon,
-                   rejected=rejected, **{f"lr_{k}": v for k, v in lrs.items()})
+        rec |= dict(step=step, total=total, epsilon=self.vis_params.epsilon,
+                    rejected=rejected, **{f"lr_{k}": v for k, v in lrs.items()})
         self.history.append(rec)
         if self._log_fh:
             self._csv.writerow(
@@ -458,67 +460,52 @@ class Trainer:
 def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
                              view_index, steps=400, lr=1e-2, batch_size=256,
                              samples_per_ray=48, dir_level=2, seed=0,
-                             use_visibility=True, image_override=None,
                              init_state=None, freeze_latent=False):
     """Freeze all fields and fit only (Z, gamma) on one holdout view.
 
     The loss is the appearance error plus the sky-pixel color error (no
-    density term). Starts from the zero latent unless ``init_state`` is
-    given. Returns (state, info); info flags a holdout without sky pixels,
-    and field gradients are exactly zero by construction since the fields
-    are bound as constants.
+    density term). Visibility is off when no ``ddf`` is passed. Starts from
+    the zero latent unless ``init_state`` is given. Returns (state, info);
+    info flags a holdout without sky pixels and lists the losses of the
+    accepted steps. Field gradients are exactly zero by construction since
+    the fields are bound as constants.
     """
     rng = np.random.default_rng(seed)
-    image = dataset.images[view_index] if image_override is None else image_override
-    gt_srgb = srgb(image)
-    mask = dataset.masks[view_index]
-    cam = dataset.cameras[view_index]
-    vv, uu = np.nonzero(mask != CLASS_TRANSIENT)
-    if vv.size == 0:
-        raise ConfigError("holdout view has no usable pixels")
+    pool = build_pixel_pool(dataset, [view_index])
     bank = il.IlluminationBank(decoder, 1)
     if init_state is not None:
         bank.Z[0] = init_state.Z
         bank.log_gamma[0] = np.asarray(init_state.log_gamma).reshape(())
     adam = Adam()
     dir_set = icosphere_directions(dir_level)
-    no_sky = not np.any(mask == CLASS_SKY)
+    no_sky = not np.any(dataset.masks[view_index] == CLASS_SKY)
     history = []
     for step in range(steps):
-        pick = rng.integers(0, vv.size, size=batch_size)
-        pv, pu = vv[pick], uu[pick]
-        dirs = cam.ray_dirs(np.stack([pu, pv], axis=1))
-        origins = np.broadcast_to(cam.origin, dirs.shape)
-        gts = gt_srgb[pv, pu]
-        classes = mask[pv, pu]
+        batch = sample_ray_batch(dataset, pool, batch_size, rng)
         jitter = so3_jitter(rng)
 
         tape = tp.Tape()
         bf = fd.BoundFields(tape, scene_fields, trainable=False)
         bi = il.BoundIllumination(tape, bank, trainable=True)
-        bd = (vz.BoundDdf(tape, ddf, vis_params, trainable=False)
-              if (ddf is not None and use_visibility) else None)
+        bd = (None if ddf is None
+              else vz.BoundDdf(tape, ddf, vis_params, trainable=False))
         out = rd.render_rays(
-            tape, bf, bi, bd, origins, dirs,
+            tape, bf, bi, bd, batch.origins, batch.dirs,
             np.zeros(batch_size, dtype=np.int64), dir_set, jitter, rng,
-            n_samples=samples_per_ray, use_visibility=use_visibility,
+            n_samples=samples_per_ray,
         )
-        loss = ls.appearance_loss(out["rgb"], gts) / batch_size
-        sky_mask = classes == CLASS_SKY
+        loss = ls.appearance_loss(out["rgb"], batch.gt) / batch_size
+        sky_mask = batch.classes == CLASS_SKY
         if np.any(sky_mask):
             sky_err = ls.color_error(
-                ls.tonemap(out["background"][sky_mask]), gts[sky_mask],
+                ls.tonemap(out["background"][sky_mask]), batch.gt[sky_mask],
             )
-            loss = loss + sky_err / max(int(sky_mask.sum()), 1)
-        if not np.isfinite(loss.data):
-            continue
-        grads = tp.backward(tape, loss)
+            loss = loss + sky_err / int(sky_mask.sum())
         rate = exponential_decay(lr, step, steps)
-        if not freeze_latent:
-            adam.update("illum_Z", bank.Z, grads["illum_Z"], rate)
-        adam.update("illum_log_gamma", bank.log_gamma,
-                    grads["illum_log_gamma"], rate)
-        history.append(float(loss.data))
+        rates = {"illum_log_gamma": rate} if freeze_latent else {
+            "illum_Z": rate, "illum_log_gamma": rate}
+        if adam.step(tape, loss, rates) is None:
+            history.append(float(loss.data))
     info = {"no_sky_pixels": no_sky, "losses": history}
     return bank.state(0), info
 
@@ -558,15 +545,13 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
             + w_levelset * ls.ddf_levelset_loss(batch, bd, bf) / n
             + ls.ddf_multiview_loss(pairs, bd) / multiview_pairs
         )
-        grads = tp.backward(tape, loss)
         ramp = min(step / warmup, 1.0) if warmup else 1.0
         # hold the full rate for half the run (miss-ray chords need the raw
         # values to travel far through the sigmoid), then anneal
         half = steps // 2
         tail = 1.0 if step < half else 0.5 * (
             1.0 + np.cos(np.pi * (step - half) / max(steps - half, 1)))
-        rate = lr * ramp * tail
-        adam.update("ddf_grid", ddf.grid, grads["ddf_grid"], rate)
+        adam.step(tape, loss, {"ddf_grid": lr * ramp * tail})
         history.append(float(loss.data))
         if progress_every and step % progress_every == 0:
             print(f"ddf fit step {step:5d} loss {history[-1]:.5f}")

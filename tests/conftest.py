@@ -60,6 +60,15 @@ def tiny_dataset(tmp_path_factory):
                                    width=40, height=30, quad_level=2)
 
 
+# the CLI tests' training config: 3 steps on a 12^3 SDF grid
+CLI_CONFIG = dict(
+    steps=3, rays_per_batch=32, samples_per_ray=8, dir_level=0,
+    sdf_resolution=12, warmup_steps=1, ddf_pos_res_theta=6,
+    ddf_pos_res_phi=12, ddf_dir_res_theta=4, ddf_dir_res_phi=8,
+    ddf_directions=16, ddf_multiview_pairs=8,
+)
+
+
 def tiny_train_config(**overrides):
     base = dict(
         steps=60, rays_per_batch=64, samples_per_ray=20, dir_level=1,
@@ -106,7 +115,7 @@ def plane_shading(normal, state, albedo_raw=0.0, ddf=None, params=None,
         0.4 * n[None, :], -n[None, :], np.zeros(1, dtype=np.int64),
         icosphere_directions(3),
         np.eye(3) if jitter is None else jitter, np.random.default_rng(0),
-        n_samples=32, use_visibility=ddf is not None,
+        n_samples=32,
     )
     rgb, w, background = (out[k].data[0] for k in ("rgb", "W", "background"))
     return rgb - (1.0 - w) * background, out["weighted_albedo"].data[0]

@@ -97,7 +97,7 @@ def _toy_setup():
         return rd.render_rays(t, bf, bi, bd if with_vis else None,
                               origins, dirs, image_idx,
                               dir_set, jitter, np.random.default_rng(5),
-                              n_samples=6, use_visibility=with_vis)
+                              n_samples=6)
 
     def sky_term(t, pv):
         out = render(t, pv, with_vis=False)

@@ -8,6 +8,7 @@ from skylit import scenes as sc
 from skylit.cameras import Camera
 from skylit.cli import main as cli_main
 from skylit.geometry import srgb
+from tests.conftest import CLI_CONFIG
 
 
 def test_pfm_roundtrip(tmp_path):
@@ -221,18 +222,12 @@ def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
               "2", "--out", str(out), "--width", "16", "--height", "12",
               "--quad-level", "2"])
     cfg = tmp_path / "cfg.txt"
-    fileio.write_config(cfg, {
-        "steps": 3, "rays_per_batch": 32, "samples_per_ray": 8,
-        "dir_level": 0, "sdf_resolution": 12, "warmup_steps": 1,
-        "ddf_pos_res_theta": 6, "ddf_pos_res_phi": 12,
-        "ddf_dir_res_theta": 4, "ddf_dir_res_phi": 8,
-        "ddf_directions": 16, "ddf_multiview_pairs": 8,
-        "data_dir": str(out),
-    })
+    fileio.write_config(cfg, {**CLI_CONFIG, "data_dir": str(out)})
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(run),
                      "--progress-every", "0"]) == 0
     assert (run / "fields.bin").exists()
+    _assert_every_step_taken(run, out)
     capsys.readouterr()
     assert cli_main(["eval", "--ckpt", str(run), "--dataset", str(out),
                      "--holdout", "1", "--dir-level", "0"]) == 0
@@ -244,6 +239,16 @@ def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
     # frame that training used
     want = _checkpoint_psnr(run, out, 1, aligned=True)
     assert psnr_printed == pytest.approx(want, abs=5e-3)
+
+
+def _assert_every_step_taken(run, data):
+    """The saved optimizer counts one update per step in every slot."""
+    from skylit import train as tr
+
+    trainer = tr.load_checkpoint(str(run), sc.load_dataset(str(data)))
+    assert trainer.adam.t.keys() == tr.PARAM_GROUPS.keys()
+    assert set(trainer.adam.t.values()) == {CLI_CONFIG["steps"]}
+    return trainer
 
 
 def _checkpoint_psnr(run, data, view, aligned):
@@ -277,13 +282,7 @@ def test_cli_eval_on_tilted_rig_uses_training_frame(tmp_path, capsys):
                      width=c.width, height=c.height) for c in ds.cameras]
     fileio.write_pose_file(out / "poses.txt", tilted)
     cfg = tmp_path / "cfg.txt"
-    fileio.write_config(cfg, {
-        "steps": 3, "rays_per_batch": 32, "samples_per_ray": 8,
-        "dir_level": 0, "sdf_resolution": 12, "warmup_steps": 1,
-        "ddf_pos_res_theta": 6, "ddf_pos_res_phi": 12,
-        "ddf_dir_res_theta": 4, "ddf_dir_res_phi": 8,
-        "ddf_directions": 16, "ddf_multiview_pairs": 8,
-    })
+    fileio.write_config(cfg, CLI_CONFIG)
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--data", str(out),
                      "--out", str(run), "--progress-every", "0"]) == 0
@@ -294,7 +293,7 @@ def test_cli_eval_on_tilted_rig_uses_training_frame(tmp_path, capsys):
     from skylit import fields as fd
     from skylit import train as tr
 
-    trainer = tr.load_checkpoint(str(run), sc.load_dataset(str(out)))
+    trainer = _assert_every_step_taken(run, out)
     center = np.array([0.0, 0.3, 0.2])
     trainer.fields.sdf = fd.SdfField.from_function(
         lambda p: np.linalg.norm(p - center, axis=-1) - 0.3, resolution=12)
@@ -318,17 +317,12 @@ def test_cli_render_relight_viz(tmp_path):
               "3", "--out", str(out), "--width", "16", "--height", "12",
               "--quad-level", "2"])
     cfg = tmp_path / "cfg.txt"
-    fileio.write_config(cfg, {
-        "steps": 3, "rays_per_batch": 32, "samples_per_ray": 8,
-        "dir_level": 0, "sdf_resolution": 12, "warmup_steps": 1,
-        "ddf_pos_res_theta": 6, "ddf_pos_res_phi": 12,
-        "ddf_dir_res_theta": 4, "ddf_dir_res_phi": 8,
-        "ddf_directions": 16, "ddf_multiview_pairs": 8,
-    })
+    fileio.write_config(cfg, CLI_CONFIG)
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--data", str(out),
                      "--out", str(run)]) == 0
     assert (run / "losses.csv").exists()
+    _assert_every_step_taken(run, out)
     rdir = tmp_path / "render"
     assert cli_main(["render", "--ckpt", str(run), "--dataset", str(out),
                      "--view", "0", "--out", str(rdir), "--dir-level", "0"]) == 0

@@ -143,7 +143,6 @@ def test_render_rays_empty_scene(unit_sky):
         t, bf, bi, None, np.array([[0.0, 0.0, 0.3]]),
         np.array([[0.0, 0.0, 1.0]]), np.zeros(1, dtype=np.int64),
         icosphere_directions(1), np.eye(3), rng, n_samples=24,
-        use_visibility=False,
     )
     assert out["W"].data[0] < 1e-6
     assert out["t_e"].data[0] == pytest.approx(out["samples"].far[0])
@@ -163,7 +162,6 @@ def test_render_rays_opaque_plane_uniform_sky(unit_sky):
     out = rd.render_rays(
         t, bf, bi, None, origins, dirs, np.zeros(8, dtype=np.int64),
         icosphere_directions(3), np.eye(3), rng, n_samples=64,
-        use_visibility=False,
     )
     w = out["W"].data
     assert np.all(w > 0.95)

@@ -129,7 +129,8 @@ def test_gradient_check_reports_nan_with_index():
     def loss(t, pv):
         return tp.vsum(tp.log(pv["x"]))  # goes NaN when an element dips <= 0
 
-    with pytest.raises(tp.GradientCheckError) as info:
+    with pytest.raises(tp.GradientCheckError) as info, \
+            pytest.warns(RuntimeWarning):
         tp.gradient_check(loss, {"x": np.array([1.0, 5e-5])}, h=1e-4)
     assert info.value.param == "x"
     assert info.value.index == (1,)

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from skylit import losses as ls
+from skylit import tape as tp
 from skylit import train as tr
+from skylit import visibility as vz
 from skylit.geometry import ConfigError, rot_z
 from skylit.scenes import CLASS_TRANSIENT
-from tests.conftest import tiny_train_config
+from tests.conftest import CLI_CONFIG, tiny_train_config
 
 
 def ring_centers(n=12, tilt=None, rng=None):
@@ -145,13 +149,62 @@ def test_adam_moves_toward_minimum():
     assert np.isfinite(adam.m["x"]).all() and np.isfinite(adam.v["x"]).all()
 
 
+def test_adam_step_with_nan_gradient_changes_nothing():
+    # a NaN hidden from the loss by a mask still reaches the gradient of "a"
+    c = np.array([2.0, np.nan, 1.0])
+    mask = np.isfinite(c)
+    a, b = np.array([1.0, 2.0, 3.0]), np.array([[0.5, -0.5]])
+    adam = tr.Adam()
+
+    def step(c):
+        tape = tp.Tape()
+        av, bv = tape.parameter("a", a), tape.parameter("b", b)
+        loss = tp.vsum(tp.where(mask, av * c, 0.0)) + tp.vsum(bv * bv)
+        assert np.isfinite(loss.data)
+        return adam.step(tape, loss, {"a": 0.1, "b": 0.1})
+
+    assert step(np.where(mask, c, 1.0)) is None
+    state = [a.copy(), b.copy(), dict(adam.t)] + [
+        {k: x.copy() for k, x in d.items()} for d in (adam.m, adam.v)]
+    assert step(c) == "non-finite gradient in a"
+    assert np.array_equal(a, state[0]) and np.array_equal(b, state[1])
+    assert adam.t == state[2] == {"a": 1, "b": 1}
+    for moments, saved in zip((adam.m, adam.v), state[3:]):
+        assert moments.keys() == saved.keys()
+        assert all(np.array_equal(moments[k], saved[k]) for k in saved)
+
+
+def test_ddf_fit_rejects_nan_node_and_keeps_the_rest(two_sphere_scene):
+    # on a 2x2x2x2 grid every query gathers node 0 on each axis
+    ddf = vz.DdfField.zero_init((2, 2), (2, 2))
+    ddf.grid[:] = np.random.default_rng(0).normal(scale=0.3, size=ddf.shape)
+    ddf.grid[0, 0, 0, 0] = np.nan
+    before = ddf.grid.copy()
+    _, history = tr.fit_ddf_to_scene(
+        two_sphere_scene, ddf=ddf, steps=3, lr=1e-2, warmup=0,
+        n_positions=2, n_directions=8, multiview_pairs=4)
+    assert np.isnan(history).all()
+    other = ~np.isnan(before)
+    assert np.array_equal(ddf.grid[other], before[other])
+
+
+def test_zero_multiview_pairs_skip_the_term(tiny_dataset):
+    # the CLI tests' config: a 12^3 SDF grid around the initial sphere has
+    # no zero crossing to hit, so no multiview pair is drawn
+    _, dataset = tiny_dataset
+    trainer = tr.Trainer(dataset, tr.TrainConfig(**CLI_CONFIG))
+    trainer.train(3)
+    assert len(trainer.mv_pairs[0]) == 0
+    assert trainer.rejected_steps == []
+    assert all(rec["ddf_multiview"] == 0.0 for rec in trainer.history)
+    assert set(trainer.adam.t.values()) == {3}
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         tr.TrainConfig(lr_fields=0.0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(steps=100, warmup_steps=100)
-    with pytest.raises(ConfigError):
-        tr.TrainConfig(loss_reduction="median")
     with pytest.raises(ConfigError):
         tr.TrainConfig.from_entries({"not_a_key": "1"})
     with pytest.raises(ConfigError):
@@ -163,6 +216,19 @@ def test_config_validation():
     back = tr.TrainConfig.from_entries(
         {k: str(v) for k, v in cfg.to_entries().items()})
     assert back == cfg
+
+
+@pytest.mark.parametrize("raw", ["flase", "on", "2", ""])
+def test_config_rejects_unknown_boolean(raw):
+    # anything outside true/false/1/0/yes/no used to read as False
+    with pytest.raises(ConfigError):
+        tr.TrainConfig.from_entries({"use_visibility": raw})
+
+
+def test_config_reads_each_boolean_spelling():
+    for raw, want in (("True", True), ("yes", True), ("1", True),
+                      (" FALSE ", False), ("no", False), ("0", False)):
+        assert tr.TrainConfig.from_entries({"stop_gradient": raw}).stop_gradient is want
 
 
 def test_config_rejects_non_positive_vmf_kappa():
@@ -308,13 +374,10 @@ def test_holdout_fit_recovers_gamma_scale(tiny_dataset):
     from skylit.illumination import IlluminationState, LobeDecoder
     from skylit.render import render_image
     import skylit.fields as fd
-    import skylit.visibility as vz
 
     decoder = LobeDecoder.default()
     gt = dataset.gt_illumination(decoder)
     fields = fd.SceneFields.default(resolution=24)
-    ddf = vz.DdfField.zero_init((8, 16), (4, 8))
-    params = vz.VisibilityParams.default()
     target_state = IlluminationState(decoder, gt.Z, np.asarray(np.log(0.55)))
     img = render_image(dataset.cameras[1], fields, target_state, dir_level=1,
                        n_samples=16, seed=4)
@@ -322,10 +385,12 @@ def test_holdout_fit_recovers_gamma_scale(tiny_dataset):
     # with the latent frozen, isolating the scale axis (a free joint refit
     # drifts along the soft Z/gamma degeneracy and splits the scale)
     start = IlluminationState(decoder, gt.Z.copy(), np.asarray(0.0))
+    images = dataset.images.copy()
+    images[1] = img.rgb
     state, info = tr.fit_holdout_illumination(
-        fields, ddf, params, decoder, dataset, 1, steps=200, dir_level=1,
-        samples_per_ray=16, batch_size=192, image_override=img.rgb,
-        use_visibility=False, init_state=start, freeze_latent=True,
+        fields, None, None, decoder, dataclasses.replace(dataset, images=images),
+        1, steps=200, dir_level=1, samples_per_ray=16, batch_size=192,
+        init_state=start, freeze_latent=True,
     )
     assert not info["no_sky_pixels"]
     assert state.gamma == pytest.approx(target_state.gamma, rel=0.05)
