@@ -11,9 +11,6 @@ stays positive.
 
 from __future__ import annotations
 
-import functools
-import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +25,21 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     ``grid`` has k interpolated axes, optionally followed by one channel
     axis; ``u`` holds k coordinate arrays (numpy or Var, in cells) of one
     rank whose shapes broadcast. An axis whose ``wrap`` flag is set is
-    periodic; any other is clamped to its end nodes. Corners are gathered
-    once, in lexicographic order, and each corner weight is the
-    left-to-right product of the per-axis weights. The result is
-    differentiable in the grid and in Var coordinates. With
+    periodic; any other is clamped to its end nodes. The layout is corner
+    major: the 2^k corners are gathered once, in lexicographic order, into
+    one array whose first axis is the corner, so numpy's inner loops run
+    over the queries. Each corner weight is the left-to-right product of
+    the per-axis weights, built one axis at a time, and the weighted
+    corners are summed in corner order (``vsum`` over axis 0). The result
+    is differentiable in the grid and in Var coordinates. With
     ``spatial_grad`` it holds the k partials along ``u`` (in cell units,
     stacked on a new last axis) instead of the value.
     """
     k = len(u)
     u_np = [v.data if isinstance(v, tp.Var) else np.asarray(v, dtype=np.float64)
             for v in u]
-    # flat corner indices, built with the corner axis first so that numpy's
-    # inner loops run over the queries
-    idx = np.zeros((1,) * (u_np[0].ndim + 1), dtype=np.int64)
+    ndim = u_np[0].ndim
+    idx = np.zeros((1,) * (ndim + 1), dtype=np.int64)
     pairs = []
     for n, uj, uj_np, periodic in zip(grid.data.shape, u, u_np, wrap):
         # a non-finite coordinate gathers node 0 and keeps its non-finite
@@ -57,8 +56,7 @@ def multilinear(grid, u, wrap, spatial_grad=False):
             ends = (i0, i0 + 1)
         idx = idx[:, None] * n + np.stack(ends)
         idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
-        pairs.append((1.0 - frac, frac))
-    idx = np.ascontiguousarray(np.moveaxis(idx, 0, -1))
+        pairs.append(tp.stack([1.0 - frac, frac], axis=0))
 
     if grid.data.ndim == k:
         vals = tp.take(grid, idx)
@@ -66,16 +64,21 @@ def multilinear(grid, u, wrap, spatial_grad=False):
         vals = tp.take_rows(tp.reshape(grid, (-1, grid.data.shape[-1])), idx)
 
     def combine(factors):
-        w = tp.stack_last([functools.reduce(operator.mul, corner)
-                           for corner in itertools.product(*factors)])
+        # corner weights (2^j, ...) times the next axis's (2, ...) pair
+        w = factors[0]
+        for f in factors[1:]:
+            prod = (tp.reshape(w, (w.data.shape[0], 1) + w.data.shape[1:])
+                    * tp.reshape(f, (1,) + f.data.shape))
+            w = tp.reshape(prod, (2 * w.data.shape[0],) + prod.data.shape[2:])
         if grid.data.ndim == k:
-            return tp.vsum(w * vals, axis=-1)
-        return tp.vsum(tp.reshape(w, w.data.shape + (1,)) * vals, axis=-2)
+            return tp.vsum(w * vals, axis=0)
+        return tp.vsum(tp.reshape(w, w.data.shape + (1,)) * vals, axis=0)
 
     if not spatial_grad:
         return combine(pairs)
-    return tp.stack_last([combine(pairs[:j] + [(-1.0, 1.0)] + pairs[j + 1:])
-                          for j in range(k)])
+    slope = tp._lift(np.reshape([-1.0, 1.0], (2,) + (1,) * ndim), None)
+    return tp.stack([combine(pairs[:j] + [slope] + pairs[j + 1:]) for j in range(k)],
+                    axis=-1)
 
 
 def cell_coords(x, resolution, extent):

@@ -117,7 +117,8 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
 def render_image(camera, scene_fields, state, ddf=None, params=None,
                  dir_level=3, n_samples=64, seed=0, with_ao=False, chunk=2048):
     """Full-frame inference render; deterministic under a fixed seed.
-    Visibility is off when no ``ddf`` is passed (``ao`` then stays zero)."""
+    Visibility is off when no ``ddf`` is passed: every direction is then
+    visible, and ``ao`` is 1 everywhere."""
     rng = np.random.default_rng(seed)
     dir_set = icosphere_directions(dir_level)
     pixels = camera.all_pixels()
@@ -131,7 +132,7 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
     nrm = np.zeros((n_px, 3))
     dep = np.zeros(n_px)
     acc = np.zeros(n_px)
-    ao = np.zeros(n_px) if with_ao else None
+    ao = np.ones(n_px) if with_ao else None
     jitter = np.eye(3)
     # constants without a tape: no op records a node or keeps its inputs
     bf = fd.BoundFields(None, scene_fields, trainable=False)

@@ -17,6 +17,13 @@ Conventions:
     subgradient 0, the ``maximum(expr, 0.0)`` convention,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
+  * ``take`` and ``take_rows`` pass back a deferred scatter adjoint, flat
+    indices plus values, and ``reshape`` passes it through. ``backward``
+    concatenates every such adjoint that reaches one Var and densifies it
+    once, with one ``np.bincount``, at the parameter or at the first other
+    op that needs a dense array. Sums across gathers therefore follow
+    concatenation order, the order in which ``backward`` reaches the
+    gathers,
   * an op whose inputs are all constants (Vars with no tape) records no node
     and keeps no parents; inference binds its fields with ``tape=None`` and
     relies on this to compute values without building a graph.
@@ -324,6 +331,44 @@ def norm_last(a, eps=0.0):
     return sqrt(sq)
 
 
+class _Scatter:
+    """Deferred adjoint of gathers: ``values`` summed at flat ``index`` into
+    zeros of ``shape``, plus an optional ``dense`` term."""
+
+    __slots__ = ("shape", "index", "values", "dense")
+
+    def __init__(self, shape, index, values, dense=None):
+        self.shape = shape
+        self.index = index    # list of flat index arrays
+        self.values = values  # list of matching value arrays
+        self.dense = dense
+
+    def reshape(self, shape):
+        dense = None if self.dense is None else self.dense.reshape(shape)
+        return _Scatter(shape, self.index, self.values, dense)
+
+    def merge(self, other):
+        """Add ``other`` (a _Scatter or an array of ``shape``) in place."""
+        if isinstance(other, _Scatter):
+            self.index = self.index + other.index
+            self.values = self.values + other.values
+            other = other.dense
+        if other is not None:
+            self.dense = other if self.dense is None else self.dense + other
+        return self
+
+    def to_dense(self):
+        # one bincount for every gather: repeated indices are summed into
+        # zeros in concatenation order
+        cat = len(self.index) > 1
+        buf = np.bincount(np.concatenate(self.index) if cat else self.index[0],
+                          weights=np.concatenate(self.values) if cat else self.values[0],
+                          minlength=math.prod(self.shape)).reshape(self.shape)
+        if self.dense is not None:
+            buf += self.dense
+        return buf
+
+
 def take(a, flat_index):
     """Gather from the flattened array; output has ``flat_index``'s shape.
     Indices are non-negative."""
@@ -331,11 +376,9 @@ def take(a, flat_index):
     out = a.data.reshape(-1)[idx]
 
     def vjp(g):
-        # bincount sums repeated indices in order into zeros, as np.add.at
-        # would, bit for bit
-        buf = np.bincount(idx.reshape(-1), weights=np.asarray(g).reshape(-1),
-                          minlength=a.data.size)
-        return buf.reshape(a.data.shape)
+        # densified by backward; per gather it sums repeated indices in
+        # order into zeros, as np.add.at would, bit for bit
+        return _Scatter(a.data.shape, [idx.reshape(-1)], [np.asarray(g).reshape(-1)])
 
     return _node("take", out, (a,), (vjp,))
 
@@ -349,14 +392,13 @@ def take_rows(a, row_index):
         # one flat index per gathered element: row * row size + offset
         row = math.prod(a.data.shape[1:])
         flat = idx[..., None] * row + np.arange(row)
-        buf = np.bincount(flat.reshape(-1), weights=np.asarray(g).reshape(-1),
-                          minlength=a.data.size)
-        return buf.reshape(a.data.shape)
+        return _Scatter(a.data.shape, [flat.reshape(-1)], [np.asarray(g).reshape(-1)])
 
     return _node("take_rows", out, (a,), (vjp,))
 
 
 def reshape(a, shape):
+    """Reshape; a deferred scatter adjoint passes through it undensified."""
     out = a.data.reshape(shape)
     return _node("reshape", out, (a,), (lambda g: g.reshape(a.data.shape),))
 
@@ -383,12 +425,13 @@ def index(a, key):
     return _node("index", np.asarray(out, dtype=np.float64), (a,), (vjp,))
 
 
-def stack_last(vars_):
-    """Stack Vars of identical shape along a new trailing axis."""
+def stack(vars_, axis):
+    """Stack Vars of identical shape along a new axis ``axis``."""
     t = _tape_of(*vars_)
     vs = [_lift(v, t) for v in vars_]
-    out = np.stack([v.data for v in vs], axis=-1)
-    vjps = tuple((lambda i: lambda g: g[..., i])(i) for i in range(len(vs)))
+    out = np.stack([v.data for v in vs], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    vjps = tuple((lambda key: lambda g: g[key])(lead + (i,)) for i in range(len(vs)))
     return _node("stack", out, tuple(vs), vjps)
 
 
@@ -506,17 +549,26 @@ def backward(tape, output):
         g = adj.pop(id(node), None)
         if g is None:
             continue
+        if isinstance(g, _Scatter) and node.op != "reshape":
+            g = g.to_dense()
         name = param_names.get(id(node))
         if name is not None:
             grads[name] = g
             continue
         for parent, vjp in node.parents:
-            contrib = _unbroadcast(np.asarray(vjp(g)), parent.data.shape)
+            contrib = vjp(g)
+            if not isinstance(contrib, _Scatter):
+                contrib = _unbroadcast(np.asarray(contrib), parent.data.shape)
             key = id(parent)
-            if key in adj:
-                adj[key] = adj[key] + contrib
-            else:
+            prev = adj.get(key)
+            if prev is None:
                 adj[key] = contrib
+            elif isinstance(prev, _Scatter):
+                adj[key] = prev.merge(contrib)
+            elif isinstance(contrib, _Scatter):
+                adj[key] = contrib.merge(prev)
+            else:
+                adj[key] = prev + contrib
     return {name: grads[name] if name in grads else np.zeros_like(p.data)
             for name, p in tape.params.items()}
 

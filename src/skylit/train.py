@@ -132,6 +132,9 @@ def exponential_decay(base, step, total):
     return base * 0.1 ** (step / total)
 
 
+ADAM_BLOCK = 16384  # entries per block of Adam.update; 128 KiB per array
+
+
 class Adam:
     """Per-slot moments with bias correction; updates parameters in place."""
 
@@ -140,6 +143,8 @@ class Adam:
         self.m = {}
         self.v = {}
         self.t = {}
+        self._a = np.empty(ADAM_BLOCK)  # work buffers for one block
+        self._b = np.empty(ADAM_BLOCK)
 
     def step(self, tape, loss, rates):
         """One optimizer step on ``loss``: backward, then an update of each
@@ -158,24 +163,34 @@ class Adam:
         return None
 
     def update(self, name, param, grad, lr):
-        m = self.m.setdefault(name, np.zeros_like(param))
-        v = self.v.setdefault(name, np.zeros_like(param))
+        if name not in self.m:
+            self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
+        m, v = self.m[name], self.v[name]
         t = self.t.get(name, 0) + 1
         self.t[name] = t
-        # in place, in the same operation order as the textbook update
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        tmp = np.multiply(grad, 1.0 - self.beta2, out=np.empty_like(v))
-        tmp *= grad
-        v *= self.beta2
-        v += tmp
-        step = np.divide(m, 1.0 - self.beta1**t, out=np.empty_like(m))
-        step *= lr
-        np.divide(v, 1.0 - self.beta2**t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        step /= tmp
-        param -= step
+        c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
+        if not all(a.flags.c_contiguous for a in (param, m, v)):
+            raise ValueError(f"slot {name!r}: parameter and moments must be contiguous")
+        flat = [a.reshape(-1) for a in (param, grad, m, v)]
+        # in cache-sized blocks, with the textbook update's operations in
+        # its order, so every value is the unblocked update's bit for bit
+        for lo in range(0, param.size, ADAM_BLOCK):
+            p, g, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in flat)
+            a, b = self._a[:g.size], self._b[:g.size]
+            mb *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            mb += a
+            np.multiply(g, 1.0 - self.beta2, out=b)
+            b *= g
+            vb *= self.beta2
+            vb += b
+            np.divide(mb, c1, out=a)
+            a *= lr
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def gravity_align(camera_centers):

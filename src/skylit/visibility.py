@@ -174,7 +174,7 @@ def exit_point(x, d):
     t1 = (-b + root) * 0.5
     t = tp.where(t0.data >= -1e-12, t0, t1)
     t = tp.maximum(t, 0.0)
-    s = tp.stack_last([xx[0] + t * dd[0], xx[1] + t * dd[1], xx[2] + t * dd[2]])
+    s = tp.stack([xx[0] + t * dd[0], xx[1] + t * dd[1], xx[2] + t * dd[2]], axis=-1)
     return s, t
 
 

@@ -133,6 +133,52 @@ def test_multilinear_4d_matches_16_corner_oracle_at_seams_and_poles():
     assert np.any(g[..., 0]) and np.any(g[..., -1])
 
 
+def _off_kinks(rng, lo, hi, size):
+    """Cell coordinates in [lo, hi] at least 0.05 from any integer, where
+    the interpolant is smooth across a central-difference probe."""
+    x = rng.uniform(lo, hi, size=size)
+    return np.floor(x) + np.clip(x - np.floor(x), 0.05, 0.95)
+
+
+def test_multilinear_4d_coordinate_gradients_pass_gradient_check():
+    # the DDF layout (clamp, wrap, clamp, wrap), differentiated in the grid
+    # and in Var coordinates, some beyond the clamped ends and some wrapping
+    # more than once
+    rng = np.random.default_rng(10)
+    grid = rng.normal(size=(4, 6, 3, 5))
+    wrap = (False, True, False, True)
+    n_q = 12
+    coords = {f"u{j}": _off_kinks(rng, lo, hi, n_q)
+              for j, (lo, hi) in enumerate([(-0.8, 3.8), (-7.0, 13.0),
+                                            (-0.8, 2.8), (-6.0, 11.0)])}
+    # queries on a clamped end: u = 0 and u = n - 1 on axes 0 and 2
+    ends = [np.array([0.0, 3.0]), rng.uniform(0.1, 5.9, 2),
+            np.array([2.0, 0.0]), rng.uniform(0.1, 4.9, 2)]
+    weights = rng.normal(size=n_q + 2)
+
+    def value(grid_var, u):
+        return tp.vsum(fd.multilinear(grid_var, u, wrap) * weights)
+
+    def loss(t, pv):
+        # the end queries stay constants here: a central difference across
+        # the clamp reads half the inner slope, not the tie subgradient
+        return value(pv["grid"], [tp.concat([e, pv[f"u{j}"]], axis=0)
+                                  for j, e in enumerate(ends)])
+
+    assert tp.gradient_check(loss, {"grid": grid, **coords}) < 1e-6
+
+    t = tp.Tape()
+    u = [t.parameter(f"u{j}", np.concatenate([e, coords[f"u{j}"]]))
+         for j, e in enumerate(ends)]
+    g = tp.backward(t, value(t.parameter("grid", grid), u))
+    # the clamp's tie rule gives an end coordinate gradient exactly 0, as
+    # beyond the ends; every other query has a non-zero gradient to compare
+    for j, n in enumerate(grid.shape):
+        inside = (u[j].data > 0.0) & (u[j].data < n - 1) if not wrap[j] else True
+        assert np.array_equal(g[f"u{j}"] != 0.0, np.broadcast_to(inside, n_q + 2))
+    assert not np.any(g["u0"][:2]) and not np.any(g["u2"][:2])
+
+
 def test_normals_radial_on_sphere_init(sphere_bound):
     _, bound = sphere_bound
     n, degen = fd.sdf_normals(bound, np.array([[0.3, 0.0, 0.0]]))

@@ -225,3 +225,18 @@ def test_render_output_monotone_visibility_effect(unit_sky):
             dir_level=1, n_samples=24, seed=1).rgb)
     assert np.all(imgs[1] >= imgs[0] - 1e-9)
     assert np.all(imgs[2] >= imgs[1] - 1e-9)
+
+
+def test_render_image_without_ddf_reports_full_ambient_visibility(unit_sky):
+    # no DDF means every direction is visible, so AO (mean visibility) is 1;
+    # a DDF whose tolerance makes every direction visible renders the same
+    scene = make_plane_scene(resolution=24)
+    cam = Camera.look_at([0.0, -0.5, 0.35], [0.0, 0.0, 0.0], 8, 6)
+    kw = dict(dir_level=1, n_samples=16, seed=2, with_ao=True)
+    bare = rd.render_image(cam, scene, unit_sky, **kw)
+    open_sky = rd.render_image(cam, scene, unit_sky, ddf=vz.DdfField.zero_init(),
+                               params=vz.VisibilityParams.default(epsilon=100.0),
+                               **kw)
+    assert np.all(bare.ao == 1.0)
+    assert np.array_equal(bare.ao, open_sky.ao)
+    assert np.array_equal(bare.rgb, open_sky.rgb)

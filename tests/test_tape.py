@@ -333,3 +333,77 @@ def test_index_vjp_equals_add_at_bitwise(key):
     ref = np.zeros((5, 4))
     np.add.at(ref, key, g)
     assert _same_bits(got, ref)
+
+
+def _dyadic(rng, shape):
+    """Multiples of 1/8 in [-8, 8]: every partial sum of a few hundred of
+    them is exact, so any summation order gives the same bits."""
+    return rng.integers(-64, 65, size=shape) / 8.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+       kinds=st.lists(st.sampled_from(["take", "take_rows", "rows_of_reshape",
+                                       "take_of_reshape"]), min_size=2, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 1, 1), kinds=["take", "take_rows"], seed=0)
+@example(shape=(2, 3, 2), kinds=["rows_of_reshape", "take", "rows_of_reshape"], seed=1)
+def test_gathers_on_one_parameter_merge_into_one_scatter(shape, kinds, seed):
+    # several gathers of one parameter, some through reshapes shared by more
+    # than one gather, with overlapping indices, plus two dense uses:
+    # backward merges the gathers' adjoints into one bincount per Var and
+    # adds the dense terms
+    rng = np.random.default_rng(seed)
+    n0, n1, c = shape
+    t = tp.Tape()
+    a = t.parameter("a", rng.normal(size=shape))
+    rows = tp.reshape(a, (n0 * n1, c))
+    flat = tp.reshape(tp.reshape(a, (n0, n1 * c)), (-1,))
+    dense = [_dyadic(rng, shape), _dyadic(rng, shape)]
+    loss = tp.vsum(a * dense[0])
+    refs = list(dense)
+    for kind in kinds:
+        qshape = tuple(rng.integers(1, 6, size=rng.integers(1, 3)))
+        ref = np.zeros(shape)
+        if kind == "take":
+            idx = rng.integers(0, a.data.size, size=qshape)
+            out = tp.take(a, idx)
+            target, key = ref.reshape(-1), idx.reshape(-1)
+        elif kind == "take_rows":
+            idx = rng.integers(0, n0, size=qshape)
+            out = tp.take_rows(a, idx)
+            target, key = ref, idx
+        elif kind == "rows_of_reshape":
+            idx = rng.integers(0, n0 * n1, size=qshape)
+            out = tp.take_rows(rows, idx)
+            target, key = ref.reshape(n0 * n1, c), idx
+        else:
+            idx = rng.integers(0, a.data.size, size=qshape)
+            out = tp.take(flat, idx)
+            target, key = ref.reshape(-1), idx.reshape(-1)
+        upstream = _dyadic(rng, out.data.shape)
+        np.add.at(target, key, upstream.reshape(key.shape + target.shape[1:]))
+        refs.append(ref)
+        loss = loss + tp.vsum(out * upstream)
+    loss = loss + tp.vsum(a * dense[1])
+    got = tp.backward(t, loss)["a"]
+    want = np.sum(refs, axis=0)
+    # exact inputs make the bound 1e-15 * max|g| an equality; with general
+    # floats a reordered sum with cancellation moves by a few ulps of max|g|
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.array_equal(got, want)
+
+
+def test_stack_on_any_axis_routes_each_slice_back():
+    rng = np.random.default_rng(9)
+    w0 = rng.normal(size=(2, 3, 4))
+    w1 = rng.normal(size=(3, 4, 2))
+
+    def loss(t, pv):
+        s0 = tp.stack([pv["a"], pv["b"] * 2.0], axis=0)
+        s1 = tp.stack([pv["a"], pv["b"]], axis=-1)
+        return tp.vsum(s0 * s0 * w0) + tp.vsum(s1 * w1)
+
+    err = tp.gradient_check(loss, {"a": rng.normal(size=(3, 4)),
+                                   "b": rng.normal(size=(3, 4))})
+    assert err < 1e-6

@@ -149,6 +149,29 @@ def test_adam_moves_toward_minimum():
     assert np.isfinite(adam.m["x"]).all() and np.isfinite(adam.v["x"]).all()
 
 
+@pytest.mark.parametrize("shape", [
+    (), (7,), (tr.ADAM_BLOCK - 1,), (tr.ADAM_BLOCK,), (tr.ADAM_BLOCK + 1,),
+    (5, 9, 13, 31),
+], ids=["0-d", "1-d", "block-1", "block", "block+1", "4-d-sparse"])
+def test_adam_update_is_the_textbook_update_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+    adam = tr.Adam(b1, b2, eps)
+    param = rng.normal(size=shape)
+    ref_p, ref_m, ref_v = param.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 21):
+        grad = rng.normal(size=shape)
+        if len(shape) == 4:  # most entries exactly 0, as for a grid slot
+            grad = np.where(rng.random(shape) < 0.05, grad, 0.0)
+        adam.update("p", param, grad, lr)
+        ref_m = b1 * ref_m + (1.0 - b1) * grad
+        ref_v = b2 * ref_v + (1.0 - b2) * grad * grad
+        ref_p = ref_p - lr * (ref_m / (1.0 - b1**t)) / (
+            np.sqrt(ref_v / (1.0 - b2**t)) + eps)
+        for got, want in ((param, ref_p), (adam.m["p"], ref_m), (adam.v["p"], ref_v)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_adam_step_with_nan_gradient_changes_nothing():
     # a NaN hidden from the loss by a mask still reaches the gradient of "a"
     c = np.array([2.0, np.nan, 1.0])
