@@ -153,9 +153,13 @@ def _cmd_ao(args):
 
 
 def _cmd_shadow(args):
+    try:
+        sun = [float(x) for x in args.sun.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--sun expects 'x,y,z', got {args.sun!r}") from exc
+    vz.sun_direction(sun)  # fail before the checkpoint loads
     dataset, trainer = _load(args)
     cam = dataset.cameras[args.view]
-    sun = np.array([float(x) for x in args.sun.split(",")])
     img = vz.shadow_map(trainer.ddf, trainer.vis_params, sun, cam,
                         trainer.fields)
     os.makedirs(args.out, exist_ok=True)

@@ -123,7 +123,13 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
                      kappa=20.0, min_z=0.0, max_steps=192):
     """Draw the paper-style DDF batch: positions uniform on the upper
     hemisphere, directions vMF-concentrated toward the scene center,
-    rejected to inward and sky-side, with sphere-traced depths."""
+    rejected to inward and sky-side, with sphere-traced depths.
+
+    ``min_z`` must lie in [0, 1): a position below the horizon has few or no
+    directions that are both inward and sky-side, and the rejection loop
+    would never fill it."""
+    if not 0.0 <= min_z < 1.0:
+        raise ValueError(f"min_z must be in [0, 1), got {min_z!r}")
     positions = sample_sphere(rng, n_positions, min_z=min_z)
     dirs = np.zeros((n_positions, n_directions, 3))
     filled = np.zeros(n_positions, dtype=np.int64)

@@ -8,10 +8,10 @@ of the direction count; the Lambertian 1/pi is folded into albedo. With unit
 radiance and full visibility a surface therefore shades to pi * albedo.
 
 Each hemisphere's sum over directions of radiance x clamped cosine is one
-fused tape op, ``tape.lambert_quadrature``: two ``matmul`` calls forward and
-two per gradient, saving only the clamped cosines. A direction exactly
-perpendicular to a normal passes that normal no gradient (the tape's
-``maximum(expr, 0.0)`` tie convention).
+fused tape op, ``tape.lambert_quadrature``, made of ``matmul`` calls over
+cache-sized blocks of rays. It saves no cosines; each gradient recomputes
+them block by block. A direction exactly perpendicular to a normal passes
+that normal no gradient (the tape's ``maximum(expr, 0.0)`` tie convention).
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ Conventions:
     ties, so hinges written ``maximum(expr, 0.0)`` have subgradient 0 at the
     kink,
   * ``lambert_quadrature`` fuses the clamped-cosine irradiance sum into one
-    node with ``matmul`` VJPs; a cosine of exactly 0 gives its normal
-    subgradient 0, the ``maximum(expr, 0.0)`` convention,
+    node with ``matmul`` VJPs. It runs over cache-sized blocks of rays and
+    saves no cosines: each VJP recomputes its block's cosines. A cosine of
+    exactly 0 gives its normal subgradient 0, the ``maximum(expr, 0.0)``
+    convention,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
   * ``take`` and ``take_rows`` pass back a deferred scatter adjoint, flat
@@ -469,30 +471,55 @@ def einsum2(subscripts, a, b):
          lambda g: np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data)))
 
 
+LAMBERT_BLOCK = 65536  # cosine entries per ray block of lambert_quadrature; 512 KiB
+
+
 def lambert_quadrature(normals, dirs, radiance):
     """Clamped-cosine quadrature ``irr[r, s, :] = sum_u max(n[r, s] . d[u], 0)
     * radiance[r, u, :]``.
 
     ``normals`` is (R, S, 3), ``dirs`` a constant (U, 3) array and
-    ``radiance`` (R, U, C); the result is (R, S, C). Only the clamped cosines
-    are saved for the gradient, and a cosine of exactly 0 passes no gradient
-    to the normal, as ``maximum(expr, 0.0)`` would.
+    ``radiance`` (R, U, C); the result is (R, S, C). The op runs over blocks
+    of whole rays, about ``LAMBERT_BLOCK`` cosines each, so a block's cosines
+    stay in cache; it saves none of them, and each gradient recomputes its
+    block's cosines. A cosine of exactly 0 passes no gradient to the normal,
+    as ``maximum(expr, 0.0)`` would.
     """
     t = _tape_of(normals, radiance)
     normals, radiance = _lift(normals, t), _lift(radiance, t)
     d = np.asarray(dirs, dtype=np.float64)
-    n_rays, n_samples, _ = normals.data.shape
-    cos = (normals.data.reshape(-1, 3) @ d.T).reshape(n_rays, n_samples, -1)
-    np.maximum(cos, 0.0, out=cos)
-    out = cos @ radiance.data
+    n, rad = normals.data, radiance.data
+    n_rays, n_samples, _ = n.shape
+    n_dirs = d.shape[0]
+    step = max(1, LAMBERT_BLOCK // max(1, n_samples * n_dirs))
+    blocks = [slice(lo, lo + step) for lo in range(0, n_rays, step)]
+
+    def dots(b):
+        return (n[b].reshape(-1, 3) @ d.T).reshape(-1, n_samples, n_dirs)
+
+    out = np.empty((n_rays, n_samples, rad.shape[-1]))
+    for b in blocks:
+        cos = dots(b)
+        np.maximum(cos, 0.0, out=cos)
+        np.matmul(cos, rad[b], out=out[b])
 
     def vjp_normals(g):
-        g_cos = g @ radiance.data.transpose(0, 2, 1)
-        g_cos *= cos > 0.0
-        return (g_cos.reshape(-1, d.shape[0]) @ d).reshape(normals.data.shape)
+        g_n = np.empty(n.shape)
+        for b in blocks:
+            g_cos = g[b] @ rad[b].transpose(0, 2, 1)
+            g_cos *= dots(b) > 0.0
+            np.matmul(g_cos.reshape(-1, n_dirs), d, out=g_n[b].reshape(-1, 3))
+        return g_n
 
-    return _node("lambert", out, (normals, radiance),
-                 (vjp_normals, lambda g: cos.transpose(0, 2, 1) @ g))
+    def vjp_radiance(g):
+        g_r = np.empty(rad.shape)
+        for b in blocks:
+            cos = dots(b)
+            np.maximum(cos, 0.0, out=cos)
+            np.matmul(cos.transpose(0, 2, 1), g[b], out=g_r[b])
+        return g_r
+
+    return _node("lambert", out, (normals, radiance), (vjp_normals, vjp_radiance))
 
 
 def exclusive_cumprod_last(a):

@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("illum_lobes must be 2 + 2*ring_size")
         if self.vmf_kappa <= 0:
             raise ConfigError("vmf_kappa must be positive")
+        if not 0.0 <= self.ddf_min_z < 1.0:
+            raise ConfigError("ddf_min_z must be in [0, 1)")
 
     def loss_weights(self):
         return ls.LossWeights(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tape as tp
 from .fields import multilinear, sphere_trace
-from .geometry import WORLD_UP, icosphere_directions
+from .geometry import WORLD_UP, ConfigError, icosphere_directions
 
 SCENE_DIAMETER = 2.0
 
@@ -226,16 +226,32 @@ def ambient_occlusion(bound, x, dirs=None):
     return tp.vmean(v, axis=1)
 
 
+def sun_direction(sun_dir):
+    """A unit copy of ``sun_dir``; ConfigError unless it is a finite 3-vector
+    with a non-zero, finite norm."""
+    try:
+        sun = np.array(sun_dir, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sun direction must be a 3-vector, got {sun_dir!r}") from exc
+    if sun.shape != (3,) or not np.all(np.isfinite(sun)):
+        raise ConfigError(f"sun direction must be a finite 3-vector, got {sun_dir!r}")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(sun)
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"sun direction needs a non-zero, finite norm, got {sun_dir!r}")
+    return sun / norm
+
+
 def shadow_map(ddf, params, sun_dir, camera, scene_fields, n_samples=64,
                rng=None, chunk=4096):
     """Per-pixel soft visibility toward ``sun_dir`` at the expected surface
-    point; sky pixels (no termination) get value 1."""
+    point; sky pixels (no termination) get value 1. ``sun_dir`` is left
+    unchanged (see ``sun_direction``)."""
     from . import fields as fd  # local import to keep module load acyclic
 
+    sun = sun_direction(sun_dir)
     if rng is None:
         rng = np.random.default_rng(0)
-    sun = np.asarray(sun_dir, dtype=np.float64)
-    sun /= np.linalg.norm(sun)
     pixels = camera.all_pixels()
     out = np.ones(pixels.shape[0])
     bnd_f = fd.BoundFields(None, scene_fields, trainable=False)

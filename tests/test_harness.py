@@ -345,6 +345,16 @@ def test_cli_render_relight_viz(tmp_path):
                      "--out", str(run)]) != 0
 
 
+@pytest.mark.parametrize("sun", ["0.8,0", "0,0,0", "0,nan,1", "north"])
+def test_cli_shadow_reports_bad_sun_as_config_error(tmp_path, capsys, sun):
+    # checked before the checkpoint loads, so no run directory is needed
+    rc = cli_main(["shadow", "--ckpt", str(tmp_path / "run"), "--dataset",
+                   str(tmp_path / "ds"), "--view", "0", "--sun", sun,
+                   "--out", str(tmp_path / "sh")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_cli_invalid_config_key(tmp_path):
     out = tmp_path / "ds"
     cli_main(["generate", "--scene", "two-sphere", "--views", "2", "--seed",

@@ -22,6 +22,21 @@ def test_loss_weights_defaults_and_validation():
         ls.LossWeights(sky=-0.1)
 
 
+class _NoDraws:
+    """An rng stand-in that fails on first use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used before min_z was checked")
+
+
+@pytest.mark.parametrize("min_z", [-1.0, -1e-3, 1.0, float("nan")])
+def test_sample_ddf_batch_rejects_min_z_up_front(min_z):
+    # a position below the horizon has no inward, sky-side direction, so the
+    # rejection loop would spin; the check runs before any draw
+    with pytest.raises(ValueError, match="min_z"):
+        ls.sample_ddf_batch(make_scene("two-sphere"), _NoDraws(), 2, 8, min_z=min_z)
+
+
 def test_tonemap_matches_numpy_srgb():
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.2, 1.4, size=(64, 3))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from skylit import tape as tp
 
@@ -195,6 +196,129 @@ def test_duplicate_parameter_slot_rejected():
         t.parameter("p", 2.0)
 
 
+# -- op VJPs against central differences --------------------------------
+
+
+def _signed(rng, size, lo, hi):
+    """Values with lo <= |x| <= hi and a random sign, clear of 0."""
+    return rng.uniform(lo, hi, size=size) * rng.choice([-1.0, 1.0], size=size)
+
+
+def _normal(rng, size):
+    return rng.normal(size=size)
+
+
+def _quarters(rng, size, offset=0.0):
+    """Multiples of 1/4 plus ``offset``: two draws with offsets 0 and 1/8
+    never tie and differ by at least 1/8."""
+    return rng.integers(-8, 9, size=size) / 4.0 + offset
+
+
+def _assert_vjps_match_central_differences(fn, inputs, rng, h=1e-6):
+    """Each input's gradient of ``sum(fn(*inputs) * upstream)`` from
+    ``backward`` against central differences of the same sum."""
+    t = tp.Tape()
+    out = fn(*(t.parameter(f"x{i}", x) for i, x in enumerate(inputs)))
+    upstream = rng.normal(size=out.data.shape)
+    grads = tp.backward(t, tp.vsum(out * upstream))
+
+    def loss(values):
+        return float(np.sum(fn(*(tp._lift(v, None) for v in values)).data * upstream))
+
+    for i, x in enumerate(inputs):
+        numeric = np.empty(x.shape)
+        for j in np.ndindex(x.shape):
+            bumped = [v.copy() for v in inputs]
+            bumped[i][j] = x[j] + h
+            up = loss(bumped)
+            bumped[i][j] = x[j] - h
+            numeric[j] = (up - loss(bumped)) / (2.0 * h)
+        got = grads[f"x{i}"]
+        assert got.shape == x.shape
+        scale = 1.0 + np.abs(numeric).max(initial=0.0)
+        np.testing.assert_allclose(got, numeric, rtol=1e-6, atol=1e-6 * scale)
+
+
+# each op with draws that keep clear of its kinks and domain edges
+_BINARY_OPS = {
+    "add": (tp.add, _normal, _normal),
+    "sub": (tp.sub, _normal, _normal),
+    "mul": (tp.mul, _normal, _normal),
+    "div": (tp.div, _normal, lambda rng, size: _signed(rng, size, 0.5, 2.0)),
+    "maximum": (tp.maximum, _quarters, lambda rng, size: _quarters(rng, size, 0.125)),
+    "minimum": (tp.minimum, _quarters, lambda rng, size: _quarters(rng, size, 0.125)),
+    "arctan2": (tp.arctan2, _normal, lambda rng, size: _signed(rng, size, 0.5, 2.0)),
+}
+
+_UNARY_OPS = {
+    "exp": (tp.exp, lambda rng, size: rng.uniform(-2.0, 2.0, size)),
+    "log": (tp.log, lambda rng, size: rng.uniform(0.5, 3.0, size)),
+    "sqrt": (tp.sqrt, lambda rng, size: rng.uniform(0.5, 3.0, size)),
+    "sigmoid": (tp.sigmoid, lambda rng, size: rng.uniform(-6.0, 6.0, size)),
+    "arccos": (tp.arccos, lambda rng, size: rng.uniform(-0.9, 0.9, size)),
+    "absolute": (tp.absolute, lambda rng, size: _signed(rng, size, 0.1, 2.0)),
+    # both branches, clear of the switch at 30
+    "softplus": (tp.softplus, lambda rng, size: np.where(
+        rng.random(size) < 0.75, rng.uniform(-6.0, 6.0, size),
+        rng.uniform(31.0, 40.0, size))),
+}
+
+_SHAPES = npst.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+
+
+@pytest.mark.parametrize("name", sorted(_BINARY_OPS))
+@settings(max_examples=25, deadline=None)
+@given(shapes=npst.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_binary_op_vjps_match_central_differences(name, shapes, seed):
+    op, draw_a, draw_b = _BINARY_OPS[name]
+    rng = np.random.default_rng(seed)
+    a_shape, b_shape = shapes.input_shapes
+    inputs = [np.asarray(draw_a(rng, size=a_shape), dtype=np.float64),
+              np.asarray(draw_b(rng, size=b_shape), dtype=np.float64)]
+    _assert_vjps_match_central_differences(op, inputs, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes=npst.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_where_vjps_match_central_differences(shapes, seed):
+    rng = np.random.default_rng(seed)
+    mask_shape, a_shape, b_shape = shapes.input_shapes
+    mask = rng.random(mask_shape) < 0.5
+    inputs = [rng.normal(size=a_shape), rng.normal(size=b_shape)]
+    _assert_vjps_match_central_differences(
+        lambda a, b: tp.where(mask, a, b), inputs, rng)
+
+
+@pytest.mark.parametrize("name", sorted(_UNARY_OPS))
+@settings(max_examples=25, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_unary_op_vjps_match_central_differences(name, shape, seed):
+    op, draw = _UNARY_OPS[name]
+    rng = np.random.default_rng(seed)
+    inputs = [np.asarray(draw(rng, size=shape), dtype=np.float64)]
+    _assert_vjps_match_central_differences(op, inputs, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=_SHAPES, p=st.sampled_from([-1.5, -1.0, 0.5, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_vjp_matches_central_differences(shape, p, seed):
+    rng = np.random.default_rng(seed)
+    inputs = [rng.uniform(0.5, 2.0, size=shape)]
+    _assert_vjps_match_central_differences(lambda a: tp.power(a, p), inputs, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=npst.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_exclusive_cumprod_last_vjp_matches_central_differences(shape, seed):
+    rng = np.random.default_rng(seed)
+    inputs = [rng.uniform(-2.0, 2.0, size=shape)]
+    _assert_vjps_match_central_differences(tp.exclusive_cumprod_last, inputs, rng)
+
+
 # -- fused irradiance quadrature -----------------------------------------
 
 
@@ -208,26 +332,40 @@ def _lambert_composition(normals, dirs, radiance):
     return tp.einsum2("rsu,ruc->rsc", cos, radiance)
 
 
-def _value_and_grads(op, normals, dirs, radiance, upstream):
+def _value_and_grads(op, normals, dirs, radiance, upstream, on_tape=("n", "r")):
+    """The op's value and the gradients of the inputs named in ``on_tape``;
+    the other input is bound as a constant."""
     t = tp.Tape()
-    n = t.parameter("n", normals)
-    r = t.parameter("r", radiance)
+    n = t.parameter("n", normals) if "n" in on_tape else tp._lift(normals, None)
+    r = t.parameter("r", radiance) if "r" in on_tape else tp._lift(radiance, None)
     out = op(n, dirs, r)
     grads = tp.backward(t, tp.vsum(out * upstream))
-    return out.data, grads["n"], grads["r"]
+    return (out.data,) + tuple(grads[k] for k in on_tape)
 
 
-def _assert_matches_composition(rng, n_rays, n_samples, n_dirs, channels=3):
+def _lambert_case(rng, n_rays, n_samples, n_dirs, channels=3):
     normals = _unit(rng.normal(size=(n_rays, n_samples, 3)))
     dirs = _unit(rng.normal(size=(n_dirs, 3)))
     radiance = rng.random((n_rays, n_dirs, channels))
     upstream = rng.normal(size=(n_rays, n_samples, channels))
-    fused = _value_and_grads(tp.lambert_quadrature, normals, dirs, radiance, upstream)
-    ref = _value_and_grads(_lambert_composition, normals, dirs, radiance, upstream)
+    return normals, dirs, radiance, upstream
+
+
+def _assert_matches_composition(rng, n_rays, n_samples, n_dirs, channels=3,
+                                on_tape=("n", "r")):
+    case = _lambert_case(rng, n_rays, n_samples, n_dirs, channels)
+    fused = _value_and_grads(tp.lambert_quadrature, *case, on_tape=on_tape)
+    ref = _value_and_grads(_lambert_composition, *case, on_tape=on_tape)
     for got, want in zip(fused, ref):
         assert got.shape == want.shape
         scale = max(np.abs(want).max(), 1e-300)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    return case, fused
+
+
+def _unblocked_value(normals, dirs, radiance):
+    cos = normals.reshape(-1, 3) @ dirs.T
+    return np.maximum(cos, 0.0).reshape(normals.shape[:2] + (-1,)) @ radiance
 
 
 def test_lambert_quadrature_gradient_check_with_perpendicular_direction():
@@ -270,20 +408,74 @@ def test_lambert_quadrature_tie_gives_zero_normal_gradient():
 
 
 def test_lambert_quadrature_matches_composition_at_default_size():
-    # 128 rays x 48 samples x one hemisphere of the 642-direction set
-    _assert_matches_composition(np.random.default_rng(5), 128, 48, 321)
+    # 128 rays x 48 samples x one hemisphere of the 642-direction set, in
+    # blocks of LAMBERT_BLOCK // (48 * 321) = 4 rays
+    (normals, dirs, radiance, _), (value, _, _) = _assert_matches_composition(
+        np.random.default_rng(5), 128, 48, 321)
+    assert value.tobytes() == _unblocked_value(normals, dirs, radiance).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(n_rays=st.integers(1, 6), n_samples=st.integers(1, 7),
+@settings(max_examples=60, deadline=None)
+@given(n_rays=st.integers(1, 12), n_samples=st.integers(1, 7),
        n_dirs=st.integers(1, 20), channels=st.integers(1, 3),
+       rays_per_block=st.integers(1, 4), slack=st.floats(0.0, 0.99),
+       on_tape=st.sampled_from([("n", "r"), ("r",), ("n",)]),
        seed=st.integers(0, 2**32 - 1))
-@example(n_rays=1, n_samples=1, n_dirs=1, channels=1, seed=0)
-@example(n_rays=1, n_samples=5, n_dirs=1, channels=3, seed=1)
+@example(n_rays=1, n_samples=1, n_dirs=1, channels=1, rays_per_block=1,
+         slack=0.0, on_tape=("n", "r"), seed=0)
+@example(n_rays=1, n_samples=5, n_dirs=1, channels=3, rays_per_block=1,
+         slack=0.0, on_tape=("n", "r"), seed=1)
+@example(n_rays=11, n_samples=4, n_dirs=9, channels=3, rays_per_block=3,
+         slack=0.5, on_tape=("n", "r"), seed=2)  # blocks of 3, 3, 3, 2
+@example(n_rays=10, n_samples=3, n_dirs=7, channels=2, rays_per_block=4,
+         slack=0.0, on_tape=("r",), seed=3)  # the holdout fit's constant fields
+@example(n_rays=10, n_samples=3, n_dirs=7, channels=2, rays_per_block=4,
+         slack=0.0, on_tape=("n",), seed=4)
 def test_lambert_quadrature_matches_composition_property(
-        n_rays, n_samples, n_dirs, channels, seed):
-    _assert_matches_composition(np.random.default_rng(seed), n_rays, n_samples,
-                                n_dirs, channels)
+        n_rays, n_samples, n_dirs, channels, rays_per_block, slack, on_tape, seed):
+    # a block of ``rays_per_block`` whole rays, whatever the slack below the
+    # next multiple of one ray's cosines
+    block = int((rays_per_block + slack) * n_samples * n_dirs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tp, "LAMBERT_BLOCK", block)
+        (normals, dirs, radiance, _), (value, *_) = _assert_matches_composition(
+            np.random.default_rng(seed), n_rays, n_samples, n_dirs, channels,
+            on_tape)
+    if n_samples > 1:
+        # numpy multiplies a one-row matrix with gemv, which rounds apart
+        # from gemm; only a block of one ray of one sample is such a matrix
+        assert value.tobytes() == _unblocked_value(normals, dirs, radiance).tobytes()
+
+
+def _reachable_arrays(x, found):
+    """Every array reachable from ``x`` through Vars, lists, tuples and the
+    closure cells of functions, nested functions included."""
+    if isinstance(x, tp.Var):
+        x = x.data
+    if isinstance(x, np.ndarray):
+        found.append(x)
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            _reachable_arrays(item, found)
+    elif callable(x):
+        for cell in getattr(x, "__closure__", None) or ():
+            _reachable_arrays(cell.cell_contents, found)
+    return found
+
+
+def test_lambert_quadrature_saves_no_cosines(monkeypatch):
+    monkeypatch.setattr(tp, "LAMBERT_BLOCK", 2 * 5 * 11)  # 2 rays per block
+    n_rays, n_samples, n_dirs = 7, 5, 11
+    normals, dirs, radiance, _ = _lambert_case(
+        np.random.default_rng(6), n_rays, n_samples, n_dirs)
+    t = tp.Tape()
+    out = tp.lambert_quadrature(t.parameter("n", normals), dirs,
+                                t.parameter("r", radiance))
+    assert [p.op for p, _ in out.parents] == ["param:n", "param:r"]
+    for _, vjp in out.parents:
+        arrays = _reachable_arrays(vjp, [])
+        assert arrays  # the walk reaches the inputs it needs
+        assert max(a.size for a in arrays) < n_rays * n_samples * n_dirs
 
 
 # -- scatter VJPs against np.add.at ---------------------------------------

@@ -418,3 +418,17 @@ def test_holdout_fit_recovers_gamma_scale(tiny_dataset):
     assert not info["no_sky_pixels"]
     assert state.gamma == pytest.approx(target_state.gamma, rel=0.05)
     assert np.array_equal(state.Z, gt.Z)
+
+
+@pytest.mark.parametrize("min_z", [-1.0, -0.1, 1.0, 1.5, float("nan")])
+def test_config_rejects_ddf_min_z_outside_unit_interval(min_z):
+    # below the horizon the DDF batch sampler's rejection loop never fills
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(ddf_min_z=min_z)
+    with pytest.raises(ConfigError):
+        tr.TrainConfig.from_entries({"ddf_min_z": str(min_z)})
+
+
+def test_config_accepts_ddf_min_z_in_unit_interval():
+    assert tr.TrainConfig(ddf_min_z=0.0).ddf_min_z == 0.0
+    assert tr.TrainConfig.from_entries({"ddf_min_z": "0.5"}).ddf_min_z == 0.5

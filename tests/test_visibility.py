@@ -265,3 +265,37 @@ def test_shadow_map_no_occluder_and_lower_sun():
 
     img_low = vz.shadow_map(ddf, params, [0.0, 0.0, -1.0], cam, scene)
     assert np.all(img_low == 1.0)  # lower-hemisphere rule
+
+
+def _shadow_setup():
+    from skylit.cameras import Camera
+
+    scene = fd.SceneFields.default(resolution=8)
+    ddf = vz.DdfField(np.full((4, 8, 3, 6), 40.0))
+    params = vz.VisibilityParams.default(epsilon=0.1)
+    cam = Camera.look_at([0.0, -0.6, 0.4], [0.0, 0.0, 0.0], 4, 3)
+    return ddf, params, cam, scene
+
+
+def test_shadow_map_leaves_sun_vector_unchanged():
+    ddf, params, cam, scene = _shadow_setup()
+    sun = np.array([0.0, 0.0, 2.0])
+    img = vz.shadow_map(ddf, params, sun, cam, scene)
+    assert np.array_equal(sun, [0.0, 0.0, 2.0])
+    assert np.array_equal(img, vz.shadow_map(ddf, params, [0.0, 0.0, 1.0], cam, scene))
+
+
+@pytest.mark.parametrize("sun", [
+    [0.0, 0.0, 0.0],                 # zero norm: a NaN map
+    [0.8, 0.0],                      # not a 3-vector
+    [[0.0, 0.0, 1.0]],
+    [0.0, float("nan"), 1.0],
+    [0.0, float("inf"), 1.0],
+    [1e200, 1e200, 0.0],             # norm overflows to inf
+])
+def test_shadow_map_rejects_bad_sun_vector(sun):
+    from skylit.geometry import ConfigError
+
+    ddf, params, cam, scene = _shadow_setup()
+    with pytest.raises(ConfigError):
+        vz.shadow_map(ddf, params, sun, cam, scene)
