@@ -3,10 +3,11 @@
 Both fields are dense trilinear grids over the cube [-extent, extent]^3
 covering the contracted unit ball. They are read through ``multilinear``,
 the one interpolation kernel that every grid in the package shares (the
-spherical DDF too). Queries outside the cube take the value at the nearest
-boundary point. The SDF carries a single global steepness parameter for the
-logistic CDF used by the NeuS weight construction, stored in log space so it
-stays positive.
+spherical DDF too): one tape node with hand-written gradients in the grid
+and in the cell coordinates. Queries outside the cube take the value at the
+nearest boundary point. The SDF carries a single global steepness parameter
+for the logistic CDF used by the NeuS weight construction, stored in log
+space so it stays positive.
 """
 
 from __future__ import annotations
@@ -19,66 +20,130 @@ from . import tape as tp
 from .geometry import WORLD_UP, contract, ray_sphere_exit
 
 
+def _corner_products(factors):
+    """Corner-major products of per-axis (2, ...) factor pairs, built one
+    axis at a time, left to right: entry j of the list holds the 2^(j+1)
+    products of the first j + 1 factors; the last entry is the corner
+    weights."""
+    out = [factors[0]]
+    for f in factors[1:]:
+        w = out[-1]
+        prod = w[:, None] * f[None]
+        out.append(prod.reshape((2 * w.shape[0],) + prod.shape[2:]))
+    return out
+
+
+def _factor_adjoints(factors, g_w):
+    """Adjoints of the factor pairs from the adjoint ``g_w`` of their corner
+    weights, by reverse mode through ``_corner_products``."""
+    prefix = _corner_products(factors[:-1]) if len(factors) > 1 else []
+    grads = [None] * len(factors)
+    for j in range(len(factors) - 1, 0, -1):
+        g_w = g_w.reshape((g_w.shape[0] // 2, 2) + g_w.shape[1:])
+        grads[j] = np.einsum("ab...,a...->b...", g_w, prefix[j - 1])
+        g_w = np.einsum("ab...,b...->a...", g_w, factors[j])
+    grads[0] = g_w
+    return grads
+
+
 def multilinear(grid, u, wrap, spatial_grad=False):
     """Multilinear interpolation of a grid Var at continuous cell coordinates.
 
     ``grid`` has k interpolated axes, optionally followed by one channel
-    axis; ``u`` holds k coordinate arrays (numpy or Var, in cells) of one
-    rank whose shapes broadcast. An axis whose ``wrap`` flag is set is
-    periodic; any other is clamped to its end nodes. The layout is corner
-    major: the 2^k corners are gathered once, in lexicographic order, into
-    one array whose first axis is the corner, so numpy's inner loops run
-    over the queries. Each corner weight is the left-to-right product of
-    the per-axis weights, built one axis at a time, and the weighted
-    corners are summed in corner order (``vsum`` over axis 0). The result
-    is differentiable in the grid and in Var coordinates. With
-    ``spatial_grad`` it holds the k partials along ``u`` (in cell units,
-    stacked on a new last axis) instead of the value.
+    axis; ``u`` holds k coordinate arrays (in cells) of one rank whose
+    shapes broadcast: a sequence of numpy arrays or Vars, or one Var with
+    the k coordinates on its first axis. An axis whose ``wrap`` flag is set
+    is periodic; any other is clamped to its end nodes (NaN stays NaN). The
+    layout is corner major: the 2^k corners are gathered once, in
+    lexicographic order, into one array whose first axis is the corner, so
+    numpy's inner loops run over the queries. Each corner weight is the
+    left-to-right product of the per-axis weights, built one axis at a time,
+    and the weighted corners are summed in corner order. With
+    ``spatial_grad`` the result holds the k partials along ``u`` (in cell
+    units, stacked on a new last axis) instead of the value.
+
+    One tape node, differentiable in the grid and in Var coordinates. It
+    saves the corner indices and the per-axis fractions; its gradients
+    recompute the corner weights (the grid's adjoint is each corner's weight
+    times the output adjoint, scattered once) and re-gather the corner
+    values (the coordinates' adjoints, by reverse mode through the weight
+    products). A clamped coordinate at or beyond an end node gets gradient
+    0, the ``maximum``/``minimum`` tie rule.
     """
-    k = len(u)
-    u_np = [v.data if isinstance(v, tp.Var) else np.asarray(v, dtype=np.float64)
-            for v in u]
-    ndim = u_np[0].ndim
+    if not isinstance(u, tp.Var) and any(isinstance(v, tp.Var) for v in u):
+        u = tp.stack(list(u), axis=0)  # Var coordinates enter as one parent
+    coords = (u.data if isinstance(u, tp.Var)
+              else [np.asarray(v, dtype=np.float64) for v in u])
+    k = len(coords)
+    shape = grid.data.shape
+    channels = grid.data.ndim > k
+    table = grid.data.reshape((-1, shape[-1]) if channels else -1)
+    ndim = coords[0].ndim
     idx = np.zeros((1,) * (ndim + 1), dtype=np.int64)
-    pairs = []
-    for n, uj, uj_np, periodic in zip(grid.data.shape, u, u_np, wrap):
-        # a non-finite coordinate gathers node 0 and keeps its non-finite
-        # weights, so the value is NaN instead of an out-of-range index
-        uj_np = np.where(np.isfinite(uj_np), uj_np, 0.0)
+    fracs = []
+    for n, uj, periodic in zip(shape, coords, wrap):
         if periodic:
-            i0 = np.floor(uj_np).astype(np.int64)
+            # a non-finite coordinate gathers node 0 and keeps its non-finite
+            # weights, so the value is NaN instead of an out-of-range index
+            i0 = np.floor(np.where(np.isfinite(uj), uj, 0.0)).astype(np.int64)
             frac = uj - i0.astype(np.float64)
             ends = (i0 % n, (i0 + 1) % n)
         else:
-            i0 = np.minimum(np.floor(np.clip(uj_np, 0.0, n - 1)).astype(np.int64),
-                            n - 2)
-            frac = tp.minimum(tp.maximum(uj, 0.0), float(n - 1)) - i0.astype(np.float64)
+            # the clip sends +-inf to the end nodes; NaN gathers node 0 and
+            # keeps a NaN weight
+            i0 = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
+                                             0.0, n - 1)).astype(np.int64), n - 2)
+            frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - i0.astype(np.float64)
             ends = (i0, i0 + 1)
         idx = idx[:, None] * n + np.stack(ends)
         idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
-        pairs.append(tp.stack([1.0 - frac, frac], axis=0))
+        fracs.append(frac)
 
-    if grid.data.ndim == k:
-        vals = tp.take(grid, idx)
-    else:
-        vals = tp.take_rows(tp.reshape(grid, (-1, grid.data.shape[-1])), idx)
+    slope = np.reshape([-1.0, 1.0], (2,) + (1,) * ndim)
+    outs = range(k) if spatial_grad else (None,)
 
-    def combine(factors):
-        # corner weights (2^j, ...) times the next axis's (2, ...) pair
-        w = factors[0]
-        for f in factors[1:]:
-            prod = (tp.reshape(w, (w.data.shape[0], 1) + w.data.shape[1:])
-                    * tp.reshape(f, (1,) + f.data.shape))
-            w = tp.reshape(prod, (2 * w.data.shape[0],) + prod.data.shape[2:])
-        if grid.data.ndim == k:
-            return tp.vsum(w * vals, axis=0)
-        return tp.vsum(tp.reshape(w, w.data.shape + (1,)) * vals, axis=0)
+    def factors(j):
+        # per-axis weight pairs (1 - frac, frac); the slope replaces axis j
+        # for the partial along it
+        pairs = [np.stack([1.0 - f, f]) for f in fracs]
+        if j is not None:
+            pairs[j] = slope
+        return pairs
 
-    if not spatial_grad:
-        return combine(pairs)
-    slope = tp._lift(np.reshape([-1.0, 1.0], (2,) + (1,) * ndim), None)
-    return tp.stack([combine(pairs[:j] + [slope] + pairs[j + 1:]) for j in range(k)],
-                    axis=-1)
+    def weights(j):
+        w = _corner_products(factors(j))[-1]
+        return w[..., None] if channels else w
+
+    vals = np.take(table, idx, axis=0)
+    out = [(weights(j) * vals).sum(axis=0) for j in outs]
+    out = np.stack(out, axis=-1) if spatial_grad else out[0]
+
+    def vjp_grid(g):
+        # each corner's weight times the output adjoint; the partials' terms
+        # add from the last axis to the first
+        g_vals = None
+        for j in reversed(outs):
+            c = (g if j is None else g[..., j])[None] * weights(j)
+            g_vals = c if g_vals is None else g_vals + c
+        flat = idx[..., None] * shape[-1] + np.arange(shape[-1]) if channels else idx
+        return tp._Scatter(shape, [flat.reshape(-1)], [g_vals.reshape(-1)])
+
+    def vjp_coords(g):
+        vals = np.take(table, idx, axis=0)
+        g_frac = [np.zeros(idx.shape[1:])] * k
+        for j in outs:
+            g_j = g if j is None else g[..., j]
+            g_w = np.einsum("k...c,...c->k...", vals, g_j) if channels else vals * g_j
+            for i, g_pair in enumerate(_factor_adjoints(factors(j), g_w)):
+                if i != j:
+                    g_frac[i] = g_frac[i] + (g_pair[1] - g_pair[0])
+        for i, (n, uj, periodic) in enumerate(zip(shape, coords, wrap)):
+            if not periodic:
+                g_frac[i] = g_frac[i] * ((uj > 0.0) & (uj < n - 1))
+        return np.stack(g_frac)
+
+    inputs = (grid, u) if isinstance(u, tp.Var) else (grid,)
+    return tp._node("multilinear", out, inputs, (vjp_grid, vjp_coords))
 
 
 def cell_coords(x, resolution, extent):

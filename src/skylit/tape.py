@@ -12,15 +12,23 @@ Conventions:
   * ``maximum``/``minimum`` route the gradient to the *second* argument on
     ties, so hinges written ``maximum(expr, 0.0)`` have subgradient 0 at the
     kink,
-  * ``lambert_quadrature`` fuses the clamped-cosine irradiance sum into one
-    node with ``matmul`` VJPs. It runs over cache-sized blocks of rays and
-    saves no cosines: each VJP recomputes its block's cosines. A cosine of
-    exactly 0 gives its normal subgradient 0, the ``maximum(expr, 0.0)``
-    convention,
+  * fused ops are one node each, built with ``_node`` from plain numpy and
+    hand-written VJPs that recompute what they need instead of saving it:
+    ``lambert_quadrature`` (the clamped-cosine irradiance sum, in
+    cache-sized blocks of rays; saves no cosines, and a cosine of exactly 0
+    gives its normal subgradient 0, the ``maximum(expr, 0.0)`` convention);
+    ``fields.multilinear`` (every grid lookup; saves its corner indices and
+    per-axis fractions, no corner weights); and, on the outside-in
+    visibility query, ``visibility.exit_point`` (the exit distance, then
+    the exit point) and ``visibility._ddf_cell_coords`` (the DDF's four
+    cell coordinates), which keep only their inputs and values, and the
+    DDF's clamped-sigmoid depth (keeps the sigmoid). Clamps in fused ops
+    follow the tie rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
-  * ``take`` and ``take_rows`` pass back a deferred scatter adjoint, flat
-    indices plus values, and ``reshape`` passes it through. ``backward``
+  * ``take``, ``take_rows`` and ``fields.multilinear`` pass back a deferred
+    scatter adjoint, flat indices plus values, and ``reshape`` passes it
+    through. ``backward``
     concatenates every such adjoint that reaches one Var and densifies it
     once, with one ``np.bincount``, at the parameter or at the first other
     op that needs a dense array. Sums across gathers therefore follow
@@ -235,13 +243,19 @@ def sqrt(a):
     return _node("sqrt", out, (a,), (vjp,))
 
 
-def sigmoid(a):
-    x = a.data
+def sigmoid_np(x):
+    """The logistic function of a numpy array, overflow-safe; ``sigmoid``'s
+    value, for fused ops that apply it inside one node."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a):
+    out = sigmoid_np(a.data)
     return _node("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
 

@@ -8,6 +8,11 @@ query the DDF looking back along -d, and compare the predicted depth to the
 actual distance ||s - x||. The comparison is softened with a sigmoid so
 appearance gradients flow from shadows into the DDF, the threshold, and the
 scene geometry.
+
+The query is a few fused tape nodes with closed-form gradients: the exit
+distance and exit point, the DDF's four cell coordinates (no local frame is
+built: the local azimuth is an atan2 of unnormalised frame components), one
+``multilinear`` lookup and the clamped-sigmoid depth.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import tape as tp
 from .fields import multilinear, sphere_trace
-from .geometry import WORLD_UP, ConfigError, icosphere_directions
+from .geometry import ConfigError, icosphere_directions
 
 SCENE_DIAMETER = 2.0
 
@@ -93,41 +98,91 @@ class BoundDdf:
         return tp.softplus(self.eps_raw)
 
 
-def _comp(v, k):
-    if isinstance(v, tp.Var):
-        return v[..., k]
-    return tp._lift(np.asarray(v, dtype=np.float64)[..., k], None)
+def _ddf_cell_coords(s, d, shape):
+    """DDF grid cell coordinates of queries at sphere points ``s`` looking
+    along ``d``, as one (4, ...) Var: the polar/azimuth angles of s, then
+    those of d in the local frame whose y-axis is s, whose x-axis is
+    world-up x s and whose z-axis is x x s (at the poles, where world-up x s
+    vanishes, x is (1, 0, 0) orthogonalised against s).
 
+    One tape node; s and d broadcast and either may be a Var. The local
+    polar angle is arccos(-(d . s)), clamped. The local azimuth needs no
+    normalised frame, because atan2 is scale-invariant: it is
+    atan2(s_z (d_x s_x + d_y s_y) - d_z rho^2, d_y s_x - d_x s_y) with
+    rho^2 = s_x^2 + s_y^2, and atan2(d_z s_y - d_y s_z, d_x - s_x (d . s))
+    at the poles (rho^2 < 1e-12). The gradients recompute these terms from
+    s and d; a polar angle whose cosine is at or beyond +-1 passes gradient 0
+    (the clamp's tie rule), and the azimuths' slopes are floored as
+    ``tape.arctan2``'s are.
+    """
+    t = tp._tape_of(s, d)
+    s, d = tp._lift(s, t), tp._lift(d, t)
+    n_ts, n_ps, n_td, n_pd = shape
+    scale = ((n_ts - 1) / np.pi, n_ps / (2.0 * np.pi),
+             (n_td - 1) / (np.pi / 2.0), n_pd / (2.0 * np.pi))
 
-def _cross(ax, ay, az, bx, by, bz):
-    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    def terms():
+        sx, sy, sz = np.moveaxis(s.data, -1, 0)
+        dx, dy, dz = np.moveaxis(d.data, -1, 0)
+        ds = dx * sx + dy * sy + dz * sz
+        rho2 = sx * sx + sy * sy
+        num = sz * (dx * sx + dy * sy) - dz * rho2
+        den = dy * sx - dx * sy
+        pole = rho2 < 1e-12
+        if np.any(pole):
+            num = np.where(pole, dz * sy - dy * sz, num)
+            den = np.where(pole, dx - sx * ds, den)
+        return sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole
 
+    sx, sy, sz, _, _, _, ds, _, num, den, _ = terms()
+    u = (np.arccos(np.clip(sz, -1.0, 1.0)) * scale[0],
+         (np.arctan2(sy, sx) + np.pi) * scale[1],
+         np.arccos(np.clip(-ds, -1.0, 1.0)) * scale[2],
+         (np.arctan2(num, den) + np.pi) * scale[3])
+    out = np.stack(np.broadcast_arrays(*u))
 
-def _local_dir_components(s, d):
-    """Components of d in the frame whose y-axis is s (x orthogonal to
-    world-up, z completing it); handles broadcastable Var/numpy inputs."""
-    sx, sy, sz = _comp(s, 0), _comp(s, 1), _comp(s, 2)
-    dx, dy, dz = _comp(d, 0), _comp(d, 1), _comp(d, 2)
-    ux, uy, uz = WORLD_UP
-    xx, xy, xz = _cross(ux, uy, uz, sx, sy, sz)
-    xn_sq = xx * xx + xy * xy + xz * xz
-    pole = xn_sq.data < 1e-12
-    inv = 1.0 / tp.sqrt(tp.maximum(xn_sq, 1e-24))
-    xx, xy, xz = xx * inv, xy * inv, xz * inv
-    if np.any(pole):
-        # x falls back to (1,0,0) re-orthogonalized against s
-        px = 1.0 - sx * sx
-        py = -sx * sy
-        pz = -sx * sz
-        pn = tp.sqrt(tp.maximum(px * px + py * py + pz * pz, 1e-24))
-        xx = tp.where(pole, px / pn, xx)
-        xy = tp.where(pole, py / pn, xy)
-        xz = tp.where(pole, pz / pn, xz)
-    zx, zy, zz = _cross(xx, xy, xz, sx, sy, sz)
-    d_x = dx * xx + dy * xy + dz * xz
-    d_y = dx * sx + dy * sy + dz * sz
-    d_z = dx * zx + dy * zy + dz * zz
-    return d_x, d_y, d_z
+    def grads(g):
+        sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole = terms()
+        g0, g1, g2, g3 = (g[j] * scale[j] for j in range(4))
+        # polar angle of s; at or beyond the clamp it passes nothing
+        g_sz = -g0 * (np.abs(sz) < 1.0) / np.sqrt(np.maximum(1.0 - sz * sz, 1e-14))
+        # azimuth of s
+        r2 = np.maximum(sy * sy + sx * sx, 1e-14)
+        g_sx, g_sy = -g1 * sy / r2, g1 * sx / r2
+        # local polar angle arccos(-(d . s)), likewise
+        g_ds = g2 * (np.abs(ds) < 1.0) / np.sqrt(np.maximum(1.0 - ds * ds, 1e-14))
+        # local azimuth atan2(num, den); num and den are the normalised
+        # frame's components times the norm of the unnormalised x-axis, so
+        # tape.arctan2's floor scales by its square
+        if np.any(pole):
+            scale2 = np.where(pole, (1.0 - sx * sx) ** 2 + sx * sx * (sy * sy + sz * sz),
+                              rho2)
+        else:
+            scale2 = rho2
+        r2 = np.maximum(num * num + den * den, 1e-14 * scale2)
+        g_num, g_den = g3 * den / r2, -g3 * num / r2
+        g_s = [g_sx + g_num * (sz * dx - 2.0 * dz * sx) + g_den * dy,
+               g_sy + g_num * (sz * dy - 2.0 * dz * sy) - g_den * dx,
+               g_sz + g_num * (dx * sx + dy * sy)]
+        g_d = [g_num * sz * sx - g_den * sy,
+               g_num * sz * sy + g_den * sx,
+               -g_num * rho2]
+        if np.any(pole):
+            p_s = [g_den * (-ds - sx * dx),
+                   g_num * dz - g_den * sx * dy,
+                   -g_num * dy - g_den * sx * dz]
+            p_d = [g_den * (1.0 - sx * sx),
+                   -g_num * sz - g_den * sx * sy,
+                   g_num * sy - g_den * sx * sz]
+            g_s = [np.where(pole, p, q) for p, q in zip(p_s, g_s)]
+            g_d = [np.where(pole, p, q) for p, q in zip(p_d, g_d)]
+        g_s = [a + g_ds * b for a, b in zip(g_s, (dx, dy, dz))]
+        g_d = [a + g_ds * b for a, b in zip(g_d, (sx, sy, sz))]
+        return np.stack(np.broadcast_arrays(*g_s), axis=-1), \
+            np.stack(np.broadcast_arrays(*g_d), axis=-1)
+
+    return tp._node("ddf_coords", out, (s, d),
+                    (lambda g: grads(g)[0], lambda g: grads(g)[1]))
 
 
 def ddf_eval(bound, s, d_world, strict=True):
@@ -144,37 +199,67 @@ def ddf_eval(bound, s, d_world, strict=True):
     if strict and np.any(np.sum(s_np * d_np, axis=-1) > 1e-9):
         raise PreconditionError("DDF direction must point inward (d . s < 0)")
 
-    n_ts, n_ps, n_td, n_pd = bound.field.shape
-    sx, sy, sz = _comp(s, 0), _comp(s, 1), _comp(s, 2)
-    theta_s = tp.arccos(sz)
-    phi_s = tp.arctan2(sy, sx)
-    d_x, d_y, d_z = _local_dir_components(s, d_world)
-    theta_d = tp.arccos(tp.minimum(tp.maximum(-d_y, -1.0), 1.0))
-    phi_d = tp.arctan2(d_z, d_x)
-
-    u = (theta_s * ((n_ts - 1) / np.pi),
-         (phi_s + np.pi) * (n_ps / (2.0 * np.pi)),
-         theta_d * ((n_td - 1) / (np.pi / 2.0)),
-         (phi_d + np.pi) * (n_pd / (2.0 * np.pi)))
+    u = _ddf_cell_coords(s, d_world, bound.field.shape)
     raw = multilinear(bound.grid, u, (False, True, False, True))
-    gate = tp.minimum(tp.maximum(tp.sigmoid(raw), 1e-12), 1.0 - 1e-12)
-    return SCENE_DIAMETER * gate
+    # one node for SCENE_DIAMETER * sigmoid(raw), the sigmoid clamped to
+    # [1e-12, 1 - 1e-12] so that depths stay in the open (0, 2); a clamped
+    # entry passes gradient 0, the maximum/minimum tie rule
+    sig = tp.sigmoid_np(raw.data)
+    depth = np.minimum(np.maximum(sig, 1e-12), 1.0 - 1e-12) * SCENE_DIAMETER
+    return tp._node("ddf_depth", depth, (raw,),
+                    (lambda g: g * SCENE_DIAMETER * (sig < 1.0 - 1e-12) * (sig > 1e-12)
+                     * sig * (1.0 - sig),))
+
+
+def _exit_roots(x, d):
+    """The quadratic |x + t d|^2 = 1 for unit d: b, its root term and the
+    chosen root before the clamp at 0."""
+    b = 2.0 * (x[..., 0] * d[..., 0] + x[..., 1] * d[..., 1] + x[..., 2] * d[..., 2])
+    c = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2] - 1.0
+    root = np.sqrt(np.maximum(b * b - 4.0 * c, 0.0))
+    t0 = (-b - root) * 0.5
+    near = t0 >= -1e-12
+    return b, root, near, np.where(near, t0, (-b + root) * 0.5)
 
 
 def exit_point(x, d):
     """Differentiable smallest-nonnegative-root unit-sphere intersection of
-    rays x + t d; returns (s, t). Broadcasts over leading axes."""
-    xx = _comp(x, 0), _comp(x, 1), _comp(x, 2)
-    dd = _comp(d, 0), _comp(d, 1), _comp(d, 2)
-    b = 2.0 * (xx[0] * dd[0] + xx[1] * dd[1] + xx[2] * dd[2])
-    c = xx[0] * xx[0] + xx[1] * xx[1] + xx[2] * xx[2] - 1.0
-    disc = tp.maximum(b * b - 4.0 * c, 0.0)
-    root = tp.sqrt(disc)
-    t0 = (-b - root) * 0.5
-    t1 = (-b + root) * 0.5
-    t = tp.where(t0.data >= -1e-12, t0, t1)
-    t = tp.maximum(t, 0.0)
-    s = tp.stack([xx[0] + t * dd[0], xx[1] + t * dd[1], xx[2] + t * dd[2]], axis=-1)
+    rays x + t d; returns (s, t). Broadcasts over leading axes.
+
+    Two tape nodes: t, from the quadratic in closed form (its gradient
+    recomputes the roots; a root clamped to 0, a tangent ray and the
+    discriminant's clamp pass gradient as ``maximum``/``sqrt`` would), and
+    s = x + t d.
+    """
+    tape = tp._tape_of(x, d)
+    x, d = tp._lift(x, tape), tp._lift(d, tape)
+    xd, dd = x.data, d.data
+    _, _, _, t_root = _exit_roots(xd, dd)
+    t_np = np.maximum(t_root, 0.0)
+
+    def t_grads(g):
+        b, root, near, t_root = _exit_roots(xd, dd)
+        g_t = g * (t_root > 0.0)
+        g_b = -0.5 * g_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_disc = np.where(root > 0.0, np.where(near, -0.25, 0.25) * g_t / root, 0.0)
+        g_b = g_b + 2.0 * b * g_disc
+        g_c = -4.0 * g_disc
+        return (2.0 * g_b)[..., None], (2.0 * g_c)[..., None]
+
+    def vjp_x(g):
+        g_b, g_c = t_grads(g)
+        return g_b * dd + g_c * xd
+
+    def vjp_d(g):
+        return t_grads(g)[0] * xd
+
+    t = tp._node("exit_t", t_np, (x, d), (vjp_x, vjp_d))
+    s = tp._node("exit_s", xd + t_np[..., None] * dd, (x, t, d),
+                 (lambda g: g,
+                  lambda g: g[..., 0] * dd[..., 0] + g[..., 1] * dd[..., 1]
+                  + g[..., 2] * dd[..., 2],
+                  lambda g: g * t_np[..., None]))
     return s, t
 
 

@@ -105,6 +105,9 @@ def test_multilinear_4d_matches_16_corner_oracle_at_seams_and_poles():
     # polar clamps: exactly at the poles and just beyond them
     theta[0, 8:14] = [0.0, np.pi, -1e-3, np.pi + 1e-3, 0.0, np.pi]
     theta[1, :6] = [np.pi, 0.0, np.pi + 1e-3, -1e-3, np.pi, 0.0]
+    # +-inf on a clamped axis reads its end node, as a huge finite value does
+    theta[0, 14:16] = [np.inf, -np.inf]
+    theta[1, 6:8] = [-np.inf, np.inf]
     # queries 1 and 3 differ from 0 and 2 only across the first seam
     theta[:, [1, 3]] = theta[:, [0, 2]]
     phi[1, [1, 3]] = phi[1, [0, 2]]
@@ -116,6 +119,10 @@ def test_multilinear_4d_matches_16_corner_oracle_at_seams_and_poles():
     assert np.abs(got - want).max() < 1e-12
     # the seam is continuous: both sides of +-pi give the same value
     assert abs(got[0] - got[1]) < 1e-8 and abs(got[2] - got[3]) < 1e-12
+    line = tp._lift(np.array([0.0, 5.0, 1.0, 7.0, 2.0]), None)
+    ends = fd.multilinear(line, [np.array([np.inf, 1e9, -np.inf, -1e9, np.nan])],
+                          (False,)).data
+    assert np.array_equal(ends[:4], [2.0, 2.0, 0.0, 0.0]) and np.isnan(ends[4])
 
     weights = rng.normal(size=n_q)
 
@@ -177,6 +184,34 @@ def test_multilinear_4d_coordinate_gradients_pass_gradient_check():
         inside = (u[j].data > 0.0) & (u[j].data < n - 1) if not wrap[j] else True
         assert np.array_equal(g[f"u{j}"] != 0.0, np.broadcast_to(inside, n_q + 2))
     assert not np.any(g["u0"][:2]) and not np.any(g["u2"][:2])
+
+
+@pytest.mark.parametrize("grid_shape,wrap,partials", [
+    ((5, 4, 6), (False, True, False), True),          # the partials
+    ((4, 5, 3, 2), (False, True, False), False),      # a channel axis
+    ((4, 5, 3, 2), (True, False, False), True),       # both
+])
+def test_multilinear_coordinate_gradients_of_partials_and_channels(grid_shape, wrap,
+                                                                   partials):
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=grid_shape)
+    n_q = 9
+    coords = {f"u{j}": _off_kinks(rng, -0.8, n - 0.2, n_q)
+              for j, n in enumerate(grid_shape[:len(wrap)])}
+    out_shape = fd.multilinear(tp._lift(grid, None), list(coords.values()), wrap,
+                               spatial_grad=partials).data.shape
+    weights = rng.normal(size=out_shape)
+
+    def loss(t, pv):
+        u = [pv[f"u{j}"] for j in range(len(wrap))]
+        return tp.vsum(fd.multilinear(pv["grid"], u, wrap, spatial_grad=partials)
+                       * weights)
+
+    assert tp.gradient_check(loss, {"grid": grid, **coords}) < 1e-6
+    t = tp.Tape()
+    g = tp.backward(t, loss(t, {k: t.parameter(k, v)
+                                for k, v in {"grid": grid, **coords}.items()}))
+    assert all(np.any(g[k]) for k in g)
 
 
 def test_normals_radial_on_sphere_init(sphere_bound):

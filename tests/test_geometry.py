@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skylit import geometry as geo
+from skylit import tape as tp
 from skylit import visibility as vz
 
 
@@ -70,11 +73,49 @@ def test_ray_sphere_exit_distance_matches_t():
 
 def ddf_frames(s):
     """(N, 3, 3) frames in which the DDF reads directions at sphere points
-    ``s``, from the local components of the world axes: row 0 is the
-    x-axis, row 1 is s, row 2 is z."""
-    comps = vz._local_dir_components(np.atleast_2d(s)[:, None, :],
-                                     np.eye(3)[None, :, :])
-    return np.stack([c.data for c in comps], axis=1)
+    ``s``: row 0 is the x-axis (world-up x s, normalised; at the poles,
+    (1, 0, 0) orthogonalised against s), row 1 is s and row 2 is x x s."""
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+    x = np.cross(geo.WORLD_UP, s)
+    x_sq = np.sum(x * x, axis=-1, keepdims=True)
+    pole_x = np.array([1.0, 0.0, 0.0]) - s[:, :1] * s
+    pole_x /= np.maximum(np.linalg.norm(pole_x, axis=-1, keepdims=True), 1e-12)
+    x = np.where(x_sq < 1e-12, pole_x, x / np.sqrt(np.maximum(x_sq, 1e-24)))
+    return np.stack([x, s, np.cross(x, s)], axis=1)
+
+
+def _frame_cell_coords(s, d, shape):
+    """The DDF's cell coordinates read through ``ddf_frames``."""
+    n_ts, n_ps, n_td, n_pd = shape
+    local = np.einsum("nij,nj->ni", ddf_frames(s), d)
+    return np.stack([np.arccos(np.clip(s[:, 2], -1.0, 1.0)) * ((n_ts - 1) / np.pi),
+                     (np.arctan2(s[:, 1], s[:, 0]) + np.pi) * (n_ps / (2.0 * np.pi)),
+                     np.arccos(np.clip(-local[:, 1], -1.0, 1.0)) * ((n_td - 1) / (np.pi / 2.0)),
+                     (np.arctan2(local[:, 2], local[:, 0]) + np.pi) * (n_pd / (2.0 * np.pi))])
+
+
+def test_ddf_cell_coords_match_frame_construction():
+    rng = np.random.default_rng(3)
+    shape = (24, 48, 12, 24)
+    s = rng.normal(size=(4000, 3))
+    s[:500, :2] *= 1e-8                          # pole fallback
+    s[500:1000, 1] = rng.uniform(-1e-9, 1e-9, 500) * np.abs(s[500:1000, 0])
+    s[500:1000, 0] = -np.abs(s[500:1000, 0])     # azimuth of s near +-pi
+    s /= np.linalg.norm(s, axis=1, keepdims=True)
+    s *= rng.uniform(0.98, 1.02, size=(4000, 1))  # on and just off the sphere
+    d = rng.normal(size=(4000, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d = np.where(np.sum(d * s, axis=1, keepdims=True) > 0.0, -d, d)
+    got = vz._ddf_cell_coords(s, d, shape).data
+    want = _frame_cell_coords(s, d, shape)
+    # the azimuths are periodic: compare across the seam in cells
+    diff = got - want
+    for j in (1, 3):
+        diff[j] = (diff[j] + shape[j] / 2.0) % shape[j] - shape[j] / 2.0
+    # the local azimuth is ill-conditioned near the local pole d = -s
+    local_sin = np.linalg.norm(np.cross(s, d), axis=1) / np.linalg.norm(s, axis=1)
+    diff[3, local_sin < 1e-6] = 0.0
+    assert np.abs(diff).max() < 1e-9
 
 
 def test_local_frame_pole_fallback():
@@ -99,6 +140,119 @@ def test_local_frame_orthonormal_many():
     assert np.abs(eye - np.eye(3)).max() < 1e-9
     assert np.array_equal(frames[:, 1], s)
     assert np.all(np.linalg.det(frames) > 0.0)
+
+
+def _assert_node_vjps(fn, inputs, upstream, h, period=None):
+    """Each input's gradient of ``sum(fn(*inputs) * upstream)`` from
+    ``backward`` against central differences of the same sum. Output rows
+    with a non-zero ``period`` (in cells) are differenced across their seam."""
+    t = tp.Tape()
+    out = fn(*(t.parameter(f"x{i}", x) for i, x in enumerate(inputs)))
+    grads = tp.backward(t, tp.vsum(out * upstream))
+
+    def value(values):
+        return fn(*(tp._lift(v, None) for v in values)).data
+
+    for i, x in enumerate(inputs):
+        numeric = np.empty(x.shape)
+        for j in np.ndindex(x.shape):
+            bumped = [v.copy() for v in inputs]
+            bumped[i][j] = x[j] + h
+            up = value(bumped)
+            bumped[i][j] = x[j] - h
+            diff = up - value(bumped)
+            if period is not None:
+                p = np.where(period > 0, period, 1.0)
+                diff = np.where(period > 0, (diff + p / 2) % p - p / 2, diff)
+            numeric[j] = np.sum(diff * upstream) / (2.0 * h)
+        scale = 1.0 + np.abs(numeric).max(initial=0.0)
+        np.testing.assert_allclose(grads[f"x{i}"], numeric, rtol=1e-5, atol=1e-6 * scale)
+
+
+def _local_to_world(s, theta, phi):
+    """Directions at polar angle ``theta`` from -s and azimuth ``phi`` in the
+    DDF frame of s."""
+    frames = ddf_frames(s / np.linalg.norm(s, axis=1, keepdims=True))
+    local = np.stack([np.sin(theta) * np.cos(phi), -np.cos(theta),
+                      np.sin(theta) * np.sin(phi)], axis=1)
+    return np.einsum("nij,ni->nj", frames, local)
+
+
+_DDF_SHAPE = (6, 10, 5, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["generic", "pole", "seam_s", "seam_d", "clamp"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ddf_cell_coords_vjps_match_central_differences(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 2
+    s = rng.normal(size=(n, 3))
+    s /= np.linalg.norm(s, axis=1, keepdims=True)
+    radius = rng.choice([1.0, rng.uniform(0.98, 1.02)])
+    theta = rng.uniform(0.1, 1.4, n)   # clear of the local pole d = -s
+    phi = rng.uniform(-np.pi, np.pi, n)
+    upstream = rng.normal(size=(4, n))
+    if kind == "pole":
+        # |s_x|, |s_y| < 1e-7: the pole fallback, which the probes stay in;
+        # the polar angle and azimuth of s are singular there
+        s = np.stack([rng.uniform(-1e-7, 1e-7, n), rng.uniform(-1e-7, 1e-7, n),
+                      rng.choice([-1.0, 1.0], n)], axis=1)
+        upstream[:2] = 0.0
+    elif kind == "seam_s":
+        # the azimuth of s within 1e-9 of +-pi
+        a = np.pi - rng.uniform(0.0, 1e-9, n) * rng.choice([-1.0, 1.0], n)
+        z = rng.uniform(-0.9, 0.9, n)
+        s = np.stack([np.sqrt(1 - z * z) * np.cos(a), np.sqrt(1 - z * z) * np.sin(a), z],
+                     axis=1)
+    elif kind == "seam_d":
+        # the local azimuth within 1e-9 of +-pi
+        phi = (np.pi - rng.uniform(0.0, 1e-9, n)) * rng.choice([-1.0, 1.0], n)
+    elif kind == "clamp":
+        # just off the sphere, the local polar angle reaches its clamp at
+        # -(d . s) = 1 without d being parallel to s: probe both sides
+        radius = rng.uniform(1.01, 1.05)
+        cos = (1.0 + rng.uniform(1e-3, 1e-2, n) * np.array([-1.0, 1.0])) / radius
+        theta = np.arccos(cos)
+    s = s * radius
+    d = _local_to_world(s, theta, phi)
+    period = np.array([0.0, _DDF_SHAPE[1], 0.0, _DDF_SHAPE[3]])[:, None]
+    _assert_node_vjps(lambda a, b: vz._ddf_cell_coords(a, b, _DDF_SHAPE), [s, d],
+                      upstream, h=1e-7, period=period)
+    if kind == "clamp":
+        # beyond the clamp the local polar angle passes no gradient
+        t = tp.Tape()
+        dv = t.parameter("d", d)
+        out = vz._ddf_cell_coords(s, dv, _DDF_SHAPE)
+        g = tp.backward(t, tp.vsum(out[2]))["d"]
+        assert np.any(g[0]) and not np.any(g[1])
+
+
+def _exit_s_and_t(x, d):
+    s, t = vz.exit_point(x, d)
+    return tp.concat([s, tp.reshape(t, t.shape + (1,))], axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tangent=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_exit_point_vjps_match_central_differences(tangent, seed):
+    # x (2, 1, 3) against d (1, 3, 3), as soft_visibility broadcasts them
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, 1, 3))
+    x_hat = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    d = rng.normal(size=(1, 3, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    if tangent:
+        # near the surface, rays within a few degrees of its tangent plane
+        x = x_hat * rng.uniform(0.99, 0.999)
+        perp = d[0] - (d[0] @ x_hat[0, 0])[:, None] * x_hat[0, 0]
+        perp /= np.linalg.norm(perp, axis=-1, keepdims=True)
+        tilt = rng.uniform(-0.05, 0.05, size=(3, 1))
+        d = (np.cos(tilt) * perp + np.sin(tilt) * x_hat[0, 0])[None]
+    else:
+        x = x_hat * rng.uniform(0.0, 0.95, size=(2, 1, 1))
+    upstream = rng.normal(size=(2, 3, 4))
+    _assert_node_vjps(_exit_s_and_t, [x, d], upstream, h=1e-7)
 
 
 @pytest.mark.parametrize("level,count", [(0, 12), (1, 42), (2, 162), (3, 642)])

@@ -253,6 +253,7 @@ _BINARY_OPS = {
 _UNARY_OPS = {
     "exp": (tp.exp, lambda rng, size: rng.uniform(-2.0, 2.0, size)),
     "log": (tp.log, lambda rng, size: rng.uniform(0.5, 3.0, size)),
+    "log1p": (tp.log1p, lambda rng, size: rng.uniform(-0.5, 3.0, size)),
     "sqrt": (tp.sqrt, lambda rng, size: rng.uniform(0.5, 3.0, size)),
     "sigmoid": (tp.sigmoid, lambda rng, size: rng.uniform(-6.0, 6.0, size)),
     "arccos": (tp.arccos, lambda rng, size: rng.uniform(-0.9, 0.9, size)),
@@ -317,6 +318,71 @@ def test_exclusive_cumprod_last_vjp_matches_central_differences(shape, seed):
     rng = np.random.default_rng(seed)
     inputs = [rng.uniform(-2.0, 2.0, size=shape)]
     _assert_vjps_match_central_differences(tp.exclusive_cumprod_last, inputs, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=npst.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
+       data=st.data(), keepdims=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_vsum_vjp_matches_central_differences(shape, data, keepdims, seed):
+    axis = data.draw(st.one_of(st.none(), st.integers(-len(shape), len(shape) - 1)))
+    rng = np.random.default_rng(seed)
+    _assert_vjps_match_central_differences(
+        lambda a: tp.vsum(a, axis=axis, keepdims=keepdims), [rng.normal(size=shape)], rng)
+
+
+@pytest.mark.parametrize("key", [
+    (slice(1, None), Ellipsis),                  # slice
+    (Ellipsis, 0),                               # scalar index
+    np.array([[True, False, True], [False, True, True], [True, True, False],
+              [False, False, True]]),            # boolean mask
+    (np.array([2, 0, 2, 2, 1]), slice(None)),    # repeated int array
+])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_index_vjp_matches_central_differences(key, seed):
+    rng = np.random.default_rng(seed)
+    _assert_vjps_match_central_differences(
+        lambda a: tp.index(a, key), [rng.normal(size=(4, 3))], rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       ndim=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_concat_vjp_matches_central_differences(sizes, ndim, data, seed):
+    axis = data.draw(st.integers(-ndim, ndim - 1))
+    rng = np.random.default_rng(seed)
+    base = list(rng.integers(1, 4, size=ndim))
+    shapes = [tuple(base[:axis % ndim] + [n] + base[axis % ndim + 1:]) for n in sizes]
+    _assert_vjps_match_central_differences(
+        lambda *vs: tp.concat(list(vs), axis=axis),
+        [rng.normal(size=sh) for sh in shapes], rng)
+
+
+@pytest.mark.parametrize("subscripts,a_shape,b_shape", [
+    ("ij,jk->ik", (3, 4), (4, 2)),     # matrix product
+    ("rsc,uc->rsu", (2, 3, 3), (4, 3)),  # the irradiance cosines
+    ("ij,j->i", (3, 2), (2,)),         # matrix-vector
+    ("ij,ij->i", (3, 2), (3, 2)),      # row-wise dot
+    ("i,j->ij", (3,), (2,)),           # outer product
+])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_einsum2_vjps_match_central_differences(subscripts, a_shape, b_shape, seed):
+    rng = np.random.default_rng(seed)
+    _assert_vjps_match_central_differences(
+        lambda a, b: tp.einsum2(subscripts, a, b),
+        [rng.normal(size=a_shape), rng.normal(size=b_shape)], rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=npst.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
+       eps=st.sampled_from([0.0, 1e-3, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_norm_last_vjp_matches_central_differences(shape, eps, seed):
+    rng = np.random.default_rng(seed)
+    # rows clear of the zero vector, where the norm has its kink
+    a = rng.normal(size=shape)
+    a[..., :1] = _signed(rng, shape[:-1] + (1,), 0.5, 2.0)
+    _assert_vjps_match_central_differences(lambda v: tp.norm_last(v, eps=eps), [a], rng)
 
 
 # -- fused irradiance quadrature -----------------------------------------
@@ -476,6 +542,29 @@ def test_lambert_quadrature_saves_no_cosines(monkeypatch):
         arrays = _reachable_arrays(vjp, [])
         assert arrays  # the walk reaches the inputs it needs
         assert max(a.size for a in arrays) < n_rays * n_samples * n_dirs
+
+
+def test_soft_visibility_keeps_no_corner_weights():
+    # the train step's visibility query: 128 rays against 321 directions, a
+    # trainable DDF and a differentiable termination point
+    from skylit import visibility as vz
+    from skylit.geometry import icosphere_directions
+
+    rng = np.random.default_rng(7)
+    dirs = icosphere_directions(3).directions
+    d = dirs[dirs[:, 2] >= 0.0][None, :321]
+    t = tp.Tape()
+    bound = vz.BoundDdf(t, vz.DdfField(rng.normal(size=(8, 16, 6, 12))),
+                        vz.VisibilityParams.default())
+    x = t.parameter("x", rng.uniform(-0.5, 0.5, size=(128, 1, 3)))
+    before = len(t.nodes)
+    v = vz.soft_visibility(bound, x, d)
+    nodes = t.nodes[before:]
+    assert v.data.shape == (128, 321) and len(nodes) <= 15
+    n_corner = 16 * v.data.size
+    for node in nodes:
+        arrays = _reachable_arrays([node.data] + [vjp for _, vjp in node.parents], [])
+        assert all(a.size < n_corner for a in arrays if a.dtype.kind == "f"), node.op
 
 
 # -- scatter VJPs against np.add.at ---------------------------------------
