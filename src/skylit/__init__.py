@@ -25,7 +25,7 @@ from .illumination import (
     radiance,
     rotate_latent,
 )
-from .losses import DdfBatch, LossWeights
+from .losses import DdfBatch
 from .metrics import mse, psnr
 from .render import RenderOutput, render_image
 from .scenes import Dataset, SyntheticScene, generate_dataset, load_dataset, make_scene

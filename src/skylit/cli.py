@@ -56,8 +56,15 @@ def _load_aligned(path):
     return dataset
 
 
-def _load(args):
+def _load(args, **views):
+    """The aligned dataset and the checkpoint's trainer. ``views`` maps a
+    flag name to the view index it was given (or None); each must index the
+    dataset, which is checked before the checkpoint loads."""
     dataset = _load_aligned(args.dataset)
+    for flag, view in views.items():
+        if view is not None and not 0 <= view < dataset.n_views:
+            raise ConfigError(f"--{flag} {view} is out of range: the dataset "
+                              f"has views 0 to {dataset.n_views - 1}")
     trainer = tr.load_checkpoint(args.ckpt, dataset)
     return dataset, trainer
 
@@ -76,7 +83,7 @@ def _write_render(out_dir, stem, result):
 
 
 def _cmd_render(args):
-    dataset, trainer = _load(args)
+    dataset, trainer = _load(args, view=args.view)
     cam = dataset.cameras[args.view]
     result = render_image(cam, trainer.fields, trainer.state(args.view),
                           ddf=trainer.ddf, params=trainer.vis_params,
@@ -87,7 +94,7 @@ def _cmd_render(args):
 
 
 def _cmd_relight(args):
-    dataset, trainer = _load(args)
+    dataset, trainer = _load(args, holdout=args.holdout, test=args.test)
     state, info = tr.fit_holdout_illumination(
         trainer.fields, trainer.ddf, trainer.vis_params, trainer.decoder,
         dataset, args.holdout, steps=args.fit_steps,
@@ -106,7 +113,7 @@ def _cmd_relight(args):
 
 
 def _cmd_eval(args):
-    dataset, trainer = _load(args)
+    dataset, trainer = _load(args, holdout=args.holdout)
     views = [args.holdout] if args.holdout is not None else range(dataset.n_views)
     print(f"{'view':>4}  {'PSNR (dB)':>9}  {'MSE':>9}")
     for i in views:
@@ -139,7 +146,7 @@ def _cmd_ddf_viz(args):
 
 
 def _cmd_ao(args):
-    dataset, trainer = _load(args)
+    dataset, trainer = _load(args, view=args.view)
     cam = dataset.cameras[args.view]
     result = render_image(cam, trainer.fields, trainer.state(args.view),
                           ddf=trainer.ddf, params=trainer.vis_params,
@@ -158,7 +165,7 @@ def _cmd_shadow(args):
     except ValueError as exc:
         raise ConfigError(f"--sun expects 'x,y,z', got {args.sun!r}") from exc
     vz.sun_direction(sun)  # fail before the checkpoint loads
-    dataset, trainer = _load(args)
+    dataset, trainer = _load(args, view=args.view)
     cam = dataset.cameras[args.view]
     img = vz.shadow_map(trainer.ddf, trainer.vis_params, sun, cam,
                         trainer.fields)

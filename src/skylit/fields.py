@@ -186,7 +186,7 @@ class SdfField:
     def sdf_np(self, pts):
         """Plain-numpy trilinear evaluation (sphere tracing, oracles)."""
         u = cell_coords(pts, self.resolution, self.extent)
-        return multilinear(tp._lift(self.grid, None), u, CLAMPED_3D).data
+        return multilinear(tp._lift(self.grid), u, CLAMPED_3D).data
 
 
 class AlbedoField:
@@ -229,9 +229,9 @@ class BoundFields:
             self.log_inv_s = tape.parameter("sdf_log_inv_s", fields.sdf.log_inv_s)
             self.albedo_grid = tape.parameter("albedo_grid", fields.albedo.grid)
         else:
-            self.sdf_grid = tp._lift(fields.sdf.grid, None)
-            self.log_inv_s = tp._lift(fields.sdf.log_inv_s, None)
-            self.albedo_grid = tp._lift(fields.albedo.grid, None)
+            self.sdf_grid = tp._lift(fields.sdf.grid)
+            self.log_inv_s = tp._lift(fields.sdf.log_inv_s)
+            self.albedo_grid = tp._lift(fields.albedo.grid)
 
     @classmethod
     def from_vars(cls, fields, sdf_grid, log_inv_s, albedo_grid):
@@ -290,7 +290,7 @@ def neus_weights(sdf_along_ray, inv_s):
     phi_next = phi[:, 1:]
     alpha = tp.maximum((phi_cur - phi_next) / tp.maximum(phi_cur, 1e-7), 0.0)
     zeros = np.zeros((sdf_along_ray.data.shape[0], 1))
-    alpha = tp.concat([alpha, tp._lift(zeros, None)], axis=1)
+    alpha = tp.concat([alpha, tp._lift(zeros)], axis=1)
     trans = tp.exclusive_cumprod_last(1.0 - alpha)
     return alpha * trans
 
@@ -321,12 +321,11 @@ class RaySamples:
         return self.origins[:, None, :] + self.t[..., None] * self.directions[:, None, :]
 
 
-def stratified_samples(origins, directions, n_samples, rng, near=0.02, margin=0.0):
+def stratified_samples(origins, directions, n_samples, rng, near=0.02):
     """Jittered uniform bins from near to each ray's unit-sphere exit."""
     origins = np.atleast_2d(origins)
     directions = np.atleast_2d(directions)
-    _, far = ray_sphere_exit(origins, directions, 1.0)
-    far = np.maximum(far + margin, near + 1e-3)
+    far = np.maximum(ray_sphere_exit(origins, directions).t, near + 1e-3)
     edges = np.linspace(0.0, 1.0, n_samples + 1)
     lo = near + (far[:, None] - near) * edges[:-1]
     hi = near + (far[:, None] - near) * edges[1:]
@@ -342,26 +341,24 @@ class TraceResult:
     converged: np.ndarray  # (N,) False only when max_steps ran out mid-trace
 
 
-def sphere_trace(sdf_like, origins, dirs, max_steps=128, threshold=1e-4, bound=1.0):
+def sphere_trace(sdf_like, origins, dirs, max_steps=128):
     """Classic sphere tracing against anything exposing ``sdf_np(points)``.
 
-    Serves as the non-differentiable visibility/depth oracle. Rays that leave
-    the bound report no-hit with t at the exit distance. Analytic scenes
-    (anything that also exposes ``intersect``, which ignores hits outside the
-    unit ball) are solved in closed form when the bound is the unit ball:
-    marching would only approximate the same roots, at about ten times the
-    cost. A ray that starts within ``threshold`` of a surface hits at t = 0
-    either way.
+    Serves as the non-differentiable visibility/depth oracle. A ray hits
+    where the SDF falls below ``threshold`` (1e-4); rays that leave the unit
+    ball report no-hit with t at its far root. Analytic scenes (anything that
+    also exposes ``intersect``, which ignores hits outside the unit ball) are
+    solved in closed form: marching would only approximate the same roots,
+    at about ten times the cost. A ray that starts within ``threshold`` of a
+    surface hits at t = 0 either way.
     """
+    threshold = 1e-4
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     n = o.shape[0]
-    b = 2.0 * np.sum(o * d, axis=-1)
-    c = np.sum(o * o, axis=-1) - bound * bound
-    disc = np.maximum(b * b - 4.0 * c, 0.0)
-    t_exit = np.maximum((-b + np.sqrt(disc)) / 2.0, 0.0)
+    t_exit = np.maximum(ray_sphere_exit(o, d).t_far, 0.0)
 
-    if bound == 1.0 and hasattr(sdf_like, "intersect"):
+    if hasattr(sdf_like, "intersect"):
         t_hit, _, hit = sdf_like.intersect(o, d)
         inside = sdf_like.sdf_np(o) < threshold
         t = np.where(inside, 0.0, np.where(hit, t_hit, t_exit))

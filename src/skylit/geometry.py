@@ -7,6 +7,7 @@ always caller-owned (pass a ``numpy.random.Generator``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,24 +47,34 @@ def contract(point):
     return np.where(n <= 1.0, p, mapped)
 
 
-def ray_sphere_exit(origin, direction, radius=1.0):
-    """Smallest non-negative t with ||origin + t*dir|| = radius.
+class SphereExit(NamedTuple):
+    """Rays o + t d with unit d against the unit sphere: the quadratic
+    t^2 + b t + c = 0 and its roots (-b -+ root) / 2."""
 
-    Requires ||origin|| <= radius. A tangential ray starting exactly on the
-    sphere returns t = 0 with s = origin.
+    t: np.ndarray       # exit distance: t_near where near, else t_far; >= 0
+    near: np.ndarray    # t_near >= -1e-12: the ray starts on the sphere or outside it
+    t_near: np.ndarray  # the smaller root
+    t_far: np.ndarray   # the larger root
+    b: np.ndarray       # 2 o . d
+    c: np.ndarray       # |o|^2 - 1, > 0 outside the sphere
+    root: np.ndarray    # sqrt(max(b^2 - 4c, 0)); 0 where the line misses or grazes
+
+
+def ray_sphere_exit(origin, direction):
+    """The one closed-form solution of |o + t d|^2 = 1; broadcasts over
+    leading axes. For ||o|| <= 1 the exit distance ``t`` is the smallest
+    non-negative root; a tangential ray starting on the sphere exits at 0.
     """
     o = np.asarray(origin, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
-    b = 2.0 * np.sum(o * d, axis=-1)
-    c = np.sum(o * o, axis=-1) - radius * radius
-    disc = np.maximum(b * b - 4.0 * c, 0.0)
-    root = np.sqrt(disc)
-    t0 = (-b - root) / 2.0
-    t1 = (-b + root) / 2.0
-    t = np.where(t0 >= -1e-12, t0, t1)
-    t = np.maximum(t, 0.0)
-    s = o + t[..., None] * d
-    return s, t
+    b = 2.0 * (o[..., 0] * d[..., 0] + o[..., 1] * d[..., 1] + o[..., 2] * d[..., 2])
+    c = o[..., 0] * o[..., 0] + o[..., 1] * o[..., 1] + o[..., 2] * o[..., 2] - 1.0
+    root = np.sqrt(np.maximum(b * b - 4.0 * c, 0.0))
+    t_near = (-b - root) * 0.5
+    t_far = (-b + root) * 0.5
+    near = t_near >= -1e-12
+    t = np.maximum(np.where(near, t_near, t_far), 0.0)
+    return SphereExit(t, near, t_near, t_far, b, c, root)
 
 
 def _icosahedron():

@@ -108,8 +108,8 @@ class BoundIllumination:
             self.Z = tape.parameter("illum_Z", bank.Z)
             self.log_gamma = tape.parameter("illum_log_gamma", bank.log_gamma)
         else:
-            self.Z = tp._lift(bank.Z, None)
-            self.log_gamma = tp._lift(bank.log_gamma, None)
+            self.Z = tp._lift(bank.Z)
+            self.log_gamma = tp._lift(bank.log_gamma)
 
     @classmethod
     def from_vars(cls, decoder, z_var, log_gamma_var):

@@ -9,36 +9,14 @@ on-tape zero, so ``backward`` gives all-zero gradients instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tape as tp
 from .fields import CLAMPED_3D, cell_coords, multilinear, sphere_trace
-from .geometry import SRGB_LINEAR_KNEE, sample_sphere, vmf_sample_batch
+from .geometry import SRGB_LINEAR_KNEE, ray_sphere_exit, sample_sphere, vmf_sample_batch
 from .visibility import BoundDdf, ddf_eval
-
-
-@dataclass
-class LossWeights:
-    """Non-negative multiplier per term. ground_plane is optional (default
-    off); eps_anneal is the pull-to-zero regularizer that anneals the
-    visibility threshold (see the config notes)."""
-
-    appearance: float = 1.0
-    prior: float = 1.0
-    sky: float = 1.0
-    ddf_depth: float = 1.0
-    ddf_levelset: float = 1.0
-    ddf_multiview: float = 1.0
-    ddf_sky: float = 1.0
-    ground_plane: float = 0.0
-    eps_anneal: float = 0.05
-
-    def __post_init__(self):
-        for f in dc_fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"loss weight {f.name} must be >= 0")
 
 
 def tonemap(linear):
@@ -120,7 +98,7 @@ class DdfBatch:
 
 
 def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
-                     kappa=20.0, min_z=0.0, max_steps=192):
+                     kappa=20.0, min_z=0.0):
     """Draw the paper-style DDF batch: positions uniform on the upper
     hemisphere, directions vMF-concentrated toward the scene center,
     rejected to inward and sky-side, with sphere-traced depths.
@@ -143,15 +121,16 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
             filled[i] += len(good)
     batch = DdfBatch(positions=positions, directions=dirs,
                      depths=np.zeros((n_positions, n_directions)))
-    batch.depths, batch.hit = trace_depths(sdf_like, batch, max_steps=max_steps)
+    batch.depths, batch.hit = trace_depths(sdf_like, batch)
     return batch
 
 
-def trace_depths(sdf_like, batch, max_steps=192):
-    """Sphere-traced pseudo-ground-truth (depths, hit) for a batch; rays that
-    miss get the full chord to the sphere exit so depths stay in (0,2]."""
+def trace_depths(sdf_like, batch):
+    """Sphere-traced (192 steps) pseudo-ground-truth (depths, hit) for a
+    batch; rays that miss get the full chord to the sphere exit so depths
+    stay in (0,2]."""
     res = sphere_trace(sdf_like, batch.flat_positions, batch.flat_directions,
-                       max_steps=max_steps)
+                       max_steps=192)
     depths = np.clip(res.t, 1e-4, 2.0).reshape(batch.depths.shape)
     return depths, res.hit.reshape(batch.depths.shape)
 
@@ -162,22 +141,21 @@ def ddf_depth_loss(batch, bound_ddf):
     return tp.vsum(tp.absolute(batch.flat_depths - pred))
 
 
-def ddf_levelset_loss(batch, bound_ddf, bound_fields, to_sdf=True):
+def ddf_levelset_loss(batch, bound_ddf, bound_fields):
     """Walking the predicted depth must land on the SDF zero level set.
 
     Only rays with an actual surface along them participate (a miss ray has
     no zero crossing, so the term's fixed point would be unsatisfiable).
-    Gradients reach both fields in end-to-end mode; ``to_sdf=False`` detaches
-    the SDF grid (landing-point gradients still train the DDF).
+    Gradients reach both the DDF and the SDF grid.
     """
     keep = batch.flat_hit
     s = batch.flat_positions[keep]
     d = batch.flat_directions[keep]
     pred = ddf_eval(bound_ddf, s, d)
-    land = tp._lift(s, None) + tp.reshape(pred, (-1, 1)) * d
-    grid = bound_fields.sdf_grid if to_sdf else tp.stop_gradient(bound_fields.sdf_grid)
+    land = tp._lift(s) + tp.reshape(pred, (-1, 1)) * d
     sdf = bound_fields.fields.sdf
-    f = multilinear(grid, cell_coords(land, sdf.resolution, sdf.extent), CLAMPED_3D)
+    f = multilinear(bound_fields.sdf_grid, cell_coords(land, sdf.resolution, sdf.extent),
+                    CLAMPED_3D)
     return tp.vsum(f * f)
 
 
@@ -204,15 +182,15 @@ def ddf_multiview_loss(pairs, bound_ddf):
     return tp.vsum(hinge * hinge)
 
 
-def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0,
-                           min_z=0.0, max_tries=8):
+def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0, min_z=0.0):
     """(s1, d1, s2) triples; s1 upper hemisphere with vMF directions like the
     depth batch, restricted to rays that hit the scene (a miss termination
     point is empty space and would assert a false occlusion bound); s2
-    uniform over the whole sphere."""
+    uniform over the whole sphere. Up to 8 rounds of candidates; a scene
+    that few rays hit can return fewer than ``n_pairs``."""
     kept_s1, kept_d1 = [], []
     need = n_pairs
-    for _ in range(max_tries):
+    for _ in range(8):
         if need <= 0:
             break
         s1 = sample_sphere(rng, 2 * need, min_z=min_z)
@@ -242,14 +220,11 @@ def ddf_sky_loss(origins, ray_dirs, bound_ddf):
     """
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     r = np.atleast_2d(np.asarray(ray_dirs, dtype=np.float64))
-    b = 2.0 * np.sum(o * r, axis=-1)
-    c = np.sum(o * o, axis=-1) - 1.0
-    disc = b * b - 4.0 * c
-    outside = c > 1e-12
-    miss = outside & (disc <= 0.0)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t_entry = np.where(outside, (-b - root) / 2.0, 0.0)
-    t_exit = (-b + root) / 2.0
+    q = ray_sphere_exit(o, r)
+    outside = q.c > 1e-12
+    miss = outside & (q.root == 0.0)
+    t_entry = np.where(outside, q.t_near, 0.0)
+    t_exit = q.t_far
     keep = ~miss & (t_exit > 1e-9) & (t_entry >= 0.0)
     flagged = outside & keep
     s = o[keep] + t_exit[keep, None] * r[keep]

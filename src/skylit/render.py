@@ -64,7 +64,7 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
     f = tp.reshape(fd.sdf_eval(bound_fields, pts), samples.t.shape)
     w = fd.neus_weights(f, bound_fields.inv_s())
     t_e, w_sum = fd.expected_depth(w, samples.t, samples.far)
-    x_e = tp._lift(origins, None) + tp.reshape(t_e, (-1, 1)) * dirs
+    x_e = tp._lift(origins) + tp.reshape(t_e, (-1, 1)) * dirs
 
     albedo = tp.reshape(fd.albedo_eval(bound_fields, pts), (n_rays, n_samples, 3))
     normals, _ = fd.sdf_normals(bound_fields, pts)
@@ -115,7 +115,7 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
 
 
 def render_image(camera, scene_fields, state, ddf=None, params=None,
-                 dir_level=3, n_samples=64, seed=0, with_ao=False, chunk=2048):
+                 dir_level=3, n_samples=64, seed=0, with_ao=False):
     """Full-frame inference render; deterministic under a fixed seed.
     Visibility is off when no ``ddf`` is passed: every direction is then
     visible, and ``ao`` is 1 everywhere."""
@@ -139,6 +139,7 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
     bi = il.BoundIllumination(None, bank, trainable=False)
     bd = None if ddf is None else vz.BoundDdf(None, ddf, params, trainable=False)
 
+    chunk = 2048  # pixels per render_rays call; bounds the memory
     for lo in range(0, n_px, chunk):
         px = pixels[lo:lo + chunk]
         ray_d = camera.ray_dirs(px)

@@ -26,14 +26,14 @@ Conventions:
     follow the tie rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
-  * ``take``, ``take_rows`` and ``fields.multilinear`` pass back a deferred
-    scatter adjoint, flat indices plus values, and ``reshape`` passes it
-    through. ``backward``
-    concatenates every such adjoint that reaches one Var and densifies it
-    once, with one ``np.bincount``, at the parameter or at the first other
-    op that needs a dense array. Sums across gathers therefore follow
-    concatenation order, the order in which ``backward`` reaches the
-    gathers,
+  * the two gathers, ``take_rows`` (integer rows) and
+    ``fields.multilinear`` (grid corners), pass back a deferred scatter
+    adjoint, flat indices plus values, and ``reshape`` passes it through.
+    ``backward`` concatenates every such adjoint that reaches one Var and
+    densifies it once, with one ``np.bincount``, at the parameter or at the
+    first other op that needs a dense array. Sums across gathers therefore
+    follow concatenation order, the order in which ``backward`` reaches the
+    gathers. ``index`` takes no integer-array key,
   * an op whose inputs are all constants (Vars with no tape) records no node
     and keeps no parents; inference binds its fields with ``tape=None`` and
     relies on this to compute values without building a graph.
@@ -141,7 +141,7 @@ def _as_array(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _lift(x, tape):
+def _lift(x):
     if isinstance(x, Var):
         return x
     return Var(_as_array(x), tape=None, op="const")
@@ -182,30 +182,26 @@ def _node(op, out, inputs, vjps):
 
 
 def add(a, b):
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     out = a.data + b.data
     return _node("add", out, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b):
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     out = a.data - b.data
     return _node("sub", out, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a, b):
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     out = a.data * b.data
     return _node("mul", out, (a, b),
                  (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b):
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     out = a.data / b.data
     return _node("div", out, (a, b),
                  (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
@@ -265,25 +261,8 @@ def absolute(a):
     return _node("abs", out, (a,), (lambda g: g * sign,))
 
 
-def arccos(a):
-    x = np.clip(a.data, -1.0, 1.0)
-    out = np.arccos(x)
-    denom = np.sqrt(np.maximum(1.0 - x * x, 1e-14))
-    return _node("arccos", out, (a,), (lambda g: -g / denom,))
-
-
-def arctan2(y, x):
-    t = _tape_of(y, x)
-    y, x = _lift(y, t), _lift(x, t)
-    out = np.arctan2(y.data, x.data)
-    r2 = np.maximum(y.data * y.data + x.data * x.data, 1e-14)
-    return _node("atan2", out, (y, x),
-                 (lambda g: g * x.data / r2, lambda g: -g * y.data / r2))
-
-
 def maximum(a, b):
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     out = np.maximum(a.data, b.data)
     win_a = a.data > b.data  # ties go to b
     return _node("max", out, (a, b),
@@ -291,8 +270,7 @@ def maximum(a, b):
 
 
 def minimum(a, b):
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     out = np.minimum(a.data, b.data)
     win_a = a.data < b.data  # ties go to b
     return _node("min", out, (a, b),
@@ -312,8 +290,7 @@ def clip01_straight_through(a):
 
 def where(mask, a, b):
     """Select per element from ``a``/``b`` by boolean array ``mask`` (no grad)."""
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     mask = np.asarray(mask, dtype=bool)
     out = np.where(mask, a.data, b.data)
     return _node("where", out, (a, b),
@@ -339,12 +316,8 @@ def vmean(a, axis=None, keepdims=False):
     return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-
-def norm_last(a, eps=0.0):
-    sq = vsum(mul(a, a), axis=-1)
-    if eps:
-        sq = add(sq, eps)
-    return sqrt(sq)
+def norm_last(a):
+    return sqrt(vsum(mul(a, a), axis=-1))
 
 
 class _Scatter:
@@ -385,20 +358,6 @@ class _Scatter:
         return buf
 
 
-def take(a, flat_index):
-    """Gather from the flattened array; output has ``flat_index``'s shape.
-    Indices are non-negative."""
-    idx = np.asarray(flat_index)
-    out = a.data.reshape(-1)[idx]
-
-    def vjp(g):
-        # densified by backward; per gather it sums repeated indices in
-        # order into zeros, as np.add.at would, bit for bit
-        return _Scatter(a.data.shape, [idx.reshape(-1)], [np.asarray(g).reshape(-1)])
-
-    return _node("take", out, (a,), (vjp,))
-
-
 def take_rows(a, row_index):
     """Gather along axis 0; row indices are non-negative."""
     idx = np.asarray(row_index)
@@ -419,23 +378,18 @@ def reshape(a, shape):
     return _node("reshape", out, (a,), (lambda g: g.reshape(a.data.shape),))
 
 
-def _has_int_array(key):
-    parts = key if isinstance(key, tuple) else (key,)
-    return any(np.ndim(k) > 0 and np.asarray(k).dtype.kind in "iu" for k in parts)
-
-
 def index(a, key):
-    """Static slice/index (key is plain numpy-style, no Vars)."""
+    """Static slice/index: slices, Ellipsis, scalars and boolean masks, each
+    selecting an element at most once (no Vars). Integer-array keys raise
+    TapeError; ``take_rows`` is the integer gather."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if any(np.ndim(k) > 0 and np.asarray(k).dtype.kind in "iu" for k in parts):
+        raise TapeError("index takes no integer-array key; use take_rows")
     out = a.data[key]
-    repeats = _has_int_array(key)
 
     def vjp(g):
         buf = np.zeros(a.data.shape)
-        if repeats:
-            np.add.at(buf, key, g)
-        else:
-            # slices, Ellipsis, scalars and masks select each element once
-            buf[key] += g
+        buf[key] += g
         return buf
 
     return _node("index", np.asarray(out, dtype=np.float64), (a,), (vjp,))
@@ -443,8 +397,7 @@ def index(a, key):
 
 def stack(vars_, axis):
     """Stack Vars of identical shape along a new axis ``axis``."""
-    t = _tape_of(*vars_)
-    vs = [_lift(v, t) for v in vars_]
+    vs = [_lift(v) for v in vars_]
     out = np.stack([v.data for v in vs], axis=axis)
     lead = (slice(None),) * (axis % out.ndim)
     vjps = tuple((lambda key: lambda g: g[key])(lead + (i,)) for i in range(len(vs)))
@@ -452,8 +405,7 @@ def stack(vars_, axis):
 
 
 def concat(vars_, axis=0):
-    t = _tape_of(*vars_)
-    vs = [_lift(v, t) for v in vars_]
+    vs = [_lift(v) for v in vars_]
     out = np.concatenate([v.data for v in vs], axis=axis)
     sizes = [v.data.shape[axis] for v in vs]
     offsets = np.cumsum([0] + sizes)
@@ -474,8 +426,7 @@ def concat(vars_, axis=0):
 def einsum2(subscripts, a, b):
     """Two-operand einsum; every input index must appear in the other operand
     or the output (no diagonals), which makes the reverse rule exact."""
-    t = _tape_of(a, b)
-    a, b = _lift(a, t), _lift(b, t)
+    a, b = _lift(a), _lift(b)
     ins, out_sub = subscripts.split("->")
     a_sub, b_sub = ins.split(",")
     out = np.einsum(subscripts, a.data, b.data)
@@ -499,8 +450,7 @@ def lambert_quadrature(normals, dirs, radiance):
     block's cosines. A cosine of exactly 0 passes no gradient to the normal,
     as ``maximum(expr, 0.0)`` would.
     """
-    t = _tape_of(normals, radiance)
-    normals, radiance = _lift(normals, t), _lift(radiance, t)
+    normals, radiance = _lift(normals), _lift(radiance)
     d = np.asarray(dirs, dtype=np.float64)
     n, rad = normals.data, radiance.data
     n_rays, n_samples, _ = n.shape
@@ -557,7 +507,7 @@ def exclusive_cumprod_last(a):
 def stop_gradient(a):
     """Forward value unchanged; contributes nothing to any gradient."""
     if not isinstance(a, Var):
-        return _lift(a, None)
+        return _lift(a)
     return Var(a.data, tape=a.tape, parents=(), op="stopgrad")
 
 

@@ -33,6 +33,10 @@ from .scenes import CLASS_GROUND, CLASS_SKY, CLASS_TRANSIENT
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
+# loss terms, each weighted by TrainConfig's weight_<term>
+LOSS_TERMS = ("appearance", "prior", "sky", "ddf_depth", "ddf_levelset",
+              "ddf_multiview", "ddf_sky", "ground_plane", "eps_anneal")
+
 
 @dataclass
 class TrainConfig:
@@ -62,7 +66,6 @@ class TrainConfig:
     ddf_min_z: float = 0.0
     ddf_refresh_every: int = 50
     ddf_multiview_pairs: int = 64
-    ddf_losses_to_sdf: bool = True
     weight_appearance: float = 1.0
     weight_prior: float = 1.0
     weight_sky: float = 1.0
@@ -75,30 +78,22 @@ class TrainConfig:
     data_dir: str = ""
 
     def __post_init__(self):
-        for name in ("lr_fields", "lr_ddf", "lr_illum", "lr_eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("rays_per_batch", "samples_per_ray", "ddf_positions",
+                     "ddf_directions", "ddf_refresh_every", "ddf_multiview_pairs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name in ("lr_fields", "lr_ddf", "lr_illum", "lr_eps", "vmf_kappa"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        for term in LOSS_TERMS:
+            if not 0.0 <= getattr(self, f"weight_{term}") < np.inf:
+                raise ConfigError(f"weight_{term} must be >= 0 and finite")
         if not 0 <= self.warmup_steps < max(self.steps, 1):
             raise ConfigError("warmup_steps must be < steps")
         if (self.illum_lobes - 2) % 2:
             raise ConfigError("illum_lobes must be 2 + 2*ring_size")
-        if self.vmf_kappa <= 0:
-            raise ConfigError("vmf_kappa must be positive")
         if not 0.0 <= self.ddf_min_z < 1.0:
             raise ConfigError("ddf_min_z must be in [0, 1)")
-
-    def loss_weights(self):
-        return ls.LossWeights(
-            appearance=self.weight_appearance,
-            prior=self.weight_prior,
-            sky=self.weight_sky,
-            ddf_depth=self.weight_ddf_depth,
-            ddf_levelset=self.weight_ddf_levelset,
-            ddf_multiview=self.weight_ddf_multiview,
-            ddf_sky=self.weight_ddf_sky,
-            ground_plane=self.weight_ground_plane,
-            eps_anneal=self.weight_eps_anneal,
-        )
 
     def to_entries(self):
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -294,9 +289,6 @@ def sample_ray_batch(dataset, pool, batch_size, rng):
                     image_idx=pick[:, 0].astype(np.int64))
 
 
-LOSS_TERMS = ("appearance", "prior", "sky", "ddf_depth", "ddf_levelset",
-              "ddf_multiview", "ddf_sky", "ground_plane", "eps_anneal")
-
 PARAM_GROUPS = {
     "sdf_grid": "fields",
     "sdf_log_inv_s": "fields",
@@ -328,7 +320,6 @@ class Trainer:
         self.adam = Adam()
         self.pool = build_pixel_pool(dataset)
         self.dir_set = icosphere_directions(config.dir_level)
-        self.weights = config.loss_weights()
         self.step_count = 0
         self.ddf_batch = None
         self.mv_pairs = None
@@ -386,46 +377,44 @@ class Trainer:
         )
 
         terms = {}
-        w = self.weights
-        if w.appearance > 0:
+        if cfg.weight_appearance > 0:
             terms["appearance"] = ls.appearance_loss(out["rgb"], batch.gt) \
                 / cfg.rays_per_batch
-        if w.prior > 0:
+        if cfg.weight_prior > 0:
             terms["prior"] = il.prior_loss(bi.Z) / self.bank.n_images
         sky_mask = batch.classes == CLASS_SKY
-        if w.sky > 0 and np.any(sky_mask):
+        if cfg.weight_sky > 0 and np.any(sky_mask):
             terms["sky"] = ls.sky_loss(
                 out["background"][sky_mask], batch.gt[sky_mask],
                 out["W"][sky_mask],
             ) / int(sky_mask.sum())
-        if w.ddf_depth > 0:
+        if cfg.weight_ddf_depth > 0:
             terms["ddf_depth"] = ls.ddf_depth_loss(self.ddf_batch, bd) \
                 / self.ddf_batch.flat_depths.size
-        if w.ddf_levelset > 0:
-            terms["ddf_levelset"] = ls.ddf_levelset_loss(
-                self.ddf_batch, bd, bf, to_sdf=cfg.ddf_losses_to_sdf,
-            ) / self.ddf_batch.flat_depths.size
+        if cfg.weight_ddf_levelset > 0:
+            terms["ddf_levelset"] = ls.ddf_levelset_loss(self.ddf_batch, bd, bf) \
+                / self.ddf_batch.flat_depths.size
         # a grid SDF with no zero crossing yields no pairs, hence no term
         n_pairs = len(self.mv_pairs[0])
-        if w.ddf_multiview > 0 and n_pairs:
+        if cfg.weight_ddf_multiview > 0 and n_pairs:
             terms["ddf_multiview"] = ls.ddf_multiview_loss(self.mv_pairs, bd) \
                 / n_pairs
-        if w.ddf_sky > 0 and np.any(sky_mask):
+        if cfg.weight_ddf_sky > 0 and np.any(sky_mask):
             sky_term, _ = ls.ddf_sky_loss(
                 batch.origins[sky_mask], batch.dirs[sky_mask], bd,
             )
             terms["ddf_sky"] = sky_term / int(sky_mask.sum())
         ground_mask = batch.classes == CLASS_GROUND
-        if w.ground_plane > 0 and np.any(ground_mask):
+        if cfg.weight_ground_plane > 0 and np.any(ground_mask):
             terms["ground_plane"] = ls.ground_plane_loss(
                 out["weighted_normals"][ground_mask],
             ) / int(ground_mask.sum())
-        if w.eps_anneal > 0:
+        if cfg.weight_eps_anneal > 0:
             terms["eps_anneal"] = ls.eps_anneal_loss(bd.epsilon())
 
         total = None
         for name, term in terms.items():
-            contrib = getattr(w, name) * term
+            contrib = getattr(cfg, f"weight_{name}") * term
             total = contrib if total is None else total + contrib
         if total is None:
             record = self._record(step, terms, 0.0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tape as tp
 from .fields import multilinear, sphere_trace
-from .geometry import ConfigError, icosphere_directions
+from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
 
@@ -82,8 +82,8 @@ class BoundDdf:
             self.grid = tape.parameter("ddf_grid", ddf.grid)
             self.eps_raw = tape.parameter("vis_eps_raw", params.eps_raw)
         else:
-            self.grid = tp._lift(ddf.grid, None)
-            self.eps_raw = tp._lift(params.eps_raw, None)
+            self.grid = tp._lift(ddf.grid)
+            self.eps_raw = tp._lift(params.eps_raw)
 
     @classmethod
     def from_vars(cls, ddf, params, grid_var, eps_raw_var):
@@ -112,11 +112,12 @@ def _ddf_cell_coords(s, d, shape):
     rho^2 = s_x^2 + s_y^2, and atan2(d_z s_y - d_y s_z, d_x - s_x (d . s))
     at the poles (rho^2 < 1e-12). The gradients recompute these terms from
     s and d; a polar angle whose cosine is at or beyond +-1 passes gradient 0
-    (the clamp's tie rule), and the azimuths' slopes are floored as
-    ``tape.arctan2``'s are.
+    (the clamp's tie rule). Each azimuth atan2(y, x) divides its slopes by
+    y^2 + x^2 floored at 1e-14; for the local azimuth the floor is scaled by
+    the squared norm of the unnormalised x-axis, so that it is the floor on
+    the normalised frame's components.
     """
-    t = tp._tape_of(s, d)
-    s, d = tp._lift(s, t), tp._lift(d, t)
+    s, d = tp._lift(s), tp._lift(d)
     n_ts, n_ps, n_td, n_pd = shape
     scale = ((n_ts - 1) / np.pi, n_ps / (2.0 * np.pi),
              (n_td - 1) / (np.pi / 2.0), n_pd / (2.0 * np.pi))
@@ -153,7 +154,7 @@ def _ddf_cell_coords(s, d, shape):
         g_ds = g2 * (np.abs(ds) < 1.0) / np.sqrt(np.maximum(1.0 - ds * ds, 1e-14))
         # local azimuth atan2(num, den); num and den are the normalised
         # frame's components times the norm of the unnormalised x-axis, so
-        # tape.arctan2's floor scales by its square
+        # the 1e-14 floor scales by its square
         if np.any(pole):
             scale2 = np.where(pole, (1.0 - sx * sx) ** 2 + sx * sx * (sy * sy + sz * sz),
                               rho2)
@@ -211,17 +212,6 @@ def ddf_eval(bound, s, d_world, strict=True):
                      * sig * (1.0 - sig),))
 
 
-def _exit_roots(x, d):
-    """The quadratic |x + t d|^2 = 1 for unit d: b, its root term and the
-    chosen root before the clamp at 0."""
-    b = 2.0 * (x[..., 0] * d[..., 0] + x[..., 1] * d[..., 1] + x[..., 2] * d[..., 2])
-    c = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2] - 1.0
-    root = np.sqrt(np.maximum(b * b - 4.0 * c, 0.0))
-    t0 = (-b - root) * 0.5
-    near = t0 >= -1e-12
-    return b, root, near, np.where(near, t0, (-b + root) * 0.5)
-
-
 def exit_point(x, d):
     """Differentiable smallest-nonnegative-root unit-sphere intersection of
     rays x + t d; returns (s, t). Broadcasts over leading axes.
@@ -231,19 +221,18 @@ def exit_point(x, d):
     discriminant's clamp pass gradient as ``maximum``/``sqrt`` would), and
     s = x + t d.
     """
-    tape = tp._tape_of(x, d)
-    x, d = tp._lift(x, tape), tp._lift(d, tape)
+    x, d = tp._lift(x), tp._lift(d)
     xd, dd = x.data, d.data
-    _, _, _, t_root = _exit_roots(xd, dd)
-    t_np = np.maximum(t_root, 0.0)
+    t_np = ray_sphere_exit(xd, dd).t
 
     def t_grads(g):
-        b, root, near, t_root = _exit_roots(xd, dd)
-        g_t = g * (t_root > 0.0)
+        q = ray_sphere_exit(xd, dd)
+        g_t = g * (q.t > 0.0)
         g_b = -0.5 * g_t
         with np.errstate(divide="ignore", invalid="ignore"):
-            g_disc = np.where(root > 0.0, np.where(near, -0.25, 0.25) * g_t / root, 0.0)
-        g_b = g_b + 2.0 * b * g_disc
+            g_disc = np.where(q.root > 0.0,
+                              np.where(q.near, -0.25, 0.25) * g_t / q.root, 0.0)
+        g_b = g_b + 2.0 * q.b * g_disc
         g_c = -4.0 * g_disc
         return (2.0 * g_b)[..., None], (2.0 * g_c)[..., None]
 
@@ -272,7 +261,7 @@ def soft_visibility(bound, x, d, stop_grad=False):
     """
     d_np = d.data if isinstance(d, tp.Var) else np.asarray(d, dtype=np.float64)
     s, t = exit_point(x, d)
-    minus_d = -d if isinstance(d, tp.Var) else tp._lift(-d_np, None)
+    minus_d = -d if isinstance(d, tp.Var) else tp._lift(-d_np)
     depth = ddf_eval(bound, s, minus_d, strict=False)
     eps = bound.epsilon()
     v = 1.0 - tp.sigmoid(bound.params.eta * (t - depth - eps))
@@ -284,14 +273,14 @@ def soft_visibility(bound, x, d, stop_grad=False):
     return v
 
 
-def binary_visibility_oracle(sdf_like, x, d, max_steps=192, threshold=1e-4):
-    """Ground-truth-style binary visibility by sphere tracing.
+def binary_visibility_oracle(sdf_like, x, d):
+    """Ground-truth-style binary visibility by sphere tracing (192 steps).
 
     Callers must pre-offset x along the surface normal by twice the trace
-    threshold. Returns (vis in {0,1}, non_converged flag array); rays whose
-    trace ran out of steps are treated as occluded and flagged.
+    threshold (1e-4). Returns (vis in {0,1}, non_converged flag array); rays
+    whose trace ran out of steps are treated as occluded and flagged.
     """
-    res = sphere_trace(sdf_like, x, d, max_steps=max_steps, threshold=threshold)
+    res = sphere_trace(sdf_like, x, d, max_steps=192)
     vis = (~res.hit & res.converged).astype(np.float64)
     return vis, ~res.converged
 
@@ -305,7 +294,7 @@ def ambient_occlusion(bound, x, dirs=None):
     xb = (
         tp.reshape(x, (-1, 1, 3))
         if isinstance(x, tp.Var)
-        else tp._lift(x_np.reshape(-1, 1, 3), None)
+        else tp._lift(x_np.reshape(-1, 1, 3))
     )
     v = soft_visibility(bound, xb, upper[None, :, :])
     return tp.vmean(v, axis=1)
@@ -327,16 +316,16 @@ def sun_direction(sun_dir):
     return sun / norm
 
 
-def shadow_map(ddf, params, sun_dir, camera, scene_fields, n_samples=64,
-               rng=None, chunk=4096):
+def shadow_map(ddf, params, sun_dir, camera, scene_fields):
     """Per-pixel soft visibility toward ``sun_dir`` at the expected surface
-    point; sky pixels (no termination) get value 1. ``sun_dir`` is left
-    unchanged (see ``sun_direction``)."""
+    point of 64 stratified samples per pixel (seed 0); sky pixels (no
+    termination) get value 1. ``sun_dir`` is left unchanged (see
+    ``sun_direction``)."""
     from . import fields as fd  # local import to keep module load acyclic
 
     sun = sun_direction(sun_dir)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
+    chunk = 4096
     pixels = camera.all_pixels()
     out = np.ones(pixels.shape[0])
     bnd_f = fd.BoundFields(None, scene_fields, trainable=False)
@@ -345,12 +334,12 @@ def shadow_map(ddf, params, sun_dir, camera, scene_fields, n_samples=64,
         px = pixels[lo:lo + chunk]
         dirs = camera.ray_dirs(px)
         origins = np.broadcast_to(camera.origin, dirs.shape)
-        rs = fd.stratified_samples(origins, dirs, n_samples, rng)
+        rs = fd.stratified_samples(origins, dirs, 64, rng)
         f = fd.sdf_eval(bnd_f, rs.positions.reshape(-1, 3))
         w = fd.neus_weights(tp.reshape(f, rs.t.shape), bnd_f.inv_s())
         t_e, w_sum = fd.expected_depth(w, rs.t, rs.far)
         x_e = origins + t_e.data[:, None] * dirs
-        v = soft_visibility(bnd_d, tp._lift(x_e[:, None, :], None),
+        v = soft_visibility(bnd_d, tp._lift(x_e[:, None, :]),
                             sun[None, None, :])
         vals = v.data.reshape(-1)
         vals[w_sum.data < 1e-3] = 1.0

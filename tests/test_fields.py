@@ -59,7 +59,7 @@ def test_outside_domain_takes_clamped_boundary_value():
     contracted = contract(far)
     assert np.all(np.abs(contracted).max(axis=1) > 1.0)
     # the clamped point is passed as a Var, which is taken as given
-    boundary = tp._lift(np.clip(contracted, -1.0, 1.0), None)
+    boundary = tp._lift(np.clip(contracted, -1.0, 1.0))
     assert np.array_equal(fd.sdf_eval(bound, far).data,
                           fd.sdf_eval(bound, boundary).data)
 
@@ -114,12 +114,12 @@ def test_multilinear_4d_matches_16_corner_oracle_at_seams_and_poles():
     u = [theta[0] * (3 / np.pi), (phi[0] + np.pi) * (6 / (2 * np.pi)),
          theta[1] * (2 / np.pi), (phi[1] + np.pi) * (5 / (2 * np.pi))]
 
-    got = fd.multilinear(tp._lift(grid, None), u, wrap).data
+    got = fd.multilinear(tp._lift(grid), u, wrap).data
     want = [_oracle_16_corner(grid, [c[q] for c in u], wrap) for q in range(n_q)]
     assert np.abs(got - want).max() < 1e-12
     # the seam is continuous: both sides of +-pi give the same value
     assert abs(got[0] - got[1]) < 1e-8 and abs(got[2] - got[3]) < 1e-12
-    line = tp._lift(np.array([0.0, 5.0, 1.0, 7.0, 2.0]), None)
+    line = tp._lift(np.array([0.0, 5.0, 1.0, 7.0, 2.0]))
     ends = fd.multilinear(line, [np.array([np.inf, 1e9, -np.inf, -1e9, np.nan])],
                           (False,)).data
     assert np.array_equal(ends[:4], [2.0, 2.0, 0.0, 0.0]) and np.isnan(ends[4])
@@ -198,7 +198,7 @@ def test_multilinear_coordinate_gradients_of_partials_and_channels(grid_shape, w
     n_q = 9
     coords = {f"u{j}": _off_kinks(rng, -0.8, n - 0.2, n_q)
               for j, n in enumerate(grid_shape[:len(wrap)])}
-    out_shape = fd.multilinear(tp._lift(grid, None), list(coords.values()), wrap,
+    out_shape = fd.multilinear(tp._lift(grid), list(coords.values()), wrap,
                                spatial_grad=partials).data.shape
     weights = rng.normal(size=out_shape)
 
@@ -265,14 +265,14 @@ def test_albedo_in_unit_interval():
 
 def test_neus_weights_no_surface():
     t = tp.Tape()
-    f = tp._lift(np.full((3, 6), 0.4), None)
-    w = fd.neus_weights(f, tp._lift(np.asarray(100.0), None))
+    f = tp._lift(np.full((3, 6), 0.4))
+    w = fd.neus_weights(f, tp._lift(np.asarray(100.0)))
     assert np.all(w.data == 0.0)
 
 
 def test_neus_alpha_opaque_crossing():
-    f = tp._lift(np.array([[0.1, -0.1]]), None)
-    w = fd.neus_weights(f, tp._lift(np.asarray(100.0), None))
+    f = tp._lift(np.array([[0.1, -0.1]]))
+    w = fd.neus_weights(f, tp._lift(np.asarray(100.0)))
     # logistic CDF oracle: (phi(10)-phi(-10))/phi(10)
     phi = lambda x: 1.0 / (1.0 + np.exp(-x))
     expect = (phi(10) - phi(-10)) / phi(10)
@@ -282,19 +282,19 @@ def test_neus_alpha_opaque_crossing():
 
 def test_neus_weights_sum_below_one_random_fields():
     rng = np.random.default_rng(3)
-    f = tp._lift(rng.normal(size=(100, 16)) * 0.2, None)
-    w = fd.neus_weights(f, tp._lift(np.asarray(30.0), None))
+    f = tp._lift(rng.normal(size=(100, 16)) * 0.2)
+    w = fd.neus_weights(f, tp._lift(np.asarray(30.0)))
     assert np.all(w.data >= 0.0)
     assert np.all(w.data.sum(axis=1) <= 1.0 + 1e-6)
 
 
 def test_neus_duplicate_sample_invariant():
-    inv_s = tp._lift(np.asarray(50.0), None)
+    inv_s = tp._lift(np.asarray(50.0))
     f = np.array([[0.3, 0.1, -0.2]])
-    w_plain = fd.neus_weights(tp._lift(f, None), inv_s)
+    w_plain = fd.neus_weights(tp._lift(f), inv_s)
     # duplicate the middle sample: its interval alpha is 0
     f_dup = np.array([[0.3, 0.1, 0.1, -0.2]])
-    w_dup = fd.neus_weights(tp._lift(f_dup, None), inv_s)
+    w_dup = fd.neus_weights(tp._lift(f_dup), inv_s)
     assert np.allclose(
         [w_dup.data[0, 0], w_dup.data[0, 2]],
         [w_plain.data[0, 0], w_plain.data[0, 1]],
@@ -322,7 +322,7 @@ def test_weight_gradients_pass_gradient_check():
 
 
 def test_expected_depth_basic_and_miss():
-    w = tp._lift(np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]]), None)
+    w = tp._lift(np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]]))
     t_vals = np.array([[1.0, 3.0], [1.0, 3.0], [2.0, 3.0]])
     t_e, w_sum = fd.expected_depth(w, t_vals, np.array([9.0, 9.0, 9.0]))
     assert t_e.data[0] == pytest.approx(2.0)

@@ -35,26 +35,32 @@ def test_contract_continuous_at_unit_sphere():
     assert np.allclose(inner, outer, atol=1e-9)
 
 
+def _exit(o, d):
+    """Exit distance and exit point of ``ray_sphere_exit``."""
+    t = geo.ray_sphere_exit(o, d).t
+    return np.asarray(o) + t * np.asarray(d), t
+
+
 def test_ray_sphere_exit_centered():
-    s, t = geo.ray_sphere_exit([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0)
+    s, t = _exit([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     assert t == pytest.approx(1.0)
     assert np.allclose(s, [0, 0, 1])
 
 
 def test_ray_sphere_exit_offset():
-    s, t = geo.ray_sphere_exit([0.5, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0)
+    s, t = _exit([0.5, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert t == pytest.approx(0.5)
     assert np.allclose(s, [1, 0, 0])
 
 
 def test_ray_sphere_exit_quadratic_oracle():
-    s, t = geo.ray_sphere_exit([0.0, 0.6, 0.0], [0.0, 0.0, 1.0], 1.0)
+    s, t = _exit([0.0, 0.6, 0.0], [0.0, 0.0, 1.0])
     assert t == pytest.approx(0.8, abs=1e-12)  # 0.36 + 0.64 = 1
     assert np.allclose(s, [0.0, 0.6, 0.8], atol=1e-9)
 
 
 def test_ray_sphere_exit_tangential_degenerate():
-    s, t = geo.ray_sphere_exit([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1.0)
+    s, t = _exit([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     assert t == 0.0
     assert np.allclose(s, [1.0, 0.0, 0.0])
 
@@ -66,9 +72,26 @@ def test_ray_sphere_exit_distance_matches_t():
         o = o / np.linalg.norm(o) * rng.uniform(0.0, 0.99)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        s, t = geo.ray_sphere_exit(o, d, 1.0)
+        s, t = _exit(o, d)
         assert np.linalg.norm(s - o) == pytest.approx(t, abs=1e-9)
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ray_sphere_exit_roots_broadcast_outside_and_miss():
+    # origins (2, 1, 3) against directions (1, 2, 3)
+    o = np.array([[[0.0, 0.0, -2.0]], [[0.0, 0.6, 0.0]]])
+    d = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+    q = geo.ray_sphere_exit(o, d)
+    assert q.t.shape == q.root.shape == (2, 2)
+    # from outside: the line enters at 1 and leaves at 3; the exit distance
+    # is the entry, the smallest non-negative root
+    assert (q.t_near[0, 0], q.t_far[0, 0], q.c[0, 0], q.t[0, 0]) == (1.0, 3.0, 3.0, 1.0)
+    assert q.near[0, 0]
+    # a line that misses has root 0
+    assert q.root[0, 1] == 0.0
+    # from inside: the far root, the near one behind the origin
+    assert np.allclose(q.t[1], [0.8, 0.8]) and not np.any(q.near[1])
+    assert np.allclose(q.t_near[1], -0.8) and np.array_equal(q.t[1], q.t_far[1])
 
 
 def ddf_frames(s):
@@ -151,7 +174,7 @@ def _assert_node_vjps(fn, inputs, upstream, h, period=None):
     grads = tp.backward(t, tp.vsum(out * upstream))
 
     def value(values):
-        return fn(*(tp._lift(v, None) for v in values)).data
+        return fn(*(tp._lift(v) for v in values)).data
 
     for i, x in enumerate(inputs):
         numeric = np.empty(x.shape)

@@ -355,6 +355,42 @@ def test_cli_shadow_reports_bad_sun_as_config_error(tmp_path, capsys, sun):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    fileio.write_config(cfg, {**CLI_CONFIG, "weight_sky": -1.0})
+    rc = cli_main(["train", "--config", str(cfg), "--data", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "config error: weight_sky" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):
+    out = tmp_path / "ds"
+    cli_main(["generate", "--scene", "two-sphere", "--views", "4", "--seed",
+              "1", "--out", str(out), "--width", "12", "--height", "10",
+              "--quad-level", "2"])
+    cfg = tmp_path / "cfg.txt"
+    fileio.write_config(cfg, CLI_CONFIG)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--data", str(out),
+                     "--out", str(run), "--progress-every", "0"]) == 0
+    ckpt = ["--ckpt", str(run), "--dataset", str(out), "--dir-level", "0"]
+    res = str(tmp_path / "res")
+    # each is refused before any fit or render writes a file
+    for argv in (["render", "--view", "9", "--out", res],
+                 ["render", "--view", "-1", "--out", res],
+                 ["ao", "--view", "5", "--out", res],
+                 ["shadow", "--view", "4", "--sun", "0,0,1", "--out", res],
+                 ["relight", "--holdout", "0", "--test", "12", "--out", res],
+                 ["relight", "--holdout", "4", "--test", "0", "--out", res],
+                 ["eval", "--holdout", "7"]):
+        capsys.readouterr()
+        assert cli_main(argv + ckpt) == 2, argv
+        assert "config error:" in capsys.readouterr().err, argv
+        assert not os.path.exists(res), argv
+
+
 def test_cli_invalid_config_key(tmp_path):
     out = tmp_path / "ds"
     cli_main(["generate", "--scene", "two-sphere", "--views", "2", "--seed",

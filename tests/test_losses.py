@@ -4,22 +4,27 @@ import pytest
 from skylit import fields as fd
 from skylit import losses as ls
 from skylit import tape as tp
+from skylit import train as tr
 from skylit import visibility as vz
-from skylit.geometry import srgb
+from skylit.geometry import ConfigError, srgb
 from skylit.scenes import make_scene
 
 
 def as_var(x):
-    return tp._lift(np.asarray(x, dtype=np.float64), None)
+    return tp._lift(np.asarray(x, dtype=np.float64))
 
 
 def test_loss_weights_defaults_and_validation():
-    w = ls.LossWeights()
-    assert w.appearance == w.prior == w.sky == 1.0
-    assert w.ddf_depth == w.ddf_levelset == w.ddf_multiview == w.ddf_sky == 1.0
-    assert w.ground_plane == 0.0
-    with pytest.raises(ValueError):
-        ls.LossWeights(sky=-0.1)
+    # TrainConfig's weight_<term> keys are the only loss multipliers
+    cfg = tr.TrainConfig()
+    assert cfg.weight_appearance == cfg.weight_prior == cfg.weight_sky == 1.0
+    assert (cfg.weight_ddf_depth == cfg.weight_ddf_levelset
+            == cfg.weight_ddf_multiview == cfg.weight_ddf_sky == 1.0)
+    assert cfg.weight_ground_plane == 0.0
+    assert cfg.weight_eps_anneal == 0.05
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="weight_sky"):
+            tr.TrainConfig(weight_sky=bad)
 
 
 class _NoDraws:
@@ -171,13 +176,13 @@ def test_ddf_levelset_gradients_reach_both_fields():
         bd.field = vz.DdfField(pv["dgrid"].data)
         bd.grid = pv["dgrid"]
         bd.params = vz.VisibilityParams.default()
-        bd.eps_raw = tp._lift(np.asarray(0.5), None)
+        bd.eps_raw = tp._lift(np.asarray(0.5))
         fields = fd.SceneFields(fd.SdfField(pv["sgrid"].data),
                                 fd.AlbedoField.constant_init(4))
         bf = fd.BoundFields.__new__(fd.BoundFields)
         bf.fields = fields
         bf.sdf_grid = pv["sgrid"]
-        return ls.ddf_levelset_loss(batch, bd, bf, to_sdf=True)
+        return ls.ddf_levelset_loss(batch, bd, bf)
 
     params = {"dgrid": rng.normal(size=(6, 12, 4, 8)) * 0.3,
               "sgrid": rng.normal(size=(4, 4, 4)) * 0.3 + 0.4}
@@ -190,23 +195,6 @@ def test_ddf_levelset_gradients_reach_both_fields():
     grads = tp.backward(t, out)
     assert np.abs(grads["dgrid"]).max() > 0.0
     assert np.abs(grads["sgrid"]).max() > 0.0
-    # detached mode: no gradient into the SDF grid
-    t2 = tp.Tape()
-    pv2 = {k: t2.parameter(k, v) for k, v in params.items()}
-    bd = vz.BoundDdf.__new__(vz.BoundDdf)
-    bd.field = vz.DdfField(pv2["dgrid"].data)
-    bd.grid = pv2["dgrid"]
-    bd.params = vz.VisibilityParams.default()
-    bd.eps_raw = tp._lift(np.asarray(0.5), None)
-    fields = fd.SceneFields(fd.SdfField(pv2["sgrid"].data),
-                            fd.AlbedoField.constant_init(4))
-    bf = fd.BoundFields.__new__(fd.BoundFields)
-    bf.fields = fields
-    bf.sdf_grid = pv2["sgrid"]
-    out2 = ls.ddf_levelset_loss(batch, bd, bf, to_sdf=False)
-    grads2 = tp.backward(t2, out2)
-    assert np.all(grads2["sgrid"] == 0.0)
-    assert np.abs(grads2["dgrid"]).max() > 0.0
 
 
 def _empty_selection_grads(loss_fn):

@@ -38,7 +38,7 @@ def test_backward_rejects_foreign_and_nonscalar():
     t = tp.Tape()
     p = t.parameter("p", np.ones(3))
     with pytest.raises(tp.TapeError):
-        tp.backward(t, tp._lift(np.ones(3), None))
+        tp.backward(t, tp._lift(np.ones(3)))
     with pytest.raises(tp.TapeError):
         tp.backward(t, p * 2.0)
 
@@ -157,7 +157,7 @@ def test_einsum_where_take_grads():
     mask = np.array([True, False, True, True])
 
     def loss(t, pv):
-        g = tp.take(pv["grid"], idx)
+        g = tp.take_rows(tp.reshape(pv["grid"], (-1,)), idx)
         w = tp.where(mask, g, g * 3.0)
         e = tp.einsum2("i,ij->j", w, pv["mat"])
         return tp.vsum(e * e)
@@ -223,7 +223,7 @@ def _assert_vjps_match_central_differences(fn, inputs, rng, h=1e-6):
     grads = tp.backward(t, tp.vsum(out * upstream))
 
     def loss(values):
-        return float(np.sum(fn(*(tp._lift(v, None) for v in values)).data * upstream))
+        return float(np.sum(fn(*(tp._lift(v) for v in values)).data * upstream))
 
     for i, x in enumerate(inputs):
         numeric = np.empty(x.shape)
@@ -247,7 +247,6 @@ _BINARY_OPS = {
     "div": (tp.div, _normal, lambda rng, size: _signed(rng, size, 0.5, 2.0)),
     "maximum": (tp.maximum, _quarters, lambda rng, size: _quarters(rng, size, 0.125)),
     "minimum": (tp.minimum, _quarters, lambda rng, size: _quarters(rng, size, 0.125)),
-    "arctan2": (tp.arctan2, _normal, lambda rng, size: _signed(rng, size, 0.5, 2.0)),
 }
 
 _UNARY_OPS = {
@@ -256,7 +255,6 @@ _UNARY_OPS = {
     "log1p": (tp.log1p, lambda rng, size: rng.uniform(-0.5, 3.0, size)),
     "sqrt": (tp.sqrt, lambda rng, size: rng.uniform(0.5, 3.0, size)),
     "sigmoid": (tp.sigmoid, lambda rng, size: rng.uniform(-6.0, 6.0, size)),
-    "arccos": (tp.arccos, lambda rng, size: rng.uniform(-0.9, 0.9, size)),
     "absolute": (tp.absolute, lambda rng, size: _signed(rng, size, 0.1, 2.0)),
     # both branches, clear of the switch at 30
     "softplus": (tp.softplus, lambda rng, size: np.where(
@@ -335,7 +333,6 @@ def test_vsum_vjp_matches_central_differences(shape, data, keepdims, seed):
     (Ellipsis, 0),                               # scalar index
     np.array([[True, False, True], [False, True, True], [True, True, False],
               [False, False, True]]),            # boolean mask
-    (np.array([2, 0, 2, 2, 1]), slice(None)),    # repeated int array
 ])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -376,13 +373,13 @@ def test_einsum2_vjps_match_central_differences(subscripts, a_shape, b_shape, se
 
 @settings(max_examples=25, deadline=None)
 @given(shape=npst.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
-       eps=st.sampled_from([0.0, 1e-3, 0.5]), seed=st.integers(0, 2**32 - 1))
-def test_norm_last_vjp_matches_central_differences(shape, eps, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_last_vjp_matches_central_differences(shape, seed):
     rng = np.random.default_rng(seed)
     # rows clear of the zero vector, where the norm has its kink
     a = rng.normal(size=shape)
     a[..., :1] = _signed(rng, shape[:-1] + (1,), 0.5, 2.0)
-    _assert_vjps_match_central_differences(lambda v: tp.norm_last(v, eps=eps), [a], rng)
+    _assert_vjps_match_central_differences(tp.norm_last, [a], rng)
 
 
 # -- fused irradiance quadrature -----------------------------------------
@@ -402,8 +399,8 @@ def _value_and_grads(op, normals, dirs, radiance, upstream, on_tape=("n", "r")):
     """The op's value and the gradients of the inputs named in ``on_tape``;
     the other input is bound as a constant."""
     t = tp.Tape()
-    n = t.parameter("n", normals) if "n" in on_tape else tp._lift(normals, None)
-    r = t.parameter("r", radiance) if "r" in on_tape else tp._lift(radiance, None)
+    n = t.parameter("n", normals) if "n" in on_tape else tp._lift(normals)
+    r = t.parameter("r", radiance) if "r" in on_tape else tp._lift(radiance)
     out = op(n, dirs, r)
     grads = tp.backward(t, tp.vsum(out * upstream))
     return (out.data,) + tuple(grads[k] for k in on_tape)
@@ -584,9 +581,10 @@ def _same_bits(x, y):
 
 
 def test_take_vjp_equals_add_at_bitwise():
+    # a flat gather: take_rows of a 1-D reshape, its scatter passed through
     rng = np.random.default_rng(6)
     idx = rng.integers(0, 30, size=(8, 50))  # heavy repeats
-    got, g = _scatter_grad(lambda a: tp.take(a, idx), (5, 6), rng)
+    got, g = _scatter_grad(lambda a: tp.take_rows(tp.reshape(a, (-1,)), idx), (5, 6), rng)
     ref = np.zeros(30)
     np.add.at(ref, idx.reshape(-1), g.reshape(-1))
     assert _same_bits(got, ref.reshape(5, 6))
@@ -606,7 +604,6 @@ def test_take_rows_vjp_equals_add_at_bitwise():
     (Ellipsis, 1),
     2,
     np.array([True, False, True, True, False]),
-    (np.array([0, 3, 3, 1, 0]), slice(2, None)),
 ])
 def test_index_vjp_equals_add_at_bitwise(key):
     rng = np.random.default_rng(8)
@@ -614,6 +611,21 @@ def test_index_vjp_equals_add_at_bitwise(key):
     ref = np.zeros((5, 4))
     np.add.at(ref, key, g)
     assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("key", [
+    (np.array([2, 0, 2, 2, 1]), slice(None)),   # repeated rows
+    (np.array([0, 3, 3, 1, 0]), slice(2, None)),
+    (Ellipsis, np.array([1, 2])),
+    np.array([[1, 0], [3, 3]], dtype=np.uint8),
+])
+def test_index_rejects_integer_array_keys(key):
+    # take_rows is the one integer gather
+    t = tp.Tape()
+    a = t.parameter("a", np.zeros((5, 4)))
+    with pytest.raises(tp.TapeError, match="take_rows"):
+        tp.index(a, key)
+    assert len(t.nodes) == 1
 
 
 def _dyadic(rng, shape):
@@ -624,14 +636,16 @@ def _dyadic(rng, shape):
 
 @settings(max_examples=60, deadline=None)
 @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
-       kinds=st.lists(st.sampled_from(["take", "take_rows", "rows_of_reshape",
-                                       "take_of_reshape"]), min_size=2, max_size=6),
+       kinds=st.lists(st.sampled_from(["flat", "take_rows", "rows_of_reshape",
+                                       "flat_of_reshape"]), min_size=2, max_size=6),
        seed=st.integers(0, 2**32 - 1))
-@example(shape=(1, 1, 1), kinds=["take", "take_rows"], seed=0)
-@example(shape=(2, 3, 2), kinds=["rows_of_reshape", "take", "rows_of_reshape"], seed=1)
+@example(shape=(1, 1, 1), kinds=["flat", "take_rows"], seed=0)
+@example(shape=(2, 3, 2), kinds=["rows_of_reshape", "flat", "rows_of_reshape"], seed=1)
 def test_gathers_on_one_parameter_merge_into_one_scatter(shape, kinds, seed):
     # several gathers of one parameter, some through reshapes shared by more
-    # than one gather, with overlapping indices, plus two dense uses:
+    # than one gather ("flat" gathers rows of a 1-D reshape of the
+    # parameter, "flat_of_reshape" of a 1-D reshape of a 2-D reshape), with
+    # overlapping indices, plus two dense uses:
     # backward merges the gathers' adjoints into one bincount per Var and
     # adds the dense terms
     rng = np.random.default_rng(seed)
@@ -639,29 +653,26 @@ def test_gathers_on_one_parameter_merge_into_one_scatter(shape, kinds, seed):
     t = tp.Tape()
     a = t.parameter("a", rng.normal(size=shape))
     rows = tp.reshape(a, (n0 * n1, c))
-    flat = tp.reshape(tp.reshape(a, (n0, n1 * c)), (-1,))
+    flat = tp.reshape(a, (-1,))
+    flat2 = tp.reshape(tp.reshape(a, (n0, n1 * c)), (-1,))
     dense = [_dyadic(rng, shape), _dyadic(rng, shape)]
     loss = tp.vsum(a * dense[0])
     refs = list(dense)
     for kind in kinds:
         qshape = tuple(rng.integers(1, 6, size=rng.integers(1, 3)))
         ref = np.zeros(shape)
-        if kind == "take":
+        if kind in ("flat", "flat_of_reshape"):
             idx = rng.integers(0, a.data.size, size=qshape)
-            out = tp.take(a, idx)
+            out = tp.take_rows(flat if kind == "flat" else flat2, idx)
             target, key = ref.reshape(-1), idx.reshape(-1)
         elif kind == "take_rows":
             idx = rng.integers(0, n0, size=qshape)
             out = tp.take_rows(a, idx)
             target, key = ref, idx
-        elif kind == "rows_of_reshape":
+        else:
             idx = rng.integers(0, n0 * n1, size=qshape)
             out = tp.take_rows(rows, idx)
             target, key = ref.reshape(n0 * n1, c), idx
-        else:
-            idx = rng.integers(0, a.data.size, size=qshape)
-            out = tp.take(flat, idx)
-            target, key = ref.reshape(-1), idx.reshape(-1)
         upstream = _dyadic(rng, out.data.shape)
         np.add.at(target, key, upstream.reshape(key.shape + target.shape[1:]))
         refs.append(ref)

@@ -262,6 +262,24 @@ def test_config_rejects_non_positive_vmf_kappa():
         tr.TrainConfig.from_entries({"vmf_kappa": "-2"})
 
 
+@pytest.mark.parametrize("key,raw", [
+    ("weight_sky", "-1"),           # raised ValueError inside Trainer
+    ("weight_sky", "nan"),          # silently dropped the term
+    ("weight_eps_anneal", "inf"),
+    ("lr_fields", "nan"),
+    ("vmf_kappa", "nan"),
+    ("ddf_refresh_every", "0"),     # ZeroDivisionError at step 1
+    ("rays_per_batch", "0"),        # 0/0 loss, yet a checkpoint and exit 0
+    ("ddf_positions", "0"),         # every step rejected
+    ("ddf_directions", "0"),
+    ("ddf_multiview_pairs", "0"),
+    ("samples_per_ray", "0"),
+])
+def test_config_rejects_bad_values(key, raw):
+    with pytest.raises(ConfigError, match=key):
+        tr.TrainConfig.from_entries({key: raw})
+
+
 def test_zero_weights_leave_parameters_unchanged(tiny_dataset):
     _, dataset = tiny_dataset
     cfg = tiny_train_config(

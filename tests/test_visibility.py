@@ -69,8 +69,8 @@ def test_soft_visibility_half_at_exact_threshold():
     d = np.array([[0.0, 0.0, 1.0]])
     t = tp.Tape()
     bd = bound_of(ddf, tape=t)
-    s_var, t_var = vz.exit_point(tp._lift(x, None), tp._lift(d, None))
-    depth = vz.ddf_eval(bd, s_var, tp._lift(-d, None), strict=False)
+    s_var, t_var = vz.exit_point(tp._lift(x), tp._lift(d))
+    depth = vz.ddf_eval(bd, s_var, tp._lift(-d), strict=False)
     # choose epsilon = (t - depth) exactly as floats: the sigmoid argument
     # then cancels to exactly zero and V = 0.5 exactly
     eps_exact = float(t_var.data[0] - depth.data[0])
@@ -161,7 +161,7 @@ def test_stop_gradient_blocks_visibility():
         bd = vz.BoundDdf(t, vz.DdfField(grid0.copy()),
                          vz.VisibilityParams.default(epsilon=0.3),
                          trainable=True)
-        x = tp._lift(np.array([[[0.1, -0.2, 0.05]]]), None)
+        x = tp._lift(np.array([[[0.1, -0.2, 0.05]]]))
         d = np.array([[[0.3, 0.2, 0.93]]])
         d = d / np.linalg.norm(d, axis=-1, keepdims=True)
         v = vz.soft_visibility(bd, x, d, stop_grad=stop)
