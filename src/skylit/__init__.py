@@ -23,7 +23,6 @@ from .illumination import (
     export_envmap,
     prior_loss,
     radiance,
-    rotate_latent,
 )
 from .losses import DdfBatch
 from .metrics import mse, psnr

@@ -22,6 +22,9 @@ from .scenes import CLASS_TRANSIENT
 
 
 def _cmd_generate(args):
+    for flag in ("views", "width", "height"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     scene = sc.make_scene(args.scene, seed=args.scene_seed)
     sc.generate_dataset(scene, args.views, args.seed, args.out,
                         width=args.width, height=args.height,
@@ -59,7 +62,9 @@ def _load_aligned(path):
 def _load(args, **views):
     """The aligned dataset and the checkpoint's trainer. ``views`` maps a
     flag name to the view index it was given (or None); each must index the
-    dataset, which is checked before the checkpoint loads."""
+    dataset, which is checked before the checkpoint loads. The checkpoint
+    must come from this dataset: its illumination bank holds one sky per
+    view, and the gravity frame follows the dataset's camera centers."""
     dataset = _load_aligned(args.dataset)
     for flag, view in views.items():
         if view is not None and not 0 <= view < dataset.n_views:

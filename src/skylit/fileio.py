@@ -55,17 +55,6 @@ def write_ppm(path, image01):
         fh.write(raster.tobytes())
 
 
-def read_ppm(path):
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"not a binary PPM: {path}")
-        w, h = map(int, fh.readline().split())
-        maxval = int(fh.readline())
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3).astype(np.float64) / maxval
-
-
 def write_pgm(path, values):
     arr = np.asarray(values, dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -143,16 +132,27 @@ def write_blob(fh, array, meta=()):
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def read_exact(fh, n):
+    """``n`` bytes from ``fh``; ConfigError when the file ends first."""
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ConfigError(f"{getattr(fh, 'name', 'blob')}: truncated, read {len(raw)} "
+                          f"of {n} bytes")
+    return raw
+
+
 def read_blob(fh):
-    magic = fh.read(4)
+    """One blob written by ``write_blob``; ConfigError when the file holds
+    none at this point or ends inside it."""
+    magic = read_exact(fh, 4)
     if magic != BLOB_MAGIC:
-        raise ValueError("bad field blob magic")
-    version, ndim = struct.unpack("<II", fh.read(8))
+        raise ConfigError(f"{getattr(fh, 'name', 'blob')}: bad field blob magic")
+    version, ndim = struct.unpack("<II", read_exact(fh, 8))
     if version != BLOB_VERSION:
-        raise ValueError(f"unsupported blob version {version}")
-    dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    (n_meta,) = struct.unpack("<I", fh.read(4))
-    meta = struct.unpack(f"<{n_meta}d", fh.read(8 * n_meta)) if n_meta else ()
+        raise ConfigError(f"unsupported blob version {version}")
+    dims = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim))
+    (n_meta,) = struct.unpack("<I", read_exact(fh, 4))
+    meta = struct.unpack(f"<{n_meta}d", read_exact(fh, 8 * n_meta))
     count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
+    data = np.frombuffer(read_exact(fh, 4 * count), dtype="<f4").astype(np.float64)
     return data.reshape(dims), list(meta)

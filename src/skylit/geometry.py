@@ -190,11 +190,6 @@ def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     return rotated
 
 
-def rot_z(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 SRGB_LINEAR_KNEE = 0.0031308
 
 

@@ -4,9 +4,8 @@ A fixed bank of von Mises-Fisher lobes decodes a low-dimensional latent
 Z (3 x K of per-lobe log-RGB amplitudes) into a strictly positive HDR
 environment: L(d) = gamma * exp(sum_k Z[:,k] * b_k(d)) with
 b_k(d) = exp(kappa_k * (axis_k . d - 1)). Z = 0 decodes to the constant
-unit environment, the normal prior ||Z||^2 is meaningful because the decoder
-is fixed, and arranging lobe axes in azimuthal rings makes rotation about the
-vertical axis an exact latent permutation on the ring lattice.
+unit environment, and the normal prior ||Z||^2 is meaningful because the
+decoder is fixed.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .geometry import rot_z, spherical_to_dir
+from .geometry import spherical_to_dir
 
 
 @dataclass(frozen=True)
 class LobeDecoder:
     axes: np.ndarray          # (K,3) unit lobe directions
     kappas: np.ndarray        # (K,) concentrations
-    ring_indices: tuple       # tuple of index tuples, each one azimuthal ring
     latent_mean: np.ndarray   # (3,K) prior mean used when *sampling* skies
 
     @property
@@ -31,18 +29,18 @@ class LobeDecoder:
         return self.axes.shape[0]
 
     @classmethod
-    def default(cls, n_lobes=16, kappa=8.0, ring_size=7, elevation_deg=35.0,
-                upper_mean_bias=0.2):
-        """Two polar caps plus two azimuthal rings; K must be 2 + 2*ring_size."""
-        if n_lobes != 2 + 2 * ring_size:
-            raise ValueError("lobe count must equal 2 + 2 * ring_size")
+    def default(cls, n_lobes=16, kappa=8.0, elevation_deg=35.0, upper_mean_bias=0.2):
+        """Two polar caps plus two azimuthal rings of (n_lobes - 2) / 2 lobes
+        each; n_lobes must be even and at least 2."""
+        if n_lobes < 2 or n_lobes % 2:
+            raise ValueError(f"lobe count must be 2 + 2 * ring_size, got {n_lobes}")
+        ring_size = (n_lobes - 2) // 2
         elev = np.radians(elevation_deg)
         axes = [np.array([0.0, 0.0, 1.0])]
         upper = tuple(range(1, 1 + ring_size))
         for j in range(ring_size):
             phi = 2.0 * np.pi * j / ring_size
             axes.append(spherical_to_dir(np.pi / 2 - elev, phi))
-        lower = tuple(range(1 + ring_size, 1 + 2 * ring_size))
         for j in range(ring_size):
             phi = 2.0 * np.pi * j / ring_size
             axes.append(spherical_to_dir(np.pi / 2 + elev, phi))
@@ -52,16 +50,12 @@ class LobeDecoder:
         mean[:, 0] = upper_mean_bias           # lighting-from-above prior
         mean[:, list(upper)] = upper_mean_bias
         return cls(axes=axes, kappas=np.full(len(axes), float(kappa)),
-                   ring_indices=(upper, lower), latent_mean=mean)
+                   latent_mean=mean)
 
     def basis(self, dirs):
         """b_k(d) for unit rows ``dirs``; (D,K), values in (0,1]."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         return np.exp(self.kappas[None, :] * (dirs @ self.axes.T - 1.0))
-
-    @property
-    def ring_step(self):
-        return 2.0 * np.pi / len(self.ring_indices[0])
 
 
 @dataclass
@@ -149,34 +143,6 @@ def prior_loss(Z):
     return float(np.sum(np.square(Z)))
 
 
-def rotate_latent(decoder, Z, theta, tol=1e-9):
-    """Rotate the environment about the vertical axis by permuting ring
-    columns. Exact only for theta on the ring lattice; off-lattice angles
-    return (Z, False) and the caller should rotate query directions instead.
-    """
-    step = decoder.ring_step
-    m = theta / step
-    m_round = int(np.round(m))
-    if abs(m - m_round) * step > tol:
-        return Z, False
-    out = Z.copy()
-    for ring in decoder.ring_indices:
-        ring = np.asarray(ring)
-        n = len(ring)
-        out[:, ring[(np.arange(n) + m_round) % n]] = Z[:, ring]
-    return out, True
-
-
-def rotated_radiance(state, dirs, theta):
-    """radiance under a theta rotation about z, exact for any theta (falls
-    back to rotating the query when theta is off the ring lattice)."""
-    z_rot, exact = rotate_latent(state.decoder, state.Z, theta)
-    if exact:
-        return radiance(IlluminationState(state.decoder, z_rot, state.log_gamma), dirs)
-    q = np.atleast_2d(dirs) @ rot_z(-theta).T
-    return radiance(state, q)
-
-
 def export_envmap(state, width, height):
     """Equirectangular HDR map, row 0 at the zenith; width must be 2*height."""
     if width != 2 * height:
@@ -186,12 +152,6 @@ def export_envmap(state, width, height):
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     dirs = spherical_to_dir(tt.reshape(-1), pp.reshape(-1))
     return radiance(state, dirs).reshape(height, width, 3)
-
-
-def envmap_pixel_dir(row, col, width, height):
-    theta = (row + 0.5) / height * np.pi
-    phi = (col + 0.5) / width * 2.0 * np.pi - np.pi
-    return spherical_to_dir(theta, phi)
 
 
 def sample_latent(decoder, rng, scale=1.0):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -33,88 +33,133 @@ from .scenes import CLASS_GROUND, CLASS_SKY, CLASS_TRANSIENT
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
+# how from_entries reads a value of each declared type
+_PARSERS = {"bool": lambda s: _BOOLS[s.strip().lower()], "int": int,
+            "float": float, "str": str}
+
 # loss terms, each weighted by TrainConfig's weight_<term>
 LOSS_TERMS = ("appearance", "prior", "sky", "ddf_depth", "ddf_levelset",
               "ddf_multiview", "ddf_sky", "ground_plane", "eps_anneal")
 
 
+def _key(default, range_, meaning):
+    """One TrainConfig field: its default, the interval its value must lie
+    in ("[lo, hi)" notation, inf allowed; None where the type admits every
+    value) and a one-line meaning. README's configuration table repeats all
+    three, and a test holds it to them."""
+    return field(default=default, metadata={"range": range_, "meaning": meaning})
+
+
+def _in_range(value, range_):
+    """Whether ``value`` lies in an interval written "[lo, hi)"; NaN never
+    does."""
+    lo, hi = (float(x) for x in range_[1:-1].split(","))
+    above = lo <= value if range_[0] == "[" else lo < value
+    below = value <= hi if range_[-1] == "]" else value < hi
+    return above and below
+
+
+_RATE = "(0, 1]"       # an Adam rate: about the largest step per entry
+_WEIGHT = "[0, 1000]"  # a loss multiplier; 0 switches its term off
+
+
 @dataclass
 class TrainConfig:
-    steps: int = 10000
-    rays_per_batch: int = 128
-    samples_per_ray: int = 48
-    dir_level: int = 3
-    near: float = 0.02
-    lr_fields: float = 1e-2
-    lr_ddf: float = 1e-3
-    lr_illum: float = 1e-2
-    lr_eps: float = 1e-3
-    warmup_steps: int = 500
-    seed: int = 0
-    stop_gradient: bool = False
-    use_visibility: bool = True
-    sdf_resolution: int = 64
-    grid_extent: float = 1.0
-    illum_lobes: int = 16
-    ddf_pos_res_theta: int = 32
-    ddf_pos_res_phi: int = 64
-    ddf_dir_res_theta: int = 16
-    ddf_dir_res_phi: int = 32
-    ddf_positions: int = 8
-    ddf_directions: int = 128
-    vmf_kappa: float = 20.0
-    ddf_min_z: float = 0.0
-    ddf_refresh_every: int = 50
-    ddf_multiview_pairs: int = 64
-    weight_appearance: float = 1.0
-    weight_prior: float = 1.0
-    weight_sky: float = 1.0
-    weight_ddf_depth: float = 1.0
-    weight_ddf_levelset: float = 1.0
-    weight_ddf_multiview: float = 1.0
-    weight_ddf_sky: float = 1.0
-    weight_ground_plane: float = 0.0
-    weight_eps_anneal: float = 0.05
-    data_dir: str = ""
+    """Every training setting, each declared once with its range.
+
+    Two rules span keys or values: warmup_steps < steps, and illum_lobes =
+    2 + 2 * ring_size (two polar caps and two azimuthal rings), so even.
+    """
+
+    steps: int = _key(10000, "[1, inf)", "optimization steps")
+    rays_per_batch: int = _key(
+        128, "[1, inf)", "rays per step, drawn from non-transient pixels")
+    samples_per_ray: int = _key(
+        48, "[2, inf)", "stratified samples per ray; NeuS weights need two")
+    dir_level: int = _key(
+        3, "[0, 6]", "icosphere level of the light quadrature (3: 642 directions)")
+    near: float = _key(
+        0.02, "[0, 1)", "distance along each ray where its samples start")
+    lr_fields: float = _key(
+        1e-2, _RATE, "Adam rate of the SDF and albedo grids: warmup, cosine decay")
+    lr_ddf: float = _key(1e-3, _RATE, "Adam rate of the DDF grid: warmup, cosine decay")
+    lr_illum: float = _key(
+        1e-2, _RATE, "Adam rate of the illumination latents: exponential decay")
+    lr_eps: float = _key(
+        1e-3, _RATE, "Adam rate of the visibility threshold: exponential decay")
+    warmup_steps: int = _key(
+        500, "[0, inf)", "steps of linear warmup of the field and DDF rates")
+    seed: int = _key(0, "[0, inf)", "seed of ray batches, jitter and DDF supervision")
+    stop_gradient: bool = _key(
+        False, None, "detach visibility in the backward pass (ablation)")
+    use_visibility: bool = _key(True, None, "evaluate DDF sky visibility in the renderer")
+    sdf_resolution: int = _key(
+        64, "[2, inf)", "nodes per axis of the SDF and albedo grids")
+    grid_extent: float = _key(
+        1.0, "[1, 2]", "half-width of their cube: the unit ball up to radius 2")
+    illum_lobes: int = _key(16, "[2, inf)", "lobes of the sky decoder")
+    ddf_pos_res_theta: int = _key(
+        32, "[2, inf)", "DDF nodes over the sphere point's polar angle")
+    ddf_pos_res_phi: int = _key(
+        64, "[1, inf)", "DDF nodes over the sphere point's azimuth")
+    ddf_dir_res_theta: int = _key(
+        16, "[2, inf)", "DDF nodes over the direction's local polar angle")
+    ddf_dir_res_phi: int = _key(
+        32, "[1, inf)", "DDF nodes over the direction's local azimuth")
+    ddf_positions: int = _key(8, "[1, inf)", "sphere points per DDF supervision batch")
+    ddf_directions: int = _key(
+        128, "[1, inf)", "inward directions per point of that batch")
+    vmf_kappa: float = _key(
+        20.0, "[0.01, inf)", "vMF concentration of those directions")
+    ddf_min_z: float = _key(
+        0.0, "[0, 1)", "lowest height of those points (0: the horizon)")
+    ddf_refresh_every: int = _key(
+        50, "[1, inf)", "steps between fresh DDF supervision batches")
+    ddf_multiview_pairs: int = _key(
+        64, "[1, inf)", "point pairs per DDF multiview-consistency batch")
+    weight_appearance: float = _key(
+        1.0, _WEIGHT, "multiplier of the tonemapped color loss")
+    weight_prior: float = _key(1.0, _WEIGHT, "multiplier of the latents' squared norm")
+    weight_sky: float = _key(
+        1.0, _WEIGHT, "multiplier of the sky pixels' color and density loss")
+    weight_ddf_depth: float = _key(
+        1.0, _WEIGHT, "multiplier of the DDF's traced-depth loss")
+    weight_ddf_levelset: float = _key(
+        1.0, _WEIGHT, "multiplier of the DDF's SDF level-set loss")
+    weight_ddf_multiview: float = _key(
+        1.0, _WEIGHT, "multiplier of the DDF's multiview-consistency loss")
+    weight_ddf_sky: float = _key(
+        1.0, _WEIGHT, "multiplier of the sky rays' DDF see-through loss")
+    weight_ground_plane: float = _key(
+        0.0, _WEIGHT, "multiplier of the ground normals' world-up loss")
+    weight_eps_anneal: float = _key(
+        0.05, _WEIGHT, "multiplier of the visibility threshold's pull to 0")
+    data_dir: str = _key("", None, "dataset directory, read when --data is not given")
 
     def __post_init__(self):
-        for name in ("rays_per_batch", "samples_per_ray", "ddf_positions",
-                     "ddf_directions", "ddf_refresh_every", "ddf_multiview_pairs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        for name in ("lr_fields", "lr_ddf", "lr_illum", "lr_eps", "vmf_kappa"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be positive and finite")
-        for term in LOSS_TERMS:
-            if not 0.0 <= getattr(self, f"weight_{term}") < np.inf:
-                raise ConfigError(f"weight_{term} must be >= 0 and finite")
-        if not 0 <= self.warmup_steps < max(self.steps, 1):
+        for f in dc_fields(self):
+            value, range_ = getattr(self, f.name), f.metadata["range"]
+            if range_ and not _in_range(value, range_):
+                raise ConfigError(f"{f.name} must lie in {range_}, got {value!r}")
+        if self.warmup_steps >= self.steps:
             raise ConfigError("warmup_steps must be < steps")
-        if (self.illum_lobes - 2) % 2:
-            raise ConfigError("illum_lobes must be 2 + 2*ring_size")
-        if not 0.0 <= self.ddf_min_z < 1.0:
-            raise ConfigError("ddf_min_z must be in [0, 1)")
+        if self.illum_lobes % 2:
+            raise ConfigError("illum_lobes must be 2 + 2 * ring_size, so even")
 
     def to_entries(self):
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
     @classmethod
     def from_entries(cls, entries):
-        kwargs = {}
+        """A config from 'key = value' entries, typed by the declaration;
+        a value may be a string, as read from a file, or already typed."""
         types = {f.name: f.type for f in dc_fields(cls)}
+        kwargs = {}
         for key, raw in entries.items():
             if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            ty = types[key]
             try:
-                if ty in ("bool", bool):
-                    kwargs[key] = _BOOLS[str(raw).strip().lower()]
-                elif ty in ("int", int):
-                    kwargs[key] = int(str(raw))
-                elif ty in ("float", float):
-                    kwargs[key] = float(str(raw))
-                else:
-                    kwargs[key] = str(raw)
+                kwargs[key] = _PARSERS[types[key]](str(raw))
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
         return cls(**kwargs)
@@ -314,8 +359,7 @@ class Trainer:
             (config.ddf_dir_res_theta, config.ddf_dir_res_phi),
         )
         self.vis_params = vz.VisibilityParams.default()
-        self.decoder = il.LobeDecoder.default(config.illum_lobes,
-                                              ring_size=(config.illum_lobes - 2) // 2)
+        self.decoder = il.LobeDecoder.default(config.illum_lobes)
         self.bank = il.IlluminationBank(self.decoder, dataset.n_views)
         self.adam = Adam()
         self.pool = build_pixel_pool(dataset)
@@ -596,7 +640,20 @@ def save_checkpoint(out_dir, trainer):
                         trainer.cfg.to_entries())
 
 
+def _check_shape(stored, fresh, keys):
+    """ConfigError unless a checkpoint array has the shape of the array that
+    its config builds; ``keys`` names what sets each axis of that shape."""
+    if stored.shape != fresh.shape:
+        key = next((k for k, a, b in zip(keys, stored.shape, fresh.shape) if a != b),
+                   keys[0])
+        raise ConfigError(f"checkpoint array of shape {stored.shape} does not match "
+                          f"{key}, which gives {fresh.shape}")
+
+
 def load_checkpoint(ckpt_dir, dataset):
+    """The trainer saved in ``ckpt_dir``, for the dataset it was trained on.
+    ConfigError when a stored array disagrees with the shape its config (or
+    the dataset's view count) gives."""
     cfg = TrainConfig.from_entries(
         fileio.read_config(os.path.join(ckpt_dir, "config.txt")))
     trainer = Trainer(dataset, cfg)
@@ -604,6 +661,8 @@ def load_checkpoint(ckpt_dir, dataset):
         grid, meta = fileio.read_blob(fh)
         log_inv_s, _ = fileio.read_blob(fh)
         albedo, meta_a = fileio.read_blob(fh)
+    _check_shape(grid, trainer.fields.sdf.grid, ("sdf_resolution",) * 3)
+    _check_shape(albedo, trainer.fields.albedo.grid, ("sdf_resolution",) * 3)
     trainer.fields = fd.SceneFields(
         sdf=fd.SdfField(grid, extent=meta[0]),
         albedo=fd.AlbedoField(albedo, extent=meta_a[0]),
@@ -612,22 +671,27 @@ def load_checkpoint(ckpt_dir, dataset):
     with open(os.path.join(ckpt_dir, "ddf.bin"), "rb") as fh:
         dgrid, _ = fileio.read_blob(fh)
         eps_raw, meta_d = fileio.read_blob(fh)
+    _check_shape(dgrid, trainer.ddf.grid, ("ddf_pos_res_theta", "ddf_pos_res_phi",
+                                           "ddf_dir_res_theta", "ddf_dir_res_phi"))
     trainer.ddf = vz.DdfField(dgrid)
     trainer.vis_params = vz.VisibilityParams(
         eps_raw=np.asarray(eps_raw.reshape(())), eta=meta_d[0])
     with open(os.path.join(ckpt_dir, "illum.bin"), "rb") as fh:
         z, _ = fileio.read_blob(fh)
         log_gamma, _ = fileio.read_blob(fh)
+    _check_shape(z, trainer.bank.Z,
+                 ("the dataset's view count (load the dataset it was trained on)",
+                  "RGB", "illum_lobes"))
     trainer.bank.Z = np.asarray(z)
     trainer.bank.log_gamma = np.asarray(log_gamma)
     opt_path = os.path.join(ckpt_dir, "optimizer.bin")
     if os.path.exists(opt_path):
         with open(opt_path, "rb") as fh:
-            (count,) = np.frombuffer(fh.read(4), dtype=np.uint32)
+            (count,) = np.frombuffer(fileio.read_exact(fh, 4), dtype=np.uint32)
             for _ in range(count):
-                (nlen,) = np.frombuffer(fh.read(4), dtype=np.uint32)
-                name = fh.read(int(nlen)).decode()
-                (t_step,) = np.frombuffer(fh.read(4), dtype=np.uint32)
+                (nlen,) = np.frombuffer(fileio.read_exact(fh, 4), dtype=np.uint32)
+                name = fileio.read_exact(fh, int(nlen)).decode()
+                (t_step,) = np.frombuffer(fileio.read_exact(fh, 4), dtype=np.uint32)
                 m, _ = fileio.read_blob(fh)
                 v, _ = fileio.read_blob(fh)
                 trainer.adam.m[name] = np.asarray(m)

@@ -32,7 +32,7 @@ def report(criterion, ok, detail):
 
 def _toy_setup():
     rng = np.random.default_rng(42)
-    decoder = il.LobeDecoder.default(4, ring_size=1)
+    decoder = il.LobeDecoder.default(4)
     # a 5^3 grid so the blob's center node is inside (radius 0.35): DDF rays
     # hit it and multiview pairs exist
     fields = fd.SceneFields(

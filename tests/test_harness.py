@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -25,11 +26,22 @@ def test_pfm_roundtrip(tmp_path):
     assert np.abs(fileio.read_pfm(tmp_path / "g.pfm") - gray).max() < 1e-6
 
 
+def read_ppm(path):
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P6":
+            raise ValueError(f"not a binary PPM: {path}")
+        w, h = map(int, fh.readline().split())
+        maxval = int(fh.readline())
+        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
+    return data.reshape(h, w, 3).astype(np.float64) / maxval
+
+
 def test_ppm_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.uniform(0.0, 1.0, size=(4, 5, 3))
     fileio.write_ppm(tmp_path / "x.ppm", img)
-    back = fileio.read_ppm(tmp_path / "x.ppm")
+    back = read_ppm(tmp_path / "x.ppm")
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
 
     mask = rng.integers(0, 4, size=(4, 5)).astype(np.uint8)
@@ -357,12 +369,65 @@ def test_cli_shadow_reports_bad_sun_as_config_error(tmp_path, capsys, sun):
 
 def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    fileio.write_config(cfg, {**CLI_CONFIG, "weight_sky": -1.0})
-    rc = cli_main(["train", "--config", str(cfg), "--data", str(tmp_path / "ds"),
-                   "--out", str(tmp_path / "run")])
+    for key, value in (("weight_sky", -1.0), ("near", "nan"), ("grid_extent", 0),
+                       ("sdf_resolution", 1), ("seed", -1), ("illum_lobes", 0)):
+        fileio.write_config(cfg, {**CLI_CONFIG, key: value})
+        rc = cli_main(["train", "--config", str(cfg), "--data", str(tmp_path / "ds"),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("views", 0), ("views", -1), ("width", 0),
+                                        ("height", 0)])
+def test_cli_generate_rejects_sizes_below_one(tmp_path, capsys, flag, value):
+    argv = {"views": "2", "width": "12", "height": "10", flag: str(value)}
+    rc = cli_main(["generate", "--scene", "two-sphere", "--out", str(tmp_path / "ds"),
+                   "--quad-level", "2"] + [x for k, v in argv.items() for x in (f"--{k}", v)])
     assert rc == 2
-    assert "config error: weight_sky" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    assert f"config error: --{flag}" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_cli_rejects_checkpoint_that_disagrees_with_config_or_dataset(tmp_path, capsys):
+    for views in (6, 8):
+        cli_main(["generate", "--scene", "two-sphere", "--views", str(views), "--seed",
+                  "1", "--out", str(tmp_path / f"ds{views}"), "--width", "12",
+                  "--height", "10", "--quad-level", "2"])
+    cfg = tmp_path / "cfg.txt"
+    fileio.write_config(cfg, CLI_CONFIG)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--data", str(tmp_path / "ds6"),
+                     "--out", str(run), "--progress-every", "0"]) == 0
+    res = tmp_path / "res"
+
+    def refused(ckpt, views, view, named):
+        capsys.readouterr()
+        assert cli_main(["render", "--ckpt", str(ckpt), "--dataset",
+                         str(tmp_path / f"ds{views}"), "--view", str(view),
+                         "--out", str(res), "--dir-level", "0"]) == 2
+        assert named in capsys.readouterr().err.split("config error:")[1]
+        assert not res.exists()
+
+    # the bank holds one sky per training view, and the gravity frame
+    # follows the training cameras
+    refused(run, 8, 7, "view count")
+    for key, value in (("sdf_resolution", 30), ("ddf_dir_res_theta", 9),
+                       ("illum_lobes", 14)):
+        edited = tmp_path / key
+        shutil.copytree(run, edited)
+        entries = fileio.read_config(edited / "config.txt")
+        fileio.write_config(edited / "config.txt", {**entries, key: value})
+        refused(edited, 6, 0, key)
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run, damaged)
+    raw = (damaged / "fields.bin").read_bytes()
+    (damaged / "fields.bin").write_bytes(raw[:len(raw) // 2])
+    refused(damaged, 6, 0, "truncated")
+    (damaged / "fields.bin").write_bytes(raw)
+    (damaged / "ddf.bin").write_bytes(b"XXXX" + (damaged / "ddf.bin").read_bytes()[4:])
+    refused(damaged, 6, 0, "magic")
 
 
 def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):

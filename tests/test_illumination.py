@@ -3,7 +3,7 @@ import pytest
 
 from skylit import illumination as il
 from skylit import tape as tp
-from skylit.geometry import icosphere_directions, rot_z, so3_jitter
+from skylit.geometry import icosphere_directions, so3_jitter, spherical_to_dir
 
 
 @pytest.fixture(scope="module")
@@ -69,43 +69,6 @@ def test_prior_gradient_is_two_z():
     assert np.allclose(g, 2.0 * z0, atol=1e-12)
 
 
-def test_rotate_latent_identity_and_period(decoder):
-    rng = np.random.default_rng(4)
-    z = il.sample_latent(decoder, rng)
-    z0, ok0 = il.rotate_latent(decoder, z, 0.0)
-    assert ok0 and np.allclose(z0, z)
-    z2pi, ok2 = il.rotate_latent(decoder, z, 2.0 * np.pi)
-    assert ok2 and np.allclose(z2pi, z)
-
-
-def test_rotate_latent_equivariance_on_lattice(decoder, dirs642):
-    rng = np.random.default_rng(5)
-    z = il.sample_latent(decoder, rng)
-    state = il.IlluminationState(decoder, z, np.asarray(0.0))
-    for m in (1, 3, -2):
-        theta = m * decoder.ring_step
-        z_rot, exact = il.rotate_latent(decoder, z, theta)
-        assert exact
-        lhs = il.radiance(il.IlluminationState(decoder, z_rot, np.asarray(0.0)),
-                          dirs642)
-        rhs = il.radiance(state, dirs642 @ rot_z(-theta).T)
-        assert np.abs(lhs - rhs).max() < 1e-6
-
-
-def test_rotate_latent_off_lattice_flagged(decoder, dirs642):
-    rng = np.random.default_rng(6)
-    z = il.sample_latent(decoder, rng)
-    theta = 0.123
-    z_out, exact = il.rotate_latent(decoder, z, theta)
-    assert not exact
-    assert np.array_equal(z_out, z)
-    # fallback path still yields the exact rotated radiance
-    state = il.IlluminationState(decoder, z, np.asarray(0.0))
-    got = il.rotated_radiance(state, dirs642, theta)
-    want = il.radiance(state, dirs642 @ rot_z(-theta).T)
-    assert np.allclose(got, want)
-
-
 def test_export_envmap_constant(decoder):
     state = il.IlluminationState(decoder, np.zeros((3, decoder.n_lobes)),
                                  np.asarray(np.log(2.0)))
@@ -122,7 +85,8 @@ def test_export_envmap_argmax_matches_brute_force(decoder, dirs642):
     env = il.export_envmap(state, w, h)
     lum = env.sum(axis=2)
     row, col = np.unravel_index(np.argmax(lum), lum.shape)
-    px_dir = il.envmap_pixel_dir(row, col, w, h)
+    px_dir = spherical_to_dir((row + 0.5) / h * np.pi,
+                              (col + 0.5) / w * 2.0 * np.pi - np.pi)
     brute = dirs642[np.argmax(il.radiance(state, dirs642).sum(axis=1))]
     # within one pixel: angular distance below two pixel diagonals
     px_angle = np.pi / h * 1.5

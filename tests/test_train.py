@@ -1,15 +1,27 @@
 import dataclasses
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skylit import losses as ls
 from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
-from skylit.geometry import ConfigError, rot_z
-from skylit.scenes import CLASS_TRANSIENT
+from skylit.geometry import ConfigError
+from skylit.scenes import CLASS_TRANSIENT, generate_dataset, make_scene
 from tests.conftest import CLI_CONFIG, tiny_train_config
+
+DECLARED = dataclasses.fields(tr.TrainConfig)
+RANGED = [f for f in DECLARED if f.metadata["range"]]
+
+
+def rot_z(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def ring_centers(n=12, tilt=None, rng=None):
@@ -274,10 +286,105 @@ def test_config_rejects_non_positive_vmf_kappa():
     ("ddf_directions", "0"),
     ("ddf_multiview_pairs", "0"),
     ("samples_per_ray", "0"),
+    ("near", "nan"),                # every step rejected
+    ("near", "-0.5"),               # trained without complaint
+    ("near", "3"),
+    ("grid_extent", "0"),           # ZeroDivisionError
+    ("grid_extent", "-1"),          # trained
+    ("grid_extent", "inf"),         # RuntimeWarning
+    ("sdf_resolution", "0"),        # IndexError
+    ("sdf_resolution", "1"),
+    ("ddf_pos_res_theta", "1"),     # ValueError
+    ("ddf_dir_res_theta", "1"),
+    ("ddf_pos_res_phi", "0"),       # divide-by-zero warning
+    ("ddf_dir_res_phi", "0"),
+    ("seed", "-1"),                 # ValueError
+    ("illum_lobes", "0"),           # silently trained a 2-lobe decoder
+    ("illum_lobes", "-2"),
 ])
 def test_config_rejects_bad_values(key, raw):
     with pytest.raises(ConfigError, match=key):
         tr.TrainConfig.from_entries({key: raw})
+
+
+def _bounds(range_):
+    """(lo, hi, lo excluded, hi excluded) of an interval written "[lo, hi)"."""
+    lo, hi = (float(x) for x in range_[1:-1].split(","))
+    return lo, hi, range_[0] == "(", range_[-1] == ")"
+
+
+# upper ends of the draws below, so that one draw trains in a fraction of a
+# second: at most a 16^3 SDF, 162 light directions and an 8x16x6x12 DDF
+DRAW_CAPS = dict(rays_per_batch=32, samples_per_ray=16, dir_level=2,
+                 sdf_resolution=16, illum_lobes=32, ddf_pos_res_theta=8,
+                 ddf_pos_res_phi=16, ddf_dir_res_theta=6, ddf_dir_res_phi=12,
+                 ddf_positions=8, ddf_directions=32, ddf_multiview_pairs=16)
+
+
+def _draw_value(f):
+    if f.type == "bool":
+        return st.booleans()
+    lo, hi, lo_open, hi_open = _bounds(f.metadata["range"])
+    if f.type == "float":
+        return st.floats(lo, hi, exclude_min=lo_open, exclude_max=hi_open)
+    hi = min(hi, DRAW_CAPS.get(f.name, np.inf))
+    return st.integers(int(lo), None if hi == np.inf else int(hi))
+
+
+@st.composite
+def configs_inside_the_ranges(draw):
+    values = {f.name: draw(_draw_value(f)) for f in DECLARED if f.type != "str"}
+    # the two rules that span keys or values
+    values["warmup_steps"] = draw(st.integers(0, values["steps"] - 1))
+    values["illum_lobes"] -= values["illum_lobes"] % 2
+    return tr.TrainConfig(**values)
+
+
+@pytest.fixture(scope="module")
+def cli_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "cli"
+    return generate_dataset(make_scene("two-sphere", seed=0), 3, seed=2,
+                            out_dir=str(out), width=16, height=12, quad_level=2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cfg=configs_inside_the_ranges())
+def test_every_config_inside_the_declared_ranges_trains(cli_dataset, cfg):
+    # a range too wide to train is narrowed in the declaration, not here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trainer = tr.Trainer(cli_dataset, cfg)
+        history = trainer.train(2)
+    assert trainer.decoder.n_lobes == cfg.illum_lobes
+    assert all(np.isfinite(rec["total"]) for rec in history)
+
+
+@pytest.mark.parametrize("f", RANGED, ids=lambda f: f.name)
+def test_config_rejects_the_values_just_outside_each_range(f):
+    lo, hi, lo_open, hi_open = _bounds(f.metadata["range"])
+    below = lo if lo_open else (lo - 1 if f.type == "int" else np.nextafter(lo, -np.inf))
+    outside = [below]
+    if hi < np.inf:
+        outside.append(hi if hi_open else
+                       (hi + 1 if f.type == "int" else np.nextafter(hi, np.inf)))
+    elif f.type == "float":
+        outside.append(np.inf)
+    for value in outside:
+        raw = str(int(value)) if f.type == "int" else repr(float(value))
+        with pytest.raises(ConfigError, match=f.name):
+            tr.TrainConfig.from_entries({f.name: raw})
+
+
+def test_readme_config_table_is_the_declaration():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [row[0] for row in rows] == [f.name for f in DECLARED]
+    for (key, default, range_, meaning), f in zip(rows, DECLARED):
+        assert getattr(tr.TrainConfig.from_entries({key: default}), key) == f.default
+        assert range_ == (f.metadata["range"] or "—"), key
+        assert meaning == f.metadata["meaning"], key
 
 
 def test_zero_weights_leave_parameters_unchanged(tiny_dataset):
