@@ -136,8 +136,7 @@ def read_exact(fh, n):
     """``n`` bytes from ``fh``; ConfigError when the file ends first."""
     raw = fh.read(n)
     if len(raw) != n:
-        raise ConfigError(f"{getattr(fh, 'name', 'blob')}: truncated, read {len(raw)} "
-                          f"of {n} bytes")
+        raise ConfigError(f"{fh.name}: truncated, read {len(raw)} of {n} bytes")
     return raw
 
 
@@ -146,10 +145,10 @@ def read_blob(fh):
     none at this point or ends inside it."""
     magic = read_exact(fh, 4)
     if magic != BLOB_MAGIC:
-        raise ConfigError(f"{getattr(fh, 'name', 'blob')}: bad field blob magic")
+        raise ConfigError(f"{fh.name}: bad field blob magic")
     version, ndim = struct.unpack("<II", read_exact(fh, 8))
     if version != BLOB_VERSION:
-        raise ConfigError(f"unsupported blob version {version}")
+        raise ConfigError(f"{fh.name}: unsupported blob version {version}")
     dims = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim))
     (n_meta,) = struct.unpack("<I", read_exact(fh, 4))
     meta = struct.unpack(f"<{n_meta}d", read_exact(fh, 8 * n_meta))
