@@ -21,10 +21,17 @@ from .render import render_image
 from .scenes import CLASS_TRANSIENT
 
 
+def _require_counts(args, *flags):
+    """ConfigError unless each of ``flags`` was given a value of at least 1."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            name = flag.replace("_", "-")
+            raise ConfigError(f"--{name} must be at least 1, got {value}")
+
+
 def _cmd_generate(args):
-    for flag in ("views", "width", "height"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _require_counts(args, "views", "width", "height")
     scene = sc.make_scene(args.scene, seed=args.scene_seed)
     sc.generate_dataset(scene, args.views, args.seed, args.out,
                         width=args.width, height=args.height,
@@ -99,6 +106,7 @@ def _cmd_render(args):
 
 
 def _cmd_relight(args):
+    _require_counts(args, "fit_steps")
     dataset, trainer = _load(args, holdout=args.holdout, test=args.test)
     state, info = tr.fit_holdout_illumination(
         trainer.fields, trainer.ddf, trainer.vis_params, trainer.decoder,
@@ -134,6 +142,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ddf_viz(args):
+    _require_counts(args, "views", "width", "height")
     dataset, trainer = _load(args)
     os.makedirs(args.out, exist_ok=True)
     bound = vz.BoundDdf(None, trainer.ddf, trainer.vis_params, trainable=False)

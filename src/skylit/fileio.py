@@ -1,21 +1,18 @@
 """File formats: PFM (linear HDR), PPM/PGM (LDR and masks), pose files,
-flat-text configs, and the binary blob format shared by field checkpoints.
+flat-text configs, and the reader of a checkpoint's numpy ``.npz`` archive.
 
-All formats are header + raster with no third-party codecs; PFM scanlines are
+The images are header + raster with no third-party codecs; PFM scanlines are
 bottom-up per the format convention, PPM/PGM top-down.
 """
 
 from __future__ import annotations
 
-import struct
+import zipfile
 
 import numpy as np
 
 from .cameras import Camera
 from .geometry import ConfigError
-
-BLOB_MAGIC = b"SKLF"
-BLOB_VERSION = 1
 
 
 def write_pfm(path, image):
@@ -119,39 +116,14 @@ def read_config(path):
     return entries
 
 
-def write_blob(fh, array, meta=()):
-    """Header (magic, version, dims, meta floats) + row-major float32 data."""
-    arr = np.asarray(array)
-    fh.write(BLOB_MAGIC)
-    fh.write(struct.pack("<II", BLOB_VERSION, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    meta = [float(m) for m in meta]
-    fh.write(struct.pack("<I", len(meta)))
-    if meta:
-        fh.write(struct.pack(f"<{len(meta)}d", *meta))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def read_exact(fh, n):
-    """``n`` bytes from ``fh``; ConfigError when the file ends first."""
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ConfigError(f"{fh.name}: truncated, read {len(raw)} of {n} bytes")
-    return raw
-
-
-def read_blob(fh):
-    """One blob written by ``write_blob``; ConfigError when the file holds
-    none at this point or ends inside it."""
-    magic = read_exact(fh, 4)
-    if magic != BLOB_MAGIC:
-        raise ConfigError(f"{fh.name}: bad field blob magic")
-    version, ndim = struct.unpack("<II", read_exact(fh, 8))
-    if version != BLOB_VERSION:
-        raise ConfigError(f"{fh.name}: unsupported blob version {version}")
-    dims = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim))
-    (n_meta,) = struct.unpack("<I", read_exact(fh, 4))
-    meta = struct.unpack(f"<{n_meta}d", read_exact(fh, 8 * n_meta))
-    count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(read_exact(fh, 4 * count), dtype="<f4").astype(np.float64)
-    return data.reshape(dims), list(meta)
+def read_npz(path):
+    """Every array in the ``.npz`` archive at ``path``, by name; ConfigError
+    naming the file when it is no readable archive (a missing file stays
+    FileNotFoundError)."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return {name: archive[name] for name in archive.files}
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a readable .npz archive ({exc})") from exc

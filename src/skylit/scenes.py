@@ -307,7 +307,7 @@ class Dataset:
     masks: np.ndarray        # (N,H,W) uint8 classes 0..3
     cameras: list
     meta: dict
-    shadows: np.ndarray = None
+    shadows: np.ndarray      # (N,H,W) uint8, 1 where the sun is blocked
 
     @property
     def n_views(self):
@@ -389,8 +389,6 @@ def load_dataset(path):
     for i in range(n):
         images[i] = fileio.read_pfm(os.path.join(path, f"view_{i:03d}.pfm"))
         masks[i] = fileio.read_pgm(os.path.join(path, f"mask_{i:03d}.pgm"))
-        shadow_path = os.path.join(path, f"shadow_{i:03d}.pgm")
-        if os.path.exists(shadow_path):
-            shadows[i] = fileio.read_pgm(shadow_path)
+        shadows[i] = fileio.read_pgm(os.path.join(path, f"shadow_{i:03d}.pgm"))
     return Dataset(images=images, masks=masks, cameras=cams, meta=meta,
                    shadows=shadows)

@@ -334,14 +334,18 @@ def sample_ray_batch(dataset, pool, batch_size, rng):
                     image_idx=pick[:, 0].astype(np.int64))
 
 
+_VIEWS = "the dataset's view count (load the dataset it was trained on)"
+
+# each tape slot: its optimizer group, and what sets each axis of its array
 PARAM_GROUPS = {
-    "sdf_grid": "fields",
-    "sdf_log_inv_s": "fields",
-    "albedo_grid": "fields",
-    "ddf_grid": "ddf",
-    "illum_Z": "illum",
-    "illum_log_gamma": "illum",
-    "vis_eps_raw": "eps",
+    "sdf_grid": ("fields", ("sdf_resolution",) * 3),
+    "sdf_log_inv_s": ("fields", ()),
+    "albedo_grid": ("fields", ("sdf_resolution",) * 3 + ("RGB",)),
+    "ddf_grid": ("ddf", ("ddf_pos_res_theta", "ddf_pos_res_phi",
+                         "ddf_dir_res_theta", "ddf_dir_res_phi")),
+    "illum_Z": ("illum", (_VIEWS, "RGB", "illum_lobes")),
+    "illum_log_gamma": ("illum", (_VIEWS,)),
+    "vis_eps_raw": ("eps", ()),
 }
 
 
@@ -375,7 +379,8 @@ class Trainer:
             self._log_fh = open(log_path, "w", newline="", encoding="utf-8")
             self._csv = csv.writer(self._log_fh)
             self._csv.writerow(["step", *LOSS_TERMS, "total", "epsilon",
-                                "lr_fields", "lr_ddf", "lr_illum", "lr_eps"])
+                                "lr_fields", "lr_ddf", "lr_illum", "lr_eps",
+                                "rejected"])
 
     # -- schedules -----------------------------------------------------
     def learning_rates(self, step):
@@ -465,7 +470,7 @@ class Trainer:
         else:
             lrs = self.learning_rates(step)
             reason = self.adam.step(tape, total, {
-                name: lrs[PARAM_GROUPS[name]] for name in tape.params})
+                name: lrs[PARAM_GROUPS[name][0]] for name in tape.params})
             if reason is not None:
                 self.rejected_steps.append(step)
             record = self._record(step, terms, float(total.data),
@@ -483,7 +488,7 @@ class Trainer:
         if self._log_fh:
             self._csv.writerow(
                 [step, *[rec[t] for t in LOSS_TERMS], total, rec["epsilon"],
-                 lrs["fields"], lrs["ddf"], lrs["illum"], lrs["eps"]]
+                 lrs["fields"], lrs["ddf"], lrs["illum"], lrs["eps"], int(rejected)]
             )
         return rec
 
@@ -611,90 +616,42 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
 # -- checkpoints ----------------------------------------------------------
 
 
+def slot_arrays(trainer):
+    """The trainer's array behind each tape slot, bound as a training step
+    binds them: writing into one changes the trainer."""
+    tape = tp.Tape()
+    fd.BoundFields(tape, trainer.fields)
+    il.BoundIllumination(tape, trainer.bank)
+    vz.BoundDdf(tape, trainer.ddf, trainer.vis_params)
+    return {name: var.data for name, var in tape.params.items()}
+
+
 def save_checkpoint(out_dir, trainer):
+    """``config.txt`` and ``params.npz``, which holds every slot in float64."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "fields.bin"), "wb") as fh:
-        fileio.write_blob(fh, trainer.fields.sdf.grid,
-                          meta=[trainer.fields.sdf.extent])
-        fileio.write_blob(fh, trainer.fields.sdf.log_inv_s)
-        fileio.write_blob(fh, trainer.fields.albedo.grid,
-                          meta=[trainer.fields.albedo.extent])
-    with open(os.path.join(out_dir, "ddf.bin"), "wb") as fh:
-        fileio.write_blob(fh, trainer.ddf.grid)
-        fileio.write_blob(fh, trainer.vis_params.eps_raw,
-                          meta=[trainer.vis_params.eta])
-    with open(os.path.join(out_dir, "illum.bin"), "wb") as fh:
-        fileio.write_blob(fh, trainer.bank.Z)
-        fileio.write_blob(fh, trainer.bank.log_gamma)
-    with open(os.path.join(out_dir, "optimizer.bin"), "wb") as fh:
-        names = sorted(trainer.adam.m)
-        fh.write(np.uint32(len(names)).tobytes())
-        for name in names:
-            raw = name.encode()
-            fh.write(np.uint32(len(raw)).tobytes())
-            fh.write(raw)
-            fh.write(np.uint32(trainer.adam.t[name]).tobytes())
-            fileio.write_blob(fh, trainer.adam.m[name])
-            fileio.write_blob(fh, trainer.adam.v[name])
+    np.savez(os.path.join(out_dir, "params.npz"), **slot_arrays(trainer))
     fileio.write_config(os.path.join(out_dir, "config.txt"),
                         trainer.cfg.to_entries())
 
 
-def _check_shape(stored, fresh, keys):
-    """ConfigError unless a checkpoint array has the shape of the array that
-    its config builds; ``keys`` names what sets each axis of that shape."""
-    if stored.shape != fresh.shape:
-        key = next((k for k, a, b in zip(keys, stored.shape, fresh.shape) if a != b),
-                   keys[0])
-        raise ConfigError(f"checkpoint array of shape {stored.shape} does not match "
-                          f"{key}, which gives {fresh.shape}")
-
-
 def load_checkpoint(ckpt_dir, dataset):
     """The trainer saved in ``ckpt_dir``, for the dataset it was trained on.
-    ConfigError when a stored array disagrees with the shape its config (or
-    the dataset's view count) gives."""
+    ConfigError when ``params.npz`` is unreadable, lacks a slot, or holds an
+    array of another shape than its config (or the dataset's view count)
+    gives; the error names the first axis that disagrees."""
     cfg = TrainConfig.from_entries(
         fileio.read_config(os.path.join(ckpt_dir, "config.txt")))
     trainer = Trainer(dataset, cfg)
-    with open(os.path.join(ckpt_dir, "fields.bin"), "rb") as fh:
-        grid, meta = fileio.read_blob(fh)
-        log_inv_s, _ = fileio.read_blob(fh)
-        albedo, meta_a = fileio.read_blob(fh)
-    _check_shape(grid, trainer.fields.sdf.grid, ("sdf_resolution",) * 3)
-    _check_shape(albedo, trainer.fields.albedo.grid, ("sdf_resolution",) * 3)
-    trainer.fields = fd.SceneFields(
-        sdf=fd.SdfField(grid, extent=meta[0]),
-        albedo=fd.AlbedoField(albedo, extent=meta_a[0]),
-    )
-    trainer.fields.sdf.log_inv_s = np.asarray(log_inv_s.reshape(()))
-    with open(os.path.join(ckpt_dir, "ddf.bin"), "rb") as fh:
-        dgrid, _ = fileio.read_blob(fh)
-        eps_raw, meta_d = fileio.read_blob(fh)
-    _check_shape(dgrid, trainer.ddf.grid, ("ddf_pos_res_theta", "ddf_pos_res_phi",
-                                           "ddf_dir_res_theta", "ddf_dir_res_phi"))
-    trainer.ddf = vz.DdfField(dgrid)
-    trainer.vis_params = vz.VisibilityParams(
-        eps_raw=np.asarray(eps_raw.reshape(())), eta=meta_d[0])
-    with open(os.path.join(ckpt_dir, "illum.bin"), "rb") as fh:
-        z, _ = fileio.read_blob(fh)
-        log_gamma, _ = fileio.read_blob(fh)
-    _check_shape(z, trainer.bank.Z,
-                 ("the dataset's view count (load the dataset it was trained on)",
-                  "RGB", "illum_lobes"))
-    trainer.bank.Z = np.asarray(z)
-    trainer.bank.log_gamma = np.asarray(log_gamma)
-    opt_path = os.path.join(ckpt_dir, "optimizer.bin")
-    if os.path.exists(opt_path):
-        with open(opt_path, "rb") as fh:
-            (count,) = np.frombuffer(fileio.read_exact(fh, 4), dtype=np.uint32)
-            for _ in range(count):
-                (nlen,) = np.frombuffer(fileio.read_exact(fh, 4), dtype=np.uint32)
-                name = fileio.read_exact(fh, int(nlen)).decode()
-                (t_step,) = np.frombuffer(fileio.read_exact(fh, 4), dtype=np.uint32)
-                m, _ = fileio.read_blob(fh)
-                v, _ = fileio.read_blob(fh)
-                trainer.adam.m[name] = np.asarray(m)
-                trainer.adam.v[name] = np.asarray(v)
-                trainer.adam.t[name] = int(t_step)
+    path = os.path.join(ckpt_dir, "params.npz")
+    stored = fileio.read_npz(path)
+    for name, fresh in slot_arrays(trainer).items():
+        if name not in stored:
+            raise ConfigError(f"{path}: no slot {name!r}")
+        value = stored[name]
+        if value.shape != fresh.shape:
+            axes = zip(PARAM_GROUPS[name][1], value.shape, fresh.shape)
+            key = next((k for k, a, b in axes if a != b), "the config")
+            raise ConfigError(f"{path}: slot {name!r} has shape {value.shape}, "
+                              f"but {key} gives {fresh.shape}")
+        np.copyto(fresh, value)
     return trainer

@@ -26,6 +26,7 @@ from .fields import multilinear, sphere_trace
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
+ETA = 50.0  # sharpness of the soft-visibility sigmoid
 
 
 class PreconditionError(Exception):
@@ -58,15 +59,14 @@ class DdfField:
 
 @dataclass
 class VisibilityParams:
-    """Learnable occlusion tolerance epsilon (softplus of raw) and the fixed
-    sigmoid sharpness eta. epsilon starts at the scene radius."""
+    """Learnable occlusion tolerance epsilon (softplus of raw); it starts at
+    the scene radius."""
 
     eps_raw: np.ndarray
-    eta: float = 50.0
 
     @classmethod
-    def default(cls, epsilon=1.0, eta=50.0):
-        return cls(eps_raw=np.asarray(tp.softplus_inverse(epsilon)), eta=eta)
+    def default(cls, epsilon=1.0):
+        return cls(eps_raw=np.asarray(tp.softplus_inverse(epsilon)))
 
     @property
     def epsilon(self):
@@ -264,7 +264,7 @@ def soft_visibility(bound, x, d, stop_grad=False):
     minus_d = -d if isinstance(d, tp.Var) else tp._lift(-d_np)
     depth = ddf_eval(bound, s, minus_d, strict=False)
     eps = bound.epsilon()
-    v = 1.0 - tp.sigmoid(bound.params.eta * (t - depth - eps))
+    v = 1.0 - tp.sigmoid(ETA * (t - depth - eps))
     lower = np.broadcast_to(d_np[..., 2], v.data.shape) < 0.0
     if np.any(lower):
         v = tp.where(lower, np.ones(v.data.shape), v)

@@ -1,3 +1,4 @@
+import csv
 import os
 import shutil
 
@@ -6,6 +7,7 @@ import pytest
 
 from skylit import fileio, metrics
 from skylit import scenes as sc
+from skylit import train as tr
 from skylit.cameras import Camera
 from skylit.cli import main as cli_main
 from skylit.geometry import srgb
@@ -70,22 +72,6 @@ def test_config_roundtrip_and_comments(tmp_path):
     bad.write_text("nonsense line\n")
     with pytest.raises(ConfigError):
         fileio.read_config(bad)
-
-
-def test_blob_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    arr = rng.normal(size=(3, 4, 5)).astype(np.float32)
-    path = tmp_path / "f.bin"
-    with open(path, "wb") as fh:
-        fileio.write_blob(fh, arr, meta=[1.5, 2.0])
-        fileio.write_blob(fh, np.asarray(3.25))
-    with open(path, "rb") as fh:
-        back, meta = fileio.read_blob(fh)
-        scalar, meta2 = fileio.read_blob(fh)
-    assert np.array_equal(back, arr)
-    assert meta == [1.5, 2.0]
-    assert scalar.reshape(()) == 3.25
-    assert meta2 == []
 
 
 def test_metrics_values():
@@ -203,9 +189,14 @@ def test_dataset_load_roundtrip(tmp_path, tiny_dataset):
     loaded = sc.load_dataset(str(out))
     assert np.abs(loaded.images - ds2.images).max() < 1e-6
     assert np.array_equal(loaded.masks, ds2.masks)
+    assert np.array_equal(loaded.shadows, ds2.shadows)
     assert np.allclose(loaded.meta["sun_dir"], scene.sun_dir)
     for a, b in zip(loaded.cameras, ds2.cameras):
         assert np.array_equal(a.E, b.E)
+    # a lost shadow mask is a missing file, not a view without shadows
+    (out / "shadow_000.pgm").unlink()
+    with pytest.raises(FileNotFoundError, match="shadow_000.pgm"):
+        sc.load_dataset(str(out))
 
 
 def test_camera_rig_rejects_inside_primitive():
@@ -238,8 +229,11 @@ def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(run),
                      "--progress-every", "0"]) == 0
-    assert (run / "fields.bin").exists()
-    _assert_every_step_taken(run, out)
+    assert sorted(os.listdir(run)) == ["config.txt", "losses.csv", "params.npz"]
+    with np.load(run / "params.npz", allow_pickle=False) as params:
+        assert set(params.files) == tr.PARAM_GROUPS.keys()
+        assert all(params[name].dtype == np.float64 for name in params.files)
+    _assert_every_step_taken(run)
     capsys.readouterr()
     assert cli_main(["eval", "--ckpt", str(run), "--dataset", str(out),
                      "--holdout", "1", "--dir-level", "0"]) == 0
@@ -253,18 +247,15 @@ def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
     assert psnr_printed == pytest.approx(want, abs=5e-3)
 
 
-def _assert_every_step_taken(run, data):
-    """The saved optimizer counts one update per step in every slot."""
-    from skylit import train as tr
-
-    trainer = tr.load_checkpoint(str(run), sc.load_dataset(str(data)))
-    assert trainer.adam.t.keys() == tr.PARAM_GROUPS.keys()
-    assert set(trainer.adam.t.values()) == {CLI_CONFIG["steps"]}
-    return trainer
+def _assert_every_step_taken(run):
+    """The loss log has one row per configured step, none of them rejected."""
+    with open(run / "losses.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["step"]) for row in rows] == list(range(CLI_CONFIG["steps"]))
+    assert all(row["rejected"] == "0" for row in rows)
 
 
 def _checkpoint_psnr(run, data, view, aligned):
-    from skylit import train as tr
     from skylit.render import render_image
 
     ds = sc.load_dataset(str(data))
@@ -303,9 +294,9 @@ def test_cli_eval_on_tilted_rig_uses_training_frame(tmp_path, capsys):
     # sphere off the tilt axis and dim the sky so the frame shows in the
     # render
     from skylit import fields as fd
-    from skylit import train as tr
 
-    trainer = _assert_every_step_taken(run, out)
+    _assert_every_step_taken(run)
+    trainer = tr.load_checkpoint(str(run), sc.load_dataset(str(out)))
     center = np.array([0.0, 0.3, 0.2])
     trainer.fields.sdf = fd.SdfField.from_function(
         lambda p: np.linalg.norm(p - center, axis=-1) - 0.3, resolution=12)
@@ -333,8 +324,7 @@ def test_cli_render_relight_viz(tmp_path):
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--data", str(out),
                      "--out", str(run)]) == 0
-    assert (run / "losses.csv").exists()
-    _assert_every_step_taken(run, out)
+    _assert_every_step_taken(run)
     rdir = tmp_path / "render"
     assert cli_main(["render", "--ckpt", str(run), "--dataset", str(out),
                      "--view", "0", "--out", str(rdir), "--dir-level", "0"]) == 0
@@ -422,12 +412,15 @@ def test_cli_rejects_checkpoint_that_disagrees_with_config_or_dataset(tmp_path, 
         refused(edited, 6, 0, key)
     damaged = tmp_path / "damaged"
     shutil.copytree(run, damaged)
-    raw = (damaged / "fields.bin").read_bytes()
-    (damaged / "fields.bin").write_bytes(raw[:len(raw) // 2])
-    refused(damaged, 6, 0, "truncated")
-    (damaged / "fields.bin").write_bytes(raw)
-    (damaged / "ddf.bin").write_bytes(b"XXXX" + (damaged / "ddf.bin").read_bytes()[4:])
-    refused(damaged, 6, 0, "magic")
+    params = damaged / "params.npz"
+    raw = params.read_bytes()
+    params.write_bytes(raw[:len(raw) // 2])
+    refused(damaged, 6, 0, "params.npz")
+    params.write_bytes(b"XXXX" + raw[4:])
+    refused(damaged, 6, 0, "params.npz")
+    with np.load(run / "params.npz", allow_pickle=False) as stored:
+        np.savez(params, **{k: stored[k] for k in stored.files if k != "ddf_grid"})
+    refused(damaged, 6, 0, "ddf_grid")
 
 
 def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):
@@ -449,7 +442,16 @@ def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):
                  ["shadow", "--view", "4", "--sun", "0,0,1", "--out", res],
                  ["relight", "--holdout", "0", "--test", "12", "--out", res],
                  ["relight", "--holdout", "4", "--test", "0", "--out", res],
-                 ["eval", "--holdout", "7"]):
+                 ["eval", "--holdout", "7"],
+                 # counts below 1: nothing to fit or draw
+                 ["relight", "--holdout", "0", "--test", "1", "--fit-steps", "0",
+                  "--out", res],
+                 ["relight", "--holdout", "0", "--test", "1", "--fit-steps", "-3",
+                  "--out", res],
+                 ["ddf-viz", "--views", "0", "--out", res],
+                 ["ddf-viz", "--views", "-1", "--out", res],
+                 ["ddf-viz", "--width", "0", "--out", res],
+                 ["ddf-viz", "--height", "-2", "--out", res]):
         capsys.readouterr()
         assert cli_main(argv + ckpt) == 2, argv
         assert "config error:" in capsys.readouterr().err, argv

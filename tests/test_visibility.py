@@ -60,7 +60,7 @@ def test_antipodal_frames_use_different_cells():
 def test_visibility_params_init():
     p = vz.VisibilityParams.default()
     assert p.epsilon == pytest.approx(1.0, rel=1e-12)
-    assert p.eta == 50.0
+    assert vz.ETA == 50.0
 
 
 def test_soft_visibility_half_at_exact_threshold():
@@ -135,7 +135,7 @@ def test_soft_visibility_gradients():
         bd = vz.BoundDdf.__new__(vz.BoundDdf)
         bd.field = vz.DdfField(pv["grid"].data)
         bd.grid = pv["grid"]
-        bd.params = vz.VisibilityParams(eps_raw=pv["eraw"].data, eta=50.0)
+        bd.params = vz.VisibilityParams(eps_raw=pv["eraw"].data)
         bd.eps_raw = pv["eraw"]
         x = tp.reshape(pv["x"], (1, 1, 3))
         d = np.array([[[0.3, 0.2, 0.93], [-0.5, 0.1, 0.86]]])
