@@ -75,7 +75,7 @@ def run(tag, use_visibility, steps, dataset, scene, out, lr_eps=4e-3):
     print(f"{tag}: {time.time()-t0:.0f}s eps={trainer.vis_params.epsilon:.3f}")
     pts = shadow_region_points(scene)
     m = albedo_region_mse(trainer, scene, pts)
-    img = render_image(dataset.cameras[0], trainer.fields, trainer.state(0),
+    img = render_image(dataset.cameras[0], trainer.fields, trainer.bank, 0,
                        ddf=trainer.ddf if use_visibility else None,
                        params=trainer.vis_params, dir_level=2, n_samples=32)
     p = psnr(img.srgb, srgb(dataset.images[0]),

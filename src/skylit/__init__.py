@@ -18,7 +18,6 @@ from .geometry import (
 )
 from .illumination import (
     IlluminationBank,
-    IlluminationState,
     LobeDecoder,
     export_envmap,
     prior_loss,
@@ -43,8 +42,8 @@ from .visibility import (
     ambient_occlusion,
     binary_visibility_oracle,
     ddf_eval,
-    shadow_map,
     soft_visibility,
+    visibility_map,
 )
 
 __version__ = "0.1.0"

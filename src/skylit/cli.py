@@ -90,16 +90,22 @@ def _write_render(out_dir, stem, result):
                      (result.normal + 1.0) / 2.0)
     fileio.write_pfm(os.path.join(out_dir, f"{stem}_depth.pfm"), result.depth)
     fileio.write_pfm(os.path.join(out_dir, f"{stem}_weight.pfm"), result.weight)
-    if result.ao is not None:
-        fileio.write_pfm(os.path.join(out_dir, f"{stem}_ao.pfm"), result.ao)
+
+
+def _write_map(out_dir, stem, img):
+    """A [0, 1] map as a PFM and an 8-bit PGM preview."""
+    os.makedirs(out_dir, exist_ok=True)
+    fileio.write_pfm(os.path.join(out_dir, f"{stem}.pfm"), img)
+    fileio.write_pgm(os.path.join(out_dir, f"{stem}.pgm"),
+                     np.rint(np.clip(img, 0, 1) * 255).astype(np.uint8))
 
 
 def _cmd_render(args):
     dataset, trainer = _load(args, view=args.view)
     cam = dataset.cameras[args.view]
-    result = render_image(cam, trainer.fields, trainer.state(args.view),
+    result = render_image(cam, trainer.fields, trainer.bank, args.view,
                           ddf=trainer.ddf, params=trainer.vis_params,
-                          dir_level=args.dir_level, with_ao=args.ao)
+                          dir_level=args.dir_level)
     _write_render(args.out, f"view_{args.view:03d}", result)
     print(f"render written to {args.out}")
     return 0
@@ -108,13 +114,13 @@ def _cmd_render(args):
 def _cmd_relight(args):
     _require_counts(args, "fit_steps")
     dataset, trainer = _load(args, holdout=args.holdout, test=args.test)
-    state, info = tr.fit_holdout_illumination(
+    sky, info = tr.fit_holdout_illumination(
         trainer.fields, trainer.ddf, trainer.vis_params, trainer.decoder,
         dataset, args.holdout, steps=args.fit_steps,
     )
     if info["no_sky_pixels"]:
         print("warning: holdout view has no sky pixels; used appearance only")
-    result = render_image(dataset.cameras[args.test], trainer.fields, state,
+    result = render_image(dataset.cameras[args.test], trainer.fields, sky, 0,
                           ddf=trainer.ddf, params=trainer.vis_params,
                           dir_level=args.dir_level)
     _write_render(args.out, f"relit_{args.test:03d}", result)
@@ -131,7 +137,7 @@ def _cmd_eval(args):
     print(f"{'view':>4}  {'PSNR (dB)':>9}  {'MSE':>9}")
     for i in views:
         result = render_image(dataset.cameras[i], trainer.fields,
-                              trainer.state(i), ddf=trainer.ddf,
+                              trainer.bank, i, ddf=trainer.ddf,
                               params=trainer.vis_params,
                               dir_level=args.dir_level)
         gt = srgb(dataset.images[i])
@@ -161,14 +167,9 @@ def _cmd_ddf_viz(args):
 
 def _cmd_ao(args):
     dataset, trainer = _load(args, view=args.view)
-    cam = dataset.cameras[args.view]
-    result = render_image(cam, trainer.fields, trainer.state(args.view),
-                          ddf=trainer.ddf, params=trainer.vis_params,
-                          dir_level=args.dir_level, with_ao=True)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_pfm(os.path.join(args.out, f"ao_{args.view:03d}.pfm"), result.ao)
-    fileio.write_pgm(os.path.join(args.out, f"ao_{args.view:03d}.pgm"),
-                     np.rint(np.clip(result.ao, 0, 1) * 255).astype(np.uint8))
+    img = vz.visibility_map(trainer.ddf, trainer.vis_params,
+                            dataset.cameras[args.view], trainer.fields)
+    _write_map(args.out, f"ao_{args.view:03d}", img)
     print(f"ambient occlusion written to {args.out}")
     return 0
 
@@ -178,15 +179,11 @@ def _cmd_shadow(args):
         sun = [float(x) for x in args.sun.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--sun expects 'x,y,z', got {args.sun!r}") from exc
-    vz.sun_direction(sun)  # fail before the checkpoint loads
+    sun = vz.sun_direction(sun)  # fail before the checkpoint loads
     dataset, trainer = _load(args, view=args.view)
-    cam = dataset.cameras[args.view]
-    img = vz.shadow_map(trainer.ddf, trainer.vis_params, sun, cam,
-                        trainer.fields)
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_pfm(os.path.join(args.out, f"shadow_{args.view:03d}.pfm"), img)
-    fileio.write_pgm(os.path.join(args.out, f"shadow_{args.view:03d}.pgm"),
-                     np.rint(np.clip(img, 0, 1) * 255).astype(np.uint8))
+    img = vz.visibility_map(trainer.ddf, trainer.vis_params,
+                            dataset.cameras[args.view], trainer.fields, sun[None])
+    _write_map(args.out, f"shadow_{args.view:03d}", img)
     print(f"shadow map written to {args.out}")
     return 0
 
@@ -215,27 +212,28 @@ def build_parser():
     t.add_argument("--progress-every", type=int, default=500)
     t.set_defaults(fn=_cmd_train)
 
-    def ckpt_cmd(name, help_):
+    def ckpt_cmd(name, help_, shades=False):
         c = sub.add_parser(name, help=help_)
         c.add_argument("--ckpt", required=True)
         c.add_argument("--dataset", required=True)
-        c.add_argument("--dir-level", type=int, default=3)
+        if shades:  # the icosphere level of the light quadrature
+            c.add_argument("--dir-level", type=int, default=3)
         return c
 
-    r = ckpt_cmd("render", "render a checkpoint view with aux buffers")
+    r = ckpt_cmd("render", "render a checkpoint view with aux buffers", shades=True)
     r.add_argument("--view", type=int, required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--ao", action="store_true")
     r.set_defaults(fn=_cmd_render)
 
-    rl = ckpt_cmd("relight", "fit illumination on a holdout view, render a test view")
+    rl = ckpt_cmd("relight", "fit illumination on a holdout view, render a test view",
+                  shades=True)
     rl.add_argument("--holdout", type=int, required=True)
     rl.add_argument("--test", type=int, required=True)
     rl.add_argument("--fit-steps", type=int, default=300)
     rl.add_argument("--out", required=True)
     rl.set_defaults(fn=_cmd_relight)
 
-    e = ckpt_cmd("eval", "print PSNR/MSE per view")
+    e = ckpt_cmd("eval", "print PSNR/MSE per view", shades=True)
     e.add_argument("--holdout", type=int, default=None)
     e.set_defaults(fn=_cmd_eval)
 
@@ -246,7 +244,7 @@ def build_parser():
     d.add_argument("--out", required=True)
     d.set_defaults(fn=_cmd_ddf_viz)
 
-    a = ckpt_cmd("ao", "write an ambient-occlusion image")
+    a = ckpt_cmd("ao", "write an ambient-occlusion map (sky pixels read 1)")
     a.add_argument("--view", type=int, required=True)
     a.add_argument("--out", required=True)
     a.set_defaults(fn=_cmd_ao)

@@ -58,43 +58,33 @@ class LobeDecoder:
         return np.exp(self.kappas[None, :] * (dirs @ self.axes.T - 1.0))
 
 
-@dataclass
-class IlluminationState:
-    """Per-image sky: latent Z (3,K), scale gamma (kept in log space)."""
+class IlluminationBank:
+    """The per-image skies: latents Z (N,3,K) and log scales log_gamma (N,),
+    row i being image i's sky. Training binds both arrays as parameter
+    slots; a single sky is a one-row bank."""
 
-    decoder: LobeDecoder
-    Z: np.ndarray
-    log_gamma: np.ndarray  # () array
+    def __init__(self, decoder, Z, log_gamma):
+        self.decoder = decoder
+        self.Z = np.array(Z, dtype=np.float64)
+        self.log_gamma = np.array(log_gamma, dtype=np.float64)
+        if self.log_gamma.ndim != 1 or self.Z.shape != (
+                self.log_gamma.shape + (3, decoder.n_lobes)):
+            raise ValueError(f"Z {self.Z.shape} and log_gamma {self.log_gamma.shape} "
+                             f"are not (N, 3, {decoder.n_lobes}) and (N,)")
 
     @classmethod
-    def zero(cls, decoder, gamma=1.0):
-        return cls(decoder=decoder, Z=np.zeros((3, decoder.n_lobes)),
-                   log_gamma=np.asarray(np.log(gamma), dtype=np.float64))
-
-    @property
-    def gamma(self):
-        return float(np.exp(self.log_gamma))
-
-
-class IlluminationBank:
-    """All per-image states stacked; single parameter slots for training."""
-
-    def __init__(self, decoder, n_images, gamma=1.0):
-        self.decoder = decoder
-        self.Z = np.zeros((n_images, 3, decoder.n_lobes))
-        self.log_gamma = np.full(n_images, np.log(gamma))
+    def zeros(cls, decoder, n_images):
+        """``n_images`` unit skies (Z = 0, gamma = 1), as training starts."""
+        return cls(decoder, np.zeros((n_images, 3, decoder.n_lobes)),
+                   np.zeros(n_images))
 
     @property
     def n_images(self):
         return self.Z.shape[0]
 
-    def state(self, i):
-        return IlluminationState(self.decoder, self.Z[i],
-                                np.array(self.log_gamma[i]))
-
 
 class BoundIllumination:
-    """Per-tape binding of a bank (or a single state via a 1-image bank)."""
+    """Per-tape binding of a bank."""
 
     def __init__(self, tape, bank, trainable=True):
         self.decoder = bank.decoder
@@ -129,11 +119,12 @@ class BoundIllumination:
         return gamma * tp.exp(log_l)
 
 
-def radiance(state, dirs):
-    """HDR RGB radiance of one state at unit directions; plain numpy (D,3)."""
-    basis = state.decoder.basis(dirs)
-    log_l = basis @ state.Z.T
-    return float(np.exp(np.asarray(state.log_gamma).reshape(()))) * np.exp(log_l)
+def radiance(bank, row, dirs):
+    """HDR RGB radiance of the bank's sky ``row`` at unit directions; plain
+    numpy (D,3)."""
+    basis = bank.decoder.basis(dirs)
+    log_l = basis @ bank.Z[row].T
+    return float(np.exp(bank.log_gamma[row])) * np.exp(log_l)
 
 
 def prior_loss(Z):
@@ -143,7 +134,7 @@ def prior_loss(Z):
     return float(np.sum(np.square(Z)))
 
 
-def export_envmap(state, width, height):
+def export_envmap(bank, row, width, height):
     """Equirectangular HDR map, row 0 at the zenith; width must be 2*height."""
     if width != 2 * height:
         raise ValueError("equirectangular export requires width = 2 * height")
@@ -151,7 +142,7 @@ def export_envmap(state, width, height):
     phi = (np.arange(width) + 0.5) / width * 2.0 * np.pi - np.pi
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     dirs = spherical_to_dir(tt.reshape(-1), pp.reshape(-1))
-    return radiance(state, dirs).reshape(height, width, 3)
+    return radiance(bank, row, dirs).reshape(height, width, 3)
 
 
 def sample_latent(decoder, rng, scale=1.0):

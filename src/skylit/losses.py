@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import CLAMPED_3D, cell_coords, multilinear, sphere_trace
+from .fields import sdf_eval, sphere_trace
 from .geometry import SRGB_LINEAR_KNEE, ray_sphere_exit, sample_sphere, vmf_sample_batch
 from .visibility import BoundDdf, ddf_eval
 
@@ -153,9 +153,7 @@ def ddf_levelset_loss(batch, bound_ddf, bound_fields):
     d = batch.flat_directions[keep]
     pred = ddf_eval(bound_ddf, s, d)
     land = tp._lift(s) + tp.reshape(pred, (-1, 1)) * d
-    sdf = bound_fields.fields.sdf
-    f = multilinear(bound_fields.sdf_grid, cell_coords(land, sdf.resolution, sdf.extent),
-                    CLAMPED_3D)
+    f = sdf_eval(bound_fields, land)
     return tp.vsum(f * f)
 
 

@@ -36,7 +36,6 @@ class RenderOutput:
     normal: np.ndarray     # (H,W,3) volume-rendered unit normal
     depth: np.ndarray      # (H,W) expected termination depth
     weight: np.ndarray     # (H,W) accumulated density in [0,1]
-    ao: np.ndarray = None  # (H,W) mean upper-hemisphere sky visibility
 
     @property
     def srgb(self):
@@ -48,12 +47,12 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
                 stop_grad_vis=False, near=0.02):
     """Differentiable forward render of a ray batch.
 
-    Returns a dict of Vars: linear color ``rgb``, accumulated weight ``W``,
-    expected depth ``t_e``, termination points ``x_e``, the un-normalized
-    volume-rendered normals, per-sample weights, and the background radiance
-    along each ray. Visibility is evaluated once at x_e and shared by every
-    sample on the ray; it is off (every direction visible) when
-    ``bound_ddf`` is None.
+    Returns a dict: linear color ``rgb``, accumulated weight ``W``, expected
+    depth ``t_e``, per-sample weights, the ray ``samples``, the un-normalized
+    volume-rendered normals and albedo, and the background radiance along
+    each ray. Visibility is evaluated once at the expected termination point
+    x_e and shared by every sample on the ray; it is off (every direction
+    visible) when ``bound_ddf`` is None.
     """
     origins = np.atleast_2d(origins)
     dirs = np.atleast_2d(dirs)
@@ -103,36 +102,29 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
         "rgb": rgb,
         "W": w_sum,
         "t_e": t_e,
-        "x_e": x_e,
         "weights": w,
         "samples": samples,
-        "albedo_samples": albedo,
-        "normal_samples": normals,
         "weighted_normals": tp.vsum(w3 * normals, axis=1),
         "weighted_albedo": tp.vsum(w3 * albedo, axis=1),
         "background": background,
     }
 
 
-def render_image(camera, scene_fields, state, ddf=None, params=None,
-                 dir_level=3, n_samples=64, seed=0, with_ao=False):
-    """Full-frame inference render; deterministic under a fixed seed.
-    Visibility is off when no ``ddf`` is passed: every direction is then
-    visible, and ``ao`` is 1 everywhere."""
+def render_image(camera, scene_fields, bank, row, ddf=None, params=None,
+                 dir_level=3, n_samples=64, seed=0):
+    """Full-frame inference render under the bank's sky ``row``;
+    deterministic under a fixed seed. Visibility is off when no ``ddf`` is
+    passed: every direction is then visible."""
     rng = np.random.default_rng(seed)
     dir_set = icosphere_directions(dir_level)
     pixels = camera.all_pixels()
     n_px = pixels.shape[0]
-    bank = il.IlluminationBank(state.decoder, 1)
-    bank.Z[0] = state.Z
-    bank.log_gamma[0] = np.asarray(state.log_gamma).reshape(())
 
     rgb = np.zeros((n_px, 3))
     alb = np.zeros((n_px, 3))
     nrm = np.zeros((n_px, 3))
     dep = np.zeros(n_px)
     acc = np.zeros(n_px)
-    ao = np.ones(n_px) if with_ao else None
     jitter = np.eye(3)
     # constants without a tape: no op records a node or keeps its inputs
     bf = fd.BoundFields(None, scene_fields, trainable=False)
@@ -145,7 +137,7 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
         ray_d = camera.ray_dirs(px)
         ray_o = np.broadcast_to(camera.origin, ray_d.shape)
         out = render_rays(
-            None, bf, bi, bd, ray_o, ray_d, np.zeros(len(px), dtype=np.int64),
+            None, bf, bi, bd, ray_o, ray_d, np.full(len(px), row, dtype=np.int64),
             dir_set, jitter, rng, n_samples=n_samples,
         )
         sl = slice(lo, lo + len(px))
@@ -156,8 +148,6 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
         alb[sl] = out["weighted_albedo"].data / wsafe
         raw_n = out["weighted_normals"].data
         nrm[sl] = raw_n / np.maximum(np.linalg.norm(raw_n, axis=1, keepdims=True), 1e-9)
-        if with_ao and bd is not None:
-            ao[sl] = vz.ambient_occlusion(bd, out["x_e"].data).data
 
     shape = (camera.height, camera.width)
     return RenderOutput(
@@ -166,5 +156,4 @@ def render_image(camera, scene_fields, state, ddf=None, params=None,
         normal=nrm.reshape(shape + (3,)),
         depth=dep.reshape(shape),
         weight=acc.reshape(shape),
-        ao=ao.reshape(shape) if with_ao else None,
     )

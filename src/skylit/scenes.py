@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .cameras import Camera
 from .geometry import icosphere_directions, normalize, srgb
-from .illumination import IlluminationState, LobeDecoder, sample_latent
+from .illumination import IlluminationBank, LobeDecoder, radiance, sample_latent
 
 CLASS_SKY = 0
 CLASS_GROUND = 1
@@ -121,7 +121,7 @@ class CameraRig:
 class SyntheticScene:
     name: str
     primitives: list
-    illumination: IlluminationState
+    illumination: IlluminationBank  # one row
     sun_dir: np.ndarray
     target: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.1]))
     rig: CameraRig = field(default_factory=CameraRig)
@@ -185,12 +185,11 @@ class SyntheticScene:
         return out
 
 
-def _sun_state(decoder, rng, sun_lobe, sun_log_amp=(2.3, 2.1, 1.8),
+def _sun_sky(decoder, rng, sun_lobe, sun_log_amp=(2.3, 2.1, 1.8),
                ambient_scale=0.15):
     z = sample_latent(decoder, rng, scale=ambient_scale)
     z[:, sun_lobe] += np.asarray(sun_log_amp)
-    state = IlluminationState(decoder, z, np.asarray(0.0))
-    return state, decoder.axes[sun_lobe].copy()
+    return IlluminationBank(decoder, z[None], [0.0]), decoder.axes[sun_lobe].copy()
 
 
 def make_scene(name, seed=0):
@@ -198,23 +197,23 @@ def make_scene(name, seed=0):
     rng = np.random.default_rng(seed + 1000)
     decoder = LobeDecoder.default()
     if name == "two-sphere":
-        state, sun = _sun_state(decoder, rng, sun_lobe=1)
+        sky, sun = _sun_sky(decoder, rng, sun_lobe=1)
         prims = [
             Sphere(np.array([-0.22, 0.0, 0.2]), 0.17, np.array([0.75, 0.3, 0.25])),
             Sphere(np.array([0.24, 0.06, 0.26]), 0.21, np.array([0.25, 0.45, 0.8])),
         ]
-        return SyntheticScene(name, prims, state, sun,
+        return SyntheticScene(name, prims, sky, sun,
                               target=np.array([0.0, 0.0, 0.2]))
     if name == "sphere-plane":
-        state, sun = _sun_state(decoder, rng, sun_lobe=1)
+        sky, sun = _sun_sky(decoder, rng, sun_lobe=1)
         prims = [
             GroundPlane(0.0, np.array([0.62, 0.6, 0.55])),
             Sphere(np.array([0.0, 0.0, 0.24]), 0.16, np.array([0.7, 0.25, 0.2])),
         ]
-        return SyntheticScene(name, prims, state, sun,
+        return SyntheticScene(name, prims, sky, sun,
                               target=np.array([0.0, 0.0, 0.12]))
     if name == "blocker":
-        state, sun = _sun_state(decoder, rng, sun_lobe=2,
+        sky, sun = _sun_sky(decoder, rng, sun_lobe=2,
                                 sun_log_amp=(2.6, 2.4, 2.1))
         horiz = sun.copy()
         horiz[2] = 0.0
@@ -229,7 +228,7 @@ def make_scene(name, seed=0):
         az = float(np.arctan2(box_center[1], box_center[0]))
         rig = CameraRig(azimuth_center=az, azimuth_spread=0.45, radius=0.52,
                         z_range=(0.3, 0.42))
-        return SyntheticScene(name, prims, state, sun,
+        return SyntheticScene(name, prims, sky, sun,
                               target=np.array([0.05, 0.0, 0.06]), rig=rig)
     raise ValueError(f"unknown scene {name!r}")
 
@@ -238,11 +237,9 @@ def render_ground_truth(scene, camera, quad_level=4, chunk=2048):
     """Exact-reference render: closed-form hits, dense fixed quadrature,
     binary per-direction shadows (upper hemisphere only). Returns linear
     image, class map, and the binary sun-shadow mask."""
-    from .illumination import radiance
-
     quad = icosphere_directions(quad_level).directions
     upper = quad[:, 2] > 0.0
-    light = radiance(scene.illumination, quad)
+    light = radiance(scene.illumination, 0, quad)
 
     pixels = camera.all_pixels()
     n_px = pixels.shape[0]
@@ -257,7 +254,7 @@ def render_ground_truth(scene, camera, quad_level=4, chunk=2048):
         t, prim_idx, hit = scene.intersect(o, d)
         sl_img = img[lo:lo + chunk]
         if np.any(~hit):
-            sl_img[~hit] = radiance(scene.illumination, d[~hit])
+            sl_img[~hit] = radiance(scene.illumination, 0, d[~hit])
         if np.any(hit):
             pts = o[hit] + t[hit, None] * d[hit]
             normals, albedo, cls = scene.surface_info(prim_idx[hit], pts)
@@ -328,9 +325,9 @@ class Dataset:
         return self._gt_srgb
 
     def gt_illumination(self, decoder):
-        z = np.asarray(self.meta["gt_Z"], dtype=np.float64).reshape(3, -1)
-        lg = np.asarray(float(self.meta["gt_log_gamma"]))
-        return IlluminationState(decoder, z, lg)
+        """The sky the views were rendered under, as a one-row bank."""
+        z = np.asarray(self.meta["gt_Z"], dtype=np.float64).reshape(1, 3, -1)
+        return IlluminationBank(decoder, z, [float(self.meta["gt_log_gamma"])])
 
 
 def generate_dataset(scene, n_views, seed, out_dir, width=64, height=48,
@@ -361,7 +358,7 @@ def generate_dataset(scene, n_views, seed, out_dir, width=64, height=48,
         "height": height,
         "sun_dir": ",".join(f"{x:.17g}" for x in scene.sun_dir),
         "gt_Z": ",".join(f"{x:.17g}" for x in scene.illumination.Z.reshape(-1)),
-        "gt_log_gamma": f"{float(np.asarray(scene.illumination.log_gamma).reshape(())):.17g}",
+        "gt_log_gamma": f"{scene.illumination.log_gamma[0]:.17g}",
     }
     fileio.write_config(os.path.join(out_dir, "meta.txt"), meta)
     return Dataset(images=images, masks=masks, cameras=cams, meta=_parse_meta(meta),

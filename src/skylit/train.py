@@ -364,7 +364,7 @@ class Trainer:
         )
         self.vis_params = vz.VisibilityParams.default()
         self.decoder = il.LobeDecoder.default(config.illum_lobes)
-        self.bank = il.IlluminationBank(self.decoder, dataset.n_views)
+        self.bank = il.IlluminationBank.zeros(self.decoder, dataset.n_views)
         self.adam = Adam()
         self.pool = build_pixel_pool(dataset)
         self.dir_set = icosphere_directions(config.dir_level)
@@ -508,29 +508,24 @@ class Trainer:
             self._log_fh.close()
             self._log_fh = None
 
-    def state(self, image_index):
-        return self.bank.state(image_index)
-
 
 def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
                              view_index, steps=400, lr=1e-2, batch_size=256,
                              samples_per_ray=48, dir_level=2, seed=0,
-                             init_state=None, freeze_latent=False):
+                             init=None, freeze_latent=False):
     """Freeze all fields and fit only (Z, gamma) on one holdout view.
 
     The loss is the appearance error plus the sky-pixel color error (no
     density term). Visibility is off when no ``ddf`` is passed. Starts from
-    the zero latent unless ``init_state`` is given. Returns (state, info);
-    info flags a holdout without sky pixels and lists the losses of the
-    accepted steps. Field gradients are exactly zero by construction since
-    the fields are bound as constants.
+    the zero latent, or from a copy of the one-row bank ``init``. Returns
+    (one-row bank, info); info flags a holdout without sky pixels and lists
+    the losses of the accepted steps. Field gradients are exactly zero by
+    construction since the fields are bound as constants.
     """
     rng = np.random.default_rng(seed)
     pool = build_pixel_pool(dataset, [view_index])
-    bank = il.IlluminationBank(decoder, 1)
-    if init_state is not None:
-        bank.Z[0] = init_state.Z
-        bank.log_gamma[0] = np.asarray(init_state.log_gamma).reshape(())
+    bank = (il.IlluminationBank.zeros(decoder, 1) if init is None
+            else il.IlluminationBank(decoder, init.Z, init.log_gamma))
     adam = Adam()
     dir_set = icosphere_directions(dir_level)
     no_sky = not np.any(dataset.masks[view_index] == CLASS_SKY)
@@ -562,7 +557,7 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
         if adam.step(tape, loss, rates) is None:
             history.append(float(loss.data))
     info = {"no_sky_pixels": no_sky, "losses": history}
-    return bank.state(0), info
+    return bank, info
 
 
 def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
@@ -595,11 +590,12 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
         bd = vz.BoundDdf(tape, ddf, params)
         bf = fd.BoundFields(tape, frozen, trainable=False)
         n = batch.flat_depths.size
-        loss = (
-            ls.ddf_depth_loss(batch, bd) / n
-            + w_levelset * ls.ddf_levelset_loss(batch, bd, bf) / n
-            + ls.ddf_multiview_loss(pairs, bd) / multiview_pairs
-        )
+        loss = (ls.ddf_depth_loss(batch, bd) / n
+                + w_levelset * ls.ddf_levelset_loss(batch, bd, bf) / n)
+        # normalised by the pairs drawn, which can fall short of the request
+        n_pairs = len(pairs[0])
+        if n_pairs:
+            loss = loss + ls.ddf_multiview_loss(pairs, bd) / n_pairs
         ramp = min(step / warmup, 1.0) if warmup else 1.0
         # hold the full rate for half the run (miss-ray chords need the raw
         # values to travel far through the sigmoid), then anneal

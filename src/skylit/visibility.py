@@ -286,17 +286,13 @@ def binary_visibility_oracle(sdf_like, x, d):
 
 
 def ambient_occlusion(bound, x, dirs=None):
-    """Mean soft visibility over the upper-hemisphere directions; (N,) Var."""
+    """Mean soft visibility at points x (N,3) over unit directions ``dirs``
+    (D,3), by default the level-2 icosphere directions above the horizon;
+    (N,) Var."""
     if dirs is None:
         dirs = icosphere_directions(2).directions
-    upper = dirs[dirs[:, 2] > 0.0]
-    x_np = x.data if isinstance(x, tp.Var) else np.asarray(x, dtype=np.float64)
-    xb = (
-        tp.reshape(x, (-1, 1, 3))
-        if isinstance(x, tp.Var)
-        else tp._lift(x_np.reshape(-1, 1, 3))
-    )
-    v = soft_visibility(bound, xb, upper[None, :, :])
+        dirs = dirs[dirs[:, 2] > 0.0]
+    v = soft_visibility(bound, tp.reshape(tp._lift(x), (-1, 1, 3)), dirs[None, :, :])
     return tp.vmean(v, axis=1)
 
 
@@ -316,14 +312,13 @@ def sun_direction(sun_dir):
     return sun / norm
 
 
-def shadow_map(ddf, params, sun_dir, camera, scene_fields):
-    """Per-pixel soft visibility toward ``sun_dir`` at the expected surface
-    point of 64 stratified samples per pixel (seed 0); sky pixels (no
-    termination) get value 1. ``sun_dir`` is left unchanged (see
-    ``sun_direction``)."""
+def visibility_map(ddf, params, camera, scene_fields, dirs=None):
+    """Per-pixel ``ambient_occlusion`` over ``dirs`` (its default: the upper
+    hemisphere) at the expected surface point of 64 stratified samples per
+    pixel (seed 0); a pixel whose accumulated weight is below 1e-3 (sky)
+    reads 1. With one direction, the sun's, this is a shadow map."""
     from . import fields as fd  # local import to keep module load acyclic
 
-    sun = sun_direction(sun_dir)
     rng = np.random.default_rng(0)
     chunk = 4096
     pixels = camera.all_pixels()
@@ -332,16 +327,14 @@ def shadow_map(ddf, params, sun_dir, camera, scene_fields):
     bnd_d = BoundDdf(None, ddf, params, trainable=False)
     for lo in range(0, pixels.shape[0], chunk):
         px = pixels[lo:lo + chunk]
-        dirs = camera.ray_dirs(px)
-        origins = np.broadcast_to(camera.origin, dirs.shape)
-        rs = fd.stratified_samples(origins, dirs, 64, rng)
+        rays = camera.ray_dirs(px)
+        origins = np.broadcast_to(camera.origin, rays.shape)
+        rs = fd.stratified_samples(origins, rays, 64, rng)
         f = fd.sdf_eval(bnd_f, rs.positions.reshape(-1, 3))
         w = fd.neus_weights(tp.reshape(f, rs.t.shape), bnd_f.inv_s())
         t_e, w_sum = fd.expected_depth(w, rs.t, rs.far)
-        x_e = origins + t_e.data[:, None] * dirs
-        v = soft_visibility(bnd_d, tp._lift(x_e[:, None, :]),
-                            sun[None, None, :])
-        vals = v.data.reshape(-1)
+        x_e = origins + t_e.data[:, None] * rays
+        vals = ambient_occlusion(bnd_d, x_e, dirs).data
         vals[w_sum.data < 1e-3] = 1.0
         out[lo:lo + chunk] = vals
     return out.reshape(camera.height, camera.width)

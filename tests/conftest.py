@@ -88,10 +88,11 @@ def tiny_trainer(tiny_dataset):
     return tr.Trainer(dataset, tiny_train_config())
 
 
-def plane_shading(normal, state, albedo_raw=0.0, ddf=None, params=None,
+def plane_shading(normal, sky, albedo_raw=0.0, ddf=None, params=None,
                   jitter=None):
     """``render_rays`` on one ray that meets an opaque plane through the
-    origin with the given normal (from 0.4 * normal, looking along -normal).
+    origin with the given normal (from 0.4 * normal, looking along -normal),
+    under row 0 of the bank ``sky``.
 
     Returns (surface radiance, weighted albedo): the ray's color minus its
     (1 - W) share of background, and the weighted albedo sum_s w_s a_s. A
@@ -104,14 +105,11 @@ def plane_shading(normal, state, albedo_raw=0.0, ddf=None, params=None,
     sdf = fd.SdfField.from_function(lambda p: p @ n, resolution=8)
     sdf.log_inv_s = np.asarray(np.log(400.0))
     albedo = fd.AlbedoField(np.broadcast_to(albedo_raw, (8, 8, 8, 3)).copy())
-    bank = il.IlluminationBank(state.decoder, 1)
-    bank.Z[0] = state.Z
-    bank.log_gamma[0] = np.asarray(state.log_gamma).reshape(())
     bound_ddf = None if ddf is None else vz.BoundDdf(None, ddf, params,
                                                      trainable=False)
     out = rd.render_rays(
         None, fd.BoundFields(None, fd.SceneFields(sdf, albedo), trainable=False),
-        il.BoundIllumination(None, bank, trainable=False), bound_ddf,
+        il.BoundIllumination(None, sky, trainable=False), bound_ddf,
         0.4 * n[None, :], -n[None, :], np.zeros(1, dtype=np.int64),
         icosphere_directions(3),
         np.eye(3) if jitter is None else jitter, np.random.default_rng(0),

@@ -1,6 +1,9 @@
+import argparse
 import csv
 import os
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from skylit import fileio, metrics
 from skylit import scenes as sc
 from skylit import train as tr
 from skylit.cameras import Camera
+from skylit.cli import build_parser
 from skylit.cli import main as cli_main
 from skylit.geometry import srgb
 from tests.conftest import CLI_CONFIG
@@ -105,12 +109,12 @@ def test_two_sphere_scene_invariants():
 def test_ground_truth_matches_model_convention():
     # unoccluded Lambertian plane under a constant sky shades to pi*albedo,
     # connecting the analytic renderer to the model's quadrature convention
-    from skylit.illumination import IlluminationState, LobeDecoder
+    from skylit.illumination import IlluminationBank, LobeDecoder
 
     albedo = np.array([0.62, 0.6, 0.55])
     scene = sc.SyntheticScene(
         "plane", [sc.GroundPlane(0.0, albedo)],
-        IlluminationState.zero(LobeDecoder.default()),
+        IlluminationBank.zeros(LobeDecoder.default(), 1),
         sun_dir=np.array([0.0, 0.0, 1.0]),
     )
     cam = Camera.look_at([0.0, -0.55, 0.45], [0.0, 0.0, 0.0], 24, 18)
@@ -124,7 +128,7 @@ def test_ground_truth_matches_model_convention():
 def test_shadow_mask_matches_analytic_projection(tmp_path):
     # sphere over plane with the sun at the zenith: the shadow is the disk
     # x^2+y^2 <= r^2 directly beneath the sphere
-    from skylit.illumination import IlluminationState, LobeDecoder
+    from skylit.illumination import IlluminationBank, LobeDecoder
 
     decoder = LobeDecoder.default()
     z = np.zeros((3, decoder.n_lobes))
@@ -133,7 +137,7 @@ def test_shadow_mask_matches_analytic_projection(tmp_path):
         "zenith",
         [sc.GroundPlane(0.0, np.array([0.6, 0.6, 0.6])),
          sc.Sphere(np.array([0.0, 0.0, 0.3]), 0.15, np.array([0.7, 0.2, 0.2]))],
-        IlluminationState(decoder, z, np.asarray(0.0)),
+        IlluminationBank(decoder, z[None], [0.0]),
         sun_dir=np.array([0.0, 0.0, 1.0]),
     )
     cam = Camera.look_at([0.0, -0.42, 0.62], [0.0, 0.0, 0.0], 96, 72,
@@ -219,6 +223,44 @@ def test_cli_generate_and_unknown(tmp_path, capsys):
     assert cli_main([]) != 0
 
 
+def test_readme_quick_start_parses_with_the_cli():
+    # every `skylit ...` line of README's Quick start is a valid command
+    # line, and together they show every subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    lines = [ln for ln in section.splitlines() if ln.startswith("skylit ")]
+    parser = build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert callable(args.fn), line
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {shlex.split(ln)[1] for ln in lines} == set(commands)
+
+
+@pytest.mark.parametrize("command,shades", [
+    ("render", True), ("relight", True), ("eval", True),
+    ("ao", False), ("shadow", False), ("ddf-viz", False)])
+def test_cli_dir_level_only_where_it_shades(command, shades, capsys):
+    # --dir-level sets the light quadrature, so only the commands that shade
+    # take it; the others refuse it instead of ignoring it
+    argv = {"render": ["--view", "0", "--out", "o"],
+            "relight": ["--holdout", "0", "--test", "1", "--out", "o"],
+            "eval": [], "ao": ["--view", "0", "--out", "o"],
+            "shadow": ["--view", "0", "--sun", "0,0,1", "--out", "o"],
+            "ddf-viz": ["--out", "o"]}[command]
+    argv = [command, "--ckpt", "c", "--dataset", "d", "--dir-level", "1"] + argv
+    if shades:
+        assert build_parser().parse_args(argv).dir_level == 1
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "--dir-level" in capsys.readouterr().err
+
+
 def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
     out = tmp_path / "ds"
     cli_main(["generate", "--scene", "two-sphere", "--views", "3", "--seed",
@@ -262,7 +304,7 @@ def _checkpoint_psnr(run, data, view, aligned):
     if aligned:
         ds.cameras, _ = tr.apply_gravity_align(ds.cameras)
     trainer = tr.load_checkpoint(str(run), ds)
-    result = render_image(ds.cameras[view], trainer.fields, trainer.state(view),
+    result = render_image(ds.cameras[view], trainer.fields, trainer.bank, view,
                           ddf=trainer.ddf, params=trainer.vis_params,
                           dir_level=0)
     mask = ds.masks[view] != sc.CLASS_TRANSIENT
@@ -338,8 +380,7 @@ def test_cli_render_relight_viz(tmp_path):
                      "--out", str(tmp_path / "viz")]) == 0
     assert (tmp_path / "viz" / "ddf_001.pfm").exists()
     assert cli_main(["ao", "--ckpt", str(run), "--dataset", str(out),
-                     "--view", "0", "--out", str(tmp_path / "ao"),
-                     "--dir-level", "1"]) == 0
+                     "--view", "0", "--out", str(tmp_path / "ao")]) == 0
     assert cli_main(["shadow", "--ckpt", str(run), "--dataset", str(out),
                      "--view", "0", "--sun", "0,0,1",
                      "--out", str(tmp_path / "sh")]) == 0
@@ -433,7 +474,7 @@ def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--data", str(out),
                      "--out", str(run), "--progress-every", "0"]) == 0
-    ckpt = ["--ckpt", str(run), "--dataset", str(out), "--dir-level", "0"]
+    ckpt = ["--ckpt", str(run), "--dataset", str(out)]
     res = str(tmp_path / "res")
     # each is refused before any fit or render writes a file
     for argv in (["render", "--view", "9", "--out", res],
@@ -453,7 +494,8 @@ def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):
                  ["ddf-viz", "--width", "0", "--out", res],
                  ["ddf-viz", "--height", "-2", "--out", res]):
         capsys.readouterr()
-        assert cli_main(argv + ckpt) == 2, argv
+        shades = argv[0] in ("render", "relight", "eval")
+        assert cli_main(argv + ckpt + ["--dir-level", "0"] * shades) == 2, argv
         assert "config error:" in capsys.readouterr().err, argv
         assert not os.path.exists(res), argv
 

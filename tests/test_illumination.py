@@ -16,33 +16,38 @@ def dirs642():
     return icosphere_directions(3).directions
 
 
+def one_sky(decoder, z, log_gamma):
+    """A one-row bank: latent z (3,K) at scale exp(log_gamma)."""
+    return il.IlluminationBank(decoder, z[None], [log_gamma])
+
+
 def test_zero_latent_decodes_to_unit_environment(decoder, dirs642):
-    state = il.IlluminationState.zero(decoder)
-    rad = il.radiance(state, dirs642)
+    sky = il.IlluminationBank.zeros(decoder, 1)
+    rad = il.radiance(sky, 0, dirs642)
     assert np.allclose(rad, 1.0)
 
 
 def test_gamma_scales_linearly(decoder, dirs642):
     rng = np.random.default_rng(0)
     z = il.sample_latent(decoder, rng)
-    s1 = il.IlluminationState(decoder, z, np.asarray(np.log(1.0)))
-    s2 = il.IlluminationState(decoder, z, np.asarray(np.log(2.0)))
-    assert np.allclose(il.radiance(s2, dirs642), 2.0 * il.radiance(s1, dirs642))
+    s1 = one_sky(decoder, z, np.log(1.0))
+    s2 = one_sky(decoder, z, np.log(2.0))
+    assert np.allclose(il.radiance(s2, 0, dirs642), 2.0 * il.radiance(s1, 0, dirs642))
 
 
 def test_radiance_strictly_positive(decoder, dirs642):
     rng = np.random.default_rng(1)
     z = rng.normal(size=(3, decoder.n_lobes)) * 2.0
-    state = il.IlluminationState(decoder, z, np.asarray(0.3))
-    assert np.all(il.radiance(state, dirs642) > 0.0)
+    sky = one_sky(decoder, z, 0.3)
+    assert np.all(il.radiance(sky, 0, dirs642) > 0.0)
 
 
 def test_single_lobe_argmax_at_axis(decoder, dirs642):
     for k in (0, 3, 9):
         z = np.zeros((3, decoder.n_lobes))
         z[:, k] = 1.5
-        state = il.IlluminationState(decoder, z, np.asarray(0.0))
-        rad = il.radiance(state, dirs642).sum(axis=1)
+        sky = one_sky(decoder, z, 0.0)
+        rad = il.radiance(sky, 0, dirs642).sum(axis=1)
         best = dirs642[np.argmax(rad)]
         # brute-force oracle: the argmax over the direction set must be the
         # set direction closest to the lobe axis
@@ -70,9 +75,8 @@ def test_prior_gradient_is_two_z():
 
 
 def test_export_envmap_constant(decoder):
-    state = il.IlluminationState(decoder, np.zeros((3, decoder.n_lobes)),
-                                 np.asarray(np.log(2.0)))
-    env = il.export_envmap(state, 16, 8)
+    sky = one_sky(decoder, np.zeros((3, decoder.n_lobes)), np.log(2.0))
+    env = il.export_envmap(sky, 0, 16, 8)
     assert env.shape == (8, 16, 3)
     assert np.allclose(env, 2.0)
 
@@ -80,14 +84,14 @@ def test_export_envmap_constant(decoder):
 def test_export_envmap_argmax_matches_brute_force(decoder, dirs642):
     z = np.zeros((3, decoder.n_lobes))
     z[:, 2] = 2.0
-    state = il.IlluminationState(decoder, z, np.asarray(0.0))
+    sky = one_sky(decoder, z, 0.0)
     h, w = 64, 128
-    env = il.export_envmap(state, w, h)
+    env = il.export_envmap(sky, 0, w, h)
     lum = env.sum(axis=2)
     row, col = np.unravel_index(np.argmax(lum), lum.shape)
     px_dir = spherical_to_dir((row + 0.5) / h * np.pi,
                               (col + 0.5) / w * 2.0 * np.pi - np.pi)
-    brute = dirs642[np.argmax(il.radiance(state, dirs642).sum(axis=1))]
+    brute = dirs642[np.argmax(il.radiance(sky, 0, dirs642).sum(axis=1))]
     # within one pixel: angular distance below two pixel diagonals
     px_angle = np.pi / h * 1.5
     assert np.arccos(np.clip(px_dir @ brute, -1, 1)) < px_angle
@@ -95,21 +99,21 @@ def test_export_envmap_argmax_matches_brute_force(decoder, dirs642):
 
 
 def test_export_envmap_requires_two_to_one():
-    state = il.IlluminationState.zero(il.LobeDecoder.default())
+    sky = il.IlluminationBank.zeros(il.LobeDecoder.default(), 1)
     with pytest.raises(ValueError):
-        il.export_envmap(state, 17, 8)
+        il.export_envmap(sky, 0, 17, 8)
 
 
 def test_jitter_invariant_irradiance(decoder, dirs642):
     # irradiance integrals under two independent rotations agree within 2%
     rng = np.random.default_rng(7)
     z = il.sample_latent(decoder, rng)
-    state = il.IlluminationState(decoder, z, np.asarray(0.0))
+    sky = one_sky(decoder, z, 0.0)
     normal = np.array([0.0, 0.0, 1.0])
 
     def irradiance(rot):
         d = dirs642 @ rot.T
-        rad = il.radiance(state, d)
+        rad = il.radiance(sky, 0, d)
         cos = np.maximum(d @ normal, 0.0)
         return (4 * np.pi / len(d)) * (rad * cos[:, None]).sum(axis=0)
 
@@ -121,9 +125,8 @@ def test_jitter_invariant_irradiance(decoder, dirs642):
 def test_gamma_derivative_is_radiance_over_gamma(decoder):
     # d radiance / d gamma = radiance / gamma via the log parameterization
     rng = np.random.default_rng(8)
-    bank = il.IlluminationBank(decoder, 1)
-    bank.Z[0] = il.sample_latent(decoder, rng)
-    bank.log_gamma[0] = np.log(1.7)
+    bank = il.IlluminationBank(decoder, il.sample_latent(decoder, rng)[None],
+                               [np.log(1.7)])
 
     def loss(t, pv):
         bound = il.BoundIllumination.__new__(il.BoundIllumination)
@@ -143,10 +146,25 @@ def test_latent_mean_biases_upper_lobes(decoder):
     assert np.all(decoder.latent_mean[:, ~upper] == 0.0)
 
 
-def test_bank_state_log_gamma_is_zero_dimensional(decoder):
-    bank = il.IlluminationBank(decoder, 3, gamma=0.7)
-    bank.log_gamma[:] = np.log([0.7, 1.3, 2.1])
+def test_bank_row_matches_one_row_copy(decoder, dirs642):
+    # a render reads its sky as a row of the whole bank: every row gives the
+    # bits of a one-row bank built from it, plain and bound alike
+    rng = np.random.default_rng(9)
+    bank = il.IlluminationBank(decoder, rng.normal(size=(3, 3, decoder.n_lobes)),
+                               np.log([0.7, 1.3, 2.1]))
+    bound = il.BoundIllumination(None, bank, trainable=False)
     for i in range(bank.n_images):
-        state = bank.state(i)
-        assert state.log_gamma.shape == ()
-        assert state.gamma == np.exp(bank.log_gamma[i])
+        row = il.IlluminationBank(decoder, bank.Z[i:i + 1], bank.log_gamma[i:i + 1])
+        assert np.array_equal(il.radiance(bank, i, dirs642),
+                              il.radiance(row, 0, dirs642))
+        one = il.BoundIllumination(None, row, trainable=False)
+        assert np.array_equal(bound.radiance_all(dirs642).data[i],
+                              one.radiance_all(dirs642).data[0])
+        # the constructor copies: the one-row bank does not alias the bank
+        row.Z += 1.0
+        assert not np.array_equal(row.Z[0], bank.Z[i])
+
+
+def test_bank_rejects_a_latent_without_its_row_axis(decoder):
+    with pytest.raises(ValueError):
+        il.IlluminationBank(decoder, np.zeros((3, decoder.n_lobes)), [0.0])

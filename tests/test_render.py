@@ -13,7 +13,7 @@ from tests.conftest import plane_shading
 
 @pytest.fixture(scope="module")
 def unit_sky():
-    return il.IlluminationState.zero(il.LobeDecoder.default())
+    return il.IlluminationBank.zeros(il.LobeDecoder.default(), 1)
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +68,10 @@ def test_shade_jitter_stability():
     rng = np.random.default_rng(2)
     dec = il.LobeDecoder.default()
     z = il.sample_latent(dec, rng)
-    state = il.IlluminationState(dec, z, np.asarray(0.0))
+    sky = il.IlluminationBank(dec, z[None], [0.0])
     n = np.array([0.0, 0.0, 1.0])
-    c1, _ = plane_shading(n, state, jitter=so3_jitter(rng))
-    c2, _ = plane_shading(n, state, jitter=so3_jitter(rng))
+    c1, _ = plane_shading(n, sky, jitter=so3_jitter(rng))
+    c2, _ = plane_shading(n, sky, jitter=so3_jitter(rng))
     assert np.abs(c1 / c2 - 1.0).max() < 0.02
 
 
@@ -80,12 +80,12 @@ def test_shade_monotone_in_visibility(dirs642):
     # render_rays) never lowers any output of the quadrature op
     rng = np.random.default_rng(3)
     dec = il.LobeDecoder.default()
-    state = il.IlluminationState(dec, il.sample_latent(dec, rng), np.asarray(0.0))
+    sky = il.IlluminationBank(dec, il.sample_latent(dec, rng)[None], [0.0])
     d = dirs642.directions
     normals = rng.normal(size=(2, 8, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     vis = rng.uniform(0.0, 1.0, size=len(d))
-    rad = il.radiance(state, d)
+    rad = il.radiance(sky, 0, d)
 
     def quad(v):
         radiance = np.broadcast_to(rad * v[:, None], (2,) + rad.shape)
@@ -107,11 +107,10 @@ def test_render_rays_with_constant_bindings_records_nothing(unit_sky):
     # when a tape is at hand
     t = tp.Tape()
     scene = make_plane_scene(resolution=16)
-    bank = il.IlluminationBank(unit_sky.decoder, 1)
     ddf = vz.DdfField(np.random.default_rng(8).normal(size=(4, 8, 3, 6)))
     out = rd.render_rays(
         t, fd.BoundFields(t, scene, trainable=False),
-        il.BoundIllumination(t, bank, trainable=False),
+        il.BoundIllumination(t, unit_sky, trainable=False),
         vz.BoundDdf(t, ddf, vz.VisibilityParams.default(), trainable=False),
         np.tile([[0.0, 0.0, 0.4]], (4, 1)), np.tile([[0.0, 0.0, -1.0]], (4, 1)),
         np.zeros(4, dtype=np.int64), icosphere_directions(1), np.eye(3),
@@ -134,10 +133,9 @@ def make_plane_scene(resolution=48):
 def test_render_rays_empty_scene(unit_sky):
     scene = fd.SceneFields.default(resolution=16)
     scene.sdf.grid[:] = np.maximum(scene.sdf.grid, 0.05)
-    bank = il.IlluminationBank(unit_sky.decoder, 1)
     t = tp.Tape()
     bf = fd.BoundFields(t, scene, trainable=False)
-    bi = il.BoundIllumination(t, bank, trainable=False)
+    bi = il.BoundIllumination(t, unit_sky, trainable=False)
     rng = np.random.default_rng(4)
     out = rd.render_rays(
         t, bf, bi, None, np.array([[0.0, 0.0, 0.3]]),
@@ -152,10 +150,9 @@ def test_render_rays_empty_scene(unit_sky):
 
 def test_render_rays_opaque_plane_uniform_sky(unit_sky):
     scene = make_plane_scene()
-    bank = il.IlluminationBank(unit_sky.decoder, 1)
     t = tp.Tape()
     bf = fd.BoundFields(t, scene, trainable=False)
-    bi = il.BoundIllumination(t, bank, trainable=False)
+    bi = il.BoundIllumination(t, unit_sky, trainable=False)
     rng = np.random.default_rng(5)
     origins = np.tile([[0.0, 0.0, 0.4]], (8, 1))
     dirs = np.tile([[0.0, 0.0, -1.0]], (8, 1))
@@ -174,9 +171,9 @@ def test_render_rays_opaque_plane_uniform_sky(unit_sky):
 def test_render_deterministic_under_seed(unit_sky):
     scene = fd.SceneFields.default(resolution=16)
     cam = Camera.look_at([0.0, -0.5, 0.3], [0.0, 0.0, 0.1], 12, 9)
-    img1 = rd.render_image(cam, scene, unit_sky, dir_level=1, n_samples=16,
+    img1 = rd.render_image(cam, scene, unit_sky, 0, dir_level=1, n_samples=16,
                            seed=7)
-    img2 = rd.render_image(cam, scene, unit_sky, dir_level=1, n_samples=16,
+    img2 = rd.render_image(cam, scene, unit_sky, 0, dir_level=1, n_samples=16,
                            seed=7)
     assert np.array_equal(img1.rgb, img2.rgb)
     assert np.array_equal(img1.depth, img2.depth)
@@ -188,11 +185,13 @@ def test_render_image_sky_pixels_match_illumination(unit_sky):
     dec = unit_sky.decoder
     rng = np.random.default_rng(6)
     z = il.sample_latent(dec, rng)
-    state = il.IlluminationState(dec, z, np.asarray(np.log(1.3)))
+    # the sky of row 1 of a three-image bank
+    bank = il.IlluminationBank(dec, np.stack([z - 0.5, z, z + 0.5]),
+                               np.log([0.7, 1.3, 2.0]))
     cam = Camera.look_at([0.0, -0.5, 0.3], [0.0, 0.0, 0.2], 16, 12)
-    img = rd.render_image(cam, scene, state, dir_level=1, n_samples=16, seed=0)
+    img = rd.render_image(cam, scene, bank, 1, dir_level=1, n_samples=16, seed=0)
     dirs = cam.ray_dirs(cam.all_pixels())
-    want = il.radiance(state, dirs).reshape(12, 16, 3)
+    want = il.radiance(bank, 1, dirs).reshape(12, 16, 3)
     assert np.allclose(img.rgb, want, rtol=1e-6)
     assert np.allclose(img.srgb, srgb(want), atol=1e-9)
 
@@ -220,23 +219,23 @@ def test_render_output_monotone_visibility_effect(unit_sky):
     imgs = []
     for eps in (0.05, 0.6, 2.0):
         imgs.append(rd.render_image(
-            cam, scene, unit_sky, ddf=ddf,
+            cam, scene, unit_sky, 0, ddf=ddf,
             params=vz.VisibilityParams.default(epsilon=eps),
             dir_level=1, n_samples=24, seed=1).rgb)
     assert np.all(imgs[1] >= imgs[0] - 1e-9)
     assert np.all(imgs[2] >= imgs[1] - 1e-9)
 
 
-def test_render_image_without_ddf_reports_full_ambient_visibility(unit_sky):
-    # no DDF means every direction is visible, so AO (mean visibility) is 1;
-    # a DDF whose tolerance makes every direction visible renders the same
+def test_open_sky_ddf_renders_as_no_ddf_and_maps_to_full_visibility(unit_sky):
+    # no DDF means every direction is visible; a DDF whose tolerance makes
+    # every direction visible renders the same, and its ambient-occlusion
+    # map (mean visibility) is 1 everywhere
     scene = make_plane_scene(resolution=24)
     cam = Camera.look_at([0.0, -0.5, 0.35], [0.0, 0.0, 0.0], 8, 6)
-    kw = dict(dir_level=1, n_samples=16, seed=2, with_ao=True)
-    bare = rd.render_image(cam, scene, unit_sky, **kw)
-    open_sky = rd.render_image(cam, scene, unit_sky, ddf=vz.DdfField.zero_init(),
-                               params=vz.VisibilityParams.default(epsilon=100.0),
-                               **kw)
-    assert np.all(bare.ao == 1.0)
-    assert np.array_equal(bare.ao, open_sky.ao)
+    kw = dict(dir_level=1, n_samples=16, seed=2)
+    ddf = vz.DdfField.zero_init()
+    params = vz.VisibilityParams.default(epsilon=100.0)
+    bare = rd.render_image(cam, scene, unit_sky, 0, **kw)
+    open_sky = rd.render_image(cam, scene, unit_sky, 0, ddf=ddf, params=params, **kw)
     assert np.array_equal(bare.rgb, open_sky.rgb)
+    assert np.all(vz.visibility_map(ddf, params, cam, scene) == 1.0)

@@ -476,7 +476,7 @@ def test_checkpoint_roundtrip(tiny_dataset, tmp_path):
     cam = dataset.cameras[0]
 
     def render(t):
-        return render_image(cam, t.fields, t.state(0), ddf=t.ddf,
+        return render_image(cam, t.fields, t.bank, 0, ddf=t.ddf,
                             params=t.vis_params, dir_level=0).rgb
 
     assert np.array_equal(render(loaded), render(trainer))
@@ -528,30 +528,31 @@ def test_holdout_fit_recovers_gamma_scale(tiny_dataset):
     # (over-exposed pixels clamp to the same white and carry no scale signal,
     # so the informative direction is downward)
     _, dataset = tiny_dataset
-    from skylit.illumination import IlluminationState, LobeDecoder
+    from skylit.illumination import IlluminationBank, LobeDecoder
     from skylit.render import render_image
     import skylit.fields as fd
 
     decoder = LobeDecoder.default()
     gt = dataset.gt_illumination(decoder)
     fields = fd.SceneFields.default(resolution=24)
-    target_state = IlluminationState(decoder, gt.Z, np.asarray(np.log(0.55)))
-    img = render_image(dataset.cameras[1], fields, target_state, dir_level=1,
+    target = IlluminationBank(decoder, gt.Z, [np.log(0.55)])
+    img = render_image(dataset.cameras[1], fields, target, 0, dir_level=1,
                        n_samples=16, seed=4)
     # scale-only perturbation: start from the unperturbed latent at scale 1
     # with the latent frozen, isolating the scale axis (a free joint refit
     # drifts along the soft Z/gamma degeneracy and splits the scale)
-    start = IlluminationState(decoder, gt.Z.copy(), np.asarray(0.0))
+    start = IlluminationBank(decoder, gt.Z, [0.0])
     images = dataset.images.copy()
     images[1] = img.rgb
-    state, info = tr.fit_holdout_illumination(
+    fitted, info = tr.fit_holdout_illumination(
         fields, None, None, decoder, dataclasses.replace(dataset, images=images),
         1, steps=200, dir_level=1, samples_per_ray=16, batch_size=192,
-        init_state=start, freeze_latent=True,
+        init=start, freeze_latent=True,
     )
     assert not info["no_sky_pixels"]
-    assert state.gamma == pytest.approx(target_state.gamma, rel=0.05)
-    assert np.array_equal(state.Z, gt.Z)
+    assert np.exp(fitted.log_gamma[0]) == pytest.approx(0.55, rel=0.05)
+    assert np.array_equal(fitted.Z, gt.Z)
+    assert start.log_gamma[0] == 0.0  # the fit works on a copy
 
 
 @pytest.mark.parametrize("min_z", [-1.0, -0.1, 1.0, 1.5, float("nan")])

@@ -259,11 +259,11 @@ def test_shadow_map_no_occluder_and_lower_sun():
     ddf = vz.DdfField(np.full((4, 8, 3, 6), 40.0))
     params = vz.VisibilityParams.default(epsilon=0.1)
     cam = Camera.look_at([0.0, -0.6, 0.4], [0.0, 0.0, 0.0], 16, 12)
-    img = vz.shadow_map(ddf, params, [0.0, 0.0, 1.0], cam, scene)
+    img = vz.visibility_map(ddf, params, cam, scene, np.array([[0.0, 0.0, 1.0]]))
     assert img.shape == (12, 16)
     assert np.all(img > 0.99)  # sky pixels forced to 1, rest unoccluded
 
-    img_low = vz.shadow_map(ddf, params, [0.0, 0.0, -1.0], cam, scene)
+    img_low = vz.visibility_map(ddf, params, cam, scene, np.array([[0.0, 0.0, -1.0]]))
     assert np.all(img_low == 1.0)  # lower-hemisphere rule
 
 
@@ -277,12 +277,17 @@ def _shadow_setup():
     return ddf, params, cam, scene
 
 
+def shadow_map(ddf, params, sun, cam, scene):
+    """The map ``skylit shadow`` writes: visibility toward the checked sun."""
+    return vz.visibility_map(ddf, params, cam, scene, vz.sun_direction(sun)[None])
+
+
 def test_shadow_map_leaves_sun_vector_unchanged():
     ddf, params, cam, scene = _shadow_setup()
     sun = np.array([0.0, 0.0, 2.0])
-    img = vz.shadow_map(ddf, params, sun, cam, scene)
+    img = shadow_map(ddf, params, sun, cam, scene)
     assert np.array_equal(sun, [0.0, 0.0, 2.0])
-    assert np.array_equal(img, vz.shadow_map(ddf, params, [0.0, 0.0, 1.0], cam, scene))
+    assert np.array_equal(img, shadow_map(ddf, params, [0.0, 0.0, 1.0], cam, scene))
 
 
 @pytest.mark.parametrize("sun", [
@@ -298,4 +303,30 @@ def test_shadow_map_rejects_bad_sun_vector(sun):
 
     ddf, params, cam, scene = _shadow_setup()
     with pytest.raises(ConfigError):
-        vz.shadow_map(ddf, params, sun, cam, scene)
+        shadow_map(ddf, params, sun, cam, scene)
+
+
+def test_visibility_map_is_ambient_occlusion_at_render_depth():
+    # over 2112 pixels, past render_image's 2048-pixel chunk: where the
+    # accumulated weight reaches 1e-3 the map is the point-level mean at the
+    # expected surface point that render_image reports, bit for bit; sky
+    # pixels read 1
+    from skylit import illumination as il
+    from skylit.cameras import Camera
+    from skylit.render import render_image
+
+    scene = fd.SceneFields(fd.SdfField.sphere_init(16, radius=0.25, inv_s=200.0),
+                           fd.AlbedoField.constant_init(16))
+    ddf = vz.DdfField(np.random.default_rng(4).normal(size=(6, 12, 4, 8)))
+    params = vz.VisibilityParams.default(epsilon=0.3)
+    cam = Camera.look_at([0.0, -0.6, 0.4], [0.0, 0.0, 0.0], 48, 44)
+    sky = il.IlluminationBank.zeros(il.LobeDecoder.default(), 1)
+    ren = render_image(cam, scene, sky, 0, dir_level=0)
+    img = vz.visibility_map(ddf, params, cam, scene)
+    x = cam.origin + ren.depth.reshape(-1, 1) * cam.ray_dirs(cam.all_pixels())
+    ao = vz.ambient_occlusion(bound_of(ddf, params), x).data.reshape(img.shape)
+    surface = ren.weight >= 1e-3
+    assert np.any(surface) and np.any(~surface)
+    assert np.array_equal(img[surface], ao[surface])
+    assert np.all(img[~surface] == 1.0)
+    assert np.any(ao[surface] < 0.9)  # the random DDF occludes: not all 1
