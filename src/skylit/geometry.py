@@ -7,6 +7,7 @@ always caller-owned (pass a ``numpy.random.Generator``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -100,11 +101,13 @@ def _icosahedron():
     return v, f
 
 
+@lru_cache(maxsize=None)
 def icosphere_directions(subdivision_level):
     """Vertices of a recursively subdivided icosahedron on the unit sphere.
 
     Counts are 12, 42, 162, 642, ... per level; level 3 gives the 642
-    directions used for the illumination quadrature.
+    directions used for the illumination quadrature. Each level is built
+    once and shared: the returned directions are read-only.
     """
     if subdivision_level < 0 or subdivision_level > MAX_ICOSPHERE_LEVEL:
         raise ConfigError(
@@ -134,6 +137,7 @@ def icosphere_directions(subdivision_level):
         faces = np.asarray(new_faces, dtype=np.int64)
     dirs = np.asarray(verts, dtype=np.float64)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs.flags.writeable = False
     return DirectionSet(directions=dirs)
 
 

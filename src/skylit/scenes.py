@@ -40,9 +40,13 @@ class Sphere:
         return np.linalg.norm(pts - self.center, axis=-1) - self.radius
 
     def intersect(self, o, d):
+        # components summed in np.sum's order, (x0 + x1) + x2, with no
+        # trailing axis: the same bits for flat rays and for points (N,1,3)
+        # against directions (1,D,3), where c is computed once per point
         oc = o - self.center
-        b = 2.0 * np.sum(oc * d, axis=-1)
-        c = np.sum(oc * oc, axis=-1) - self.radius**2
+        b = 2.0 * (oc[..., 0] * d[..., 0] + oc[..., 1] * d[..., 1] + oc[..., 2] * d[..., 2])
+        c = (oc[..., 0] * oc[..., 0] + oc[..., 1] * oc[..., 1]
+             + oc[..., 2] * oc[..., 2]) - self.radius**2
         disc = b * b - 4.0 * c
         hit = disc > 0.0
         root = np.sqrt(np.maximum(disc, 0.0))
@@ -70,11 +74,14 @@ class Box:
         return outside + inside
 
     def intersect(self, o, d):
-        safe_d = np.where(np.abs(d) < 1e-12, 1e-12, d)
-        lo = (self.center - self.half_extents - o) / safe_d
-        hi = (self.center + self.half_extents - o) / safe_d
-        t_near = np.max(np.minimum(lo, hi), axis=-1)
-        t_far = np.min(np.maximum(lo, hi), axis=-1)
+        # slab test one axis at a time, so no temporary carries a trailing 3
+        t_near, t_far = -np.inf, np.inf
+        for k in range(3):
+            dk = np.where(np.abs(d[..., k]) < 1e-12, 1e-12, d[..., k])
+            lo = (self.center[k] - self.half_extents[k] - o[..., k]) / dk
+            hi = (self.center[k] + self.half_extents[k] - o[..., k]) / dk
+            t_near = np.maximum(t_near, np.minimum(lo, hi))
+            t_far = np.minimum(t_far, np.maximum(lo, hi))
         hit = (t_far > np.maximum(t_near, _EPS))
         t = np.where(t_near > _EPS, t_near, t_far)
         return np.where(hit & (t > _EPS), t, np.inf)
@@ -108,6 +115,19 @@ class GroundPlane:
         return n
 
 
+def _in_ball(o, d, t):
+    """Where the ray distances ``t`` (inf for a miss) are hits inside the
+    unit ball: |o + t d| <= 1. The hit point and its norm are computed for
+    finite ``t`` only; o and d broadcast against ``t`` with a trailing axis
+    of 3."""
+    finite = np.isfinite(t)
+    o, d = (np.broadcast_to(a, t.shape + (3,)) for a in (o, d))
+    pts = o[finite] + t[finite][:, None] * d[finite]
+    inside = np.zeros(t.shape, dtype=bool)
+    inside[finite] = np.linalg.norm(pts, axis=-1) <= 1.0
+    return inside
+
+
 @dataclass
 class CameraRig:
     azimuth_center: float = 0.0
@@ -131,8 +151,9 @@ class SyntheticScene:
         return np.min(np.stack([p.sdf(pts) for p in self.primitives]), axis=0)
 
     def intersect(self, origins, dirs):
-        """Nearest valid hit per ray; hits outside the unit ball do not count
-        (the world beyond the ball is sky). Returns (t, prim_index, hit)."""
+        """Nearest hit per ray. A primitive's hit counts only inside the unit
+        ball (the world beyond it is sky); ``_in_ball`` tests hits only.
+        Returns (t, prim_index, hit); t is inf where nothing is hit."""
         o = np.atleast_2d(origins)
         d = np.atleast_2d(dirs)
         if o.shape[0] == 1 and d.shape[0] > 1:
@@ -140,26 +161,22 @@ class SyntheticScene:
         ts = []
         for prim in self.primitives:
             t = prim.intersect(o, d)
-            finite = np.isfinite(t)
-            pts = o + np.where(finite, t, 0.0)[..., None] * d
-            bad = ~finite | (np.linalg.norm(pts, axis=-1) > 1.0)
-            ts.append(np.where(bad, np.inf, t))
+            ts.append(np.where(_in_ball(o, d, t), t, np.inf))
         ts = np.stack(ts)
-        idx = np.argmin(ts, axis=0)
         t = np.min(ts, axis=0)
-        hit = np.isfinite(t)
-        return t, idx, hit
+        return t, np.argmin(ts, axis=0), np.isfinite(t)
 
     def occluded(self, points, dirs):
-        """Binary occlusion test for (N,3) points against (D,3) directions;
-        points should already be offset off their surfaces."""
-        p = np.atleast_2d(points)
-        d = np.atleast_2d(dirs)
-        n, m = p.shape[0], d.shape[0]
-        o_flat = np.repeat(p, m, axis=0)
-        d_flat = np.tile(d, (n, 1))
-        _, _, hit = self.intersect(o_flat, d_flat)
-        return hit.reshape(n, m)
+        """Any-hit occlusion test of (N,3) points against (D,3) directions:
+        (N,D) booleans, True where any primitive is hit inside the unit ball;
+        ``_in_ball`` tests hits only, and no nearest hit is sought. Points
+        should already be offset off their surfaces."""
+        o = np.atleast_2d(points)[:, None, :]
+        d = np.atleast_2d(dirs)[None, :, :]
+        occ = np.zeros((o.shape[0], d.shape[1]), dtype=bool)
+        for prim in self.primitives:
+            occ |= _in_ball(o, d, prim.intersect(o, d))
+        return occ
 
     def surface_info(self, prim_idx, pts):
         normals = np.zeros_like(pts)
@@ -235,8 +252,10 @@ def make_scene(name, seed=0):
 
 def render_ground_truth(scene, camera, quad_level=4, chunk=2048):
     """Exact-reference render: closed-form hits, dense fixed quadrature,
-    binary per-direction shadows (upper hemisphere only). Returns linear
-    image, class map, and the binary sun-shadow mask."""
+    binary per-direction shadows (upper hemisphere only). A direction is
+    shadowed when ``SyntheticScene.occluded``'s any-hit test finds some
+    primitive along it inside the unit ball; hits beyond the ball are sky.
+    Returns linear image, class map, and the binary sun-shadow mask."""
     quad = icosphere_directions(quad_level).directions
     upper = quad[:, 2] > 0.0
     light = radiance(scene.illumination, 0, quad)

@@ -290,6 +290,15 @@ def test_icosphere_level_bound():
         geo.icosphere_directions(7)
 
 
+def test_icosphere_directions_are_cached_and_read_only():
+    ds = geo.icosphere_directions(2)
+    assert geo.icosphere_directions(2) is ds
+    with pytest.raises(ValueError):
+        ds.directions[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        ds.directions += 1.0
+
+
 def test_icosphere_min_separation_level3():
     d = geo.icosphere_directions(3).directions
     gram = d @ d.T

@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skylit import fields as fd
 from skylit import fileio, metrics
 from skylit import scenes as sc
+from skylit import tape as tp
 from skylit import train as tr
+from skylit import visibility as vz
 from skylit.cameras import Camera
-from skylit.cli import build_parser
+from skylit.cli import _load_aligned, build_parser
 from skylit.cli import main as cli_main
 from skylit.geometry import srgb
 from tests.conftest import CLI_CONFIG
@@ -379,13 +382,42 @@ def test_cli_render_relight_viz(tmp_path):
                      "--views", "2", "--width", "12", "--height", "12",
                      "--out", str(tmp_path / "viz")]) == 0
     assert (tmp_path / "viz" / "ddf_001.pfm").exists()
-    assert cli_main(["ao", "--ckpt", str(run), "--dataset", str(out),
-                     "--view", "0", "--out", str(tmp_path / "ao")]) == 0
-    assert cli_main(["shadow", "--ckpt", str(run), "--dataset", str(out),
-                     "--view", "0", "--sun", "0,0,1",
-                     "--out", str(tmp_path / "sh")]) == 0
+    # the 3-step DDF and epsilon leave both maps at 1 everywhere; a DDF depth
+    # of 0.036 along every query with epsilon 0.01 occludes surface points
+    params = fileio.read_npz(run / "params.npz")
+    params["ddf_grid"] = np.full_like(params["ddf_grid"], -4.0)
+    params["vis_eps_raw"] = np.asarray(tp.softplus_inverse(0.01))
+    np.savez(run / "params.npz", **params)
+    dataset = _load_aligned(str(out))
+    trainer = tr.load_checkpoint(str(run), dataset)
+    cam = dataset.cameras[0]
+    weight = _map_pass_weight(trainer.fields, cam)
+    sky = weight < 1e-3
+    assert sky.any() and not sky.all()
+    for cmd, extra, dirs in (("ao", [], None),
+                             ("shadow", ["--sun", "0,0,1"], np.array([[0.0, 0.0, 1.0]]))):
+        assert cli_main([cmd, "--ckpt", str(run), "--dataset", str(out), "--view", "0",
+                         "--out", str(tmp_path / cmd)] + extra) == 0
+        got = fileio.read_pfm(tmp_path / cmd / f"{cmd}_000.pfm")
+        want = vz.visibility_map(trainer.ddf, trainer.vis_params, cam, trainer.fields, dirs)
+        assert np.array_equal(got, want.astype(np.float32))
+        assert np.all(got[sky] == 1.0)
+        assert np.any(got[~sky] < 0.5)
     assert cli_main(["train", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(run)]) != 0
+
+
+def _map_pass_weight(scene_fields, camera):
+    """Per-pixel accumulated weight of ``visibility_map``'s own samples (64
+    stratified per pixel, seed 0, one chunk)."""
+    bound = fd.BoundFields(None, scene_fields, trainable=False)
+    rays = camera.ray_dirs(camera.all_pixels())
+    origins = np.broadcast_to(camera.origin, rays.shape)
+    rs = fd.stratified_samples(origins, rays, 64, np.random.default_rng(0))
+    f = fd.sdf_eval(bound, rs.positions.reshape(-1, 3))
+    w = fd.neus_weights(tp.reshape(f, rs.t.shape), bound.inv_s())
+    _, w_sum = fd.expected_depth(w, rs.t, rs.far)
+    return w_sum.data.reshape(camera.height, camera.width)
 
 
 @pytest.mark.parametrize("sun", ["0.8,0", "0,0,0", "0,nan,1", "north"])
