@@ -10,7 +10,6 @@ from .cameras import Camera
 from .fields import AlbedoField, RaySamples, SceneFields, SdfField, sphere_trace
 from .geometry import (
     DirectionSet,
-    contract,
     icosphere_directions,
     ray_sphere_exit,
     so3_jitter,
@@ -40,7 +39,6 @@ from .visibility import (
     DdfField,
     VisibilityParams,
     ambient_occlusion,
-    binary_visibility_oracle,
     ddf_eval,
     soft_visibility,
     visibility_map,

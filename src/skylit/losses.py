@@ -75,7 +75,7 @@ class DdfBatch:
     positions: np.ndarray   # (P,3) unit
     directions: np.ndarray  # (P,Q,3) unit, inward, d_z <= 0
     depths: np.ndarray      # (P,Q) in (0,2]
-    hit: np.ndarray = None  # (P,Q) bool
+    hit: np.ndarray         # (P,Q) bool
 
     @property
     def flat_positions(self):
@@ -92,8 +92,6 @@ class DdfBatch:
 
     @property
     def flat_hit(self):
-        if self.hit is None:
-            return np.ones(self.depths.size, dtype=bool)
         return self.hit.reshape(-1)
 
 
@@ -119,20 +117,19 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
             good = cand[i][ok[i]][: n_directions - filled[i]]
             dirs[i, filled[i]:filled[i] + len(good)] = good
             filled[i] += len(good)
-    batch = DdfBatch(positions=positions, directions=dirs,
-                     depths=np.zeros((n_positions, n_directions)))
-    batch.depths, batch.hit = trace_depths(sdf_like, batch)
-    return batch
+    depths, hit = trace_depths(sdf_like, positions, dirs)
+    return DdfBatch(positions=positions, directions=dirs, depths=depths, hit=hit)
 
 
-def trace_depths(sdf_like, batch):
-    """Sphere-traced (192 steps) pseudo-ground-truth (depths, hit) for a
-    batch; rays that miss get the full chord to the sphere exit so depths
-    stay in (0,2]."""
-    res = sphere_trace(sdf_like, batch.flat_positions, batch.flat_directions,
-                       max_steps=192)
-    depths = np.clip(res.t, 1e-4, 2.0).reshape(batch.depths.shape)
-    return depths, res.hit.reshape(batch.depths.shape)
+def trace_depths(sdf_like, positions, directions):
+    """Sphere-traced (192 steps) pseudo-ground-truth (depths, hit), each
+    (P,Q), of the rays from positions (P,3) along directions (P,Q,3); rays
+    that miss get the full chord to the sphere exit so depths stay in
+    (0,2]."""
+    shape = directions.shape[:2]
+    res = sphere_trace(sdf_like, np.repeat(positions, shape[1], axis=0),
+                       directions.reshape(-1, 3), max_steps=192)
+    return np.clip(res.t, 1e-4, 2.0).reshape(shape), res.hit.reshape(shape)
 
 
 def ddf_depth_loss(batch, bound_ddf):

@@ -95,8 +95,6 @@ class TrainConfig:
     use_visibility: bool = _key(True, None, "evaluate DDF sky visibility in the renderer")
     sdf_resolution: int = _key(
         64, "[2, inf)", "nodes per axis of the SDF and albedo grids")
-    grid_extent: float = _key(
-        1.0, "[1, 2]", "half-width of their cube: the unit ball up to radius 2")
     illum_lobes: int = _key(16, "[2, inf)", "lobes of the sky decoder")
     ddf_pos_res_theta: int = _key(
         32, "[2, inf)", "DDF nodes over the sphere point's polar angle")
@@ -356,8 +354,7 @@ class Trainer:
         self.dataset = dataset
         self.cfg = config
         self.rng = np.random.default_rng(config.seed)
-        self.fields = fd.SceneFields.default(config.sdf_resolution,
-                                             config.grid_extent)
+        self.fields = fd.SceneFields.default(config.sdf_resolution)
         self.ddf = vz.DdfField.zero_init(
             (config.ddf_pos_res_theta, config.ddf_pos_res_phi),
             (config.ddf_dir_res_theta, config.ddf_dir_res_phi),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import multilinear, sphere_trace
+from .fields import multilinear
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -271,18 +271,6 @@ def soft_visibility(bound, x, d, stop_grad=False):
     if stop_grad:
         v = tp.stop_gradient(v)
     return v
-
-
-def binary_visibility_oracle(sdf_like, x, d):
-    """Ground-truth-style binary visibility by sphere tracing (192 steps).
-
-    Callers must pre-offset x along the surface normal by twice the trace
-    threshold (1e-4). Returns (vis in {0,1}, non_converged flag array); rays
-    whose trace ran out of steps are treated as occluded and flagged.
-    """
-    res = sphere_trace(sdf_like, x, d, max_steps=192)
-    vis = (~res.hit & res.converged).astype(np.float64)
-    return vis, ~res.converged
 
 
 def ambient_occlusion(bound, x, dirs=None):

@@ -13,6 +13,7 @@ from skylit import illumination as il
 from skylit import render as rd
 from skylit import train as tr
 from skylit import visibility as vz
+from skylit.fields import sphere_trace
 from skylit.geometry import icosphere_directions, normalize
 from skylit.scenes import generate_dataset, make_scene
 
@@ -86,6 +87,18 @@ def tiny_train_config(**overrides):
 def tiny_trainer(tiny_dataset):
     _, dataset = tiny_dataset
     return tr.Trainer(dataset, tiny_train_config())
+
+
+def binary_visibility_oracle(sdf_like, x, d):
+    """Ground-truth-style binary visibility by sphere tracing (192 steps).
+
+    Callers must pre-offset x along the surface normal by twice the trace
+    threshold (1e-4). Returns (vis in {0,1}, non_converged flag array); rays
+    whose trace ran out of steps are treated as occluded and flagged.
+    """
+    res = sphere_trace(sdf_like, x, d, max_steps=192)
+    vis = (~res.hit & res.converged).astype(np.float64)
+    return vis, ~res.converged
 
 
 def plane_shading(normal, sky, albedo_raw=0.0, ddf=None, params=None,

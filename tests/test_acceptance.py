@@ -18,7 +18,7 @@ from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import (icosphere_directions, normalize, sample_sphere,
                              vmf_sample_batch)
-from tests.conftest import plane_shading
+from tests.conftest import binary_visibility_oracle, plane_shading
 
 
 def report(criterion, ok, detail):
@@ -262,7 +262,7 @@ def test_criterion_4_oracle_visibility_agreement(two_sphere_scene,
     d = sample_sphere(rng, len(x), min_z=0.0)
     keep = np.sum(d * n, axis=1) > 0.05  # shading-relevant directions
     x, d = x[keep][:10000], d[keep][:10000]
-    oracle, _ = vz.binary_visibility_oracle(scene, x, d)
+    oracle, _ = binary_visibility_oracle(scene, x, d)
     t = tp.Tape()
     bound = vz.BoundDdf(t, ddf, vz.VisibilityParams.default(epsilon=0.1),
                         trainable=False)

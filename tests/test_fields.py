@@ -5,7 +5,6 @@ import pytest
 
 from skylit import fields as fd
 from skylit import tape as tp
-from skylit.geometry import contract
 
 
 @pytest.fixture
@@ -52,16 +51,20 @@ def test_outside_domain_takes_clamped_boundary_value():
     rng = np.random.default_rng(8)
     t = tp.Tape()
     scene = fd.SceneFields(fd.SdfField(rng.normal(size=(8, 8, 8))),
-                           fd.AlbedoField.constant_init(8))
+                           fd.AlbedoField(rng.normal(size=(8, 8, 8, 3))))
     bound = fd.BoundFields(t, scene)
-    # norm > 1 contracts to < 2 but beyond the [-1,1] grid box
-    far = np.array([[1.8, 0.3, -0.2], [0.5, -2.5, 1.4]])
-    contracted = contract(far)
-    assert np.all(np.abs(contracted).max(axis=1) > 1.0)
-    # the clamped point is passed as a Var, which is taken as given
-    boundary = tp._lift(np.clip(contracted, -1.0, 1.0))
-    assert np.array_equal(fd.sdf_eval(bound, far).data,
-                          fd.sdf_eval(bound, boundary).data)
+    # beyond the unit ball: inside the [-1,1] grid cube, and beyond it
+    far = np.array([[0.9, -0.8, 0.1], [1.8, 0.3, -0.2], [0.5, -2.5, 1.4]])
+    assert np.all(np.linalg.norm(far, axis=1) > 1.0)
+    boundary = np.clip(far, -1.0, 1.0)
+    for x in (far, tp._lift(far)):
+        for b in (boundary, tp._lift(boundary)):
+            assert np.array_equal(fd.sdf_eval(bound, x).data,
+                                  fd.sdf_eval(bound, b).data)
+            assert np.array_equal(fd.albedo_eval(bound, x).data,
+                                  fd.albedo_eval(bound, b).data)
+    assert np.array_equal(scene.sdf.sdf_np(far), scene.sdf.sdf_np(boundary))
+    assert np.array_equal(scene.sdf.sdf_np(far), fd.sdf_eval(bound, far).data)
 
 
 def _oracle_16_corner(grid, u, wrap):
@@ -230,7 +233,7 @@ def test_normals_match_finite_differences():
     bound = fd.BoundFields(t, scene)
     pts = rng.uniform(-0.55, 0.55, size=(20, 3))
     # partials in cell units; the 9-node grid over [-1, 1] has 4 cells per unit
-    analytic = fd.multilinear(bound.sdf_grid, fd.cell_coords(pts, 9, 1.0),
+    analytic = fd.multilinear(bound.sdf_grid, fd.cell_coords(pts, 9),
                               fd.CLAMPED_3D, spatial_grad=True).data * 4.0
     h = 1e-6
     for axis in range(3):
@@ -308,7 +311,7 @@ def test_weight_gradients_pass_gradient_check():
     samples = np.linspace(-0.6, 0.6, 7)[:, None] * np.array([[0.0, 0.0, 1.0]])
 
     def loss(t, pv):
-        f = fd.multilinear(pv["grid"], fd.cell_coords(samples, 4, 1.0),
+        f = fd.multilinear(pv["grid"], fd.cell_coords(samples, 4),
                            fd.CLAMPED_3D)
         w = fd.neus_weights(tp.reshape(f, (1, 7)), tp.exp(pv["log_inv_s"]))
         return tp.vsum(w * np.arange(7.0))

@@ -8,33 +8,6 @@ from skylit import tape as tp
 from skylit import visibility as vz
 
 
-def test_contract_identity_inside_unit_ball():
-    p = np.array([0.5, 0.0, 0.0])
-    assert np.allclose(geo.contract(p), p)
-
-
-def test_contract_formula_outside():
-    # (2 - 1/2) * unit x
-    assert np.allclose(geo.contract([2.0, 0.0, 0.0]), [1.5, 0.0, 0.0])
-
-
-def test_contract_limit_radius_two():
-    far = np.array([1e12, 0.0, 0.0])
-    assert np.linalg.norm(geo.contract(far)) == pytest.approx(2.0, abs=1e-9)
-    # norm strictly below 2 always
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(1000, 3)) * 50.0
-    assert np.all(np.linalg.norm(geo.contract(pts), axis=1) < 2.0)
-
-
-def test_contract_continuous_at_unit_sphere():
-    d = np.array([0.3, -0.5, 0.81])
-    d /= np.linalg.norm(d)
-    inner = geo.contract(d * (1.0 - 1e-12))
-    outer = geo.contract(d * (1.0 + 1e-12))
-    assert np.allclose(inner, outer, atol=1e-9)
-
-
 def _exit(o, d):
     """Exit distance and exit point of ``ray_sphere_exit``."""
     t = geo.ray_sphere_exit(o, d).t

@@ -432,7 +432,7 @@ def test_cli_shadow_reports_bad_sun_as_config_error(tmp_path, capsys, sun):
 
 def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    for key, value in (("weight_sky", -1.0), ("near", "nan"), ("grid_extent", 0),
+    for key, value in (("weight_sky", -1.0), ("near", "nan"), ("ddf_min_z", 1),
                        ("sdf_resolution", 1), ("seed", -1), ("illum_lobes", 0)):
         fileio.write_config(cfg, {**CLI_CONFIG, key: value})
         rc = cli_main(["train", "--config", str(cfg), "--data", str(tmp_path / "ds"),
@@ -483,6 +483,12 @@ def test_cli_rejects_checkpoint_that_disagrees_with_config_or_dataset(tmp_path, 
         entries = fileio.read_config(edited / "config.txt")
         fileio.write_config(edited / "config.txt", {**entries, key: value})
         refused(edited, 6, 0, key)
+    # a key that the config no longer declares
+    stale = tmp_path / "stale"
+    shutil.copytree(run, stale)
+    entries = fileio.read_config(stale / "config.txt")
+    fileio.write_config(stale / "config.txt", {**entries, "grid_extent": 1.0})
+    refused(stale, 6, 0, "unknown config key 'grid_extent'")
     damaged = tmp_path / "damaged"
     shutil.copytree(run, damaged)
     params = damaged / "params.npz"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skylit import fileio
 from skylit import losses as ls
 from skylit import tape as tp
 from skylit import train as tr
@@ -291,9 +292,9 @@ def test_config_rejects_non_positive_vmf_kappa():
     ("near", "nan"),                # every step rejected
     ("near", "-0.5"),               # trained without complaint
     ("near", "3"),
-    ("grid_extent", "0"),           # ZeroDivisionError
-    ("grid_extent", "-1"),          # trained
-    ("grid_extent", "inf"),         # RuntimeWarning
+    ("ddf_min_z", "1"),             # ValueError in sample_ddf_batch
+    ("ddf_min_z", "-0.1"),
+    ("ddf_min_z", "inf"),
     ("sdf_resolution", "0"),        # IndexError
     ("sdf_resolution", "1"),
     ("ddf_pos_res_theta", "1"),     # ValueError
@@ -387,6 +388,16 @@ def test_readme_config_table_is_the_declaration():
         assert getattr(tr.TrainConfig.from_entries({key: default}), key) == f.default
         assert range_ == (f.metadata["range"] or "—"), key
         assert meaning == f.metadata["meaning"], key
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.txt")), ids=lambda p: p.name)
+def test_shipped_config_files_parse(path):
+    cfg = tr.TrainConfig.from_entries(fileio.read_config(path))
+    if path.name == "default.txt":
+        assert cfg == tr.TrainConfig()
 
 
 def test_zero_weights_leave_parameters_unchanged(tiny_dataset):

@@ -8,6 +8,7 @@ from skylit import tape as tp
 from skylit import visibility as vz
 from skylit.geometry import icosphere_directions, sample_sphere
 from skylit.scenes import make_scene
+from tests.conftest import binary_visibility_oracle
 
 
 def bound_of(ddf, params=None, tape=None, trainable=False):
@@ -180,15 +181,15 @@ def test_binary_oracle_empty_and_occluded():
     rng = np.random.default_rng(8)
     x = rng.uniform(-0.3, 0.3, size=(32, 3))
     d = sample_sphere(rng, 32, min_z=0.05)
-    vis, flags = vz.binary_visibility_oracle(empty.sdf, x, d)
+    vis, flags = binary_visibility_oracle(empty.sdf, x, d)
     assert np.all(vis == 1.0)
     assert not np.any(flags)
 
     scene = make_scene("two-sphere")
     below = scene.primitives[0].center - np.array([0.0, 0.0,
                                                    scene.primitives[0].radius + 0.02])
-    vis2, _ = vz.binary_visibility_oracle(scene, below[None, :],
-                                          np.array([[0.0, 0.0, 1.0]]))
+    vis2, _ = binary_visibility_oracle(scene, below[None, :],
+                                       np.array([[0.0, 0.0, 1.0]]))
     assert vis2[0] == 0.0
 
 
@@ -214,7 +215,7 @@ def test_binary_oracle_matches_closed_form():
     # march the scene's SDF alone: handed the scene itself, the oracle
     # answers from the closed form this test compares against
     marcher = SimpleNamespace(sdf_np=scene.sdf_np)
-    vis, _ = vz.binary_visibility_oracle(marcher, x[generic], d[generic])
+    vis, _ = binary_visibility_oracle(marcher, x[generic], d[generic])
     occ = scene.occluded(x[generic], d[generic])
     occluded_true = occ[np.arange(generic.sum()), np.arange(generic.sum())]
     assert np.array_equal(vis, (~occluded_true).astype(float))
