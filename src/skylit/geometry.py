@@ -145,6 +145,11 @@ def so3_jitter(rng):
     )
 
 
+# smallest vMF concentration the sampler takes: below it e^{-2k} rounds
+# towards 1 and the inverse CDF collapses samples onto the mean
+VMF_KAPPA_MIN = 0.01
+
+
 def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     """``n_per`` von Mises-Fisher samples around each of N means; returns
     (N, n_per, 3).
@@ -152,8 +157,9 @@ def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     Polar angle via the closed-form inverse CDF w = 1 + log(u + (1-u)e^{-2k})/k,
     uniform azimuth, then a per-row rotation of the mode onto its mean.
     """
-    if kappa <= 0:
-        raise ConfigError("vMF concentration must be positive")
+    if not kappa >= VMF_KAPPA_MIN:
+        raise ConfigError(
+            f"vMF concentration must be at least {VMF_KAPPA_MIN}, got {kappa!r}")
     means = normalize(np.atleast_2d(mean_dirs))
     n = means.shape[0]
     u = rng.random((n, n_per))

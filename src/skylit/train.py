@@ -6,7 +6,9 @@ Field/DDF groups follow a 500-step warmup into cosine decay; illumination
 latents and the visibility threshold use exponentially decaying rates. The
 trainer, the holdout fit and the DDF fit all step through ``Adam.step``: a
 non-finite loss or gradient rejects the step (parameters and moments
-untouched) instead of clipping, and the trainer logs it.
+untouched) instead of clipping, and the trainer logs it. ``Adam`` gives the
+textbook update bit for bit, with optimizer state only for the entries
+whose gradient was ever non-zero.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import render as rd
 from . import tape as tp
 from . import visibility as vz
 from .cameras import Camera
-from .geometry import ConfigError, icosphere_directions, so3_jitter
+from .geometry import VMF_KAPPA_MIN, ConfigError, icosphere_directions, so3_jitter
 from .scenes import CLASS_GROUND, CLASS_SKY, CLASS_TRANSIENT
 
 
@@ -108,7 +110,7 @@ class TrainConfig:
     ddf_directions: int = _key(
         128, "[1, inf)", "inward directions per point of that batch")
     vmf_kappa: float = _key(
-        20.0, "[0.01, inf)", "vMF concentration of those directions")
+        20.0, f"[{VMF_KAPPA_MIN}, inf)", "vMF concentration of those directions")
     ddf_min_z: float = _key(
         0.0, "[0, 1)", "lowest height of those points (0: the horizon)")
     ddf_refresh_every: int = _key(
@@ -172,14 +174,26 @@ def exponential_decay(base, step, total):
     return base * 0.1 ** (step / total)
 
 
-ADAM_BLOCK = 16384  # entries per block of Adam.update; 128 KiB per array
+ADAM_BLOCK = 16384  # live entries per block of Adam.update; 128 KiB per array
 
 
 class Adam:
-    """Per-slot moments with bias correction; updates parameters in place."""
+    """Adam with bias correction (Kingma & Ba, arXiv 1412.6980); updates
+    parameters in place, bit for bit the textbook update of every entry.
+
+    The textbook update leaves an entry exactly as it is (``-0.0``
+    included) while its gradient and both moments are 0, so each slot
+    keeps state only for the entries that have ever had a non-zero
+    gradient: ``seen[name]`` marks them over the flat slot, ``live[name]``
+    holds their sorted flat indices and ``m[name]``, ``v[name]`` their
+    moments, aligned with ``live``. Every live entry gets the full update
+    every step, moment decay included.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.seen = {}
+        self.live = {}
         self.m = {}
         self.v = {}
         self.t = {}
@@ -203,19 +217,32 @@ class Adam:
         return None
 
     def update(self, name, param, grad, lr):
-        if name not in self.m:
-            self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
-        m, v = self.m[name], self.v[name]
+        if not param.flags.c_contiguous:
+            raise ValueError(f"slot {name!r}: parameter must be contiguous")
+        param_flat, grad_flat = param.reshape(-1), grad.reshape(-1)
+        if name not in self.seen:
+            self.seen[name] = np.zeros(param.size, dtype=bool)
+            self.live[name] = np.empty(0, dtype=np.intp)
+            self.m[name], self.v[name] = np.empty(0), np.empty(0)
+        new = grad_flat != 0
+        np.greater(new, self.seen[name], out=new)
+        if new.any():  # first non-zero gradients: insert them with zero moments
+            new = np.flatnonzero(new)
+            self.seen[name][new] = True
+            at = np.searchsorted(self.live[name], new)
+            self.live[name] = np.insert(self.live[name], at, new)
+            self.m[name] = np.insert(self.m[name], at, 0.0)
+            self.v[name] = np.insert(self.v[name], at, 0.0)
+        live, m, v = self.live[name], self.m[name], self.v[name]
         t = self.t.get(name, 0) + 1
         self.t[name] = t
         c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
-        if not all(a.flags.c_contiguous for a in (param, m, v)):
-            raise ValueError(f"slot {name!r}: parameter and moments must be contiguous")
-        flat = [a.reshape(-1) for a in (param, grad, m, v)]
-        # in cache-sized blocks, with the textbook update's operations in
-        # its order, so every value is the unblocked update's bit for bit
-        for lo in range(0, param.size, ADAM_BLOCK):
-            p, g, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in flat)
+        # in cache-sized blocks of live entries, with the textbook update's
+        # operations in its order, so every value is its bit for bit
+        for lo in range(0, live.size, ADAM_BLOCK):
+            idx = live[lo:lo + ADAM_BLOCK]
+            p, g = param_flat[idx], grad_flat[idx]
+            mb, vb = m[lo:lo + ADAM_BLOCK], v[lo:lo + ADAM_BLOCK]
             a, b = self._a[:g.size], self._b[:g.size]
             mb *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=a)
@@ -231,6 +258,7 @@ class Adam:
             b += self.eps
             a /= b
             p -= a
+            param_flat[idx] = p
 
 
 def gravity_align(camera_centers):

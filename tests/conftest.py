@@ -130,3 +130,21 @@ def plane_shading(normal, sky, albedo_raw=0.0, ddf=None, params=None,
     )
     rgb, w, background = (out[k].data[0] for k in ("rgb", "W", "background"))
     return rgb - (1.0 - w) * background, out["weighted_albedo"].data[0]
+
+
+class TextbookAdam(tr.Adam):
+    """Reference optimizer: the textbook Adam update (Kingma & Ba, arXiv
+    1412.6980) of every entry of a slot at every step, with dense moments
+    ``m[name]`` and ``v[name]`` shaped as the slot. ``tr.Adam`` must give
+    its parameters and moments bit for bit."""
+
+    def update(self, name, param, grad, lr):
+        if name not in self.m:
+            self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
+        m, v = self.m[name], self.v[name]
+        t = self.t.get(name, 0) + 1
+        self.t[name] = t
+        b1, b2 = self.beta1, self.beta2
+        m[...] = b1 * m + (1.0 - b1) * grad
+        v[...] = b2 * v + (1.0 - b2) * grad * grad
+        param -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + self.eps)

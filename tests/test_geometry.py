@@ -332,9 +332,10 @@ def test_vmf_rotates_each_row_to_its_own_mean():
     assert np.allclose(v, means[:, None, :], atol=5e-3)
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0])
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 1e-300, 1e-14])
 def test_vmf_rejects_non_positive_concentration(kappa):
-    # kappa = 0 would divide 0 by 0 into NaN directions
+    # kappa = 0 would divide 0 by 0 into NaN directions; at 1e-300 every
+    # sample would sit on the mean, because e^{-2k} rounds to 1
     with pytest.raises(geo.ConfigError):
         geo.vmf_sample_batch([0.0, 0.0, 1.0], kappa, 4, np.random.default_rng(0))
 

@@ -15,7 +15,7 @@ from skylit import visibility as vz
 from skylit.geometry import ConfigError
 from skylit.render import render_image
 from skylit.scenes import CLASS_TRANSIENT, generate_dataset, make_scene
-from tests.conftest import CLI_CONFIG, tiny_train_config
+from tests.conftest import CLI_CONFIG, TextbookAdam, tiny_train_config
 
 DECLARED = dataclasses.fields(tr.TrainConfig)
 RANGED = [f for f in DECLARED if f.metadata["range"]]
@@ -163,27 +163,131 @@ def test_adam_moves_toward_minimum():
     assert np.isfinite(adam.m["x"]).all() and np.isfinite(adam.v["x"]).all()
 
 
-@pytest.mark.parametrize("shape", [
-    (), (7,), (tr.ADAM_BLOCK - 1,), (tr.ADAM_BLOCK,), (tr.ADAM_BLOCK + 1,),
-    (5, 9, 13, 31),
-], ids=["0-d", "1-d", "block-1", "block", "block+1", "4-d-sparse"])
-def test_adam_update_is_the_textbook_update_bit_for_bit(shape):
+def dense_moments(adam, name, shape):
+    """``adam``'s moments of slot ``name`` as arrays shaped as the slot,
+    0 at every entry that never had a non-zero gradient."""
+    out = []
+    for compact in (adam.m[name], adam.v[name]):
+        dense = np.zeros(shape)
+        dense.reshape(-1)[adam.live[name]] = compact
+        out.append(dense)
+    return out
+
+
+def _dense_grad(rng, shape, t):
+    return rng.normal(size=shape)
+
+
+def _sparse_grad(rng, shape, t):  # most entries exactly 0, as for a grid slot
+    return np.where(rng.random(shape) < 0.05, rng.normal(size=shape), 0.0)
+
+
+def _touched_once_grad(rng, shape, t):
+    # one gradient, then 19 zero ones: the entry's moments decay and it keeps
+    # moving, which an update of touched entries only ("lazy" Adam) misses
+    return np.where(np.arange(shape[0]) == 2, 0.7 if t == 1 else 0.0, -0.0)
+
+
+def _negative_zero_grad(rng, shape, t):
+    # -0.0 on entries that never had a gradient must leave them as they are
+    g = np.full(shape, -0.0)
+    g[[3, 40]] = rng.normal(size=2)
+    return g
+
+
+def _fills_up_grad(rng, shape, t):
+    # new entries join each step until every entry is live
+    return _dense_grad(rng, shape, t) * (t > 10 or rng.random(shape) < 0.3)
+
+
+ADAM_CASES = {
+    "0-d": ((), _dense_grad), "1-d": ((7,), _dense_grad),
+    "block-1": ((tr.ADAM_BLOCK - 1,), _dense_grad),
+    "block": ((tr.ADAM_BLOCK,), _dense_grad),
+    "block+1": ((tr.ADAM_BLOCK + 1,), _dense_grad),
+    "4-d-sparse": ((5, 9, 13, 31), _sparse_grad),
+    "touched-once": ((5,), _touched_once_grad),
+    "negative-zero": ((64,), _negative_zero_grad),
+    "becomes-fully-live": ((2 * tr.ADAM_BLOCK + 3,), _fills_up_grad),
+}
+
+
+@pytest.mark.parametrize("case", ADAM_CASES)
+def test_adam_update_is_the_textbook_update_bit_for_bit(case):
+    shape, grad_of = ADAM_CASES[case]
     rng = np.random.default_rng(11)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
-    adam = tr.Adam(b1, b2, eps)
+    adam, ref = tr.Adam(b1, b2, eps), TextbookAdam(b1, b2, eps)
     param = rng.normal(size=shape)
-    ref_p, ref_m, ref_v = param.copy(), np.zeros(shape), np.zeros(shape)
+    param.reshape(-1)[1::3] = -0.0
+    ref_p = param.copy()
     for t in range(1, 21):
-        grad = rng.normal(size=shape)
-        if len(shape) == 4:  # most entries exactly 0, as for a grid slot
-            grad = np.where(rng.random(shape) < 0.05, grad, 0.0)
+        grad = grad_of(rng, shape, t)
+        before = param.copy()
         adam.update("p", param, grad, lr)
-        ref_m = b1 * ref_m + (1.0 - b1) * grad
-        ref_v = b2 * ref_v + (1.0 - b2) * grad * grad
-        ref_p = ref_p - lr * (ref_m / (1.0 - b1**t)) / (
-            np.sqrt(ref_v / (1.0 - b2**t)) + eps)
-        for got, want in ((param, ref_p), (adam.m["p"], ref_m), (adam.v["p"], ref_v)):
+        ref.update("p", ref_p, grad, lr)
+        for got, want in zip([param, *dense_moments(adam, "p", shape)],
+                             (ref_p, ref.m["p"], ref.v["p"])):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if case == "touched-once":
+            assert param[2] != before[2]
+    if case == "becomes-fully-live":
+        assert adam.live["p"].size == param.size
+
+
+def test_adam_keeps_state_only_for_entries_with_gradients():
+    rng = np.random.default_rng(3)
+    shape, k = (64, 64, 64), 37
+    touched = rng.choice(np.prod(shape), k, replace=False)
+    param = rng.normal(size=shape)
+    param.reshape(-1)[::5] = -0.0
+    start = param.copy()
+    adam = tr.Adam()
+    for _ in range(10):
+        grad = np.zeros(shape)
+        grad.reshape(-1)[touched] = rng.normal(size=k)
+        adam.update("grid", param, grad, 1e-2)
+    assert adam.m["grid"].size == adam.v["grid"].size == k
+    assert np.array_equal(adam.live["grid"], np.sort(touched))
+    others = np.ones(param.size, dtype=bool)
+    others[touched] = False
+    assert param.reshape(-1)[others].tobytes() == start.reshape(-1)[others].tobytes()
+    assert (param.reshape(-1)[touched] != start.reshape(-1)[touched]).all()
+
+
+def test_compact_adam_trains_as_the_textbook_adam(tiny_dataset, two_sphere_scene,
+                                                  monkeypatch):
+    # the real gradients: gather adjoints, -0.0 sums of np.bincount, 0-d slots
+    _, dataset = tiny_dataset
+    cfg = tiny_train_config(steps=30, ddf_refresh_every=10)
+    compact, textbook = tr.Trainer(dataset, cfg), tr.Trainer(dataset, cfg)
+    textbook.adam = TextbookAdam()
+    for _ in range(12):
+        compact.train_step()
+        textbook.train_step()
+    got, want = tr.slot_arrays(compact), tr.slot_arrays(textbook)
+    assert got.keys() == want.keys() == tr.PARAM_GROUPS.keys()
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes(), name
+        moments = dense_moments(compact.adam, name, got[name].shape)
+        assert moments[0].tobytes() == textbook.adam.m[name].tobytes(), name
+        assert moments[1].tobytes() == textbook.adam.v[name].tobytes(), name
+    assert compact.rejected_steps == textbook.rejected_steps == []
+    shares = {n: compact.adam.live[n].size / got[n].size for n in got}
+    assert all(0 < shares[n] < 1 for n in ("sdf_grid", "albedo_grid", "ddf_grid"))
+    assert shares["vis_eps_raw"] == 1 and got["vis_eps_raw"].ndim == 0
+
+    def fit(adam_class):
+        monkeypatch.setattr(tr, "Adam", adam_class)
+        ddf = vz.DdfField.zero_init((8, 16), (6, 12))
+        return tr.fit_ddf_to_scene(two_sphere_scene, ddf=ddf, steps=8, warmup=2,
+                                   n_positions=4, n_directions=32,
+                                   multiview_pairs=8)
+
+    (ddf, history), (ref_ddf, ref_history) = fit(tr.Adam), fit(TextbookAdam)
+    assert ddf.grid.tobytes() == ref_ddf.grid.tobytes()
+    assert np.array_equal(history, ref_history)
+    assert (ddf.grid == 0).any() and (ddf.grid != 0).any()  # partly untouched
 
 
 def test_adam_step_with_nan_gradient_changes_nothing():
@@ -201,14 +305,17 @@ def test_adam_step_with_nan_gradient_changes_nothing():
         return adam.step(tape, loss, {"a": 0.1, "b": 0.1})
 
     assert step(np.where(mask, c, 1.0)) is None
+    # the NaN lands on a[1], which has never had a gradient
+    assert np.array_equal(adam.live["a"], [0, 2])
     state = [a.copy(), b.copy(), dict(adam.t)] + [
-        {k: x.copy() for k, x in d.items()} for d in (adam.m, adam.v)]
+        {k: x.copy() for k, x in d.items()}
+        for d in (adam.seen, adam.live, adam.m, adam.v)]
     assert step(c) == "non-finite gradient in a"
-    assert np.array_equal(a, state[0]) and np.array_equal(b, state[1])
+    assert a.tobytes() == state[0].tobytes() and b.tobytes() == state[1].tobytes()
     assert adam.t == state[2] == {"a": 1, "b": 1}
-    for moments, saved in zip((adam.m, adam.v), state[3:]):
-        assert moments.keys() == saved.keys()
-        assert all(np.array_equal(moments[k], saved[k]) for k in saved)
+    for kept, saved in zip((adam.seen, adam.live, adam.m, adam.v), state[3:]):
+        assert kept.keys() == saved.keys()
+        assert all(kept[k].tobytes() == saved[k].tobytes() for k in saved)
 
 
 def test_ddf_fit_rejects_nan_node_and_keeps_the_rest(two_sphere_scene):
