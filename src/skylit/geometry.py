@@ -145,8 +145,11 @@ def so3_jitter(rng):
     )
 
 
-# smallest vMF concentration the sampler takes: below it e^{-2k} rounds
-# towards 1 and the inverse CDF collapses samples onto the mean
+# smallest vMF concentration the sampler takes: the lower bound of the
+# ``vmf_kappa`` config range, shared so that the sampler and the config agree.
+# It is a chosen bound, not a numerical limit: the inverse CDF below samples
+# correctly down to about 1e-8; near 1e-14 its polar angles fall onto a few
+# hundred values, and from about 1e-16 down they collapse onto the mean.
 VMF_KAPPA_MIN = 0.01
 
 

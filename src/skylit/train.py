@@ -188,6 +188,11 @@ class Adam:
     holds their sorted flat indices and ``m[name]``, ``v[name]`` their
     moments, aligned with ``live``. Every live entry gets the full update
     every step, moment decay included.
+
+    ``live``, ``m`` and ``v`` are views of the leading entries of buffers
+    that grow by a quarter when full, and new entries are merged into them
+    in place: new arrays each step fragment the heap, so that over a long
+    run the process's peak memory grows past that of dense moments.
     """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -197,6 +202,7 @@ class Adam:
         self.m = {}
         self.v = {}
         self.t = {}
+        self._buffers = {}  # slot -> (live, m, v) with room to grow
         self._a = np.empty(ADAM_BLOCK)  # work buffers for one block
         self._b = np.empty(ADAM_BLOCK)
 
@@ -222,17 +228,14 @@ class Adam:
         param_flat, grad_flat = param.reshape(-1), grad.reshape(-1)
         if name not in self.seen:
             self.seen[name] = np.zeros(param.size, dtype=bool)
-            self.live[name] = np.empty(0, dtype=np.intp)
-            self.m[name], self.v[name] = np.empty(0), np.empty(0)
+            self._buffers[name] = [np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)]
+            self.live[name], self.m[name], self.v[name] = self._buffers[name]
         new = grad_flat != 0
         np.greater(new, self.seen[name], out=new)
         if new.any():  # first non-zero gradients: insert them with zero moments
             new = np.flatnonzero(new)
             self.seen[name][new] = True
-            at = np.searchsorted(self.live[name], new)
-            self.live[name] = np.insert(self.live[name], at, new)
-            self.m[name] = np.insert(self.m[name], at, 0.0)
-            self.v[name] = np.insert(self.v[name], at, 0.0)
+            self._insert(name, new)
         live, m, v = self.live[name], self.m[name], self.v[name]
         t = self.t.get(name, 0) + 1
         self.t[name] = t
@@ -259,6 +262,32 @@ class Adam:
             a /= b
             p -= a
             param_flat[idx] = p
+
+    def _insert(self, name, new):
+        """Merge the sorted flat indices ``new`` into slot ``name``'s
+        ``live``, with zero moments, keeping ``live`` sorted."""
+        n, k = self.live[name].size, new.size
+        at = np.searchsorted(self.live[name], new)
+        # as np.insert does: from the first insertion point on, the old
+        # entries fill the places that the new ones leave free
+        first = at[0]
+        old = np.ones(n + k - first, dtype=bool)
+        old[at - first + np.arange(k)] = False
+        buffers = self._buffers[name]
+        size = min(max(n + k, buffers[0].size * 5 // 4), self.seen[name].size)
+        for i, (state, value) in enumerate(zip((self.live, self.m, self.v),
+                                               (new, 0.0, 0.0))):
+            moved = state[name][first:]
+            if n + k > buffers[i].size:
+                # one array at a time, so the old one is freed before the next grows
+                buffers[i] = np.empty(size, dtype=moved.dtype)
+                buffers[i][:first] = state[name][:first]
+            else:
+                moved = moved.copy()  # a masked write does not see the overlap
+            tail = buffers[i][first:n + k]
+            tail[old] = moved
+            tail[~old] = value
+            state[name] = buffers[i][:n + k]
 
 
 def gravity_align(camera_centers):

@@ -334,8 +334,10 @@ def test_vmf_rotates_each_row_to_its_own_mean():
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, 1e-300, 1e-14])
 def test_vmf_rejects_non_positive_concentration(kappa):
-    # kappa = 0 would divide 0 by 0 into NaN directions; at 1e-300 every
-    # sample would sit on the mean, because e^{-2k} rounds to 1
+    # below the vmf_kappa config floor of 0.01. kappa = 0 would divide 0 by
+    # 0 into NaN directions; at 1e-300 every sample would sit on the mean,
+    # because e^{-2k} rounds to 1; near 1e-14 the polar angles fall onto a
+    # few hundred values
     with pytest.raises(geo.ConfigError):
         geo.vmf_sample_batch([0.0, 0.0, 1.0], kappa, 4, np.random.default_rng(0))
 

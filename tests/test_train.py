@@ -200,6 +200,13 @@ def _fills_up_grad(rng, shape, t):
     return _dense_grad(rng, shape, t) * (t > 10 or rng.random(shape) < 0.3)
 
 
+def _one_more_each_step_grad(rng, shape, t):
+    # one new entry a step, in scattered order: most are merged in place,
+    # before, between and after the live ones
+    order = np.random.default_rng(5).permutation(shape[0])
+    return np.where(np.isin(np.arange(shape[0]), order[:t]), rng.normal(size=shape), 0.0)
+
+
 ADAM_CASES = {
     "0-d": ((), _dense_grad), "1-d": ((7,), _dense_grad),
     "block-1": ((tr.ADAM_BLOCK - 1,), _dense_grad),
@@ -209,6 +216,7 @@ ADAM_CASES = {
     "touched-once": ((5,), _touched_once_grad),
     "negative-zero": ((64,), _negative_zero_grad),
     "becomes-fully-live": ((2 * tr.ADAM_BLOCK + 3,), _fills_up_grad),
+    "one-more-each-step": ((40,), _one_more_each_step_grad),
 }
 
 
