@@ -202,7 +202,7 @@ class Adam:
         self.m = {}
         self.v = {}
         self.t = {}
-        self._buffers = {}  # slot -> (live, m, v) with room to grow
+        self._buffers = {}  # slot -> [live, m, v] buffers with room to grow
         self._a = np.empty(ADAM_BLOCK)  # work buffers for one block
         self._b = np.empty(ADAM_BLOCK)
 
