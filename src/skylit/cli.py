@@ -49,7 +49,7 @@ def _cmd_train(args):
     dataset = _load_aligned(data_dir)
     os.makedirs(args.out, exist_ok=True)
     trainer = tr.Trainer(dataset, cfg,
-                         log_path=os.path.join(args.out, "losses.csv"))
+                         log_path=os.path.join(args.out, "steps.jsonl"))
     trainer.train(progress_every=args.progress_every)
     trainer.close()
     tr.save_checkpoint(args.out, trainer)

@@ -335,10 +335,13 @@ def stratified_samples(origins, directions, n_samples, rng, near=0.02):
 class TraceResult:
     hit: np.ndarray        # (N,) bool
     t: np.ndarray          # (N,) distance at hit (or last position)
-    converged: np.ndarray  # (N,) False only when max_steps ran out mid-trace
+    converged: np.ndarray  # (N,) False only when TRACE_STEPS ran out mid-trace
 
 
-def sphere_trace(sdf_like, origins, dirs, max_steps=128):
+TRACE_STEPS = 192  # sphere-tracing steps per ray, for every caller
+
+
+def sphere_trace(sdf_like, origins, dirs):
     """Classic sphere tracing against anything exposing ``sdf_np(points)``.
 
     Serves as the non-differentiable visibility/depth oracle. A ray hits
@@ -347,7 +350,8 @@ def sphere_trace(sdf_like, origins, dirs, max_steps=128):
     also exposes ``intersect``, which ignores hits outside the unit ball) are
     solved in closed form: marching would only approximate the same roots,
     at about ten times the cost. A ray that starts within ``threshold`` of a
-    surface hits at t = 0 either way.
+    surface hits at t = 0 either way. A marched ray still active after
+    ``TRACE_STEPS`` steps reports no hit and ``converged`` False.
     """
     threshold = 1e-4
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
@@ -365,7 +369,7 @@ def sphere_trace(sdf_like, origins, dirs, max_steps=128):
     t = np.zeros(n)
     active = np.ones(n, dtype=bool)
     hit = np.zeros(n, dtype=bool)
-    for _ in range(max_steps):
+    for _ in range(TRACE_STEPS):
         if not np.any(active):
             break
         pts = o[active] + t[active, None] * d[active]

@@ -128,10 +128,10 @@ def radiance(bank, row, dirs):
 
 
 def prior_loss(Z):
-    """Squared Frobenius norm of the latent(s); Var in, Var out."""
-    if isinstance(Z, tp.Var):
-        return tp.vsum(Z * Z)
-    return float(np.sum(np.square(Z)))
+    """Squared Frobenius norm of the latents, the mean over the images
+    (the rows of ``Z``) by the rule of every term in ``losses``; Var in, Var
+    out."""
+    return tp.vsum(Z * Z) / max(Z.shape[0], 1)
 
 
 def export_envmap(bank, row, width, height):

@@ -1,10 +1,13 @@
 """Every loss term as a pure differentiable function of batch data and fields.
 
-All terms are sums over their batch (the trainer normalizes per entry when
-composing the weighted total) and are zero exactly at their documented fixed
-points. A term whose selection is empty (no surface hits, no kept sky ray, no
-valid multiview pair) runs the same path on the empty set and returns an
-on-tape zero, so ``backward`` gives all-zero gradients instead of failing.
+Each term is the mean over the batch it is passed: its sum divided once by
+the batch's count, which each docstring names, so callers only weight and
+add. Entries a term skips (a miss ray, a dropped sky ray, an invalid pair,
+a degenerate normal) still count and add 0. The mean of an empty batch is
+an on-tape zero: the term runs the same path on the empty set and divides
+by max(n, 1), so ``backward`` gives all-zero gradients instead of failing.
+Every term is zero exactly at its documented fixed points. The epsilon
+anneal acts on one scalar and has no batch.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ def tonemap(linear):
 
 
 def color_error(pred_srgb, gt_srgb):
-    """Per-ray L1 plus cosine (hue) error, summed over the batch."""
+    """Per-ray L1 plus cosine (hue) error, summed over the batch; the terms
+    that use it divide the sum by their ray count."""
     gt = np.asarray(gt_srgb, dtype=np.float64)
     diff = tp.absolute(pred_srgb - gt)
     l1 = tp.vsum(diff)
@@ -48,8 +52,8 @@ def color_error(pred_srgb, gt_srgb):
 
 
 def appearance_loss(pred_linear, gt_srgb):
-    """Tonemapped L1 + cosine appearance error, summed over rays."""
-    return color_error(tonemap(pred_linear), gt_srgb)
+    """Tonemapped L1 + cosine appearance error, the mean over the rays."""
+    return color_error(tonemap(pred_linear), gt_srgb) / max(pred_linear.shape[0], 1)
 
 
 def sky_loss(sky_linear, gt_srgb, accumulated_weight):
@@ -57,12 +61,13 @@ def sky_loss(sky_linear, gt_srgb, accumulated_weight):
 
     ``sky_linear`` is the illumination radiance along each sky ray (linear
     HDR); the color error reuses the appearance error on its tonemapped
-    value. The BCE term is -log(1 - W) with W clamped below 1.
+    value. The BCE term is -log(1 - W) with W clamped below 1. The mean over
+    the sky rays of both together.
     """
     color = color_error(tonemap(sky_linear), gt_srgb)
     w = tp.minimum(tp.maximum(accumulated_weight, 0.0), 1.0 - 1e-6)
     bce = -tp.vsum(tp.log(1.0 - w))
-    return color + bce
+    return (color + bce) / max(sky_linear.shape[0], 1)
 
 
 @dataclass
@@ -122,28 +127,29 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
 
 
 def trace_depths(sdf_like, positions, directions):
-    """Sphere-traced (192 steps) pseudo-ground-truth (depths, hit), each
-    (P,Q), of the rays from positions (P,3) along directions (P,Q,3); rays
-    that miss get the full chord to the sphere exit so depths stay in
-    (0,2]."""
+    """Sphere-traced pseudo-ground-truth (depths, hit), each (P,Q), of the
+    rays from positions (P,3) along directions (P,Q,3); rays that miss get
+    the full chord to the sphere exit so depths stay in (0,2]."""
     shape = directions.shape[:2]
     res = sphere_trace(sdf_like, np.repeat(positions, shape[1], axis=0),
-                       directions.reshape(-1, 3), max_steps=192)
+                       directions.reshape(-1, 3))
     return np.clip(res.t, 1e-4, 2.0).reshape(shape), res.hit.reshape(shape)
 
 
 def ddf_depth_loss(batch, bound_ddf):
-    """Sum of |traced depth - predicted depth| over the batch."""
+    """Mean of |traced depth - predicted depth| over the batch's rays."""
     pred = ddf_eval(bound_ddf, batch.flat_positions, batch.flat_directions)
-    return tp.vsum(tp.absolute(batch.flat_depths - pred))
+    err = tp.absolute(batch.flat_depths - pred)
+    return tp.vsum(err) / max(err.shape[0], 1)
 
 
 def ddf_levelset_loss(batch, bound_ddf, bound_fields):
     """Walking the predicted depth must land on the SDF zero level set.
 
     Only rays with an actual surface along them participate (a miss ray has
-    no zero crossing, so the term's fixed point would be unsatisfiable).
-    Gradients reach both the DDF and the SDF grid.
+    no zero crossing, so the term's fixed point would be unsatisfiable), yet
+    the squared SDF values are divided by all of the batch's rays: a miss
+    counts as 0. Gradients reach both the DDF and the SDF grid.
     """
     keep = batch.flat_hit
     s = batch.flat_positions[keep]
@@ -151,7 +157,7 @@ def ddf_levelset_loss(batch, bound_ddf, bound_fields):
     pred = ddf_eval(bound_ddf, s, d)
     land = tp._lift(s) + tp.reshape(pred, (-1, 1)) * d
     f = sdf_eval(bound_fields, land)
-    return tp.vsum(f * f)
+    return tp.vsum(f * f) / max(batch.flat_depths.size, 1)
 
 
 def ddf_multiview_loss(pairs, bound_ddf):
@@ -163,7 +169,7 @@ def ddf_multiview_loss(pairs, bound_ddf):
     the term bounds f2 only: a gradient through f1 would meet the bound by
     pulling x1 toward s1, which biases the depths it is meant to check.
     Pairs with a near-zero baseline or with d2 pointing outward at s2 are
-    skipped.
+    skipped; the mean is over all the pairs passed.
     """
     s1, d1, s2 = pairs
     source = BoundDdf(None, bound_ddf.field, bound_ddf.params, trainable=False)
@@ -174,7 +180,7 @@ def ddf_multiview_loss(pairs, bound_ddf):
     valid = (dist > 1e-6) & (np.sum(d2 * s2, axis=-1) < -1e-6)
     f2 = ddf_eval(bound_ddf, s2, d2, strict=False)
     hinge = tp.where(valid, tp.maximum(f2 - dist, 0.0), np.zeros(dist.shape))
-    return tp.vsum(hinge * hinge)
+    return tp.vsum(hinge * hinge) / max(len(s1), 1)
 
 
 def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0, min_z=0.0):
@@ -210,8 +216,9 @@ def ddf_sky_loss(origins, ray_dirs, bound_ddf):
     """Sky rays see no occluder before the sphere, so the DDF looking back
     along them must predict at least the distance to the camera origin.
 
-    Cameras outside the unit sphere are substituted by the ray's entry point
-    (flagged); rays that miss the sphere entirely are skipped.
+    Cameras outside the unit sphere are substituted by the ray's entry point;
+    rays that miss the sphere entirely are skipped. The mean over all the
+    sky rays passed.
     """
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     r = np.atleast_2d(np.asarray(ray_dirs, dtype=np.float64))
@@ -221,17 +228,16 @@ def ddf_sky_loss(origins, ray_dirs, bound_ddf):
     t_entry = np.where(outside, q.t_near, 0.0)
     t_exit = q.t_far
     keep = ~miss & (t_exit > 1e-9) & (t_entry >= 0.0)
-    flagged = outside & keep
     s = o[keep] + t_exit[keep, None] * r[keep]
     dist = t_exit[keep] - t_entry[keep]
     pred = ddf_eval(bound_ddf, s, -r[keep], strict=False)
-    return tp.vsum(tp.maximum(dist - pred, 0.0)), flagged
+    return tp.vsum(tp.maximum(dist - pred, 0.0)) / max(len(o), 1)
 
 
 def ground_plane_loss(weighted_normals):
     """MonoSDF-style consistency of volume-rendered normals with world-up:
-    sum of ||N - w||_1 + ||1 - N.w||_1 over ground rays; degenerate rays
-    (unnormalizable N) are skipped."""
+    the mean of ||N - w||_1 + ||1 - N.w||_1 over the ground rays passed;
+    degenerate rays (unnormalizable N) add 0."""
     raw = weighted_normals
     norm = np.linalg.norm(raw.data, axis=-1)
     valid = norm > 1e-6
@@ -240,7 +246,7 @@ def ground_plane_loss(weighted_normals):
     l1 = tp.vsum(tp.absolute(n - up), axis=-1)
     align = tp.absolute(1.0 - tp.vsum(n * up, axis=-1))
     per_ray = tp.where(valid, l1 + align, np.zeros(l1.data.shape))
-    return tp.vsum(per_ray)
+    return tp.vsum(per_ray) / max(raw.shape[0], 1)
 
 
 def eps_anneal_loss(epsilon):

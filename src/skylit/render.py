@@ -42,9 +42,9 @@ class RenderOutput:
         return srgb(self.rgb)
 
 
-def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
-                image_idx, dir_set, jitter, rng, n_samples=64,
-                stop_grad_vis=False, near=0.02):
+def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
+                *, dir_set, jitter, rng, n_samples=64, stop_grad_vis=False,
+                near=0.02):
     """Differentiable forward render of a ray batch.
 
     Returns a dict: linear color ``rgb``, accumulated weight ``W``, expected
@@ -52,7 +52,9 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
     volume-rendered normals and albedo, and the background radiance along
     each ray. Visibility is evaluated once at the expected termination point
     x_e and shared by every sample on the ray; it is off (every direction
-    visible) when ``bound_ddf`` is None.
+    visible) when ``bound_ddf`` is None. Only sky-side directions (d_z > 0
+    after ``jitter``) query it: a direction on or below the horizon is
+    visible, as in ``soft_visibility``.
     """
     origins = np.atleast_2d(origins)
     dirs = np.atleast_2d(dirs)
@@ -70,7 +72,7 @@ def render_rays(tape, bound_fields, bound_illum, bound_ddf, origins, dirs,
     normals = tp.reshape(normals, (n_rays, n_samples, 3))
 
     d_world = dir_set.directions @ np.asarray(jitter).T
-    upper = d_world[:, 2] >= 0.0
+    upper = d_world[:, 2] > 0.0
     quad_scale = 4.0 * np.pi / dir_set.count
 
     def hemi_irradiance(d_sub, vis):
@@ -137,8 +139,8 @@ def render_image(camera, scene_fields, bank, row, ddf=None, params=None,
         ray_d = camera.ray_dirs(px)
         ray_o = np.broadcast_to(camera.origin, ray_d.shape)
         out = render_rays(
-            None, bf, bi, bd, ray_o, ray_d, np.full(len(px), row, dtype=np.int64),
-            dir_set, jitter, rng, n_samples=n_samples,
+            bf, bi, bd, ray_o, ray_d, np.full(len(px), row, dtype=np.int64),
+            dir_set=dir_set, jitter=jitter, rng=rng, n_samples=n_samples,
         )
         sl = slice(lo, lo + len(px))
         rgb[sl] = out["rgb"].data

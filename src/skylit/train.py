@@ -13,7 +13,7 @@ whose gradient was ever non-zero.
 
 from __future__ import annotations
 
-import csv
+import json
 import os
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields
@@ -426,15 +426,12 @@ class Trainer:
         self.ddf_batch = None
         self.mv_pairs = None
         self.history = []
-        self.rejected_steps = []
         self.log_path = log_path
-        self._log_fh = None
-        if log_path:
-            self._log_fh = open(log_path, "w", newline="", encoding="utf-8")
-            self._csv = csv.writer(self._log_fh)
-            self._csv.writerow(["step", *LOSS_TERMS, "total", "epsilon",
-                                "lr_fields", "lr_ddf", "lr_illum", "lr_eps",
-                                "rejected"])
+        self._log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+
+    @property
+    def rejected_steps(self):
+        return [rec["step"] for rec in self.history if rec["rejected"]]
 
     # -- schedules -----------------------------------------------------
     def learning_rates(self, step):
@@ -473,77 +470,59 @@ class Trainer:
         bi = il.BoundIllumination(tape, self.bank)
         bd = vz.BoundDdf(tape, self.ddf, self.vis_params)
         out = rd.render_rays(
-            tape, bf, bi, bd if cfg.use_visibility else None,
-            batch.origins, batch.dirs, batch.image_idx, self.dir_set, jitter,
-            self.rng, n_samples=cfg.samples_per_ray,
+            bf, bi, bd if cfg.use_visibility else None,
+            batch.origins, batch.dirs, batch.image_idx, dir_set=self.dir_set,
+            jitter=jitter, rng=self.rng, n_samples=cfg.samples_per_ray,
             stop_grad_vis=cfg.stop_gradient, near=cfg.near,
         )
 
-        terms = {}
-        if cfg.weight_appearance > 0:
-            terms["appearance"] = ls.appearance_loss(out["rgb"], batch.gt) \
-                / cfg.rays_per_batch
-        if cfg.weight_prior > 0:
-            terms["prior"] = il.prior_loss(bi.Z) / self.bank.n_images
-        sky_mask = batch.classes == CLASS_SKY
-        if cfg.weight_sky > 0 and np.any(sky_mask):
-            terms["sky"] = ls.sky_loss(
-                out["background"][sky_mask], batch.gt[sky_mask],
-                out["W"][sky_mask],
-            ) / int(sky_mask.sum())
-        if cfg.weight_ddf_depth > 0:
-            terms["ddf_depth"] = ls.ddf_depth_loss(self.ddf_batch, bd) \
-                / self.ddf_batch.flat_depths.size
-        if cfg.weight_ddf_levelset > 0:
-            terms["ddf_levelset"] = ls.ddf_levelset_loss(self.ddf_batch, bd, bf) \
-                / self.ddf_batch.flat_depths.size
-        # a grid SDF with no zero crossing yields no pairs, hence no term
-        n_pairs = len(self.mv_pairs[0])
-        if cfg.weight_ddf_multiview > 0 and n_pairs:
-            terms["ddf_multiview"] = ls.ddf_multiview_loss(self.mv_pairs, bd) \
-                / n_pairs
-        if cfg.weight_ddf_sky > 0 and np.any(sky_mask):
-            sky_term, _ = ls.ddf_sky_loss(
-                batch.origins[sky_mask], batch.dirs[sky_mask], bd,
-            )
-            terms["ddf_sky"] = sky_term / int(sky_mask.sum())
-        ground_mask = batch.classes == CLASS_GROUND
-        if cfg.weight_ground_plane > 0 and np.any(ground_mask):
-            terms["ground_plane"] = ls.ground_plane_loss(
-                out["weighted_normals"][ground_mask],
-            ) / int(ground_mask.sum())
-        if cfg.weight_eps_anneal > 0:
-            terms["eps_anneal"] = ls.eps_anneal_loss(bd.epsilon())
+        # each term is its batch's mean (an empty batch gives an on-tape 0)
+        sky = batch.classes == CLASS_SKY
+        ground = batch.classes == CLASS_GROUND
+        compute = {
+            "appearance": lambda: ls.appearance_loss(out["rgb"], batch.gt),
+            "prior": lambda: il.prior_loss(bi.Z),
+            "sky": lambda: ls.sky_loss(out["background"][sky], batch.gt[sky],
+                                       out["W"][sky]),
+            "ddf_depth": lambda: ls.ddf_depth_loss(self.ddf_batch, bd),
+            "ddf_levelset": lambda: ls.ddf_levelset_loss(self.ddf_batch, bd, bf),
+            "ddf_multiview": lambda: ls.ddf_multiview_loss(self.mv_pairs, bd),
+            "ddf_sky": lambda: ls.ddf_sky_loss(batch.origins[sky],
+                                               batch.dirs[sky], bd),
+            "ground_plane": lambda: ls.ground_plane_loss(
+                out["weighted_normals"][ground]),
+            "eps_anneal": lambda: ls.eps_anneal_loss(bd.epsilon()),
+        }
+        terms = {name: compute[name]() for name in LOSS_TERMS
+                 if getattr(cfg, f"weight_{name}") > 0}
 
         total = None
         for name, term in terms.items():
             contrib = getattr(cfg, f"weight_{name}") * term
             total = contrib if total is None else total + contrib
         if total is None:
-            record = self._record(step, terms, 0.0)
+            record = self._record(step, terms, 0.0, None)
         else:
             lrs = self.learning_rates(step)
             reason = self.adam.step(tape, total, {
                 name: lrs[PARAM_GROUPS[name][0]] for name in tape.params})
-            if reason is not None:
-                self.rejected_steps.append(step)
-            record = self._record(step, terms, float(total.data),
-                                  rejected=reason is not None)
+            record = self._record(step, terms, float(total.data), reason)
         self.step_count += 1
         return record
 
-    def _record(self, step, terms, total, rejected=False):
-        lrs = self.learning_rates(step)
+    def _record(self, step, terms, total, rejected):
+        """One step's record: every loss term (0.0 where its weight is 0),
+        the total, epsilon, the rates, and why the step was rejected (None
+        when it was applied or had no term). With ``log_path`` it is also
+        written as one JSON line."""
         rec = {name: float(terms[name].data) if name in terms else 0.0
                for name in LOSS_TERMS}
         rec |= dict(step=step, total=total, epsilon=self.vis_params.epsilon,
-                    rejected=rejected, **{f"lr_{k}": v for k, v in lrs.items()})
+                    rejected=rejected,
+                    **{f"lr_{k}": v for k, v in self.learning_rates(step).items()})
         self.history.append(rec)
         if self._log_fh:
-            self._csv.writerow(
-                [step, *[rec[t] for t in LOSS_TERMS], total, rec["epsilon"],
-                 lrs["fields"], lrs["ddf"], lrs["illum"], lrs["eps"], int(rejected)]
-            )
+            self._log_fh.write(json.dumps(rec) + "\n")
         return rec
 
     def train(self, n_steps=None, progress_every=0):
@@ -569,8 +548,9 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
                              init=None, freeze_latent=False):
     """Freeze all fields and fit only (Z, gamma) on one holdout view.
 
-    The loss is the appearance error plus the sky-pixel color error (no
-    density term). Visibility is off when no ``ddf`` is passed. Starts from
+    The loss is the appearance error over the batch plus the same error
+    over its sky pixels alone, the sky color term (no density term), each a
+    mean. Visibility is off when no ``ddf`` is passed. Starts from
     the zero latent, or from a copy of the one-row bank ``init``. Returns
     (one-row bank, info); info flags a holdout without sky pixels and lists
     the losses of the accepted steps. Field gradients are exactly zero by
@@ -594,17 +574,13 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
         bd = (None if ddf is None
               else vz.BoundDdf(tape, ddf, vis_params, trainable=False))
         out = rd.render_rays(
-            tape, bf, bi, bd, batch.origins, batch.dirs,
-            np.zeros(batch_size, dtype=np.int64), dir_set, jitter, rng,
-            n_samples=samples_per_ray,
+            bf, bi, bd, batch.origins, batch.dirs,
+            np.zeros(batch_size, dtype=np.int64), dir_set=dir_set,
+            jitter=jitter, rng=rng, n_samples=samples_per_ray,
         )
-        loss = ls.appearance_loss(out["rgb"], batch.gt) / batch_size
-        sky_mask = batch.classes == CLASS_SKY
-        if np.any(sky_mask):
-            sky_err = ls.color_error(
-                ls.tonemap(out["background"][sky_mask]), batch.gt[sky_mask],
-            )
-            loss = loss + sky_err / int(sky_mask.sum())
+        sky = batch.classes == CLASS_SKY
+        loss = (ls.appearance_loss(out["rgb"], batch.gt)
+                + ls.appearance_loss(out["background"][sky], batch.gt[sky]))
         rate = exponential_decay(lr, step, steps)
         rates = {"illum_log_gamma": rate} if freeze_latent else {
             "illum_Z": rate, "illum_log_gamma": rate}
@@ -643,13 +619,9 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
         tape = tp.Tape()
         bd = vz.BoundDdf(tape, ddf, params)
         bf = fd.BoundFields(tape, frozen, trainable=False)
-        n = batch.flat_depths.size
-        loss = (ls.ddf_depth_loss(batch, bd) / n
-                + w_levelset * ls.ddf_levelset_loss(batch, bd, bf) / n)
-        # normalised by the pairs drawn, which can fall short of the request
-        n_pairs = len(pairs[0])
-        if n_pairs:
-            loss = loss + ls.ddf_multiview_loss(pairs, bd) / n_pairs
+        loss = (ls.ddf_depth_loss(batch, bd)
+                + w_levelset * ls.ddf_levelset_loss(batch, bd, bf)
+                + ls.ddf_multiview_loss(pairs, bd))
         ramp = min(step / warmup, 1.0) if warmup else 1.0
         # hold the full rate for half the run (miss-ray chords need the raw
         # values to travel far through the sigmoid), then anneal

@@ -255,9 +255,9 @@ def exit_point(x, d):
 def soft_visibility(bound, x, d, stop_grad=False):
     """Soft sky visibility in [0,1] for points x (||x|| <= 1) and directions d.
 
-    Lower-hemisphere directions (d_z < 0) are exactly visible. Broadcasts:
-    x (R,1,3) against d (1,D,3) produces (R,D). Differentiable w.r.t. x, the
-    DDF grid and epsilon unless ``stop_grad``.
+    Directions on or below the horizon (d_z <= 0) are exactly visible.
+    Broadcasts: x (R,1,3) against d (1,D,3) produces (R,D). Differentiable
+    w.r.t. x, the DDF grid and epsilon unless ``stop_grad``.
     """
     d_np = d.data if isinstance(d, tp.Var) else np.asarray(d, dtype=np.float64)
     s, t = exit_point(x, d)
@@ -265,7 +265,7 @@ def soft_visibility(bound, x, d, stop_grad=False):
     depth = ddf_eval(bound, s, minus_d, strict=False)
     eps = bound.epsilon()
     v = 1.0 - tp.sigmoid(ETA * (t - depth - eps))
-    lower = np.broadcast_to(d_np[..., 2], v.data.shape) < 0.0
+    lower = np.broadcast_to(d_np[..., 2], v.data.shape) <= 0.0
     if np.any(lower):
         v = tp.where(lower, np.ones(v.data.shape), v)
     if stop_grad:

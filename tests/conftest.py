@@ -90,13 +90,13 @@ def tiny_trainer(tiny_dataset):
 
 
 def binary_visibility_oracle(sdf_like, x, d):
-    """Ground-truth-style binary visibility by sphere tracing (192 steps).
+    """Ground-truth-style binary visibility by sphere tracing.
 
     Callers must pre-offset x along the surface normal by twice the trace
     threshold (1e-4). Returns (vis in {0,1}, non_converged flag array); rays
     whose trace ran out of steps are treated as occluded and flagged.
     """
-    res = sphere_trace(sdf_like, x, d, max_steps=192)
+    res = sphere_trace(sdf_like, x, d)
     vis = (~res.hit & res.converged).astype(np.float64)
     return vis, ~res.converged
 
@@ -121,12 +121,12 @@ def plane_shading(normal, sky, albedo_raw=0.0, ddf=None, params=None,
     bound_ddf = None if ddf is None else vz.BoundDdf(None, ddf, params,
                                                      trainable=False)
     out = rd.render_rays(
-        None, fd.BoundFields(None, fd.SceneFields(sdf, albedo), trainable=False),
+        fd.BoundFields(None, fd.SceneFields(sdf, albedo), trainable=False),
         il.BoundIllumination(None, sky, trainable=False), bound_ddf,
         0.4 * n[None, :], -n[None, :], np.zeros(1, dtype=np.int64),
-        icosphere_directions(3),
-        np.eye(3) if jitter is None else jitter, np.random.default_rng(0),
-        n_samples=32,
+        dir_set=icosphere_directions(3),
+        jitter=np.eye(3) if jitter is None else jitter,
+        rng=np.random.default_rng(0), n_samples=32,
     )
     rgb, w, background = (out[k].data[0] for k in ("rgb", "W", "background"))
     return rgb - (1.0 - w) * background, out["weighted_albedo"].data[0]

@@ -95,9 +95,9 @@ def _toy_setup():
 
     def render(t, pv, with_vis=True):
         bf, bi, bd = bound_all(t, pv)
-        return rd.render_rays(t, bf, bi, bd if with_vis else None,
-                              origins, dirs, image_idx,
-                              dir_set, jitter, np.random.default_rng(5),
+        return rd.render_rays(bf, bi, bd if with_vis else None,
+                              origins, dirs, image_idx, dir_set=dir_set,
+                              jitter=jitter, rng=np.random.default_rng(5),
                               n_samples=6)
 
     def sky_term(t, pv):
@@ -134,8 +134,7 @@ def _toy_setup():
             ("ddf_grid",),
         ),
         "ddf_sky": (
-            lambda t, pv: ls.ddf_sky_loss(sky_o, sky_d,
-                                          bound_all(t, pv)[2])[0],
+            lambda t, pv: ls.ddf_sky_loss(sky_o, sky_d, bound_all(t, pv)[2]),
             ("ddf_grid",),
         ),
         "ground_plane": (

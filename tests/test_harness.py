@@ -1,5 +1,5 @@
 import argparse
-import csv
+import json
 import os
 import shlex
 import shutil
@@ -274,7 +274,7 @@ def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(run),
                      "--progress-every", "0"]) == 0
-    assert sorted(os.listdir(run)) == ["config.txt", "losses.csv", "params.npz"]
+    assert sorted(os.listdir(run)) == ["config.txt", "params.npz", "steps.jsonl"]
     with np.load(run / "params.npz", allow_pickle=False) as params:
         assert set(params.files) == tr.PARAM_GROUPS.keys()
         assert all(params[name].dtype == np.float64 for name in params.files)
@@ -293,11 +293,12 @@ def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
 
 
 def _assert_every_step_taken(run):
-    """The loss log has one row per configured step, none of them rejected."""
-    with open(run / "losses.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [int(row["step"]) for row in rows] == list(range(CLI_CONFIG["steps"]))
-    assert all(row["rejected"] == "0" for row in rows)
+    """The step log has one record per configured step, none of them
+    rejected."""
+    with open(run / "steps.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert [rec["step"] for rec in records] == list(range(CLI_CONFIG["steps"]))
+    assert all(rec["rejected"] is None for rec in records)
 
 
 def _checkpoint_psnr(run, data, view, aligned):

@@ -55,23 +55,29 @@ def test_single_lobe_argmax_at_axis(decoder, dirs642):
         assert np.allclose(best, closest)
 
 
+def prior_of(z):
+    return float(il.prior_loss(tp._lift(z)).data)
+
+
 def test_prior_loss_values():
-    z = np.zeros((3, 16))
-    assert il.prior_loss(z) == 0.0
-    z[1, 4] = 2.0
-    assert il.prior_loss(z) == pytest.approx(4.0)
+    # the squared norm of a bank of latents (images, 3, lobes), per image
+    z = np.zeros((2, 3, 16))
+    assert prior_of(z) == 0.0
+    z[1, 1, 4] = 2.0
+    assert prior_of(z) == pytest.approx(4.0 / 2)
     rng = np.random.default_rng(2)
-    z = rng.normal(size=(3, 16))
-    assert il.prior_loss(z) == pytest.approx(np.sum(z * z), abs=1e-12)
+    z = rng.normal(size=(5, 3, 16))
+    assert prior_of(z) == pytest.approx(np.sum(z * z) / 5, abs=1e-12)
 
 
 def test_prior_gradient_is_two_z():
+    # 2 z, divided by the image count of the mean
     rng = np.random.default_rng(3)
-    z0 = rng.normal(size=(3, 8))
+    z0 = rng.normal(size=(4, 3, 8))
     t = tp.Tape()
     z = t.parameter("z", z0)
     g = tp.backward(t, il.prior_loss(z))["z"]
-    assert np.allclose(g, 2.0 * z0, atol=1e-12)
+    assert np.allclose(g, 2.0 * z0 / 4, atol=1e-12)
 
 
 def test_export_envmap_constant(decoder):

@@ -120,10 +120,10 @@ def test_ddf_depth_loss_zero_and_offset():
     perfect = ls.DdfBatch(batch.positions, batch.directions,
                           pred.data.reshape(batch.depths.shape), batch.hit)
     assert float(ls.ddf_depth_loss(perfect, bd).data) == pytest.approx(0.0)
-    # uniform offset 0.1 over 1024 samples -> 102.4
+    # uniform offset 0.1 over 1024 samples -> a mean of 0.1
     off = ls.DdfBatch(batch.positions, batch.directions,
                       pred.data.reshape(batch.depths.shape) + 0.1, batch.hit)
-    assert float(ls.ddf_depth_loss(off, bd).data) == pytest.approx(102.4, abs=1e-9)
+    assert float(ls.ddf_depth_loss(off, bd).data) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ddf_depth_loss_matches_direct_summation():
@@ -133,8 +133,8 @@ def test_ddf_depth_loss_matches_direct_summation():
     bd = make_ddf_bound(grid=rng.normal(size=(8, 16, 6, 12)))
     loss = ls.ddf_depth_loss(batch, bd)
     pred = vz.ddf_eval(bd, batch.flat_positions, batch.flat_directions)
-    direct = np.sum(np.abs(batch.flat_depths - pred.data))
-    assert float(loss.data) == pytest.approx(direct, abs=1e-9)
+    direct = np.sum(np.abs(batch.flat_depths - pred.data)) / (4 * 32)
+    assert float(loss.data) == pytest.approx(direct, abs=1e-12)
 
 
 def test_ddf_levelset_zero_on_perfect_landing():
@@ -148,8 +148,8 @@ def test_ddf_levelset_zero_on_perfect_landing():
     bf = fd.BoundFields(t, fields, trainable=False)
     bd = make_ddf_bound(tape=t)
     loss = ls.ddf_levelset_loss(batch, bd, bf)
-    # not zero for an unfit ddf
-    assert float(loss.data) > 0.01
+    # not zero for an unfit ddf: a sum above 0.01 over the batch's 512 rays
+    assert float(loss.data) > 0.01 / batch.flat_depths.size
 
     # against a ddf predicting the exact traced depth the landing points sit
     # on the zero set (within grid interpolation error)
@@ -198,15 +198,17 @@ def test_ddf_levelset_gradients_reach_both_fields():
 
 
 def _empty_selection_grads(loss_fn):
-    """Run ``loss_fn(bound_ddf, bound_fields)`` on a fresh tape and return
-    (loss value, gradients of every slot)."""
+    """Run ``loss_fn(bound_ddf, bound_fields, rays)`` on a fresh tape, with
+    ``rays`` a trainable (4,3) slot, and return (loss value, gradients of
+    every slot)."""
     t = tp.Tape()
     scene = make_scene("two-sphere")
     fields = fd.SceneFields(fd.SdfField.from_function(scene.sdf_np, 8),
                             fd.AlbedoField.constant_init(4))
     bf = fd.BoundFields(t, fields)
     bd = make_ddf_bound(tape=t, trainable=True)
-    loss = loss_fn(bd, bf)
+    rays = t.parameter("rays", np.full((4, 3), 0.5))
+    loss = loss_fn(bd, bf, rays)
     return float(loss.data), tp.backward(t, loss)
 
 
@@ -215,7 +217,7 @@ def test_ddf_levelset_no_hits_is_on_tape_zero():
     batch = ls.sample_ddf_batch(make_scene("two-sphere"), rng, 2, 8)
     batch.hit = np.zeros_like(batch.hit)
     value, grads = _empty_selection_grads(
-        lambda bd, bf: ls.ddf_levelset_loss(batch, bd, bf))
+        lambda bd, bf, rays: ls.ddf_levelset_loss(batch, bd, bf))
     assert value == 0.0
     assert {"ddf_grid", "sdf_grid"} <= set(grads)
     assert all(np.all(g == 0.0) for g in grads.values())
@@ -227,10 +229,112 @@ def test_ddf_sky_loss_all_dropped_is_on_tape_zero():
     o = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 1.5]])
     r = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     value, grads = _empty_selection_grads(
-        lambda bd, bf: ls.ddf_sky_loss(o, r, bd)[0])
+        lambda bd, bf, rays: ls.ddf_sky_loss(o, r, bd))
     assert value == 0.0
     assert "ddf_grid" in grads
     assert all(np.all(g == 0.0) for g in grads.values())
+
+
+NONE = np.zeros(4, dtype=bool)  # a mask that selects no ray
+EMPTY = np.zeros((0, 3))
+
+
+@pytest.mark.parametrize("term, loss_fn, slot", [
+    ("appearance", lambda bd, bf, rays: ls.appearance_loss(rays[NONE], EMPTY),
+     "rays"),
+    ("sky, no sky ray", lambda bd, bf, rays: ls.sky_loss(
+        rays[NONE], EMPTY, tp.vsum(rays[NONE], axis=-1)), "rays"),
+    ("ground_plane, no ground ray",
+     lambda bd, bf, rays: ls.ground_plane_loss(rays[NONE]), "rays"),
+    ("ddf_multiview, no pair",
+     lambda bd, bf, rays: ls.ddf_multiview_loss((EMPTY, EMPTY, EMPTY), bd),
+     "ddf_grid"),
+    ("ddf_sky, no sky ray",
+     lambda bd, bf, rays: ls.ddf_sky_loss(EMPTY, EMPTY, bd), "ddf_grid"),
+])
+def test_mean_of_empty_batch_is_on_tape_zero(term, loss_fn, slot):
+    value, grads = _empty_selection_grads(loss_fn)
+    assert value == 0.0
+    assert slot in grads
+    assert all(np.all(g == 0.0) for g in grads.values())
+
+
+def np_color_error(pred_srgb, gt):
+    """``color_error`` in plain numpy: L1 plus (1 - cosine) per ray, the
+    cosine taken as 0 where either color has a norm below 1e-6."""
+    pn, gn = np.linalg.norm(pred_srgb, axis=-1), np.linalg.norm(gt, axis=-1)
+    cos = np.sum(pred_srgb * gt, axis=-1) / np.maximum(pn * gn, 1e-12)
+    cos_term = np.where((pn < 1e-6) | (gn < 1e-6), 0.0, 1.0 - cos)
+    return np.sum(np.abs(pred_srgb - gt)) + np.sum(cos_term)
+
+
+def test_each_term_is_its_numpy_sum_over_its_count():
+    # every term against an independent numpy sum divided by the count
+    # its docstring names; skipped entries (a miss ray, a dropped sky ray,
+    # a degenerate normal) still count
+    rng = np.random.default_rng(10)
+    scene = make_scene("two-sphere")
+    grid_sdf = fd.SdfField.from_function(scene.sdf_np, resolution=32)
+    bf = fd.BoundFields(None, fd.SceneFields(grid_sdf, fd.AlbedoField.constant_init(4)),
+                        trainable=False)
+    bd = make_ddf_bound(grid=rng.normal(size=(8, 16, 6, 12)))
+    got, want = {}, {}
+
+    linear = rng.uniform(-0.1, 1.3, size=(7, 3))
+    linear[2] = 0.0  # a degenerate (black) prediction
+    gt = rng.uniform(0.0, 1.0, size=(7, 3))
+    got["appearance"] = ls.appearance_loss(as_var(linear), gt)
+    want["appearance"] = np_color_error(srgb(linear), gt) / 7
+    w = np.array([0.0, 0.3, 0.9, 1.0, -0.2, 0.5, 0.7])
+    got["sky"] = ls.sky_loss(as_var(linear), gt, as_var(w))
+    bce = -np.log(1.0 - np.clip(w, 0.0, 1.0 - 1e-6))
+    want["sky"] = (np_color_error(srgb(linear), gt) + np.sum(bce)) / 7
+
+    batch = ls.sample_ddf_batch(scene, rng, 4, 32)
+    assert 0 < batch.hit.sum() < batch.hit.size  # misses count as 0
+    s, d = batch.flat_positions, batch.flat_directions
+    pred = vz.ddf_eval(bd, s, d).data
+    got["ddf_depth"] = ls.ddf_depth_loss(batch, bd)
+    want["ddf_depth"] = np.sum(np.abs(batch.flat_depths - pred)) / 128
+    got["ddf_levelset"] = ls.ddf_levelset_loss(batch, bd, bf)
+    hit = batch.flat_hit
+    f = grid_sdf.sdf_np(s[hit] + pred[hit, None] * d[hit])
+    want["ddf_levelset"] = np.sum(f * f) / 128
+
+    s1, d1, s2 = pairs = ls.sample_multiview_pairs(scene, rng, 32)
+    x1 = s1 + vz.ddf_eval(bd, s1, d1).data[:, None] * d1
+    dist = np.linalg.norm(x1 - s2, axis=-1)
+    d2 = (x1 - s2) / dist[:, None]
+    valid = (dist > 1e-6) & (np.sum(d2 * s2, axis=-1) < -1e-6)
+    f2 = vz.ddf_eval(bd, s2, d2, strict=False).data
+    got["ddf_multiview"] = ls.ddf_multiview_loss(pairs, bd)
+    want["ddf_multiview"] = np.sum(np.where(valid, np.maximum(f2 - dist, 0.0), 0.0) ** 2) / 32
+
+    # two rays from inside the sphere and one that misses it (dropped),
+    # against a field of shorter depths, so that the term is not 0
+    bd = make_ddf_bound(grid=rng.normal(size=(8, 16, 6, 12)) - 2.0)
+    o = np.array([[0.0, 0.0, 0.3], [0.1, 0.0, 0.2], [0.0, 0.0, 1.5]])
+    r = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.2], [1.0, 0.0, 0.0]])
+    r = r / np.linalg.norm(r, axis=1, keepdims=True)
+    b = 2 * np.sum(o[:2] * r[:2], axis=1)
+    t_exit = (-b + np.sqrt(b * b - 4 * (np.sum(o[:2] ** 2, axis=1) - 1))) / 2
+    s_exit = o[:2] + t_exit[:, None] * r[:2]
+    pred_sky = vz.ddf_eval(bd, s_exit, -r[:2], strict=False).data
+    got["ddf_sky"] = ls.ddf_sky_loss(o, r, bd)
+    want["ddf_sky"] = np.sum(np.maximum(t_exit - pred_sky, 0.0)) / 3
+
+    normals = rng.normal(size=(5, 3))
+    normals[3] = 0.0  # degenerate: adds 0, still counted
+    unit = normals / np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
+    per_ray = (np.sum(np.abs(unit - [0.0, 0.0, 1.0]), axis=1)
+               + np.abs(1.0 - unit[:, 2]))
+    per_ray[3] = 0.0
+    got["ground_plane"] = ls.ground_plane_loss(as_var(normals))
+    want["ground_plane"] = np.sum(per_ray) / 5
+
+    for name in want:
+        assert float(got[name].data) == pytest.approx(want[name], rel=1e-12, abs=1e-15), name
+    assert all(want[name] > 0.0 for name in want)
 
 
 def test_ddf_multiview_hinge():
@@ -256,21 +360,20 @@ def test_ddf_multiview_self_consistent_fit(fitted_two_sphere_ddf):
     t = tp.Tape()
     bd = vz.BoundDdf(t, fitted_two_sphere_ddf,
                      vz.VisibilityParams.default(), trainable=False)
-    loss = float(ls.ddf_multiview_loss(pairs, bd).data) / len(pairs[0])
+    loss = float(ls.ddf_multiview_loss(pairs, bd).data)
     assert loss < 5e-3  # converged field nearly satisfies the bound
 
 
-def test_ddf_sky_loss_values_and_flags():
+def test_ddf_sky_loss_values():
     bd = make_ddf_bound(grid=np.full((8, 16, 6, 12), 6.0))  # depth ~2
     o = np.array([[0.0, 0.0, 0.3], [0.1, 0.0, 0.2]])
     r = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.2]])
     r = r / np.linalg.norm(r, axis=1, keepdims=True)
-    loss, flagged = ls.ddf_sky_loss(o, r, bd)
+    loss = ls.ddf_sky_loss(o, r, bd)
     assert float(loss.data) == pytest.approx(0.0)  # f >= |o-s| everywhere
-    assert not flagged.any()
-    # short field: shortfall = dist - pred summed
+    # short field: the mean shortfall dist - pred over the two rays
     bd_short = make_ddf_bound(grid=np.full((8, 16, 6, 12), -60.0))
-    loss2, _ = ls.ddf_sky_loss(o, r, bd_short)
+    loss2 = ls.ddf_sky_loss(o, r, bd_short)
     t = tp.Tape()
     bd_chk = vz.BoundDdf(t, bd_short.field, bd_short.params, trainable=False)
     b = 2 * np.sum(o * r, axis=1)
@@ -278,16 +381,19 @@ def test_ddf_sky_loss_values_and_flags():
     t_exit = (-b + np.sqrt(b * b - 4 * c)) / 2
     s = o + t_exit[:, None] * r
     pred = vz.ddf_eval(bd_chk, s, -r, strict=False).data
-    assert float(loss2.data) == pytest.approx(np.sum(t_exit - pred), abs=1e-9)
+    assert float(loss2.data) == pytest.approx(np.sum(t_exit - pred) / 2, abs=1e-12)
 
 
-def test_ddf_sky_loss_outside_camera_flagged():
-    bd = make_ddf_bound(grid=np.full((8, 16, 6, 12), 6.0))
+def test_ddf_sky_loss_outside_camera_uses_entry_point():
+    # a camera outside the sphere is substituted by the ray's entry point:
+    # the distance checked is the chord from (0,0,1) to (0,0,-1), not 2.5
+    bd = make_ddf_bound(grid=np.full((8, 16, 6, 12), 1.0))
     o = np.array([[0.0, 0.0, 1.5]])
     r = np.array([[0.0, 0.0, -1.0]])  # enters the sphere from above
-    loss, flagged = ls.ddf_sky_loss(o, r, bd)
-    assert flagged.any()
-    assert np.isfinite(float(loss.data))
+    pred = vz.ddf_eval(bd, np.array([[0.0, 0.0, -1.0]]), -r).data[0]
+    assert 0.0 < pred < 2.0
+    loss = ls.ddf_sky_loss(o, r, bd)
+    assert float(loss.data) == pytest.approx(2.0 - pred, abs=1e-12)
 
 
 def test_ground_plane_loss_values():

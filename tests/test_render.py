@@ -38,21 +38,25 @@ def test_shade_uniform_sky_gives_pi_albedo(unit_sky):
 
 
 def test_shade_visibility_blocks_upper_hemisphere(unit_sky, dirs642):
-    # DDF with ~zero depth and tiny epsilon: everything upper is occluded,
-    # result equals the lower-hemisphere partial sum computed by brute force
-    ddf = vz.DdfField(np.full((8, 16, 4, 8), -60.0))
-    params = vz.VisibilityParams.default(epsilon=1e-5)
-    n = np.array([0.3, -0.2, 0.933])
-    n /= np.linalg.norm(n)
-    surface, albedo = plane_shading(n, unit_sky, ddf=ddf, params=params)
+    # DDF with ~zero depth and tiny epsilon: every sky-side direction
+    # (d_z > 0) is occluded, and the result equals the brute-force partial
+    # sum over the directions on or below the horizon, which are visible.
+    # At jitter = eye, 32 of the 642 directions lie exactly on the horizon;
+    # a wall's normal faces half of them.
     d = dirs642.directions
-    lower = d[:, 2] < 0.0
-    cos = np.maximum(d[lower] @ n, 0.0)
-    brute = (4.0 * np.pi / d.shape[0]) * cos.sum()
-    assert np.allclose(surface / albedo, brute, rtol=1e-4)
-    # the same normal under an open sky gathers the upper hemisphere too
-    open_sky, _ = plane_shading(n, unit_sky)
-    assert np.all(open_sky > 1.5 * surface)
+    assert np.count_nonzero(d[:, 2] == 0.0) == 32
+    for raw, normal in ((-60.0, [0.3, -0.2, 0.933]), (-4.0, [1.0, 0.0, 0.0])):
+        ddf = vz.DdfField(np.full((8, 16, 4, 8), raw))
+        params = vz.VisibilityParams.default(epsilon=1e-5)
+        n = np.array(normal) / np.linalg.norm(normal)
+        surface, albedo = plane_shading(n, unit_sky, ddf=ddf, params=params)
+        lower = d[:, 2] <= 0.0
+        cos = np.maximum(d[lower] @ n, 0.0)
+        brute = (4.0 * np.pi / d.shape[0]) * cos.sum()
+        assert np.allclose(surface / albedo, brute, rtol=1e-4)
+        # the same normal under an open sky gathers the upper hemisphere too
+        open_sky, _ = plane_shading(n, unit_sky)
+        assert np.all(open_sky > 1.5 * surface)
 
 
 def test_shade_isotropy_uniform_sky(unit_sky):
@@ -109,12 +113,12 @@ def test_render_rays_with_constant_bindings_records_nothing(unit_sky):
     scene = make_plane_scene(resolution=16)
     ddf = vz.DdfField(np.random.default_rng(8).normal(size=(4, 8, 3, 6)))
     out = rd.render_rays(
-        t, fd.BoundFields(t, scene, trainable=False),
+        fd.BoundFields(t, scene, trainable=False),
         il.BoundIllumination(t, unit_sky, trainable=False),
         vz.BoundDdf(t, ddf, vz.VisibilityParams.default(), trainable=False),
         np.tile([[0.0, 0.0, 0.4]], (4, 1)), np.tile([[0.0, 0.0, -1.0]], (4, 1)),
-        np.zeros(4, dtype=np.int64), icosphere_directions(1), np.eye(3),
-        np.random.default_rng(9), n_samples=16,
+        np.zeros(4, dtype=np.int64), dir_set=icosphere_directions(1),
+        jitter=np.eye(3), rng=np.random.default_rng(9), n_samples=16,
     )
     assert len(t.nodes) == 0
     vars_ = [v for v in out.values() if isinstance(v, tp.Var)]
@@ -138,9 +142,9 @@ def test_render_rays_empty_scene(unit_sky):
     bi = il.BoundIllumination(t, unit_sky, trainable=False)
     rng = np.random.default_rng(4)
     out = rd.render_rays(
-        t, bf, bi, None, np.array([[0.0, 0.0, 0.3]]),
+        bf, bi, None, np.array([[0.0, 0.0, 0.3]]),
         np.array([[0.0, 0.0, 1.0]]), np.zeros(1, dtype=np.int64),
-        icosphere_directions(1), np.eye(3), rng, n_samples=24,
+        dir_set=icosphere_directions(1), jitter=np.eye(3), rng=rng, n_samples=24,
     )
     assert out["W"].data[0] < 1e-6
     assert out["t_e"].data[0] == pytest.approx(out["samples"].far[0])
@@ -157,8 +161,8 @@ def test_render_rays_opaque_plane_uniform_sky(unit_sky):
     origins = np.tile([[0.0, 0.0, 0.4]], (8, 1))
     dirs = np.tile([[0.0, 0.0, -1.0]], (8, 1))
     out = rd.render_rays(
-        t, bf, bi, None, origins, dirs, np.zeros(8, dtype=np.int64),
-        icosphere_directions(3), np.eye(3), rng, n_samples=64,
+        bf, bi, None, origins, dirs, np.zeros(8, dtype=np.int64),
+        dir_set=icosphere_directions(3), jitter=np.eye(3), rng=rng, n_samples=64,
     )
     w = out["W"].data
     assert np.all(w > 0.95)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import ConfigError
 from skylit.render import render_image
-from skylit.scenes import CLASS_TRANSIENT, generate_dataset, make_scene
+from skylit.scenes import (CLASS_GROUND, CLASS_SKY, CLASS_TRANSIENT,
+                           generate_dataset, make_scene)
 from tests.conftest import CLI_CONFIG, TextbookAdam, tiny_train_config
 
 DECLARED = dataclasses.fields(tr.TrainConfig)
@@ -562,19 +564,21 @@ def test_training_decreases_loss(tiny_dataset):
     assert not trainer.rejected_steps
 
 
-def test_loss_csv_written(tiny_dataset, tmp_path):
+def test_step_log_written_as_json_lines(tiny_dataset, tmp_path):
+    # one record per step: the log's lines are the history's dicts
     _, dataset = tiny_dataset
-    log = tmp_path / "losses.csv"
+    log = tmp_path / "steps.jsonl"
     trainer = tr.Trainer(dataset, tiny_train_config(steps=4), log_path=str(log))
     trainer.train(4)
     trainer.close()
-    lines = log.read_text().strip().splitlines()
-    assert len(lines) == 5  # header + 4 steps
-    header = lines[0].split(",")
-    assert header[0] == "step" and "epsilon" in header
-    assert "appearance" in header and "ddf_sky" in header
-    assert header[-1] == "rejected"
-    assert [line.split(",")[-1] for line in lines[1:]] == ["0"] * 4
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == trainer.history
+    assert [rec["step"] for rec in trainer.history] == [0, 1, 2, 3]
+    assert set(trainer.history[0]) == {
+        *tr.LOSS_TERMS, "step", "total", "epsilon", "rejected",
+        "lr_fields", "lr_ddf", "lr_illum", "lr_eps"}
+    assert all(rec["rejected"] is None for rec in trainer.history)
+    assert trainer.rejected_steps == []
 
 
 def test_nonfinite_step_rejected(tiny_dataset):
@@ -583,9 +587,29 @@ def test_nonfinite_step_rejected(tiny_dataset):
     trainer.bank.Z[0, 0, 0] = np.nan
     before = trainer.fields.sdf.grid.copy()
     rec = trainer.train_step()
-    assert rec["rejected"]
+    assert rec["rejected"] == "non-finite loss"
     assert trainer.rejected_steps == [0]
     assert np.array_equal(trainer.fields.sdf.grid, before)
+    trainer.bank.Z[0, 0, 0] = 0.0
+    assert trainer.train_step()["rejected"] is None
+    assert trainer.rejected_steps == [0]
+
+
+def test_step_without_sky_or_ground_rays_is_taken(tiny_dataset):
+    # a ray pool of foreground pixels only: the sky, DDF-sky and ground
+    # terms are the means of empty batches, on-tape zeros
+    _, dataset = tiny_dataset
+    trainer = tr.Trainer(dataset, tiny_train_config(steps=3, weight_ground_plane=0.1))
+    pool = trainer.pool
+    classes = dataset.masks[pool[:, 0], pool[:, 1], pool[:, 2]]
+    trainer.pool = pool[(classes != CLASS_SKY) & (classes != CLASS_GROUND)]
+    assert len(trainer.pool)
+    before = trainer.bank.Z.copy()  # step 0's field rates are 0 (warm-up)
+    rec = trainer.train_step()
+    assert rec["rejected"] is None and np.isfinite(rec["total"])
+    assert rec["sky"] == rec["ddf_sky"] == rec["ground_plane"] == 0.0
+    assert rec["appearance"] > 0.0
+    assert not np.array_equal(trainer.bank.Z, before)
 
 
 def test_checkpoint_roundtrip(tiny_dataset, tmp_path):
@@ -636,9 +660,10 @@ def test_stop_gradient_flag_blocks_field_gradients(tiny_dataset):
         bf = fd.BoundFields(tape, trainer.fields)
         bi = il.BoundIllumination(tape, trainer.bank)
         bd = vz.BoundDdf(tape, trainer.ddf, trainer.vis_params)
-        out = rd.render_rays(tape, bf, bi, bd, batch.origins, batch.dirs,
-                             batch.image_idx, trainer.dir_set, so3_jitter(rng),
-                             rng, n_samples=16, stop_grad_vis=stop)
+        out = rd.render_rays(bf, bi, bd, batch.origins, batch.dirs,
+                             batch.image_idx, dir_set=trainer.dir_set,
+                             jitter=so3_jitter(rng), rng=rng, n_samples=16,
+                             stop_grad_vis=stop)
         loss = ls.appearance_loss(out["rgb"], batch.gt)
         return tp.backward(tape, loss)
 

@@ -86,6 +86,9 @@ def test_soft_visibility_lower_hemisphere_exactly_one():
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.4, 0.4, size=(16, 3))
     d = sample_sphere(rng, 8, max_z=-1e-6)
+    # directions exactly on the horizon count as below it
+    horizon = icosphere_directions(3).directions
+    d = np.concatenate([d, horizon[horizon[:, 2] == 0.0]])
     v = vz.soft_visibility(bd, x[:, None, :], d[None, :, :])
     assert np.all(v.data == 1.0)
 
