@@ -140,7 +140,7 @@ def ddf_depth_loss(batch, bound_ddf):
     """Mean of |traced depth - predicted depth| over the batch's rays."""
     pred = ddf_eval(bound_ddf, batch.flat_positions, batch.flat_directions)
     err = tp.absolute(batch.flat_depths - pred)
-    return tp.vsum(err) / max(err.shape[0], 1)
+    return tp.vsum(err) / max(batch.flat_depths.size, 1)
 
 
 def ddf_levelset_loss(batch, bound_ddf, bound_fields):
