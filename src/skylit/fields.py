@@ -281,7 +281,11 @@ def neus_weights(sdf_along_ray, inv_s):
 
     ``sdf_along_ray`` is a (rays, samples) Var at strictly increasing sample
     distances; the last sample's alpha is 0. Weights are nonnegative and sum
-    to at most 1.
+    to at most 1. Also returns the (rays, samples) mask of the samples to
+    shade: those whose alpha is not 0, NaN included. Any other sample adds
+    exactly 0 to a weighted sum and to its gradient. A zero weight after an
+    alpha of exactly 1 stays shaded: its gradient reaches earlier samples
+    through the transmittance.
     """
     phi = tp.sigmoid(sdf_along_ray * inv_s)
     phi_cur = phi[:, :-1]
@@ -290,7 +294,7 @@ def neus_weights(sdf_along_ray, inv_s):
     zeros = np.zeros((sdf_along_ray.data.shape[0], 1))
     alpha = tp.concat([alpha, tp._lift(zeros)], axis=1)
     trans = tp.exclusive_cumprod_last(1.0 - alpha)
-    return alpha * trans
+    return alpha * trans, alpha.data != 0.0
 
 
 def expected_depth(weights, t, far):

@@ -7,11 +7,18 @@ The hemisphere quadrature carries a 4*pi/D weight so radiance is independent
 of the direction count; the Lambertian 1/pi is folded into albedo. With unit
 radiance and full visibility a surface therefore shades to pi * albedo.
 
+Only the samples whose NeuS alpha is not 0 are shaded: ``neus_weights``
+returns their mask, and every other sample would add exactly 0 to a ray's
+color, normal and albedo sums and to their gradients. Albedo, normals and
+the quadrature are evaluated at the shaded samples alone, as rows sorted by
+ray, and ``tape.sum_by_ray`` adds each ray's rows in sample order.
+
 Each hemisphere's sum over directions of radiance x clamped cosine is one
 fused tape op, ``tape.lambert_quadrature``, made of ``matmul`` calls over
-cache-sized blocks of rays. It saves no cosines; each gradient recomputes
-them block by block. A direction exactly perpendicular to a normal passes
-that normal no gradient (the tape's ``maximum(expr, 0.0)`` tie convention).
+cache-sized blocks of whole rays. It saves no cosines; each gradient
+recomputes them block by block. A direction exactly perpendicular to a
+normal passes that normal no gradient (the tape's ``maximum(expr, 0.0)``
+tie convention).
 """
 
 from __future__ import annotations
@@ -63,13 +70,16 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
 
     pts = samples.positions.reshape(-1, 3)
     f = tp.reshape(fd.sdf_eval(bound_fields, pts), samples.t.shape)
-    w = fd.neus_weights(f, bound_fields.inv_s())
+    w, shaded = fd.neus_weights(f, bound_fields.inv_s())
     t_e, w_sum = fd.expected_depth(w, samples.t, samples.far)
     x_e = tp._lift(origins) + tp.reshape(t_e, (-1, 1)) * dirs
 
-    albedo = tp.reshape(fd.albedo_eval(bound_fields, pts), (n_rays, n_samples, 3))
-    normals, _ = fd.sdf_normals(bound_fields, pts)
-    normals = tp.reshape(normals, (n_rays, n_samples, 3))
+    # the shaded samples as rows, sorted by ray; the rest add exact zeros
+    rows = np.flatnonzero(shaded)
+    ray = rows // n_samples
+    albedo = fd.albedo_eval(bound_fields, pts[rows])
+    normals, _ = fd.sdf_normals(bound_fields, pts[rows])
+    w_rows = tp.reshape(tp.take_rows(tp.reshape(w, (-1,)), rows), (-1, 1))
 
     d_world = dir_set.directions @ np.asarray(jitter).T
     upper = d_world[:, 2] > 0.0
@@ -79,7 +89,7 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
         radiance = tp.take_rows(bound_illum.radiance_all(d_sub), image_idx)
         if vis is not None:
             radiance = radiance * tp.reshape(vis, vis.data.shape + (1,))
-        return tp.lambert_quadrature(normals, d_sub, radiance)
+        return tp.lambert_quadrature(normals, d_sub, radiance, ray)
 
     irr = None
     if np.any(upper):
@@ -95,8 +105,7 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
         irr = lower if irr is None else irr + lower
     irr = irr * quad_scale
 
-    w3 = tp.reshape(w, (n_rays, n_samples, 1))
-    c_scene = tp.vsum(w3 * (albedo * irr), axis=1)
+    c_scene = tp.sum_by_ray(w_rows * (albedo * irr), ray, n_rays)
     background = bound_illum.radiance_rows(dirs, image_idx)
     rgb = c_scene + tp.reshape(1.0 - w_sum, (-1, 1)) * background
 
@@ -106,8 +115,8 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
         "t_e": t_e,
         "weights": w,
         "samples": samples,
-        "weighted_normals": tp.vsum(w3 * normals, axis=1),
-        "weighted_albedo": tp.vsum(w3 * albedo, axis=1),
+        "weighted_normals": tp.sum_by_ray(w_rows * normals, ray, n_rays),
+        "weighted_albedo": tp.sum_by_ray(w_rows * albedo, ray, n_rays),
         "background": background,
     }
 

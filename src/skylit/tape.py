@@ -14,9 +14,12 @@ Conventions:
     kink,
   * fused ops are one node each, built with ``_node`` from plain numpy and
     hand-written VJPs that recompute what they need instead of saving it:
-    ``lambert_quadrature`` (the clamped-cosine irradiance sum, in
-    cache-sized blocks of rays; saves no cosines, and a cosine of exactly 0
+    ``lambert_quadrature`` (the clamped-cosine irradiance sum over rows of
+    samples sorted by ray, in cache-sized blocks of whole rays, each padded
+    to its largest row count; saves no cosines, and a cosine of exactly 0
     gives its normal subgradient 0, the ``maximum(expr, 0.0)`` convention);
+    ``sum_by_ray`` (the per-ray sum of such rows, one ``np.bincount``; its
+    gradient is a gather);
     ``fields.multilinear`` (every grid lookup; saves its corner indices and
     per-axis fractions, no corner weights); and, on the outside-in
     visibility query, ``visibility.exit_point`` (the exit distance, then
@@ -348,11 +351,13 @@ class _Scatter:
 
     def to_dense(self):
         # one bincount for every gather: repeated indices are summed into
-        # zeros in concatenation order
+        # zeros in concatenation order. With no index at all bincount counts
+        # in int64, so the cast (free for float64) keeps the gradient float
         cat = len(self.index) > 1
         buf = np.bincount(np.concatenate(self.index) if cat else self.index[0],
                           weights=np.concatenate(self.values) if cat else self.values[0],
-                          minlength=math.prod(self.shape)).reshape(self.shape)
+                          minlength=math.prod(self.shape))
+        buf = buf.astype(np.float64, copy=False).reshape(self.shape)
         if self.dense is not None:
             buf += self.dense
         return buf
@@ -439,51 +444,88 @@ def einsum2(subscripts, a, b):
 LAMBERT_BLOCK = 65536  # cosine entries per ray block of lambert_quadrature; 512 KiB
 
 
-def lambert_quadrature(normals, dirs, radiance):
-    """Clamped-cosine quadrature ``irr[r, s, :] = sum_u max(n[r, s] . d[u], 0)
-    * radiance[r, u, :]``.
+def lambert_quadrature(normals, dirs, radiance, ray):
+    """Clamped-cosine quadrature ``irr[i, :] = sum_u max(n[i] . d[u], 0)
+    * radiance[ray[i], u, :]``.
 
-    ``normals`` is (R, S, 3), ``dirs`` a constant (U, 3) array and
-    ``radiance`` (R, U, C); the result is (R, S, C). The op runs over blocks
-    of whole rays, about ``LAMBERT_BLOCK`` cosines each, so a block's cosines
-    stay in cache; it saves none of them, and each gradient recomputes its
-    block's cosines. A cosine of exactly 0 passes no gradient to the normal,
-    as ``maximum(expr, 0.0)`` would.
+    ``normals`` is (N, 3), one row per shaded sample, ``dirs`` a constant
+    (U, 3) array, ``radiance`` (R, U, C) and ``ray`` (N,) the ray of each
+    row, non-decreasing, so each ray's rows are contiguous; the result is
+    (N, C). The op runs over blocks of whole rays, each the longest run
+    whose rays, padded with zero rows to the block's largest row count,
+    hold at most ``LAMBERT_BLOCK`` cosines (at least one ray), so a block's
+    cosines stay in cache; padded rows are discarded. It saves no cosines,
+    and each gradient recomputes its block's cosines. A cosine of exactly 0
+    passes no gradient to the normal, as ``maximum(expr, 0.0)`` would.
     """
     normals, radiance = _lift(normals), _lift(radiance)
     d = np.asarray(dirs, dtype=np.float64)
     n, rad = normals.data, radiance.data
-    n_rays, n_samples, _ = n.shape
-    n_dirs = d.shape[0]
-    step = max(1, LAMBERT_BLOCK // max(1, n_samples * n_dirs))
-    blocks = [slice(lo, lo + step) for lo in range(0, n_rays, step)]
+    ray = np.asarray(ray, dtype=np.int64)
+    n_rays, n_dirs = rad.shape[0], d.shape[0]
+    counts = np.bincount(ray, minlength=n_rays)
+    start = np.concatenate([[0], np.cumsum(counts)])
+    slot = np.arange(ray.size) - start[ray]  # a row's place within its ray
 
-    def dots(b):
-        return (n[b].reshape(-1, 3) @ d.T).reshape(-1, n_samples, n_dirs)
+    blocks = []  # (rays, rows, flat padded index of each row, padded shape)
+    per_ray = counts.tolist()
+    lo = 0
+    while lo < n_rays:
+        hi, m = lo + 1, per_ray[lo]
+        while (hi < n_rays
+               and (hi + 1 - lo) * max(m, per_ray[hi]) * n_dirs <= LAMBERT_BLOCK):
+            m = max(m, per_ray[hi])
+            hi += 1
+        rows = slice(start[lo], start[hi])
+        blocks.append((slice(lo, hi), rows, (ray[rows] - lo) * m + slot[rows],
+                       (hi - lo, m)))
+        lo = hi
 
-    out = np.empty((n_rays, n_samples, rad.shape[-1]))
-    for b in blocks:
-        cos = dots(b)
+    def pad(x, rows, flat, shape):
+        buf = np.zeros(shape + x.shape[-1:])
+        buf.reshape(-1, x.shape[-1])[flat] = x[rows]
+        return buf
+
+    def dots(rows, flat, shape):
+        return pad(n, rows, flat, shape) @ d.T
+
+    out = np.empty((ray.size, rad.shape[-1]))
+    for b, rows, flat, shape in blocks:
+        cos = dots(rows, flat, shape)
         np.maximum(cos, 0.0, out=cos)
-        np.matmul(cos, rad[b], out=out[b])
+        out[rows] = (cos @ rad[b]).reshape(-1, out.shape[-1])[flat]
 
     def vjp_normals(g):
         g_n = np.empty(n.shape)
-        for b in blocks:
-            g_cos = g[b] @ rad[b].transpose(0, 2, 1)
-            g_cos *= dots(b) > 0.0
-            np.matmul(g_cos.reshape(-1, n_dirs), d, out=g_n[b].reshape(-1, 3))
+        for b, rows, flat, shape in blocks:
+            g_cos = pad(g, rows, flat, shape) @ rad[b].transpose(0, 2, 1)
+            g_cos *= dots(rows, flat, shape) > 0.0
+            g_n[rows] = (g_cos @ d).reshape(-1, 3)[flat]
         return g_n
 
     def vjp_radiance(g):
         g_r = np.empty(rad.shape)
-        for b in blocks:
-            cos = dots(b)
+        for b, rows, flat, shape in blocks:
+            cos = dots(rows, flat, shape)
             np.maximum(cos, 0.0, out=cos)
-            np.matmul(cos.transpose(0, 2, 1), g[b], out=g_r[b])
+            np.matmul(cos.transpose(0, 2, 1), pad(g, rows, flat, shape), out=g_r[b])
         return g_r
 
     return _node("lambert", out, (normals, radiance), (vjp_normals, vjp_radiance))
+
+
+def sum_by_ray(a, ray, n_rays):
+    """Per-ray sums of the rows of ``a`` (N, C): ``out[r] = sum_{ray[i] = r}
+    a[i]``, shape (n_rays, C). Each ray adds its rows in row order, as
+    ``vsum`` along the sample axis adds samples in order; a ray with no
+    rows sums to 0. The gradient gathers the output adjoint by ray."""
+    ray = np.asarray(ray, dtype=np.int64)
+    channels = a.data.shape[-1]
+    flat = (ray[:, None] * channels + np.arange(channels)).reshape(-1)
+    out = np.bincount(flat, weights=a.data.reshape(-1),
+                      minlength=n_rays * channels).astype(np.float64, copy=False)
+    return _node("sum_by_ray", out.reshape(n_rays, channels), (a,),
+                 (lambda g: g[ray],))
 
 
 def exclusive_cumprod_last(a):

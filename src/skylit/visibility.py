@@ -319,7 +319,7 @@ def visibility_map(ddf, params, camera, scene_fields, dirs=None):
         origins = np.broadcast_to(camera.origin, rays.shape)
         rs = fd.stratified_samples(origins, rays, 64, rng)
         f = fd.sdf_eval(bnd_f, rs.positions.reshape(-1, 3))
-        w = fd.neus_weights(tp.reshape(f, rs.t.shape), bnd_f.inv_s())
+        w, _ = fd.neus_weights(tp.reshape(f, rs.t.shape), bnd_f.inv_s())
         t_e, w_sum = fd.expected_depth(w, rs.t, rs.far)
         x_e = origins + t_e.data[:, None] * rays
         vals = ambient_occlusion(bnd_d, x_e, dirs).data

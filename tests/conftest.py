@@ -11,6 +11,7 @@ import pytest
 from skylit import fields as fd
 from skylit import illumination as il
 from skylit import render as rd
+from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
 from skylit.fields import sphere_trace
@@ -148,3 +149,65 @@ class TextbookAdam(tr.Adam):
         m[...] = b1 * m + (1.0 - b1) * grad
         v[...] = b2 * v + (1.0 - b2) * grad * grad
         param -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + self.eps)
+
+
+def dense_render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs,
+                      image_idx, *, dir_set, jitter, rng, n_samples=64,
+                      stop_grad_vis=False, near=0.02):
+    """Reference for ``render_rays``: the same outputs from every sample of
+    the dense (rays, samples) grid, shaded or not, with the quadrature built
+    from generic ops (einsum, clamp, einsum). Unshaded samples add exact
+    zeros, so the two agree up to rounding."""
+    origins = np.atleast_2d(origins)
+    dirs = np.atleast_2d(dirs)
+    n_rays = origins.shape[0]
+    samples = fd.stratified_samples(origins, dirs, n_samples, rng, near=near)
+
+    pts = samples.positions.reshape(-1, 3)
+    f = tp.reshape(fd.sdf_eval(bound_fields, pts), samples.t.shape)
+    w, _ = fd.neus_weights(f, bound_fields.inv_s())
+    t_e, w_sum = fd.expected_depth(w, samples.t, samples.far)
+    x_e = tp._lift(origins) + tp.reshape(t_e, (-1, 1)) * dirs
+
+    albedo = tp.reshape(fd.albedo_eval(bound_fields, pts), (n_rays, n_samples, 3))
+    normals, _ = fd.sdf_normals(bound_fields, pts)
+    normals = tp.reshape(normals, (n_rays, n_samples, 3))
+
+    d_world = dir_set.directions @ np.asarray(jitter).T
+    upper = d_world[:, 2] > 0.0
+
+    def hemi_irradiance(d_sub, vis):
+        radiance = tp.take_rows(bound_illum.radiance_all(d_sub), image_idx)
+        if vis is not None:
+            radiance = radiance * tp.reshape(vis, vis.data.shape + (1,))
+        cos = tp.maximum(tp.einsum2("rsc,uc->rsu", normals, d_sub), 0.0)
+        return tp.einsum2("rsu,ruc->rsc", cos, radiance)
+
+    irr = None
+    if np.any(upper):
+        vis = None
+        if bound_ddf is not None:
+            vis = vz.soft_visibility(
+                bound_ddf, tp.reshape(x_e, (n_rays, 1, 3)),
+                d_world[upper][None, :, :], stop_grad=stop_grad_vis,
+            )
+        irr = hemi_irradiance(d_world[upper], vis)
+    if np.any(~upper):
+        lower = hemi_irradiance(d_world[~upper], None)
+        irr = lower if irr is None else irr + lower
+    irr = irr * (4.0 * np.pi / dir_set.count)
+
+    w3 = tp.reshape(w, (n_rays, n_samples, 1))
+    c_scene = tp.vsum(w3 * (albedo * irr), axis=1)
+    background = bound_illum.radiance_rows(dirs, image_idx)
+    rgb = c_scene + tp.reshape(1.0 - w_sum, (-1, 1)) * background
+    return {
+        "rgb": rgb,
+        "W": w_sum,
+        "t_e": t_e,
+        "weights": w,
+        "samples": samples,
+        "weighted_normals": tp.vsum(w3 * normals, axis=1),
+        "weighted_albedo": tp.vsum(w3 * albedo, axis=1),
+        "background": background,
+    }

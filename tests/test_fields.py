@@ -269,13 +269,13 @@ def test_albedo_in_unit_interval():
 def test_neus_weights_no_surface():
     t = tp.Tape()
     f = tp._lift(np.full((3, 6), 0.4))
-    w = fd.neus_weights(f, tp._lift(np.asarray(100.0)))
+    w, _ = fd.neus_weights(f, tp._lift(np.asarray(100.0)))
     assert np.all(w.data == 0.0)
 
 
 def test_neus_alpha_opaque_crossing():
     f = tp._lift(np.array([[0.1, -0.1]]))
-    w = fd.neus_weights(f, tp._lift(np.asarray(100.0)))
+    w, _ = fd.neus_weights(f, tp._lift(np.asarray(100.0)))
     # logistic CDF oracle: (phi(10)-phi(-10))/phi(10)
     phi = lambda x: 1.0 / (1.0 + np.exp(-x))
     expect = (phi(10) - phi(-10)) / phi(10)
@@ -283,10 +283,36 @@ def test_neus_alpha_opaque_crossing():
     assert w.data[0, 1] == 0.0  # last sample alpha is zero
 
 
+def test_neus_shaded_mask_is_nonzero_alpha():
+    # a plane at inv_s 5000, crossed straight down: far above it phi rounds
+    # to 1 and deep below it to 0, so alpha is 0 at both ends; just past the
+    # crossing an alpha of exactly 1 zeroes the transmittance, so weights
+    # are 0 there while alpha is not, and those samples stay shaded
+    sdf = fd.SdfField.from_function(lambda p: p[:, 2], resolution=8)
+    bound = fd.BoundFields(None, fd.SceneFields(sdf, fd.AlbedoField.constant_init(2)),
+                           trainable=False)
+    t = np.linspace(0.05, 0.75, 29)
+    pts = np.array([0.0, 0.0, 0.4]) - t[:, None] * np.array([0.0, 0.0, 1.0])
+    f = tp.reshape(fd.sdf_eval(bound, pts), (1, -1))
+    w, shaded = fd.neus_weights(f, tp._lift(np.asarray(5000.0)))
+    phi = tp.sigmoid_np(f.data * 5000.0)
+    alpha = np.maximum((phi[:, :-1] - phi[:, 1:]) / np.maximum(phi[:, :-1], 1e-7), 0.0)
+    alpha = np.concatenate([alpha, np.zeros((1, 1))], axis=1)
+    assert shaded.dtype == bool and np.array_equal(shaded, alpha != 0.0)
+    behind = (w.data == 0.0) & (alpha > 0.0)
+    assert np.count_nonzero(behind) >= 3 and np.all(shaded[behind])
+    assert np.count_nonzero(~shaded[0, :10]) >= 3  # far above the plane
+    assert not shaded[0, -1]
+    # a NaN alpha stays shaded, so a non-finite SDF shows in the render
+    _, shaded_nan = fd.neus_weights(tp._lift(np.array([[0.1, np.nan, -0.1]])),
+                                    tp._lift(np.asarray(100.0)))
+    assert shaded_nan.tolist() == [[True, True, False]]
+
+
 def test_neus_weights_sum_below_one_random_fields():
     rng = np.random.default_rng(3)
     f = tp._lift(rng.normal(size=(100, 16)) * 0.2)
-    w = fd.neus_weights(f, tp._lift(np.asarray(30.0)))
+    w, _ = fd.neus_weights(f, tp._lift(np.asarray(30.0)))
     assert np.all(w.data >= 0.0)
     assert np.all(w.data.sum(axis=1) <= 1.0 + 1e-6)
 
@@ -294,10 +320,10 @@ def test_neus_weights_sum_below_one_random_fields():
 def test_neus_duplicate_sample_invariant():
     inv_s = tp._lift(np.asarray(50.0))
     f = np.array([[0.3, 0.1, -0.2]])
-    w_plain = fd.neus_weights(tp._lift(f), inv_s)
+    w_plain, _ = fd.neus_weights(tp._lift(f), inv_s)
     # duplicate the middle sample: its interval alpha is 0
     f_dup = np.array([[0.3, 0.1, 0.1, -0.2]])
-    w_dup = fd.neus_weights(tp._lift(f_dup), inv_s)
+    w_dup, _ = fd.neus_weights(tp._lift(f_dup), inv_s)
     assert np.allclose(
         [w_dup.data[0, 0], w_dup.data[0, 2]],
         [w_plain.data[0, 0], w_plain.data[0, 1]],
@@ -313,7 +339,7 @@ def test_weight_gradients_pass_gradient_check():
     def loss(t, pv):
         f = fd.multilinear(pv["grid"], fd.cell_coords(samples, 4),
                            fd.CLAMPED_3D)
-        w = fd.neus_weights(tp.reshape(f, (1, 7)), tp.exp(pv["log_inv_s"]))
+        w, _ = fd.neus_weights(tp.reshape(f, (1, 7)), tp.exp(pv["log_inv_s"]))
         return tp.vsum(w * np.arange(7.0))
 
     err = tp.gradient_check(
@@ -405,7 +431,7 @@ def test_expected_depth_matches_trace_for_opaque_surface():
     dirs = np.array([[0.0, 0.0, -1.0]])
     rs = fd.stratified_samples(origins, dirs, 96, rng, near=0.05)
     f = tp.reshape(fd.sdf_eval(bound, rs.positions.reshape(-1, 3)), rs.t.shape)
-    w = fd.neus_weights(f, bound.inv_s())
+    w, _ = fd.neus_weights(f, bound.inv_s())
     t_e, _ = fd.expected_depth(w, rs.t, rs.far)
     trace = fd.sphere_trace(scene.sdf, origins, dirs)
     spacing = (rs.far[0] - 0.05) / 96

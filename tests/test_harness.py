@@ -416,7 +416,7 @@ def _map_pass_weight(scene_fields, camera):
     origins = np.broadcast_to(camera.origin, rays.shape)
     rs = fd.stratified_samples(origins, rays, 64, np.random.default_rng(0))
     f = fd.sdf_eval(bound, rs.positions.reshape(-1, 3))
-    w = fd.neus_weights(tp.reshape(f, rs.t.shape), bound.inv_s())
+    w, _ = fd.neus_weights(tp.reshape(f, rs.t.shape), bound.inv_s())
     _, w_sum = fd.expected_depth(w, rs.t, rs.far)
     return w_sum.data.reshape(camera.height, camera.width)
 

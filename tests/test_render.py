@@ -8,7 +8,7 @@ from skylit import tape as tp
 from skylit import visibility as vz
 from skylit.cameras import Camera
 from skylit.geometry import icosphere_directions, so3_jitter, srgb
-from tests.conftest import plane_shading
+from tests.conftest import dense_render_rays, plane_shading
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +86,15 @@ def test_shade_monotone_in_visibility(dirs642):
     dec = il.LobeDecoder.default()
     sky = il.IlluminationBank(dec, il.sample_latent(dec, rng)[None], [0.0])
     d = dirs642.directions
-    normals = rng.normal(size=(2, 8, 3))
+    normals = rng.normal(size=(16, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    ray = np.repeat([0, 1], 8)
     vis = rng.uniform(0.0, 1.0, size=len(d))
     rad = il.radiance(sky, 0, d)
 
     def quad(v):
         radiance = np.broadcast_to(rad * v[:, None], (2,) + rad.shape)
-        return tp.lambert_quadrature(normals, d, radiance).data
+        return tp.lambert_quadrature(normals, d, radiance, ray).data
 
     base = quad(vis)
     raised = 0
@@ -243,3 +244,123 @@ def test_open_sky_ddf_renders_as_no_ddf_and_maps_to_full_visibility(unit_sky):
     open_sky = rd.render_image(cam, scene, unit_sky, 0, ddf=ddf, params=params, **kw)
     assert np.array_equal(bare.rgb, open_sky.rgb)
     assert np.all(vz.visibility_map(ddf, params, cam, scene) == 1.0)
+
+
+def _oracle_case(kind, n_rays=6):
+    """Trainable fields, sky and DDF, plus rays, for comparing
+    ``render_rays`` with the dense oracle. ``kind`` picks the SDF: "mixed"
+    (a noisy sphere: some samples shaded, some not), "steep" (a plane at
+    inv_s 5000: transmittance is exactly 0 behind it while alpha is not)
+    or "empty" (a constant grid: no sample shaded)."""
+    rng = np.random.default_rng(11)
+    if kind == "mixed":
+        sdf = fd.SdfField.sphere_init(8, radius=0.3, inv_s=15.0)
+        sdf.grid += 0.1 * rng.normal(size=sdf.grid.shape)
+    elif kind == "steep":
+        sdf = fd.SdfField.from_function(lambda p: p @ [0.1, 0.0, 0.995], resolution=8,
+                                        inv_s=5000.0)
+    else:
+        sdf = fd.SdfField(np.full((8, 8, 8), 0.3))
+    decoder = il.LobeDecoder.default(4)
+    params = {
+        "sdf_grid": sdf.grid,
+        "sdf_log_inv_s": sdf.log_inv_s,
+        "albedo_grid": rng.normal(size=(6, 6, 6, 3)),
+        "ddf_grid": -0.3 + 0.6 * rng.normal(size=(4, 6, 3, 4)),
+        "vis_eps_raw": vz.VisibilityParams.default(epsilon=0.2).eps_raw,
+        "illum_Z": 0.2 * rng.normal(size=(2, 3, decoder.n_lobes)),
+        "illum_log_gamma": np.log([0.3, 0.5]),
+    }
+    origins = rng.uniform(-0.2, 0.2, size=(n_rays, 3)) + [0.0, -0.5, 0.4]
+    dirs = rng.normal(size=(n_rays, 3)) * 0.3 + [0.0, 0.7, -0.6]
+    rays = dict(origins=origins, dirs=dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                image_idx=rng.integers(0, 2, size=n_rays),
+                jitter=so3_jitter(rng), dir_set=icosphere_directions(1))
+    upstream = {k: rng.normal(size=shape) for k, shape in (
+        ("rgb", (n_rays, 3)), ("W", (n_rays,)), ("t_e", (n_rays,)),
+        ("weighted_normals", (n_rays, 3)), ("weighted_albedo", (n_rays, 3)))}
+    return params, rays, upstream, decoder
+
+
+def _render_and_grads(render, params, rays, upstream, decoder, with_vis=True):
+    t = tp.Tape()
+    pv = {k: t.parameter(k, v) for k, v in params.items()}
+    ddf = vz.DdfField(params["ddf_grid"])
+    vis = vz.VisibilityParams.default()
+    bf = fd.BoundFields.from_vars(fd.SceneFields(fd.SdfField(params["sdf_grid"]),
+                                                 fd.AlbedoField(params["albedo_grid"])),
+                                  pv["sdf_grid"], pv["sdf_log_inv_s"], pv["albedo_grid"])
+    bi = il.BoundIllumination.from_vars(decoder, pv["illum_Z"], pv["illum_log_gamma"])
+    bd = vz.BoundDdf.from_vars(ddf, vis, pv["ddf_grid"], pv["vis_eps_raw"])
+    out = render(bf, bi, bd if with_vis else None, rays["origins"], rays["dirs"],
+                 rays["image_idx"], dir_set=rays["dir_set"], jitter=rays["jitter"],
+                 rng=np.random.default_rng(12), n_samples=12)
+    loss = None
+    for k, u in upstream.items():
+        term = tp.vsum(out[k] * u)
+        loss = term if loss is None else loss + term
+    return out, tp.backward(t, loss)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "steep", "empty"])
+@pytest.mark.parametrize("with_vis", [True, False])
+def test_render_rays_matches_dense_oracle(kind, with_vis):
+    # shading only the samples with non-zero alpha gives the dense grid's
+    # values and every slot's gradient, up to rounding
+    params, rays, upstream, decoder = _oracle_case(kind)
+    got, g_got = _render_and_grads(rd.render_rays, params, rays, upstream,
+                                   decoder, with_vis)
+    want, g_want = _render_and_grads(dense_render_rays, params, rays, upstream,
+                                     decoder, with_vis)
+    for k in ("rgb", "W", "t_e", "weights", "weighted_normals",
+              "weighted_albedo", "background"):
+        assert got[k].data.shape == want[k].data.shape
+        np.testing.assert_allclose(got[k].data, want[k].data, rtol=1e-12, atol=0.0)
+    assert g_got.keys() == g_want.keys()
+    for k in g_want:
+        assert g_got[k].dtype == np.float64 and g_got[k].shape == g_want[k].shape
+        scale = np.abs(g_want[k]).max()
+        np.testing.assert_allclose(g_got[k], g_want[k], rtol=1e-12, atol=1e-12 * scale)
+    share = np.count_nonzero(got["weights"].data) / got["weights"].data.size
+    if kind == "empty":
+        assert share == 0.0
+    else:
+        assert 0.0 < share < 1.0
+        assert np.abs(g_want["sdf_grid"]).max() > 0.0
+        assert np.abs(g_want["albedo_grid"]).max() > 0.0
+
+
+def test_render_rays_with_no_shaded_sample_is_the_background():
+    # a constant SDF gives every sample alpha 0: the render is the
+    # background composite, and the fields get on-tape zero gradients
+    params, rays, upstream, decoder = _oracle_case("empty")
+    out, grads = _render_and_grads(rd.render_rays, params, rays, upstream, decoder)
+    assert np.all(out["W"].data == 0.0)
+    assert np.array_equal(out["rgb"].data, out["background"].data)
+    assert np.all(out["weighted_albedo"].data == 0.0)
+    assert np.all(out["weighted_normals"].data == 0.0)
+    for k in ("sdf_grid", "sdf_log_inv_s", "albedo_grid", "ddf_grid", "vis_eps_raw"):
+        assert grads[k].dtype == np.float64
+        assert np.all(grads[k] == 0.0), k
+    assert np.abs(grads["illum_Z"]).max() > 0.0
+
+
+def test_render_rays_shades_exactly_the_samples_with_alpha(monkeypatch):
+    # albedo and normals are read at the shaded samples only, in ray order
+    params, rays, upstream, decoder = _oracle_case("mixed")
+    calls = {}
+
+    def record(name, fn):
+        def wrapped(*args):
+            calls[name] = (args, fn(*args))
+            return calls[name][1]
+        monkeypatch.setattr(fd, name, wrapped)
+
+    for name in ("albedo_eval", "sdf_normals", "neus_weights"):
+        record(name, getattr(fd, name))
+    out, _ = _render_and_grads(rd.render_rays, params, rays, upstream, decoder)
+    _, shaded = calls["neus_weights"][1]
+    assert 0 < np.count_nonzero(shaded) < shaded.size
+    want = out["samples"].positions[shaded]
+    for name in ("albedo_eval", "sdf_normals"):
+        assert np.array_equal(calls[name][0][1], want)

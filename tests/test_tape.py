@@ -389,66 +389,71 @@ def _unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _lambert_composition(normals, dirs, radiance):
-    """The generic-op reference: einsum, clamp, einsum."""
-    cos = tp.maximum(tp.einsum2("rsc,uc->rsu", normals, dirs), 0.0)
-    return tp.einsum2("rsu,ruc->rsc", cos, radiance)
+def _lambert_composition(normals, dirs, radiance, ray):
+    """The generic-op reference: einsum, clamp, gather, einsum."""
+    cos = tp.maximum(tp.einsum2("nc,uc->nu", normals, dirs), 0.0)
+    return tp.einsum2("nu,nuc->nc", cos, tp.take_rows(radiance, ray))
 
 
-def _value_and_grads(op, normals, dirs, radiance, upstream, on_tape=("n", "r")):
+def _value_and_grads(op, normals, dirs, radiance, ray, upstream, on_tape=("n", "r")):
     """The op's value and the gradients of the inputs named in ``on_tape``;
     the other input is bound as a constant."""
     t = tp.Tape()
     n = t.parameter("n", normals) if "n" in on_tape else tp._lift(normals)
     r = t.parameter("r", radiance) if "r" in on_tape else tp._lift(radiance)
-    out = op(n, dirs, r)
+    out = op(n, dirs, r, ray)
     grads = tp.backward(t, tp.vsum(out * upstream))
     return (out.data,) + tuple(grads[k] for k in on_tape)
 
 
-def _lambert_case(rng, n_rays, n_samples, n_dirs, channels=3):
-    normals = _unit(rng.normal(size=(n_rays, n_samples, 3)))
+def _lambert_case(rng, counts, n_dirs, channels=3):
+    """Rows for rays with the given row counts, sorted by ray."""
+    ray = np.repeat(np.arange(len(counts)), counts)
+    normals = _unit(rng.normal(size=(ray.size, 3)))
     dirs = _unit(rng.normal(size=(n_dirs, 3)))
-    radiance = rng.random((n_rays, n_dirs, channels))
-    upstream = rng.normal(size=(n_rays, n_samples, channels))
-    return normals, dirs, radiance, upstream
+    radiance = rng.random((len(counts), n_dirs, channels))
+    upstream = rng.normal(size=(ray.size, channels))
+    return normals, dirs, radiance, ray, upstream
 
 
-def _assert_matches_composition(rng, n_rays, n_samples, n_dirs, channels=3,
+def _assert_matches_composition(rng, counts, n_dirs, channels=3,
                                 on_tape=("n", "r")):
-    case = _lambert_case(rng, n_rays, n_samples, n_dirs, channels)
+    case = _lambert_case(rng, counts, n_dirs, channels)
     fused = _value_and_grads(tp.lambert_quadrature, *case, on_tape=on_tape)
     ref = _value_and_grads(_lambert_composition, *case, on_tape=on_tape)
     for got, want in zip(fused, ref):
         assert got.shape == want.shape
-        scale = max(np.abs(want).max(), 1e-300)
+        scale = max(np.abs(want).max(initial=0.0), 1e-300)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
     return case, fused
 
 
-def _unblocked_value(normals, dirs, radiance):
-    cos = normals.reshape(-1, 3) @ dirs.T
-    return np.maximum(cos, 0.0).reshape(normals.shape[:2] + (-1,)) @ radiance
+def _dense_value(normals, dirs, radiance):
+    """The quadrature of S rows per ray as one unblocked (R, S, U) matmul."""
+    n_rays = radiance.shape[0]
+    cos = np.maximum(normals @ dirs.T, 0.0).reshape(n_rays, -1, dirs.shape[0])
+    return (cos @ radiance).reshape(normals.shape[0], -1)
 
 
 def test_lambert_quadrature_gradient_check_with_perpendicular_direction():
     rng = np.random.default_rng(4)
     dirs = _unit(rng.normal(size=(5, 3)))
     dirs[0] = [1.0, 0.0, 0.0]
-    # sample (0, 0) lies exactly on the kink of direction 0; it stays a
-    # constant here because a central difference across a kink reads half
-    # the slope, not the subgradient
-    tie = np.array([[[0.0, 0.6, 0.8]]])
-    free = _unit(rng.normal(size=(2, 1, 3)))
+    # row 0 lies exactly on the kink of direction 0; it stays a constant
+    # here because a central difference across a kink reads half the slope,
+    # not the subgradient
+    tie = np.array([[0.0, 0.6, 0.8]])
+    free = _unit(rng.normal(size=(3, 3)))
     cos = np.concatenate([tie, free]) @ dirs.T
-    assert cos[0, 0, 0] == 0.0
-    assert np.abs(cos[1:]).min() > 1e-2  # free samples keep clear of kinks
+    assert cos[0, 0] == 0.0
+    assert np.abs(cos[1:]).min() > 1e-2  # free rows keep clear of kinks
     radiance = rng.random((3, 5, 2))
-    upstream = rng.normal(size=(3, 1, 2))
+    ray = np.array([0, 0, 2, 2])  # ray 1 has no rows
+    upstream = rng.normal(size=(4, 2))
 
     def loss(t, pv):
         normals = tp.concat([tie, pv["n"]], axis=0)
-        return tp.vsum(tp.lambert_quadrature(normals, dirs, pv["r"]) * upstream)
+        return tp.vsum(tp.lambert_quadrature(normals, dirs, pv["r"], ray) * upstream)
 
     err = tp.gradient_check(loss, {"n": free, "r": radiance})
     assert err < 1e-6
@@ -457,57 +462,96 @@ def test_lambert_quadrature_gradient_check_with_perpendicular_direction():
 def test_lambert_quadrature_tie_gives_zero_normal_gradient():
     # direction 0 is exactly perpendicular to the normal and the others are
     # below its horizon, so every cosine is clamped and the subgradient is 0
-    normals = np.array([[[0.0, 0.0, 1.0]]])
+    normals = np.array([[0.0, 0.0, 1.0]])
     dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.0, -1.0]])
     radiance = np.full((1, 3, 3), 2.0)
-    upstream = np.ones((1, 1, 3))
+    ray = np.zeros(1, dtype=np.int64)
+    upstream = np.ones((1, 3))
     value, g_n, g_r = _value_and_grads(
-        tp.lambert_quadrature, normals, dirs, radiance, upstream)
+        tp.lambert_quadrature, normals, dirs, radiance, ray, upstream)
     assert np.all(value == 0.0)
     assert np.all(g_n == 0.0)
     assert np.all(g_r == 0.0)
-    ref = _value_and_grads(_lambert_composition, normals, dirs, radiance, upstream)
+    ref = _value_and_grads(_lambert_composition, normals, dirs, radiance, ray,
+                           upstream)
     assert np.array_equal(g_n, ref[1])
 
 
 def test_lambert_quadrature_matches_composition_at_default_size():
-    # 128 rays x 48 samples x one hemisphere of the 642-direction set, in
-    # blocks of LAMBERT_BLOCK // (48 * 321) = 4 rays
-    (normals, dirs, radiance, _), (value, _, _) = _assert_matches_composition(
-        np.random.default_rng(5), 128, 48, 321)
-    assert value.tobytes() == _unblocked_value(normals, dirs, radiance).tobytes()
+    # 128 rays x 48 rows x one hemisphere of the 642-direction set, in
+    # blocks of LAMBERT_BLOCK // (48 * 321) = 4 rays: with every ray's rows
+    # present nothing is padded, and the value is the unblocked matmul's
+    (normals, dirs, radiance, _, _), (value, _, _) = _assert_matches_composition(
+        np.random.default_rng(5), [48] * 128, 321)
+    assert value.tobytes() == _dense_value(normals, dirs, radiance).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(n_rays=st.integers(1, 12), n_samples=st.integers(1, 7),
-       n_dirs=st.integers(1, 20), channels=st.integers(1, 3),
-       rays_per_block=st.integers(1, 4), slack=st.floats(0.0, 0.99),
+@settings(max_examples=80, deadline=None)
+@given(counts=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+       uniform=st.booleans(), n_dirs=st.integers(1, 20),
+       channels=st.integers(1, 3), block=st.floats(0.0, 1.2),
        on_tape=st.sampled_from([("n", "r"), ("r",), ("n",)]),
        seed=st.integers(0, 2**32 - 1))
-@example(n_rays=1, n_samples=1, n_dirs=1, channels=1, rays_per_block=1,
-         slack=0.0, on_tape=("n", "r"), seed=0)
-@example(n_rays=1, n_samples=5, n_dirs=1, channels=3, rays_per_block=1,
-         slack=0.0, on_tape=("n", "r"), seed=1)
-@example(n_rays=11, n_samples=4, n_dirs=9, channels=3, rays_per_block=3,
-         slack=0.5, on_tape=("n", "r"), seed=2)  # blocks of 3, 3, 3, 2
-@example(n_rays=10, n_samples=3, n_dirs=7, channels=2, rays_per_block=4,
-         slack=0.0, on_tape=("r",), seed=3)  # the holdout fit's constant fields
-@example(n_rays=10, n_samples=3, n_dirs=7, channels=2, rays_per_block=4,
-         slack=0.0, on_tape=("n",), seed=4)
+@example(counts=[1], uniform=True, n_dirs=1, channels=1, block=0.0,
+         on_tape=("n", "r"), seed=0)
+@example(counts=[5], uniform=True, n_dirs=1, channels=3, block=0.0,
+         on_tape=("n", "r"), seed=1)
+@example(counts=[4] * 11, uniform=True, n_dirs=9, channels=3, block=0.3,
+         on_tape=("n", "r"), seed=2)  # blocks of 3, 3, 3, 2 rays
+@example(counts=[3, 0, 5, 1, 0, 0, 2, 3, 1, 4], uniform=False, n_dirs=7,
+         channels=2, block=0.4, on_tape=("r",), seed=3)  # the holdout fit's
+@example(counts=[3, 0, 5, 1, 0, 0, 2, 3, 1, 4], uniform=False, n_dirs=7,
+         channels=2, block=0.4, on_tape=("n",), seed=4)
+@example(counts=[0, 0, 0], uniform=False, n_dirs=5, channels=3, block=1.0,
+         on_tape=("n", "r"), seed=5)  # no rows at all
 def test_lambert_quadrature_matches_composition_property(
-        n_rays, n_samples, n_dirs, channels, rays_per_block, slack, on_tape, seed):
-    # a block of ``rays_per_block`` whole rays, whatever the slack below the
-    # next multiple of one ray's cosines
-    block = int((rays_per_block + slack) * n_samples * n_dirs)
+        counts, uniform, n_dirs, channels, block, on_tape, seed):
+    # ``block`` is LAMBERT_BLOCK as a share of all rays padded to the
+    # largest count, so blocks run from one ray to every ray; rays with no
+    # rows sit inside blocks, at their ends and alone
+    if uniform:
+        counts = [counts[0]] * len(counts)
+    block_size = int(block * len(counts) * max(counts) * n_dirs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tp, "LAMBERT_BLOCK", block)
-        (normals, dirs, radiance, _), (value, *_) = _assert_matches_composition(
-            np.random.default_rng(seed), n_rays, n_samples, n_dirs, channels,
-            on_tape)
-    if n_samples > 1:
-        # numpy multiplies a one-row matrix with gemv, which rounds apart
-        # from gemm; only a block of one ray of one sample is such a matrix
-        assert value.tobytes() == _unblocked_value(normals, dirs, radiance).tobytes()
+        mp.setattr(tp, "LAMBERT_BLOCK", block_size)
+        (normals, dirs, radiance, ray, _), (value, *_) = _assert_matches_composition(
+            np.random.default_rng(seed), counts, n_dirs, channels, on_tape)
+    if uniform and counts[0] > 1:
+        # every ray has S rows, the dense layout, so nothing is padded and
+        # blocking changes no bit; numpy multiplies a one-row matrix with
+        # gemv, which rounds apart from gemm
+        assert value.tobytes() == _dense_value(normals, dirs, radiance).tobytes()
+    else:
+        # padding changes the matmuls' shapes and so, in the last bits, how
+        # BLAS rounds them. Any evaluation order stays within the textbook
+        # rounding bounds (Higham, Accuracy and Stability of Numerical
+        # Algorithms, eq. 3.5) of the 3-term cosines of unit vectors,
+        # 1.5 eps each, and of the n_dirs-term sums of non-negative
+        # products, n_dirs * eps / 2 relative; two evaluations differ by at
+        # most twice that
+        rad = radiance[ray]
+        ref = np.einsum("nu,nuc->nc", np.maximum(normals @ dirs.T, 0.0), rad)
+        bound = np.finfo(float).eps * (n_dirs * ref + 3.0 * rad.sum(axis=1))
+        assert np.all(np.abs(value - ref) <= 1.001 * bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(counts=[0, 0], channels=2, seed=0)
+def test_sum_by_ray_vjp_matches_central_differences(counts, channels, seed):
+    rng = np.random.default_rng(seed)
+    ray = np.repeat(np.arange(len(counts)), counts)
+    a = rng.normal(size=(ray.size, channels))
+    _assert_vjps_match_central_differences(
+        lambda x: tp.sum_by_ray(x, ray, len(counts)), [a], rng)
+    # the rows in the dense (rays, samples) layout, zeros in the free
+    # slots: each ray adds its rows in order, as vsum along the samples does
+    dense = np.zeros((len(counts), max(counts), channels))
+    dense[ray, np.arange(ray.size) - np.repeat(np.cumsum(counts) - counts, counts)] = a
+    got = tp.sum_by_ray(tp._lift(a), ray, len(counts)).data
+    assert got.dtype == np.float64 and got.shape == (len(counts), channels)
+    assert got.tobytes() == tp.vsum(tp._lift(dense), axis=1).data.tobytes()
 
 
 def _reachable_arrays(x, found):
@@ -527,18 +571,18 @@ def _reachable_arrays(x, found):
 
 
 def test_lambert_quadrature_saves_no_cosines(monkeypatch):
-    monkeypatch.setattr(tp, "LAMBERT_BLOCK", 2 * 5 * 11)  # 2 rays per block
-    n_rays, n_samples, n_dirs = 7, 5, 11
-    normals, dirs, radiance, _ = _lambert_case(
-        np.random.default_rng(6), n_rays, n_samples, n_dirs)
+    monkeypatch.setattr(tp, "LAMBERT_BLOCK", 2 * 5 * 11)  # 2 full rays per block
+    counts, n_dirs = [5, 3, 0, 5, 4, 5, 2], 11
+    normals, dirs, radiance, ray, _ = _lambert_case(
+        np.random.default_rng(6), counts, n_dirs)
     t = tp.Tape()
     out = tp.lambert_quadrature(t.parameter("n", normals), dirs,
-                                t.parameter("r", radiance))
+                                t.parameter("r", radiance), ray)
     assert [p.op for p, _ in out.parents] == ["param:n", "param:r"]
     for _, vjp in out.parents:
         arrays = _reachable_arrays(vjp, [])
         assert arrays  # the walk reaches the inputs it needs
-        assert max(a.size for a in arrays) < n_rays * n_samples * n_dirs
+        assert max(a.size for a in arrays) < ray.size * n_dirs
 
 
 def test_soft_visibility_keeps_no_corner_weights():
@@ -684,6 +728,29 @@ def test_gathers_on_one_parameter_merge_into_one_scatter(shape, kinds, seed):
     # floats a reordered sum with cancellation moves by a few ulps of max|g|
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gather", ["take_rows", "multilinear"])
+def test_empty_gather_densifies_to_float(gather):
+    # bincount of no indices counts in int64; the slot's gradient must stay
+    # float64 when a dense term joins the empty scatter
+    from skylit import fields as fd
+
+    rng = np.random.default_rng(10)
+    t = tp.Tape()
+    a = t.parameter("a", rng.normal(size=(3, 4, 2)))
+    if gather == "take_rows":
+        out = tp.take_rows(a, np.zeros(0, dtype=np.int64))
+    else:
+        out = fd.multilinear(a, [np.zeros(0)] * 3, fd.CLAMPED_3D)
+    assert out.data.size == 0
+    grads = tp.backward(t, tp.vsum(out) + tp.vsum(a * a))
+    assert grads["a"].dtype == np.float64
+    assert np.array_equal(grads["a"], 2.0 * a.data)
+    alone = tp.Tape()
+    b = alone.parameter("b", a.data)
+    g = tp.backward(alone, tp.vsum(tp.take_rows(b, np.zeros(0, dtype=np.int64))))
+    assert g["b"].dtype == np.float64 and np.all(g["b"] == 0.0)
 
 
 def test_stack_on_any_axis_routes_each_slice_back():

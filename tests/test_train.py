@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skylit import fileio
@@ -469,6 +469,13 @@ def cli_dataset(tmp_path_factory):
 
 @settings(max_examples=120, deadline=None)
 @given(cfg=configs_inside_the_ranges())
+# one ray of two samples: neither step has a sample with non-zero alpha, so
+# nothing is shaded and the albedo grid's scatter is empty
+@example(cfg=tr.TrainConfig(
+    steps=2, warmup_steps=0, rays_per_batch=1, samples_per_ray=2, dir_level=0,
+    sdf_resolution=8, ddf_pos_res_theta=4, ddf_pos_res_phi=8, ddf_dir_res_theta=4,
+    ddf_dir_res_phi=8, ddf_positions=2, ddf_directions=4, ddf_multiview_pairs=2,
+    seed=0))
 def test_every_config_inside_the_declared_ranges_trains(cli_dataset, cfg):
     # a range too wide to train is narrowed in the declaration, not here
     with warnings.catch_warnings():
