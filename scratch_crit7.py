@@ -15,7 +15,7 @@ def blocker_stats(scene, dataset):
     for cam in dataset.cameras:
         to_box = box.center - cam.origin
         to_box /= np.linalg.norm(to_box)
-        angle = np.degrees(np.arccos(np.clip(to_box @ cam.forward_axis(), -1, 1)))
+        angle = np.degrees(np.arccos(np.clip(to_box @ cam.R[2], -1, 1)))
         assert angle > 60.0, angle
     # box never visibly hit in any mask
     print("foreground px per view:",

@@ -48,9 +48,6 @@ class Camera:
         u, v = np.meshgrid(np.arange(self.width), np.arange(self.height))
         return np.stack([u.reshape(-1), v.reshape(-1)], axis=1)
 
-    def forward_axis(self):
-        return self.R[2]
-
     @classmethod
     def look_at(cls, eye, target, width, height, fov_x_deg=55.0,
                 up=(0.0, 0.0, 1.0)):

@@ -24,7 +24,8 @@ Conventions:
     per-axis fractions, no corner weights); and, on the outside-in
     visibility query, ``visibility.exit_point`` (the exit distance, then
     the exit point) and ``visibility._ddf_cell_coords`` (the DDF's four
-    cell coordinates), which keep only their inputs and values, and the
+    cell coordinates), which keep only their inputs and values and take
+    their light directions as plain arrays (no direction gradient), and the
     DDF's clamped-sigmoid depth (keeps the sigmoid). Clamps in fused ops
     follow the tie rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
@@ -300,23 +301,19 @@ def where(mask, a, b):
                  (lambda g: g * mask, lambda g: g * ~mask))
 
 
-def vsum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def vsum(a, axis=None):
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return np.broadcast_to(gg, a.data.shape).copy()
 
     return _node("sum", np.asarray(out, dtype=np.float64), (a,), (vjp,))
 
 
-def vmean(a, axis=None, keepdims=False):
+def vmean(a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
-    return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return vsum(a, axis=axis) * (1.0 / n)
 
 
 def norm_last(a):
@@ -364,8 +361,10 @@ class _Scatter:
 
 
 def take_rows(a, row_index):
-    """Gather along axis 0; row indices are non-negative."""
+    """Gather along axis 0; row indices are non-negative integers."""
     idx = np.asarray(row_index)
+    if idx.size == 0:  # np.asarray([]) is float64, which np.take rejects
+        idx = idx.astype(np.intp)
     out = np.take(a.data, idx, axis=0)
 
     def vjp(g):

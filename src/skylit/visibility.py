@@ -12,7 +12,8 @@ scene geometry.
 The query is a few fused tape nodes with closed-form gradients: the exit
 distance and exit point, the DDF's four cell coordinates (no local frame is
 built: the local azimuth is an atan2 of unnormalised frame components), one
-``multilinear`` lookup and the clamped-sigmoid depth.
+``multilinear`` lookup and the clamped-sigmoid depth. Light directions are
+fixed, so every query takes them as plain arrays and they get no gradient.
 """
 
 from __future__ import annotations
@@ -105,26 +106,27 @@ def _ddf_cell_coords(s, d, shape):
     world-up x s and whose z-axis is x x s (at the poles, where world-up x s
     vanishes, x is (1, 0, 0) orthogonalised against s).
 
-    One tape node; s and d broadcast and either may be a Var. The local
-    polar angle is arccos(-(d . s)), clamped. The local azimuth needs no
-    normalised frame, because atan2 is scale-invariant: it is
+    One tape node; s and d broadcast, s may be a Var and d is an array with
+    no gradient. The local polar angle is arccos(-(d . s)), clamped. The
+    local azimuth needs no normalised frame, because atan2 is
+    scale-invariant: it is
     atan2(s_z (d_x s_x + d_y s_y) - d_z rho^2, d_y s_x - d_x s_y) with
     rho^2 = s_x^2 + s_y^2, and atan2(d_z s_y - d_y s_z, d_x - s_x (d . s))
-    at the poles (rho^2 < 1e-12). The gradients recompute these terms from
+    at the poles (rho^2 < 1e-12). The gradient recomputes these terms from
     s and d; a polar angle whose cosine is at or beyond +-1 passes gradient 0
     (the clamp's tie rule). Each azimuth atan2(y, x) divides its slopes by
     y^2 + x^2 floored at 1e-14; for the local azimuth the floor is scaled by
     the squared norm of the unnormalised x-axis, so that it is the floor on
     the normalised frame's components.
     """
-    s, d = tp._lift(s), tp._lift(d)
+    s, d = tp._lift(s), np.asarray(d, dtype=np.float64)
     n_ts, n_ps, n_td, n_pd = shape
     scale = ((n_ts - 1) / np.pi, n_ps / (2.0 * np.pi),
              (n_td - 1) / (np.pi / 2.0), n_pd / (2.0 * np.pi))
 
     def terms():
         sx, sy, sz = np.moveaxis(s.data, -1, 0)
-        dx, dy, dz = np.moveaxis(d.data, -1, 0)
+        dx, dy, dz = np.moveaxis(d, -1, 0)
         ds = dx * sx + dy * sy + dz * sz
         rho2 = sx * sx + sy * sy
         num = sz * (dx * sx + dy * sy) - dz * rho2
@@ -142,7 +144,7 @@ def _ddf_cell_coords(s, d, shape):
          (np.arctan2(num, den) + np.pi) * scale[3])
     out = np.stack(np.broadcast_arrays(*u))
 
-    def grads(g):
+    def vjp_s(g):
         sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole = terms()
         g0, g1, g2, g3 = (g[j] * scale[j] for j in range(4))
         # polar angle of s; at or beyond the clamp it passes nothing
@@ -165,42 +167,30 @@ def _ddf_cell_coords(s, d, shape):
         g_s = [g_sx + g_num * (sz * dx - 2.0 * dz * sx) + g_den * dy,
                g_sy + g_num * (sz * dy - 2.0 * dz * sy) - g_den * dx,
                g_sz + g_num * (dx * sx + dy * sy)]
-        g_d = [g_num * sz * sx - g_den * sy,
-               g_num * sz * sy + g_den * sx,
-               -g_num * rho2]
         if np.any(pole):
             p_s = [g_den * (-ds - sx * dx),
                    g_num * dz - g_den * sx * dy,
                    -g_num * dy - g_den * sx * dz]
-            p_d = [g_den * (1.0 - sx * sx),
-                   -g_num * sz - g_den * sx * sy,
-                   g_num * sy - g_den * sx * sz]
             g_s = [np.where(pole, p, q) for p, q in zip(p_s, g_s)]
-            g_d = [np.where(pole, p, q) for p, q in zip(p_d, g_d)]
         g_s = [a + g_ds * b for a, b in zip(g_s, (dx, dy, dz))]
-        g_d = [a + g_ds * b for a, b in zip(g_d, (sx, sy, sz))]
-        return np.stack(np.broadcast_arrays(*g_s), axis=-1), \
-            np.stack(np.broadcast_arrays(*g_d), axis=-1)
+        return np.stack(np.broadcast_arrays(*g_s), axis=-1)
 
-    return tp._node("ddf_coords", out, (s, d),
-                    (lambda g: grads(g)[0], lambda g: grads(g)[1]))
+    return tp._node("ddf_coords", out, (s,), (vjp_s,))
 
 
 def ddf_eval(bound, s, d_world, strict=True):
     """Predicted depth in (0,2) at sphere points ``s`` looking inward along
-    ``d_world``. Differentiable in the grid and (when Vars) in s and d.
+    the array ``d_world``. Differentiable in the grid and (when a Var) in s;
+    the direction gets no gradient.
 
     With ``strict``, outward directions (d . s > 0) raise PreconditionError.
     """
     s_np = s.data if isinstance(s, tp.Var) else np.asarray(s, dtype=np.float64)
-    d_np = (
-        d_world.data if isinstance(d_world, tp.Var)
-        else np.asarray(d_world, dtype=np.float64)
-    )
+    d_np = np.asarray(d_world, dtype=np.float64)
     if strict and np.any(np.sum(s_np * d_np, axis=-1) > 1e-9):
         raise PreconditionError("DDF direction must point inward (d . s < 0)")
 
-    u = _ddf_cell_coords(s, d_world, bound.field.shape)
+    u = _ddf_cell_coords(s, d_np, bound.field.shape)
     raw = multilinear(bound.grid, u, (False, True, False, True))
     # one node for SCENE_DIAMETER * sigmoid(raw), the sigmoid clamped to
     # [1e-12, 1 - 1e-12] so that depths stay in the open (0, 2); a clamped
@@ -214,19 +204,20 @@ def ddf_eval(bound, s, d_world, strict=True):
 
 def exit_point(x, d):
     """Differentiable smallest-nonnegative-root unit-sphere intersection of
-    rays x + t d; returns (s, t). Broadcasts over leading axes.
+    rays x + t d for directions ``d``, an array with no gradient; returns
+    (s, t). Broadcasts over leading axes.
 
     Two tape nodes: t, from the quadratic in closed form (its gradient
     recomputes the roots; a root clamped to 0, a tangent ray and the
     discriminant's clamp pass gradient as ``maximum``/``sqrt`` would), and
     s = x + t d.
     """
-    x, d = tp._lift(x), tp._lift(d)
-    xd, dd = x.data, d.data
-    t_np = ray_sphere_exit(xd, dd).t
+    x, d = tp._lift(x), np.asarray(d, dtype=np.float64)
+    xd = x.data
+    t_np = ray_sphere_exit(xd, d).t
 
-    def t_grads(g):
-        q = ray_sphere_exit(xd, dd)
+    def vjp_x(g):
+        q = ray_sphere_exit(xd, d)
         g_t = g * (q.t > 0.0)
         g_b = -0.5 * g_t
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,38 +225,30 @@ def exit_point(x, d):
                               np.where(q.near, -0.25, 0.25) * g_t / q.root, 0.0)
         g_b = g_b + 2.0 * q.b * g_disc
         g_c = -4.0 * g_disc
-        return (2.0 * g_b)[..., None], (2.0 * g_c)[..., None]
+        return (2.0 * g_b)[..., None] * d + (2.0 * g_c)[..., None] * xd
 
-    def vjp_x(g):
-        g_b, g_c = t_grads(g)
-        return g_b * dd + g_c * xd
-
-    def vjp_d(g):
-        return t_grads(g)[0] * xd
-
-    t = tp._node("exit_t", t_np, (x, d), (vjp_x, vjp_d))
-    s = tp._node("exit_s", xd + t_np[..., None] * dd, (x, t, d),
+    t = tp._node("exit_t", t_np, (x,), (vjp_x,))
+    s = tp._node("exit_s", xd + t_np[..., None] * d, (x, t),
                  (lambda g: g,
-                  lambda g: g[..., 0] * dd[..., 0] + g[..., 1] * dd[..., 1]
-                  + g[..., 2] * dd[..., 2],
-                  lambda g: g * t_np[..., None]))
+                  lambda g: g[..., 0] * d[..., 0] + g[..., 1] * d[..., 1]
+                  + g[..., 2] * d[..., 2]))
     return s, t
 
 
 def soft_visibility(bound, x, d, stop_grad=False):
-    """Soft sky visibility in [0,1] for points x (||x|| <= 1) and directions d.
+    """Soft sky visibility in [0,1] for points x (||x|| <= 1) and directions d,
+    an array with no gradient.
 
     Directions on or below the horizon (d_z <= 0) are exactly visible.
     Broadcasts: x (R,1,3) against d (1,D,3) produces (R,D). Differentiable
     w.r.t. x, the DDF grid and epsilon unless ``stop_grad``.
     """
-    d_np = d.data if isinstance(d, tp.Var) else np.asarray(d, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
     s, t = exit_point(x, d)
-    minus_d = -d if isinstance(d, tp.Var) else tp._lift(-d_np)
-    depth = ddf_eval(bound, s, minus_d, strict=False)
+    depth = ddf_eval(bound, s, -d, strict=False)
     eps = bound.epsilon()
     v = 1.0 - tp.sigmoid(ETA * (t - depth - eps))
-    lower = np.broadcast_to(d_np[..., 2], v.data.shape) <= 0.0
+    lower = np.broadcast_to(d[..., 2], v.data.shape) <= 0.0
     if np.any(lower):
         v = tp.where(lower, np.ones(v.data.shape), v)
     if stop_grad:

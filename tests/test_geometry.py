@@ -213,15 +213,52 @@ def test_ddf_cell_coords_vjps_match_central_differences(kind, seed):
     s = s * radius
     d = _local_to_world(s, theta, phi)
     period = np.array([0.0, _DDF_SHAPE[1], 0.0, _DDF_SHAPE[3]])[:, None]
-    _assert_node_vjps(lambda a, b: vz._ddf_cell_coords(a, b, _DDF_SHAPE), [s, d],
+    # the directions are plain arrays: only s gets a gradient
+    _assert_node_vjps(lambda a: vz._ddf_cell_coords(a, d, _DDF_SHAPE), [s],
                       upstream, h=1e-7, period=period)
     if kind == "clamp":
         # beyond the clamp the local polar angle passes no gradient
         t = tp.Tape()
-        dv = t.parameter("d", d)
-        out = vz._ddf_cell_coords(s, dv, _DDF_SHAPE)
-        g = tp.backward(t, tp.vsum(out[2]))["d"]
+        sv = t.parameter("s", s)
+        out = vz._ddf_cell_coords(sv, d, _DDF_SHAPE)
+        g = tp.backward(t, tp.vsum(out[2]))["s"]
         assert np.any(g[0]) and not np.any(g[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["generic", "saturated_high", "saturated_low"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ddf_eval_vjps_match_central_differences(kind, seed):
+    # the grid and the sphere points s get gradients, the directions none
+    rng = np.random.default_rng(seed)
+    n = 3
+    shape = (3, 4, 2, 4)
+    s = rng.normal(size=(n, 3))
+    s *= rng.uniform(0.98, 1.02, (n, 1)) / np.linalg.norm(s, axis=1, keepdims=True)
+    d = _local_to_world(s, rng.uniform(0.1, 1.4, n), rng.uniform(-np.pi, np.pi, n))
+    if kind == "generic":
+        grid = rng.normal(scale=2.0, size=shape)
+    else:
+        # every corner beyond +-28, so the sigmoid sits in its 1e-12 clamp
+        sign = 1.0 if kind == "saturated_high" else -1.0
+        grid = sign * rng.uniform(30.0, 40.0, size=shape)
+    field = vz.DdfField(grid)
+    eps_raw = tp._lift(vz.VisibilityParams.default().eps_raw)
+
+    def depth(grid_var, s_var):
+        bound = vz.BoundDdf.from_vars(field, None, grid_var, eps_raw)
+        return vz.ddf_eval(bound, s_var, d)
+
+    upstream = rng.normal(size=n)
+    _assert_node_vjps(depth, [grid, s], upstream, h=1e-7)
+    if kind != "generic":
+        # a clamped depth passes exactly nothing, to the grid or to s
+        t = tp.Tape()
+        gv, sv = t.parameter("grid", grid), t.parameter("s", s)
+        out = depth(gv, sv)
+        assert np.all(out.data == (2.0 - 2e-12 if kind == "saturated_high" else 2e-12))
+        grads = tp.backward(t, tp.vsum(out * upstream))
+        assert not np.any(grads["grid"]) and not np.any(grads["s"])
 
 
 def _exit_s_and_t(x, d):
@@ -248,7 +285,8 @@ def test_exit_point_vjps_match_central_differences(tangent, seed):
     else:
         x = x_hat * rng.uniform(0.0, 0.95, size=(2, 1, 1))
     upstream = rng.normal(size=(2, 3, 4))
-    _assert_node_vjps(_exit_s_and_t, [x, d], upstream, h=1e-7)
+    # the directions are plain arrays: only x gets a gradient
+    _assert_node_vjps(lambda a: _exit_s_and_t(a, d), [x], upstream, h=1e-7)
 
 
 @pytest.mark.parametrize("level,count", [(0, 12), (1, 42), (2, 162), (3, 642)])

@@ -205,7 +205,7 @@ def test_principal_point_ray_is_forward_axis():
     cam = Camera.look_at([0.2, -0.5, 0.3], [0.0, 0.1, 0.0], 32, 24)
     px = np.array([[cam.width / 2.0 - 0.5, cam.height / 2.0 - 0.5]])
     d = cam.ray_dirs(px)[0]
-    assert np.allclose(d, cam.forward_axis(), atol=1e-12)
+    assert np.allclose(d, cam.R[2], atol=1e-12)
 
 
 def test_camera_requires_invertible_intrinsics():

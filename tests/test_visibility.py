@@ -70,8 +70,8 @@ def test_soft_visibility_half_at_exact_threshold():
     d = np.array([[0.0, 0.0, 1.0]])
     t = tp.Tape()
     bd = bound_of(ddf, tape=t)
-    s_var, t_var = vz.exit_point(tp._lift(x), tp._lift(d))
-    depth = vz.ddf_eval(bd, s_var, tp._lift(-d), strict=False)
+    s_var, t_var = vz.exit_point(tp._lift(x), d)
+    depth = vz.ddf_eval(bd, s_var, -d, strict=False)
     # choose epsilon = (t - depth) exactly as floats: the sigmoid argument
     # then cancels to exactly zero and V = 0.5 exactly
     eps_exact = float(t_var.data[0] - depth.data[0])
