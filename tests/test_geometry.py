@@ -243,10 +243,10 @@ def test_ddf_eval_vjps_match_central_differences(kind, seed):
         sign = 1.0 if kind == "saturated_high" else -1.0
         grid = sign * rng.uniform(30.0, 40.0, size=shape)
     field = vz.DdfField(grid)
-    eps_raw = tp._lift(vz.VisibilityParams.default().eps_raw)
 
     def depth(grid_var, s_var):
-        bound = vz.BoundDdf.from_vars(field, None, grid_var, eps_raw)
+        # ddf_eval reads only the field's shape and the grid
+        bound = vz.BoundDdf.from_vars(field, None, grid_var, None)
         return vz.ddf_eval(bound, s_var, d)
 
     upstream = rng.normal(size=n)
