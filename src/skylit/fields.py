@@ -46,6 +46,58 @@ def _factor_adjoints(factors, g_w):
     return grads
 
 
+def _corner_index(shape, coords, wrap):
+    """The corners of multilinear lookups on a grid whose first axes have
+    sizes ``shape``, at k cell-coordinate arrays ``coords`` of one rank
+    (their shapes broadcast) with per-axis ``wrap`` flags: returns the flat
+    node indices, corner major ((2^k, ...), corners in lexicographic order,
+    axis 0 most significant), and the k per-axis fractions. A wrapped axis
+    is periodic; any other is clamped to its end nodes (NaN stays NaN)."""
+    ndim = coords[0].ndim
+    idx = np.zeros((1,) * (ndim + 1), dtype=np.int64)
+    fracs = []
+    for n, uj, periodic in zip(shape, coords, wrap):
+        if periodic:
+            # a non-finite coordinate gathers node 0 and keeps its non-finite
+            # weights, so the value is NaN instead of an out-of-range index
+            i0 = np.floor(np.where(np.isfinite(uj), uj, 0.0)).astype(np.int64)
+            frac = uj - i0.astype(np.float64)
+            ends = (i0 % n, (i0 + 1) % n)
+        else:
+            # the clip sends +-inf to the end nodes; NaN gathers node 0 and
+            # keeps a NaN weight
+            i0 = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
+                                             0.0, n - 1)).astype(np.int64), n - 2)
+            frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - i0.astype(np.float64)
+            ends = (i0, i0 + 1)
+        idx = idx[:, None] * n + np.stack(ends)
+        idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
+        fracs.append(frac)
+    return idx, fracs
+
+
+def _lerp_tree(vals, fracs, partials):
+    """Multilinear value of corner-major corner values ``vals`` (2^k, ...),
+    as ``_corner_index`` orders them, at the per-axis ``fracs``: one lerp
+    lo + frac (hi - lo) per axis, axis 0 first. With ``partials`` the k
+    partials along the cell coordinates ride along the same tree (each is
+    its axis's hi - lo of the value, lerped along the later axes), and the
+    result is (k + 1, ...): the value, then the partials in axis order;
+    without, it is (1, ...), the same value. Rounding differs from
+    ``multilinear``'s weighted corner sum in the last bits."""
+    rows = vals[None]
+    for f in fracs:
+        n, half = rows.shape[0], rows.shape[1] // 2
+        out = np.empty((n + partials, half) + rows.shape[2:])
+        diff = np.subtract(rows[:, half:], rows[:, :half], out=out[:n])
+        if partials:
+            out[n] = diff[0]
+        diff *= f  # in place: the rows become lo + frac * (hi - lo)
+        diff += rows[:, :half]
+        rows = out
+    return rows[:, 0]
+
+
 def multilinear(grid, u, wrap, spatial_grad=False):
     """Multilinear interpolation of a grid Var at continuous cell coordinates.
 
@@ -78,26 +130,8 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     shape = grid.data.shape
     channels = grid.data.ndim > k
     table = grid.data.reshape((-1, shape[-1]) if channels else -1)
+    idx, fracs = _corner_index(shape, coords, wrap)
     ndim = coords[0].ndim
-    idx = np.zeros((1,) * (ndim + 1), dtype=np.int64)
-    fracs = []
-    for n, uj, periodic in zip(shape, coords, wrap):
-        if periodic:
-            # a non-finite coordinate gathers node 0 and keeps its non-finite
-            # weights, so the value is NaN instead of an out-of-range index
-            i0 = np.floor(np.where(np.isfinite(uj), uj, 0.0)).astype(np.int64)
-            frac = uj - i0.astype(np.float64)
-            ends = (i0 % n, (i0 + 1) % n)
-        else:
-            # the clip sends +-inf to the end nodes; NaN gathers node 0 and
-            # keeps a NaN weight
-            i0 = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
-                                             0.0, n - 1)).astype(np.int64), n - 2)
-            frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - i0.astype(np.float64)
-            ends = (i0, i0 + 1)
-        idx = idx[:, None] * n + np.stack(ends)
-        idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
-        fracs.append(frac)
 
     slope = np.reshape([-1.0, 1.0], (2,) + (1,) * ndim)
     outs = range(k) if spatial_grad else (None,)

@@ -125,7 +125,11 @@ def render_image(camera, scene_fields, bank, row, ddf=None, params=None,
                  dir_level=3, n_samples=64, seed=0):
     """Full-frame inference render under the bank's sky ``row``;
     deterministic under a fixed seed. Visibility is off when no ``ddf`` is
-    passed: every direction is then visible."""
+    passed: every direction is then visible. A ``ddf`` needs its
+    ``params`` (ValueError otherwise)."""
+    if ddf is not None and params is None:
+        raise ValueError("render_image: a ddf needs its visibility params "
+                         "(params=VisibilityParams)")
     rng = np.random.default_rng(seed)
     dir_set = icosphere_directions(dir_level)
     pixels = camera.all_pixels()

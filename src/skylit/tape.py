@@ -21,23 +21,25 @@ Conventions:
     ``sum_by_ray`` (the per-ray sum of such rows, one ``np.bincount``; its
     gradient is a gather);
     ``fields.multilinear`` (every grid lookup; saves its corner indices and
-    per-axis fractions, no corner weights); and, on the outside-in
-    visibility query, ``visibility.exit_point`` (the exit distance, then
-    the exit point) and ``visibility._ddf_cell_coords`` (the DDF's four
-    cell coordinates), which keep only their inputs and values and take
-    their light directions as plain arrays (no direction gradient), and the
-    DDF's clamped-sigmoid depth (keeps the sigmoid). Clamps in fused ops
-    follow the tie rule above,
+    per-axis fractions, no corner weights); on the DDF losses' depth
+    lookup, ``visibility._ddf_cell_coords`` (the DDF's four cell
+    coordinates; keeps only its inputs) and the clamped-sigmoid depth
+    (keeps the sigmoid); and ``visibility.soft_visibility``, the whole
+    outside-in visibility query in one node, which unlike the others saves
+    per-query adjoint coefficients (dv/dx, dv/draw, dv/deps) computed in
+    the forward pass, plus its corner indices and fractions, so that its
+    gradients recompute nothing. Light directions are plain arrays (no
+    direction gradient). Clamps in fused ops follow the tie rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
-  * the two gathers, ``take_rows`` (integer rows) and
-    ``fields.multilinear`` (grid corners), pass back a deferred scatter
-    adjoint, flat indices plus values, and ``reshape`` passes it through.
-    ``backward`` concatenates every such adjoint that reaches one Var and
-    densifies it once, with one ``np.bincount``, at the parameter or at the
-    first other op that needs a dense array. Sums across gathers therefore
-    follow concatenation order, the order in which ``backward`` reaches the
-    gathers. ``index`` takes no integer-array key,
+  * the gathers, ``take_rows`` (integer rows), ``fields.multilinear`` and
+    ``visibility.soft_visibility`` (grid corners), pass back a deferred
+    scatter adjoint, flat indices plus values, and ``reshape`` passes it
+    through. ``backward`` concatenates every such adjoint that reaches one
+    Var and densifies it once, with one ``np.bincount``, at the parameter or
+    at the first other op that needs a dense array. Sums across gathers
+    therefore follow concatenation order, the order in which ``backward``
+    reaches the gathers. ``index`` takes no integer-array key,
   * an op whose inputs are all constants (Vars with no tape) records no node
     and keeps no parents; inference binds its fields with ``tape=None`` and
     relies on this to compute values without building a graph.
@@ -246,12 +248,8 @@ def sqrt(a):
 def sigmoid_np(x):
     """The logistic function of a numpy array, overflow-safe; ``sigmoid``'s
     value, for fused ops that apply it inside one node."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def sigmoid(a):

@@ -9,21 +9,29 @@ actual distance ||s - x||. The comparison is softened with a sigmoid so
 appearance gradients flow from shadows into the DDF, the threshold, and the
 scene geometry.
 
-The query is a few fused tape nodes with closed-form gradients: the exit
-distance and exit point, the DDF's four cell coordinates (no local frame is
-built: the local azimuth is an atan2 of unnormalised frame components), one
-``multilinear`` lookup and the clamped-sigmoid depth. Light directions are
-fixed, so every query takes them as plain arrays and they get no gradient.
+The visibility query, ``soft_visibility``, is one tape node with parents x,
+the DDF grid and epsilon. It runs over blocks of whole rays, computes the
+exit point, the DDF's four cell coordinates (``_DirectionMap``: no local
+frame is built, the local azimuth is an atan2 of unnormalised frame
+components), one gather of the 16 grid corners with a lerp tree for the
+depth and its coordinate partials, and both sigmoids, and saves each query's
+closed-form adjoint coefficients instead of recomputing them. At inference
+(constant inputs, or ``stop_grad``) it computes the values alone. The DDF
+losses read depths through ``ddf_eval``: the cell coordinates, one
+``multilinear`` lookup and the clamped-sigmoid depth, each a node. Light
+directions are fixed, so every query takes them as plain arrays and they
+get no gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tape as tp
-from .fields import multilinear
+from .fields import _corner_index, _corner_products, _lerp_tree, multilinear
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -99,34 +107,29 @@ class BoundDdf:
         return tp.softplus(self.eps_raw)
 
 
-def _ddf_cell_coords(s, d, shape):
-    """DDF grid cell coordinates of queries at sphere points ``s`` looking
-    along ``d``, as one (4, ...) Var: the polar/azimuth angles of s, then
-    those of d in the local frame whose y-axis is s, whose x-axis is
-    world-up x s and whose z-axis is x x s (at the poles, where world-up x s
-    vanishes, x is (1, 0, 0) orthogonalised against s).
+class _DirectionMap:
+    """The DDF's map from queries at sphere points s looking along d to the
+    grid's four cell coordinates, and its Jacobian in s.
 
-    One tape node; s and d broadcast, s may be a Var and d is an array with
-    no gradient. The local polar angle is arccos(-(d . s)), clamped. The
-    local azimuth needs no normalised frame, because atan2 is
-    scale-invariant: it is
+    ``s`` and ``d`` are each three broadcasting component arrays (x, y, z);
+    d has no gradient. The coordinates are the polar/azimuth angles of s,
+    then those of d in the local frame whose y-axis is s, whose x-axis is
+    world-up x s and whose z-axis is x x s (at the poles, where world-up x s
+    vanishes, x is (1, 0, 0) orthogonalised against s). The local polar
+    angle is arccos(-(d . s)), clamped. The local azimuth needs no
+    normalised frame, because atan2 is scale-invariant: it is
     atan2(s_z (d_x s_x + d_y s_y) - d_z rho^2, d_y s_x - d_x s_y) with
     rho^2 = s_x^2 + s_y^2, and atan2(d_z s_y - d_y s_z, d_x - s_x (d . s))
-    at the poles (rho^2 < 1e-12). The gradient recomputes these terms from
-    s and d; a polar angle whose cosine is at or beyond +-1 passes gradient 0
-    (the clamp's tie rule). Each azimuth atan2(y, x) divides its slopes by
-    y^2 + x^2 floored at 1e-14; for the local azimuth the floor is scaled by
-    the squared norm of the unnormalised x-axis, so that it is the floor on
-    the normalised frame's components.
+    at the poles (rho^2 < 1e-12). The frame terms are computed once, here;
+    ``coords`` and ``pullback`` both read them.
     """
-    s, d = tp._lift(s), np.asarray(d, dtype=np.float64)
-    n_ts, n_ps, n_td, n_pd = shape
-    scale = ((n_ts - 1) / np.pi, n_ps / (2.0 * np.pi),
-             (n_td - 1) / (np.pi / 2.0), n_pd / (2.0 * np.pi))
 
-    def terms():
-        sx, sy, sz = np.moveaxis(s.data, -1, 0)
-        dx, dy, dz = np.moveaxis(d, -1, 0)
+    def __init__(self, s, d, shape):
+        n_ts, n_ps, n_td, n_pd = shape
+        self.scale = ((n_ts - 1) / np.pi, n_ps / (2.0 * np.pi),
+                      (n_td - 1) / (np.pi / 2.0), n_pd / (2.0 * np.pi))
+        sx, sy, sz = s
+        dx, dy, dz = d
         ds = dx * sx + dy * sy + dz * sz
         rho2 = sx * sx + sy * sy
         num = sz * (dx * sx + dy * sy) - dz * rho2
@@ -135,18 +138,27 @@ def _ddf_cell_coords(s, d, shape):
         if np.any(pole):
             num = np.where(pole, dz * sy - dy * sz, num)
             den = np.where(pole, dx - sx * ds, den)
-        return sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole
+        self.terms = (sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole)
 
-    sx, sy, sz, _, _, _, ds, _, num, den, _ = terms()
-    u = (np.arccos(np.clip(sz, -1.0, 1.0)) * scale[0],
-         (np.arctan2(sy, sx) + np.pi) * scale[1],
-         np.arccos(np.clip(-ds, -1.0, 1.0)) * scale[2],
-         (np.arctan2(num, den) + np.pi) * scale[3])
-    out = np.stack(np.broadcast_arrays(*u))
+    def coords(self):
+        """The four cell coordinates, as a tuple of arrays."""
+        sx, sy, sz, _, _, _, ds, _, num, den, _ = self.terms
+        scale = self.scale
+        return (np.arccos(np.clip(sz, -1.0, 1.0)) * scale[0],
+                (np.arctan2(sy, sx) + np.pi) * scale[1],
+                np.arccos(np.clip(-ds, -1.0, 1.0)) * scale[2],
+                (np.arctan2(num, den) + np.pi) * scale[3])
 
-    def vjp_s(g):
-        sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole = terms()
-        g0, g1, g2, g3 = (g[j] * scale[j] for j in range(4))
+    def pullback(self, g):
+        """The adjoint of s, as three component arrays, from the four
+        coordinates' adjoints ``g`` (in cells). A polar angle whose cosine is
+        at or beyond +-1 passes gradient 0 (the clamp's tie rule). Each
+        azimuth atan2(y, x) divides its slopes by y^2 + x^2 floored at
+        1e-14; for the local azimuth the floor is scaled by the squared norm
+        of the unnormalised x-axis, so that it is the floor on the
+        normalised frame's components."""
+        sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole = self.terms
+        g0, g1, g2, g3 = (g[j] * self.scale[j] for j in range(4))
         # polar angle of s; at or beyond the clamp it passes nothing
         g_sz = -g0 * (np.abs(sz) < 1.0) / np.sqrt(np.maximum(1.0 - sz * sz, 1e-14))
         # azimuth of s
@@ -172,10 +184,46 @@ def _ddf_cell_coords(s, d, shape):
                    g_num * dz - g_den * sx * dy,
                    -g_num * dy - g_den * sx * dz]
             g_s = [np.where(pole, p, q) for p, q in zip(p_s, g_s)]
-        g_s = [a + g_ds * b for a, b in zip(g_s, (dx, dy, dz))]
+        return [a + g_ds * b for a, b in zip(g_s, (dx, dy, dz))]
+
+
+def _ddf_cell_coords(s, d, shape):
+    """DDF grid cell coordinates of queries at sphere points ``s`` looking
+    along ``d``, as one (4, ...) Var (see ``_DirectionMap``).
+
+    One tape node; s and d broadcast, s may be a Var and d is an array with
+    no gradient. It keeps only its inputs; the gradient recomputes the frame
+    terms from s and d.
+    """
+    s, d = tp._lift(s), np.asarray(d, dtype=np.float64)
+
+    def direction_map():
+        return _DirectionMap(np.moveaxis(s.data, -1, 0), np.moveaxis(d, -1, 0), shape)
+
+    out = np.stack(np.broadcast_arrays(*direction_map().coords()))
+
+    def vjp_s(g):
+        g_s = direction_map().pullback(g)
         return np.stack(np.broadcast_arrays(*g_s), axis=-1)
 
     return tp._node("ddf_coords", out, (s,), (vjp_s,))
+
+
+DDF_WRAP = (False, True, False, True)  # the DDF grid's two azimuths wrap
+
+
+def _depth(raw):
+    """SCENE_DIAMETER * sigmoid(raw), the sigmoid clamped to [1e-12,
+    1 - 1e-12] so that depths stay in the open (0, 2); returns the depth and
+    the unclamped sigmoid."""
+    sig = tp.sigmoid_np(raw)
+    return np.minimum(np.maximum(sig, 1e-12), 1.0 - 1e-12) * SCENE_DIAMETER, sig
+
+
+def _depth_slope(g, sig):
+    """``g`` times the slope of ``_depth`` in raw, from its sigmoid; a
+    clamped entry passes gradient 0, the maximum/minimum tie rule."""
+    return g * SCENE_DIAMETER * (sig < 1.0 - 1e-12) * (sig > 1e-12) * sig * (1.0 - sig)
 
 
 def ddf_eval(bound, s, d_world, strict=True):
@@ -191,69 +239,122 @@ def ddf_eval(bound, s, d_world, strict=True):
         raise PreconditionError("DDF direction must point inward (d . s < 0)")
 
     u = _ddf_cell_coords(s, d_np, bound.field.shape)
-    raw = multilinear(bound.grid, u, (False, True, False, True))
-    # one node for SCENE_DIAMETER * sigmoid(raw), the sigmoid clamped to
-    # [1e-12, 1 - 1e-12] so that depths stay in the open (0, 2); a clamped
-    # entry passes gradient 0, the maximum/minimum tie rule
-    sig = tp.sigmoid_np(raw.data)
-    depth = np.minimum(np.maximum(sig, 1e-12), 1.0 - 1e-12) * SCENE_DIAMETER
-    return tp._node("ddf_depth", depth, (raw,),
-                    (lambda g: g * SCENE_DIAMETER * (sig < 1.0 - 1e-12) * (sig > 1e-12)
-                     * sig * (1.0 - sig),))
+    raw = multilinear(bound.grid, u, DDF_WRAP)
+    # one node for the clamped-sigmoid depth; it keeps the sigmoid
+    depth, sig = _depth(raw.data)
+    return tp._node("ddf_depth", depth, (raw,), (lambda g: _depth_slope(g, sig),))
 
 
-def exit_point(x, d):
-    """Differentiable smallest-nonnegative-root unit-sphere intersection of
-    rays x + t d for directions ``d``, an array with no gradient; returns
-    (s, t). Broadcasts over leading axes.
-
-    Two tape nodes: t, from the quadratic in closed form (its gradient
-    recomputes the roots; a root clamped to 0, a tangent ray and the
-    discriminant's clamp pass gradient as ``maximum``/``sqrt`` would), and
-    s = x + t d.
-    """
-    x, d = tp._lift(x), np.asarray(d, dtype=np.float64)
-    xd = x.data
-    t_np = ray_sphere_exit(xd, d).t
-
-    def vjp_x(g):
-        q = ray_sphere_exit(xd, d)
-        g_t = g * (q.t > 0.0)
-        g_b = -0.5 * g_t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_disc = np.where(q.root > 0.0,
-                              np.where(q.near, -0.25, 0.25) * g_t / q.root, 0.0)
-        g_b = g_b + 2.0 * q.b * g_disc
-        g_c = -4.0 * g_disc
-        return (2.0 * g_b)[..., None] * d + (2.0 * g_c)[..., None] * xd
-
-    t = tp._node("exit_t", t_np, (x,), (vjp_x,))
-    s = tp._node("exit_s", xd + t_np[..., None] * d, (x, t),
-                 (lambda g: g,
-                  lambda g: g[..., 0] * d[..., 0] + g[..., 1] * d[..., 1]
-                  + g[..., 2] * d[..., 2]))
-    return s, t
+VISIBILITY_BLOCK = 16384  # queries per block of whole rays in soft_visibility
 
 
 def soft_visibility(bound, x, d, stop_grad=False):
     """Soft sky visibility in [0,1] for points x (||x|| <= 1) and directions d,
-    an array with no gradient.
+    an array with no gradient: v = 1 - sigmoid(ETA (t - depth - eps)), with
+    t the distance from x to the unit sphere along d, depth the DDF's depth
+    at that exit point s looking back along -d, and eps the bound's
+    occlusion tolerance.
 
     Directions on or below the horizon (d_z <= 0) are exactly visible.
     Broadcasts: x (R,1,3) against d (1,D,3) produces (R,D). Differentiable
     w.r.t. x, the DDF grid and epsilon unless ``stop_grad``.
+
+    One tape node with parents x, the grid and epsilon, evaluated over
+    blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
+    queries. Per block it finds the exit distance and point, the DDF cell
+    coordinates (``_DirectionMap``), the 16 corners (gathered once) and,
+    from one lerp tree over them, the raw depth and its 4 coordinate
+    partials; then both sigmoids. It saves each query's closed-form
+    adjoint coefficients, dv/dx (3 per query), dv/draw and dv/deps, plus the
+    corner indices and the 4 fractions, so its gradients recompute nothing:
+    x takes one weighted sum over directions, epsilon one dot product, and
+    the grid one deferred scatter whose corner weights are rebuilt from the
+    fractions. When x, the grid and epsilon are all constants, or with
+    ``stop_grad``, it computes v alone: no coefficients and no parents (a
+    stopped value is a leaf on its inputs' tape).
     """
+    x = tp._lift(x)
     d = np.asarray(d, dtype=np.float64)
-    s, t = exit_point(x, d)
-    depth = ddf_eval(bound, s, -d, strict=False)
-    eps = bound.epsilon()
-    v = 1.0 - tp.sigmoid(ETA * (t - depth - eps))
-    lower = np.broadcast_to(d[..., 2], v.data.shape) <= 0.0
-    if np.any(lower):
-        v = tp.where(lower, np.ones(v.data.shape), v)
-    if stop_grad:
-        v = tp.stop_gradient(v)
-    return v
+    grad = not stop_grad and any(v.tape is not None or v.parents
+                                 for v in (x, bound.grid, bound.eps_raw))
+    eps = bound.epsilon() if grad else tp.softplus(tp.Var(bound.eps_raw.data))
+    grid_shape = bound.grid.data.shape
+    table = bound.grid.data.reshape(-1)
+    shape = np.broadcast_shapes(x.data.shape[:-1], d.shape[:-1])
+    full = shape or (1,)  # blocks run over a leading axis
+    xs = x.data.reshape((1,) * (len(full) + 1 - x.data.ndim) + x.data.shape)
+    ds = d.reshape((1,) * (len(full) + 1 - d.ndim) + d.shape)
+
+    v = np.empty(full)
+    if grad:
+        coef_x = np.empty((3,) + full)
+        coef_raw = np.empty(full)
+        coef_eps = np.empty(full)
+        fracs = np.empty((4,) + full)
+        # 32-bit corner indices halve the bytes the node writes and keeps
+        idx = np.empty((16,) + full, dtype=np.int32 if table.size < 2**31 else np.int64)
+    step = max(1, VISIBILITY_BLOCK // max(1, math.prod(full[1:])))
+    for lo in range(0, full[0], step):
+        b = slice(lo, lo + step)
+        xb = xs[b] if xs.shape[0] > 1 else xs
+        db = ds[b] if ds.shape[0] > 1 else ds
+        q = ray_sphere_exit(xb, db)
+        xc = [xb[..., k] for k in range(3)]
+        dc = [db[..., k] for k in range(3)]
+        sc = [xk + q.t * dk for xk, dk in zip(xc, dc)]
+        dmap = _DirectionMap(sc, [-dk for dk in dc], grid_shape)
+        u = dmap.coords()
+        corner, frac = _corner_index(grid_shape, u, DDF_WRAP)
+        tree = _lerp_tree(np.take(table, corner, axis=0), frac, grad)
+        depth, sig = _depth(tree[0])
+        occluded = tp.sigmoid_np(ETA * ((q.t - depth) - eps.data))
+        lower = np.broadcast_to(dc[2] <= 0.0, occluded.shape)
+        v[b] = np.where(lower, 1.0, 1.0 - occluded)
+        if not grad:
+            continue
+        # dv/deps = dv/ddepth = -dv/dt
+        k_eps = np.where(lower, 0.0, ETA * occluded * (1.0 - occluded))
+        k_raw = _depth_slope(k_eps, sig)
+        g_u = [k_raw * tree[1 + j] for j in range(4)]
+        for j in (0, 2):  # clamped axes: at or beyond an end node, gradient 0
+            g_u[j] = g_u[j] * ((u[j] > 0.0) & (u[j] < grid_shape[j] - 1))
+        g_s = dmap.pullback(g_u)
+        # s = x + t d: dv/dt gathers the exit point's share, then passes
+        # through t's closed form (as the quadratic's roots, clamped)
+        g_t = (g_s[0] * dc[0] + g_s[1] * dc[1] + g_s[2] * dc[2] - k_eps) * (q.t > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_disc = np.where(q.root > 0.0,
+                              np.where(q.near, -0.25, 0.25) * g_t / q.root, 0.0)
+        g_b = -0.5 * g_t + 2.0 * q.b * g_disc
+        g_c = -4.0 * g_disc
+        for k in range(3):
+            coef_x[k, b] = g_s[k] + 2.0 * g_b * dc[k] + 2.0 * g_c * xc[k]
+        coef_raw[b] = k_raw
+        coef_eps[b] = k_eps
+        fracs[:, b] = frac
+        idx[:, b] = corner
+    if not grad:
+        # under stop_grad the value stays on its inputs' tape, as a leaf
+        tape = tp._tape_of(x, bound.grid, bound.eps_raw)
+        op = "const" if tape is None else "stopgrad"
+        return tp.Var(v.reshape(shape), tape=tape, op=op)
+
+    def vjp_x(g):
+        return np.moveaxis(coef_x * g.reshape(full), 0, -1)
+
+    def vjp_grid(g):
+        # the corner weights times the raw depth's adjoint, which scales the
+        # first axis's weight pair
+        pairs = [np.stack([1.0 - f, f]) for f in fracs]
+        pairs[0] = pairs[0] * (g.reshape(full) * coef_raw)
+        return tp._Scatter(grid_shape, [idx.reshape(-1)],
+                           [_corner_products(pairs)[-1].reshape(-1)])
+
+    def vjp_eps(g):
+        return np.dot(g.reshape(-1), coef_eps.reshape(-1))
+
+    return tp._node("soft_visibility", v.reshape(shape), (x, bound.grid, eps),
+                    (vjp_x, vjp_grid, vjp_eps))
 
 
 def ambient_occlusion(bound, x, dirs=None):

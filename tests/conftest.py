@@ -15,7 +15,7 @@ from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
 from skylit.fields import sphere_trace
-from skylit.geometry import icosphere_directions, normalize
+from skylit.geometry import icosphere_directions, normalize, ray_sphere_exit
 from skylit.scenes import generate_dataset, make_scene
 
 
@@ -211,3 +211,54 @@ def dense_render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs,
         "weighted_albedo": tp.vsum(w3 * albedo, axis=1),
         "background": background,
     }
+
+
+def exit_point(x, d):
+    """Differentiable smallest-nonnegative-root unit-sphere intersection of
+    rays x + t d for directions ``d``, an array with no gradient; returns
+    (s, t). Broadcasts over leading axes.
+
+    Two tape nodes: t, from the quadratic in closed form (its gradient
+    recomputes the roots; a root clamped to 0, a tangent ray and the
+    discriminant's clamp pass gradient as ``maximum``/``sqrt`` would), and
+    s = x + t d. ``chain_soft_visibility`` builds on it.
+    """
+    x, d = tp._lift(x), np.asarray(d, dtype=np.float64)
+    xd = x.data
+    t_np = ray_sphere_exit(xd, d).t
+
+    def vjp_x(g):
+        q = ray_sphere_exit(xd, d)
+        g_t = g * (q.t > 0.0)
+        g_b = -0.5 * g_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_disc = np.where(q.root > 0.0,
+                              np.where(q.near, -0.25, 0.25) * g_t / q.root, 0.0)
+        g_b = g_b + 2.0 * q.b * g_disc
+        g_c = -4.0 * g_disc
+        return (2.0 * g_b)[..., None] * d + (2.0 * g_c)[..., None] * xd
+
+    t = tp._node("exit_t", t_np, (x,), (vjp_x,))
+    s = tp._node("exit_s", xd + t_np[..., None] * d, (x, t),
+                 (lambda g: g,
+                  lambda g: g[..., 0] * d[..., 0] + g[..., 1] * d[..., 1]
+                  + g[..., 2] * d[..., 2]))
+    return s, t
+
+
+def chain_soft_visibility(bound, x, d):
+    """Reference for ``visibility.soft_visibility``: the same soft
+    visibility composed of generic nodes (``exit_point``, ``ddf_eval``'s
+    cell coordinates, 16-corner ``multilinear`` and clamped-sigmoid depth,
+    then the sigmoid comparison), each VJP recomputing what it needs. The
+    fused node's depth comes from a lerp tree, so the two agree up to
+    rounding."""
+    d = np.asarray(d, dtype=np.float64)
+    s, t = exit_point(x, d)
+    depth = vz.ddf_eval(bound, s, -d, strict=False)
+    eps = bound.epsilon()
+    v = 1.0 - tp.sigmoid(vz.ETA * (t - depth - eps))
+    lower = np.broadcast_to(d[..., 2], v.data.shape) <= 0.0
+    if np.any(lower):
+        v = tp.where(lower, np.ones(v.data.shape), v)
+    return v

@@ -18,7 +18,7 @@ from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import (icosphere_directions, normalize, sample_sphere,
                              vmf_sample_batch)
-from tests.conftest import binary_visibility_oracle, plane_shading
+from tests.conftest import binary_visibility_oracle, exit_point, plane_shading
 
 
 def report(criterion, ok, detail):
@@ -209,7 +209,7 @@ def test_criterion_3_soft_visibility_fixed_points():
     # V = 0.5 exactly when ||s-x|| - f_DDF = eps (argument cancels to 0.0)
     x = np.array([[0.0, 0.0, 0.2]])
     d = np.array([[0.0, 0.0, 1.0]])
-    s_var, t_var = vz.exit_point(tp._lift(x), d)
+    s_var, t_var = exit_point(tp._lift(x), d)
     depth = vz.ddf_eval(bound, s_var, -d, strict=False)
     eps_exact = float(t_var.data[0] - depth.data[0])
     v_half = 1.0 - tp.sigmoid(50.0 * ((t_var - depth) - eps_exact))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from skylit import geometry as geo
 from skylit import tape as tp
 from skylit import visibility as vz
+from tests.conftest import exit_point
 
 
 def _exit(o, d):
@@ -262,7 +263,7 @@ def test_ddf_eval_vjps_match_central_differences(kind, seed):
 
 
 def _exit_s_and_t(x, d):
-    s, t = vz.exit_point(x, d)
+    s, t = exit_point(x, d)
     return tp.concat([s, tp.reshape(t, t.shape + (1,))], axis=-1)
 
 

@@ -246,6 +246,14 @@ def test_open_sky_ddf_renders_as_no_ddf_and_maps_to_full_visibility(unit_sky):
     assert np.all(vz.visibility_map(ddf, params, cam, scene) == 1.0)
 
 
+def test_render_image_with_ddf_needs_params(unit_sky):
+    scene = make_plane_scene(resolution=8)
+    cam = Camera.look_at([0.0, -0.5, 0.35], [0.0, 0.0, 0.0], 4, 3)
+    ddf = vz.DdfField.zero_init((4, 8), (3, 6))
+    with pytest.raises(ValueError, match="params"):
+        rd.render_image(cam, scene, unit_sky, 0, ddf=ddf, dir_level=0, n_samples=4)
+
+
 def _oracle_case(kind, n_rays=6):
     """Trainable fields, sky and DDF, plus rays, for comparing
     ``render_rays`` with the dense oracle. ``kind`` picks the SDF: "mixed"

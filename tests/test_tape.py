@@ -601,7 +601,7 @@ def test_soft_visibility_keeps_no_corner_weights():
     before = len(t.nodes)
     v = vz.soft_visibility(bound, x, d)
     nodes = t.nodes[before:]
-    assert v.data.shape == (128, 321) and len(nodes) <= 15
+    assert v.data.shape == (128, 321) and len(nodes) <= 5
     n_corner = 16 * v.data.size
     for node in nodes:
         arrays = _reachable_arrays([node.data] + [vjp for _, vjp in node.parents], [])

@@ -2,13 +2,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skylit import fields as fd
 from skylit import tape as tp
 from skylit import visibility as vz
-from skylit.geometry import icosphere_directions, sample_sphere
+from skylit.geometry import (icosphere_directions, ray_sphere_exit, sample_sphere,
+                             so3_jitter)
 from skylit.scenes import make_scene
-from tests.conftest import binary_visibility_oracle
+from tests.conftest import binary_visibility_oracle, chain_soft_visibility, exit_point
 
 
 def bound_of(ddf, params=None, tape=None, trainable=False):
@@ -70,7 +73,7 @@ def test_soft_visibility_half_at_exact_threshold():
     d = np.array([[0.0, 0.0, 1.0]])
     t = tp.Tape()
     bd = bound_of(ddf, tape=t)
-    s_var, t_var = vz.exit_point(tp._lift(x), d)
+    s_var, t_var = exit_point(tp._lift(x), d)
     depth = vz.ddf_eval(bd, s_var, -d, strict=False)
     # choose epsilon = (t - depth) exactly as floats: the sigmoid argument
     # then cancels to exactly zero and V = 0.5 exactly
@@ -176,6 +179,169 @@ def test_stop_gradient_blocks_visibility():
     assert np.abs(g_free["ddf_grid"]).max() > 0.0
     assert np.all(g_stop["ddf_grid"] == 0.0)
     assert np.all(g_stop["vis_eps_raw"] == 0.0)
+
+
+def _train_queries(rng, whole_sphere=False):
+    """A train step's visibility query: 128 termination points against the
+    sky-side half of the jittered level-3 icosphere (or all of it)."""
+    dirs = icosphere_directions(3).directions @ so3_jitter(rng).T
+    if not whole_sphere:
+        dirs = dirs[dirs[:, 2] > 0.0]
+    else:
+        dirs[:3, 2] = 0.0  # horizon directions, exactly visible
+    return rng.uniform(-0.6, 0.6, size=(128, 1, 3)), dirs[None]
+
+
+def _visibility_and_grads(vis_fn, grid, eps, x, d, upstream):
+    t = tp.Tape()
+    bd = vz.BoundDdf(t, vz.DdfField(grid), vz.VisibilityParams.default(epsilon=eps))
+    v = vis_fn(bd, t.parameter("x", x), d)
+    return v.data, tp.backward(t, tp.vsum(v * upstream))
+
+
+@pytest.mark.parametrize("whole_sphere", [False, True])
+def test_soft_visibility_matches_chain_oracle(whole_sphere):
+    # the fused node against the composition of generic nodes it replaced:
+    # values and the grid, epsilon and x gradients agree up to rounding
+    rng = np.random.default_rng(21)
+    x, d = _train_queries(rng, whole_sphere)
+    grid = rng.normal(scale=2.0, size=(32, 64, 16, 32))
+    upstream = rng.normal(size=(x.shape[0], d.shape[1]))
+    got_v, got = _visibility_and_grads(vz.soft_visibility, grid, 0.3, x, d, upstream)
+    want_v, want = _visibility_and_grads(chain_soft_visibility, grid, 0.3, x, d, upstream)
+    assert 0.05 < np.mean(want_v) < 0.95  # neither all visible nor all occluded
+    np.testing.assert_allclose(got_v, want_v, rtol=1e-12, atol=1e-15)
+    assert set(got) == {"ddf_grid", "vis_eps_raw", "x"}
+    for name in got:
+        assert np.any(want[name])
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want[name]).max(), err_msg=name)
+
+
+def test_soft_visibility_inference_records_nothing():
+    # constant inputs, or stop_grad, give the gradient path's values bit for
+    # bit with no parents and no saved coefficients
+    rng = np.random.default_rng(22)
+    x, d = _train_queries(rng)
+    ddf = vz.DdfField(rng.normal(scale=2.0, size=(8, 16, 6, 12)))
+    t = tp.Tape()
+    v_grad = vz.soft_visibility(bound_of(ddf, tape=t, trainable=True),
+                                t.parameter("x", x), d)
+    assert v_grad.parents
+    t = tp.Tape()
+    v_const = vz.soft_visibility(bound_of(ddf, tape=t), x, d)
+    assert v_const.parents == () and v_const.tape is None and not t.nodes
+    bd = bound_of(ddf, tape=t, trainable=True)
+    before = len(t.nodes)
+    v_stop = vz.soft_visibility(bd, t.parameter("x", x), d, stop_grad=True)
+    assert v_stop.parents == () and t.nodes[before + 1:] == [v_stop]
+    for v in (v_const, v_stop):
+        assert np.array_equal(v.data, v_grad.data)
+
+
+def _node_case(kind, rng):
+    """x (2,1,3), d (1,3,3), grid and raw epsilon for ``kind``."""
+    shape = (3, 4, 3, 4)
+    grid = rng.normal(scale=2.0, size=shape)
+    x = rng.normal(size=(2, 1, 3))
+    x *= rng.uniform(0.0, 0.8, size=(2, 1, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
+    d = rng.normal(size=(1, 3, 3))
+    d[..., 2] = np.abs(d[..., 2]) + 0.1
+    eps_raw = rng.normal(scale=0.5, size=())
+    if kind == "pole":
+        # x[0]'s first ray exits at the north pole s = +z, where the exit
+        # point's azimuth is undefined and the DDF's local frame falls back;
+        # a grid that does not vary with the position leaves v smooth there
+        grid = np.broadcast_to(grid[:1, :1], shape).copy()
+        d[0, 0] = np.array([0.0, 0.0, 1.0]) - x[0, 0]
+    elif kind == "tangent":
+        # near the surface, rays within a few degrees of its tangent plane
+        x_hat = x[:1, :1] / np.linalg.norm(x[:1, :1])
+        x_hat[..., 2] = np.clip(x_hat[..., 2], -0.5, 0.5)
+        x_hat /= np.linalg.norm(x_hat)
+        x = np.broadcast_to(x_hat, x.shape) * rng.uniform(0.99, 0.999, size=(2, 1, 1))
+        up = np.array([0.0, 0.0, 1.0]) - x_hat[0, 0, 2] * x_hat[0, 0]
+        up /= np.linalg.norm(up)
+        side = np.cross(x_hat[0, 0], up)
+        a = rng.uniform(-1.0, 1.0, size=(3, 1))
+        tilt = rng.uniform(-0.05, 0.05, size=(3, 1))
+        d = (np.cos(tilt) * (np.cos(a) * up + np.sin(a) * side)
+             + np.sin(tilt) * x_hat[0, 0])[None]
+    elif kind == "outside":
+        # just outside the ball, below its equator, aimed inward: the
+        # exit point is the near root, where the ray enters; short depths
+        # and a small epsilon keep the sigmoid off its saturation
+        x_hat = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        x_hat[..., 2] = -np.abs(x_hat[..., 2]) - 0.3
+        x_hat /= np.linalg.norm(x_hat, axis=-1, keepdims=True)
+        x = x_hat * rng.uniform(1.02, 1.1, size=(2, 1, 1))
+        d = -x_hat[:1] + rng.normal(scale=0.2, size=(1, 3, 3))
+        d[..., 2] = np.abs(d[..., 2]) + 0.05
+        grid = rng.normal(-5.0, 0.5, size=shape)
+        eps_raw = rng.normal(-5.0, 0.3, size=())
+    elif kind == "saturated":
+        # every corner beyond +-28: the depth sits in its 1e-12 clamp
+        grid = rng.choice([-1.0, 1.0]) * rng.uniform(30.0, 40.0, size=shape)
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return x, d, grid, eps_raw
+
+
+def _node_value(x, grid, eps_raw, d):
+    field = vz.DdfField(grid.data)
+    return vz.soft_visibility(vz.BoundDdf.from_vars(field, None, grid, eps_raw), x, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["generic", "pole", "tangent", "outside", "saturated"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_soft_visibility_node_vjps_match_central_differences(kind, seed):
+    # x, the grid and raw epsilon against central differences of
+    # sum(v * upstream); the directions are plain arrays
+    rng = np.random.default_rng(seed)
+    x, d, grid, eps_raw = _node_case(kind, rng)
+    assert np.all(d[..., 2] > 0.0)  # sky-side: none of v is pinned to 1
+    upstream = rng.normal(size=(2, 3))
+    inputs = {"x": x, "grid": grid, "eps_raw": eps_raw}
+    t = tp.Tape()
+    pv = {k: t.parameter(k, v) for k, v in inputs.items()}
+    v = _node_value(pv["x"], pv["grid"], pv["eps_raw"], d)
+    grads = tp.backward(t, tp.vsum(v * upstream))
+    if kind == "pole":
+        s_pole = x[0, 0] + ray_sphere_exit(x[0, 0], d[0, 0]).t * d[0, 0]
+        assert np.hypot(s_pole[0], s_pole[1]) < 1e-12
+    h = 1e-7
+    for name, base in inputs.items():
+        numeric = np.empty(base.shape)
+        for j in np.ndindex(base.shape):
+            sums = []
+            for sign in (1.0, -1.0):
+                bumped = {k: np.array(a, copy=True) for k, a in inputs.items()}
+                bumped[name][j] += sign * h
+                out = _node_value(*(tp._lift(bumped[k]) for k in inputs), d)
+                sums.append(np.sum(out.data * upstream))
+            numeric[j] = (sums[0] - sums[1]) / (2.0 * h)
+        scale = 1.0 + np.abs(numeric).max()
+        np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-6 * scale,
+                                   err_msg=name)
+    if kind == "saturated":
+        # a clamped depth passes the grid exactly nothing
+        assert not np.any(grads["grid"])
+
+
+def test_soft_visibility_horizon_and_below_is_one_with_zero_gradient():
+    # d_z = 0 exactly and d_z < 0 (one ray exits at the south pole): v is
+    # exactly 1 and no slot gets any gradient
+    rng = np.random.default_rng(23)
+    x = np.array([[[0.1, -0.2, 0.3]], [[0.0, 0.0, 0.5]]])
+    d = np.array([[[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.3, 0.2, -0.9]]])
+    d[0, 2] = np.array([0.0, 0.0, -1.0]) - x[0, 0]
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    t = tp.Tape()
+    bd = bound_of(vz.DdfField(rng.normal(size=(4, 6, 3, 6))), tape=t, trainable=True)
+    v = vz.soft_visibility(bd, t.parameter("x", x), d)
+    assert np.all(v.data == 1.0)
+    grads = tp.backward(t, tp.vsum(v * rng.normal(size=v.shape)))
+    assert not any(np.any(g) for g in grads.values())
 
 
 def test_binary_oracle_empty_and_occluded():
