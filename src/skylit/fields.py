@@ -1,17 +1,19 @@
 """Learnable SDF and albedo grid fields with NeuS-style volume rendering.
 
 Both fields are dense trilinear grids over the cube [-1, 1]^3 around the
-unit ball, which holds the whole scene. They are read through ``multilinear``,
-the one interpolation kernel that every grid in the package shares (the
-spherical DDF too): one tape node with hand-written gradients in the grid
-and in the cell coordinates. Queries outside the cube take the value at the
-nearest boundary point. The SDF carries a single global steepness parameter
-for the logistic CDF used by the NeuS weight construction, stored in log
-space so it stays positive.
+unit ball, which holds the whole scene. Every grid, the spherical DDF too,
+is read one way (``_grid_read``: one corner gather and a lerp tree for the
+value and, if asked, its cell partials), and its adjoint is that tree's
+transpose, scattered once (``_grid_scatter``); ``multilinear`` and
+``visibility.soft_visibility`` are the tape nodes that call them. Queries
+outside the cube take the value at the nearest boundary point. The SDF
+carries a single global steepness parameter for the logistic CDF used by
+the NeuS weight construction, stored in log space so it stays positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,57 +22,38 @@ from . import tape as tp
 from .geometry import WORLD_UP, ray_sphere_exit
 
 
-def _corner_products(factors):
-    """Corner-major products of per-axis (2, ...) factor pairs, built one
-    axis at a time, left to right: entry j of the list holds the 2^(j+1)
-    products of the first j + 1 factors; the last entry is the corner
-    weights."""
-    out = [factors[0]]
-    for f in factors[1:]:
-        w = out[-1]
-        prod = w[:, None] * f[None]
-        out.append(prod.reshape((2 * w.shape[0],) + prod.shape[2:]))
-    return out
-
-
-def _factor_adjoints(factors, g_w):
-    """Adjoints of the factor pairs from the adjoint ``g_w`` of their corner
-    weights, by reverse mode through ``_corner_products``."""
-    prefix = _corner_products(factors[:-1]) if len(factors) > 1 else []
-    grads = [None] * len(factors)
-    for j in range(len(factors) - 1, 0, -1):
-        g_w = g_w.reshape((g_w.shape[0] // 2, 2) + g_w.shape[1:])
-        grads[j] = np.einsum("ab...,a...->b...", g_w, prefix[j - 1])
-        g_w = np.einsum("ab...,b...->a...", g_w, factors[j])
-    grads[0] = g_w
-    return grads
-
-
 def _corner_index(shape, coords, wrap):
-    """The corners of multilinear lookups on a grid whose first axes have
-    sizes ``shape``, at k cell-coordinate arrays ``coords`` of one rank
-    (their shapes broadcast) with per-axis ``wrap`` flags: returns the flat
-    node indices, corner major ((2^k, ...), corners in lexicographic order,
-    axis 0 most significant), and the k per-axis fractions. A wrapped axis
-    is periodic; any other is clamped to its end nodes (NaN stays NaN)."""
-    ndim = coords[0].ndim
-    idx = np.zeros((1,) * (ndim + 1), dtype=np.int64)
+    """The corners of multilinear lookups on a grid of shape ``shape``
+    (interpolated axes first, then at most one channel axis) at k
+    cell-coordinate arrays ``coords`` of one rank (their shapes broadcast)
+    with per-axis ``wrap`` flags: returns the flat row indices of the
+    corner nodes, corner major ((2^k, ...), corners in lexicographic order,
+    axis 0 most significant), and the k per-axis fractions. The indices are
+    int32 when the grid has fewer than 2^31 entries. A wrapped axis is
+    periodic; any other is clamped to its end nodes (NaN stays NaN)."""
+    k = len(coords)
+    dtype = np.int32 if math.prod(shape) < 2**31 else np.int64
+    idx = np.zeros((1,) * (coords[0].ndim + 1), dtype=dtype)
     fracs = []
-    for n, uj, periodic in zip(shape, coords, wrap):
+    for j, (n, uj, periodic) in enumerate(zip(shape, coords, wrap)):
+        # the lower node, in floats until the cast: a huge wrapped coordinate
+        # cannot overflow the index type
         if periodic:
             # a non-finite coordinate gathers node 0 and keeps its non-finite
             # weights, so the value is NaN instead of an out-of-range index
-            i0 = np.floor(np.where(np.isfinite(uj), uj, 0.0)).astype(np.int64)
-            frac = uj - i0.astype(np.float64)
-            ends = (i0 % n, (i0 + 1) % n)
+            lo = np.floor(np.where(np.isfinite(uj), uj, 0.0))
+            frac = uj - lo
+            lo %= n
+            ends = np.stack((lo, np.where(lo == n - 1, 0.0, lo + 1.0)))
         else:
             # the clip sends +-inf to the end nodes; NaN gathers node 0 and
             # keeps a NaN weight
-            i0 = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
-                                             0.0, n - 1)).astype(np.int64), n - 2)
-            frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - i0.astype(np.float64)
-            ends = (i0, i0 + 1)
-        idx = idx[:, None] * n + np.stack(ends)
+            lo = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
+                                             0.0, n - 1)), n - 2)
+            frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - lo
+            ends = np.stack((lo, lo + 1.0))
+        # each axis adds its two nodes times its stride in the flat rows
+        idx = idx[:, None] + ends.astype(dtype) * math.prod(shape[j + 1:k])
         idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
         fracs.append(frac)
     return idx, fracs
@@ -79,23 +62,65 @@ def _corner_index(shape, coords, wrap):
 def _lerp_tree(vals, fracs, partials):
     """Multilinear value of corner-major corner values ``vals`` (2^k, ...),
     as ``_corner_index`` orders them, at the per-axis ``fracs``: one lerp
-    lo + frac (hi - lo) per axis, axis 0 first. With ``partials`` the k
-    partials along the cell coordinates ride along the same tree (each is
-    its axis's hi - lo of the value, lerped along the later axes), and the
-    result is (k + 1, ...): the value, then the partials in axis order;
-    without, it is (1, ...), the same value. Rounding differs from
-    ``multilinear``'s weighted corner sum in the last bits."""
+    (1 - frac) lo + frac hi per axis, axis 0 first, exact at fractions 0
+    and 1. ``vals`` is overwritten. With ``partials`` the k partials along
+    the cell coordinates ride along the same tree (each is its axis's
+    hi - lo of the value, lerped along the later axes), and the result is
+    (k + 1, ...): the value, then the partials in axis order; without, it
+    is (1, ...), the same value."""
     rows = vals[None]
     for f in fracs:
         n, half = rows.shape[0], rows.shape[1] // 2
+        lo, hi = rows[:, :half], rows[:, half:]
         out = np.empty((n + partials, half) + rows.shape[2:])
-        diff = np.subtract(rows[:, half:], rows[:, :half], out=out[:n])
         if partials:
-            out[n] = diff[0]
-        diff *= f  # in place: the rows become lo + frac * (hi - lo)
-        diff += rows[:, :half]
+            np.subtract(hi[0], lo[0], out=out[n])
+        lo *= 1.0 - f
+        hi *= f
+        np.add(lo, hi, out=out[:n])
         rows = out
     return rows[:, 0]
+
+
+def _lerp_tree_vjp(g, fracs):
+    """Transpose of ``_lerp_tree``: the adjoints of the 2^k corner values,
+    corner major, from the adjoints ``g`` of the tree's rows, (1, ...) for
+    the value alone or (k + 1, ...) for the value and the partials. One
+    level per axis, last axis first, each written into one buffer."""
+    partials = g.shape[0] > 1
+    g = g[:, None]
+    for f in reversed(fracs):
+        n = g.shape[0] - partials
+        buf = np.empty((n, 2) + g.shape[1:])
+        np.multiply(g[:n], 1.0 - f, out=buf[:, 0])
+        np.multiply(g[:n], f, out=buf[:, 1])
+        if partials:  # the partial born at this level is hi - lo of row 0
+            buf[0, 0] -= g[n]
+            buf[0, 1] += g[n]
+        g = buf.reshape((n, 2 * buf.shape[2]) + buf.shape[3:])
+    return g[0]
+
+
+def _grid_read(grid, coords, wrap, partials):
+    """Reads the array ``grid`` (k interpolated axes, then at most one
+    channel axis) at k cell-coordinate arrays ``coords``: returns the corner
+    indices, the fractions (shaped to broadcast against the channels) and
+    the lerp tree over the corners, gathered once."""
+    k = len(coords)
+    idx, fracs = _corner_index(grid.shape, coords, wrap)
+    if grid.ndim > k:
+        fracs = [f[..., None] for f in fracs]
+    table = grid.reshape((-1,) + grid.shape[k:])
+    return idx, fracs, _lerp_tree(np.take(table, idx, axis=0), fracs, partials)
+
+
+def _grid_scatter(shape, idx, fracs, g):
+    """The adjoint of the grid of shape ``shape`` from a ``_grid_read`` (its
+    corner indices and fractions) whose tree rows have the adjoints ``g``:
+    the tree's transpose, scattered once."""
+    if len(shape) > len(fracs):  # one flat entry per corner and channel
+        idx = idx[..., None] * shape[-1] + np.arange(shape[-1], dtype=idx.dtype)
+    return tp._Scatter(shape, [idx.reshape(-1)], [_lerp_tree_vjp(g, fracs).reshape(-1)])
 
 
 def multilinear(grid, u, wrap, spatial_grad=False):
@@ -106,75 +131,47 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     shapes broadcast: a sequence of numpy arrays or Vars, or one Var with
     the k coordinates on its first axis. An axis whose ``wrap`` flag is set
     is periodic; any other is clamped to its end nodes (NaN stays NaN). The
-    layout is corner major: the 2^k corners are gathered once, in
-    lexicographic order, into one array whose first axis is the corner, so
-    numpy's inner loops run over the queries. Each corner weight is the
-    left-to-right product of the per-axis weights, built one axis at a time,
-    and the weighted corners are summed in corner order. With
-    ``spatial_grad`` the result holds the k partials along ``u`` (in cell
-    units, stacked on a new last axis) instead of the value.
+    2^k corners are gathered once, corner major, and reduced by one lerp per
+    axis (``_lerp_tree``), so a query at a node reads that node's value bit
+    for bit. With ``spatial_grad`` the result holds the k partials along
+    ``u`` (in cell units, stacked on a new last axis) instead of the value,
+    from the same tree.
 
     One tape node, differentiable in the grid and in Var coordinates. It
-    saves the corner indices and the per-axis fractions; its gradients
-    recompute the corner weights (the grid's adjoint is each corner's weight
-    times the output adjoint, scattered once) and re-gather the corner
-    values (the coordinates' adjoints, by reverse mode through the weight
-    products). A clamped coordinate at or beyond an end node gets gradient
-    0, the ``maximum``/``minimum`` tie rule.
+    saves the corner indices and the per-axis fractions; the grid's adjoint
+    is the tree's transpose, scattered once. With coordinates on a tape the
+    tree also computes the partials, which the node keeps: the coordinates'
+    adjoint is the output adjoint times them. A clamped coordinate at or
+    beyond an end node gets gradient 0, the ``maximum``/``minimum`` tie
+    rule. ``spatial_grad`` with coordinates on a tape (a second derivative)
+    raises TapeError.
     """
     if not isinstance(u, tp.Var) and any(isinstance(v, tp.Var) for v in u):
         u = tp.stack(list(u), axis=0)  # Var coordinates enter as one parent
+    traced = isinstance(u, tp.Var) and (u.tape is not None or bool(u.parents))
+    if spatial_grad and traced:
+        raise tp.TapeError("multilinear: spatial_grad takes no coordinates on a tape")
     coords = (u.data if isinstance(u, tp.Var)
               else [np.asarray(v, dtype=np.float64) for v in u])
-    k = len(coords)
     shape = grid.data.shape
-    channels = grid.data.ndim > k
-    table = grid.data.reshape((-1, shape[-1]) if channels else -1)
-    idx, fracs = _corner_index(shape, coords, wrap)
-    ndim = coords[0].ndim
-
-    slope = np.reshape([-1.0, 1.0], (2,) + (1,) * ndim)
-    outs = range(k) if spatial_grad else (None,)
-
-    def factors(j):
-        # per-axis weight pairs (1 - frac, frac); the slope replaces axis j
-        # for the partial along it
-        pairs = [np.stack([1.0 - f, f]) for f in fracs]
-        if j is not None:
-            pairs[j] = slope
-        return pairs
-
-    def weights(j):
-        w = _corner_products(factors(j))[-1]
-        return w[..., None] if channels else w
-
-    vals = np.take(table, idx, axis=0)
-    out = [(weights(j) * vals).sum(axis=0) for j in outs]
-    out = np.stack(out, axis=-1) if spatial_grad else out[0]
+    idx, fracs, tree = _grid_read(grid.data, coords, wrap, spatial_grad or traced)
+    out = np.stack(tree[1:], axis=-1) if spatial_grad else tree[0]
 
     def vjp_grid(g):
-        # each corner's weight times the output adjoint; the partials' terms
-        # add from the last axis to the first
-        g_vals = None
-        for j in reversed(outs):
-            c = (g if j is None else g[..., j])[None] * weights(j)
-            g_vals = c if g_vals is None else g_vals + c
-        flat = idx[..., None] * shape[-1] + np.arange(shape[-1]) if channels else idx
-        return tp._Scatter(shape, [flat.reshape(-1)], [g_vals.reshape(-1)])
+        # the tree's rows: the value, then (with spatial_grad) the partials,
+        # whose value row gets no adjoint
+        rows = (np.concatenate((np.zeros((1,) + g.shape[:-1]), np.moveaxis(g, -1, 0)))
+                if spatial_grad else g[None])
+        return _grid_scatter(shape, idx, fracs, rows)
 
     def vjp_coords(g):
-        vals = np.take(table, idx, axis=0)
-        g_frac = [np.zeros(idx.shape[1:])] * k
-        for j in outs:
-            g_j = g if j is None else g[..., j]
-            g_w = np.einsum("k...c,...c->k...", vals, g_j) if channels else vals * g_j
-            for i, g_pair in enumerate(_factor_adjoints(factors(j), g_w)):
-                if i != j:
-                    g_frac[i] = g_frac[i] + (g_pair[1] - g_pair[0])
-        for i, (n, uj, periodic) in enumerate(zip(shape, coords, wrap)):
+        g_u = tree[1:] * g
+        if len(shape) > len(coords):  # sum over the channels
+            g_u = g_u.sum(axis=-1)
+        for j, (n, uj, periodic) in enumerate(zip(shape, coords, wrap)):
             if not periodic:
-                g_frac[i] = g_frac[i] * ((uj > 0.0) & (uj < n - 1))
-        return np.stack(g_frac)
+                g_u[j] *= (uj > 0.0) & (uj < n - 1)
+        return g_u
 
     inputs = (grid, u) if isinstance(u, tp.Var) else (grid,)
     return tp._node("multilinear", out, inputs, (vjp_grid, vjp_coords))

@@ -20,16 +20,18 @@ Conventions:
     gives its normal subgradient 0, the ``maximum(expr, 0.0)`` convention);
     ``sum_by_ray`` (the per-ray sum of such rows, one ``np.bincount``; its
     gradient is a gather);
-    ``fields.multilinear`` (every grid lookup; saves its corner indices and
-    per-axis fractions, no corner weights); on the DDF losses' depth
-    lookup, ``visibility._ddf_cell_coords`` (the DDF's four cell
+    ``fields.multilinear`` (every grid lookup outside the visibility query;
+    saves its corner indices and per-axis fractions, no corner weights, and
+    with coordinates on a tape its lerp tree's partials); on the DDF losses'
+    depth lookup, ``visibility._ddf_cell_coords`` (the DDF's four cell
     coordinates; keeps only its inputs) and the clamped-sigmoid depth
     (keeps the sigmoid); and ``visibility.soft_visibility``, the whole
-    outside-in visibility query in one node, which unlike the others saves
-    per-query adjoint coefficients (dv/dx, dv/draw, dv/deps) computed in
-    the forward pass, plus its corner indices and fractions, so that its
-    gradients recompute nothing. Light directions are plain arrays (no
-    direction gradient). Clamps in fused ops follow the tie rule above,
+    outside-in visibility query in one node, which saves per-query adjoint
+    coefficients (dv/dx, dv/draw, dv/deps) computed in the forward pass,
+    plus the corner indices and fractions of ``multilinear``'s grid read,
+    so that its gradients recompute nothing. Light directions are plain
+    arrays (no direction gradient). Clamps in fused ops follow the tie
+    rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
   * the gathers, ``take_rows`` (integer rows), ``fields.multilinear`` and
@@ -348,8 +350,10 @@ class _Scatter:
         # one bincount for every gather: repeated indices are summed into
         # zeros in concatenation order. With no index at all bincount counts
         # in int64, so the cast (free for float64) keeps the gradient float
+        # concatenated straight into intp, the type bincount counts with, so
+        # 32-bit indices are not copied a second time
         cat = len(self.index) > 1
-        buf = np.bincount(np.concatenate(self.index) if cat else self.index[0],
+        buf = np.bincount(np.concatenate(self.index, dtype=np.intp) if cat else self.index[0],
                           weights=np.concatenate(self.values) if cat else self.values[0],
                           minlength=math.prod(self.shape))
         buf = buf.astype(np.float64, copy=False).reshape(self.shape)

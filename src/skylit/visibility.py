@@ -13,14 +13,14 @@ The visibility query, ``soft_visibility``, is one tape node with parents x,
 the DDF grid and epsilon. It runs over blocks of whole rays, computes the
 exit point, the DDF's four cell coordinates (``_DirectionMap``: no local
 frame is built, the local azimuth is an atan2 of unnormalised frame
-components), one gather of the 16 grid corners with a lerp tree for the
-depth and its coordinate partials, and both sigmoids, and saves each query's
-closed-form adjoint coefficients instead of recomputing them. At inference
-(constant inputs, or ``stop_grad``) it computes the values alone. The DDF
-losses read depths through ``ddf_eval``: the cell coordinates, one
-``multilinear`` lookup and the clamped-sigmoid depth, each a node. Light
-directions are fixed, so every query takes them as plain arrays and they
-get no gradient.
+components), the depth and its coordinate partials from ``multilinear``'s
+grid read (one gather of the 16 corners, a lerp tree), and both sigmoids,
+and saves each query's closed-form adjoint coefficients instead of
+recomputing them. At inference (constant inputs, or ``stop_grad``) it
+computes the values alone. The DDF losses read depths through ``ddf_eval``:
+the cell coordinates, one ``multilinear`` lookup and the clamped-sigmoid
+depth, each a node. Light directions are fixed, so every query takes them
+as plain arrays and they get no gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import _corner_index, _corner_products, _lerp_tree, multilinear
+from .fields import _grid_read, _grid_scatter, multilinear
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -262,16 +262,17 @@ def soft_visibility(bound, x, d, stop_grad=False):
     One tape node with parents x, the grid and epsilon, evaluated over
     blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
     queries. Per block it finds the exit distance and point, the DDF cell
-    coordinates (``_DirectionMap``), the 16 corners (gathered once) and,
-    from one lerp tree over them, the raw depth and its 4 coordinate
-    partials; then both sigmoids. It saves each query's closed-form
-    adjoint coefficients, dv/dx (3 per query), dv/draw and dv/deps, plus the
-    corner indices and the 4 fractions, so its gradients recompute nothing:
-    x takes one weighted sum over directions, epsilon one dot product, and
-    the grid one deferred scatter whose corner weights are rebuilt from the
-    fractions. When x, the grid and epsilon are all constants, or with
-    ``stop_grad``, it computes v alone: no coefficients and no parents (a
-    stopped value is a leaf on its inputs' tape).
+    coordinates (``_DirectionMap``), then, through ``fields._grid_read``,
+    the 16 corners (gathered once) and, from one lerp tree over them, the
+    raw depth and its 4 coordinate partials; then both sigmoids. It saves
+    each query's closed-form adjoint coefficients, dv/dx (3 per query),
+    dv/draw and dv/deps, plus the corner indices and the 4 fractions, so
+    its gradients recompute nothing: x takes one weighted sum over
+    directions, epsilon one dot product, and the grid one deferred scatter
+    of the lerp tree's transpose over all queries (``fields._grid_scatter``).
+    When x, the grid and epsilon are all constants, or with ``stop_grad``,
+    it computes v alone: no coefficients and no parents (a stopped value is
+    a leaf on its inputs' tape).
     """
     x = tp._lift(x)
     d = np.asarray(d, dtype=np.float64)
@@ -279,7 +280,6 @@ def soft_visibility(bound, x, d, stop_grad=False):
                                  for v in (x, bound.grid, bound.eps_raw))
     eps = bound.epsilon() if grad else tp.softplus(tp.Var(bound.eps_raw.data))
     grid_shape = bound.grid.data.shape
-    table = bound.grid.data.reshape(-1)
     shape = np.broadcast_shapes(x.data.shape[:-1], d.shape[:-1])
     full = shape or (1,)  # blocks run over a leading axis
     xs = x.data.reshape((1,) * (len(full) + 1 - x.data.ndim) + x.data.shape)
@@ -291,10 +291,10 @@ def soft_visibility(bound, x, d, stop_grad=False):
         coef_raw = np.empty(full)
         coef_eps = np.empty(full)
         fracs = np.empty((4,) + full)
-        # 32-bit corner indices halve the bytes the node writes and keeps
-        idx = np.empty((16,) + full, dtype=np.int32 if table.size < 2**31 else np.int64)
+        idx = None  # made at the first block, in its index type
     step = max(1, VISIBILITY_BLOCK // max(1, math.prod(full[1:])))
-    for lo in range(0, full[0], step):
+    # one block at least, so that an empty query still has its corner indices
+    for lo in range(0, max(full[0], 1), step):
         b = slice(lo, lo + step)
         xb = xs[b] if xs.shape[0] > 1 else xs
         db = ds[b] if ds.shape[0] > 1 else ds
@@ -304,8 +304,7 @@ def soft_visibility(bound, x, d, stop_grad=False):
         sc = [xk + q.t * dk for xk, dk in zip(xc, dc)]
         dmap = _DirectionMap(sc, [-dk for dk in dc], grid_shape)
         u = dmap.coords()
-        corner, frac = _corner_index(grid_shape, u, DDF_WRAP)
-        tree = _lerp_tree(np.take(table, corner, axis=0), frac, grad)
+        corner, frac, tree = _grid_read(bound.grid.data, u, DDF_WRAP, grad)
         depth, sig = _depth(tree[0])
         occluded = tp.sigmoid_np(ETA * ((q.t - depth) - eps.data))
         lower = np.broadcast_to(dc[2] <= 0.0, occluded.shape)
@@ -332,6 +331,8 @@ def soft_visibility(bound, x, d, stop_grad=False):
         coef_raw[b] = k_raw
         coef_eps[b] = k_eps
         fracs[:, b] = frac
+        if idx is None:
+            idx = np.empty((16,) + full, dtype=corner.dtype)
         idx[:, b] = corner
     if not grad:
         # under stop_grad the value stays on its inputs' tape, as a leaf
@@ -343,12 +344,8 @@ def soft_visibility(bound, x, d, stop_grad=False):
         return np.moveaxis(coef_x * g.reshape(full), 0, -1)
 
     def vjp_grid(g):
-        # the corner weights times the raw depth's adjoint, which scales the
-        # first axis's weight pair
-        pairs = [np.stack([1.0 - f, f]) for f in fracs]
-        pairs[0] = pairs[0] * (g.reshape(full) * coef_raw)
-        return tp._Scatter(grid_shape, [idx.reshape(-1)],
-                           [_corner_products(pairs)[-1].reshape(-1)])
+        # the raw depth's adjoint through the lerp tree's transpose
+        return _grid_scatter(grid_shape, idx, fracs, (g.reshape(full) * coef_raw)[None])
 
     def vjp_eps(g):
         return np.dot(g.reshape(-1), coef_eps.reshape(-1))

@@ -250,9 +250,10 @@ def chain_soft_visibility(bound, x, d):
     """Reference for ``visibility.soft_visibility``: the same soft
     visibility composed of generic nodes (``exit_point``, ``ddf_eval``'s
     cell coordinates, 16-corner ``multilinear`` and clamped-sigmoid depth,
-    then the sigmoid comparison), each VJP recomputing what it needs. The
-    fused node's depth comes from a lerp tree, so the two agree up to
-    rounding."""
+    then the sigmoid comparison), each VJP recomputing what it needs. Both
+    read the DDF through the same grid read (``fields._grid_read``), but
+    the fused node's closed-form coefficients round differently from the
+    chain of VJPs, so the two agree up to rounding."""
     d = np.asarray(d, dtype=np.float64)
     s, t = exit_point(x, d)
     depth = vz.ddf_eval(bound, s, -d, strict=False)

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skylit import fields as fd
 from skylit import tape as tp
@@ -189,32 +191,126 @@ def test_multilinear_4d_coordinate_gradients_pass_gradient_check():
     assert not np.any(g["u0"][:2]) and not np.any(g["u2"][:2])
 
 
-@pytest.mark.parametrize("grid_shape,wrap,partials", [
-    ((5, 4, 6), (False, True, False), True),          # the partials
-    ((4, 5, 3, 2), (False, True, False), False),      # a channel axis
-    ((4, 5, 3, 2), (True, False, False), True),       # both
-])
-def test_multilinear_coordinate_gradients_of_partials_and_channels(grid_shape, wrap,
-                                                                   partials):
+def test_multilinear_coordinate_gradients_with_channels():
     rng = np.random.default_rng(11)
+    grid_shape, wrap = (4, 5, 3, 2), (False, True, False)
     grid = rng.normal(size=grid_shape)
     n_q = 9
     coords = {f"u{j}": _off_kinks(rng, -0.8, n - 0.2, n_q)
               for j, n in enumerate(grid_shape[:len(wrap)])}
-    out_shape = fd.multilinear(tp._lift(grid), list(coords.values()), wrap,
-                               spatial_grad=partials).data.shape
-    weights = rng.normal(size=out_shape)
+    weights = rng.normal(size=(n_q, 2))
 
     def loss(t, pv):
         u = [pv[f"u{j}"] for j in range(len(wrap))]
-        return tp.vsum(fd.multilinear(pv["grid"], u, wrap, spatial_grad=partials)
-                       * weights)
+        return tp.vsum(fd.multilinear(pv["grid"], u, wrap) * weights)
 
     assert tp.gradient_check(loss, {"grid": grid, **coords}) < 1e-6
     t = tp.Tape()
     g = tp.backward(t, loss(t, {k: t.parameter(k, v)
                                 for k, v in {"grid": grid, **coords}.items()}))
     assert all(np.any(g[k]) for k in g)
+
+
+def test_multilinear_partials_take_no_coordinates_on_a_tape():
+    # the partials' coordinate gradient would be a second derivative, which
+    # nothing takes: sdf_normals passes plain points. Constant Vars pass.
+    rng = np.random.default_rng(12)
+    grid = rng.normal(size=(4, 5, 3))
+    u = [rng.uniform(0.0, n - 1, 6) for n in grid.shape]
+    t = tp.Tape()
+    traced = [t.parameter(f"u{j}", uj) for j, uj in enumerate(u)]
+    with pytest.raises(tp.TapeError):
+        fd.multilinear(t.parameter("grid", grid), traced, fd.CLAMPED_3D,
+                       spatial_grad=True)
+    const = fd.multilinear(t.parameter("g2", grid), [tp._lift(uj) for uj in u],
+                           fd.CLAMPED_3D, spatial_grad=True)
+    plain = fd.multilinear(tp._lift(grid), u, fd.CLAMPED_3D, spatial_grad=True)
+    assert np.array_equal(const.data, plain.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), wrap_bits=st.integers(0, 15), channels=st.booleans(),
+       spatial_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_multilinear_vjps_match_central_differences(k, wrap_bits, channels,
+                                                    spatial_grad, seed):
+    # the grid gradient of the value or of its partials, and the value's
+    # coordinate gradient, against central differences of sum(out * upstream);
+    # coordinates lie off the cell faces, some beyond the clamped ends (where
+    # the value is flat) and some wrapping more than once
+    rng = np.random.default_rng(seed)
+    wrap = tuple(bool(wrap_bits >> j & 1) for j in range(k))
+    shape = tuple(int(n) for n in rng.integers(2, 5, size=k)) + ((2,) if channels else ())
+    grid = rng.normal(size=shape)
+    n_q = 5
+    coords = [_off_kinks(rng, -6.0, n + 5.0, n_q) if w else _off_kinks(rng, -0.8, n - 0.2, n_q)
+              for n, w in zip(shape, wrap)]
+
+    def out(grid, u):
+        return fd.multilinear(tp._lift(grid), u, wrap, spatial_grad=spatial_grad).data
+
+    upstream = rng.normal(size=out(grid, coords).shape)
+    t = tp.Tape()
+    g_var = t.parameter("grid", grid)
+    u_vars = [t.parameter(f"u{j}", uj) for j, uj in enumerate(coords)]
+    inputs = {"grid": grid}
+    if spatial_grad:
+        value = fd.multilinear(g_var, coords, wrap, spatial_grad=True)
+    else:
+        value = fd.multilinear(g_var, u_vars, wrap)
+        inputs.update({f"u{j}": uj for j, uj in enumerate(coords)})
+    grads = tp.backward(t, tp.vsum(value * upstream))
+
+    def probe(name, j, step):
+        bumped = {key: np.array(a, copy=True) for key, a in inputs.items()}
+        bumped[name][j] += step
+        u = [bumped.get(f"u{i}", uj) for i, uj in enumerate(coords)]
+        return np.sum(out(bumped["grid"], u) * upstream)
+
+    for name, base in inputs.items():
+        # the output is linear in the grid, so a unit step is exact; within
+        # a cell it is linear along each coordinate too
+        h = 1.0 if name == "grid" else 1e-6
+        numeric = np.empty(base.shape)
+        for j in np.ndindex(base.shape):
+            numeric[j] = (probe(name, j, h) - probe(name, j, -h)) / (2.0 * h)
+        scale = 1.0 + np.abs(numeric).max()
+        np.testing.assert_allclose(grads[name], numeric, rtol=1e-6, atol=1e-8 * scale,
+                                   err_msg=name)
+
+
+def test_grid_reads_at_nodes_return_node_values_bit_for_bit(monkeypatch):
+    # integer coordinates, clamped ends and beyond them weigh each other
+    # corner by exactly 0: multilinear and soft_visibility's depth read the
+    # node's value itself, not a rounding of a blend with its neighbours
+    from skylit import visibility as vz
+
+    rng = np.random.default_rng(13)
+    grid = rng.normal(size=(4, 6, 3, 5))
+    n_q = 64
+    nodes = [rng.integers(0, n, n_q) for n in grid.shape]
+    u = [i.astype(np.float64) for i in nodes]
+    for j in (0, 2):  # the clamped axes: their ends, and beyond them
+        n = grid.shape[j]
+        top, bottom = rng.random(n_q) < 0.25, rng.random(n_q) < 0.25
+        u[j][top] = (n - 1) + rng.choice([0.0, 0.5, 1e9, np.inf], top.sum())
+        u[j][bottom & ~top] = -rng.choice([0.0, 0.5, 1e9, np.inf], (bottom & ~top).sum())
+        nodes[j] = np.where(top, n - 1, np.where(bottom & ~top, 0, nodes[j]))
+    for j in (1, 3):  # the wrapped axes, some periods away, some past 2^31
+        u[j] += grid.shape[j] * rng.choice([-1e12, -1.0, 0.0, 1.0, 1e12], n_q)
+    want = grid[tuple(nodes)]
+    got = fd.multilinear(tp._lift(grid), u, vz.DDF_WRAP).data
+    assert np.array_equal(got, want)
+
+    # soft_visibility at the same cell coordinates, on a trainable grid
+    raws = []
+    monkeypatch.setattr(vz._DirectionMap, "coords", lambda self: tuple(uj[:, None] for uj in u))
+    depth = vz._depth
+    monkeypatch.setattr(vz, "_depth", lambda raw: (raws.append(raw.copy()), depth(raw))[1])
+    t = tp.Tape()
+    bound = vz.BoundDdf(t, vz.DdfField(grid), vz.VisibilityParams.default())
+    x = np.zeros((n_q, 1, 3))
+    vz.soft_visibility(bound, x, np.array([[[0.0, 0.0, 1.0]]]))
+    assert len(raws) == 1 and np.array_equal(raws[0].reshape(-1), want)
 
 
 def test_normals_radial_on_sphere_init(sphere_bound):

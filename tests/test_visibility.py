@@ -342,6 +342,14 @@ def test_soft_visibility_horizon_and_below_is_one_with_zero_gradient():
     assert np.all(v.data == 1.0)
     grads = tp.backward(t, tp.vsum(v * rng.normal(size=v.shape)))
     assert not any(np.any(g) for g in grads.values())
+    # no queries at all: an empty v, and zero gradients of the slots' shapes
+    t = tp.Tape()
+    bd = bound_of(vz.DdfField(rng.normal(size=(4, 6, 3, 6))), tape=t, trainable=True)
+    v = vz.soft_visibility(bd, t.parameter("x", np.zeros((0, 1, 3))), d)
+    assert v.data.shape == (0, 3)
+    grads = tp.backward(t, tp.vsum(v))
+    assert grads["ddf_grid"].shape == (4, 6, 3, 6)
+    assert not any(np.any(g) for g in grads.values())
 
 
 def test_binary_oracle_empty_and_occluded():
