@@ -4,8 +4,9 @@ Both fields are dense trilinear grids over the cube [-1, 1]^3 around the
 unit ball, which holds the whole scene. Every grid, the spherical DDF too,
 is read one way (``_grid_read``: one corner gather and a lerp tree for the
 value and, if asked, its cell partials), and its adjoint is that tree's
-transpose, scattered once (``_grid_scatter``); ``multilinear`` and
-``visibility.soft_visibility`` are the tape nodes that call them. Queries
+transpose, scattered once (``_grid_scatter``). The tape nodes that call
+them are ``multilinear`` and, through ``visibility._DdfRead``,
+``visibility.ddf_eval`` and ``visibility.soft_visibility``. Queries
 outside the cube take the value at the nearest boundary point. The SDF
 carries a single global steepness parameter for the logistic CDF used by
 the NeuS weight construction, stored in log space so it stays positive.
@@ -127,10 +128,9 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     """Multilinear interpolation of a grid Var at continuous cell coordinates.
 
     ``grid`` has k interpolated axes, optionally followed by one channel
-    axis; ``u`` holds k coordinate arrays (in cells) of one rank whose
-    shapes broadcast: a sequence of numpy arrays or Vars, or one Var with
-    the k coordinates on its first axis. An axis whose ``wrap`` flag is set
-    is periodic; any other is clamped to its end nodes (NaN stays NaN). The
+    axis; ``u`` is a sequence of k coordinate arrays or Vars (in cells) of
+    one rank whose shapes broadcast. An axis whose ``wrap`` flag is set is
+    periodic; any other is clamped to its end nodes (NaN stays NaN). The
     2^k corners are gathered once, corner major, and reduced by one lerp per
     axis (``_lerp_tree``), so a query at a node reads that node's value bit
     for bit. With ``spatial_grad`` the result holds the k partials along
@@ -146,7 +146,7 @@ def multilinear(grid, u, wrap, spatial_grad=False):
     rule. ``spatial_grad`` with coordinates on a tape (a second derivative)
     raises TapeError.
     """
-    if not isinstance(u, tp.Var) and any(isinstance(v, tp.Var) for v in u):
+    if any(isinstance(v, tp.Var) for v in u):
         u = tp.stack(list(u), axis=0)  # Var coordinates enter as one parent
     traced = isinstance(u, tp.Var) and (u.tape is not None or bool(u.parents))
     if spatial_grad and traced:

@@ -20,28 +20,28 @@ Conventions:
     gives its normal subgradient 0, the ``maximum(expr, 0.0)`` convention);
     ``sum_by_ray`` (the per-ray sum of such rows, one ``np.bincount``; its
     gradient is a gather);
-    ``fields.multilinear`` (every grid lookup outside the visibility query;
-    saves its corner indices and per-axis fractions, no corner weights, and
-    with coordinates on a tape its lerp tree's partials); on the DDF losses'
-    depth lookup, ``visibility._ddf_cell_coords`` (the DDF's four cell
-    coordinates; keeps only its inputs) and the clamped-sigmoid depth
-    (keeps the sigmoid); and ``visibility.soft_visibility``, the whole
-    outside-in visibility query in one node, which saves per-query adjoint
-    coefficients (dv/dx, dv/draw, dv/deps) computed in the forward pass,
-    plus the corner indices and fractions of ``multilinear``'s grid read,
-    so that its gradients recompute nothing. Light directions are plain
-    arrays (no direction gradient). Clamps in fused ops follow the tie
-    rule above,
+    ``fields.multilinear`` (every SDF and albedo lookup; saves its corner
+    indices and per-axis fractions, no corner weights, and with coordinates
+    on a tape its lerp tree's partials); ``visibility.ddf_eval`` (the DDF
+    losses' depth lookup: cell coordinates, grid read and clamped-sigmoid
+    depth in one node, keeping that read); and
+    ``visibility.soft_visibility``, the whole outside-in visibility query in
+    one node, which saves per-query adjoint coefficients (dv/dx, dv/draw,
+    dv/deps) computed in the forward pass, plus the corner indices and
+    fractions of the same DDF read, so that its gradients recompute
+    nothing. Light directions are plain arrays (no direction gradient).
+    Clamps in fused ops follow the tie rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,
-  * the gathers, ``take_rows`` (integer rows), ``fields.multilinear`` and
-    ``visibility.soft_visibility`` (grid corners), pass back a deferred
-    scatter adjoint, flat indices plus values, and ``reshape`` passes it
-    through. ``backward`` concatenates every such adjoint that reaches one
-    Var and densifies it once, with one ``np.bincount``, at the parameter or
-    at the first other op that needs a dense array. Sums across gathers
-    therefore follow concatenation order, the order in which ``backward``
-    reaches the gathers. ``index`` takes no integer-array key,
+  * the gathers, ``take_rows`` (integer rows), ``fields.multilinear``,
+    ``visibility.ddf_eval`` and ``visibility.soft_visibility`` (grid
+    corners), pass back a deferred scatter adjoint, flat indices plus
+    values, and ``reshape`` passes it through. ``backward`` concatenates
+    every such adjoint that reaches one Var and densifies it once, with one
+    ``np.bincount``, at the parameter or at the first other op that needs a
+    dense array. Sums across gathers therefore follow concatenation order,
+    the order in which ``backward`` reaches the gathers. ``index`` takes no
+    integer-array key,
   * an op whose inputs are all constants (Vars with no tape) records no node
     and keeps no parents; inference binds its fields with ``tape=None`` and
     relies on this to compute values without building a graph.

@@ -9,18 +9,16 @@ actual distance ||s - x||. The comparison is softened with a sigmoid so
 appearance gradients flow from shadows into the DDF, the threshold, and the
 scene geometry.
 
-The visibility query, ``soft_visibility``, is one tape node with parents x,
-the DDF grid and epsilon. It runs over blocks of whole rays, computes the
-exit point, the DDF's four cell coordinates (``_DirectionMap``: no local
-frame is built, the local azimuth is an atan2 of unnormalised frame
-components), the depth and its coordinate partials from ``multilinear``'s
-grid read (one gather of the 16 corners, a lerp tree), and both sigmoids,
-and saves each query's closed-form adjoint coefficients instead of
-recomputing them. At inference (constant inputs, or ``stop_grad``) it
-computes the values alone. The DDF losses read depths through ``ddf_eval``:
-the cell coordinates, one ``multilinear`` lookup and the clamped-sigmoid
-depth, each a node. Light directions are fixed, so every query takes them
-as plain arrays and they get no gradient.
+The DDF is read one way, ``_DdfRead``: the four cell coordinates
+(``_DirectionMap``: no local frame is built, the local azimuth is an atan2
+of unnormalised frame components), ``fields._grid_read`` (one gather of the
+16 corners, a lerp tree for the raw depth and, if asked, its partials) and
+the clamped-sigmoid depth; its ``pullback`` is the sphere point's adjoint.
+Two tape nodes call it: ``ddf_eval``, the DDF losses' depth, and the
+visibility query ``soft_visibility``, which runs over blocks of whole rays
+and saves each query's closed-form adjoint coefficients. With constant
+inputs both compute values alone, as does ``soft_visibility`` under
+``stop_grad``. Light directions are plain arrays with no gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import _grid_read, _grid_scatter, multilinear
+from .fields import _grid_read, _grid_scatter
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -187,28 +185,6 @@ class _DirectionMap:
         return [a + g_ds * b for a, b in zip(g_s, (dx, dy, dz))]
 
 
-def _ddf_cell_coords(s, d, shape):
-    """DDF grid cell coordinates of queries at sphere points ``s`` looking
-    along ``d``, as one (4, ...) Var (see ``_DirectionMap``).
-
-    One tape node; s and d broadcast, s may be a Var and d is an array with
-    no gradient. It keeps only its inputs; the gradient recomputes the frame
-    terms from s and d.
-    """
-    s, d = tp._lift(s), np.asarray(d, dtype=np.float64)
-
-    def direction_map():
-        return _DirectionMap(np.moveaxis(s.data, -1, 0), np.moveaxis(d, -1, 0), shape)
-
-    out = np.stack(np.broadcast_arrays(*direction_map().coords()))
-
-    def vjp_s(g):
-        g_s = direction_map().pullback(g)
-        return np.stack(np.broadcast_arrays(*g_s), axis=-1)
-
-    return tp._node("ddf_coords", out, (s,), (vjp_s,))
-
-
 DDF_WRAP = (False, True, False, True)  # the DDF grid's two azimuths wrap
 
 
@@ -226,23 +202,53 @@ def _depth_slope(g, sig):
     return g * SCENE_DIAMETER * (sig < 1.0 - 1e-12) * (sig > 1e-12) * sig * (1.0 - sig)
 
 
+class _DdfRead:
+    """The DDF grid ``grid`` read at sphere points ``s`` looking along ``d``
+    (three component arrays each, of one rank, broadcasting): the cell
+    coordinates ``u``, ``fields._grid_read``'s corners, fractions and lerp
+    tree (with the 4 partials if ``partials``), and ``_depth``'s output."""
+
+    def __init__(self, grid, s, d, partials):
+        self.shape = grid.shape
+        self.dmap = _DirectionMap(s, d, grid.shape)
+        self.u = self.dmap.coords()
+        self.corner, self.frac, self.tree = _grid_read(grid, self.u, DDF_WRAP, partials)
+        self.depth, self.sig = _depth(self.tree[0])
+
+    def pullback(self, g_raw):
+        """s's adjoint (three component arrays) from the raw depth's adjoint,
+        through the partials; a clamped coordinate at or beyond an end node
+        passes gradient 0."""
+        g_u = [g_raw * self.tree[1 + j] for j in range(4)]
+        for j in (0, 2):
+            g_u[j] = g_u[j] * ((self.u[j] > 0.0) & (self.u[j] < self.shape[j] - 1))
+        return self.dmap.pullback(g_u)
+
+
 def ddf_eval(bound, s, d_world, strict=True):
     """Predicted depth in (0,2) at sphere points ``s`` looking inward along
     the array ``d_world``. Differentiable in the grid and (when a Var) in s;
-    the direction gets no gradient.
+    the direction gets no gradient; s and d broadcast. One tape node that
+    keeps its ``_DdfRead`` (with partials only when s is on a tape).
 
     With ``strict``, outward directions (d . s > 0) raise PreconditionError.
     """
-    s_np = s.data if isinstance(s, tp.Var) else np.asarray(s, dtype=np.float64)
+    s = tp._lift(s)
     d_np = np.asarray(d_world, dtype=np.float64)
-    if strict and np.any(np.sum(s_np * d_np, axis=-1) > 1e-9):
+    if strict and np.any(np.sum(s.data * d_np, axis=-1) > 1e-9):
         raise PreconditionError("DDF direction must point inward (d . s < 0)")
 
-    u = _ddf_cell_coords(s, d_np, bound.field.shape)
-    raw = multilinear(bound.grid, u, DDF_WRAP)
-    # one node for the clamped-sigmoid depth; it keeps the sigmoid
-    depth, sig = _depth(raw.data)
-    return tp._node("ddf_depth", depth, (raw,), (lambda g: _depth_slope(g, sig),))
+    s_c, d_c = (np.moveaxis(a, -1, 0) for a in np.broadcast_arrays(s.data, d_np))
+    read = _DdfRead(bound.grid.data, s_c, d_c, s.tape is not None or bool(s.parents))
+
+    def vjp_grid(g):  # the lerp tree's transpose, scattered once
+        raw = _depth_slope(g, read.sig)
+        return _grid_scatter(read.shape, read.corner, read.frac, raw[None])
+
+    def vjp_s(g):
+        return np.stack(read.pullback(_depth_slope(g, read.sig)), axis=-1)
+
+    return tp._node("ddf_depth", read.depth, (bound.grid, s), (vjp_grid, vjp_s))
 
 
 VISIBILITY_BLOCK = 16384  # queries per block of whole rays in soft_visibility
@@ -261,10 +267,9 @@ def soft_visibility(bound, x, d, stop_grad=False):
 
     One tape node with parents x, the grid and epsilon, evaluated over
     blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
-    queries. Per block it finds the exit distance and point, the DDF cell
-    coordinates (``_DirectionMap``), then, through ``fields._grid_read``,
-    the 16 corners (gathered once) and, from one lerp tree over them, the
-    raw depth and its 4 coordinate partials; then both sigmoids. It saves
+    queries. Per block it finds the exit distance and point, reads the DDF
+    there (``_DdfRead``: the 16 corners gathered once, the raw depth and its
+    4 coordinate partials from one lerp tree), then both sigmoids. It saves
     each query's closed-form adjoint coefficients, dv/dx (3 per query),
     dv/draw and dv/deps, plus the corner indices and the 4 fractions, so
     its gradients recompute nothing: x takes one weighted sum over
@@ -302,22 +307,16 @@ def soft_visibility(bound, x, d, stop_grad=False):
         xc = [xb[..., k] for k in range(3)]
         dc = [db[..., k] for k in range(3)]
         sc = [xk + q.t * dk for xk, dk in zip(xc, dc)]
-        dmap = _DirectionMap(sc, [-dk for dk in dc], grid_shape)
-        u = dmap.coords()
-        corner, frac, tree = _grid_read(bound.grid.data, u, DDF_WRAP, grad)
-        depth, sig = _depth(tree[0])
-        occluded = tp.sigmoid_np(ETA * ((q.t - depth) - eps.data))
+        read = _DdfRead(bound.grid.data, sc, [-dk for dk in dc], grad)
+        occluded = tp.sigmoid_np(ETA * ((q.t - read.depth) - eps.data))
         lower = np.broadcast_to(dc[2] <= 0.0, occluded.shape)
         v[b] = np.where(lower, 1.0, 1.0 - occluded)
         if not grad:
             continue
         # dv/deps = dv/ddepth = -dv/dt
         k_eps = np.where(lower, 0.0, ETA * occluded * (1.0 - occluded))
-        k_raw = _depth_slope(k_eps, sig)
-        g_u = [k_raw * tree[1 + j] for j in range(4)]
-        for j in (0, 2):  # clamped axes: at or beyond an end node, gradient 0
-            g_u[j] = g_u[j] * ((u[j] > 0.0) & (u[j] < grid_shape[j] - 1))
-        g_s = dmap.pullback(g_u)
+        k_raw = _depth_slope(k_eps, read.sig)
+        g_s = read.pullback(k_raw)
         # s = x + t d: dv/dt gathers the exit point's share, then passes
         # through t's closed form (as the quadratic's roots, clamped)
         g_t = (g_s[0] * dc[0] + g_s[1] * dc[1] + g_s[2] * dc[2] - k_eps) * (q.t > 0.0)
@@ -330,10 +329,10 @@ def soft_visibility(bound, x, d, stop_grad=False):
             coef_x[k, b] = g_s[k] + 2.0 * g_b * dc[k] + 2.0 * g_c * xc[k]
         coef_raw[b] = k_raw
         coef_eps[b] = k_eps
-        fracs[:, b] = frac
+        fracs[:, b] = read.frac
         if idx is None:
-            idx = np.empty((16,) + full, dtype=corner.dtype)
-        idx[:, b] = corner
+            idx = np.empty((16,) + full, dtype=read.corner.dtype)
+        idx[:, b] = read.corner
     if not grad:
         # under stop_grad the value stays on its inputs' tape, as a leaf
         tape = tp._tape_of(x, bound.grid, bound.eps_raw)

@@ -248,11 +248,10 @@ def exit_point(x, d):
 
 def chain_soft_visibility(bound, x, d):
     """Reference for ``visibility.soft_visibility``: the same soft
-    visibility composed of generic nodes (``exit_point``, ``ddf_eval``'s
-    cell coordinates, 16-corner ``multilinear`` and clamped-sigmoid depth,
-    then the sigmoid comparison), each VJP recomputing what it needs. Both
-    read the DDF through the same grid read (``fields._grid_read``), but
-    the fused node's closed-form coefficients round differently from the
+    visibility composed of separate nodes (``exit_point``, the depth node
+    ``ddf_eval``, then the sigmoid comparison), each VJP recomputing what it
+    needs. Both read the DDF through the same read (``visibility._DdfRead``),
+    but the fused node's closed-form coefficients round differently from the
     chain of VJPs, so the two agree up to rounding."""
     d = np.asarray(d, dtype=np.float64)
     s, t = exit_point(x, d)

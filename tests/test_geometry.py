@@ -91,6 +91,11 @@ def _frame_cell_coords(s, d, shape):
                      (np.arctan2(local[:, 2], local[:, 0]) + np.pi) * (n_pd / (2.0 * np.pi))])
 
 
+def _direction_map(s, d, shape):
+    """``visibility._DirectionMap`` of (..., 3) arrays s and d."""
+    return vz._DirectionMap(np.moveaxis(s, -1, 0), np.moveaxis(d, -1, 0), shape)
+
+
 def test_ddf_cell_coords_match_frame_construction():
     rng = np.random.default_rng(3)
     shape = (24, 48, 12, 24)
@@ -103,7 +108,7 @@ def test_ddf_cell_coords_match_frame_construction():
     d = rng.normal(size=(4000, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     d = np.where(np.sum(d * s, axis=1, keepdims=True) > 0.0, -d, d)
-    got = vz._ddf_cell_coords(s, d, shape).data
+    got = np.stack(_direction_map(s, d, shape).coords())
     want = _frame_cell_coords(s, d, shape)
     # the azimuths are periodic: compare across the seam in cells
     diff = got - want
@@ -139,31 +144,35 @@ def test_local_frame_orthonormal_many():
     assert np.all(np.linalg.det(frames) > 0.0)
 
 
-def _assert_node_vjps(fn, inputs, upstream, h, period=None):
+def _assert_matches_central_differences(got, value, x, upstream, h, period=None):
+    """``got`` against central differences of ``sum(value(x) * upstream)``
+    in each entry of the array ``x``. Output rows with a non-zero ``period``
+    (in cells) are differenced across their seam."""
+    numeric = np.empty(x.shape)
+    for j in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        diff = value(up) - value(down)
+        if period is not None:
+            p = np.where(period > 0, period, 1.0)
+            diff = np.where(period > 0, (diff + p / 2) % p - p / 2, diff)
+        numeric[j] = np.sum(diff * upstream) / (2.0 * h)
+    scale = 1.0 + np.abs(numeric).max(initial=0.0)
+    np.testing.assert_allclose(got, numeric, rtol=1e-5, atol=1e-6 * scale)
+
+
+def _assert_node_vjps(fn, inputs, upstream, h):
     """Each input's gradient of ``sum(fn(*inputs) * upstream)`` from
-    ``backward`` against central differences of the same sum. Output rows
-    with a non-zero ``period`` (in cells) are differenced across their seam."""
+    ``backward`` against central differences of the same sum."""
     t = tp.Tape()
     out = fn(*(t.parameter(f"x{i}", x) for i, x in enumerate(inputs)))
     grads = tp.backward(t, tp.vsum(out * upstream))
-
-    def value(values):
-        return fn(*(tp._lift(v) for v in values)).data
-
     for i, x in enumerate(inputs):
-        numeric = np.empty(x.shape)
-        for j in np.ndindex(x.shape):
-            bumped = [v.copy() for v in inputs]
-            bumped[i][j] = x[j] + h
-            up = value(bumped)
-            bumped[i][j] = x[j] - h
-            diff = up - value(bumped)
-            if period is not None:
-                p = np.where(period > 0, period, 1.0)
-                diff = np.where(period > 0, (diff + p / 2) % p - p / 2, diff)
-            numeric[j] = np.sum(diff * upstream) / (2.0 * h)
-        scale = 1.0 + np.abs(numeric).max(initial=0.0)
-        np.testing.assert_allclose(grads[f"x{i}"], numeric, rtol=1e-5, atol=1e-6 * scale)
+        def value(xi, i=i):
+            return fn(*(tp._lift(xi if k == i else v) for k, v in enumerate(inputs))).data
+
+        _assert_matches_central_differences(grads[f"x{i}"], value, x, upstream, h)
 
 
 def _local_to_world(s, theta, phi):
@@ -213,21 +222,23 @@ def test_ddf_cell_coords_vjps_match_central_differences(kind, seed):
         theta = np.arccos(cos)
     s = s * radius
     d = _local_to_world(s, theta, phi)
+    # the map's pullback of the coordinates' adjoints against central
+    # differences of its coordinates; the directions get no gradient
     period = np.array([0.0, _DDF_SHAPE[1], 0.0, _DDF_SHAPE[3]])[:, None]
-    # the directions are plain arrays: only s gets a gradient
-    _assert_node_vjps(lambda a: vz._ddf_cell_coords(a, d, _DDF_SHAPE), [s],
-                      upstream, h=1e-7, period=period)
+    got = np.stack(_direction_map(s, d, _DDF_SHAPE).pullback(upstream), axis=-1)
+    _assert_matches_central_differences(
+        got, lambda a: np.stack(_direction_map(a, d, _DDF_SHAPE).coords()), s,
+        upstream, h=1e-7, period=period)
     if kind == "clamp":
         # beyond the clamp the local polar angle passes no gradient
-        t = tp.Tape()
-        sv = t.parameter("s", s)
-        out = vz._ddf_cell_coords(sv, d, _DDF_SHAPE)
-        g = tp.backward(t, tp.vsum(out[2]))["s"]
+        only_polar = np.zeros((4, n))
+        only_polar[2] = 1.0
+        g = np.stack(_direction_map(s, d, _DDF_SHAPE).pullback(only_polar), axis=-1)
         assert np.any(g[0]) and not np.any(g[1])
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["generic", "saturated_high", "saturated_low"]),
+@given(kind=st.sampled_from(["generic", "outward", "saturated_high", "saturated_low"]),
        seed=st.integers(0, 2**32 - 1))
 def test_ddf_eval_vjps_match_central_differences(kind, seed):
     # the grid and the sphere points s get gradients, the directions none
@@ -236,8 +247,11 @@ def test_ddf_eval_vjps_match_central_differences(kind, seed):
     shape = (3, 4, 2, 4)
     s = rng.normal(size=(n, 3))
     s *= rng.uniform(0.98, 1.02, (n, 1)) / np.linalg.norm(s, axis=1, keepdims=True)
-    d = _local_to_world(s, rng.uniform(0.1, 1.4, n), rng.uniform(-np.pi, np.pi, n))
-    if kind == "generic":
+    # local polar angles clear of the local pole; outward ones lie past the
+    # horizon, beyond the clamp at the last polar node, which passes s nothing
+    theta = rng.uniform(1.7, 3.0, n) if kind == "outward" else rng.uniform(0.1, 1.4, n)
+    d = _local_to_world(s, theta, rng.uniform(-np.pi, np.pi, n))
+    if kind in ("generic", "outward"):
         grid = rng.normal(scale=2.0, size=shape)
     else:
         # every corner beyond +-28, so the sigmoid sits in its 1e-12 clamp
@@ -248,11 +262,11 @@ def test_ddf_eval_vjps_match_central_differences(kind, seed):
     def depth(grid_var, s_var):
         # ddf_eval reads only the field's shape and the grid
         bound = vz.BoundDdf.from_vars(field, None, grid_var, None)
-        return vz.ddf_eval(bound, s_var, d)
+        return vz.ddf_eval(bound, s_var, d, strict=kind != "outward")
 
     upstream = rng.normal(size=n)
     _assert_node_vjps(depth, [grid, s], upstream, h=1e-7)
-    if kind != "generic":
+    if kind.startswith("saturated"):
         # a clamped depth passes exactly nothing, to the grid or to s
         t = tp.Tape()
         gv, sv = t.parameter("grid", grid), t.parameter("s", s)

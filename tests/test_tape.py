@@ -1,5 +1,7 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +262,7 @@ _UNARY_OPS = {
     "softplus": (tp.softplus, lambda rng, size: np.where(
         rng.random(size) < 0.75, rng.uniform(-6.0, 6.0, size),
         rng.uniform(31.0, 40.0, size))),
+    "reshape": (lambda a: tp.reshape(a, (-1,)), _normal),
 }
 
 _SHAPES = npst.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
@@ -779,3 +782,67 @@ def test_stack_on_any_axis_routes_each_slice_back():
     err = tp.gradient_check(loss, {"a": rng.normal(size=(3, 4)),
                                    "b": rng.normal(size=(3, 4))})
     assert err < 1e-6
+
+
+def test_clip01_straight_through_clamps_values_and_passes_gradients():
+    rng = np.random.default_rng(10)
+    a = rng.uniform(-1.0, 2.0, size=(4, 5))
+    upstream = rng.normal(size=a.shape)
+    t = tp.Tape()
+    out = tp.clip01_straight_through(t.parameter("a", a))
+    assert np.array_equal(out.data, np.clip(a, 0.0, 1.0))
+    assert np.array_equal(tp.backward(t, tp.vsum(out * upstream))["a"], upstream)
+
+
+# -- every op has a gradient test ----------------------------------------
+
+# each op that src/skylit records with ``_node``, and the test that checks
+# its VJP: against central differences, a gather bitwise against np.add.at,
+# clip01_st as straight-through
+_OP_GRADIENT_TESTS = {
+    "add": "test_binary_op_vjps_match_central_differences",
+    "sub": "test_binary_op_vjps_match_central_differences",
+    "mul": "test_binary_op_vjps_match_central_differences",
+    "div": "test_binary_op_vjps_match_central_differences",
+    "max": "test_binary_op_vjps_match_central_differences",
+    "min": "test_binary_op_vjps_match_central_differences",
+    "pow": "test_power_vjp_matches_central_differences",
+    "exp": "test_unary_op_vjps_match_central_differences",
+    "log": "test_unary_op_vjps_match_central_differences",
+    "log1p": "test_unary_op_vjps_match_central_differences",
+    "sqrt": "test_unary_op_vjps_match_central_differences",
+    "sigmoid": "test_unary_op_vjps_match_central_differences",
+    "abs": "test_unary_op_vjps_match_central_differences",
+    "reshape": "test_unary_op_vjps_match_central_differences",
+    "clip01_st": "test_clip01_straight_through_clamps_values_and_passes_gradients",
+    "where": "test_where_vjps_match_central_differences",
+    "sum": "test_vsum_vjp_matches_central_differences",
+    "take_rows": "test_take_rows_vjp_equals_add_at_bitwise",
+    "index": "test_index_vjp_matches_central_differences",
+    "stack": "test_stack_on_any_axis_routes_each_slice_back",
+    "concat": "test_concat_vjp_matches_central_differences",
+    "einsum": "test_einsum2_vjps_match_central_differences",
+    "lambert": "test_lambert_quadrature_gradient_check_with_perpendicular_direction",
+    "sum_by_ray": "test_sum_by_ray_vjp_matches_central_differences",
+    "excumprod": "test_exclusive_cumprod_last_vjp_matches_central_differences",
+    "multilinear": "test_multilinear_vjps_match_central_differences",
+    "ddf_depth": "test_ddf_eval_vjps_match_central_differences",
+    "soft_visibility": "test_soft_visibility_node_vjps_match_central_differences",
+}
+
+
+def test_every_tape_op_has_a_gradient_test():
+    # the op names are read from the source, so a new op without an entry,
+    # or an entry whose op or test is gone, fails here
+    tests = Path(__file__).resolve().parent
+    ops = set()
+    for path in (tests.parent / "src" / "skylit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "_node":
+                assert isinstance(node.args[0], ast.Constant), f"{path.name}:{node.lineno}"
+                ops.add(node.args[0].value)
+    assert ops == set(_OP_GRADIENT_TESTS)
+    defined = {f.name for path in tests.glob("test_*.py")
+               for f in ast.parse(path.read_text()).body if isinstance(f, ast.FunctionDef)}
+    assert set(_OP_GRADIENT_TESTS.values()) <= defined

@@ -61,6 +61,54 @@ def test_antipodal_frames_use_different_cells():
     assert after[1] == base[1]
 
 
+def test_ddf_eval_is_one_node_that_constants_do_not_record():
+    # on a trainable grid one call adds one node, whose parents are the grid
+    # and s when s is a Var; with constant inputs it records nothing and
+    # gives the same values bit for bit
+    rng = np.random.default_rng(23)
+    ddf = vz.DdfField(rng.normal(scale=2.0, size=(8, 16, 6, 12)))
+    s = sample_sphere(rng, 40)
+    d = -s + rng.normal(scale=0.3, size=s.shape)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d = np.where(np.sum(d * s, axis=1, keepdims=True) > 0.0, -d, d)
+    for s_is_var in (False, True):
+        t = tp.Tape()
+        bd = bound_of(ddf, tape=t, trainable=True)
+        s_in = t.parameter("s", s) if s_is_var else s
+        before = len(t.nodes)
+        out = vz.ddf_eval(bd, s_in, d)
+        assert t.nodes[before:] == [out]
+        parents = [p for p, _ in out.parents]
+        assert len(parents) == 1 + s_is_var and parents[0] is bd.grid
+        assert not s_is_var or parents[1] is s_in
+    t = tp.Tape()
+    const = vz.ddf_eval(bound_of(ddf, tape=t), s, d)
+    assert const.parents == () and const.tape is None and not t.nodes
+    assert np.array_equal(const.data, out.data)
+
+
+def test_ddf_eval_broadcasts_s_against_d_bit_for_bit():
+    # s of shape (1, 3) or (P, 1, 3) against d of shape (P, Q, 3) reads and
+    # trains the grid exactly as s broadcast to d's shape does
+    rng = np.random.default_rng(24)
+    ddf = vz.DdfField(rng.normal(scale=2.0, size=(8, 16, 6, 12)))
+    p, q = 5, 7
+    s = sample_sphere(rng, p)
+    d = -s[:, None] + rng.normal(scale=0.3, size=(p, q, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    upstream = rng.normal(size=(p, q))
+
+    def value_and_grid_grad(s_in):
+        t = tp.Tape()
+        out = vz.ddf_eval(bound_of(ddf, tape=t, trainable=True), s_in, d, strict=False)
+        return out.data, tp.backward(t, tp.vsum(out * upstream))["ddf_grid"]
+
+    for s_in in (s[:1], s[:, None]):
+        got = value_and_grid_grad(s_in)
+        want = value_and_grid_grad(np.broadcast_to(s_in, d.shape).copy())
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_visibility_params_init():
     p = vz.VisibilityParams.default()
     assert p.epsilon == pytest.approx(1.0, rel=1e-12)
