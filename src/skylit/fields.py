@@ -368,9 +368,9 @@ def stratified_samples(origins, directions, n_samples, rng, near=0.02):
 
 @dataclass
 class TraceResult:
-    hit: np.ndarray        # (N,) bool
-    t: np.ndarray          # (N,) distance at hit (or last position)
-    converged: np.ndarray  # (N,) False only when TRACE_STEPS ran out mid-trace
+    hit: np.ndarray        # (...) bool, the rays' broadcast shape
+    t: np.ndarray          # (...) distance at hit (or last position)
+    converged: np.ndarray  # (...) False only when TRACE_STEPS ran out mid-trace
 
 
 TRACE_STEPS = 192  # sphere-tracing steps per ray, for every caller
@@ -379,28 +379,36 @@ TRACE_STEPS = 192  # sphere-tracing steps per ray, for every caller
 def sphere_trace(sdf_like, origins, dirs):
     """Classic sphere tracing against anything exposing ``sdf_np(points)``.
 
-    Serves as the non-differentiable visibility/depth oracle. A ray hits
-    where the SDF falls below ``threshold`` (1e-4); rays that leave the unit
-    ball report no-hit with t at its far root. Analytic scenes (anything that
-    also exposes ``intersect``, which ignores hits outside the unit ball) are
-    solved in closed form: marching would only approximate the same roots,
-    at about ten times the cost. A ray that starts within ``threshold`` of a
-    surface hits at t = 0 either way. A marched ray still active after
+    Serves as the non-differentiable visibility/depth oracle. Origins and
+    directions broadcast against each other over their leading axes, as in
+    ``ray_sphere_exit``; ``hit``, ``t`` and ``converged`` take the broadcast
+    shape. A ray hits where the SDF falls below ``threshold`` (1e-4); rays
+    that leave the unit ball report no-hit with t at its far root. Analytic
+    scenes (anything that also exposes ``intersect``, which ignores hits
+    outside the unit ball) are solved in closed form on the broadcast rays:
+    marching would only approximate the same roots, at about ten times the
+    cost. A ray that starts within ``threshold`` of a surface hits at t = 0
+    either way; the closed form tests that once per origin. Marching runs on
+    the flattened rays, and a marched ray still active after
     ``TRACE_STEPS`` steps reports no hit and ``converged`` False.
     """
     threshold = 1e-4
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    n = o.shape[0]
     t_exit = np.maximum(ray_sphere_exit(o, d).t_far, 0.0)
+    shape = t_exit.shape
 
     if hasattr(sdf_like, "intersect"):
         t_hit, _, hit = sdf_like.intersect(o, d)
-        inside = sdf_like.sdf_np(o) < threshold
+        inside = sdf_like.sdf_np(o.reshape(-1, 3)).reshape(o.shape[:-1]) < threshold
         t = np.where(inside, 0.0, np.where(hit, t_hit, t_exit))
         return TraceResult(hit=hit | inside, t=t,
-                           converged=np.ones(n, dtype=bool))
+                           converged=np.ones(shape, dtype=bool))
 
+    o = np.broadcast_to(o, shape + (3,)).reshape(-1, 3)
+    d = np.broadcast_to(d, shape + (3,)).reshape(-1, 3)
+    t_exit = t_exit.reshape(-1)
+    n = t_exit.size
     t = np.zeros(n)
     active = np.ones(n, dtype=bool)
     hit = np.zeros(n, dtype=bool)
@@ -421,4 +429,5 @@ def sphere_trace(sdf_like, origins, dirs):
             active[adv[escaped]] = False
     converged = ~active
     t[active] = t_exit[active]
-    return TraceResult(hit=hit, t=t, converged=converged)
+    return TraceResult(hit=hit.reshape(shape), t=t.reshape(shape),
+                       converged=converged.reshape(shape))

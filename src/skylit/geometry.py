@@ -158,7 +158,10 @@ def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     (N, n_per, 3).
 
     Polar angle via the closed-form inverse CDF w = 1 + log(u + (1-u)e^{-2k})/k,
-    uniform azimuth, then a per-row rotation of the mode onto its mean.
+    uniform azimuth, then a per-row Rodrigues rotation of the mode onto its
+    mean, written out per component: l c + (k x l) s + k (k . l)(1 - c),
+    with the products of ``np.cross`` and the order of ``np.sum``, so the
+    draws are bit for bit those of the vector form.
     """
     if not kappa >= VMF_KAPPA_MIN:
         raise ConfigError(
@@ -169,27 +172,30 @@ def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
     phi = rng.random((n, n_per)) * 2.0 * np.pi
     r = np.sqrt(np.maximum(1.0 - w * w, 0.0))
-    local = np.stack([r * np.cos(phi), r * np.sin(phi), w], axis=-1)
-    # per-row Rodrigues rotation of +z to the mean
-    z = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(np.broadcast_to(z, means.shape), means)
-    norm_a = np.linalg.norm(axis, axis=1, keepdims=True)
-    degenerate = norm_a[:, 0] < 1e-12
-    axis = np.where(degenerate[:, None], [1.0, 0.0, 0.0],
-                    axis / np.maximum(norm_a, 1e-300))
-    angle = np.arccos(np.clip(means[:, 2], -1.0, 1.0))
-    c = np.cos(angle)[:, None, None]
-    s = np.sin(angle)[:, None, None]
-    k = axis[:, None, :]
-    rotated = (local * c
-               + np.cross(np.broadcast_to(k, local.shape), local) * s
-               + k * np.sum(local * k, axis=-1, keepdims=True) * (1.0 - c))
-    flip = degenerate & (means[:, 2] < 0)
-    if np.any(flip):
-        rotated[flip] = local[flip] * np.array([1.0, 1.0, -1.0])
-    keep = degenerate & ~flip
-    if np.any(keep):
-        rotated[keep] = local[keep]
+    l0, l1, l2 = r * np.cos(phi), r * np.sin(phi), w
+    # per-row Rodrigues rotation of +z to the mean, about the unit axis k
+    # along z x mean; each row's values are (N,1) columns
+    m0, m1, m2 = means[:, 0:1], means[:, 1:2], means[:, 2:3]
+    a0, a1, a2 = 0.0 * m2 - 1.0 * m1, 1.0 * m0 - 0.0 * m2, 0.0 * m1 - 0.0 * m0
+    norm_a = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    degenerate = norm_a < 1e-12
+    norm_a = np.maximum(norm_a, 1e-300)
+    k0 = np.where(degenerate, 1.0, a0 / norm_a)
+    k1 = np.where(degenerate, 0.0, a1 / norm_a)
+    k2 = np.where(degenerate, 0.0, a2 / norm_a)
+    angle = np.arccos(np.clip(m2, -1.0, 1.0))
+    c, s = np.cos(angle), np.sin(angle)
+    omc = 1.0 - c
+    # np.sum starts from +0.0, so its sum is never -0.0: the trailing + 0.0
+    dot = l0 * k0 + l1 * k1 + l2 * k2 + 0.0
+    rotated = np.stack([
+        l0 * c + (k1 * l2 - k2 * l1) * s + k0 * dot * omc,
+        l1 * c + (k2 * l0 - k0 * l2) * s + k1 * dot * omc,
+        l2 * c + (k0 * l1 - k1 * l0) * s + k2 * dot * omc], axis=-1)
+    if np.any(degenerate):  # a mean at +z keeps the mode; at -z, mirrors it
+        rows = degenerate[:, 0]
+        sign = np.where(m2[rows] < 0, -1.0, 1.0)
+        rotated[rows] = np.stack([l0[rows], l1[rows], l2[rows] * sign], axis=-1)
     return rotated
 
 

@@ -175,6 +175,10 @@ def exponential_decay(base, step, total):
 
 
 ADAM_BLOCK = 16384  # live entries per block of Adam.update; 128 KiB per array
+# Adam._insert moves old entries run by run for up to this many new entries
+# and in one masked merge beyond: a run costs about as much as merging 400
+# entries, so this is the crossover behind a tail of about 100k live entries
+ADAM_INSERT_RUNS = 256
 
 
 class Adam:
@@ -265,29 +269,48 @@ class Adam:
 
     def _insert(self, name, new):
         """Merge the sorted flat indices ``new`` into slot ``name``'s
-        ``live``, with zero moments, keeping ``live`` sorted."""
+        ``live``, with zero moments, keeping ``live`` sorted.
+
+        Up to ``ADAM_INSERT_RUNS`` new entries: the old entries between two
+        insertion points form a run, and each run moves right once, by the
+        number of new entries before it, last run first so that no move
+        overwrites a run still to move; the new entries then fill the gaps.
+        More new entries: one masked merge of everything from the first
+        insertion point on, as ``np.insert`` does, whose cost does not grow
+        with the count.
+        """
         n, k = self.live[name].size, new.size
         at = np.searchsorted(self.live[name], new)
-        # as np.insert does: from the first insertion point on, the old
-        # entries fill the places that the new ones leave free
         first = at[0]
-        old = np.ones(n + k - first, dtype=bool)
-        old[at - first + np.arange(k)] = False
+        gaps = at + np.arange(k)
+        if k > ADAM_INSERT_RUNS:
+            old = np.ones(n + k - first, dtype=bool)
+            old[gaps - first] = False
+        else:
+            ends = at.tolist() + [n]
         buffers = self._buffers[name]
         size = min(max(n + k, buffers[0].size * 5 // 4), self.seen[name].size)
         for i, (state, value) in enumerate(zip((self.live, self.m, self.v),
                                                (new, 0.0, 0.0))):
-            moved = state[name][first:]
-            if n + k > buffers[i].size:
+            src = state[name]
+            grow = n + k > buffers[i].size
+            if grow:
                 # one array at a time, so the old one is freed before the next grows
-                buffers[i] = np.empty(size, dtype=moved.dtype)
-                buffers[i][:first] = state[name][:first]
+                buffers[i] = np.empty(size, dtype=src.dtype)
+                buffers[i][:first] = src[:first]
+            dst = buffers[i]
+            if k > ADAM_INSERT_RUNS:
+                tail = dst[first:n + k]
+                # a masked write does not see the overlap
+                tail[old] = src[first:] if grow else src[first:].copy()
+                tail[~old] = value
             else:
-                moved = moved.copy()  # a masked write does not see the overlap
-            tail = buffers[i][first:n + k]
-            tail[old] = moved
-            tail[~old] = value
-            state[name] = buffers[i][:n + k]
+                for j in range(k, 0, -1):
+                    lo, hi = ends[j - 1], ends[j]
+                    if hi > lo:
+                        dst[lo + j:hi + j] = src[lo:hi]
+                dst[gaps] = value
+            state[name] = dst[:n + k]
 
 
 def gravity_align(camera_centers):

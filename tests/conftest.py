@@ -10,12 +10,14 @@ import pytest
 
 from skylit import fields as fd
 from skylit import illumination as il
+from skylit import losses as ls
 from skylit import render as rd
 from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
 from skylit.fields import sphere_trace
-from skylit.geometry import icosphere_directions, normalize, ray_sphere_exit
+from skylit.geometry import (icosphere_directions, normalize, ray_sphere_exit,
+                             sample_sphere)
 from skylit.scenes import generate_dataset, make_scene
 
 
@@ -149,6 +151,64 @@ class TextbookAdam(tr.Adam):
         m[...] = b1 * m + (1.0 - b1) * grad
         v[...] = b2 * v + (1.0 - b2) * grad * grad
         param -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + self.eps)
+
+
+def reference_vmf_sample_batch(mean_dirs, kappa, n_per, rng):
+    """Reference for ``geometry.vmf_sample_batch``: the same draws with the
+    rotation in vector form, through ``np.cross`` and ``np.sum``. The two
+    must agree byte for byte."""
+    means = normalize(np.atleast_2d(mean_dirs))
+    n = means.shape[0]
+    u = rng.random((n, n_per))
+    w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
+    phi = rng.random((n, n_per)) * 2.0 * np.pi
+    r = np.sqrt(np.maximum(1.0 - w * w, 0.0))
+    local = np.stack([r * np.cos(phi), r * np.sin(phi), w], axis=-1)
+    z = np.array([0.0, 0.0, 1.0])
+    axis = np.cross(np.broadcast_to(z, means.shape), means)
+    norm_a = np.linalg.norm(axis, axis=1, keepdims=True)
+    degenerate = norm_a[:, 0] < 1e-12
+    axis = np.where(degenerate[:, None], [1.0, 0.0, 0.0],
+                    axis / np.maximum(norm_a, 1e-300))
+    angle = np.arccos(np.clip(means[:, 2], -1.0, 1.0))
+    c = np.cos(angle)[:, None, None]
+    s = np.sin(angle)[:, None, None]
+    k = axis[:, None, :]
+    rotated = (local * c
+               + np.cross(np.broadcast_to(k, local.shape), local) * s
+               + k * np.sum(local * k, axis=-1, keepdims=True) * (1.0 - c))
+    flip = degenerate & (means[:, 2] < 0)
+    if np.any(flip):
+        rotated[flip] = local[flip] * np.array([1.0, 1.0, -1.0])
+    keep = degenerate & ~flip
+    if np.any(keep):
+        rotated[keep] = local[keep]
+    return rotated
+
+
+def reference_sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
+                               kappa=20.0, min_z=0.0):
+    """Reference for ``losses.sample_ddf_batch``: the same batch filled one
+    position at a time from ``reference_vmf_sample_batch``'s draws, and
+    traced as flat rays with the positions repeated. The two must agree
+    byte for byte."""
+    positions = sample_sphere(rng, n_positions, min_z=min_z)
+    dirs = np.zeros((n_positions, n_directions, 3))
+    filled = np.zeros(n_positions, dtype=np.int64)
+    while np.any(filled < n_directions):
+        cand = reference_vmf_sample_batch(-positions, kappa, n_directions, rng)
+        ok = (np.einsum("pqc,pc->pq", cand, positions) < -1e-6) \
+            & (cand[..., 2] <= 0.0)
+        for i in np.flatnonzero(filled < n_directions):
+            good = cand[i][ok[i]][: n_directions - filled[i]]
+            dirs[i, filled[i]:filled[i] + len(good)] = good
+            filled[i] += len(good)
+    res = sphere_trace(sdf_like, np.repeat(positions, n_directions, axis=0),
+                       dirs.reshape(-1, 3))
+    shape = (n_positions, n_directions)
+    return ls.DdfBatch(positions=positions, directions=dirs,
+                       depths=np.clip(res.t, 1e-4, 2.0).reshape(shape),
+                       hit=res.hit.reshape(shape))
 
 
 def dense_render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs,

@@ -517,6 +517,46 @@ def test_sphere_trace_solves_analytic_scene_in_closed_form():
     assert 0 < hit_true[1:].sum() < 199
 
 
+def _broadcast_trace_batch():
+    """Positions (P,1,3) on the unit sphere and Q inward directions (P,Q,3)
+    each against the two-sphere scene: random ones, one origin 5e-5 outside
+    a sphere (every ray hits at t = 0), and one on top whose rays stay in
+    the plane x = 0, which passes both spheres (every ray misses)."""
+    from skylit.scenes import make_scene
+
+    scene = make_scene("two-sphere")
+    rng = np.random.default_rng(9)
+    pos = rng.normal(size=(5, 3))
+    pos[:, 2] = np.abs(pos[:, 2])
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    dirs = -pos[:, None, :] + 0.3 * rng.normal(size=(5, 16, 3))
+    near = scene.primitives[1]
+    pos[3] = near.center + (near.radius + 5e-5) * np.array([0.0, 0.0, 1.0])
+    pos[4] = [0.0, 0.0, 1.0]
+    dirs[4] = 0.0
+    dirs[4, :, 1] = np.linspace(-0.5, 0.5, 16)
+    dirs[4, :, 2] = -1.0
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    return scene, pos[:, None, :], dirs
+
+
+@pytest.mark.parametrize("path", ["closed-form", "marching"])
+def test_sphere_trace_broadcasts_origins_byte_for_byte(path):
+    scene, pos, dirs = _broadcast_trace_batch()
+    sdf_like = scene if path == "closed-form" else SimpleNamespace(sdf_np=scene.sdf_np)
+    got = fd.sphere_trace(sdf_like, pos, dirs)
+    flat = fd.sphere_trace(sdf_like, np.repeat(pos[:, 0], 16, axis=0),
+                           dirs.reshape(-1, 3))
+    for name in ("hit", "t", "converged"):
+        a, b = getattr(got, name), getattr(flat, name)
+        assert a.shape == (5, 16) and a.tobytes() == b.tobytes(), name
+    assert got.hit[3].all() and (got.t[3] == 0.0).all()
+    assert not got.hit[4].any()
+    assert got.hit[:3].any() and not got.hit[:3].all()
+    empty = fd.sphere_trace(sdf_like, pos[:0], dirs[:0])
+    assert [getattr(empty, k).shape for k in ("hit", "t", "converged")] == [(0, 16)] * 3
+
+
 def test_expected_depth_matches_trace_for_opaque_surface():
     scene = fd.SceneFields.default(resolution=64)
     scene.sdf.log_inv_s = np.asarray(np.log(200.0))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from skylit import geometry as geo
 from skylit import tape as tp
 from skylit import visibility as vz
-from tests.conftest import exit_point
+from tests.conftest import exit_point, reference_vmf_sample_batch
 
 
 def _exit(o, d):
@@ -383,6 +383,47 @@ def test_vmf_rotates_each_row_to_its_own_mean():
                       [-0.36, 0.48, 0.8]])
     v = geo.vmf_sample_batch(means, 1e6, 50, rng)
     assert np.allclose(v, means[:, None, :], atol=5e-3)
+
+
+class _FixedDraws:
+    """An rng stand-in whose ``random`` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, shape):
+        return np.full(shape, self.values.pop(0))
+
+
+VMF_MEANS = np.array([
+    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],        # the two degenerate branches
+    [0.6, 0.0, -0.8], [0.0, -0.6, -0.8],      # one axis component exactly 0
+    [1e-9, 0.0, 1.0], [0.0, 1e-9, -1.0],      # next to the poles
+    [0.3, -0.4, 0.866], [-0.36, 0.48, -0.8], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_per", [1, 8, 128])
+def test_vmf_sample_batch_matches_the_vector_form_byte_for_byte(seed, n_per):
+    # tobytes, not array_equal: a -0.0 must match too
+    rng = np.random.default_rng(seed)
+    means = np.concatenate([VMF_MEANS, -geo.sample_sphere(rng, 24)])
+    for kappa in (geo.VMF_KAPPA_MIN, 20.0, 1e6):
+        got = geo.vmf_sample_batch(means, kappa, n_per, np.random.default_rng(seed))
+        want = reference_vmf_sample_batch(means, kappa, n_per,
+                                          np.random.default_rng(seed))
+        assert got.shape == want.shape == (len(means), n_per, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_vmf_sample_batch_matches_the_vector_form_on_the_mode():
+    # u next to 1 puts the sample on the mode (w = 1, r = 0), and an azimuth
+    # in the third quadrant makes both of its horizontal components -0.0
+    u, phi = 1.0 - 2.0**-53, 0.6
+    got = geo.vmf_sample_batch(VMF_MEANS, 20.0, 3, _FixedDraws(u, phi))
+    want = reference_vmf_sample_batch(VMF_MEANS, 20.0, 3, _FixedDraws(u, phi))
+    assert np.signbit(got[0, :, :2]).all()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, 1e-300, 1e-14])

@@ -8,6 +8,7 @@ from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import ConfigError, srgb
 from skylit.scenes import make_scene
+from tests.conftest import reference_sample_ddf_batch
 
 
 def as_var(x):
@@ -31,7 +32,7 @@ class _NoDraws:
     """An rng stand-in that fails on first use."""
 
     def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} was used before min_z was checked")
+        raise AssertionError(f"rng.{name} was used")
 
 
 @pytest.mark.parametrize("min_z", [-1.0, -1e-3, 1.0, float("nan")])
@@ -40,6 +41,38 @@ def test_sample_ddf_batch_rejects_min_z_up_front(min_z):
     # rejection loop would spin; the check runs before any draw
     with pytest.raises(ValueError, match="min_z"):
         ls.sample_ddf_batch(make_scene("two-sphere"), _NoDraws(), 2, 8, min_z=min_z)
+
+
+@pytest.fixture(scope="module", params=["analytic", "grid"])
+def traced_scene(request):
+    # the analytic scene is traced in closed form, a grid SDF by marching
+    scene = make_scene("two-sphere")
+    if request.param == "analytic":
+        return scene
+    return fd.SdfField.from_function(scene.sdf_np, resolution=32)
+
+
+@pytest.mark.parametrize("min_z", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("seed, n_positions, n_directions",
+                         [(0, 8, 128), (1, 3, 32), (2, 16, 8)])
+def test_sample_ddf_batch_matches_the_loop_fill_byte_for_byte(
+        traced_scene, min_z, seed, n_positions, n_directions):
+    got = ls.sample_ddf_batch(traced_scene, np.random.default_rng(seed),
+                              n_positions, n_directions, min_z=min_z)
+    want = reference_sample_ddf_batch(traced_scene, np.random.default_rng(seed),
+                                      n_positions, n_directions, min_z=min_z)
+    for name in ("positions", "directions", "depths", "hit"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.hit.any() and not got.hit.all()
+
+
+def test_sample_multiview_pairs_takes_zero_and_rejects_negative_counts():
+    scene = make_scene("two-sphere")
+    pairs = ls.sample_multiview_pairs(scene, _NoDraws(), 0)
+    assert [p.shape for p in pairs] == [(0, 3)] * 3
+    with pytest.raises(ValueError, match="n_pairs"):
+        ls.sample_multiview_pairs(scene, _NoDraws(), -1)
 
 
 def test_tonemap_matches_numpy_srgb():

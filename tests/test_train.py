@@ -245,6 +245,45 @@ def test_adam_update_is_the_textbook_update_bit_for_bit(case):
         assert adam.live["p"].size == param.size
 
 
+@pytest.mark.parametrize("grow", [False, True])
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+@pytest.mark.parametrize("k", [1, tr.ADAM_INSERT_RUNS, tr.ADAM_INSERT_RUNS + 1])
+def test_adam_insert_is_np_insert_and_the_textbook_update(k, where, grow):
+    # the first insert fills its buffers with 2,000 live entries in
+    # [2000, 8000); the second leaves room for 499 more, or none
+    rng = np.random.default_rng(k)
+    size, lr = 10_000, 1e-2
+    adam, ref = tr.Adam(), TextbookAdam()
+    param = rng.normal(size=size)
+    ref_p = param.copy()
+
+    def step(touched):
+        grad = np.zeros(size)
+        grad[touched] = rng.normal(size=len(touched))
+        adam.update("p", param, grad, lr)
+        ref.update("p", ref_p, grad, lr)
+
+    step(np.arange(2000, 8000, 3))
+    step(np.arange(2001, 8000, 3)[:500 if grow else 1])
+    free = {"before": np.arange(2000), "between": np.arange(2002, 8000, 3),
+            "after": np.arange(8000, size)}[where]
+    new = np.sort(rng.choice(free, k, replace=False))
+    live, m, v = (adam.live["p"].copy(), adam.m["p"].copy(), adam.v["p"].copy())
+    at = np.searchsorted(live, new)
+    buffer = adam._buffers["p"][0]
+    adam.seen["p"][new] = True
+    adam._insert("p", new)
+    assert (adam._buffers["p"][0] is not buffer) == grow
+    for got, want in zip((adam.live["p"], adam.m["p"], adam.v["p"]),
+                         (np.insert(live, at, new), np.insert(m, at, 0.0),
+                          np.insert(v, at, 0.0))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    step(np.concatenate([new, live[::7]]))
+    for got, want in zip([param, *dense_moments(adam, "p", param.shape)],
+                         (ref_p, ref.m["p"], ref.v["p"])):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_adam_keeps_state_only_for_entries_with_gradients():
     rng = np.random.default_rng(3)
     shape, k = (64, 64, 64), 37
@@ -340,6 +379,15 @@ def test_ddf_fit_rejects_nan_node_and_keeps_the_rest(two_sphere_scene):
     assert np.isnan(history).all()
     other = ~np.isnan(before)
     assert np.array_equal(ddf.grid[other], before[other])
+
+
+def test_ddf_fit_runs_without_multiview_pairs(two_sphere_scene):
+    ddf = vz.DdfField.zero_init((8, 16), (6, 12))
+    _, history = tr.fit_ddf_to_scene(two_sphere_scene, ddf=ddf, steps=2, warmup=0,
+                                     n_positions=2, n_directions=8,
+                                     multiview_pairs=0)
+    assert len(history) == 2 and np.isfinite(history).all()
+    assert (ddf.grid != 0).any()
 
 
 def test_zero_multiview_pairs_skip_the_term(tiny_dataset):
