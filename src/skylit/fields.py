@@ -265,16 +265,6 @@ class BoundFields:
             self.log_inv_s = tp._lift(fields.sdf.log_inv_s)
             self.albedo_grid = tp._lift(fields.albedo.grid)
 
-    @classmethod
-    def from_vars(cls, fields, sdf_grid, log_inv_s, albedo_grid):
-        """Bind explicit Vars (gradient checks drive parameters directly)."""
-        self = cls.__new__(cls)
-        self.fields = fields
-        self.sdf_grid = sdf_grid
-        self.log_inv_s = log_inv_s
-        self.albedo_grid = albedo_grid
-        return self
-
     def inv_s(self):
         return tp.exp(self.log_inv_s)
 
@@ -374,6 +364,14 @@ class TraceResult:
 
 
 TRACE_STEPS = 192  # sphere-tracing steps per ray, for every caller
+TRACE_THRESHOLD = 1e-4  # an SDF value below this is a surface hit
+
+
+def _starts_inside(scene, o):
+    """Whether each origin lies within ``TRACE_THRESHOLD`` of a surface of
+    the analytic ``scene``, tested once per origin: such a ray hits at
+    t = 0."""
+    return scene.sdf_np(o.reshape(-1, 3)).reshape(o.shape[:-1]) < TRACE_THRESHOLD
 
 
 def sphere_trace(sdf_like, origins, dirs):
@@ -382,17 +380,16 @@ def sphere_trace(sdf_like, origins, dirs):
     Serves as the non-differentiable visibility/depth oracle. Origins and
     directions broadcast against each other over their leading axes, as in
     ``ray_sphere_exit``; ``hit``, ``t`` and ``converged`` take the broadcast
-    shape. A ray hits where the SDF falls below ``threshold`` (1e-4); rays
+    shape. A ray hits where the SDF falls below ``TRACE_THRESHOLD``; rays
     that leave the unit ball report no-hit with t at its far root. Analytic
     scenes (anything that also exposes ``intersect``, which ignores hits
     outside the unit ball) are solved in closed form on the broadcast rays:
     marching would only approximate the same roots, at about ten times the
-    cost. A ray that starts within ``threshold`` of a surface hits at t = 0
-    either way; the closed form tests that once per origin. Marching runs on
-    the flattened rays, and a marched ray still active after
-    ``TRACE_STEPS`` steps reports no hit and ``converged`` False.
+    cost. A ray that starts within the threshold of a surface hits at t = 0
+    either way (``_starts_inside`` in closed form). Marching runs on the
+    flattened rays, and a marched ray still active after ``TRACE_STEPS``
+    steps reports no hit and ``converged`` False.
     """
-    threshold = 1e-4
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     t_exit = np.maximum(ray_sphere_exit(o, d).t_far, 0.0)
@@ -400,7 +397,7 @@ def sphere_trace(sdf_like, origins, dirs):
 
     if hasattr(sdf_like, "intersect"):
         t_hit, _, hit = sdf_like.intersect(o, d)
-        inside = sdf_like.sdf_np(o.reshape(-1, 3)).reshape(o.shape[:-1]) < threshold
+        inside = _starts_inside(sdf_like, o)
         t = np.where(inside, 0.0, np.where(hit, t_hit, t_exit))
         return TraceResult(hit=hit | inside, t=t,
                            converged=np.ones(shape, dtype=bool))
@@ -418,12 +415,12 @@ def sphere_trace(sdf_like, origins, dirs):
         pts = o[active] + t[active, None] * d[active]
         f = sdf_like.sdf_np(pts)
         idx = np.flatnonzero(active)
-        newly_hit = f < threshold
+        newly_hit = f < TRACE_THRESHOLD
         hit[idx[newly_hit]] = True
         active[idx[newly_hit]] = False
         adv = idx[~newly_hit]
         t[adv] += f[~newly_hit]
-        escaped = t[adv] > t_exit[adv] + threshold
+        escaped = t[adv] > t_exit[adv] + TRACE_THRESHOLD
         if np.any(escaped):
             t[adv[escaped]] = t_exit[adv[escaped]]
             active[adv[escaped]] = False
@@ -431,3 +428,14 @@ def sphere_trace(sdf_like, origins, dirs):
     t[active] = t_exit[active]
     return TraceResult(hit=hit.reshape(shape), t=t.reshape(shape),
                        converged=converged.reshape(shape))
+
+
+def trace_hit(sdf_like, origins, dirs):
+    """``sphere_trace(sdf_like, origins, dirs).hit`` alone. An analytic
+    scene answers with its any-hit test and ``_starts_inside``: no exit
+    root, no distance and no nearest primitive."""
+    if not hasattr(sdf_like, "intersect"):
+        return sphere_trace(sdf_like, origins, dirs).hit
+    o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
+    d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    return sdf_like.any_hit(o, d) | _starts_inside(sdf_like, o)

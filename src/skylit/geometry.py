@@ -155,22 +155,36 @@ VMF_KAPPA_MIN = 0.01
 
 def vmf_sample_batch(mean_dirs, kappa, n_per, rng):
     """``n_per`` von Mises-Fisher samples around each of N means; returns
-    (N, n_per, 3).
+    (N, n_per, 3): ``_vmf_rotate`` of ``_vmf_draws``.
+    """
+    means = normalize(np.atleast_2d(mean_dirs))
+    return _vmf_rotate(means, kappa, *_vmf_draws(rng, means.shape[0], n_per))
+
+
+def _vmf_draws(rng, n, n_per):
+    """The uniform draws behind ``n_per`` vMF samples around each of n
+    means, (n, n_per) each: the polar angle's, then the azimuth's."""
+    return rng.random((n, n_per)), rng.random((n, n_per))
+
+
+def _vmf_rotate(means, kappa, u, v):
+    """vMF samples around the unit ``means`` (N,3) from ``_vmf_draws``'
+    rows ``u`` and ``v`` (N, n_per); returns (N, n_per, 3). Each row is
+    computed from its own mean and draws alone, so a subset of rows gives
+    the same bits as the whole.
 
     Polar angle via the closed-form inverse CDF w = 1 + log(u + (1-u)e^{-2k})/k,
-    uniform azimuth, then a per-row Rodrigues rotation of the mode onto its
+    azimuth 2 pi v, then a per-row Rodrigues rotation of the mode onto its
     mean, written out per component: l c + (k x l) s + k (k . l)(1 - c),
     with the products of ``np.cross`` and the order of ``np.sum``, so the
-    draws are bit for bit those of the vector form.
+    draws are bit for bit those of the vector form. ConfigError unless
+    ``kappa`` is at least ``VMF_KAPPA_MIN``.
     """
     if not kappa >= VMF_KAPPA_MIN:
         raise ConfigError(
             f"vMF concentration must be at least {VMF_KAPPA_MIN}, got {kappa!r}")
-    means = normalize(np.atleast_2d(mean_dirs))
-    n = means.shape[0]
-    u = rng.random((n, n_per))
     w = 1.0 + np.log(u + (1.0 - u) * np.exp(-2.0 * kappa)) / kappa
-    phi = rng.random((n, n_per)) * 2.0 * np.pi
+    phi = v * 2.0 * np.pi
     r = np.sqrt(np.maximum(1.0 - w * w, 0.0))
     l0, l1, l2 = r * np.cos(phi), r * np.sin(phi), w
     # per-row Rodrigues rotation of +z to the mean, about the unit axis k

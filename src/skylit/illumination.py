@@ -95,14 +95,6 @@ class BoundIllumination:
             self.Z = tp._lift(bank.Z)
             self.log_gamma = tp._lift(bank.log_gamma)
 
-    @classmethod
-    def from_vars(cls, decoder, z_var, log_gamma_var):
-        self = cls.__new__(cls)
-        self.decoder = decoder
-        self.Z = z_var
-        self.log_gamma = log_gamma_var
-        return self
-
     def radiance_all(self, dirs):
         """HDR radiance of every image at shared directions; (N,D,3) Var."""
         basis = self.decoder.basis(dirs)

@@ -12,14 +12,15 @@ anneal acts on one scalar and has no batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tape as tp
-from .fields import sdf_eval, sphere_trace
-from .geometry import SRGB_LINEAR_KNEE, ray_sphere_exit, sample_sphere, vmf_sample_batch
-from .visibility import BoundDdf, ddf_eval
+from .fields import sdf_eval, sphere_trace, trace_hit
+from .geometry import (SRGB_LINEAR_KNEE, _vmf_draws, _vmf_rotate, normalize,
+                       ray_sphere_exit, sample_sphere, vmf_sample_batch)
+from .visibility import BoundDdf, _ddf_read, _depth_node, ddf_eval
 
 
 def tonemap(linear):
@@ -81,6 +82,9 @@ class DdfBatch:
     directions: np.ndarray  # (P,Q,3) unit, inward, d_z <= 0
     depths: np.ndarray      # (P,Q) in (0,2]
     hit: np.ndarray         # (P,Q) bool
+    # (grid Var, visibility._DdfRead): ddf_depth_loss's read of the flat
+    # batch through the binding whose grid that is, for ddf_levelset_loss
+    _read: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def flat_positions(self):
@@ -113,27 +117,36 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
     hemisphere, directions vMF-concentrated toward the scene center,
     rejected to inward and sky-side, with sphere-traced depths.
 
+    Each rejection round draws ``n_directions`` vMF candidates' uniforms for
+    every position, full ones included, so that the draws do not depend on
+    how the rounds went; only the positions still filling turn theirs into
+    directions (``geometry._vmf_rotate``, row by row the same bits).
+
     ``min_z`` must lie in [0, 1): a position below the horizon has few or no
     directions that are both inward and sky-side, and the rejection loop
     would never fill it."""
     if not 0.0 <= min_z < 1.0:
         raise ValueError(f"min_z must be in [0, 1), got {min_z!r}")
     positions = sample_sphere(rng, n_positions, min_z=min_z)
+    means = normalize(-positions)
     dirs = np.zeros((n_positions, n_directions, 3))
     filled = np.zeros(n_positions, dtype=np.int64)
     place = np.arange(n_directions)
     while np.any(filled < n_directions):
-        # every round draws for every position, full ones included, so the
-        # draws do not depend on how the rounds went
-        cand = vmf_sample_batch(-positions, kappa, n_directions, rng)
-        ok = (np.einsum("pqc,pc->pq", cand, positions) < -1e-6) \
+        u, v = _vmf_draws(rng, n_positions, n_directions)
+        rows = np.flatnonzero(filled < n_directions)
+        cand = _vmf_rotate(means[rows], kappa, u[rows], v[rows])
+        ok = (np.einsum("pqc,pc->pq", cand, positions[rows]) < -1e-6) \
             & (cand[..., 2] <= 0.0)
-        # each position's accepted candidates, in draw order, fill its free
-        # places from ``filled`` on, as many as fit: one masked copy, whose
-        # row-major order keeps each position's candidates in its own row
+        # each filling position's accepted candidates, in draw order, fill
+        # its free places from ``filled`` on, as many as fit: one masked
+        # copy, whose row-major order keeps each position's candidates in
+        # its own row (a full position's range of places is empty)
+        room = n_directions - filled[rows]
         rank = np.cumsum(ok, axis=1)
-        take = ok & (rank <= (n_directions - filled)[:, None])
-        end = filled + np.minimum(rank[:, -1], n_directions - filled)
+        take = ok & (rank <= room[:, None])
+        end = filled.copy()
+        end[rows] += np.minimum(rank[:, -1], room)
         free = (place >= filled[:, None]) & (place < end[:, None])
         _as_items(dirs)[free] = _as_items(cand)[take]
         filled = end
@@ -152,9 +165,13 @@ def trace_depths(sdf_like, positions, directions):
 
 
 def ddf_depth_loss(batch, bound_ddf):
-    """Mean of |traced depth - predicted depth| over the batch's rays."""
-    pred = ddf_eval(bound_ddf, batch.flat_positions, batch.flat_directions)
-    err = tp.absolute(batch.flat_depths - pred)
+    """Mean of |traced depth - predicted depth| over the batch's rays. The
+    batch keeps this DDF read (``DdfBatch._read``) for ``ddf_levelset_loss``
+    through the same binding."""
+    s, read = _ddf_read(bound_ddf, batch.flat_positions, batch.flat_directions,
+                        strict=True)
+    batch._read = (bound_ddf.grid, read)
+    err = tp.absolute(batch.flat_depths - _depth_node(bound_ddf, s, read))
     return tp.vsum(err) / max(batch.flat_depths.size, 1)
 
 
@@ -165,12 +182,21 @@ def ddf_levelset_loss(batch, bound_ddf, bound_fields):
     no zero crossing, so the term's fixed point would be unsatisfiable), yet
     the squared SDF values are divided by all of the batch's rays: a miss
     counts as 0. Gradients reach both the DDF and the SDF grid.
+
+    The predicted depth is a ``ddf_depth`` node of its own, with its own
+    scatter. After ``ddf_depth_loss`` of the same batch through the same
+    binding (the same grid Var, so the same grid values: an optimizer step
+    binds anew), its hit rows are taken from that loss's read, the same
+    bits as a read of those rows alone; otherwise they are read here.
     """
     keep = batch.flat_hit
-    s = batch.flat_positions[keep]
+    s = tp._lift(batch.flat_positions[keep])
     d = batch.flat_directions[keep]
-    pred = ddf_eval(bound_ddf, s, d)
-    land = tp._lift(s) + tp.reshape(pred, (-1, 1)) * d
+    if batch._read is not None and batch._read[0] is bound_ddf.grid:
+        pred = _depth_node(bound_ddf, s, batch._read[1].rows(keep))
+    else:
+        pred = ddf_eval(bound_ddf, s, d)
+    land = s + tp.reshape(pred, (-1, 1)) * d
     f = sdf_eval(bound_fields, land)
     return tp.vsum(f * f) / max(batch.flat_depths.size, 1)
 
@@ -221,8 +247,7 @@ def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0, min_z=0.0):
         first = np.argmax(ok, axis=1)
         d1 = cand[np.arange(len(s1)), first]
         s1, d1 = s1[valid_row], d1[valid_row]
-        res = sphere_trace(sdf_like, s1, d1)
-        hit = res.hit
+        hit = trace_hit(sdf_like, s1, d1)
         kept_s1.append(s1[hit][:need])
         kept_d1.append(d1[hit][:need])
         need -= len(kept_s1[-1])

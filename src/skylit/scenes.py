@@ -29,6 +29,28 @@ CLASS_TRANSIENT = 3
 _EPS = 1e-6
 
 
+def _quadratic(o, d, center, radius):
+    """b, c and the discriminant b^2 - 4c of |o + t d - center|^2 =
+    radius^2, for unit d, with each dot product's components summed in
+    np.sum's order, (x0 + x1) + x2, and no trailing axis: the same bits for
+    flat rays, for gathered rows and for points (N,1,3) against directions
+    (1,D,3), where c is computed once per point."""
+    oc = o - center
+    b = 2.0 * (oc[..., 0] * d[..., 0] + oc[..., 1] * d[..., 1] + oc[..., 2] * d[..., 2])
+    c = (oc[..., 0] * oc[..., 0] + oc[..., 1] * oc[..., 1]
+         + oc[..., 2] * oc[..., 2]) - radius**2
+    return b, c, b * b - 4.0 * c
+
+
+def _meets_ahead(o, d, center, radius):
+    """Whether each ray's line meets the sphere (center, radius) with a
+    root ahead of the origin: a positive discriminant, and the center ahead
+    (b < 0) or the origin inside (c < 0). A root beyond 1e-6, the least a
+    hit may have, needs both by a margin far above rounding."""
+    b, c, disc = _quadratic(o, d, center, radius)
+    return (disc > 0.0) & ((b < 0.0) | (c < 0.0))
+
+
 @dataclass
 class Sphere:
     center: np.ndarray
@@ -39,15 +61,12 @@ class Sphere:
     def sdf(self, pts):
         return np.linalg.norm(pts - self.center, axis=-1) - self.radius
 
+    def candidates(self, o, d):
+        """The rays that meet the sphere ahead: ``intersect`` hits no other."""
+        return _meets_ahead(o, d, self.center, self.radius)
+
     def intersect(self, o, d):
-        # components summed in np.sum's order, (x0 + x1) + x2, with no
-        # trailing axis: the same bits for flat rays and for points (N,1,3)
-        # against directions (1,D,3), where c is computed once per point
-        oc = o - self.center
-        b = 2.0 * (oc[..., 0] * d[..., 0] + oc[..., 1] * d[..., 1] + oc[..., 2] * d[..., 2])
-        c = (oc[..., 0] * oc[..., 0] + oc[..., 1] * oc[..., 1]
-             + oc[..., 2] * oc[..., 2]) - self.radius**2
-        disc = b * b - 4.0 * c
+        b, _, disc = _quadratic(o, d, self.center, self.radius)
         hit = disc > 0.0
         root = np.sqrt(np.maximum(disc, 0.0))
         t0 = (-b - root) / 2.0
@@ -72,6 +91,13 @@ class Box:
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
         inside = np.minimum(np.max(q, axis=-1), 0.0)
         return outside + inside
+
+    def candidates(self, o, d):
+        """The rays that meet the box's bounding sphere ahead, its radius
+        widened by a millionth so that rounding cannot drop a hit: every hit
+        of ``intersect`` inside the unit ball is among them."""
+        radius = float(np.linalg.norm(self.half_extents)) * (1.0 + 1e-6)
+        return _meets_ahead(o, d, self.center, radius)
 
     def intersect(self, o, d):
         # slab test one axis at a time, so no temporary carries a trailing 3
@@ -103,6 +129,12 @@ class GroundPlane:
     def sdf(self, pts):
         return pts[..., 2] - self.level
 
+    def candidates(self, o, d):
+        """The rays from off the plane that head toward it: ``intersect``
+        hits no other."""
+        dz, oz = d[..., 2], o[..., 2]
+        return ((oz > self.level) & (dz < -1e-12)) | ((oz < self.level) & (dz > 1e-12))
+
     def intersect(self, o, d):
         dz = d[..., 2]
         safe = np.where(np.abs(dz) < 1e-12, 1e-12, dz)
@@ -117,15 +149,13 @@ class GroundPlane:
 
 def _in_ball(o, d, t):
     """Where the ray distances ``t`` (inf for a miss) are hits inside the
-    unit ball: |o + t d| <= 1. The hit point and its norm are computed for
-    finite ``t`` only; o and d broadcast against ``t`` with a trailing axis
-    of 3."""
-    finite = np.isfinite(t)
-    o, d = (np.broadcast_to(a, t.shape + (3,)) for a in (o, d))
-    pts = o[finite] + t[finite][:, None] * d[finite]
-    inside = np.zeros(t.shape, dtype=bool)
-    inside[finite] = np.linalg.norm(pts, axis=-1) <= 1.0
-    return inside
+    unit ball: |o + t d| <= 1, the norm's squares summed in np.sum's order.
+    o and d broadcast against ``t`` with a trailing axis of 3; the point is
+    computed component by component for every ray, with no gather. A miss
+    compares inf, or NaN where inf meets a zero component, and is False."""
+    with np.errstate(invalid="ignore"):
+        x, y, z = (o[..., k] + t * d[..., k] for k in range(3))
+        return np.sqrt((x * x + y * y) + z * z) <= 1.0
 
 
 @dataclass
@@ -151,13 +181,12 @@ class SyntheticScene:
         return np.min(np.stack([p.sdf(pts) for p in self.primitives]), axis=0)
 
     def intersect(self, origins, dirs):
-        """Nearest hit per ray. A primitive's hit counts only inside the unit
-        ball (the world beyond it is sky); ``_in_ball`` tests hits only.
-        Returns (t, prim_index, hit); t is inf where nothing is hit."""
+        """Nearest hit per ray, origins broadcast against dirs. A
+        primitive's hit counts only inside the unit ball (the world beyond
+        it is sky). Returns (t, prim_index, hit); t is inf where nothing is
+        hit."""
         o = np.atleast_2d(origins)
         d = np.atleast_2d(dirs)
-        if o.shape[0] == 1 and d.shape[0] > 1:
-            o = np.broadcast_to(o, d.shape)
         ts = []
         for prim in self.primitives:
             t = prim.intersect(o, d)
@@ -166,16 +195,31 @@ class SyntheticScene:
         t = np.min(ts, axis=0)
         return t, np.argmin(ts, axis=0), np.isfinite(t)
 
+    def any_hit(self, origins, dirs):
+        """Whether each ray, origins broadcast against dirs, hits some
+        primitive inside the unit ball: ``intersect``'s ``hit``, with no
+        nearest hit sought."""
+        o = np.atleast_2d(origins)
+        d = np.atleast_2d(dirs)
+        hit = np.zeros(np.broadcast_shapes(o.shape, d.shape)[:-1], dtype=bool)
+        for prim in self.primitives:
+            hit |= _in_ball(o, d, prim.intersect(o, d))
+        return hit
+
     def occluded(self, points, dirs):
         """Any-hit occlusion test of (N,3) points against (D,3) directions:
-        (N,D) booleans, True where any primitive is hit inside the unit ball;
-        ``_in_ball`` tests hits only, and no nearest hit is sought. Points
-        should already be offset off their surfaces."""
-        o = np.atleast_2d(points)[:, None, :]
-        d = np.atleast_2d(dirs)[None, :, :]
-        occ = np.zeros((o.shape[0], d.shape[1]), dtype=bool)
+        (N,D) booleans, True where any primitive is hit inside the unit ball.
+        Each primitive solves for its roots only on its ``candidates``,
+        gathered as flat rays: most rays from a surface point miss most
+        primitives, and a candidate test costs about half a root solve.
+        Points should already be offset off their surfaces."""
+        o = np.atleast_2d(points)
+        d = np.atleast_2d(dirs)
+        occ = np.zeros((o.shape[0], d.shape[0]), dtype=bool)
         for prim in self.primitives:
-            occ |= _in_ball(o, d, prim.intersect(o, d))
+            i, j = np.nonzero(prim.candidates(o[:, None, :], d[None, :, :]))
+            oi, dj = o[i], d[j]
+            occ[i, j] |= _in_ball(oi, dj, prim.intersect(oi, dj))
         return occ
 
     def surface_info(self, prim_idx, pts):

@@ -175,10 +175,11 @@ def exponential_decay(base, step, total):
 
 
 ADAM_BLOCK = 16384  # live entries per block of Adam.update; 128 KiB per array
-# Adam._insert moves old entries run by run for up to this many new entries
-# and in one masked merge beyond: a run costs about as much as merging 400
-# entries, so this is the crossover behind a tail of about 100k live entries
-ADAM_INSERT_RUNS = 256
+# Adam._insert moves old entries run by run while each new entry has at
+# least this many old entries behind the first insertion point, and in one
+# masked merge beyond: a run costs about as much as merging 400 entries
+# (measured crossovers: about 256 new entries behind 100k, 2,300 behind 850k)
+ADAM_TAIL_PER_RUN = 400
 
 
 class Adam:
@@ -271,19 +272,21 @@ class Adam:
         """Merge the sorted flat indices ``new`` into slot ``name``'s
         ``live``, with zero moments, keeping ``live`` sorted.
 
-        Up to ``ADAM_INSERT_RUNS`` new entries: the old entries between two
-        insertion points form a run, and each run moves right once, by the
-        number of new entries before it, last run first so that no move
-        overwrites a run still to move; the new entries then fill the gaps.
-        More new entries: one masked merge of everything from the first
-        insertion point on, as ``np.insert`` does, whose cost does not grow
-        with the count.
+        Up to one new entry per ``ADAM_TAIL_PER_RUN`` old entries behind the
+        first insertion point: the old entries between two insertion points
+        form a run, and each run moves right once, by the number of new
+        entries before it, last run first so that no move overwrites a run
+        still to move; the new entries then fill the gaps. More new entries:
+        one masked merge of everything from the first insertion point on, as
+        ``np.insert`` does, whose cost grows with that tail, not the count.
+        Both give the same bits.
         """
         n, k = self.live[name].size, new.size
         at = np.searchsorted(self.live[name], new)
         first = at[0]
         gaps = at + np.arange(k)
-        if k > ADAM_INSERT_RUNS:
+        merge = k * ADAM_TAIL_PER_RUN > n - first
+        if merge:
             old = np.ones(n + k - first, dtype=bool)
             old[gaps - first] = False
         else:
@@ -299,7 +302,7 @@ class Adam:
                 buffers[i] = np.empty(size, dtype=src.dtype)
                 buffers[i][:first] = src[:first]
             dst = buffers[i]
-            if k > ADAM_INSERT_RUNS:
+            if merge:
                 tail = dst[first:n + k]
                 # a masked write does not see the overlap
                 tail[old] = src[first:] if grow else src[first:].copy()

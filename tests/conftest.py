@@ -12,12 +12,13 @@ from skylit import fields as fd
 from skylit import illumination as il
 from skylit import losses as ls
 from skylit import render as rd
+from skylit import scenes as sc
 from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
 from skylit.fields import sphere_trace
 from skylit.geometry import (icosphere_directions, normalize, ray_sphere_exit,
-                             sample_sphere)
+                             sample_sphere, vmf_sample_batch)
 from skylit.scenes import generate_dataset, make_scene
 
 
@@ -90,6 +91,30 @@ def tiny_train_config(**overrides):
 def tiny_trainer(tiny_dataset):
     _, dataset = tiny_dataset
     return tr.Trainer(dataset, tiny_train_config())
+
+
+def bind_fields(fields, sdf_grid, log_inv_s, albedo_grid):
+    """A ``fd.BoundFields`` of explicit Vars, as gradient checks drive the
+    parameters directly."""
+    bound = fd.BoundFields.__new__(fd.BoundFields)
+    bound.fields = fields
+    bound.sdf_grid, bound.log_inv_s, bound.albedo_grid = sdf_grid, log_inv_s, albedo_grid
+    return bound
+
+
+def bind_illumination(decoder, z_var, log_gamma_var):
+    """An ``il.BoundIllumination`` of explicit Vars."""
+    bound = il.BoundIllumination.__new__(il.BoundIllumination)
+    bound.decoder, bound.Z, bound.log_gamma = decoder, z_var, log_gamma_var
+    return bound
+
+
+def bind_ddf(ddf, params, grid_var, eps_raw_var):
+    """A ``vz.BoundDdf`` of explicit Vars."""
+    bound = vz.BoundDdf.__new__(vz.BoundDdf)
+    bound.field, bound.params = ddf, params
+    bound.grid, bound.eps_raw = grid_var, eps_raw_var
+    return bound
 
 
 def binary_visibility_oracle(sdf_like, x, d):
@@ -189,9 +214,10 @@ def reference_vmf_sample_batch(mean_dirs, kappa, n_per, rng):
 def reference_sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
                                kappa=20.0, min_z=0.0):
     """Reference for ``losses.sample_ddf_batch``: the same batch filled one
-    position at a time from ``reference_vmf_sample_batch``'s draws, and
-    traced as flat rays with the positions repeated. The two must agree
-    byte for byte."""
+    position at a time from ``reference_vmf_sample_batch``'s draws, which
+    turn every position's uniforms into directions each round, full
+    positions included, and traced as flat rays with the positions
+    repeated. The two must agree byte for byte."""
     positions = sample_sphere(rng, n_positions, min_z=min_z)
     dirs = np.zeros((n_positions, n_directions, 3))
     filled = np.zeros(n_positions, dtype=np.int64)
@@ -209,6 +235,96 @@ def reference_sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
     return ls.DdfBatch(positions=positions, directions=dirs,
                        depths=np.clip(res.t, 1e-4, 2.0).reshape(shape),
                        hit=res.hit.reshape(shape))
+
+
+def reference_in_ball(o, d, t):
+    """Reference for ``scenes._in_ball``: o and d broadcast to the rays'
+    shape with a trailing axis of 3, the hit points of finite ``t`` gathered
+    through boolean masks and their ``np.linalg.norm`` compared with 1. The
+    two must agree byte for byte."""
+    finite = np.isfinite(t)
+    o, d = (np.broadcast_to(a, t.shape + (3,)) for a in (o, d))
+    pts = o[finite] + t[finite][:, None] * d[finite]
+    inside = np.zeros(t.shape, dtype=bool)
+    inside[finite] = np.linalg.norm(pts, axis=-1) <= 1.0
+    return inside
+
+
+class ReferenceScene(sc.SyntheticScene):
+    """Reference for ``SyntheticScene.intersect``, ``any_hit`` and
+    ``occluded``: every primitive solves for its roots on every ray, and
+    ``reference_in_ball`` tests the hits. ``occluded`` is ``intersect``'s
+    hit of every point against every direction, and ``any_hit`` its hit
+    alone. Built from a scene with ``of``; each must agree byte for byte
+    with the scene's own."""
+
+    @classmethod
+    def of(cls, scene):
+        return cls(scene.name, scene.primitives, scene.illumination,
+                   scene.sun_dir, scene.target, scene.rig)
+
+    def intersect(self, origins, dirs):
+        o = np.atleast_2d(origins)
+        d = np.atleast_2d(dirs)
+        if o.shape[0] == 1 and d.shape[0] > 1:
+            o = np.broadcast_to(o, d.shape)
+        ts = []
+        for prim in self.primitives:
+            t = prim.intersect(o, d)
+            ts.append(np.where(reference_in_ball(o, d, t), t, np.inf))
+        ts = np.stack(ts)
+        t = np.min(ts, axis=0)
+        return t, np.argmin(ts, axis=0), np.isfinite(t)
+
+    def any_hit(self, origins, dirs):
+        return self.intersect(origins, dirs)[2]
+
+    def occluded(self, points, dirs):
+        o = np.atleast_2d(points)[:, None, :]
+        d = np.atleast_2d(dirs)[None, :, :]
+        occ = np.zeros((o.shape[0], d.shape[1]), dtype=bool)
+        for prim in self.primitives:
+            occ |= reference_in_ball(o, d, prim.intersect(o, d))
+        return occ
+
+
+def reference_levelset_loss(batch, bound_ddf, bound_fields):
+    """Reference for ``losses.ddf_levelset_loss``: the hit rows read by a
+    ``ddf_eval`` of their own. Value and gradients must agree byte for byte
+    with the term that takes its rows from ``ddf_depth_loss``'s read."""
+    keep = batch.flat_hit
+    s = batch.flat_positions[keep]
+    d = batch.flat_directions[keep]
+    pred = vz.ddf_eval(bound_ddf, s, d)
+    land = tp._lift(s) + tp.reshape(pred, (-1, 1)) * d
+    f = fd.sdf_eval(bound_fields, land)
+    return tp.vsum(f * f) / max(batch.flat_depths.size, 1)
+
+
+def reference_sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0,
+                                     min_z=0.0):
+    """Reference for ``losses.sample_multiview_pairs`` (n_pairs >= 1): the
+    same rounds, each traced in full by ``sphere_trace``, of which only
+    ``hit`` is read. The two must agree byte for byte, rng state included."""
+    kept_s1, kept_d1 = [], []
+    need = n_pairs
+    for _ in range(8):
+        if need <= 0:
+            break
+        s1 = sample_sphere(rng, 2 * need, min_z=min_z)
+        cand = vmf_sample_batch(-s1, kappa, 8, rng)
+        ok = (np.einsum("pqc,pc->pq", cand, s1) < -1e-6) & (cand[..., 2] <= 0.0)
+        valid_row = ok.any(axis=1)
+        first = np.argmax(ok, axis=1)
+        d1 = cand[np.arange(len(s1)), first]
+        s1, d1 = s1[valid_row], d1[valid_row]
+        hit = sphere_trace(sdf_like, s1, d1).hit
+        kept_s1.append(s1[hit][:need])
+        kept_d1.append(d1[hit][:need])
+        need -= len(kept_s1[-1])
+    s1 = np.concatenate(kept_s1, axis=0)
+    d1 = np.concatenate(kept_d1, axis=0)
+    return s1, d1, sample_sphere(rng, len(s1))
 
 
 def dense_render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs,

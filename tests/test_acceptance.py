@@ -18,7 +18,8 @@ from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import (icosphere_directions, normalize, sample_sphere,
                              vmf_sample_batch)
-from tests.conftest import binary_visibility_oracle, exit_point, plane_shading
+from tests.conftest import (bind_ddf, bind_fields, bind_illumination, binary_visibility_oracle,
+                            exit_point, plane_shading)
 
 
 def report(criterion, ok, detail):
@@ -81,14 +82,14 @@ def _toy_setup():
         def get(key, fallback):
             return pv[key] if key in pv else tp._lift(fallback)
 
-        bf = fd.BoundFields.from_vars(
+        bf = bind_fields(
             fields, get("sdf_grid", params["sdf_grid"]),
             get("sdf_log_inv_s", params["sdf_log_inv_s"]),
             get("albedo_grid", params["albedo_grid"]))
-        bi = il.BoundIllumination.from_vars(
+        bi = bind_illumination(
             decoder, get("illum_Z", params["illum_Z"]),
             get("illum_log_gamma", params["illum_log_gamma"]))
-        bd = vz.BoundDdf.from_vars(
+        bd = bind_ddf(
             ddf, vis, get("ddf_grid", params["ddf_grid"]),
             get("vis_eps_raw", params["vis_eps_raw"]))
         return bf, bi, bd

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from skylit import geometry as geo
 from skylit import tape as tp
 from skylit import visibility as vz
-from tests.conftest import exit_point, reference_vmf_sample_batch
+from tests.conftest import bind_ddf, exit_point, reference_vmf_sample_batch
 
 
 def _exit(o, d):
@@ -261,7 +261,7 @@ def test_ddf_eval_vjps_match_central_differences(kind, seed):
 
     def depth(grid_var, s_var):
         # ddf_eval reads only the field's shape and the grid
-        bound = vz.BoundDdf.from_vars(field, None, grid_var, None)
+        bound = bind_ddf(field, None, grid_var, None)
         return vz.ddf_eval(bound, s_var, d, strict=kind != "outward")
 
     upstream = rng.normal(size=n)

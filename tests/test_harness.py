@@ -95,6 +95,14 @@ def test_metrics_values():
     assert metrics.mse(a, c, mask=mask) == 0.0
 
 
+@pytest.mark.parametrize("metric", [metrics.mse, metrics.psnr])
+def test_metrics_reject_an_empty_mask(metric):
+    # the mean over no pixel would be NaN, behind a RuntimeWarning
+    a = np.zeros((4, 4, 3))
+    with pytest.raises(ValueError, match="mask selects no pixel"):
+        metric(a, a + 0.1, mask=np.zeros((4, 4), dtype=bool))
+
+
 def test_two_sphere_scene_invariants():
     scene = sc.make_scene("two-sphere")
     for prim in scene.primitives:

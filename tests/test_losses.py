@@ -7,8 +7,10 @@ from skylit import tape as tp
 from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import ConfigError, srgb
+from skylit import scenes as sc
 from skylit.scenes import make_scene
-from tests.conftest import reference_sample_ddf_batch
+from tests.conftest import (reference_levelset_loss, reference_sample_ddf_batch,
+                            reference_sample_multiview_pairs)
 
 
 def as_var(x):
@@ -65,6 +67,98 @@ def test_sample_ddf_batch_matches_the_loop_fill_byte_for_byte(
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert got.hit.any() and not got.hit.all()
+
+
+class _CountingRng:
+    """A seeded numpy Generator that counts its ``random`` calls: the DDF
+    batch sampler makes two per rejection round."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker"])
+@pytest.mark.parametrize("n_positions, n_directions, min_z, one_round",
+                         [(8, 1, 0.9, True), (24, 128, 0.0, False)])
+def test_sample_ddf_batch_turns_only_filling_rows_into_directions(
+        name, n_positions, n_directions, min_z, one_round):
+    # the oracle turns every position's draws into directions each round;
+    # after the first round of the second case, positions near the zenith
+    # are full and only the others are turned
+    scene = make_scene(name)
+    for seed in range(3):
+        counted = _CountingRng(seed)
+        got = ls.sample_ddf_batch(scene, counted, n_positions, n_directions, min_z=min_z)
+        rng = np.random.default_rng(seed)
+        want = reference_sample_ddf_batch(scene, rng, n_positions, n_directions,
+                                          min_z=min_z)
+        for key in ("positions", "directions", "depths", "hit"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+        assert counted.rng.random() == rng.random()
+        assert (counted.calls == 2) == one_round and counted.calls % 2 == 0
+
+
+def _pebble_scene():
+    """One sphere of radius 0.02: most multiview rounds hit nothing."""
+    base = make_scene("two-sphere")
+    pebble = sc.Sphere(np.array([0.0, 0.0, 0.2]), 0.02, np.array([0.5, 0.5, 0.5]))
+    return sc.SyntheticScene("pebble", [pebble], base.illumination, base.sun_dir)
+
+
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "pebble"])
+@pytest.mark.parametrize("n_pairs", [1, 64])
+def test_sample_multiview_pairs_matches_the_traced_oracle_byte_for_byte(name, n_pairs):
+    scene = _pebble_scene() if name == "pebble" else make_scene(name)
+    counts = []
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ls.sample_multiview_pairs(scene, got_rng, n_pairs)
+        want = reference_sample_multiview_pairs(scene, want_rng, n_pairs)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got_rng.random() == want_rng.random()
+        counts.append(len(got[0]))
+    # on the pebble, some draw's eight rounds all miss
+    assert (min(counts) == 0) == (name == "pebble" and n_pairs == 1)
+
+
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker"])
+def test_levelset_takes_its_hit_rows_from_the_depth_read_byte_for_byte(name):
+    scene = make_scene(name)
+    rng = np.random.default_rng(3)
+    batch = ls.sample_ddf_batch(scene, rng, 6, 64)
+    assert 0 < batch.hit.mean() < 1
+    ddf = vz.DdfField(rng.normal(size=(6, 12, 5, 8)))
+    fields = fd.SceneFields(fd.SdfField.from_function(scene.sdf_np, resolution=16),
+                            fd.AlbedoField.constant_init(2))
+
+    def step(levelset, with_depth):
+        # the depth term first, as both fits add them; or the levelset alone
+        tape = tp.Tape()
+        bd = vz.BoundDdf(tape, ddf, vz.VisibilityParams.default())
+        bf = fd.BoundFields(tape, fields)
+        depth = ls.ddf_depth_loss(batch, bd) if with_depth else None
+        term = levelset(batch, bd, bf)
+        total = 3.0 * term if depth is None else depth + 3.0 * term
+        return term, tp.backward(tape, total), bd
+
+    for with_depth in (True, False):
+        want, want_grads, _ = step(reference_levelset_loss, with_depth)
+        got, grads, bd = step(ls.ddf_levelset_loss, with_depth)
+        assert (batch._read[0] is bd.grid) == with_depth
+        assert got.data.tobytes() == want.data.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for key, g in want_grads.items():
+            assert grads[key].tobytes() == g.tobytes(), key
 
 
 def test_sample_multiview_pairs_takes_zero_and_rejects_negative_counts():

@@ -8,7 +8,8 @@ from skylit import tape as tp
 from skylit import visibility as vz
 from skylit.cameras import Camera
 from skylit.geometry import icosphere_directions, so3_jitter, srgb
-from tests.conftest import dense_render_rays, plane_shading
+from tests.conftest import (bind_ddf, bind_fields, bind_illumination, dense_render_rays,
+                            plane_shading)
 
 
 @pytest.fixture(scope="module")
@@ -295,11 +296,11 @@ def _render_and_grads(render, params, rays, upstream, decoder, with_vis=True):
     pv = {k: t.parameter(k, v) for k, v in params.items()}
     ddf = vz.DdfField(params["ddf_grid"])
     vis = vz.VisibilityParams.default()
-    bf = fd.BoundFields.from_vars(fd.SceneFields(fd.SdfField(params["sdf_grid"]),
-                                                 fd.AlbedoField(params["albedo_grid"])),
-                                  pv["sdf_grid"], pv["sdf_log_inv_s"], pv["albedo_grid"])
-    bi = il.BoundIllumination.from_vars(decoder, pv["illum_Z"], pv["illum_log_gamma"])
-    bd = vz.BoundDdf.from_vars(ddf, vis, pv["ddf_grid"], pv["vis_eps_raw"])
+    bf = bind_fields(fd.SceneFields(fd.SdfField(params["sdf_grid"]),
+                                    fd.AlbedoField(params["albedo_grid"])),
+                     pv["sdf_grid"], pv["sdf_log_inv_s"], pv["albedo_grid"])
+    bi = bind_illumination(decoder, pv["illum_Z"], pv["illum_log_gamma"])
+    bd = bind_ddf(ddf, vis, pv["ddf_grid"], pv["vis_eps_raw"])
     out = render(bf, bi, bd if with_vis else None, rays["origins"], rays["dirs"],
                  rays["image_idx"], dir_set=rays["dir_set"], jitter=rays["jitter"],
                  rng=np.random.default_rng(12), n_samples=12)

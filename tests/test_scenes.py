@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from skylit import fields as fd
 from skylit import scenes as sc
-from skylit.geometry import icosphere_directions, normalize
+from skylit.geometry import icosphere_directions, normalize, sample_sphere, vmf_sample_batch
+from tests.conftest import ReferenceScene, reference_in_ball
 
 EPS = 1e-6
 
@@ -159,3 +161,89 @@ def test_intersect_and_occluded_match_flat_nearest_hit_oracle(name):
     assert np.array_equal(t1, t1_true) and np.array_equal(idx1, idx1_true)
     assert np.array_equal(hit1, hit1_true)
 
+
+
+def _eps_root_rays(scene):
+    """Per primitive, rays straight down onto its top whose near root lies
+    around 1e-6, the hit threshold: origins at the top plus 1e-6 and up to
+    four float steps either side. Above the ground plane the middle root is
+    1e-6 exactly; a sphere's or box's roots straddle it."""
+    origins = []
+    for prim in scene.primitives:
+        if isinstance(prim, sc.GroundPlane):
+            x, y, top = 0.1, -0.2, prim.level
+        elif isinstance(prim, sc.Sphere):
+            (x, y, _), top = prim.center, prim.center[2] + prim.radius
+        else:
+            (x, y, _), top = prim.center, prim.center[2] + prim.half_extents[2]
+        z = top + 1e-6
+        for k in range(-4, 5):
+            origins.append([x, y, z + k * np.spacing(z)])
+    origins = np.array(origins)
+    return origins, np.broadcast_to([0.0, 0.0, -1.0], origins.shape).copy()
+
+
+def _sphere_rays(scene, rng):
+    """Rays from the unit sphere inward, as the DDF samplers draw them, half
+    of them from its horizon circle, where the ground plane's SDF is 0 and
+    a ray starts inside the surface."""
+    s = sample_sphere(rng, 64, min_z=0.0)
+    s[::2, 2] = 0.0
+    s[::2, :2] /= np.linalg.norm(s[::2, :2], axis=1, keepdims=True)
+    return s, vmf_sample_batch(-s, 20.0, 1, rng)[:, 0]
+
+
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "plane-box"])
+def test_tracing_matches_the_gathering_oracles_byte_for_byte(name):
+    scene = _scene(name)
+    ref = ReferenceScene.of(scene)
+    rng = np.random.default_rng(5)
+    points = _surface_points(scene, rng, 60)
+    go, gd = _grazing_dirs(scene, points)
+    eo, ed = _ball_edge_rays()
+    zo, zd = _eps_root_rays(scene)
+    so, sd = _sphere_rays(scene, rng)
+    dirs = np.concatenate([icosphere_directions(2).directions, AXIS_DIRS, gd[:40], ed])
+
+    for directions in (dirs, scene.sun_dir[None, :]):
+        got, want = scene.occluded(points, directions), ref.occluded(points, directions)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    o = np.concatenate([np.repeat(points[:8], len(dirs), axis=0), go, eo, zo, so])
+    d = np.concatenate([np.tile(dirs, (8, 1)), gd, ed, zd, sd])
+    for got, want in zip(scene.intersect(o, d), ref.intersect(o, d)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert scene.any_hit(o, d).tobytes() == ref.any_hit(o, d).tobytes()
+    for got, want in zip(scene.intersect(points[0], dirs), ref.intersect(points[0], dirs)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    hit = fd.trace_hit(scene, o, d)
+    assert hit.tobytes() == fd.sphere_trace(ref, o, d).hit.tobytes()
+    assert fd.trace_hit(scene, so[0], sd).tobytes() == fd.sphere_trace(ref, so[0], sd).hit.tobytes()
+
+    # each primitive's hits, flat and as points against directions; some
+    # lie beyond the unit ball wherever there is a ground plane
+    beyond = 0
+    for prim in scene.primitives:
+        for po, pd in ((o, d), (points[:, None, :], dirs[None, :, :])):
+            t = prim.intersect(po, pd)
+            got, want = sc._in_ball(po, pd, t), reference_in_ball(po, pd, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            beyond += int(np.sum(np.isfinite(t) & ~got))
+    if any(isinstance(p, sc.GroundPlane) for p in scene.primitives):
+        assert beyond > 0
+    # around the threshold the near root is taken or passed over (the far
+    # root, or a miss); on the ground plane the middle ray's root is 1e-6
+    for i, prim in enumerate(scene.primitives):
+        t = prim.intersect(zo[9 * i:9 * i + 9], zd[9 * i:9 * i + 9])
+        assert 0 < np.sum(t < 1e-5) < 9
+        if isinstance(prim, sc.GroundPlane):
+            assert zo[9 * i + 4, 2] == 1e-6 and t[4] == np.inf
+
+
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker"])
+def test_render_ground_truth_matches_the_gathering_oracle_byte_for_byte(name):
+    scene = sc.make_scene(name)
+    cam = sc.camera_rig(scene, 1, 32, 24, np.random.default_rng(2))[0]
+    got = sc.render_ground_truth(scene, cam, quad_level=3)
+    want = sc.render_ground_truth(ReferenceScene.of(scene), cam, quad_level=3)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

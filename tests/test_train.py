@@ -247,12 +247,18 @@ def test_adam_update_is_the_textbook_update_bit_for_bit(case):
 
 @pytest.mark.parametrize("grow", [False, True])
 @pytest.mark.parametrize("where", ["before", "between", "after"])
-@pytest.mark.parametrize("k", [1, tr.ADAM_INSERT_RUNS, tr.ADAM_INSERT_RUNS + 1])
+@pytest.mark.parametrize("k", [1, 256, 257, "crossover", "past"])
 def test_adam_insert_is_np_insert_and_the_textbook_update(k, where, grow):
-    # the first insert fills its buffers with 2,000 live entries in
-    # [2000, 8000); the second leaves room for 499 more, or none
-    rng = np.random.default_rng(k)
-    size, lr = 10_000, 1e-2
+    # the first insert fills its buffers with live entries, every third
+    # entry from ``lo`` on: 2,000 for a count k, or 850,000 for the
+    # crossover behind all of them and one new entry past it, so that
+    # inserted before them all, "crossover" moves runs and "past" merges.
+    # The second insert leaves room for a quarter more, less one, or none
+    n_live = 2000 if isinstance(k, int) else 850_000
+    rng = np.random.default_rng(k if isinstance(k, int) else n_live + len(k))
+    lo = max(2000, n_live // 100)
+    hi = lo + 3 * n_live
+    size, lr = hi + lo, 1e-2
     adam, ref = tr.Adam(), TextbookAdam()
     param = rng.normal(size=size)
     ref_p = param.copy()
@@ -263,10 +269,13 @@ def test_adam_insert_is_np_insert_and_the_textbook_update(k, where, grow):
         adam.update("p", param, grad, lr)
         ref.update("p", ref_p, grad, lr)
 
-    step(np.arange(2000, 8000, 3))
-    step(np.arange(2001, 8000, 3)[:500 if grow else 1])
-    free = {"before": np.arange(2000), "between": np.arange(2002, 8000, 3),
-            "after": np.arange(8000, size)}[where]
+    step(np.arange(lo, hi, 3))
+    step(np.arange(lo + 1, hi, 3)[:n_live // 4 if grow else 1])
+    n = adam.live["p"].size
+    if not isinstance(k, int):
+        k = n // tr.ADAM_TAIL_PER_RUN + (k == "past")
+    free = {"before": np.arange(lo), "between": np.arange(lo + 2, hi, 3),
+            "after": np.arange(hi, size)}[where]
     new = np.sort(rng.choice(free, k, replace=False))
     live, m, v = (adam.live["p"].copy(), adam.m["p"].copy(), adam.v["p"].copy())
     at = np.searchsorted(live, new)

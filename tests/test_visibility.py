@@ -11,7 +11,8 @@ from skylit import visibility as vz
 from skylit.geometry import (icosphere_directions, ray_sphere_exit, sample_sphere,
                              so3_jitter)
 from skylit.scenes import make_scene
-from tests.conftest import binary_visibility_oracle, chain_soft_visibility, exit_point
+from tests.conftest import (bind_ddf, binary_visibility_oracle, chain_soft_visibility,
+                            exit_point)
 
 
 def bound_of(ddf, params=None, tape=None, trainable=False):
@@ -336,7 +337,7 @@ def _node_case(kind, rng):
 
 def _node_value(x, grid, eps_raw, d):
     field = vz.DdfField(grid.data)
-    return vz.soft_visibility(vz.BoundDdf.from_vars(field, None, grid, eps_raw), x, d)
+    return vz.soft_visibility(bind_ddf(field, None, grid, eps_raw), x, d)
 
 
 @settings(max_examples=40, deadline=None)
