@@ -31,30 +31,38 @@ def _corner_index(shape, coords, wrap):
     corner nodes, corner major ((2^k, ...), corners in lexicographic order,
     axis 0 most significant), and the k per-axis fractions. The indices are
     int32 when the grid has fewer than 2^31 entries. A wrapped axis is
-    periodic; any other is clamped to its end nodes (NaN stays NaN)."""
+    periodic, its lower node reduced by an integer remainder when every
+    floor on the axis lies within +-2^30 and by a float one beyond, the
+    same node either way; any other axis is clamped to its end nodes (NaN
+    stays NaN)."""
     k = len(coords)
     dtype = np.int32 if math.prod(shape) < 2**31 else np.int64
     idx = np.zeros((1,) * (coords[0].ndim + 1), dtype=dtype)
     fracs = []
     for j, (n, uj, periodic) in enumerate(zip(shape, coords, wrap)):
-        # the lower node, in floats until the cast: a huge wrapped coordinate
-        # cannot overflow the index type
         if periodic:
             # a non-finite coordinate gathers node 0 and keeps its non-finite
             # weights, so the value is NaN instead of an out-of-range index
             lo = np.floor(np.where(np.isfinite(uj), uj, 0.0))
             frac = uj - lo
+            # the lower node reduced as an integer, which is cheaper than the
+            # float remainder and gives the same node, while every floor
+            # fits the index type with room; a farther one stays a float,
+            # whose remainder is exact at any size, so the cast cannot
+            # overflow
+            if -2.0**30 <= lo.min(initial=0.0) and lo.max(initial=0.0) <= 2.0**30:
+                lo = lo.astype(dtype)
             lo %= n
-            ends = np.stack((lo, np.where(lo == n - 1, 0.0, lo + 1.0)))
+            ends = np.stack((lo, np.where(lo == n - 1, 0, lo + 1)))
         else:
-            # the clip sends +-inf to the end nodes; NaN gathers node 0 and
-            # keeps a NaN weight
+            # the lower node in floats until the cast; the clip sends +-inf
+            # to the end nodes, and NaN gathers node 0 and keeps a NaN weight
             lo = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
                                              0.0, n - 1)), n - 2)
             frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - lo
             ends = np.stack((lo, lo + 1.0))
         # each axis adds its two nodes times its stride in the flat rows
-        idx = idx[:, None] + ends.astype(dtype) * math.prod(shape[j + 1:k])
+        idx = idx[:, None] + ends.astype(dtype, copy=False) * math.prod(shape[j + 1:k])
         idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
         fracs.append(frac)
     return idx, fracs

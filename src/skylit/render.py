@@ -15,10 +15,10 @@ ray, and ``tape.sum_by_ray`` adds each ray's rows in sample order.
 
 Each hemisphere's sum over directions of radiance x clamped cosine is one
 fused tape op, ``tape.lambert_quadrature``, made of ``matmul`` calls over
-cache-sized blocks of whole rays. It saves no cosines; each gradient
-recomputes them block by block. A direction exactly perpendicular to a
-normal passes that normal no gradient (the tape's ``maximum(expr, 0.0)``
-tie convention).
+cache-sized blocks of whole rays. It saves no cosines; backward recomputes
+them block by block, once for the gradients of both the normals and the
+radiance. A direction exactly perpendicular to a normal passes that normal
+no gradient (the tape's ``maximum(expr, 0.0)`` tie convention).
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ Conventions:
     hand-written VJPs that recompute what they need instead of saving it:
     ``lambert_quadrature`` (the clamped-cosine irradiance sum over rows of
     samples sorted by ray, in cache-sized blocks of whole rays, each padded
-    to its largest row count; saves no cosines, and a cosine of exactly 0
-    gives its normal subgradient 0, the ``maximum(expr, 0.0)`` convention);
+    to its largest row count; saves no cosines, and its VJPs share one pass
+    that recomputes each block's cosines once for both adjoints; a cosine
+    of exactly 0 gives its normal subgradient 0, the ``maximum(expr, 0.0)``
+    convention);
     ``sum_by_ray`` (the per-ray sum of such rows, one ``np.bincount``; its
     gradient is a gather);
     ``fields.multilinear`` (every SDF and albedo lookup; saves its corner
@@ -455,9 +457,11 @@ def lambert_quadrature(normals, dirs, radiance, ray):
     (N, C). The op runs over blocks of whole rays, each the longest run
     whose rays, padded with zero rows to the block's largest row count,
     hold at most ``LAMBERT_BLOCK`` cosines (at least one ray), so a block's
-    cosines stay in cache; padded rows are discarded. It saves no cosines,
-    and each gradient recomputes its block's cosines. A cosine of exactly 0
-    passes no gradient to the normal, as ``maximum(expr, 0.0)`` would.
+    cosines stay in cache; padded rows are discarded. It saves no cosines:
+    backward recomputes each block's cosines and pads its adjoint once, in
+    one pass that yields the adjoints of both inputs, or of the one on a
+    tape. A cosine of exactly 0 passes no gradient to the normal, as
+    ``maximum(expr, 0.0)`` would.
     """
     normals, radiance = _lift(normals), _lift(radiance)
     d = np.asarray(dirs, dtype=np.float64)
@@ -496,21 +500,35 @@ def lambert_quadrature(normals, dirs, radiance, ray):
         np.maximum(cos, 0.0, out=cos)
         out[rows] = (cos @ rad[b]).reshape(-1, out.shape[-1])[flat]
 
-    def vjp_normals(g):
-        g_n = np.empty(n.shape)
+    # backward asks for the normals' adjoint first, then the radiance's with
+    # the same output adjoint; with both inputs on a tape the first pass
+    # yields both, and the radiance's waits here until backward takes it
+    both = radiance.tape is not None or bool(radiance.parents)
+    pending = []
+
+    def adjoints(g, want_n, want_r):
+        g_n = np.empty(n.shape) if want_n else None
+        g_r = np.empty(rad.shape) if want_r else None
         for b, rows, flat, shape in blocks:
-            g_cos = pad(g, rows, flat, shape) @ rad[b].transpose(0, 2, 1)
-            g_cos *= dots(rows, flat, shape) > 0.0
-            g_n[rows] = (g_cos @ d).reshape(-1, 3)[flat]
+            g_pad = pad(g, rows, flat, shape)
+            cos = dots(rows, flat, shape)
+            np.maximum(cos, 0.0, out=cos)
+            if want_r:
+                np.matmul(cos.transpose(0, 2, 1), g_pad, out=g_r[b])
+            if want_n:
+                g_cos = g_pad @ rad[b].transpose(0, 2, 1)
+                g_cos *= cos > 0.0
+                g_n[rows] = (g_cos @ d).reshape(-1, 3)[flat]
+        return g_n, g_r
+
+    def vjp_normals(g):
+        g_n, g_r = adjoints(g, True, both)
+        if both:
+            pending.append(g_r)
         return g_n
 
     def vjp_radiance(g):
-        g_r = np.empty(rad.shape)
-        for b, rows, flat, shape in blocks:
-            cos = dots(rows, flat, shape)
-            np.maximum(cos, 0.0, out=cos)
-            np.matmul(cos.transpose(0, 2, 1), pad(g, rows, flat, shape), out=g_r[b])
-        return g_r
+        return pending.pop() if pending else adjoints(g, False, True)[1]
 
     return _node("lambert", out, (normals, radiance), (vjp_normals, vjp_radiance))
 

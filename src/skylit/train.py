@@ -180,6 +180,7 @@ ADAM_BLOCK = 16384  # live entries per block of Adam.update; 128 KiB per array
 # masked merge beyond: a run costs about as much as merging 400 entries
 # (measured crossovers: about 256 new entries behind 100k, 2,300 behind 850k)
 ADAM_TAIL_PER_RUN = 400
+_NO_ENTRIES = np.empty(0, dtype=np.intp)
 
 
 class Adam:
@@ -210,35 +211,57 @@ class Adam:
         self._buffers = {}  # slot -> [live, m, v] buffers with room to grow
         self._a = np.empty(ADAM_BLOCK)  # work buffers for one block
         self._b = np.empty(ADAM_BLOCK)
+        self._new = {}  # slot -> new entries, from step's scan to update
 
     def step(self, tape, loss, rates):
         """One optimizer step on ``loss``: backward, then an update of each
         slot in ``rates`` (slot name -> learning rate) with the value the
         tape bound. Returns None, or why the step was rejected: a non-finite
         loss or gradient leaves every parameter and every moment untouched.
+
+        A non-finite gradient entry is non-zero, so it is either live or
+        new (non-zero for the first time): one scan of each slot for its new
+        entries, handed on to ``update``, and a check of the live and new
+        entries find every one before any slot changes.
         """
         if not np.isfinite(loss.data):
             return "non-finite loss"
         grads = tp.backward(tape, loss)
+        new = {}
         for name in rates:
-            if not np.all(np.isfinite(grads[name])):
+            g = grads[name].reshape(-1)
+            new[name] = self._new_entries(name, g)
+            if not (np.isfinite(g[new[name]]).all()
+                    and np.isfinite(g[self.live.get(name, _NO_ENTRIES)]).all()):
                 return f"non-finite gradient in {name}"
-        for name, lr in rates.items():
-            self.update(name, tape.params[name].data, grads[name], lr)
+        self._new = new
+        try:
+            for name, lr in rates.items():
+                self.update(name, tape.params[name].data, grads[name], lr)
+        finally:
+            self._new = {}
         return None
+
+    def _new_entries(self, name, grad_flat):
+        """The sorted flat indices of slot ``name``'s first non-zero
+        gradients."""
+        new = grad_flat != 0
+        if name in self.seen:
+            np.greater(new, self.seen[name], out=new)
+        return np.flatnonzero(new) if new.any() else _NO_ENTRIES
 
     def update(self, name, param, grad, lr):
         if not param.flags.c_contiguous:
             raise ValueError(f"slot {name!r}: parameter must be contiguous")
         param_flat, grad_flat = param.reshape(-1), grad.reshape(-1)
+        new = self._new.pop(name, None)  # from ``step``'s scan, if it made one
+        if new is None:
+            new = self._new_entries(name, grad_flat)
         if name not in self.seen:
             self.seen[name] = np.zeros(param.size, dtype=bool)
             self._buffers[name] = [np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)]
             self.live[name], self.m[name], self.v[name] = self._buffers[name]
-        new = grad_flat != 0
-        np.greater(new, self.seen[name], out=new)
-        if new.any():  # first non-zero gradients: insert them with zero moments
-            new = np.flatnonzero(new)
+        if new.size:  # first non-zero gradients: insert them with zero moments
             self.seen[name][new] = True
             self._insert(name, new)
         live, m, v = self.live[name], self.m[name], self.v[name]

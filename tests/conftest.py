@@ -5,6 +5,8 @@ The expensive session fixtures (DDF oracle fit, full training runs) are
 computed once per session; tests that need them share the same artifacts.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -438,3 +440,90 @@ def chain_soft_visibility(bound, x, d):
     if np.any(lower):
         v = tp.where(lower, np.ones(v.data.shape), v)
     return v
+
+
+def reference_lambert_quadrature(normals, dirs, radiance, ray):
+    """Reference for ``tape.lambert_quadrature``: the same blocks of
+    ``tape.LAMBERT_BLOCK`` cosines and forward pass, with two VJPs that each
+    recompute every block's cosines and pad the output adjoint on their
+    own. Value and adjoints must agree byte for byte with the op's single
+    backward pass."""
+    normals, radiance = tp._lift(normals), tp._lift(radiance)
+    d = np.asarray(dirs, dtype=np.float64)
+    n, rad = normals.data, radiance.data
+    ray = np.asarray(ray, dtype=np.int64)
+    n_rays, n_dirs = rad.shape[0], d.shape[0]
+    counts = np.bincount(ray, minlength=n_rays)
+    start = np.concatenate([[0], np.cumsum(counts)])
+    slot = np.arange(ray.size) - start[ray]
+    blocks = []
+    per_ray = counts.tolist()
+    lo = 0
+    while lo < n_rays:
+        hi, m = lo + 1, per_ray[lo]
+        while (hi < n_rays
+               and (hi + 1 - lo) * max(m, per_ray[hi]) * n_dirs <= tp.LAMBERT_BLOCK):
+            m = max(m, per_ray[hi])
+            hi += 1
+        rows = slice(start[lo], start[hi])
+        blocks.append((slice(lo, hi), rows, (ray[rows] - lo) * m + slot[rows],
+                       (hi - lo, m)))
+        lo = hi
+
+    def pad(x, rows, flat, shape):
+        buf = np.zeros(shape + x.shape[-1:])
+        buf.reshape(-1, x.shape[-1])[flat] = x[rows]
+        return buf
+
+    def dots(rows, flat, shape):
+        return pad(n, rows, flat, shape) @ d.T
+
+    out = np.empty((ray.size, rad.shape[-1]))
+    for b, rows, flat, shape in blocks:
+        cos = dots(rows, flat, shape)
+        np.maximum(cos, 0.0, out=cos)
+        out[rows] = (cos @ rad[b]).reshape(-1, out.shape[-1])[flat]
+
+    def vjp_normals(g):
+        g_n = np.empty(n.shape)
+        for b, rows, flat, shape in blocks:
+            g_cos = pad(g, rows, flat, shape) @ rad[b].transpose(0, 2, 1)
+            g_cos *= dots(rows, flat, shape) > 0.0
+            g_n[rows] = (g_cos @ d).reshape(-1, 3)[flat]
+        return g_n
+
+    def vjp_radiance(g):
+        g_r = np.empty(rad.shape)
+        for b, rows, flat, shape in blocks:
+            cos = dots(rows, flat, shape)
+            np.maximum(cos, 0.0, out=cos)
+            np.matmul(cos.transpose(0, 2, 1), pad(g, rows, flat, shape), out=g_r[b])
+        return g_r
+
+    return tp._node("lambert", out, (normals, radiance), (vjp_normals, vjp_radiance))
+
+
+def reference_corner_index(shape, coords, wrap):
+    """Reference for ``fields._corner_index``: every lower node in floats
+    until one cast, a wrapped axis reduced by the float remainder at any
+    size. Indices (dtype included) and fractions must agree byte for byte
+    with the op's integer remainder inside its guard."""
+    k = len(coords)
+    dtype = np.int32 if math.prod(shape) < 2**31 else np.int64
+    idx = np.zeros((1,) * (coords[0].ndim + 1), dtype=dtype)
+    fracs = []
+    for j, (n, uj, periodic) in enumerate(zip(shape, coords, wrap)):
+        if periodic:
+            lo = np.floor(np.where(np.isfinite(uj), uj, 0.0))
+            frac = uj - lo
+            lo %= n
+            ends = np.stack((lo, np.where(lo == n - 1, 0.0, lo + 1.0)))
+        else:
+            lo = np.minimum(np.floor(np.clip(np.where(np.isnan(uj), 0.0, uj),
+                                             0.0, n - 1)), n - 2)
+            frac = np.minimum(np.maximum(uj, 0.0), float(n - 1)) - lo
+            ends = np.stack((lo, lo + 1.0))
+        idx = idx[:, None] + ends.astype(dtype) * math.prod(shape[j + 1:k])
+        idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
+        fracs.append(frac)
+    return idx, fracs

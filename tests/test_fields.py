@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from skylit import fields as fd
 from skylit import tape as tp
+from tests.conftest import reference_corner_index
 
 
 @pytest.fixture
@@ -311,6 +312,60 @@ def test_grid_reads_at_nodes_return_node_values_bit_for_bit(monkeypatch):
     x = np.zeros((n_q, 1, 3))
     vz.soft_visibility(bound, x, np.array([[[0.0, 0.0, 1.0]]]))
     assert len(raws) == 1 and np.array_equal(raws[0].reshape(-1), want)
+
+
+# floors beyond +-2^30 send a wrapped axis through the float remainder
+_WRAPPED_EXTRAS = {
+    "within": [],
+    "at the guard": [2.0**30, -2.0**30, 2.0**30 + 0.5, -2.0**30 + 0.5],
+    "past the guard above": [2.0**30 + 1.0],
+    "past the guard below": [-2.0**30 - 0.5],
+    "2^31": [2.0**31],  # one past int32, either side
+    "-2^31 - 1": [-2.0**31 - 1.0],
+    "far": [2.0**40 + 3.0, -1e300, 1e300],
+    "non-finite": [np.nan, np.inf, -np.inf],
+}
+
+
+@pytest.mark.parametrize("extra", list(_WRAPPED_EXTRAS))
+@pytest.mark.parametrize("shape, wrap", [
+    ((24, 48, 48, 48), (False, True, False, True)),  # the DDF layout
+    ((12,), (True,)),
+    ((5, 7), (True, True)),
+    ((5, 7, 3), (False, True)),  # a channel axis
+    ((3, 4, 5), (True, False, True)),
+    ((2, 3, 4, 5), (True, True, True, True)),
+    ((2**16, 2**16), (True, False)),  # 2^32 entries: int64 indices
+])
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_corner_index_is_the_float_remainder_bit_for_bit(shape, wrap, extra, broadcast):
+    # on every axis: nodes 0, n - 1, n and -1, -0.0, points several periods
+    # away on both sides and random ones, then the extra values; broadcast
+    # queries pair every coordinate on even axes with every one on odd axes
+    rng = np.random.default_rng(len(shape))
+    coords = []
+    for j, n in enumerate(shape[:len(wrap)]):
+        u = np.concatenate([[0.0, n - 1.0, float(n), -1.0, -0.0, 0.5, n - 0.5,
+                             -0.5, 3 * n + 0.25, -5 * n - 0.75, 7.0 * n],
+                            rng.uniform(-4 * n, 4 * n, 24), _WRAPPED_EXTRAS[extra]])
+        coords.append(u.reshape((-1, 1) if j % 2 else (1, -1)) if broadcast else u)
+    idx, fracs = fd._corner_index(shape, coords, wrap)
+    want_idx, want_fracs = reference_corner_index(shape, coords, wrap)
+    assert idx.dtype == want_idx.dtype == (np.int64 if shape[0] == 2**16 else np.int32)
+    assert idx.shape == want_idx.shape and idx.tobytes() == want_idx.tobytes()
+    assert [f.tobytes() for f in fracs] == [f.tobytes() for f in want_fracs]
+    assert idx.min() >= 0 and idx.max() < np.prod(shape[:len(wrap)])
+
+
+@pytest.mark.parametrize("shape, wrap", [((24, 48, 48, 48), (False, True, False, True)),
+                                         ((12,), (True,))])
+def test_corner_index_of_an_empty_query(shape, wrap):
+    coords = [np.empty((0, 3)) for _ in wrap]
+    idx, fracs = fd._corner_index(shape, coords, wrap)
+    want_idx, want_fracs = reference_corner_index(shape, coords, wrap)
+    assert idx.shape == want_idx.shape == (2 ** len(wrap), 0, 3)
+    assert idx.dtype == want_idx.dtype
+    assert all(f.shape == (0, 3) for f in fracs + want_fracs)
 
 
 def test_normals_radial_on_sphere_init(sphere_bound):

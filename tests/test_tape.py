@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from skylit import tape as tp
+from tests.conftest import reference_lambert_quadrature
 
 
 def test_square_gradient():
@@ -586,6 +587,59 @@ def test_lambert_quadrature_saves_no_cosines(monkeypatch):
         arrays = _reachable_arrays(vjp, [])
         assert arrays  # the walk reaches the inputs it needs
         assert max(a.size for a in arrays) < ray.size * n_dirs
+
+
+@pytest.mark.parametrize("on_tape", [("n", "r"), ("n",), ("r",)])
+@pytest.mark.parametrize("block", [2 * 5 * 11, None])
+def test_lambert_quadrature_backward_is_the_two_pass_vjps_bit_for_bit(
+        monkeypatch, on_tape, block):
+    # ("r",) is the holdout fit's case. Under a small LAMBERT_BLOCK the rays
+    # fall into several blocks of at most two, with rays of no rows inside
+    # and at the end; at the default size, one hemisphere of the train
+    # step's 128 rays of up to 48 shaded samples
+    rng = np.random.default_rng(8)
+    if block is None:
+        counts, n_dirs = rng.integers(0, 49, size=128).tolist(), 321
+        counts[5] = 0
+    else:
+        monkeypatch.setattr(tp, "LAMBERT_BLOCK", block)
+        counts, n_dirs = [5, 3, 0, 5, 4, 0, 5, 2, 0], 11
+    normals, dirs, radiance, ray, upstream = _lambert_case(rng, counts, n_dirs)
+    # a cosine of exactly 0: it passes its normal no gradient
+    normals[0], dirs[0] = [0.0, 0.6, 0.8], [1.0, 0.0, 0.0]
+    assert normals[0] @ dirs[0] == 0.0
+    got = _value_and_grads(tp.lambert_quadrature, normals, dirs, radiance, ray,
+                           upstream, on_tape)
+    want = _value_and_grads(reference_lambert_quadrature, normals, dirs, radiance,
+                            ray, upstream, on_tape)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_lambert_quadrature_with_no_rows_is_the_two_pass_vjps():
+    case = _lambert_case(np.random.default_rng(9), [0, 0, 0], 5)
+    got = _value_and_grads(tp.lambert_quadrature, *case)
+    want = _value_and_grads(reference_lambert_quadrature, *case)
+    assert got[0].shape == (0, 3) and not got[1].size and not got[2].any()
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_lambert_quadrature_keeps_no_adjoint_after_backward(monkeypatch):
+    # the joint pass hands the radiance's adjoint on within one backward;
+    # after it the closures reach the same arrays as before, and a second
+    # backward of the same graph gives the same bits
+    monkeypatch.setattr(tp, "LAMBERT_BLOCK", 2 * 5 * 11)
+    normals, dirs, radiance, ray, upstream = _lambert_case(
+        np.random.default_rng(10), [5, 3, 0, 5, 4], 11)
+    t = tp.Tape()
+    out = tp.lambert_quadrature(t.parameter("n", normals), dirs,
+                                t.parameter("r", radiance), ray)
+    loss = tp.vsum(out * upstream)
+    vjps = [vjp for _, vjp in out.parents]
+    before = sorted(id(a) for a in _reachable_arrays(vjps, []))
+    first = tp.backward(t, loss)
+    assert sorted(id(a) for a in _reachable_arrays(vjps, [])) == before
+    second = tp.backward(t, loss)
+    assert all(first[k].tobytes() == second[k].tobytes() for k in ("n", "r"))
 
 
 def test_soft_visibility_keeps_no_corner_weights():

@@ -375,6 +375,39 @@ def test_adam_step_with_nan_gradient_changes_nothing():
         assert kept.keys() == saved.keys()
         assert all(kept[k].tobytes() == saved[k].tobytes() for k in saved)
 
+    # NaN, +inf and -inf, each in a live entry, in a never-seen entry of the
+    # second slot after a finite first slot, and on the slots' first step
+    def fixed(v, grad):  # 0 on v's tape, with the gradient ``grad`` in v
+        return tp._node("fixed", np.zeros(()), (v,), (lambda g: g * grad,))
+
+    for bad in (np.nan, np.inf, -np.inf):
+        for case, slot in (("live", "a"), ("new", "b"), ("first", "a")):
+            a, b = np.array([1.0, 2.0, 3.0]), np.array([[0.5, -0.5]])
+            adam = tr.Adam()
+
+            def step(g_a, g_b):
+                tape = tp.Tape()
+                loss = (fixed(tape.parameter("a", a), np.array(g_a))
+                        + fixed(tape.parameter("b", b), np.array(g_b)))
+                return adam.step(tape, loss, {"a": 0.1, "b": 0.1})
+
+            if case != "first":  # live: a[0], a[2]; b has no entry yet
+                assert step([0.5, 0.0, -1.0], [[0.0, 0.0]]) is None
+            state = [a.copy(), b.copy(), dict(adam.t)] + [
+                {k: x.copy() for k, x in d.items()}
+                for d in (adam.seen, adam.live, adam.m, adam.v)]
+            g_a, g_b = [0.25, 0.0, -0.5], [[0.0, 0.0]]
+            if case == "new":
+                g_b = [[0.75, bad]]
+            else:
+                g_a[2 if case == "live" else 1] = bad
+            assert step(g_a, g_b) == f"non-finite gradient in {slot}", (bad, case)
+            assert a.tobytes() == state[0].tobytes() and b.tobytes() == state[1].tobytes()
+            assert adam.t == state[2]
+            for kept, saved in zip((adam.seen, adam.live, adam.m, adam.v), state[3:]):
+                assert kept.keys() == saved.keys()
+                assert all(kept[k].tobytes() == saved[k].tobytes() for k in saved)
+
 
 def test_ddf_fit_rejects_nan_node_and_keeps_the_rest(two_sphere_scene):
     # on a 2x2x2x2 grid every query gathers node 0 on each axis
