@@ -4,11 +4,11 @@ ablation switch, and the holdout relighting fit.
 
 Field/DDF groups follow a 500-step warmup into cosine decay; illumination
 latents and the visibility threshold use exponentially decaying rates. The
-trainer, the holdout fit and the DDF fit all step through ``Adam.step``: a
-non-finite loss or gradient rejects the step (parameters and moments
-untouched) instead of clipping, and the trainer logs it. ``Adam`` gives the
-textbook update bit for bit, with optimizer state only for the entries
-whose gradient was ever non-zero.
+trainer, the holdout fit and the DDF fit step through ``take_step`` and keep
+its record of every step (the trainer also logs it). A non-finite loss or
+gradient rejects the step (parameters and moments untouched) instead of
+clipping; the record says why. ``Adam`` gives the textbook update bit for
+bit, with optimizer state only for entries whose gradient was ever non-zero.
 """
 
 from __future__ import annotations
@@ -211,7 +211,6 @@ class Adam:
         self._buffers = {}  # slot -> [live, m, v] buffers with room to grow
         self._a = np.empty(ADAM_BLOCK)  # work buffers for one block
         self._b = np.empty(ADAM_BLOCK)
-        self._new = {}  # slot -> new entries, from step's scan to update
 
     def step(self, tape, loss, rates):
         """One optimizer step on ``loss``: backward, then an update of each
@@ -234,12 +233,8 @@ class Adam:
             if not (np.isfinite(g[new[name]]).all()
                     and np.isfinite(g[self.live.get(name, _NO_ENTRIES)]).all()):
                 return f"non-finite gradient in {name}"
-        self._new = new
-        try:
-            for name, lr in rates.items():
-                self.update(name, tape.params[name].data, grads[name], lr)
-        finally:
-            self._new = {}
+        for name, lr in rates.items():
+            self.update(name, tape.params[name].data, grads[name], lr, new[name])
         return None
 
     def _new_entries(self, name, grad_flat):
@@ -250,12 +245,11 @@ class Adam:
             np.greater(new, self.seen[name], out=new)
         return np.flatnonzero(new) if new.any() else _NO_ENTRIES
 
-    def update(self, name, param, grad, lr):
+    def update(self, name, param, grad, lr, new=None):
         if not param.flags.c_contiguous:
             raise ValueError(f"slot {name!r}: parameter must be contiguous")
         param_flat, grad_flat = param.reshape(-1), grad.reshape(-1)
-        new = self._new.pop(name, None)  # from ``step``'s scan, if it made one
-        if new is None:
+        if new is None:  # no scan handed on from ``step``
             new = self._new_entries(name, grad_flat)
         if name not in self.seen:
             self.seen[name] = np.zeros(param.size, dtype=bool)
@@ -337,6 +331,25 @@ class Adam:
                         dst[lo + j:hi + j] = src[lo:hi]
                 dst[gaps] = value
             state[name] = dst[:n + k]
+
+
+def take_step(adam, tape, terms, rates):
+    """One optimisation step: evaluate each of ``terms`` (name -> (weight,
+    thunk)) whose weight is above 0, all before any sum, so the tape's node
+    order does not depend on the weights; add the weighted terms left to
+    right and step ``adam`` on the total with ``rates``. Returns the step's
+    record: each term (0.0 where its weight is 0), the total, and why the
+    step was rejected (None when it was applied or had no term)."""
+    values = {name: thunk() for name, (weight, thunk) in terms.items() if weight > 0}
+    total = None
+    for name, value in values.items():
+        contrib = terms[name][0] * value
+        total = contrib if total is None else total + contrib
+    rejected = None if total is None else adam.step(tape, total, rates)
+    rec = {name: float(values[name].data) if name in values else 0.0
+           for name in terms}
+    return rec | dict(total=0.0 if total is None else float(total.data),
+                      rejected=rejected)
 
 
 def gravity_align(camera_centers):
@@ -542,36 +555,18 @@ class Trainer:
                 out["weighted_normals"][ground]),
             "eps_anneal": lambda: ls.eps_anneal_loss(bd.epsilon()),
         }
-        terms = {name: compute[name]() for name in LOSS_TERMS
-                 if getattr(cfg, f"weight_{name}") > 0}
-
-        total = None
-        for name, term in terms.items():
-            contrib = getattr(cfg, f"weight_{name}") * term
-            total = contrib if total is None else total + contrib
-        if total is None:
-            record = self._record(step, terms, 0.0, None)
-        else:
-            lrs = self.learning_rates(step)
-            reason = self.adam.step(tape, total, {
-                name: lrs[PARAM_GROUPS[name][0]] for name in tape.params})
-            record = self._record(step, terms, float(total.data), reason)
-        self.step_count += 1
-        return record
-
-    def _record(self, step, terms, total, rejected):
-        """One step's record: every loss term (0.0 where its weight is 0),
-        the total, epsilon, the rates, and why the step was rejected (None
-        when it was applied or had no term). With ``log_path`` it is also
-        written as one JSON line."""
-        rec = {name: float(terms[name].data) if name in terms else 0.0
-               for name in LOSS_TERMS}
-        rec |= dict(step=step, total=total, epsilon=self.vis_params.epsilon,
-                    rejected=rejected,
-                    **{f"lr_{k}": v for k, v in self.learning_rates(step).items()})
+        lrs = self.learning_rates(step)
+        done = take_step(self.adam, tape, {
+            name: (getattr(cfg, f"weight_{name}"), compute[name]) for name in LOSS_TERMS
+        }, {name: lrs[PARAM_GROUPS[name][0]] for name in tape.params})
+        # the step log's record, keys in the log's order
+        rec = {name: done[name] for name in LOSS_TERMS} | dict(
+            step=step, total=done["total"], epsilon=self.vis_params.epsilon,
+            rejected=done["rejected"], **{f"lr_{k}": v for k, v in lrs.items()})
         self.history.append(rec)
         if self._log_fh:
             self._log_fh.write(json.dumps(rec) + "\n")
+        self.step_count += 1
         return rec
 
     def train(self, n_steps=None, progress_every=0):
@@ -601,8 +596,9 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
     over its sky pixels alone, the sky color term (no density term), each a
     mean. Visibility is off when no ``ddf`` is passed. Starts from
     the zero latent, or from a copy of the one-row bank ``init``. Returns
-    (one-row bank, info); info flags a holdout without sky pixels and lists
-    the losses of the accepted steps. Field gradients are exactly zero by
+    (one-row bank, info); info flags a holdout without sky pixels and holds
+    in ``steps`` every step's record (terms "appearance" and "sky"), with
+    the reason of each rejected step. Field gradients are exactly zero by
     construction since the fields are bound as constants.
     """
     rng = np.random.default_rng(seed)
@@ -628,14 +624,15 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
             jitter=jitter, rng=rng, n_samples=samples_per_ray,
         )
         sky = batch.classes == CLASS_SKY
-        loss = (ls.appearance_loss(out["rgb"], batch.gt)
-                + ls.appearance_loss(out["background"][sky], batch.gt[sky]))
         rate = exponential_decay(lr, step, steps)
         rates = {"illum_log_gamma": rate} if freeze_latent else {
             "illum_Z": rate, "illum_log_gamma": rate}
-        if adam.step(tape, loss, rates) is None:
-            history.append(float(loss.data))
-    info = {"no_sky_pixels": no_sky, "losses": history}
+        history.append(take_step(adam, tape, {
+            "appearance": (1.0, lambda: ls.appearance_loss(out["rgb"], batch.gt)),
+            "sky": (1.0, lambda: ls.appearance_loss(out["background"][sky],
+                                                    batch.gt[sky])),
+        }, rates))
+    info = {"no_sky_pixels": no_sky, "steps": history}
     return bank, info
 
 
@@ -648,7 +645,9 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
     ``sdf_like`` exposes ``sdf_np`` (an analytic scene or a grid field); the
     levelset term runs against a 64^3 grid sampling of it. Batches come from
     the samplers' defaults (upper-hemisphere positions, vMF kappa 20).
-    Returns (ddf, history).
+    Returns (ddf, history), every step's record (terms "ddf_depth",
+    "ddf_levelset" and "ddf_multiview"). Every ``progress_every``-th step
+    prints its total.
     """
     if ddf is None:
         ddf = vz.DdfField.zero_init()
@@ -668,19 +667,19 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
         tape = tp.Tape()
         bd = vz.BoundDdf(tape, ddf, params)
         bf = fd.BoundFields(tape, frozen, trainable=False)
-        loss = (ls.ddf_depth_loss(batch, bd)
-                + w_levelset * ls.ddf_levelset_loss(batch, bd, bf)
-                + ls.ddf_multiview_loss(pairs, bd))
         ramp = min(step / warmup, 1.0) if warmup else 1.0
         # hold the full rate for half the run (miss-ray chords need the raw
         # values to travel far through the sigmoid), then anneal
         half = steps // 2
         tail = 1.0 if step < half else 0.5 * (
             1.0 + np.cos(np.pi * (step - half) / max(steps - half, 1)))
-        adam.step(tape, loss, {"ddf_grid": lr * ramp * tail})
-        history.append(float(loss.data))
+        history.append(take_step(adam, tape, {
+            "ddf_depth": (1.0, lambda: ls.ddf_depth_loss(batch, bd)),
+            "ddf_levelset": (w_levelset, lambda: ls.ddf_levelset_loss(batch, bd, bf)),
+            "ddf_multiview": (1.0, lambda: ls.ddf_multiview_loss(pairs, bd)),
+        }, {"ddf_grid": lr * ramp * tail}))
         if progress_every and step % progress_every == 0:
-            print(f"ddf fit step {step:5d} loss {history[-1]:.5f}")
+            print(f"ddf fit step {step:5d} loss {history[-1]['total']:.5f}")
     return ddf, history
 
 

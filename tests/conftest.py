@@ -166,9 +166,10 @@ class TextbookAdam(tr.Adam):
     """Reference optimizer: the textbook Adam update (Kingma & Ba, arXiv
     1412.6980) of every entry of a slot at every step, with dense moments
     ``m[name]`` and ``v[name]`` shaped as the slot. ``tr.Adam`` must give
-    its parameters and moments bit for bit."""
+    its parameters and moments bit for bit. ``new``, the scan that
+    ``Adam.step`` hands on, is not needed here."""
 
-    def update(self, name, param, grad, lr):
+    def update(self, name, param, grad, lr, new=None):
         if name not in self.m:
             self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
         m, v = self.m[name], self.v[name]

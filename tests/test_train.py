@@ -344,7 +344,7 @@ def test_compact_adam_trains_as_the_textbook_adam(tiny_dataset, two_sphere_scene
 
     (ddf, history), (ref_ddf, ref_history) = fit(tr.Adam), fit(TextbookAdam)
     assert ddf.grid.tobytes() == ref_ddf.grid.tobytes()
-    assert np.array_equal(history, ref_history)
+    assert history == ref_history
     assert (ddf.grid == 0).any() and (ddf.grid != 0).any()  # partly untouched
 
 
@@ -418,7 +418,8 @@ def test_ddf_fit_rejects_nan_node_and_keeps_the_rest(two_sphere_scene):
     _, history = tr.fit_ddf_to_scene(
         two_sphere_scene, ddf=ddf, steps=3, lr=1e-2, warmup=0,
         n_positions=2, n_directions=8, multiview_pairs=4)
-    assert np.isnan(history).all()
+    assert np.isnan([rec["total"] for rec in history]).all()
+    assert [rec["rejected"] for rec in history] == ["non-finite loss"] * 3
     other = ~np.isnan(before)
     assert np.array_equal(ddf.grid[other], before[other])
 
@@ -428,8 +429,41 @@ def test_ddf_fit_runs_without_multiview_pairs(two_sphere_scene):
     _, history = tr.fit_ddf_to_scene(two_sphere_scene, ddf=ddf, steps=2, warmup=0,
                                      n_positions=2, n_directions=8,
                                      multiview_pairs=0)
-    assert len(history) == 2 and np.isfinite(history).all()
+    assert len(history) == 2
+    assert np.isfinite([rec["total"] for rec in history]).all()
     assert (ddf.grid != 0).any()
+
+
+def test_ddf_fit_prints_each_steps_total(two_sphere_scene, capsys):
+    # the line format perfbench's ddf-fit times steps by and reads the loss of
+    ddf = vz.DdfField.zero_init((8, 16), (6, 12))
+    _, history = tr.fit_ddf_to_scene(two_sphere_scene, ddf=ddf, steps=3, warmup=0,
+                                     n_positions=2, n_directions=8,
+                                     multiview_pairs=4, progress_every=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(history) == 3
+    for step, (line, rec) in enumerate(zip(lines, history)):
+        assert line.startswith(f"ddf fit step {step:5d} loss ")
+        assert line.rsplit(" ", 1)[-1] == f"{rec['total']:.5f}"
+
+
+def test_ddf_fit_with_zero_levelset_weight_skips_the_term(two_sphere_scene,
+                                                          monkeypatch):
+    # as the trainer does for a zero weight_*: the term is never evaluated
+    calls = []
+    levelset = ls.ddf_levelset_loss
+    monkeypatch.setattr(ls, "ddf_levelset_loss",
+                        lambda *args: calls.append(1) or levelset(*args))
+    fit = dict(steps=2, warmup=0, n_positions=2, n_directions=8, multiview_pairs=4)
+    _, history = tr.fit_ddf_to_scene(
+        two_sphere_scene, ddf=vz.DdfField.zero_init((8, 16), (6, 12)),
+        w_levelset=0.0, **fit)
+    assert calls == []
+    assert all(rec["ddf_levelset"] == 0.0 for rec in history)
+    assert all(rec["rejected"] is None for rec in history)
+    _, weighted = tr.fit_ddf_to_scene(
+        two_sphere_scene, ddf=vz.DdfField.zero_init((8, 16), (6, 12)), **fit)
+    assert len(calls) == 2 and len(weighted) == 2
 
 
 def test_zero_multiview_pairs_skip_the_term(tiny_dataset):
@@ -801,6 +835,45 @@ def test_holdout_fit_recovers_gamma_scale(tiny_dataset):
     assert np.exp(fitted.log_gamma[0]) == pytest.approx(0.55, rel=0.05)
     assert np.array_equal(fitted.Z, gt.Z)
     assert start.log_gamma[0] == 0.0  # the fit works on a copy
+
+
+def _short_holdout_fit(dataset, init=None):
+    from skylit.illumination import LobeDecoder
+    import skylit.fields as fd
+
+    return tr.fit_holdout_illumination(
+        fd.SceneFields.default(resolution=12), None, None, LobeDecoder.default(),
+        dataset, 1, steps=3, dir_level=0, samples_per_ray=8, batch_size=16,
+        init=init)
+
+
+def test_holdout_fit_records_each_rejected_step(tiny_dataset):
+    from skylit.illumination import IlluminationBank, LobeDecoder
+
+    _, dataset = tiny_dataset
+    start = IlluminationBank.zeros(LobeDecoder.default(), 1)
+    start.Z[0, 0, 0] = np.nan
+    fitted, info = _short_holdout_fit(dataset, init=start)
+    assert [rec["rejected"] for rec in info["steps"]] == ["non-finite loss"] * 3
+    assert fitted.Z.tobytes() == start.Z.tobytes()
+    assert fitted.log_gamma.tobytes() == start.log_gamma.tobytes()
+
+
+def test_the_three_fits_record_their_steps_alike(tiny_dataset, two_sphere_scene):
+    # each record: the fit's terms under the trainer's names, total, rejected
+    _, dataset = tiny_dataset
+    trainer = tr.Trainer(dataset, tr.TrainConfig(**CLI_CONFIG))
+    trained = trainer.train_step()
+    _, info = _short_holdout_fit(dataset)
+    _, ddf_history = tr.fit_ddf_to_scene(
+        two_sphere_scene, ddf=vz.DdfField.zero_init((8, 16), (6, 12)), steps=1,
+        warmup=0, n_positions=2, n_directions=8, multiview_pairs=4)
+    shared = {"total", "rejected"}
+    assert set(trained) >= shared | set(tr.LOSS_TERMS)
+    assert set(info["steps"][0]) == shared | {"appearance", "sky"}
+    assert set(ddf_history[0]) == shared | {"ddf_depth", "ddf_levelset", "ddf_multiview"}
+    for rec in (trained, info["steps"][0], ddf_history[0]):
+        assert rec["rejected"] is None and np.isfinite(rec["total"])
 
 
 @pytest.mark.parametrize("min_z", [-1.0, -0.1, 1.0, 1.5, float("nan")])
