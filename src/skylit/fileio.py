@@ -7,6 +7,8 @@ bottom-up per the format convention, PPM/PGM top-down.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import zipfile
 
 import numpy as np
@@ -29,18 +31,34 @@ def write_pfm(path, image):
 
 
 def read_pfm(path):
-    with open(path, "rb") as fh:
+    """A PFM image, (H,W,3) or (H,W); ConfigError naming a damaged file."""
+    with open(path, "rb") as fh, _naming(path):
         header = fh.readline().strip()
-        color = header == b"PF"
         if header not in (b"PF", b"Pf"):
-            raise ValueError(f"not a PFM file: {path}")
+            raise ValueError("not a PFM file")
         w, h = map(int, fh.readline().split())
-        scale = float(fh.readline())
-        dtype = "<f4" if scale < 0 else ">f4"
-        count = w * h * (3 if color else 1)
-        data = np.frombuffer(fh.read(count * 4), dtype=dtype).astype(np.float64)
-    shape = (h, w, 3) if color else (h, w)
-    return data.reshape(shape)[::-1].copy()
+        dtype = "<f4" if float(fh.readline()) < 0 else ">f4"
+        shape = (h, w, 3) if header == b"PF" else (h, w)
+        data = _raster(fh, shape, dtype).astype(np.float64)
+    return data[::-1].copy()
+
+
+@contextlib.contextmanager
+def _naming(where):
+    """Re-raise a ValueError or ConfigError as a ConfigError naming ``where``."""
+    try:
+        yield
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _raster(fh, shape, dtype):
+    """The raster of ``shape`` that follows the header in ``fh``."""
+    want = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = fh.read(max(want, 0))
+    if min(shape) < 0 or len(raw) < want:
+        raise ValueError(f"{len(raw)} raster bytes for an image of shape {shape}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def write_ppm(path, image01):
@@ -60,14 +78,13 @@ def write_pgm(path, values):
 
 
 def read_pgm(path):
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM: {path}")
+    """A binary PGM as (H,W) uint8; ConfigError naming a damaged file."""
+    with open(path, "rb") as fh, _naming(path):
+        if fh.readline().strip() != b"P5":
+            raise ValueError("not a binary PGM")
         w, h = map(int, fh.readline().split())
         fh.readline()  # maxval
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w).copy()
+        return _raster(fh, (h, w), np.uint8).copy()
 
 
 def write_pose_file(path, cameras):
@@ -79,26 +96,36 @@ def write_pose_file(path, cameras):
 
 
 def read_pose_file(path, width, height):
+    """A camera per non-blank line; ConfigError naming a damaged line."""
     cameras = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:  # float() reads bytes: no decoding to fail
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            vals = np.array([float(x) for x in line.split()])
-            if vals.size != 21:
-                raise ValueError("pose lines must hold 12 E + 9 K floats")
-            cameras.append(
-                Camera(K=vals[12:].reshape(3, 3), E=vals[:12].reshape(3, 4),
-                       width=width, height=height)
-            )
+            with _naming(f"{path}:{lineno}"):
+                vals = np.array([float(x) for x in line.split()])
+                if vals.size != 21:
+                    raise ValueError("pose lines must hold 12 E + 9 K floats")
+                cameras.append(
+                    Camera(K=vals[12:].reshape(3, 3), E=vals[:12].reshape(3, 4),
+                           width=width, height=height)
+                )
     return cameras
 
 
 def write_config(path, entries):
+    """Entries as 'key = value' lines; ConfigError naming the key, before
+    any write, for one that would not read back as written: a '#' or line
+    break in it, surrounding whitespace, or an '=' in the key."""
+    lines = ["# skylit config\n"]
+    for key, value in entries.items():
+        key, text = str(key), str(value)
+        if "=" in key or any(t != t.strip() or any(c in t for c in "#\r\n")
+                             for t in (key, text)):
+            raise ConfigError(f"config key {key!r} = {text!r} would not read back")
+        lines.append(f"{key} = {text}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# skylit config\n")
-        for key, value in entries.items():
-            fh.write(f"{key} = {value}\n")
+        fh.writelines(lines)
 
 
 def read_config(path):

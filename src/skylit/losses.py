@@ -7,12 +7,14 @@ a degenerate normal) still count and add 0. The mean of an empty batch is
 an on-tape zero: the term runs the same path on the empty set and divides
 by max(n, 1), so ``backward`` gives all-zero gradients instead of failing.
 Every term is zero exactly at its documented fixed points. The epsilon
-anneal acts on one scalar and has no batch.
+anneal acts on one scalar and has no batch. The DDF depth and levelset
+terms take the DDF's predicted depth at their batch, one
+``visibility.ddf_eval`` node that the caller makes once for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import tape as tp
 from .fields import sdf_eval, sphere_trace, trace_hit
 from .geometry import (SRGB_LINEAR_KNEE, _vmf_draws, _vmf_rotate, normalize,
                        ray_sphere_exit, sample_sphere, vmf_sample_batch)
-from .visibility import BoundDdf, _ddf_read, _depth_node, ddf_eval
+from .visibility import BoundDdf, ddf_eval
 
 
 def tonemap(linear):
@@ -82,9 +84,6 @@ class DdfBatch:
     directions: np.ndarray  # (P,Q,3) unit, inward, d_z <= 0
     depths: np.ndarray      # (P,Q) in (0,2]
     hit: np.ndarray         # (P,Q) bool
-    # (grid Var, visibility._DdfRead): ddf_depth_loss's read of the flat
-    # batch through the binding whose grid that is, for ddf_levelset_loss
-    _read: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def flat_positions(self):
@@ -164,39 +163,29 @@ def trace_depths(sdf_like, positions, directions):
     return np.clip(res.t, 1e-4, 2.0), res.hit
 
 
-def ddf_depth_loss(batch, bound_ddf):
-    """Mean of |traced depth - predicted depth| over the batch's rays. The
-    batch keeps this DDF read (``DdfBatch._read``) for ``ddf_levelset_loss``
-    through the same binding."""
-    s, read = _ddf_read(bound_ddf, batch.flat_positions, batch.flat_directions,
-                        strict=True)
-    batch._read = (bound_ddf.grid, read)
-    err = tp.absolute(batch.flat_depths - _depth_node(bound_ddf, s, read))
+def ddf_depth_loss(batch, pred):
+    """Mean of |traced depth - predicted depth| over the batch's rays;
+    ``pred`` is ``ddf_eval`` of ``batch.flat_positions`` along
+    ``batch.flat_directions``, the node that the levelset term also reads."""
+    err = tp.absolute(batch.flat_depths - pred)
     return tp.vsum(err) / max(batch.flat_depths.size, 1)
 
 
-def ddf_levelset_loss(batch, bound_ddf, bound_fields):
+def ddf_levelset_loss(batch, pred, bound_fields):
     """Walking the predicted depth must land on the SDF zero level set.
 
+    ``pred`` is the flat batch's predicted depth, as for ``ddf_depth_loss``;
+    this term gathers its hit rows (``tp.take_rows``), so its adjoint joins
+    the depth term's at that one node and the DDF grid gets one scatter.
     Only rays with an actual surface along them participate (a miss ray has
     no zero crossing, so the term's fixed point would be unsatisfiable), yet
     the squared SDF values are divided by all of the batch's rays: a miss
     counts as 0. Gradients reach both the DDF and the SDF grid.
-
-    The predicted depth is a ``ddf_depth`` node of its own, with its own
-    scatter. After ``ddf_depth_loss`` of the same batch through the same
-    binding (the same grid Var, so the same grid values: an optimizer step
-    binds anew), its hit rows are taken from that loss's read, the same
-    bits as a read of those rows alone; otherwise they are read here.
     """
-    keep = batch.flat_hit
+    keep = np.flatnonzero(batch.flat_hit)
     s = tp._lift(batch.flat_positions[keep])
     d = batch.flat_directions[keep]
-    if batch._read is not None and batch._read[0] is bound_ddf.grid:
-        pred = _depth_node(bound_ddf, s, batch._read[1].rows(keep))
-    else:
-        pred = ddf_eval(bound_ddf, s, d)
-    land = s + tp.reshape(pred, (-1, 1)) * d
+    land = s + tp.reshape(tp.take_rows(pred, keep), (-1, 1)) * d
     f = sdf_eval(bound_fields, land)
     return tp.vsum(f * f) / max(batch.flat_depths.size, 1)
 

@@ -26,7 +26,8 @@ Conventions:
     indices and per-axis fractions, no corner weights, and with coordinates
     on a tape its lerp tree's partials); ``visibility.ddf_eval`` (the DDF
     losses' depth lookup: cell coordinates, grid read and clamped-sigmoid
-    depth in one node, keeping that read); and
+    depth in one node, whose VJPs use the corners, fractions and partials
+    of its read; a batch's depth and levelset terms share one); and
     ``visibility.soft_visibility``, the whole outside-in visibility query in
     one node, which saves per-query adjoint coefficients (dv/dx, dv/draw,
     dv/deps) computed in the forward pass, plus the corner indices and

@@ -538,6 +538,10 @@ class Trainer:
             stop_grad_vis=cfg.stop_gradient, near=cfg.near,
         )
 
+        # one DDF depth node, which the depth and levelset terms share
+        pred = (vz.ddf_eval(bd, self.ddf_batch.flat_positions,
+                            self.ddf_batch.flat_directions)
+                if cfg.weight_ddf_depth > 0 or cfg.weight_ddf_levelset > 0 else None)
         # each term is its batch's mean (an empty batch gives an on-tape 0)
         sky = batch.classes == CLASS_SKY
         ground = batch.classes == CLASS_GROUND
@@ -546,8 +550,8 @@ class Trainer:
             "prior": lambda: il.prior_loss(bi.Z),
             "sky": lambda: ls.sky_loss(out["background"][sky], batch.gt[sky],
                                        out["W"][sky]),
-            "ddf_depth": lambda: ls.ddf_depth_loss(self.ddf_batch, bd),
-            "ddf_levelset": lambda: ls.ddf_levelset_loss(self.ddf_batch, bd, bf),
+            "ddf_depth": lambda: ls.ddf_depth_loss(self.ddf_batch, pred),
+            "ddf_levelset": lambda: ls.ddf_levelset_loss(self.ddf_batch, pred, bf),
             "ddf_multiview": lambda: ls.ddf_multiview_loss(self.mv_pairs, bd),
             "ddf_sky": lambda: ls.ddf_sky_loss(batch.origins[sky],
                                                batch.dirs[sky], bd),
@@ -667,6 +671,7 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
         tape = tp.Tape()
         bd = vz.BoundDdf(tape, ddf, params)
         bf = fd.BoundFields(tape, frozen, trainable=False)
+        pred = vz.ddf_eval(bd, batch.flat_positions, batch.flat_directions)
         ramp = min(step / warmup, 1.0) if warmup else 1.0
         # hold the full rate for half the run (miss-ray chords need the raw
         # values to travel far through the sigmoid), then anneal
@@ -674,8 +679,8 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
         tail = 1.0 if step < half else 0.5 * (
             1.0 + np.cos(np.pi * (step - half) / max(steps - half, 1)))
         history.append(take_step(adam, tape, {
-            "ddf_depth": (1.0, lambda: ls.ddf_depth_loss(batch, bd)),
-            "ddf_levelset": (w_levelset, lambda: ls.ddf_levelset_loss(batch, bd, bf)),
+            "ddf_depth": (1.0, lambda: ls.ddf_depth_loss(batch, pred)),
+            "ddf_levelset": (w_levelset, lambda: ls.ddf_levelset_loss(batch, pred, bf)),
             "ddf_multiview": (1.0, lambda: ls.ddf_multiview_loss(pairs, bd)),
         }, {"ddf_grid": lr * ramp * tail}))
         if progress_every and step % progress_every == 0:
@@ -699,9 +704,9 @@ def slot_arrays(trainer):
 def save_checkpoint(out_dir, trainer):
     """``config.txt`` and ``params.npz``, which holds every slot in float64."""
     os.makedirs(out_dir, exist_ok=True)
-    np.savez(os.path.join(out_dir, "params.npz"), **slot_arrays(trainer))
     fileio.write_config(os.path.join(out_dir, "config.txt"),
                         trainer.cfg.to_entries())
+    np.savez(os.path.join(out_dir, "params.npz"), **slot_arrays(trainer))
 
 
 def load_checkpoint(ckpt_dir, dataset):

@@ -14,10 +14,10 @@ The DDF is read one way, ``_DdfRead``: the four cell coordinates
 of unnormalised frame components), ``fields._grid_read`` (one gather of the
 16 corners, a lerp tree for the raw depth and, if asked, its partials) and
 the clamped-sigmoid depth; its ``pullback`` is the sphere point's adjoint.
-Two tape nodes call it: ``ddf_eval``, the DDF losses' depth (whose
-levelset term takes its hit rows from the depth term's read,
-``_DdfRead.rows``), and the visibility query ``soft_visibility``, which
-runs over blocks of whole rays and saves each query's closed-form adjoint
+Two tape nodes call it: ``ddf_eval``, the DDF losses' depth (one node
+per supervision batch and step, which the depth and levelset terms both
+read), and the visibility query ``soft_visibility``, which runs over
+blocks of whole rays and saves each query's closed-form adjoint
 coefficients. With constant inputs both compute values alone, as does
 ``soft_visibility`` under ``stop_grad``. Light directions are plain arrays
 with no gradient.
@@ -208,19 +208,6 @@ class _DdfRead:
         self.corner, self.frac, self.tree = _grid_read(grid, self.u, DDF_WRAP, partials)
         self.depth, self.sig = _depth(self.tree[0])
 
-    def rows(self, keep):
-        """The read of the queries that the boolean mask ``keep`` selects
-        from this read of flat queries, made without partials: the same
-        corners, fractions, depths and sigmoids as a read of those queries
-        alone, gathered instead of recomputed. It has no pullback."""
-        idx = np.flatnonzero(keep)
-        sub = object.__new__(_DdfRead)
-        sub.shape = self.shape
-        sub.corner = np.take(self.corner, idx, axis=1)
-        sub.frac = [np.take(f, idx) for f in self.frac]
-        sub.depth, sub.sig = np.take(self.depth, idx), np.take(self.sig, idx)
-        return sub
-
     def pullback(self, g_raw):
         """s's adjoint (three component arrays) from the raw depth's adjoint,
         through the partials; a clamped coordinate at or beyond an end node
@@ -234,29 +221,18 @@ class _DdfRead:
 def ddf_eval(bound, s, d_world, strict=True):
     """Predicted depth in (0,2) at sphere points ``s`` looking inward along
     the array ``d_world``. Differentiable in the grid and (when a Var) in s;
-    the direction gets no gradient; s and d broadcast. One tape node,
-    ``_depth_node`` of ``_ddf_read`` (with partials only when s is on a
-    tape).
+    the direction gets no gradient; s and d broadcast. One ``ddf_depth``
+    node over a ``_DdfRead`` (with partials only when s is on a tape): the
+    grid's adjoint is the read's transpose, scattered once.
 
     With ``strict``, outward directions (d . s > 0) raise PreconditionError.
     """
-    return _depth_node(bound, *_ddf_read(bound, s, d_world, strict))
-
-
-def _ddf_read(bound, s, d_world, strict):
-    """``ddf_eval``'s lifted s and its ``_DdfRead`` of the bound grid."""
     s = tp._lift(s)
     d_np = np.asarray(d_world, dtype=np.float64)
     if strict and np.any(np.sum(s.data * d_np, axis=-1) > 1e-9):
         raise PreconditionError("DDF direction must point inward (d . s < 0)")
     s_c, d_c = (np.moveaxis(a, -1, 0) for a in np.broadcast_arrays(s.data, d_np))
-    return s, _DdfRead(bound.grid.data, s_c, d_c, s.tape is not None or bool(s.parents))
-
-
-def _depth_node(bound, s, read):
-    """The ``ddf_depth`` tape node of ``read``, a read of ``bound``'s grid
-    at s: its value is the read's depth; the grid's adjoint is the lerp
-    tree's transpose, scattered once; s's goes through the read's partials."""
+    read = _DdfRead(bound.grid.data, s_c, d_c, s.tape is not None or bool(s.parents))
 
     def vjp_grid(g):
         raw = _depth_slope(g, read.sig)

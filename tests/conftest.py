@@ -293,8 +293,10 @@ class ReferenceScene(sc.SyntheticScene):
 
 def reference_levelset_loss(batch, bound_ddf, bound_fields):
     """Reference for ``losses.ddf_levelset_loss``: the hit rows read by a
-    ``ddf_eval`` of their own. Value and gradients must agree byte for byte
-    with the term that takes its rows from ``ddf_depth_loss``'s read."""
+    ``ddf_eval`` of their own, where the term gathers them from the flat
+    batch's shared prediction. Value and gradients must agree byte for
+    byte, except the DDF grid's in its last bits when the depth term reads
+    the same prediction."""
     keep = batch.flat_hit
     s = batch.flat_positions[keep]
     d = batch.flat_directions[keep]

@@ -101,6 +101,10 @@ def _toy_setup():
                               jitter=jitter, rng=np.random.default_rng(5),
                               n_samples=6)
 
+    def ddf_pred(t, pv):
+        return vz.ddf_eval(bound_all(t, pv)[2], ddf_batch.flat_positions,
+                           ddf_batch.flat_directions)
+
     def sky_term(t, pv):
         out = render(t, pv, with_vis=False)
         return ls.sky_loss(out["background"], gt, out["W"])
@@ -122,11 +126,11 @@ def _toy_setup():
             ("illum_Z",),
         ),
         "ddf_depth": (
-            lambda t, pv: ls.ddf_depth_loss(ddf_batch, bound_all(t, pv)[2]),
+            lambda t, pv: ls.ddf_depth_loss(ddf_batch, ddf_pred(t, pv)),
             ("ddf_grid",),
         ),
         "ddf_levelset": (
-            lambda t, pv: ls.ddf_levelset_loss(ddf_batch, bound_all(t, pv)[2],
+            lambda t, pv: ls.ddf_levelset_loss(ddf_batch, ddf_pred(t, pv),
                                                bound_all(t, pv)[0]),
             ("ddf_grid", "sdf_grid"),
         ),

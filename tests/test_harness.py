@@ -511,6 +511,46 @@ def test_cli_rejects_checkpoint_that_disagrees_with_config_or_dataset(tmp_path, 
     refused(damaged, 6, 0, "ddf_grid")
 
 
+def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
+    out = tmp_path / "ds"
+    cli_main(["generate", "--scene", "two-sphere", "--views", "3", "--seed",
+              "1", "--out", str(out), "--width", "12", "--height", "10",
+              "--quad-level", "2"])
+    cfg = tmp_path / "cfg.txt"
+    fileio.write_config(cfg, CLI_CONFIG)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--data", str(out),
+                     "--out", str(run), "--progress-every", "0"]) == 0
+    poses = (out / "poses.txt").read_text(encoding="utf-8").splitlines()
+
+    def damage(name, edit):
+        # a copy of the dataset with one file edited; eval must name it
+        ds = tmp_path / "damaged"
+        shutil.rmtree(ds, ignore_errors=True)
+        shutil.copytree(out, ds)
+        edit(ds / name)
+        capsys.readouterr()
+        assert cli_main(["eval", "--ckpt", str(run), "--dataset", str(ds),
+                         "--dir-level", "0"]) == 2, name
+        assert name in capsys.readouterr().err.split("config error:")[1], name
+
+    def cut(keep):
+        return lambda path: path.write_bytes(path.read_bytes()[:keep(path)])
+
+    header = len(b"PF\n12 10\n-1.0\n")
+    damage("view_001.pfm", cut(lambda p: p.stat().st_size - 4))   # short raster
+    damage("view_001.pfm", cut(lambda p: header + 17))            # not whole floats
+    damage("view_002.pfm", cut(lambda p: 5))                      # short header
+    damage("mask_002.pgm", cut(lambda p: p.stat().st_size - 1))
+    damage("shadow_000.pgm", lambda p: p.write_bytes(b"P5\n12 x\n255\n"))
+    for bad in (poses[0].rsplit(" ", 1)[0],                         # 20 floats
+                poses[0].replace(" ", " x ", 1),                    # not a float
+                " ".join(["0"] * 21)):                              # singular K
+        damage("poses.txt", lambda p, bad=bad: p.write_text(
+            "\n".join([bad] + poses[1:]) + "\n", encoding="utf-8"))
+    damage("poses.txt", lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()))
+
+
 def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):
     out = tmp_path / "ds"
     cli_main(["generate", "--scene", "two-sphere", "--views", "4", "--seed",

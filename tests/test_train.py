@@ -763,6 +763,54 @@ def test_checkpoint_roundtrip(tiny_dataset, tmp_path):
     assert np.array_equal(render(loaded), render(trainer))
 
 
+# every TrainConfig key off its default, small enough to bind at once
+OFF_DEFAULT = dict(
+    steps=7, rays_per_batch=5, samples_per_ray=3, dir_level=1,
+    near=0.031234567890123456, lr_fields=0.0123, lr_ddf=0.0021, lr_illum=0.013,
+    lr_eps=0.0041, warmup_steps=2, seed=12345, stop_gradient=True,
+    use_visibility=False, sdf_resolution=6, illum_lobes=6, ddf_pos_res_theta=3,
+    ddf_pos_res_phi=5, ddf_dir_res_theta=3, ddf_dir_res_phi=4, ddf_positions=2,
+    ddf_directions=3, vmf_kappa=7.25, ddf_min_z=0.125, ddf_refresh_every=9,
+    ddf_multiview_pairs=2, weight_appearance=0.5, weight_prior=1e-300,
+    weight_sky=2.5, weight_ddf_depth=0.0, weight_ddf_levelset=3.0,
+    weight_ddf_multiview=1000.0, weight_ddf_sky=0.1, weight_ground_plane=1.0 / 3.0,
+    weight_eps_anneal=0.0, data_dir="/data/run 3/a = b")
+
+
+@pytest.mark.parametrize("data_dir, refused", [
+    ("/data/run 3/a = b", False), ("", False),
+    ("/data/run#3", True),     # '#' starts a comment
+    ("a\nsteps = 5", True),    # a line break starts another entry
+    (" /data/run", True), ("/data/run\t", True),
+])
+def test_checkpoint_config_reads_back_every_key_or_is_refused(tiny_dataset, tmp_path,
+                                                             data_dir, refused):
+    _, dataset = tiny_dataset
+    cfg = tr.TrainConfig(**OFF_DEFAULT | {"data_dir": data_dir})
+    assert OFF_DEFAULT.keys() == {f.name for f in DECLARED}
+    assert all(OFF_DEFAULT[f.name] != f.default for f in DECLARED)
+    ckpt = tmp_path / "ck"
+    if refused:
+        # refused before any file of the checkpoint is written
+        with pytest.raises(ConfigError, match="data_dir"):
+            tr.save_checkpoint(str(ckpt), tr.Trainer(dataset, cfg))
+        assert list(ckpt.iterdir()) == []
+    else:
+        tr.save_checkpoint(str(ckpt), tr.Trainer(dataset, cfg))
+        assert tr.load_checkpoint(str(ckpt), dataset).cfg == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("data_dir", "/data/run#3"), ("data_dir", "a\nsteps = 5"), ("data_dir", "x\r"),
+    ("data_dir", " x"), ("data_dir", "x "), ("a=b", 1), ("#steps", 1), (" steps", 1),
+])
+def test_write_config_refuses_what_would_not_read_back(tmp_path, key, value):
+    path = tmp_path / "config.txt"
+    with pytest.raises(ConfigError, match=f"config key {key!r}"):
+        fileio.write_config(path, {"steps": 5, key: value})
+    assert not path.exists()
+
+
 def test_stop_gradient_flag_blocks_field_gradients(tiny_dataset):
     _, dataset = tiny_dataset
 

@@ -288,7 +288,7 @@ def test_soft_visibility_inference_records_nothing():
         assert np.array_equal(v.data, v_grad.data)
 
 
-def _node_case(kind, rng):
+def _draw_node_case(kind, rng):
     """x (2,1,3), d (1,3,3), grid and raw epsilon for ``kind``."""
     shape = (3, 4, 3, 4)
     grid = rng.normal(scale=2.0, size=shape)
@@ -335,6 +335,19 @@ def _node_case(kind, rng):
     return x, d, grid, eps_raw
 
 
+def _node_case(kind, rng):
+    """``_draw_node_case``, redrawn until every query's local polar angle,
+    arccos(d . s) at its exit point s, is at least 1e-2 rad. Near 0, the
+    DDF direction map's pole, central differences at h = 1e-7 lose about
+    three digits; ``test_soft_visibility_vjps_near_the_direction_pole``
+    checks one such query at a finer h."""
+    while True:
+        x, d, grid, eps_raw = _draw_node_case(kind, rng)
+        s = x + ray_sphere_exit(x, d).t[..., None] * d
+        if np.arccos(np.clip(np.sum(d * s, axis=-1), -1.0, 1.0)).min() >= 1e-2:
+            return x, d, grid, eps_raw
+
+
 def _node_value(x, grid, eps_raw, d):
     field = vz.DdfField(grid.data)
     return vz.soft_visibility(bind_ddf(field, None, grid, eps_raw), x, d)
@@ -344,10 +357,28 @@ def _node_value(x, grid, eps_raw, d):
 @given(kind=st.sampled_from(["generic", "pole", "tangent", "outside", "saturated"]),
        seed=st.integers(0, 2**32 - 1))
 def test_soft_visibility_node_vjps_match_central_differences(kind, seed):
-    # x, the grid and raw epsilon against central differences of
-    # sum(v * upstream); the directions are plain arrays
     rng = np.random.default_rng(seed)
-    x, d, grid, eps_raw = _node_case(kind, rng)
+    _check_node_vjps(kind, rng, _node_case(kind, rng), h=1e-7)
+
+
+def test_soft_visibility_vjps_near_the_direction_pole():
+    # hypothesis's pole case at seed 222, drawn as it was before the redraw:
+    # x[1] lies 3e-4 from the origin, so its queries look almost straight
+    # in (local polar angle 2.3e-5 rad). At h = 1e-7 central differences
+    # miss the x-gradient by a relative 6e-4; at 1e-9 they agree
+    rng = np.random.default_rng(222)
+    case = _draw_node_case("pole", rng)
+    x, d = case[0], case[1]
+    s = x[1] + ray_sphere_exit(x[1], d).t[..., None] * d
+    assert np.arccos(np.clip(np.sum(d * s, axis=-1), -1.0, 1.0)).min() < 1e-4
+    _check_node_vjps("pole", rng, case, h=1e-9)
+
+
+def _check_node_vjps(kind, rng, case, h):
+    # x, the grid and raw epsilon against central differences of
+    # sum(v * upstream), upstream drawn from rng; the directions are plain
+    # arrays
+    x, d, grid, eps_raw = case
     assert np.all(d[..., 2] > 0.0)  # sky-side: none of v is pinned to 1
     upstream = rng.normal(size=(2, 3))
     inputs = {"x": x, "grid": grid, "eps_raw": eps_raw}
@@ -358,7 +389,6 @@ def test_soft_visibility_node_vjps_match_central_differences(kind, seed):
     if kind == "pole":
         s_pole = x[0, 0] + ray_sphere_exit(x[0, 0], d[0, 0]).t * d[0, 0]
         assert np.hypot(s_pole[0], s_pole[1]) < 1e-12
-    h = 1e-7
     for name, base in inputs.items():
         numeric = np.empty(base.shape)
         for j in np.ndindex(base.shape):
