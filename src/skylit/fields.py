@@ -192,13 +192,6 @@ def cell_coords(x, resolution):
     return [u[..., k] for k in range(3)]
 
 
-def _grid_nodes(resolution):
-    """The x, y and z coordinates of the nodes of a grid spanning [-1, 1]^3,
-    each an (n, n, n) array indexed (i, j, k)."""
-    axis = np.linspace(-1.0, 1.0, resolution)
-    return np.meshgrid(axis, axis, axis, indexing="ij")
-
-
 CLAMPED_3D = (False, False, False)
 
 
@@ -212,18 +205,27 @@ class SdfField:
 
     @classmethod
     def sphere_init(cls, resolution=64, radius=0.1, inv_s=20.0):
-        # per-axis node arrays, not from_function's (N,3) stack: built through
-        # that 6 MB temporary (at resolution 64), the default config's train
-        # steps ran about 12% slower afterwards (glibc malloc, 2 vCPUs)
-        gx, gy, gz = _grid_nodes(resolution)
-        return cls(np.sqrt(gx * gx + gy * gy + gz * gz) - radius, inv_s=inv_s)
+        def sdf(p):
+            x, y, z = p.T
+            return np.sqrt(x * x + y * y + z * z) - radius
+        return cls.from_function(sdf, resolution, inv_s=inv_s)
 
     @classmethod
     def from_function(cls, fn, resolution=64, inv_s=20.0):
-        """Samples ``fn`` (points (N,3) -> (N,)) at the grid nodes."""
-        pts = np.stack(_grid_nodes(resolution), axis=-1).reshape(-1, 3)
-        return cls(fn(pts).reshape(resolution, resolution, resolution),
-                   inv_s=inv_s)
+        """Samples ``fn`` (points (N,3) -> (N,)) at the grid nodes, one
+        x-slab of n^2 nodes per call into one reused points buffer, so
+        ``fn``'s value at a point must not depend on the other points of the
+        call, and ``fn`` must not keep the points."""
+        n = resolution
+        axis = np.linspace(-1.0, 1.0, n)
+        grid = np.empty((n, n, n))
+        pts = np.empty((n, n, 3))
+        pts[..., 1] = axis[:, None]
+        pts[..., 2] = axis
+        for i in range(n):
+            pts[..., 0] = axis[i]
+            grid[i] = fn(pts.reshape(-1, 3)).reshape(n, n)
+        return cls(grid, inv_s=inv_s)
 
     def sdf_np(self, pts):
         """Plain-numpy trilinear evaluation (sphere tracing, oracles)."""

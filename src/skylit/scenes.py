@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .cameras import Camera
-from .geometry import icosphere_directions, normalize, srgb
+from .geometry import ConfigError, icosphere_directions, normalize, srgb
 from .illumination import IlluminationBank, LobeDecoder, radiance, sample_latent
 
 CLASS_SKY = 0
@@ -323,11 +323,10 @@ def render_ground_truth(scene, camera, quad_level=4, chunk=2048):
             normals, albedo, cls = scene.surface_info(prim_idx[hit], pts)
             off = pts + 1e-4 * normals
             occ = scene.occluded(off, quad[upper])
-            vis = np.ones((pts.shape[0], quad.shape[0]))
-            vis[:, upper] = ~occ
             cos = np.maximum(normals @ quad.T, 0.0)
+            cos[:, upper] *= ~occ
             quad_w = 4.0 * np.pi / quad.shape[0]
-            irr = quad_w * ((vis * cos) @ light)
+            irr = quad_w * (cos @ light)
             sl_img[hit] = albedo * irr
             classes[lo:lo + chunk][hit] = cls
             sun_occ = scene.occluded(off, scene.sun_dir[None, :])[:, 0]
@@ -429,26 +428,49 @@ def generate_dataset(scene, n_views, seed, out_dir, width=64, height=48,
 
 
 def _parse_meta(meta):
+    """``meta``'s entries with the numbers parsed; ConfigError naming the
+    key that is missing or does not parse."""
+    def floats(text):
+        return np.array([float(x) for x in str(text).split(",")])
+
     out = dict(meta)
-    out["sun_dir"] = np.array([float(x) for x in str(meta["sun_dir"]).split(",")])
-    out["gt_Z"] = np.array([float(x) for x in str(meta["gt_Z"]).split(",")])
-    out["views"] = int(meta["views"])
-    out["width"] = int(meta["width"])
-    out["height"] = int(meta["height"])
-    out["seed"] = int(meta["seed"])
+    for key, parse in (("sun_dir", floats), ("gt_Z", floats), ("views", int),
+                       ("width", int), ("height", int), ("seed", int)):
+        if key not in meta:
+            raise ConfigError(f"no {key!r} entry")
+        try:
+            out[key] = parse(meta[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {meta[key]!r} does not parse: {exc}") from exc
     return out
 
 
 def load_dataset(path):
-    meta = _parse_meta(fileio.read_config(os.path.join(path, "meta.txt")))
+    """The dataset directory that ``generate_dataset`` writes; ConfigError
+    naming ``meta.txt`` and the key when a meta value does not parse, and
+    naming the file when an image is damaged or not the size meta gives."""
+    meta_path = os.path.join(path, "meta.txt")
+    try:
+        meta = _parse_meta(fileio.read_config(meta_path))
+    except ConfigError as exc:
+        raise ConfigError(f"{meta_path}: {exc}") from exc
     n, w, h = meta["views"], meta["width"], meta["height"]
+    if min(n, w, h) < 1:
+        raise ConfigError(f"{meta_path}: views, width and height must be at "
+                          f"least 1, got {n}, {w} and {h}")
     cams = fileio.read_pose_file(os.path.join(path, "poses.txt"), w, h)
     images = np.zeros((n, h, w, 3))
     masks = np.zeros((n, h, w), dtype=np.uint8)
     shadows = np.zeros((n, h, w), dtype=np.uint8)
     for i in range(n):
-        images[i] = fileio.read_pfm(os.path.join(path, f"view_{i:03d}.pfm"))
-        masks[i] = fileio.read_pgm(os.path.join(path, f"mask_{i:03d}.pgm"))
-        shadows[i] = fileio.read_pgm(os.path.join(path, f"shadow_{i:03d}.pgm"))
+        for stack, read, name in ((images, fileio.read_pfm, f"view_{i:03d}.pfm"),
+                                  (masks, fileio.read_pgm, f"mask_{i:03d}.pgm"),
+                                  (shadows, fileio.read_pgm, f"shadow_{i:03d}.pgm")):
+            file = os.path.join(path, name)
+            image = read(file)
+            if image.shape != stack.shape[1:]:
+                raise ConfigError(f"{file}: an image of shape {image.shape} where "
+                                  f"meta.txt gives {stack.shape[1:]}")
+            stack[i] = image
     return Dataset(images=images, masks=masks, cameras=cams, meta=meta,
                    shadows=shadows)

@@ -39,10 +39,11 @@ Conventions:
   * the gathers, ``take_rows`` (integer rows), ``fields.multilinear``,
     ``visibility.ddf_eval`` and ``visibility.soft_visibility`` (grid
     corners), pass back a deferred scatter adjoint, flat indices plus
-    values, and ``reshape`` passes it through. ``backward`` concatenates
-    every such adjoint that reaches one Var and densifies it once, with one
-    ``np.bincount``, at the parameter or at the first other op that needs a
-    dense array. Sums across gathers therefore follow concatenation order,
+    values, and ``reshape`` passes it through. ``backward`` collects every
+    such adjoint that reaches one Var and densifies it once, at the
+    parameter or at the first other op that needs a dense array: each
+    gather's values are added in place (``np.add.at``) into one zeroed
+    buffer, with no concatenated copy. Sums across gathers therefore follow
     the order in which ``backward`` reaches the gathers. ``index`` takes no
     integer-array key,
   * an op whose inputs are all constants (Vars with no tape) records no node
@@ -350,16 +351,17 @@ class _Scatter:
         return self
 
     def to_dense(self):
-        # one bincount for every gather: repeated indices are summed into
-        # zeros in concatenation order. With no index at all bincount counts
-        # in int64, so the cast (free for float64) keeps the gradient float
-        # concatenated straight into intp, the type bincount counts with, so
-        # 32-bit indices are not copied a second time
-        cat = len(self.index) > 1
-        buf = np.bincount(np.concatenate(self.index, dtype=np.intp) if cat else self.index[0],
-                          weights=np.concatenate(self.values) if cat else self.values[0],
-                          minlength=math.prod(self.shape))
-        buf = buf.astype(np.float64, copy=False).reshape(self.shape)
+        # each gather's values are added in place into float64 zeros, piece
+        # by piece in list order and entry by entry within a piece: the adds
+        # of one bincount over all pieces concatenated, with no concatenated
+        # copy of the indices or values. Like bincount's, the adds are
+        # silent: a sum that overflows stays inf (or NaN) for the optimiser's
+        # finiteness check to reject
+        buf = np.zeros(math.prod(self.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index, values in zip(self.index, self.values):
+                np.add.at(buf, index, values)
+        buf = buf.reshape(self.shape)
         if self.dense is not None:
             buf += self.dense
         return buf

@@ -6,6 +6,7 @@ computed once per session; tests that need them share the same artifacts.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -530,3 +531,39 @@ def reference_corner_index(shape, coords, wrap):
         idx = idx.reshape((2 * idx.shape[0],) + idx.shape[2:])
         fracs.append(frac)
     return idx, fracs
+
+
+def reference_to_dense(scatter):
+    """Reference for ``tape._Scatter.to_dense``: one ``np.bincount`` over
+    every piece's indices (as intp) and values, concatenated in list order,
+    cast to float64, plus the dense term. Must agree byte for byte with the
+    in-place densify."""
+    buf = np.bincount(np.concatenate(scatter.index).astype(np.intp),
+                      weights=np.concatenate(scatter.values),
+                      minlength=math.prod(scatter.shape))
+    buf = buf.astype(np.float64).reshape(scatter.shape)
+    if scatter.dense is not None:
+        buf += scatter.dense
+    return buf
+
+
+def reference_from_function(fn, resolution):
+    """Reference for ``fields.SdfField.from_function``'s grid: ``fn`` called
+    once on the (N, 3) stack of every node, from the same ``np.linspace``
+    axis. Must agree byte for byte with the slab-by-slab sampling."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    return fn(pts.reshape(-1, 3)).reshape((resolution,) * 3)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that numpy and Python
+    allocate during the call, in bytes, as tracemalloc counts it: blocks
+    allocated before the call are not counted, so the peak is the call's
+    own and does not depend on the allocator's state."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from skylit import fields as fd
 from skylit import tape as tp
-from tests.conftest import reference_corner_index
+from tests.conftest import reference_corner_index, reference_from_function, traced_peak
 
 
 @pytest.fixture
@@ -22,6 +22,30 @@ def test_sphere_init_values(sphere_bound):
     v = fd.sdf_eval(bound, np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.5]]))
     assert abs(v.data[0]) < 5e-3
     assert v.data[1] == pytest.approx(0.4, abs=5e-3)
+
+
+@pytest.mark.parametrize("resolution", [2, 5, 64])
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker"])
+def test_from_function_matches_the_stacked_reference(name, resolution):
+    # one x-slab per call against one call on every node: the same grid,
+    # byte for byte, on each shipped scene
+    from skylit.scenes import make_scene
+
+    fn = make_scene(name, seed=0).sdf_np
+    got = fd.SdfField.from_function(fn, resolution=resolution).grid
+    assert got.tobytes() == reference_from_function(fn, resolution).tobytes()
+
+
+def test_from_function_holds_one_slab_of_nodes():
+    # the 64^3 grid (2.1 MB) and one slab's nodes and scene temporaries;
+    # the stack of every node and the scene's per-primitive distances of
+    # all of them peaked at 25.2 MB
+    from skylit.scenes import make_scene
+
+    fn = make_scene("two-sphere", seed=0).sdf_np
+    field, peak = traced_peak(fd.SdfField.from_function, fn, 64)
+    assert field.grid.shape == (64, 64, 64)
+    assert peak <= 4 * 2**20, peak
 
 
 def test_interpolation_matches_eight_corner_oracle():

@@ -511,7 +511,11 @@ def test_cli_rejects_checkpoint_that_disagrees_with_config_or_dataset(tmp_path, 
     refused(damaged, 6, 0, "ddf_grid")
 
 
-def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
+def _dataset_damager(tmp_path, capsys):
+    """A 3-view 12x10 dataset, a run trained on it, and ``damage(name,
+    edit, *words)``: eval of a copy of the dataset whose file ``name`` went
+    through ``edit`` must exit 2 with a config error that names the file
+    and each of ``words``."""
     out = tmp_path / "ds"
     cli_main(["generate", "--scene", "two-sphere", "--views", "3", "--seed",
               "1", "--out", str(out), "--width", "12", "--height", "10",
@@ -521,10 +525,8 @@ def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--data", str(out),
                      "--out", str(run), "--progress-every", "0"]) == 0
-    poses = (out / "poses.txt").read_text(encoding="utf-8").splitlines()
 
-    def damage(name, edit):
-        # a copy of the dataset with one file edited; eval must name it
+    def damage(name, edit, *words):
         ds = tmp_path / "damaged"
         shutil.rmtree(ds, ignore_errors=True)
         shutil.copytree(out, ds)
@@ -532,7 +534,16 @@ def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["eval", "--ckpt", str(run), "--dataset", str(ds),
                          "--dir-level", "0"]) == 2, name
-        assert name in capsys.readouterr().err.split("config error:")[1], name
+        err = capsys.readouterr().err.split("config error:")[1]
+        for word in (name,) + words:
+            assert word in err, (name, word)
+
+    return out, damage
+
+
+def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
+    out, damage = _dataset_damager(tmp_path, capsys)
+    poses = (out / "poses.txt").read_text(encoding="utf-8").splitlines()
 
     def cut(keep):
         return lambda path: path.write_bytes(path.read_bytes()[:keep(path)])
@@ -549,6 +560,30 @@ def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
         damage("poses.txt", lambda p, bad=bad: p.write_text(
             "\n".join([bad] + poses[1:]) + "\n", encoding="utf-8"))
     damage("poses.txt", lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()))
+
+
+def test_cli_names_an_image_of_another_size_than_meta(tmp_path, capsys):
+    # whole, readable files of the wrong size, which no reader can see
+    _, damage = _dataset_damager(tmp_path, capsys)
+    damage("view_001.pfm", lambda p: fileio.write_pfm(p, np.ones((6, 8, 3))))
+    damage("view_002.pfm", lambda p: fileio.write_pfm(p, np.ones((10, 12))))
+    damage("mask_000.pgm", lambda p: fileio.write_pgm(p, np.ones((10, 11))))
+    damage("shadow_002.pgm", lambda p: fileio.write_pgm(p, np.ones((12, 10))))
+
+
+@pytest.mark.parametrize("key, value", [("views", "three"), ("width", "12.0"),
+                                        ("height", ""), ("seed", "1e3"),
+                                        ("sun_dir", "0,0,up"), ("gt_Z", "0,,1"),
+                                        ("views", "0"), ("width", "-12")])
+def test_cli_names_a_meta_value_that_does_not_parse(tmp_path, capsys, key, value):
+    _, damage = _dataset_damager(tmp_path, capsys)
+
+    def edit(path):
+        meta = fileio.read_config(path)
+        meta[key] = value
+        fileio.write_config(path, meta)
+
+    damage("meta.txt", edit, key)
 
 
 def test_cli_rejects_view_index_out_of_range(tmp_path, capsys):

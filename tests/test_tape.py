@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from skylit import tape as tp
-from tests.conftest import reference_lambert_quadrature
+from tests.conftest import reference_lambert_quadrature, reference_to_dense, traced_peak
 
 
 def test_square_gradient():
@@ -747,7 +747,7 @@ def test_gathers_on_one_parameter_merge_into_one_scatter(shape, kinds, seed):
     # than one gather ("flat" gathers rows of a 1-D reshape of the
     # parameter, "flat_of_reshape" of a 1-D reshape of a 2-D reshape), with
     # overlapping indices, plus two dense uses:
-    # backward merges the gathers' adjoints into one bincount per Var and
+    # backward merges the gathers' adjoints into one densify per Var and
     # adds the dense terms
     rng = np.random.default_rng(seed)
     n0, n1, c = shape
@@ -787,10 +787,99 @@ def test_gathers_on_one_parameter_merge_into_one_scatter(shape, kinds, seed):
     assert np.array_equal(got, want)
 
 
+_SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 4)),
+       pieces=st.lists(st.tuples(st.integers(0, 40), st.sampled_from([np.int32, np.intp]),
+                                 st.booleans(), st.booleans()), min_size=1, max_size=5),
+       dense=st.booleans(), special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 1), pieces=[(0, np.intp, False, False)], dense=False, special=False,
+         seed=0)
+@example(shape=(2, 3), pieces=[(7, np.int32, False, False), (0, np.intp, True, False),
+                               (9, np.intp, True, True)], dense=True, special=True, seed=3)
+def test_to_dense_matches_the_bincount_reference(shape, pieces, dense, special, seed):
+    # pieces of int32 or intp indices that repeat within and across pieces,
+    # empty pieces, some built on the transposed shape and merged through
+    # ``reshape``, values with -0.0, NaN, +-inf and denormals, and an
+    # optional dense term: the in-place adds and one bincount over the
+    # concatenation must agree byte for byte
+    rng = np.random.default_rng(seed)
+    size = shape[0] * shape[1]
+    out = tp._Scatter(shape, [np.zeros(0, dtype=np.intp)], [np.zeros(0)])
+    for n, dtype, reshaped, strided in pieces:
+        idx = rng.integers(0, min(size, 3) if n > 4 else size, size=2 * n).astype(dtype)
+        vals = rng.normal(size=2 * n) * 10.0 ** rng.integers(-3, 4, size=2 * n)
+        if special and n:
+            vals[rng.integers(0, 2 * n, size=3)] = rng.choice(_SPECIAL, size=3)
+        if strided:  # views, as the gathers' flattened adjoints can be
+            idx, vals = idx[::2], vals[::2]
+        else:
+            idx, vals = idx[:n], vals[:n]
+        piece = (tp._Scatter(shape[::-1], [idx], [vals]).reshape(shape) if reshaped
+                 else tp._Scatter(shape, [idx], [vals]))
+        out = out.merge(piece)
+    if dense:
+        out = out.merge(rng.normal(size=shape))
+    got, want = out.to_dense(), reference_to_dense(out)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_to_dense_overflows_silently_as_bincount_does():
+    # a RuntimeWarning is an error under the suite's filter; a sum that
+    # overflows, or meets inf - inf, is left for Adam's finiteness check
+    scatter = tp._Scatter((2,), [np.array([0, 0, 1, 1])],
+                          [np.array([1e308, 1e308, np.inf, -np.inf])])
+    got = scatter.to_dense()
+    assert got.tobytes() == reference_to_dense(scatter).tobytes()
+    assert got[0] == np.inf and np.isnan(got[1])
+
+
+def test_backward_densifies_as_the_bincount_reference(tiny_dataset, two_sphere_scene,
+                                                      monkeypatch):
+    # every scatter that real train and fit steps densify, checked against
+    # the reference as it is densified
+    from skylit import train as tr
+    from tests.conftest import tiny_train_config
+
+    densify, checked = tp._Scatter.to_dense, []
+
+    def checked_to_dense(scatter):
+        got = densify(scatter)
+        assert got.tobytes() == reference_to_dense(scatter).tobytes()
+        checked.append(sum(i.size for i in scatter.index))
+        return got
+
+    monkeypatch.setattr(tp._Scatter, "to_dense", checked_to_dense)
+    trainer = tr.Trainer(tiny_dataset[1], tiny_train_config(steps=4))
+    for _ in range(3):
+        trainer.train_step()
+    tr.fit_ddf_to_scene(two_sphere_scene, steps=2, warmup=0, n_positions=4,
+                        n_directions=16, multiview_pairs=8)
+    assert len(checked) >= 10 and max(checked) > 1000
+
+
+def test_to_dense_allocates_only_its_output():
+    # 4 x 150k entries, int32 and intp, into 100k slots: the in-place adds
+    # allocate the output and at most a ufunc buffer, where one bincount
+    # over the concatenation copied every index and value first (9.6 MB)
+    rng = np.random.default_rng(4)
+    n_slots, n = 100_000, 150_000
+    index = [rng.integers(0, n_slots, size=n).astype(dt)
+             for dt in (np.int32, np.intp, np.int32, np.intp)]
+    values = [rng.normal(size=n) for _ in index]
+    scatter = tp._Scatter((n_slots,), index, values, dense=rng.normal(size=n_slots))
+    out, peak = traced_peak(scatter.to_dense)
+    assert out.tobytes() == reference_to_dense(scatter).tobytes()
+    assert peak <= out.nbytes + 2**17, peak
+
+
 @pytest.mark.parametrize("gather", ["take_rows", "multilinear"])
 def test_empty_gather_densifies_to_float(gather):
-    # bincount of no indices counts in int64; the slot's gradient must stay
-    # float64 when a dense term joins the empty scatter
+    # a scatter of no indices densifies to float64 zeros, also when a dense
+    # term joins it
     from skylit import fields as fd
 
     rng = np.random.default_rng(10)

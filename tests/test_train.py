@@ -315,7 +315,7 @@ def test_adam_keeps_state_only_for_entries_with_gradients():
 
 def test_compact_adam_trains_as_the_textbook_adam(tiny_dataset, two_sphere_scene,
                                                   monkeypatch):
-    # the real gradients: gather adjoints, -0.0 sums of np.bincount, 0-d slots
+    # the real gradients: gather adjoints, -0.0 sums densified to +0.0, 0-d slots
     _, dataset = tiny_dataset
     cfg = tiny_train_config(steps=30, ddf_refresh_every=10)
     compact, textbook = tr.Trainer(dataset, cfg), tr.Trainer(dataset, cfg)
