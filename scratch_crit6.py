@@ -23,7 +23,7 @@ def shadow_region_points(scene, n=400, margin=0.8, rng=None):
     while len(pts) < n:
         cand = center + rng.uniform(-0.35, 0.35, size=(4 * n, 2))
         ground = np.concatenate([cand, np.zeros((len(cand), 1))], axis=1)
-        occ = scene.occluded(ground + [0, 0, 1e-4], sun[None, :])[:, 0]
+        occ = scene.any_hit(ground + [0, 0, 1e-4], sun)
         inside = occ & (np.linalg.norm(ground, axis=1) < 0.95)
         pts.extend(ground[inside][: n - len(pts)])
     pts = np.asarray(pts[:n])

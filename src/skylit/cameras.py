@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConfigError, normalize
+from .geometry import WORLD_UP, ConfigError, normalize
 
 
 @dataclass
@@ -49,11 +49,11 @@ class Camera:
         return np.stack([u.reshape(-1), v.reshape(-1)], axis=1)
 
     @classmethod
-    def look_at(cls, eye, target, width, height, fov_x_deg=55.0,
-                up=(0.0, 0.0, 1.0)):
+    def look_at(cls, eye, target, width, height, fov_x_deg=55.0):
+        """A camera at ``eye`` looking at ``target``, with world +z up."""
         eye = np.asarray(eye, dtype=np.float64)
         z = normalize(np.asarray(target, dtype=np.float64) - eye)
-        x = np.cross(z, np.asarray(up, dtype=np.float64))
+        x = np.cross(z, WORLD_UP)
         nx = np.linalg.norm(x)
         if nx < 1e-9:  # looking straight along up: pick an arbitrary right
             x = np.array([1.0, 0.0, 0.0])

@@ -116,7 +116,7 @@ def _cmd_relight(args):
     dataset, trainer = _load(args, holdout=args.holdout, test=args.test)
     sky, info = tr.fit_holdout_illumination(
         trainer.fields, trainer.ddf, trainer.vis_params, trainer.decoder,
-        dataset, args.holdout, steps=args.fit_steps,
+        dataset, args.holdout, steps=args.fit_steps, dir_level=args.dir_level,
     )
     if info["no_sky_pixels"]:
         print("warning: holdout view has no sky pixels; used appearance only")
@@ -273,6 +273,9 @@ def main(argv=None):
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory given as a file, a file as a directory, ...
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -287,9 +287,8 @@ def sdf_eval(bound, x):
 
 
 def sdf_normals(bound, x_np):
-    """Unit normals from the analytic interpolant gradient; returns the
-    normals Var plus a mask of degenerate (vanishing-gradient) queries that
-    fell back to world-up."""
+    """Unit normals from the analytic interpolant gradient, a Var; a query
+    whose gradient vanishes falls back to world-up."""
     res = bound.fields.sdf.resolution
     g = multilinear(bound.sdf_grid, cell_coords(x_np, res), CLAMPED_3D,
                     spatial_grad=True) * ((res - 1) / 2.0)
@@ -298,7 +297,7 @@ def sdf_normals(bound, x_np):
     n = g / tp.reshape(tp.maximum(tp.norm_last(g), 1e-12), (-1, 1))
     if np.any(degen):
         n = tp.where(degen[:, None], np.broadcast_to(WORLD_UP, n.data.shape), n)
-    return n, degen
+    return n
 
 
 def albedo_eval(bound, x):

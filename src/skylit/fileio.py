@@ -129,7 +129,9 @@ def write_config(path, entries):
 
 
 def read_config(path):
-    """Flat 'key = value' text with '#' comments; values stay strings."""
+    """Flat 'key = value' text with '#' comments; values stay strings.
+    ConfigError naming ``path:line`` for a line that is not 'key = value'
+    or a key given twice."""
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -138,8 +140,10 @@ def read_config(path):
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key, value = (t.strip() for t in stripped.split("=", 1))
+            if key in entries:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is given twice")
+            entries[key] = value
     return entries
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
-ICOSPHERE_COUNTS = (12, 42, 162, 642, 2562, 10242, 40962)
 MAX_ICOSPHERE_LEVEL = 6
 
 

@@ -22,22 +22,21 @@ from .geometry import spherical_to_dir
 class LobeDecoder:
     axes: np.ndarray          # (K,3) unit lobe directions
     kappas: np.ndarray        # (K,) concentrations
-    latent_mean: np.ndarray   # (3,K) prior mean used when *sampling* skies
 
     @property
     def n_lobes(self):
         return self.axes.shape[0]
 
     @classmethod
-    def default(cls, n_lobes=16, kappa=8.0, elevation_deg=35.0, upper_mean_bias=0.2):
+    def default(cls, n_lobes=16):
         """Two polar caps plus two azimuthal rings of (n_lobes - 2) / 2 lobes
-        each; n_lobes must be even and at least 2."""
+        each, at 35 degrees above and below the horizon, every lobe of
+        concentration 8; n_lobes must be even and at least 2."""
         if n_lobes < 2 or n_lobes % 2:
             raise ValueError(f"lobe count must be 2 + 2 * ring_size, got {n_lobes}")
         ring_size = (n_lobes - 2) // 2
-        elev = np.radians(elevation_deg)
+        elev = np.radians(35.0)
         axes = [np.array([0.0, 0.0, 1.0])]
-        upper = tuple(range(1, 1 + ring_size))
         for j in range(ring_size):
             phi = 2.0 * np.pi * j / ring_size
             axes.append(spherical_to_dir(np.pi / 2 - elev, phi))
@@ -46,11 +45,7 @@ class LobeDecoder:
             axes.append(spherical_to_dir(np.pi / 2 + elev, phi))
         axes.append(np.array([0.0, 0.0, -1.0]))
         axes = np.asarray(axes)
-        mean = np.zeros((3, len(axes)))
-        mean[:, 0] = upper_mean_bias           # lighting-from-above prior
-        mean[:, list(upper)] = upper_mean_bias
-        return cls(axes=axes, kappas=np.full(len(axes), float(kappa)),
-                   latent_mean=mean)
+        return cls(axes=axes, kappas=np.full(len(axes), 8.0))
 
     def basis(self, dirs):
         """b_k(d) for unit rows ``dirs``; (D,K), values in (0,1]."""
@@ -136,7 +131,3 @@ def export_envmap(bank, row, width, height):
     dirs = spherical_to_dir(tt.reshape(-1), pp.reshape(-1))
     return radiance(bank, row, dirs).reshape(height, width, 3)
 
-
-def sample_latent(decoder, rng, scale=1.0):
-    """Draw Z from the decoder's natural-illumination prior (biased mean)."""
-    return decoder.latent_mean + scale * rng.normal(size=(3, decoder.n_lobes))

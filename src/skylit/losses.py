@@ -2,10 +2,10 @@
 
 Each term is the mean over the batch it is passed: its sum divided once by
 the batch's count, which each docstring names, so callers only weight and
-add. Entries a term skips (a miss ray, a dropped sky ray, an invalid pair,
-a degenerate normal) still count and add 0. The mean of an empty batch is
-an on-tape zero: the term runs the same path on the empty set and divides
-by max(n, 1), so ``backward`` gives all-zero gradients instead of failing.
+add. Entries a term skips (a miss ray, a dropped sky ray, an invalid pair)
+still count and add 0. The mean of an empty batch is an on-tape zero: the
+term runs the same path on the empty set and divides by max(n, 1), so
+``backward`` gives all-zero gradients instead of failing.
 Every term is zero exactly at its documented fixed points. The epsilon
 anneal acts on one scalar and has no batch. The DDF depth and levelset
 terms take the DDF's predicted depth at their batch, one
@@ -110,8 +110,7 @@ def _as_items(vectors):
     return vectors.view(np.dtype((np.void, 3 * vectors.itemsize)))[..., 0]
 
 
-def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
-                     kappa=20.0, min_z=0.0):
+def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128, kappa=20.0):
     """Draw the paper-style DDF batch: positions uniform on the upper
     hemisphere, directions vMF-concentrated toward the scene center,
     rejected to inward and sky-side, with sphere-traced depths.
@@ -119,14 +118,8 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
     Each rejection round draws ``n_directions`` vMF candidates' uniforms for
     every position, full ones included, so that the draws do not depend on
     how the rounds went; only the positions still filling turn theirs into
-    directions (``geometry._vmf_rotate``, row by row the same bits).
-
-    ``min_z`` must lie in [0, 1): a position below the horizon has few or no
-    directions that are both inward and sky-side, and the rejection loop
-    would never fill it."""
-    if not 0.0 <= min_z < 1.0:
-        raise ValueError(f"min_z must be in [0, 1), got {min_z!r}")
-    positions = sample_sphere(rng, n_positions, min_z=min_z)
+    directions (``geometry._vmf_rotate``, row by row the same bits)."""
+    positions = sample_sphere(rng, n_positions, min_z=0.0)
     means = normalize(-positions)
     dirs = np.zeros((n_positions, n_directions, 3))
     filled = np.zeros(n_positions, dtype=np.int64)
@@ -213,7 +206,7 @@ def ddf_multiview_loss(pairs, bound_ddf):
     return tp.vsum(hinge * hinge) / max(len(s1), 1)
 
 
-def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0, min_z=0.0):
+def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0):
     """(s1, d1, s2) triples; s1 upper hemisphere with vMF directions like the
     depth batch, restricted to rays that hit the scene (a miss termination
     point is empty space and would assert a false occlusion bound); s2
@@ -229,7 +222,7 @@ def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0, min_z=0.0):
     for _ in range(8):
         if need <= 0:
             break
-        s1 = sample_sphere(rng, 2 * need, min_z=min_z)
+        s1 = sample_sphere(rng, 2 * need, min_z=0.0)
         cand = vmf_sample_batch(-s1, kappa, 8, rng)
         ok = (np.einsum("pqc,pc->pq", cand, s1) < -1e-6) & (cand[..., 2] <= 0.0)
         valid_row = ok.any(axis=1)
@@ -266,21 +259,6 @@ def ddf_sky_loss(origins, ray_dirs, bound_ddf):
     dist = t_exit[keep] - t_entry[keep]
     pred = ddf_eval(bound_ddf, s, -r[keep], strict=False)
     return tp.vsum(tp.maximum(dist - pred, 0.0)) / max(len(o), 1)
-
-
-def ground_plane_loss(weighted_normals):
-    """MonoSDF-style consistency of volume-rendered normals with world-up:
-    the mean of ||N - w||_1 + ||1 - N.w||_1 over the ground rays passed;
-    degenerate rays (unnormalizable N) add 0."""
-    raw = weighted_normals
-    norm = np.linalg.norm(raw.data, axis=-1)
-    valid = norm > 1e-6
-    n = raw / tp.reshape(tp.maximum(tp.norm_last(raw), 1e-12), (-1, 1))
-    up = np.array([0.0, 0.0, 1.0])
-    l1 = tp.vsum(tp.absolute(n - up), axis=-1)
-    align = tp.absolute(1.0 - tp.vsum(n * up, axis=-1))
-    per_ray = tp.where(valid, l1 + align, np.zeros(l1.data.shape))
-    return tp.vsum(per_ray) / max(raw.shape[0], 1)
 
 
 def eps_anneal_loss(epsilon):

@@ -78,7 +78,7 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
     rows = np.flatnonzero(shaded)
     ray = rows // n_samples
     albedo = fd.albedo_eval(bound_fields, pts[rows])
-    normals, _ = fd.sdf_normals(bound_fields, pts[rows])
+    normals = fd.sdf_normals(bound_fields, pts[rows])
     w_rows = tp.reshape(tp.take_rows(tp.reshape(w, (-1,)), rows), (-1, 1))
 
     d_world = dir_set.directions @ np.asarray(jitter).T

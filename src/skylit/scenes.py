@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .cameras import Camera
 from .geometry import ConfigError, icosphere_directions, normalize, srgb
-from .illumination import IlluminationBank, LobeDecoder, radiance, sample_latent
+from .illumination import IlluminationBank, LobeDecoder, radiance
 
 CLASS_SKY = 0
 CLASS_GROUND = 1
@@ -196,31 +196,21 @@ class SyntheticScene:
         return t, np.argmin(ts, axis=0), np.isfinite(t)
 
     def any_hit(self, origins, dirs):
-        """Whether each ray, origins broadcast against dirs, hits some
-        primitive inside the unit ball: ``intersect``'s ``hit``, with no
-        nearest hit sought."""
+        """``intersect``'s ``hit`` alone, origins broadcast against dirs.
+        Each primitive tests its ``candidates`` on the inputs as given (points
+        (N,1,3) against directions (1,D,3) compute ``c`` once per point) and
+        solves for roots only on those rays, gathered flat: most rays from a
+        surface point miss most primitives, and a candidate test costs about
+        half a root solve. Offset points off their surfaces first."""
         o = np.atleast_2d(origins)
         d = np.atleast_2d(dirs)
-        hit = np.zeros(np.broadcast_shapes(o.shape, d.shape)[:-1], dtype=bool)
+        o_all, d_all = np.broadcast_arrays(o, d)
+        hit = np.zeros(o_all.shape[:-1], dtype=bool)
         for prim in self.primitives:
-            hit |= _in_ball(o, d, prim.intersect(o, d))
+            cand = prim.candidates(o, d)
+            oi, di = o_all[cand], d_all[cand]
+            hit[cand] |= _in_ball(oi, di, prim.intersect(oi, di))
         return hit
-
-    def occluded(self, points, dirs):
-        """Any-hit occlusion test of (N,3) points against (D,3) directions:
-        (N,D) booleans, True where any primitive is hit inside the unit ball.
-        Each primitive solves for its roots only on its ``candidates``,
-        gathered as flat rays: most rays from a surface point miss most
-        primitives, and a candidate test costs about half a root solve.
-        Points should already be offset off their surfaces."""
-        o = np.atleast_2d(points)
-        d = np.atleast_2d(dirs)
-        occ = np.zeros((o.shape[0], d.shape[0]), dtype=bool)
-        for prim in self.primitives:
-            i, j = np.nonzero(prim.candidates(o[:, None, :], d[None, :, :]))
-            oi, dj = o[i], d[j]
-            occ[i, j] |= _in_ball(oi, dj, prim.intersect(oi, dj))
-        return occ
 
     def surface_info(self, prim_idx, pts):
         normals = np.zeros_like(pts)
@@ -246,9 +236,9 @@ class SyntheticScene:
         return out
 
 
-def _sun_sky(decoder, rng, sun_lobe, sun_log_amp=(2.3, 2.1, 1.8),
-               ambient_scale=0.15):
-    z = sample_latent(decoder, rng, scale=ambient_scale)
+def _sun_sky(decoder, rng, sun_lobe, sun_log_amp=(2.3, 2.1, 1.8)):
+    # lighting from above: the lobes over the horizon drawn around 0.2
+    z = 0.2 * (decoder.axes[:, 2] > 0) + 0.15 * rng.normal(size=(3, decoder.n_lobes))
     z[:, sun_lobe] += np.asarray(sun_log_amp)
     return IlluminationBank(decoder, z[None], [0.0]), decoder.axes[sun_lobe].copy()
 
@@ -294,18 +284,19 @@ def make_scene(name, seed=0):
     raise ValueError(f"unknown scene {name!r}")
 
 
-def render_ground_truth(scene, camera, quad_level=4, chunk=2048):
+def render_ground_truth(scene, camera, quad_level=4):
     """Exact-reference render: closed-form hits, dense fixed quadrature,
     binary per-direction shadows (upper hemisphere only). A direction is
-    shadowed when ``SyntheticScene.occluded``'s any-hit test finds some
-    primitive along it inside the unit ball; hits beyond the ball are sky.
-    Returns linear image, class map, and the binary sun-shadow mask."""
+    shadowed when ``SyntheticScene.any_hit`` finds some primitive along it
+    inside the unit ball; hits beyond the ball are sky. Returns linear
+    image, class map, and the binary sun-shadow mask."""
     quad = icosphere_directions(quad_level).directions
     upper = quad[:, 2] > 0.0
     light = radiance(scene.illumination, 0, quad)
 
     pixels = camera.all_pixels()
     n_px = pixels.shape[0]
+    chunk = 2048  # pixels per pass; bounds the memory
     img = np.zeros((n_px, 3))
     classes = np.zeros(n_px, dtype=np.uint8)
     shadow = np.zeros(n_px, dtype=np.uint8)
@@ -322,14 +313,14 @@ def render_ground_truth(scene, camera, quad_level=4, chunk=2048):
             pts = o[hit] + t[hit, None] * d[hit]
             normals, albedo, cls = scene.surface_info(prim_idx[hit], pts)
             off = pts + 1e-4 * normals
-            occ = scene.occluded(off, quad[upper])
+            occ = scene.any_hit(off[:, None, :], quad[upper][None, :, :])
             cos = np.maximum(normals @ quad.T, 0.0)
             cos[:, upper] *= ~occ
             quad_w = 4.0 * np.pi / quad.shape[0]
             irr = quad_w * (cos @ light)
             sl_img[hit] = albedo * irr
             classes[lo:lo + chunk][hit] = cls
-            sun_occ = scene.occluded(off, scene.sun_dir[None, :])[:, 0]
+            sun_occ = scene.any_hit(off, scene.sun_dir)
             shadow[lo:lo + chunk][hit] = sun_occ.astype(np.uint8)
     shape = (camera.height, camera.width)
     return img.reshape(shape + (3,)), classes.reshape(shape), shadow.reshape(shape)

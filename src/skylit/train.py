@@ -29,7 +29,7 @@ from . import tape as tp
 from . import visibility as vz
 from .cameras import Camera
 from .geometry import VMF_KAPPA_MIN, ConfigError, icosphere_directions, so3_jitter
-from .scenes import CLASS_GROUND, CLASS_SKY, CLASS_TRANSIENT
+from .scenes import CLASS_SKY, CLASS_TRANSIENT
 
 
 _BOOLS = {"1": True, "true": True, "yes": True,
@@ -41,7 +41,7 @@ _PARSERS = {"bool": lambda s: _BOOLS[s.strip().lower()], "int": int,
 
 # loss terms, each weighted by TrainConfig's weight_<term>
 LOSS_TERMS = ("appearance", "prior", "sky", "ddf_depth", "ddf_levelset",
-              "ddf_multiview", "ddf_sky", "ground_plane", "eps_anneal")
+              "ddf_multiview", "ddf_sky", "eps_anneal")
 
 
 def _key(default, range_, meaning):
@@ -111,8 +111,6 @@ class TrainConfig:
         128, "[1, inf)", "inward directions per point of that batch")
     vmf_kappa: float = _key(
         20.0, f"[{VMF_KAPPA_MIN}, inf)", "vMF concentration of those directions")
-    ddf_min_z: float = _key(
-        0.0, "[0, 1)", "lowest height of those points (0: the horizon)")
     ddf_refresh_every: int = _key(
         50, "[1, inf)", "steps between fresh DDF supervision batches")
     ddf_multiview_pairs: int = _key(
@@ -130,8 +128,6 @@ class TrainConfig:
         1.0, _WEIGHT, "multiplier of the DDF's multiview-consistency loss")
     weight_ddf_sky: float = _key(
         1.0, _WEIGHT, "multiplier of the sky rays' DDF see-through loss")
-    weight_ground_plane: float = _key(
-        0.0, _WEIGHT, "multiplier of the ground normals' world-up loss")
     weight_eps_anneal: float = _key(
         0.05, _WEIGHT, "multiplier of the visibility threshold's pull to 0")
     data_dir: str = _key("", None, "dataset directory, read when --data is not given")
@@ -510,11 +506,10 @@ class Trainer:
         cfg = self.cfg
         self.ddf_batch = ls.sample_ddf_batch(
             self.fields.sdf, self.rng, cfg.ddf_positions, cfg.ddf_directions,
-            kappa=cfg.vmf_kappa, min_z=cfg.ddf_min_z,
+            kappa=cfg.vmf_kappa,
         )
         self.mv_pairs = ls.sample_multiview_pairs(
-            self.fields.sdf, self.rng, cfg.ddf_multiview_pairs,
-            kappa=cfg.vmf_kappa, min_z=cfg.ddf_min_z,
+            self.fields.sdf, self.rng, cfg.ddf_multiview_pairs, kappa=cfg.vmf_kappa,
         )
 
     def train_step(self):
@@ -544,7 +539,6 @@ class Trainer:
                 if cfg.weight_ddf_depth > 0 or cfg.weight_ddf_levelset > 0 else None)
         # each term is its batch's mean (an empty batch gives an on-tape 0)
         sky = batch.classes == CLASS_SKY
-        ground = batch.classes == CLASS_GROUND
         compute = {
             "appearance": lambda: ls.appearance_loss(out["rgb"], batch.gt),
             "prior": lambda: il.prior_loss(bi.Z),
@@ -555,8 +549,6 @@ class Trainer:
             "ddf_multiview": lambda: ls.ddf_multiview_loss(self.mv_pairs, bd),
             "ddf_sky": lambda: ls.ddf_sky_loss(batch.origins[sky],
                                                batch.dirs[sky], bd),
-            "ground_plane": lambda: ls.ground_plane_loss(
-                out["weighted_normals"][ground]),
             "eps_anneal": lambda: ls.eps_anneal_loss(bd.epsilon()),
         }
         lrs = self.learning_rates(step)

@@ -96,6 +96,12 @@ def tiny_trainer(tiny_dataset):
     return tr.Trainer(dataset, tiny_train_config())
 
 
+def sky_latent(decoder, rng):
+    """A sky latent of unit spread about the scenes' sky mean: 0.2 on the
+    lobes above the horizon, 0 below."""
+    return 0.2 * (decoder.axes[:, 2] > 0) + rng.normal(size=(3, decoder.n_lobes))
+
+
 def bind_fields(fields, sdf_grid, log_inv_s, albedo_grid):
     """A ``fd.BoundFields`` of explicit Vars, as gradient checks drive the
     parameters directly."""
@@ -216,13 +222,13 @@ def reference_vmf_sample_batch(mean_dirs, kappa, n_per, rng):
 
 
 def reference_sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128,
-                               kappa=20.0, min_z=0.0):
+                               kappa=20.0):
     """Reference for ``losses.sample_ddf_batch``: the same batch filled one
     position at a time from ``reference_vmf_sample_batch``'s draws, which
     turn every position's uniforms into directions each round, full
     positions included, and traced as flat rays with the positions
     repeated. The two must agree byte for byte."""
-    positions = sample_sphere(rng, n_positions, min_z=min_z)
+    positions = sample_sphere(rng, n_positions, min_z=0.0)
     dirs = np.zeros((n_positions, n_directions, 3))
     filled = np.zeros(n_positions, dtype=np.int64)
     while np.any(filled < n_directions):
@@ -255,11 +261,12 @@ def reference_in_ball(o, d, t):
 
 
 class ReferenceScene(sc.SyntheticScene):
-    """Reference for ``SyntheticScene.intersect``, ``any_hit`` and
-    ``occluded``: every primitive solves for its roots on every ray, and
-    ``reference_in_ball`` tests the hits. ``occluded`` is ``intersect``'s
-    hit of every point against every direction, and ``any_hit`` its hit
-    alone. Built from a scene with ``of``; each must agree byte for byte
+    """Reference for ``SyntheticScene.intersect`` and ``any_hit``: every
+    primitive solves for its roots on every ray, and ``reference_in_ball``
+    tests the hits. ``any_hit`` is ``intersect``'s hit alone, and
+    ``occluded`` its hit of every point (N,3) against every direction
+    (D,3), which ``any_hit`` gives for points (N,1,3) against directions
+    (1,D,3). Built from a scene with ``of``; each must agree byte for byte
     with the scene's own."""
 
     @classmethod
@@ -307,8 +314,7 @@ def reference_levelset_loss(batch, bound_ddf, bound_fields):
     return tp.vsum(f * f) / max(batch.flat_depths.size, 1)
 
 
-def reference_sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0,
-                                     min_z=0.0):
+def reference_sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0):
     """Reference for ``losses.sample_multiview_pairs`` (n_pairs >= 1): the
     same rounds, each traced in full by ``sphere_trace``, of which only
     ``hit`` is read. The two must agree byte for byte, rng state included."""
@@ -317,7 +323,7 @@ def reference_sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0,
     for _ in range(8):
         if need <= 0:
             break
-        s1 = sample_sphere(rng, 2 * need, min_z=min_z)
+        s1 = sample_sphere(rng, 2 * need, min_z=0.0)
         cand = vmf_sample_batch(-s1, kappa, 8, rng)
         ok = (np.einsum("pqc,pc->pq", cand, s1) < -1e-6) & (cand[..., 2] <= 0.0)
         valid_row = ok.any(axis=1)
@@ -352,7 +358,7 @@ def dense_render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs,
     x_e = tp._lift(origins) + tp.reshape(t_e, (-1, 1)) * dirs
 
     albedo = tp.reshape(fd.albedo_eval(bound_fields, pts), (n_rays, n_samples, 3))
-    normals, _ = fd.sdf_normals(bound_fields, pts)
+    normals = fd.sdf_normals(bound_fields, pts)
     normals = tp.reshape(normals, (n_rays, n_samples, 3))
 
     d_world = dir_set.directions @ np.asarray(jitter).T

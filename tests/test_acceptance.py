@@ -115,8 +115,8 @@ def _toy_setup():
             ("sdf_grid", "sdf_log_inv_s", "albedo_grid", "ddf_grid",
              "vis_eps_raw", "illum_Z", "illum_log_gamma"),
         ),
-        # sky and ground_plane read only densities, normals and the sky:
-        # albedo never reaches them, so it is not among their slots
+        # sky reads only densities and the sky: albedo never reaches it,
+        # so it is not among its slots
         "sky": (
             sky_term,
             ("sdf_grid", "sdf_log_inv_s", "illum_Z", "illum_log_gamma"),
@@ -141,11 +141,6 @@ def _toy_setup():
         "ddf_sky": (
             lambda t, pv: ls.ddf_sky_loss(sky_o, sky_d, bound_all(t, pv)[2]),
             ("ddf_grid",),
-        ),
-        "ground_plane": (
-            lambda t, pv: ls.ground_plane_loss(
-                render(t, pv, with_vis=False)["weighted_normals"]),
-            ("sdf_grid", "sdf_log_inv_s"),
         ),
         "eps_anneal": (
             lambda t, pv: ls.eps_anneal_loss(

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -13,11 +14,12 @@ from skylit import fileio, metrics
 from skylit import scenes as sc
 from skylit import tape as tp
 from skylit import train as tr
+from skylit import cli as cli_module
 from skylit import visibility as vz
 from skylit.cameras import Camera
 from skylit.cli import _load_aligned, build_parser
 from skylit.cli import main as cli_main
-from skylit.geometry import srgb
+from skylit.geometry import ConfigError, srgb
 from tests.conftest import CLI_CONFIG
 
 
@@ -73,12 +75,24 @@ def test_config_roundtrip_and_comments(tmp_path):
     path.write_text("# comment\nsteps = 12\nname = hello  # trailing\n\n")
     entries = fileio.read_config(path)
     assert entries == {"steps": "12", "name": "hello"}
-    from skylit.geometry import ConfigError
 
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense line\n")
     with pytest.raises(ConfigError):
         fileio.read_config(bad)
+
+
+def test_config_refuses_a_key_given_twice(tmp_path, capsys):
+    # the last value used to win: steps = 10, then steps = 20, trained 20
+    path = tmp_path / "cfg.txt"
+    path.write_text("steps = 10\n# then\n steps=20\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:3: 'steps' is given twice")):
+        fileio.read_config(path)
+    rc = cli_main(["train", "--config", str(path), "--data", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"config error: {path}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_metrics_values():
@@ -234,6 +248,28 @@ def test_cli_generate_and_unknown(tmp_path, capsys):
     assert cli_main([]) != 0
 
 
+def test_cli_names_a_config_path_it_cannot_read(tmp_path, capsys):
+    # a directory given as the config was an IsADirectoryError traceback
+    argv = ["--data", str(tmp_path / "ds"), "--out", str(tmp_path / "run")]
+    assert cli_main(["train", "--config", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and str(tmp_path) in err
+    missing = tmp_path / "no.txt"
+    assert cli_main(["train", "--config", str(missing)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing file:") and str(missing) in err
+
+
+def test_cli_names_a_file_given_as_the_output_directory(tmp_path, capsys):
+    # an existing file given as --out was a FileExistsError traceback
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli_main(["generate", "--scene", "two-sphere", "--views", "2", "--out",
+                     str(out), "--width", "8", "--height", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and str(out) in err
+
+
 def test_readme_quick_start_parses_with_the_cli():
     # every `skylit ...` line of README's Quick start is a valid command
     # line, and together they show every subcommand
@@ -270,6 +306,32 @@ def test_cli_dir_level_only_where_it_shades(command, shades, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert "--dir-level" in capsys.readouterr().err
+
+
+def test_cli_relight_fits_at_the_dir_level_it_renders(tmp_path, monkeypatch):
+    # the holdout fit ran at its own default level 2 whatever --dir-level gave
+    out = tmp_path / "ds"
+    cli_main(["generate", "--scene", "sphere-plane", "--views", "3", "--seed",
+              "3", "--out", str(out), "--width", "12", "--height", "10",
+              "--quad-level", "1"])
+    cfg = tmp_path / "cfg.txt"
+    fileio.write_config(cfg, CLI_CONFIG)
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--data", str(out),
+                     "--out", str(run)]) == 0
+    levels = []
+    fit, render = tr.fit_holdout_illumination, cli_module.render_image
+    monkeypatch.setattr(tr, "fit_holdout_illumination", lambda *a, **kw: (
+        levels.append(("fit", kw.get("dir_level"))) or fit(*a, **kw)))
+    monkeypatch.setattr(cli_module, "render_image", lambda *a, **kw: (
+        levels.append(("render", kw.get("dir_level"))) or render(*a, **kw)))
+    for level in (0, 1):
+        levels.clear()
+        assert cli_main(["relight", "--ckpt", str(run), "--dataset", str(out),
+                         "--holdout", "1", "--test", "2", "--fit-steps", "2",
+                         "--out", str(tmp_path / "relit"),
+                         "--dir-level", str(level)]) == 0
+        assert levels == [("fit", level), ("render", level)]
 
 
 def test_cli_eval_matches_metrics_oracle(tmp_path, capsys):
@@ -441,8 +503,8 @@ def test_cli_shadow_reports_bad_sun_as_config_error(tmp_path, capsys, sun):
 
 def test_cli_train_rejects_bad_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    for key, value in (("weight_sky", -1.0), ("near", "nan"), ("ddf_min_z", 1),
-                       ("sdf_resolution", 1), ("seed", -1), ("illum_lobes", 0)):
+    for key, value in (("weight_sky", -1.0), ("near", "nan"), ("sdf_resolution", 1),
+                       ("seed", -1), ("illum_lobes", 0)):
         fileio.write_config(cfg, {**CLI_CONFIG, key: value})
         rc = cli_main(["train", "--config", str(cfg), "--data", str(tmp_path / "ds"),
                        "--out", str(tmp_path / "run")])

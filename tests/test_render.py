@@ -9,7 +9,7 @@ from skylit import visibility as vz
 from skylit.cameras import Camera
 from skylit.geometry import icosphere_directions, so3_jitter, srgb
 from tests.conftest import (bind_ddf, bind_fields, bind_illumination, dense_render_rays,
-                            plane_shading)
+                            plane_shading, sky_latent)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_shade_isotropy_uniform_sky(unit_sky):
 def test_shade_jitter_stability():
     rng = np.random.default_rng(2)
     dec = il.LobeDecoder.default()
-    z = il.sample_latent(dec, rng)
+    z = sky_latent(dec, rng)
     sky = il.IlluminationBank(dec, z[None], [0.0])
     n = np.array([0.0, 0.0, 1.0])
     c1, _ = plane_shading(n, sky, jitter=so3_jitter(rng))
@@ -85,7 +85,7 @@ def test_shade_monotone_in_visibility(dirs642):
     # render_rays) never lowers any output of the quadrature op
     rng = np.random.default_rng(3)
     dec = il.LobeDecoder.default()
-    sky = il.IlluminationBank(dec, il.sample_latent(dec, rng)[None], [0.0])
+    sky = il.IlluminationBank(dec, sky_latent(dec, rng)[None], [0.0])
     d = dirs642.directions
     normals = rng.normal(size=(16, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
@@ -190,7 +190,7 @@ def test_render_image_sky_pixels_match_illumination(unit_sky):
     scene.sdf.grid[:] = 0.5  # constant positive: exactly zero alpha
     dec = unit_sky.decoder
     rng = np.random.default_rng(6)
-    z = il.sample_latent(dec, rng)
+    z = sky_latent(dec, rng)
     # the sky of row 1 of a three-image bank
     bank = il.IlluminationBank(dec, np.stack([z - 0.5, z, z + 0.5]),
                                np.log([0.7, 1.3, 2.0]))

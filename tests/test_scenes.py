@@ -124,7 +124,7 @@ AXIS_DIRS = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
 
 
 @pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "plane-box"])
-def test_intersect_and_occluded_match_flat_nearest_hit_oracle(name):
+def test_intersect_and_any_hit_match_flat_nearest_hit_oracle(name):
     scene = _scene(name)
     rng = np.random.default_rng(11)
     points = _surface_points(scene, rng, 120)
@@ -134,13 +134,13 @@ def test_intersect_and_occluded_match_flat_nearest_hit_oracle(name):
     dirs = np.concatenate([icosphere_directions(2).directions, AXIS_DIRS,
                            gd[np.all(go == points[0], axis=1)]])
 
-    occ = scene.occluded(points, dirs)
+    occ = scene.any_hit(points[:, None, :], dirs[None, :, :])
     occ_true, _ = _oracle_occluded(scene, points, dirs)
     assert occ.shape == (len(points), len(dirs))
     assert np.array_equal(occ, occ_true)
     assert 0.05 < occ_true.mean() < 0.95
-    sun = scene.occluded(points, scene.sun_dir[None, :])
-    assert np.array_equal(sun, _oracle_occluded(scene, points, scene.sun_dir[None, :])[0])
+    sun = scene.any_hit(points, scene.sun_dir)
+    assert np.array_equal(sun, _oracle_occluded(scene, points, scene.sun_dir[None, :])[0][:, 0])
 
     eo, ed = _ball_edge_rays()
     o = np.concatenate([np.repeat(points, len(dirs), axis=0), go, eo])
@@ -205,14 +205,19 @@ def test_tracing_matches_the_gathering_oracles_byte_for_byte(name):
     so, sd = _sphere_rays(scene, rng)
     dirs = np.concatenate([icosphere_directions(2).directions, AXIS_DIRS, gd[:40], ed])
 
-    for directions in (dirs, scene.sun_dir[None, :]):
-        got, want = scene.occluded(points, directions), ref.occluded(points, directions)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # points (N,1,3) against directions (1,D,3), and against the sun as (3,)
+    got, want = scene.any_hit(points[:, None, :], dirs[None, :, :]), ref.occluded(points, dirs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = scene.any_hit(points, scene.sun_dir)
+    want = ref.occluded(points, scene.sun_dir[None, :])[:, 0]
+    assert got.shape == want.shape == (len(points),) and got.tobytes() == want.tobytes()
+    assert 0 < np.count_nonzero(got) < len(points)
     o = np.concatenate([np.repeat(points[:8], len(dirs), axis=0), go, eo, zo, so])
     d = np.concatenate([np.tile(dirs, (8, 1)), gd, ed, zd, sd])
     for got, want in zip(scene.intersect(o, d), ref.intersect(o, d)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert scene.any_hit(o, d).tobytes() == ref.any_hit(o, d).tobytes()
+    assert scene.any_hit(points[0], dirs).tobytes() == ref.any_hit(points[0], dirs).tobytes()
     for got, want in zip(scene.intersect(points[0], dirs), ref.intersect(points[0], dirs)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     hit = fd.trace_hit(scene, o, d)

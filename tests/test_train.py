@@ -533,9 +533,6 @@ def test_config_rejects_non_positive_vmf_kappa():
     ("near", "nan"),                # every step rejected
     ("near", "-0.5"),               # trained without complaint
     ("near", "3"),
-    ("ddf_min_z", "1"),             # ValueError in sample_ddf_batch
-    ("ddf_min_z", "-0.1"),
-    ("ddf_min_z", "inf"),
     ("sdf_resolution", "0"),        # IndexError
     ("sdf_resolution", "1"),
     ("ddf_pos_res_theta", "1"),     # ValueError
@@ -654,7 +651,7 @@ def test_zero_weights_leave_parameters_unchanged(tiny_dataset):
         steps=5, weight_appearance=0.0, weight_prior=0.0, weight_sky=0.0,
         weight_ddf_depth=0.0, weight_ddf_levelset=0.0,
         weight_ddf_multiview=0.0, weight_ddf_sky=0.0,
-        weight_ground_plane=0.0, weight_eps_anneal=0.0,
+        weight_eps_anneal=0.0,
     )
     trainer = tr.Trainer(dataset, cfg)
     before = {
@@ -727,10 +724,10 @@ def test_nonfinite_step_rejected(tiny_dataset):
 
 
 def test_step_without_sky_or_ground_rays_is_taken(tiny_dataset):
-    # a ray pool of foreground pixels only: the sky, DDF-sky and ground
-    # terms are the means of empty batches, on-tape zeros
+    # a ray pool of foreground pixels only: the sky and DDF-sky terms are
+    # the means of empty batches, on-tape zeros
     _, dataset = tiny_dataset
-    trainer = tr.Trainer(dataset, tiny_train_config(steps=3, weight_ground_plane=0.1))
+    trainer = tr.Trainer(dataset, tiny_train_config(steps=3))
     pool = trainer.pool
     classes = dataset.masks[pool[:, 0], pool[:, 1], pool[:, 2]]
     trainer.pool = pool[(classes != CLASS_SKY) & (classes != CLASS_GROUND)]
@@ -738,7 +735,7 @@ def test_step_without_sky_or_ground_rays_is_taken(tiny_dataset):
     before = trainer.bank.Z.copy()  # step 0's field rates are 0 (warm-up)
     rec = trainer.train_step()
     assert rec["rejected"] is None and np.isfinite(rec["total"])
-    assert rec["sky"] == rec["ddf_sky"] == rec["ground_plane"] == 0.0
+    assert rec["sky"] == rec["ddf_sky"] == 0.0
     assert rec["appearance"] > 0.0
     assert not np.array_equal(trainer.bank.Z, before)
 
@@ -770,11 +767,10 @@ OFF_DEFAULT = dict(
     lr_eps=0.0041, warmup_steps=2, seed=12345, stop_gradient=True,
     use_visibility=False, sdf_resolution=6, illum_lobes=6, ddf_pos_res_theta=3,
     ddf_pos_res_phi=5, ddf_dir_res_theta=3, ddf_dir_res_phi=4, ddf_positions=2,
-    ddf_directions=3, vmf_kappa=7.25, ddf_min_z=0.125, ddf_refresh_every=9,
+    ddf_directions=3, vmf_kappa=7.25, ddf_refresh_every=9,
     ddf_multiview_pairs=2, weight_appearance=0.5, weight_prior=1e-300,
     weight_sky=2.5, weight_ddf_depth=0.0, weight_ddf_levelset=3.0,
-    weight_ddf_multiview=1000.0, weight_ddf_sky=0.1, weight_ground_plane=1.0 / 3.0,
-    weight_eps_anneal=0.0, data_dir="/data/run 3/a = b")
+    weight_ddf_multiview=1000.0, weight_ddf_sky=0.1, weight_eps_anneal=0.0, data_dir="/data/run 3/a = b")
 
 
 @pytest.mark.parametrize("data_dir, refused", [
@@ -923,16 +919,3 @@ def test_the_three_fits_record_their_steps_alike(tiny_dataset, two_sphere_scene)
     for rec in (trained, info["steps"][0], ddf_history[0]):
         assert rec["rejected"] is None and np.isfinite(rec["total"])
 
-
-@pytest.mark.parametrize("min_z", [-1.0, -0.1, 1.0, 1.5, float("nan")])
-def test_config_rejects_ddf_min_z_outside_unit_interval(min_z):
-    # below the horizon the DDF batch sampler's rejection loop never fills
-    with pytest.raises(ConfigError):
-        tr.TrainConfig(ddf_min_z=min_z)
-    with pytest.raises(ConfigError):
-        tr.TrainConfig.from_entries({"ddf_min_z": str(min_z)})
-
-
-def test_config_accepts_ddf_min_z_in_unit_interval():
-    assert tr.TrainConfig(ddf_min_z=0.0).ddf_min_z == 0.0
-    assert tr.TrainConfig.from_entries({"ddf_min_z": "0.5"}).ddf_min_z == 0.5

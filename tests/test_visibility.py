@@ -472,8 +472,7 @@ def test_binary_oracle_matches_closed_form():
     # answers from the closed form this test compares against
     marcher = SimpleNamespace(sdf_np=scene.sdf_np)
     vis, _ = binary_visibility_oracle(marcher, x[generic], d[generic])
-    occ = scene.occluded(x[generic], d[generic])
-    occluded_true = occ[np.arange(generic.sum()), np.arange(generic.sum())]
+    occluded_true = scene.any_hit(x[generic], d[generic])
     assert np.array_equal(vis, (~occluded_true).astype(float))
 
 
