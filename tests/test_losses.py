@@ -76,21 +76,23 @@ class _CountingRng:
 
 
 @pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker"])
-def test_sample_ddf_batch_turns_only_filling_rows_into_directions(name):
+@pytest.mark.parametrize("n_positions, n_directions, seed, rounds", [
+    (8, 1, 0, 3), (8, 1, 1, 1), (8, 1, 2, 1),
+    (24, 128, 0, 2), (24, 128, 1, 2), (24, 128, 2, 2)])
+def test_sample_ddf_batch_turns_only_filling_rows_into_directions(
+        name, n_positions, n_directions, seed, rounds):
     # the oracle turns every position's draws into directions each round;
-    # after the first round of the second case, positions near the zenith
-    # are full and only the others are turned
+    # a batch full after its first round draws no second, and after the
+    # first round of a longer fill only the positions not yet full are turned
     scene = make_scene(name)
-    for seed in range(3):
-        counted = _CountingRng(seed)
-        got = ls.sample_ddf_batch(scene, counted, 24, 128)
-        rng = np.random.default_rng(seed)
-        want = reference_sample_ddf_batch(scene, rng, 24, 128)
-        for key in ("positions", "directions", "depths", "hit"):
-            a, b = getattr(got, key), getattr(want, key)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
-        assert counted.rng.random() == rng.random()
-        assert counted.calls != 2 and counted.calls % 2 == 0
+    counted, oracle = _CountingRng(seed), _CountingRng(seed)
+    got = ls.sample_ddf_batch(scene, counted, n_positions, n_directions)
+    want = reference_sample_ddf_batch(scene, oracle, n_positions, n_directions)
+    for key in ("positions", "directions", "depths", "hit"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    assert counted.rng.random() == oracle.rng.random()
+    assert counted.calls == oracle.calls == 2 * rounds
 
 
 def _pebble_scene():

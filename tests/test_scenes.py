@@ -193,10 +193,12 @@ def _sphere_rays(scene, rng):
     return s, vmf_sample_batch(-s, 20.0, 1, rng)[:, 0]
 
 
-@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "plane-box"])
-def test_tracing_matches_the_gathering_oracles_byte_for_byte(name):
-    scene = _scene(name)
-    ref = ReferenceScene.of(scene)
+def _traced_rays(scene):
+    """The rays traced against ``ReferenceScene``: surface points, the
+    directions they are tested against (including grazing and ball-edge
+    ones), flat rays (eight points against every direction, then grazing,
+    ball-edge, near-threshold and unit-sphere rays), and the near-threshold
+    and unit-sphere rays alone."""
     rng = np.random.default_rng(5)
     points = _surface_points(scene, rng, 60)
     go, gd = _grazing_dirs(scene, points)
@@ -204,20 +206,43 @@ def test_tracing_matches_the_gathering_oracles_byte_for_byte(name):
     zo, zd = _eps_root_rays(scene)
     so, sd = _sphere_rays(scene, rng)
     dirs = np.concatenate([icosphere_directions(2).directions, AXIS_DIRS, gd[:40], ed])
-
-    # points (N,1,3) against directions (1,D,3), and against the sun as (3,)
-    got, want = scene.any_hit(points[:, None, :], dirs[None, :, :]), ref.occluded(points, dirs)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    got = scene.any_hit(points, scene.sun_dir)
-    want = ref.occluded(points, scene.sun_dir[None, :])[:, 0]
-    assert got.shape == want.shape == (len(points),) and got.tobytes() == want.tobytes()
-    assert 0 < np.count_nonzero(got) < len(points)
     o = np.concatenate([np.repeat(points[:8], len(dirs), axis=0), go, eo, zo, so])
     d = np.concatenate([np.tile(dirs, (8, 1)), gd, ed, zd, sd])
+    return points, dirs, o, d, (zo, zd), (so, sd)
+
+
+@pytest.mark.parametrize("shape", ["flat", "points-by-directions", "one-origin", "sun"])
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "plane-box"])
+def test_any_hit_matches_the_reference_scene_byte_for_byte(name, shape):
+    # one any-hit query over broadcast rays: flat rays as trace_hit asks,
+    # points (N,1,3) against directions (1,D,3) and against the sun as (3,)
+    # as render_ground_truth asks, and one origin against many directions
+    scene = _scene(name)
+    ref = ReferenceScene.of(scene)
+    points, dirs, o, d, _, _ = _traced_rays(scene)
+    if shape == "flat":
+        got, want, size = scene.any_hit(o, d), ref.any_hit(o, d), (len(o),)
+    elif shape == "points-by-directions":
+        got = scene.any_hit(points[:, None, :], dirs[None, :, :])
+        want, size = ref.occluded(points, dirs), (len(points), len(dirs))
+    elif shape == "one-origin":
+        got, want = scene.any_hit(points[0], dirs), ref.any_hit(points[0], dirs)
+        size = (len(dirs),)
+    else:
+        got = scene.any_hit(points, scene.sun_dir)
+        want, size = ref.occluded(points, scene.sun_dir[None, :])[:, 0], (len(points),)
+    assert got.shape == want.shape == size and got.tobytes() == want.tobytes()
+    assert 0 < np.count_nonzero(got) < got.size
+
+
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "plane-box"])
+def test_tracing_matches_the_gathering_oracles_byte_for_byte(name):
+    scene = _scene(name)
+    ref = ReferenceScene.of(scene)
+    points, dirs, o, d, (zo, zd), (so, sd) = _traced_rays(scene)
+
     for got, want in zip(scene.intersect(o, d), ref.intersect(o, d)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert scene.any_hit(o, d).tobytes() == ref.any_hit(o, d).tobytes()
-    assert scene.any_hit(points[0], dirs).tobytes() == ref.any_hit(points[0], dirs).tobytes()
     for got, want in zip(scene.intersect(points[0], dirs), ref.intersect(points[0], dirs)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     hit = fd.trace_hit(scene, o, d)

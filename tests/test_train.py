@@ -919,3 +919,23 @@ def test_the_three_fits_record_their_steps_alike(tiny_dataset, two_sphere_scene)
     for rec in (trained, info["steps"][0], ddf_history[0]):
         assert rec["rejected"] is None and np.isfinite(rec["total"])
 
+
+
+@pytest.mark.parametrize("key", ["ddf_min_z", "weight_ground_plane"])
+def test_checkpoint_naming_a_removed_key_loads_once_its_line_goes(tiny_dataset, tmp_path, key):
+    # a config.txt saved while the key was declared carries it, at 0 in
+    # every shipped config: refused as unknown, exact once the line is gone
+    _, dataset = tiny_dataset
+    trainer = tr.Trainer(dataset, tiny_train_config())
+    trainer.train_step()
+    tr.save_checkpoint(tmp_path, trainer)
+    path = tmp_path / "config.txt"
+    entries = fileio.read_config(path)
+    fileio.write_config(path, {**entries, key: 0.0})
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        tr.load_checkpoint(tmp_path, dataset)
+    fileio.write_config(path, entries)
+    loaded = tr.load_checkpoint(tmp_path, dataset)
+    assert loaded.cfg == trainer.cfg
+    for name, want in tr.slot_arrays(trainer).items():
+        assert tr.slot_arrays(loaded)[name].tobytes() == want.tobytes(), name
