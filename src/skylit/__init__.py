@@ -26,7 +26,7 @@ from .losses import DdfBatch
 from .metrics import mse, psnr
 from .render import RenderOutput, render_image
 from .scenes import Dataset, SyntheticScene, generate_dataset, load_dataset, make_scene
-from .tape import Tape, Var, backward, gradient_check, stop_gradient
+from .tape import Tape, Var, backward, gradient_check
 from .train import (
     Adam,
     TrainConfig,

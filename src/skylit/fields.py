@@ -6,7 +6,8 @@ is read one way (``_grid_read``: one corner gather and a lerp tree for the
 value and, if asked, its cell partials), and its adjoint is that tree's
 transpose, scattered once (``_grid_scatter``). The tape nodes that call
 them are ``multilinear`` and, through ``visibility._DdfRead``,
-``visibility.ddf_eval`` and ``visibility.soft_visibility``. Queries
+``visibility.ddf_eval`` and ``visibility.soft_visibility``; the sphere
+tracer's ``SdfField.sdf_np`` reads the value alone, with no node. Queries
 outside the cube take the value at the nearest boundary point. The SDF
 carries a single global steepness parameter for the logistic CDF used by
 the NeuS weight construction, stored in log space so it stays positive.
@@ -228,9 +229,10 @@ class SdfField:
         return cls(grid, inv_s=inv_s)
 
     def sdf_np(self, pts):
-        """Plain-numpy trilinear evaluation (sphere tracing, oracles)."""
+        """Plain-numpy trilinear evaluation (sphere tracing, oracles): the
+        grid read alone, with no tape node."""
         u = cell_coords(pts, self.resolution)
-        return multilinear(tp._lift(self.grid), u, CLAMPED_3D).data
+        return _grid_read(self.grid, u, CLAMPED_3D, False)[2][0]
 
 
 class AlbedoField:
@@ -292,9 +294,9 @@ def sdf_normals(bound, x_np):
     res = bound.fields.sdf.resolution
     g = multilinear(bound.sdf_grid, cell_coords(x_np, res), CLAMPED_3D,
                     spatial_grad=True) * ((res - 1) / 2.0)
-    norm = np.linalg.norm(g.data, axis=-1)
-    degen = norm < 1e-8
-    n = g / tp.reshape(tp.maximum(tp.norm_last(g), 1e-12), (-1, 1))
+    norm = tp.norm_last(g)
+    degen = norm.data < 1e-8
+    n = g / tp.reshape(tp.maximum(norm, 1e-12), (-1, 1))
     if np.any(degen):
         n = tp.where(degen[:, None], np.broadcast_to(WORLD_UP, n.data.shape), n)
     return n
@@ -376,13 +378,6 @@ TRACE_STEPS = 192  # sphere-tracing steps per ray, for every caller
 TRACE_THRESHOLD = 1e-4  # an SDF value below this is a surface hit
 
 
-def _starts_inside(scene, o):
-    """Whether each origin lies within ``TRACE_THRESHOLD`` of a surface of
-    the analytic ``scene``, tested once per origin: such a ray hits at
-    t = 0."""
-    return scene.sdf_np(o.reshape(-1, 3)).reshape(o.shape[:-1]) < TRACE_THRESHOLD
-
-
 def sphere_trace(sdf_like, origins, dirs):
     """Classic sphere tracing against anything exposing ``sdf_np(points)``.
 
@@ -395,9 +390,9 @@ def sphere_trace(sdf_like, origins, dirs):
     outside the unit ball) are solved in closed form on the broadcast rays:
     marching would only approximate the same roots, at about ten times the
     cost. A ray that starts within the threshold of a surface hits at t = 0
-    either way (``_starts_inside`` in closed form). Marching runs on the
-    flattened rays, and a marched ray still active after ``TRACE_STEPS``
-    steps reports no hit and ``converged`` False.
+    either way (in closed form, one SDF read per origin). Marching runs on
+    the flattened rays, and a marched ray still active after
+    ``TRACE_STEPS`` steps reports no hit and ``converged`` False.
     """
     o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -406,7 +401,8 @@ def sphere_trace(sdf_like, origins, dirs):
 
     if hasattr(sdf_like, "intersect"):
         t_hit, _, hit = sdf_like.intersect(o, d)
-        inside = _starts_inside(sdf_like, o)
+        inside = (sdf_like.sdf_np(o.reshape(-1, 3)).reshape(o.shape[:-1])
+                  < TRACE_THRESHOLD)
         t = np.where(inside, 0.0, np.where(hit, t_hit, t_exit))
         return TraceResult(hit=hit | inside, t=t,
                            converged=np.ones(shape, dtype=bool))
@@ -438,13 +434,3 @@ def sphere_trace(sdf_like, origins, dirs):
     return TraceResult(hit=hit.reshape(shape), t=t.reshape(shape),
                        converged=converged.reshape(shape))
 
-
-def trace_hit(sdf_like, origins, dirs):
-    """``sphere_trace(sdf_like, origins, dirs).hit`` alone. An analytic
-    scene answers with its any-hit test and ``_starts_inside``: no exit
-    root, no distance and no nearest primitive."""
-    if not hasattr(sdf_like, "intersect"):
-        return sphere_trace(sdf_like, origins, dirs).hit
-    o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-    d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    return sdf_like.any_hit(o, d) | _starts_inside(sdf_like, o)

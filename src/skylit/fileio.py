@@ -96,7 +96,8 @@ def write_pose_file(path, cameras):
 
 
 def read_pose_file(path, width, height):
-    """A camera per non-blank line; ConfigError naming a damaged line."""
+    """A camera per non-blank line; ConfigError naming a damaged line (one
+    that is not 21 finite floats, or whose K does not invert)."""
     cameras = []
     with open(path, "rb") as fh:  # float() reads bytes: no decoding to fail
         for lineno, line in enumerate(fh, 1):
@@ -106,6 +107,8 @@ def read_pose_file(path, width, height):
                 vals = np.array([float(x) for x in line.split()])
                 if vals.size != 21:
                     raise ValueError("pose lines must hold 12 E + 9 K floats")
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError("pose numbers must be finite")
                 cameras.append(
                     Camera(K=vals[12:].reshape(3, 3), E=vals[:12].reshape(3, 4),
                            width=width, height=height)

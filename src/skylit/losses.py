@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import sdf_eval, sphere_trace, trace_hit
+from .fields import sdf_eval, sphere_trace
 from .geometry import (SRGB_LINEAR_KNEE, _vmf_draws, _vmf_rotate, normalize,
                        ray_sphere_exit, sample_sphere, vmf_sample_batch)
 from .visibility import BoundDdf, ddf_eval
@@ -113,7 +113,8 @@ def _as_items(vectors):
 def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128, kappa=20.0):
     """Draw the paper-style DDF batch: positions uniform on the upper
     hemisphere, directions vMF-concentrated toward the scene center,
-    rejected to inward and sky-side, with sphere-traced depths.
+    rejected to inward and sky-side, with sphere-traced depths: rays that
+    miss get the full chord to the sphere exit, so depths stay in (0,2].
 
     Each rejection round draws ``n_directions`` vMF candidates' uniforms for
     every position, full ones included, so that the draws do not depend on
@@ -142,18 +143,10 @@ def sample_ddf_batch(sdf_like, rng, n_positions=8, n_directions=128, kappa=20.0)
         free = (place >= filled[:, None]) & (place < end[:, None])
         _as_items(dirs)[free] = _as_items(cand)[take]
         filled = end
-    depths, hit = trace_depths(sdf_like, positions, dirs)
-    return DdfBatch(positions=positions, directions=dirs, depths=depths, hit=hit)
-
-
-def trace_depths(sdf_like, positions, directions):
-    """Sphere-traced pseudo-ground-truth (depths, hit), each (P,Q), of the
-    rays from positions (P,3) along directions (P,Q,3); rays that miss get
-    the full chord to the sphere exit so depths stay in (0,2]. Each position
-    is traced as one origin (P,1,3) against its Q directions, never
-    repeated per ray."""
-    res = sphere_trace(sdf_like, positions[:, None, :], directions)
-    return np.clip(res.t, 1e-4, 2.0), res.hit
+    # each position is traced as one origin (P,1,3) against its directions
+    res = sphere_trace(sdf_like, positions[:, None, :], dirs)
+    return DdfBatch(positions=positions, directions=dirs,
+                    depths=np.clip(res.t, 1e-4, 2.0), hit=res.hit)
 
 
 def ddf_depth_loss(batch, pred):
@@ -229,7 +222,7 @@ def sample_multiview_pairs(sdf_like, rng, n_pairs=128, kappa=20.0):
         first = np.argmax(ok, axis=1)
         d1 = cand[np.arange(len(s1)), first]
         s1, d1 = s1[valid_row], d1[valid_row]
-        hit = trace_hit(sdf_like, s1, d1)
+        hit = sphere_trace(sdf_like, s1, d1).hit
         kept_s1.append(s1[hit][:need])
         kept_d1.append(d1[hit][:need])
         need -= len(kept_s1[-1])

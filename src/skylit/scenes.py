@@ -380,7 +380,7 @@ class Dataset:
     def gt_illumination(self, decoder):
         """The sky the views were rendered under, as a one-row bank."""
         z = np.asarray(self.meta["gt_Z"], dtype=np.float64).reshape(1, 3, -1)
-        return IlluminationBank(decoder, z, [float(self.meta["gt_log_gamma"])])
+        return IlluminationBank(decoder, z, [self.meta["gt_log_gamma"]])
 
 
 def generate_dataset(scene, n_views, seed, out_dir, width=64, height=48,
@@ -425,8 +425,8 @@ def _parse_meta(meta):
         return np.array([float(x) for x in str(text).split(",")])
 
     out = dict(meta)
-    for key, parse in (("sun_dir", floats), ("gt_Z", floats), ("views", int),
-                       ("width", int), ("height", int), ("seed", int)):
+    for key, parse in (("sun_dir", floats), ("gt_Z", floats), ("gt_log_gamma", float),
+                       ("views", int), ("width", int), ("height", int), ("seed", int)):
         if key not in meta:
             raise ConfigError(f"no {key!r} entry")
         try:

@@ -568,13 +568,6 @@ def exclusive_cumprod_last(a):
     return _node("excumprod", out, (a,), (vjp,))
 
 
-def stop_gradient(a):
-    """Forward value unchanged; contributes nothing to any gradient."""
-    if not isinstance(a, Var):
-        return _lift(a)
-    return Var(a.data, tape=a.tape, parents=(), op="stopgrad")
-
-
 def softplus(a):
     """log(1 + exp(a)), overflow-safe."""
     big = a.data > 30.0

@@ -102,10 +102,15 @@ def _pebble_scene():
     return sc.SyntheticScene("pebble", [pebble], base.illumination, base.sun_dir)
 
 
-@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "pebble"])
+@pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "pebble",
+                                  "two-sphere-grid"])
 @pytest.mark.parametrize("n_pairs", [1, 64])
 def test_sample_multiview_pairs_matches_the_traced_oracle_byte_for_byte(name, n_pairs):
-    scene = _pebble_scene() if name == "pebble" else make_scene(name)
+    # the grid is what the trainer traces: an SdfField, marched
+    if name == "two-sphere-grid":
+        scene = fd.SdfField.from_function(make_scene("two-sphere").sdf_np, resolution=32)
+    else:
+        scene = _pebble_scene() if name == "pebble" else make_scene(name)
     counts = []
     for seed in range(4):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -214,9 +214,9 @@ def _traced_rays(scene):
 @pytest.mark.parametrize("shape", ["flat", "points-by-directions", "one-origin", "sun"])
 @pytest.mark.parametrize("name", ["two-sphere", "sphere-plane", "blocker", "plane-box"])
 def test_any_hit_matches_the_reference_scene_byte_for_byte(name, shape):
-    # one any-hit query over broadcast rays: flat rays as trace_hit asks,
-    # points (N,1,3) against directions (1,D,3) and against the sun as (3,)
-    # as render_ground_truth asks, and one origin against many directions
+    # one any-hit query over broadcast rays: flat rays, points (N,1,3)
+    # against directions (1,D,3) and against the sun as (3,) as
+    # render_ground_truth asks, and one origin against many directions
     scene = _scene(name)
     ref = ReferenceScene.of(scene)
     points, dirs, o, d, _, _ = _traced_rays(scene)
@@ -245,9 +245,9 @@ def test_tracing_matches_the_gathering_oracles_byte_for_byte(name):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for got, want in zip(scene.intersect(points[0], dirs), ref.intersect(points[0], dirs)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    hit = fd.trace_hit(scene, o, d)
-    assert hit.tobytes() == fd.sphere_trace(ref, o, d).hit.tobytes()
-    assert fd.trace_hit(scene, so[0], sd).tobytes() == fd.sphere_trace(ref, so[0], sd).hit.tobytes()
+    for to, td in ((o, d), (so[0], sd)):
+        got, want = fd.sphere_trace(scene, to, td).hit, fd.sphere_trace(ref, to, td).hit
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     # each primitive's hits, flat and as points against directions; some
     # lie beyond the unit ball wherever there is a ground plane
