@@ -8,6 +8,8 @@ import numpy as np
 
 from .geometry import WORLD_UP, ConfigError, normalize
 
+FOV_X_DEG = 55.0  # horizontal field of view of every camera
+
 
 @dataclass
 class Camera:
@@ -49,8 +51,8 @@ class Camera:
         return np.stack([u.reshape(-1), v.reshape(-1)], axis=1)
 
     @classmethod
-    def look_at(cls, eye, target, width, height, fov_x_deg=55.0):
-        """A camera at ``eye`` looking at ``target``, with world +z up."""
+    def look_at(cls, eye, target, width, height):
+        """A camera at ``eye`` looking at ``target``, world +z up, FOV_X_DEG wide."""
         eye = np.asarray(eye, dtype=np.float64)
         z = normalize(np.asarray(target, dtype=np.float64) - eye)
         x = np.cross(z, WORLD_UP)
@@ -62,7 +64,7 @@ class Camera:
         y = np.cross(z, x)
         rot = np.stack([x, y, z])
         t = -rot @ eye
-        fx = (width / 2.0) / np.tan(np.radians(fov_x_deg) / 2.0)
+        fx = (width / 2.0) / np.tan(np.radians(FOV_X_DEG) / 2.0)
         k = np.array(
             [[fx, 0.0, width / 2.0], [0.0, fx, height / 2.0], [0.0, 0.0, 1.0]]
         )

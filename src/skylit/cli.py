@@ -21,17 +21,18 @@ from .render import render_image
 from .scenes import CLASS_TRANSIENT
 
 
-def _require_counts(args, *flags):
-    """ConfigError unless each of ``flags`` was given a value of at least 1."""
+def _require_at_least(least, args, *flags):
+    """ConfigError unless each of ``flags`` was given at least ``least``."""
     for flag in flags:
         value = getattr(args, flag)
-        if value < 1:
+        if value < least:
             name = flag.replace("_", "-")
-            raise ConfigError(f"--{name} must be at least 1, got {value}")
+            raise ConfigError(f"--{name} must be at least {least}, got {value}")
 
 
 def _cmd_generate(args):
-    _require_counts(args, "views", "width", "height")
+    _require_at_least(1, args, "views", "width", "height")
+    _require_at_least(0, args, "seed", "scene_seed")
     scene = sc.make_scene(args.scene, seed=args.scene_seed)
     sc.generate_dataset(scene, args.views, args.seed, args.out,
                         width=args.width, height=args.height,
@@ -112,7 +113,7 @@ def _cmd_render(args):
 
 
 def _cmd_relight(args):
-    _require_counts(args, "fit_steps")
+    _require_at_least(1, args, "fit_steps")
     dataset, trainer = _load(args, holdout=args.holdout, test=args.test)
     sky, info = tr.fit_holdout_illumination(
         trainer.fields, trainer.ddf, trainer.vis_params, trainer.decoder,
@@ -148,7 +149,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ddf_viz(args):
-    _require_counts(args, "views", "width", "height")
+    _require_at_least(1, args, "views", "width", "height")
     dataset, trainer = _load(args)
     os.makedirs(args.out, exist_ok=True)
     bound = vz.BoundDdf(None, trainer.ddf, trainer.vis_params, trainable=False)
@@ -157,8 +158,7 @@ def _cmd_ddf_viz(args):
         eye = normalize(np.array([np.cos(az), np.sin(az), 0.7]))
         cam = Camera.look_at(eye, np.zeros(3), args.width, args.height)
         dirs = cam.ray_dirs(cam.all_pixels())
-        depth = vz.ddf_eval(bound, np.broadcast_to(eye, dirs.shape), dirs,
-                            strict=False)
+        depth = vz.ddf_eval(bound, np.broadcast_to(eye, dirs.shape), dirs)
         img = depth.data.reshape(args.height, args.width)
         fileio.write_pfm(os.path.join(args.out, f"ddf_{i:03d}.pfm"), img)
     print(f"{args.views} DDF depth maps written to {args.out}")

@@ -132,12 +132,14 @@ def write_config(path, entries):
 
 
 def read_config(path):
-    """Flat 'key = value' text with '#' comments; values stay strings.
-    ConfigError naming ``path:line`` for a line that is not 'key = value'
-    or a key given twice."""
+    """Flat 'key = value' UTF-8 text with '#' comments; values stay strings.
+    ConfigError naming ``path:line`` for a line that is not UTF-8, is not
+    'key = value' or gives a key twice."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:  # split as text mode splits: \n, \r\n or \r
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            with _naming(f"{path}:{lineno}"):
+                line = raw.decode("utf-8")
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

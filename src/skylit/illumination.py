@@ -3,7 +3,7 @@
 A fixed bank of von Mises-Fisher lobes decodes a low-dimensional latent
 Z (3 x K of per-lobe log-RGB amplitudes) into a strictly positive HDR
 environment: L(d) = gamma * exp(sum_k Z[:,k] * b_k(d)) with
-b_k(d) = exp(kappa_k * (axis_k . d - 1)). Z = 0 decodes to the constant
+b_k(d) = exp(LOBE_KAPPA * (axis_k . d - 1)). Z = 0 decodes to the constant
 unit environment, and the normal prior ||Z||^2 is meaningful because the
 decoder is fixed.
 """
@@ -17,11 +17,12 @@ import numpy as np
 from . import tape as tp
 from .geometry import spherical_to_dir
 
+LOBE_KAPPA = 8.0  # the concentration of every lobe
+
 
 @dataclass(frozen=True)
 class LobeDecoder:
     axes: np.ndarray          # (K,3) unit lobe directions
-    kappas: np.ndarray        # (K,) concentrations
 
     @property
     def n_lobes(self):
@@ -30,8 +31,8 @@ class LobeDecoder:
     @classmethod
     def default(cls, n_lobes=16):
         """Two polar caps plus two azimuthal rings of (n_lobes - 2) / 2 lobes
-        each, at 35 degrees above and below the horizon, every lobe of
-        concentration 8; n_lobes must be even and at least 2."""
+        each, at 35 degrees above and below the horizon; n_lobes must be
+        even and at least 2."""
         if n_lobes < 2 or n_lobes % 2:
             raise ValueError(f"lobe count must be 2 + 2 * ring_size, got {n_lobes}")
         ring_size = (n_lobes - 2) // 2
@@ -45,12 +46,12 @@ class LobeDecoder:
             axes.append(spherical_to_dir(np.pi / 2 + elev, phi))
         axes.append(np.array([0.0, 0.0, -1.0]))
         axes = np.asarray(axes)
-        return cls(axes=axes, kappas=np.full(len(axes), 8.0))
+        return cls(axes=axes)
 
     def basis(self, dirs):
         """b_k(d) for unit rows ``dirs``; (D,K), values in (0,1]."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        return np.exp(self.kappas[None, :] * (dirs @ self.axes.T - 1.0))
+        return np.exp(LOBE_KAPPA * (dirs @ self.axes.T - 1.0))
 
 
 class IlluminationBank:
@@ -72,10 +73,6 @@ class IlluminationBank:
         """``n_images`` unit skies (Z = 0, gamma = 1), as training starts."""
         return cls(decoder, np.zeros((n_images, 3, decoder.n_lobes)),
                    np.zeros(n_images))
-
-    @property
-    def n_images(self):
-        return self.Z.shape[0]
 
 
 class BoundIllumination:

@@ -194,7 +194,7 @@ def ddf_multiview_loss(pairs, bound_ddf):
     dist = np.linalg.norm(delta, axis=-1)
     d2 = delta / np.maximum(dist, 1e-12)[:, None]
     valid = (dist > 1e-6) & (np.sum(d2 * s2, axis=-1) < -1e-6)
-    f2 = ddf_eval(bound_ddf, s2, d2, strict=False)
+    f2 = ddf_eval(bound_ddf, s2, d2)
     hinge = tp.where(valid, tp.maximum(f2 - dist, 0.0), np.zeros(dist.shape))
     return tp.vsum(hinge * hinge) / max(len(s1), 1)
 
@@ -250,7 +250,7 @@ def ddf_sky_loss(origins, ray_dirs, bound_ddf):
     keep = ~miss & (t_exit > 1e-9) & (t_entry >= 0.0)
     s = o[keep] + t_exit[keep, None] * r[keep]
     dist = t_exit[keep] - t_entry[keep]
-    pred = ddf_eval(bound_ddf, s, -r[keep], strict=False)
+    pred = ddf_eval(bound_ddf, s, -r[keep])
     return tp.vsum(tp.maximum(dist - pred, 0.0)) / max(len(o), 1)
 
 

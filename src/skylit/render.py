@@ -61,7 +61,8 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
     x_e and shared by every sample on the ray; it is off (every direction
     visible) when ``bound_ddf`` is None. Only sky-side directions (d_z > 0
     after ``jitter``) query it: a direction on or below the horizon is
-    visible, as in ``soft_visibility``.
+    visible, as in ``soft_visibility``. With ``stop_grad_vis`` it reads
+    constant copies of the DDF and of x_e: no gradient passes visibility.
     """
     origins = np.atleast_2d(origins)
     dirs = np.atleast_2d(dirs)
@@ -94,11 +95,12 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
     irr = None
     if np.any(upper):
         vis = None
-        if bound_ddf is not None:
-            vis = vz.soft_visibility(
-                bound_ddf, tp.reshape(x_e, (n_rays, 1, 3)),
-                d_world[upper][None, :, :], stop_grad=stop_grad_vis,
-            )
+        if bound_ddf is not None and stop_grad_vis:
+            fixed = vz.BoundDdf(None, bound_ddf.field, bound_ddf.params, trainable=False)
+            vis = vz.soft_visibility(fixed, x_e.data[:, None, :], d_world[upper][None])
+        elif bound_ddf is not None:
+            vis = vz.soft_visibility(bound_ddf, tp.reshape(x_e, (n_rays, 1, 3)),
+                                     d_world[upper][None])
         irr = hemi_irradiance(d_world[upper], vis)
     if np.any(~upper):
         lower = hemi_irradiance(d_world[~upper], None)

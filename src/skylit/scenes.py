@@ -164,7 +164,6 @@ class CameraRig:
     azimuth_spread: float = np.pi       # +/- around the center
     radius: float = 0.8
     z_range: tuple = (0.28, 0.5)
-    fov_x_deg: float = 55.0
 
 
 @dataclass
@@ -343,8 +342,7 @@ def camera_rig(scene, n_views, width, height, rng):
         tries += 1
         if scene.sdf_np(eye[None])[0] < 0.03 and tries < 100 * n_views:
             continue
-        cams.append(Camera.look_at(eye, scene.target, width, height,
-                                   fov_x_deg=rig.fov_x_deg))
+        cams.append(Camera.look_at(eye, scene.target, width, height))
         i += 1
     return cams
 

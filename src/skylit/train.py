@@ -93,7 +93,8 @@ class TrainConfig:
         500, "[0, inf)", "steps of linear warmup of the field and DDF rates")
     seed: int = _key(0, "[0, inf)", "seed of ray batches, jitter and DDF supervision")
     stop_gradient: bool = _key(
-        False, None, "detach visibility in the backward pass (ablation)")
+        False, None, "read visibility from constant copies of the DDF and the "
+        "ray's expected point, so no gradient passes through it (ablation)")
     use_visibility: bool = _key(True, None, "evaluate DDF sky visibility in the renderer")
     sdf_resolution: int = _key(
         64, "[2, inf)", "nodes per axis of the SDF and albedo grids")
@@ -582,9 +583,13 @@ class Trainer:
             self._log_fh = None
 
 
+HOLDOUT_LR = 1e-2  # the holdout sky fit's Adam rate before its decay
+HOLDOUT_SEED = 0   # seed of the holdout sky fit's batches and jitter
+
+
 def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
-                             view_index, steps=400, lr=1e-2, batch_size=256,
-                             samples_per_ray=48, dir_level=2, seed=0,
+                             view_index, steps=400, batch_size=256,
+                             samples_per_ray=48, dir_level=2,
                              init=None, freeze_latent=False):
     """Freeze all fields and fit only (Z, gamma) on one holdout view.
 
@@ -597,7 +602,7 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
     the reason of each rejected step. Field gradients are exactly zero by
     construction since the fields are bound as constants.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(HOLDOUT_SEED)
     pool = build_pixel_pool(dataset, [view_index])
     bank = (il.IlluminationBank.zeros(decoder, 1) if init is None
             else il.IlluminationBank(decoder, init.Z, init.log_gamma))
@@ -620,7 +625,7 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
             jitter=jitter, rng=rng, n_samples=samples_per_ray,
         )
         sky = batch.classes == CLASS_SKY
-        rate = exponential_decay(lr, step, steps)
+        rate = exponential_decay(HOLDOUT_LR, step, steps)
         rates = {"illum_log_gamma": rate} if freeze_latent else {
             "illum_Z": rate, "illum_log_gamma": rate}
         history.append(take_step(adam, tape, {

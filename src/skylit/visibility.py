@@ -18,9 +18,11 @@ Two tape nodes call it: ``ddf_eval``, the DDF losses' depth (one node
 per supervision batch and step, which the depth and levelset terms both
 read), and the visibility query ``soft_visibility``, which runs over
 blocks of whole rays and saves each query's closed-form adjoint
-coefficients. With constant inputs both compute values alone, as does
-``soft_visibility`` under ``stop_grad``. Light directions are plain arrays
-with no gradient.
+coefficients. Each decides its mode from its inputs alone: when none of
+them is on a tape it computes values alone and returns a constant. A
+caller that holds visibility constant reads a constant binding
+(``BoundDdf(None, ..., trainable=False)``) at plain arrays. Light
+directions are plain arrays with no gradient.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
 ETA = 50.0  # sharpness of the soft-visibility sigmoid
-
-
-class PreconditionError(Exception):
-    pass
 
 
 class DdfField:
@@ -218,19 +216,16 @@ class _DdfRead:
         return self.dmap.pullback(g_u)
 
 
-def ddf_eval(bound, s, d_world, strict=True):
+def ddf_eval(bound, s, d_world):
     """Predicted depth in (0,2) at sphere points ``s`` looking inward along
-    the array ``d_world``. Differentiable in the grid and (when a Var) in s;
-    the direction gets no gradient; s and d broadcast. One ``ddf_depth``
-    node over a ``_DdfRead`` (with partials only when s is on a tape): the
-    grid's adjoint is the read's transpose, scattered once.
-
-    With ``strict``, outward directions (d . s > 0) raise PreconditionError.
+    the array ``d_world`` (an outward direction reads the grid all the
+    same). Differentiable in the grid and (when a Var) in s; the direction
+    gets no gradient; s and d broadcast. One ``ddf_depth`` node over a
+    ``_DdfRead`` (with partials only when s is on a tape): the grid's
+    adjoint is the read's transpose, scattered once.
     """
     s = tp._lift(s)
     d_np = np.asarray(d_world, dtype=np.float64)
-    if strict and np.any(np.sum(s.data * d_np, axis=-1) > 1e-9):
-        raise PreconditionError("DDF direction must point inward (d . s < 0)")
     s_c, d_c = (np.moveaxis(a, -1, 0) for a in np.broadcast_arrays(s.data, d_np))
     read = _DdfRead(bound.grid.data, s_c, d_c, s.tape is not None or bool(s.parents))
 
@@ -247,7 +242,7 @@ def ddf_eval(bound, s, d_world, strict=True):
 VISIBILITY_BLOCK = 16384  # queries per block of whole rays in soft_visibility
 
 
-def soft_visibility(bound, x, d, stop_grad=False):
+def soft_visibility(bound, x, d):
     """Soft sky visibility in [0,1] for points x (||x|| <= 1) and directions d,
     an array with no gradient: v = 1 - sigmoid(ETA (t - depth - eps)), with
     t the distance from x to the unit sphere along d, depth the DDF's depth
@@ -256,7 +251,7 @@ def soft_visibility(bound, x, d, stop_grad=False):
 
     Directions on or below the horizon (d_z <= 0) are exactly visible.
     Broadcasts: x (R,1,3) against d (1,D,3) produces (R,D). Differentiable
-    w.r.t. x, the DDF grid and epsilon unless ``stop_grad``.
+    w.r.t. x, the DDF grid and epsilon.
 
     One tape node with parents x, the grid and epsilon, evaluated over
     blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
@@ -268,15 +263,13 @@ def soft_visibility(bound, x, d, stop_grad=False):
     its gradients recompute nothing: x takes one weighted sum over
     directions, epsilon one dot product, and the grid one deferred scatter
     of the lerp tree's transpose over all queries (``fields._grid_scatter``).
-    When x, the grid and epsilon are all constants, or with ``stop_grad``,
-    it computes v alone: no coefficients and no parents (a stopped value is
-    a leaf on its inputs' tape).
+    When x, the grid and epsilon are all constants it computes v alone and
+    returns a constant: no coefficients, no parents and no tape.
     """
     x = tp._lift(x)
     d = np.asarray(d, dtype=np.float64)
-    grad = not stop_grad and any(v.tape is not None or v.parents
-                                 for v in (x, bound.grid, bound.eps_raw))
-    eps = bound.epsilon() if grad else tp.softplus(tp.Var(bound.eps_raw.data))
+    grad = any(v.tape is not None or v.parents for v in (x, bound.grid, bound.eps_raw))
+    eps = bound.epsilon()
     grid_shape = bound.grid.data.shape
     shape = np.broadcast_shapes(x.data.shape[:-1], d.shape[:-1])
     full = shape or (1,)  # blocks run over a leading axis
@@ -327,10 +320,7 @@ def soft_visibility(bound, x, d, stop_grad=False):
             idx = np.empty((16,) + full, dtype=read.corner.dtype)
         idx[:, b] = read.corner
     if not grad:
-        # under stop_grad the value stays on its inputs' tape, as a leaf
-        tape = tp._tape_of(x, bound.grid, bound.eps_raw)
-        op = "const" if tape is None else "stopgrad"
-        return tp.Var(v.reshape(shape), tape=tape, op=op)
+        return tp.Var(v.reshape(shape))
 
     def vjp_x(g):
         return np.moveaxis(coef_x * g.reshape(full), 0, -1)

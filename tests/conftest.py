@@ -374,11 +374,12 @@ def dense_render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs,
     irr = None
     if np.any(upper):
         vis = None
-        if bound_ddf is not None:
-            vis = vz.soft_visibility(
-                bound_ddf, tp.reshape(x_e, (n_rays, 1, 3)),
-                d_world[upper][None, :, :], stop_grad=stop_grad_vis,
-            )
+        if bound_ddf is not None and stop_grad_vis:  # constant copies
+            fixed = vz.BoundDdf(None, bound_ddf.field, bound_ddf.params, trainable=False)
+            vis = vz.soft_visibility(fixed, x_e.data[:, None, :], d_world[upper][None])
+        elif bound_ddf is not None:
+            vis = vz.soft_visibility(bound_ddf, tp.reshape(x_e, (n_rays, 1, 3)),
+                                     d_world[upper][None])
         irr = hemi_irradiance(d_world[upper], vis)
     if np.any(~upper):
         lower = hemi_irradiance(d_world[~upper], None)
@@ -443,7 +444,7 @@ def chain_soft_visibility(bound, x, d):
     chain of VJPs, so the two agree up to rounding."""
     d = np.asarray(d, dtype=np.float64)
     s, t = exit_point(x, d)
-    depth = vz.ddf_eval(bound, s, -d, strict=False)
+    depth = vz.ddf_eval(bound, s, -d)
     eps = bound.epsilon()
     v = 1.0 - tp.sigmoid(vz.ETA * (t - depth - eps))
     lower = np.broadcast_to(d[..., 2], v.data.shape) <= 0.0

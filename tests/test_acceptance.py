@@ -210,7 +210,7 @@ def test_criterion_3_soft_visibility_fixed_points():
     x = np.array([[0.0, 0.0, 0.2]])
     d = np.array([[0.0, 0.0, 1.0]])
     s_var, t_var = exit_point(tp._lift(x), d)
-    depth = vz.ddf_eval(bound, s_var, -d, strict=False)
+    depth = vz.ddf_eval(bound, s_var, -d)
     eps_exact = float(t_var.data[0] - depth.data[0])
     v_half = 1.0 - tp.sigmoid(50.0 * ((t_var - depth) - eps_exact))
     half_exact = float(v_half.data[0]) == 0.5

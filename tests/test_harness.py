@@ -166,8 +166,9 @@ def test_shadow_mask_matches_analytic_projection(tmp_path):
         IlluminationBank(decoder, z[None], [0.0]),
         sun_dir=np.array([0.0, 0.0, 1.0]),
     )
-    cam = Camera.look_at([0.0, -0.42, 0.62], [0.0, 0.0, 0.0], 96, 72,
-                         fov_x_deg=70.0)
+    cam = Camera.look_at([0.0, -0.42, 0.62], [0.0, 0.0, 0.0], 96, 72)
+    # a 70 degree view, wider than look_at's, frames the whole shadow
+    cam.K[0, 0] = cam.K[1, 1] = (96 / 2.0) / np.tan(np.radians(70.0) / 2.0)
     img, classes, shadow = sc.render_ground_truth(scene, cam, quad_level=2)
     # reproject shadow pixels to the plane and compare radii
     px = cam.all_pixels()
@@ -259,6 +260,13 @@ def test_cli_names_a_config_path_it_cannot_read(tmp_path, capsys):
     assert cli_main(["train", "--config", str(missing)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("missing file:") and str(missing) in err
+    # a byte that is not UTF-8 was a UnicodeDecodeError traceback
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"steps = 2\n# caf\xe9\n")
+    assert cli_main(["train", "--config", str(latin)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{latin}:2" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_names_a_file_given_as_the_output_directory(tmp_path, capsys):
@@ -525,6 +533,19 @@ def test_cli_generate_rejects_sizes_below_one(tmp_path, capsys, flag, value):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("seed", -1), ("scene-seed", -1),
+                                        ("scene-seed", -2000)])
+def test_cli_generate_rejects_negative_seeds(tmp_path, capsys, flag, value):
+    # refused as TrainConfig's seed is: a negative --seed, or --scene-seed
+    # below -1000, was a ValueError traceback from np.random.default_rng
+    rc = cli_main(["generate", "--scene", "sphere-plane", "--views", "2",
+                   "--width", "12", "--height", "10", "--quad-level", "2",
+                   "--out", str(tmp_path / "ds"), f"--{flag}", str(value)])
+    assert rc == 2
+    assert f"config error: --{flag} must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_cli_rejects_checkpoint_that_disagrees_with_config_or_dataset(tmp_path, capsys):
     for views in (6, 8):
         cli_main(["generate", "--scene", "two-sphere", "--views", str(views), "--seed",
@@ -629,6 +650,9 @@ def test_cli_names_a_damaged_dataset_file(tmp_path, capsys):
             "\n".join([poses[0], bad] + poses[2:]) + "\n", encoding="utf-8"),
             "poses.txt:2")
     damage("poses.txt", lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()))
+    # a byte that is not UTF-8, named by its line
+    damage("meta.txt", lambda p: p.write_bytes(b"# caf\xe9\n" + p.read_bytes()),
+           "meta.txt:1")
 
 
 def test_cli_names_an_image_of_another_size_than_meta(tmp_path, capsys):
@@ -718,29 +742,37 @@ def test_every_definition_is_used_outside_its_definition():
     # a function, method or class that src/skylit (outside __init__.py) and
     # perfbench never name in code (a docstring does not count) is dead; the
     # names perfbench traces are strings, so strings other than docstrings
-    # count as uses
+    # count as uses. A method or property is used only where it is read as
+    # an attribute or named in such a string: a variable of its name is not
+    # a read of it
     root = Path(__file__).resolve().parent.parent
     package = root / "src" / "skylit"
     scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-    defined, used = {}, set()
+    defined, functions, names, used = {}, set(), set(), set()
     for path in sorted(package.glob("*.py")) + sorted((root / "perfbench").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                       if isinstance(node, scopes) and node.body
                       and isinstance(node.body[0], ast.Expr)
                       and isinstance(node.body[0].value, ast.Constant)}
+        methods = {id(member) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for member in node.body
+                   if isinstance(member, scopes[2:])}
         for node in ast.walk(tree):
             if (path.parent == package and isinstance(node, scopes[1:])
                     and not node.name.startswith("__")):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                if id(node) not in methods:
+                    functions.add(node.name)
             if path == package / "__init__.py":
                 continue
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in docstrings):
                 used.update(re.findall(r"\w+", node.value))
+    used |= names & functions
     unused = {name: where for name, where in defined.items() if name not in used}
     assert unused.keys() == _KEPT_UNUSED.keys(), unused

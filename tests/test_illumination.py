@@ -154,7 +154,7 @@ def test_bank_row_matches_one_row_copy(decoder, dirs642):
     bank = il.IlluminationBank(decoder, rng.normal(size=(3, 3, decoder.n_lobes)),
                                np.log([0.7, 1.3, 2.1]))
     bound = il.BoundIllumination(None, bank, trainable=False)
-    for i in range(bank.n_images):
+    for i in range(len(bank.Z)):
         row = il.IlluminationBank(decoder, bank.Z[i:i + 1], bank.log_gamma[i:i + 1])
         assert np.array_equal(il.radiance(bank, i, dirs642),
                               il.radiance(row, 0, dirs642))

@@ -439,7 +439,7 @@ def test_each_term_is_its_numpy_sum_over_its_count():
     dist = np.linalg.norm(x1 - s2, axis=-1)
     d2 = (x1 - s2) / dist[:, None]
     valid = (dist > 1e-6) & (np.sum(d2 * s2, axis=-1) < -1e-6)
-    f2 = vz.ddf_eval(bd, s2, d2, strict=False).data
+    f2 = vz.ddf_eval(bd, s2, d2).data
     got["ddf_multiview"] = ls.ddf_multiview_loss(pairs, bd)
     want["ddf_multiview"] = np.sum(np.where(valid, np.maximum(f2 - dist, 0.0), 0.0) ** 2) / 32
 
@@ -452,7 +452,7 @@ def test_each_term_is_its_numpy_sum_over_its_count():
     b = 2 * np.sum(o[:2] * r[:2], axis=1)
     t_exit = (-b + np.sqrt(b * b - 4 * (np.sum(o[:2] ** 2, axis=1) - 1))) / 2
     s_exit = o[:2] + t_exit[:, None] * r[:2]
-    pred_sky = vz.ddf_eval(bd, s_exit, -r[:2], strict=False).data
+    pred_sky = vz.ddf_eval(bd, s_exit, -r[:2]).data
     got["ddf_sky"] = ls.ddf_sky_loss(o, r, bd)
     want["ddf_sky"] = np.sum(np.maximum(t_exit - pred_sky, 0.0)) / 3
 
@@ -504,7 +504,7 @@ def test_ddf_sky_loss_values():
     c = np.sum(o * o, axis=1) - 1
     t_exit = (-b + np.sqrt(b * b - 4 * c)) / 2
     s = o + t_exit[:, None] * r
-    pred = vz.ddf_eval(bd_chk, s, -r, strict=False).data
+    pred = vz.ddf_eval(bd_chk, s, -r).data
     assert float(loss2.data) == pytest.approx(np.sum(t_exit - pred) / 2, abs=1e-12)
 
 

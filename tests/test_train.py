@@ -807,8 +807,14 @@ def test_write_config_refuses_what_would_not_read_back(tmp_path, key, value):
     assert not path.exists()
 
 
-def test_stop_gradient_flag_blocks_field_gradients(tiny_dataset):
+def test_stop_gradient_flag_blocks_field_gradients(tiny_dataset, monkeypatch):
+    # under stop_gradient, every slot's gradient is that of the same render
+    # whose visibility is made a constant after the fact, byte for byte
     _, dataset = tiny_dataset
+    import skylit.fields as fd
+    import skylit.illumination as il
+    import skylit.render as rd
+    from skylit.geometry import so3_jitter
 
     def visibility_only_grads(stop):
         cfg = tiny_train_config(
@@ -821,14 +827,7 @@ def test_stop_gradient_flag_blocks_field_gradients(tiny_dataset):
         # make visibility informative: shrink epsilon, randomize the DDF
         rng = np.random.default_rng(3)
         trainer.ddf.grid[:] = rng.normal(size=trainer.ddf.grid.shape)
-        trainer.vis_params.eps_raw = np.asarray(
-            __import__("skylit.tape", fromlist=["tape"]).softplus_inverse(0.05))
-        import skylit.fields as fd
-        import skylit.illumination as il
-        import skylit.render as rd
-        import skylit.tape as tp
-        import skylit.visibility as vz
-        from skylit.geometry import icosphere_directions, so3_jitter
+        trainer.vis_params.eps_raw = np.asarray(tp.softplus_inverse(0.05))
 
         batch = tr.sample_ray_batch(dataset, trainer.pool, 32, rng)
         tape = tp.Tape()
@@ -844,9 +843,17 @@ def test_stop_gradient_flag_blocks_field_gradients(tiny_dataset):
 
     g_stop = visibility_only_grads(True)
     g_free = visibility_only_grads(False)
+    soft_visibility = vz.soft_visibility
+    monkeypatch.setattr(vz, "soft_visibility",
+                        lambda *args: tp.Var(soft_visibility(*args).data))
+    g_oracle = visibility_only_grads(False)
     assert np.all(g_stop["ddf_grid"] == 0.0)
     assert np.all(g_stop["vis_eps_raw"] == 0.0)
     assert np.abs(g_free["ddf_grid"]).max() > 0.0
+    assert g_stop.keys() == g_oracle.keys()
+    for name, grad in g_stop.items():
+        assert grad.tobytes() == g_oracle[name].tobytes(), name
+        assert np.any(grad) or name in ("ddf_grid", "vis_eps_raw"), name
 
 
 def test_holdout_fit_recovers_gamma_scale(tiny_dataset):

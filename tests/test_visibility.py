@@ -36,12 +36,6 @@ def test_ddf_range_extreme_grid_values():
     assert np.all(out.data < 2.0)  # open interval by construction
 
 
-def test_ddf_outward_direction_rejected():
-    bd = bound_of(vz.DdfField.zero_init((4, 8), (3, 6)))
-    with pytest.raises(vz.PreconditionError):
-        vz.ddf_eval(bd, np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]]))
-
-
 def test_antipodal_frames_use_different_cells():
     # the same world direction at antipodal points lands in different local
     # coordinates, so perturbing one query's cells leaves the other unchanged
@@ -101,7 +95,7 @@ def test_ddf_eval_broadcasts_s_against_d_bit_for_bit():
 
     def value_and_grid_grad(s_in):
         t = tp.Tape()
-        out = vz.ddf_eval(bound_of(ddf, tape=t, trainable=True), s_in, d, strict=False)
+        out = vz.ddf_eval(bound_of(ddf, tape=t, trainable=True), s_in, d)
         return out.data, tp.backward(t, tp.vsum(out * upstream))["ddf_grid"]
 
     for s_in in (s[:1], s[:, None]):
@@ -123,7 +117,7 @@ def test_soft_visibility_half_at_exact_threshold():
     t = tp.Tape()
     bd = bound_of(ddf, tape=t)
     s_var, t_var = exit_point(tp._lift(x), d)
-    depth = vz.ddf_eval(bd, s_var, -d, strict=False)
+    depth = vz.ddf_eval(bd, s_var, -d)
     # choose epsilon = (t - depth) exactly as floats: the sigmoid argument
     # then cancels to exactly zero and V = 0.5 exactly
     eps_exact = float(t_var.data[0] - depth.data[0])
@@ -208,24 +202,39 @@ def test_soft_visibility_gradients():
     assert err < 1e-4
 
 
+def _constant_view(bound):
+    """The binding ``render_rays`` reads under ``stop_grad_vis``: constant
+    copies of ``bound``'s field and parameters."""
+    return vz.BoundDdf(None, bound.field, bound.params, trainable=False)
+
+
 def test_stop_gradient_blocks_visibility():
+    # visibility read from constant copies: the same value bits, no node on
+    # the tape, and zero grid and epsilon gradients
     rng = np.random.default_rng(7)
     grid0 = rng.normal(size=(4, 8, 3, 6))
+    d = np.array([[[0.3, 0.2, 0.93]]])
+    d = d / np.linalg.norm(d, axis=-1, keepdims=True)
 
     def loss_with(stop):
         t = tp.Tape()
         bd = vz.BoundDdf(t, vz.DdfField(grid0.copy()),
                          vz.VisibilityParams.default(epsilon=0.3),
                          trainable=True)
-        x = tp._lift(np.array([[[0.1, -0.2, 0.05]]]))
-        d = np.array([[[0.3, 0.2, 0.93]]])
-        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        v = vz.soft_visibility(bd, x, d, stop_grad=stop)
-        return tp.backward(t, tp.vsum(v * 3.0))
+        x = t.parameter("x", np.array([[[0.1, -0.2, 0.05]]]))
+        before = len(t.nodes)
+        if stop:
+            v = vz.soft_visibility(_constant_view(bd), x.data, d)
+            assert len(t.nodes) == before and v.tape is None and v.parents == ()
+        else:
+            v = vz.soft_visibility(bd, x, d)
+        # x's own term keeps the loss on the tape when v is a constant
+        return v.data, tp.backward(t, tp.vsum(v * 3.0 + x[..., 0]))
 
-    g_free = loss_with(False)
-    g_stop = loss_with(True)
-    assert np.abs(g_free["ddf_grid"]).max() > 0.0
+    v_free, g_free = loss_with(False)
+    v_stop, g_stop = loss_with(True)
+    assert np.array_equal(v_stop, v_free)
+    assert np.abs(g_free["ddf_grid"]).max() > 0.0 and g_free["vis_eps_raw"] != 0.0
     assert np.all(g_stop["ddf_grid"] == 0.0)
     assert np.all(g_stop["vis_eps_raw"] == 0.0)
 
@@ -268,24 +277,30 @@ def test_soft_visibility_matches_chain_oracle(whole_sphere):
 
 
 def test_soft_visibility_inference_records_nothing():
-    # constant inputs, or stop_grad, give the gradient path's values bit for
-    # bit with no parents and no saved coefficients
+    # constant inputs, or the constant view of a trainable binding, give the
+    # gradient path's values bit for bit with no parents, no tape and no
+    # saved coefficients
     rng = np.random.default_rng(22)
     x, d = _train_queries(rng)
     ddf = vz.DdfField(rng.normal(scale=2.0, size=(8, 16, 6, 12)))
     t = tp.Tape()
-    v_grad = vz.soft_visibility(bound_of(ddf, tape=t, trainable=True),
-                                t.parameter("x", x), d)
-    assert v_grad.parents
-    t = tp.Tape()
-    v_const = vz.soft_visibility(bound_of(ddf, tape=t), x, d)
-    assert v_const.parents == () and v_const.tape is None and not t.nodes
     bd = bound_of(ddf, tape=t, trainable=True)
+    x_var = t.parameter("x", x)
+    v_grad = vz.soft_visibility(bd, x_var, d)
+    assert v_grad.parents
+    t_const = tp.Tape()
+    v_const = vz.soft_visibility(bound_of(ddf, tape=t_const), x, d)
+    assert not t_const.nodes
     before = len(t.nodes)
-    v_stop = vz.soft_visibility(bd, t.parameter("x", x), d, stop_grad=True)
-    assert v_stop.parents == () and t.nodes[before + 1:] == [v_stop]
+    v_stop = vz.soft_visibility(_constant_view(bd), x_var.data, d)
+    assert len(t.nodes) == before
     for v in (v_const, v_stop):
+        assert v.parents == () and v.tape is None
         assert np.array_equal(v.data, v_grad.data)
+    # a loss that reads the constant view passes the grid and epsilon nothing
+    grads = tp.backward(t, tp.vsum(v_stop * x_var[..., 0]))
+    assert not np.any(grads["ddf_grid"]) and not np.any(grads["vis_eps_raw"])
+    assert np.any(grads["x"])
 
 
 def _draw_node_case(kind, rng):
