@@ -384,7 +384,10 @@ class Dataset:
 def generate_dataset(scene, n_views, seed, out_dir, width=64, height=48,
                      quad_level=4):
     """Ray-trace ``n_views`` of the scene and write the dataset directory:
-    linear PFMs, sRGB PPMs, class PGMs, sun-shadow PGMs, poses, meta."""
+    linear PFMs, sRGB PPMs, class PGMs, sun-shadow PGMs, poses, meta.
+    A ``quad_level`` outside the icosphere's range is a ConfigError before
+    anything is written."""
+    icosphere_directions(quad_level)
     rng = np.random.default_rng(seed)
     cams = camera_rig(scene, n_views, width, height, rng)
     os.makedirs(out_dir, exist_ok=True)

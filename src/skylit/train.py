@@ -637,11 +637,24 @@ def fit_holdout_illumination(scene_fields, ddf, vis_params, decoder, dataset,
     return bank, info
 
 
+# multiview pairs per sampler call in the DDF fit: a call's cost is mostly
+# per-call numpy overhead, so a few large draws cost less than many small
+DDF_FIT_PAIRS_PER_DRAW = 1024
+
+
 def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
                      n_positions=8, n_directions=128, multiview_pairs=64,
                      seed=0, w_levelset=1.0, progress_every=0):
     """Fit a DDF to frozen geometry with the three consistency losses
-    (depth + levelset + multiview); fresh supervision batches every step.
+    (depth + levelset + multiview); a fresh depth batch every step.
+
+    The multiview pairs are drawn ahead: every K = max(1,
+    DDF_FIT_PAIRS_PER_DRAW // ``multiview_pairs``) steps (16 at 64 pairs) one
+    sampler call draws K x ``multiview_pairs`` pairs, and each step takes
+    the next ``multiview_pairs`` of them. A short draw (a scene that few
+    rays hit) gives its last steps fewer pairs, or none. The draws do not
+    depend on ``steps``, so a fit's first steps are the same whatever its
+    length.
 
     ``sdf_like`` exposes ``sdf_np`` (an analytic scene or a grid field); the
     levelset term runs against a 64^3 grid sampling of it. Batches come from
@@ -661,10 +674,15 @@ def fit_ddf_to_scene(sdf_like, ddf=None, steps=3000, lr=5e-3, warmup=200,
     params = vz.VisibilityParams.default()
     adam = Adam()
     rng = np.random.default_rng(seed)
+    per_draw = max(1, DDF_FIT_PAIRS_PER_DRAW // max(multiview_pairs, 1))
     history = []
     for step in range(steps):
         batch = ls.sample_ddf_batch(sdf_like, rng, n_positions, n_directions)
-        pairs = ls.sample_multiview_pairs(sdf_like, rng, multiview_pairs)
+        if step % per_draw == 0:
+            drawn = ls.sample_multiview_pairs(sdf_like, rng,
+                                              per_draw * multiview_pairs)
+        lo = step % per_draw * multiview_pairs
+        pairs = tuple(a[lo:lo + multiview_pairs] for a in drawn)
         tape = tp.Tape()
         bd = vz.BoundDdf(tape, ddf, params)
         bf = fd.BoundFields(tape, frozen, trainable=False)

@@ -533,6 +533,16 @@ def test_cli_generate_rejects_sizes_below_one(tmp_path, capsys, flag, value):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("level", [-1, 7])
+def test_cli_generate_rejects_quad_level_out_of_range(tmp_path, capsys, level):
+    rc = cli_main(["generate", "--scene", "two-sphere", "--views", "1", "--width", "4",
+                   "--height", "3", "--quad-level", str(level),
+                   "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "config error: icosphere subdivision level" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("seed", -1), ("scene-seed", -1),
                                         ("scene-seed", -2000)])
 def test_cli_generate_rejects_negative_seeds(tmp_path, capsys, flag, value):

@@ -434,6 +434,60 @@ def test_ddf_fit_runs_without_multiview_pairs(two_sphere_scene):
     assert (ddf.grid != 0).any()
 
 
+def test_ddf_fit_draws_do_not_depend_on_its_length(two_sphere_scene):
+    # 64 pairs draw every 16 steps; the 40-step fit anneals from its half,
+    # step 20, so both fits' first 20 records share one rate schedule and
+    # span the draw at step 16
+    def fit(steps):
+        ddf = vz.DdfField.zero_init((8, 16), (6, 12))
+        return tr.fit_ddf_to_scene(two_sphere_scene, ddf=ddf, steps=steps,
+                                   warmup=4, n_positions=2, n_directions=8,
+                                   multiview_pairs=64)[1]
+
+    short, long = fit(40), fit(80)
+    assert short[:20] == long[:20]
+    assert all(rec["ddf_multiview"] > 0 for rec in short[:20])
+
+
+@pytest.mark.parametrize("pairs,steps,per_draw,short", [
+    (64, 40, 16, 0), (100, 25, 10, 0), (1500, 3, 1, 0), (64, 20, 16, 100)])
+def test_ddf_fit_hands_each_step_the_next_slice_of_its_draw(
+        two_sphere_scene, monkeypatch, pairs, steps, per_draw, short):
+    # one draw of per_draw x pairs at steps 0, per_draw, 2 per_draw, ...;
+    # a draw ``short`` pairs short of that leaves its last steps fewer
+    draws, handed = [], []
+    sample, loss = ls.sample_multiview_pairs, ls.ddf_multiview_loss
+
+    def spy_sample(sdf_like, rng, n_pairs):
+        got = tuple(a[:n_pairs - short] for a in sample(sdf_like, rng, n_pairs))
+        draws.append((len(handed), n_pairs, got))
+        return got
+
+    def spy_loss(step_pairs, bound_ddf):
+        handed.append(step_pairs)
+        return loss(step_pairs, bound_ddf)
+
+    monkeypatch.setattr(ls, "sample_multiview_pairs", spy_sample)
+    monkeypatch.setattr(ls, "ddf_multiview_loss", spy_loss)
+    tr.fit_ddf_to_scene(two_sphere_scene, ddf=vz.DdfField.zero_init((8, 16), (6, 12)),
+                        steps=steps, warmup=0, n_positions=2, n_directions=8,
+                        multiview_pairs=pairs)
+    assert len(handed) == steps
+    assert [(at, n) for at, n, _ in draws] == [
+        (at, per_draw * pairs) for at in range(0, steps, per_draw)]
+    for at, _, drawn in draws:
+        m = len(drawn[0])  # the sampler itself may return a short draw
+        for k, step_pairs in enumerate(handed[at:at + per_draw]):
+            lo = min(k * pairs, m)
+            hi = min(lo + pairs, m)
+            for got, want in zip(step_pairs, drawn):
+                assert got.shape == (hi - lo, 3)
+                assert got.tobytes() == want[lo:hi].tobytes()
+    if short:  # 924 of 1024 pairs: 14 steps of 64, one of 28, one of none
+        assert len(draws[0][2][0]) == 924
+        assert [len(p[0]) for p in handed[per_draw - 2:per_draw]] == [28, 0]
+
+
 def test_ddf_fit_prints_each_steps_total(two_sphere_scene, capsys):
     # the line format perfbench's ddf-fit times steps by and reads the loss of
     ddf = vz.DdfField.zero_init((8, 16), (6, 12))
