@@ -56,8 +56,9 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
 
     Returns a dict: linear color ``rgb``, accumulated weight ``W``, expected
     depth ``t_e``, per-sample weights, the ray ``samples``, the un-normalized
-    volume-rendered normals and albedo, and the background radiance along
-    each ray. Visibility is evaluated once at the expected termination point
+    volume-rendered normals and albedo, the background radiance along
+    each ray, and ``vis``, the visibility queries' values (a Var of (rays,
+    sky-side directions), or None when no query was made). Visibility is evaluated once at the expected termination point
     x_e and shared by every sample on the ray; it is off (every direction
     visible) when ``bound_ddf`` is None. Only sky-side directions (d_z > 0
     after ``jitter``) query it: a direction on or below the horizon is
@@ -92,9 +93,8 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
             radiance = radiance * tp.reshape(vis, vis.data.shape + (1,))
         return tp.lambert_quadrature(normals, d_sub, radiance, ray)
 
-    irr = None
+    irr = vis = None
     if np.any(upper):
-        vis = None
         if bound_ddf is not None and stop_grad_vis:
             fixed = vz.BoundDdf(None, bound_ddf.field, bound_ddf.params, trainable=False)
             vis = vz.soft_visibility(fixed, x_e.data[:, None, :], d_world[upper][None])
@@ -120,6 +120,7 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
         "weighted_normals": tp.sum_by_ray(w_rows * normals, ray, n_rays),
         "weighted_albedo": tp.sum_by_ray(w_rows * albedo, ray, n_rays),
         "background": background,
+        "vis": vis,
     }
 
 

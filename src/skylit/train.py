@@ -330,6 +330,16 @@ class Adam:
             state[name] = dst[:n + k]
 
 
+def unsaturated_share(vis):
+    """The share of the visibility queries ``vis`` (a Var, or None when
+    none were made) whose value lies strictly between 0 and 1: the queries
+    that carry a gradient (``visibility.soft_visibility``). 0.0 when there
+    are none."""
+    if vis is None or vis.data.size == 0:
+        return 0.0
+    return float(np.count_nonzero((vis.data > 0.0) & (vis.data < 1.0)) / vis.data.size)
+
+
 def take_step(adam, tape, terms, rates):
     """One optimisation step: evaluate each of ``terms`` (name -> (weight,
     thunk)) whose weight is above 0, all before any sum, so the tape's node
@@ -559,7 +569,7 @@ class Trainer:
         # the step log's record, keys in the log's order
         rec = {name: done[name] for name in LOSS_TERMS} | dict(
             step=step, total=done["total"], epsilon=self.vis_params.epsilon,
-            rejected=done["rejected"], **{f"lr_{k}": v for k, v in lrs.items()})
+            vis_unsaturated=unsaturated_share(out["vis"]), rejected=done["rejected"], **{f"lr_{k}": v for k, v in lrs.items()})
         self.history.append(rec)
         if self._log_fh:
             self._log_fh.write(json.dumps(rec) + "\n")

@@ -17,12 +17,13 @@ the clamped-sigmoid depth; its ``pullback`` is the sphere point's adjoint.
 Two tape nodes call it: ``ddf_eval``, the DDF losses' depth (one node
 per supervision batch and step, which the depth and levelset terms both
 read), and the visibility query ``soft_visibility``, which runs over
-blocks of whole rays and saves each query's closed-form adjoint
-coefficients. Each decides its mode from its inputs alone: when none of
-them is on a tape it computes values alone and returns a constant. A
-caller that holds visibility constant reads a constant binding
-(``BoundDdf(None, ..., trainable=False)``) at plain arrays. Light
-directions are plain arrays with no gradient.
+blocks of whole rays and saves closed-form adjoint coefficients only for
+the queries whose value is neither exactly 0 nor exactly 1 (NaN
+included); every other query passes exactly 0. Each decides its mode
+from its inputs alone: when none of them is on a tape it computes values
+alone and returns a constant. A caller that holds visibility constant
+reads a constant binding (``BoundDdf(None, ..., trainable=False)``) at
+plain arrays. Light directions are plain arrays with no gradient.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .fields import _grid_read, _grid_scatter
+from . import fields as fd
+from .fields import _grid_read, _grid_scatter, _lerp_tree
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -129,6 +131,14 @@ class _DirectionMap:
             den = np.where(pole, dx - sx * ds, den)
         self.terms = (sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole)
 
+    def select(self, pick):
+        """This map at a subset of its queries: each frame term through
+        ``pick``."""
+        sub = object.__new__(_DirectionMap)
+        sub.scale = self.scale
+        sub.terms = tuple(pick(a) for a in self.terms)
+        return sub
+
     def coords(self):
         """The four cell coordinates, as a tuple of arrays."""
         sx, sy, sz, _, _, _, ds, _, num, den, _ = self.terms
@@ -215,6 +225,38 @@ class _DdfRead:
             g_u[j] = g_u[j] * ((self.u[j] > 0.0) & (self.u[j] < self.shape[j] - 1))
         return self.dmap.pullback(g_u)
 
+    def select(self, grid, flat):
+        """The queries at the flat indices ``flat`` of this read's query
+        shape (None for all of them) as a read with the partials: this
+        read's tree rows when it has the partials, else their 16 corners
+        gathered again for a lerp tree that carries them; coordinates,
+        fractions, direction terms and sigmoid are this read's. Returns the
+        read and the function that picks the same queries, flat, from any
+        array that broadcasts to the query shape."""
+        shape = self.depth.shape
+        if flat is None:
+            def pick(a):
+                return a
+            corner = self.corner
+        else:
+            def pick(a):
+                return np.broadcast_to(a, shape).reshape(-1)[flat]
+            corner = np.take(self.corner.reshape(16, -1), flat, axis=1)
+        sub = object.__new__(_DdfRead)
+        sub.shape = self.shape
+        sub.dmap = self.dmap.select(pick)
+        sub.u = [pick(a) for a in self.u]
+        sub.corner = corner
+        sub.frac = [pick(f) for f in self.frac]
+        if self.tree.shape[0] == 1:  # no partials: gather the corners again
+            sub.tree = _lerp_tree(np.take(grid.reshape(-1), corner, axis=0), sub.frac, True)
+        elif flat is None:
+            sub.tree = self.tree
+        else:
+            sub.tree = np.take(self.tree.reshape(5, -1), flat, axis=1)
+        sub.depth, sub.sig = pick(self.depth), pick(self.sig)
+        return sub, pick
+
 
 def ddf_eval(bound, s, d_world):
     """Predicted depth in (0,2) at sphere points ``s`` looking inward along
@@ -240,6 +282,10 @@ def ddf_eval(bound, s, d_world):
 
 
 VISIBILITY_BLOCK = 16384  # queries per block of whole rays in soft_visibility
+# the in-band share of a block from which the next block's DDF read carries
+# the partials for all its queries instead of gathering the in-band corners
+# again (about where the two cost the same)
+BAND_SHARE_FOR_PARTIALS = 0.25
 
 
 def soft_visibility(bound, x, d):
@@ -256,13 +302,27 @@ def soft_visibility(bound, x, d):
     One tape node with parents x, the grid and epsilon, evaluated over
     blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
     queries. Per block it finds the exit distance and point, reads the DDF
-    there (``_DdfRead``: the 16 corners gathered once, the raw depth and its
-    4 coordinate partials from one lerp tree), then both sigmoids. It saves
-    each query's closed-form adjoint coefficients, dv/dx (3 per query),
-    dv/draw and dv/deps, plus the corner indices and the 4 fractions, so
-    its gradients recompute nothing: x takes one weighted sum over
-    directions, epsilon one dot product, and the grid one deferred scatter
-    of the lerp tree's transpose over all queries (``fields._grid_scatter``).
+    there once (``_DdfRead``) and applies both sigmoids.
+
+    Gradients follow one rule: only a query whose v is neither exactly 0
+    nor exactly 1 is in band and has adjoint coefficients; every other
+    query passes exactly 0, which is what central differences read there
+    (below the horizon v is pinned to 1, and a sigmoid that rounds to 0 or
+    1 has a slope below ETA * 2^-54). NaN is in band, so a non-finite input
+    still gives a non-finite gradient. For the in-band queries it computes
+    and saves the closed-form coefficients dv/dx (3 per query), dv/draw and
+    dv/deps, their corner indices and 4 fractions, and their flat
+    positions, packed, so that its gradients recompute nothing and cost
+    what the in-band share costs: x takes the coefficient-weighted adjoint
+    (zeros elsewhere) summed over directions, epsilon one dot product, and
+    the grid one deferred scatter of the lerp tree's transpose over the
+    in-band queries (``fields._grid_scatter``; empty when none is in band).
+    The partials the coefficients need come from the block's read when it
+    carries them, and otherwise from the in-band queries' 16 corners
+    gathered again for a lerp tree that does: a block reads the partials
+    for all its queries when at least ``BAND_SHARE_FOR_PARTIALS`` of the
+    previous block's queries were in band (the first block always does).
+    Either way the values and coefficients are the same bits.
     When x, the grid and epsilon are all constants it computes v alone and
     returns a constant: no coefficients, no parents and no tape.
     """
@@ -270,21 +330,19 @@ def soft_visibility(bound, x, d):
     d = np.asarray(d, dtype=np.float64)
     grad = any(v.tape is not None or v.parents for v in (x, bound.grid, bound.eps_raw))
     eps = bound.epsilon()
-    grid_shape = bound.grid.data.shape
+    grid = bound.grid.data
     shape = np.broadcast_shapes(x.data.shape[:-1], d.shape[:-1])
     full = shape or (1,)  # blocks run over a leading axis
     xs = x.data.reshape((1,) * (len(full) + 1 - x.data.ndim) + x.data.shape)
     ds = d.reshape((1,) * (len(full) + 1 - d.ndim) + d.shape)
 
     v = np.empty(full)
-    if grad:
-        coef_x = np.empty((3,) + full)
-        coef_raw = np.empty(full)
-        coef_eps = np.empty(full)
-        fracs = np.empty((4,) + full)
-        idx = None  # made at the first block, in its index type
-    step = max(1, VISIBILITY_BLOCK // max(1, math.prod(full[1:])))
-    # one block at least, so that an empty query still has its corner indices
+    row = math.prod(full[1:])
+    saved = []  # per block: the in-band queries' flat positions, coefficients,
+    # fractions and corner indices, in block order
+    partials = True  # whether this block's read carries the partials
+    step = max(1, VISIBILITY_BLOCK // max(1, row))
+    # one block at least, so that an empty query still saves its empty arrays
     for lo in range(0, max(full[0], 1), step):
         b = slice(lo, lo + step)
         xb = xs[b] if xs.shape[0] > 1 else xs
@@ -293,44 +351,65 @@ def soft_visibility(bound, x, d):
         xc = [xb[..., k] for k in range(3)]
         dc = [db[..., k] for k in range(3)]
         sc = [xk + q.t * dk for xk, dk in zip(xc, dc)]
-        read = _DdfRead(bound.grid.data, sc, [-dk for dk in dc], grad)
+        read = _DdfRead(grid, sc, [-dk for dk in dc], grad and partials)
         occluded = tp.sigmoid_np(ETA * ((q.t - read.depth) - eps.data))
         lower = np.broadcast_to(dc[2] <= 0.0, occluded.shape)
         v[b] = np.where(lower, 1.0, 1.0 - occluded)
         if not grad:
             continue
+        # the rule: only a query whose v is neither exactly 0 nor exactly 1
+        # (NaN included) has coefficients; the rest pass exactly 0
+        band = (v[b] != 0.0) & (v[b] != 1.0)
+        n = np.count_nonzero(band)
+        partials = n >= BAND_SHARE_FOR_PARTIALS * band.size
+        flat = None if n == band.size else np.flatnonzero(band)
+        rd, pick = read.select(grid, flat)
+        occ, t, root, near, qb = (pick(a) for a in (occluded, q.t, q.root, q.near, q.b))
+        xc, dc = [pick(a) for a in xc], [pick(a) for a in dc]
         # dv/deps = dv/ddepth = -dv/dt
-        k_eps = np.where(lower, 0.0, ETA * occluded * (1.0 - occluded))
-        k_raw = _depth_slope(k_eps, read.sig)
-        g_s = read.pullback(k_raw)
+        k_eps = ETA * occ * (1.0 - occ)
+        k_raw = _depth_slope(k_eps, rd.sig)
+        g_s = rd.pullback(k_raw)
         # s = x + t d: dv/dt gathers the exit point's share, then passes
         # through t's closed form (as the quadratic's roots, clamped)
-        g_t = (g_s[0] * dc[0] + g_s[1] * dc[1] + g_s[2] * dc[2] - k_eps) * (q.t > 0.0)
+        g_t = (g_s[0] * dc[0] + g_s[1] * dc[1] + g_s[2] * dc[2] - k_eps) * (t > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g_disc = np.where(q.root > 0.0,
-                              np.where(q.near, -0.25, 0.25) * g_t / q.root, 0.0)
-        g_b = -0.5 * g_t + 2.0 * q.b * g_disc
-        g_c = -4.0 * g_disc
+            g_disc = np.where(root > 0.0, np.where(near, -0.25, 0.25) * g_t / root, 0.0)
+        g_b2 = 2.0 * (-0.5 * g_t + 2.0 * qb * g_disc)
+        g_c2 = 2.0 * (-4.0 * g_disc)
+        coef_x = np.empty((3, n))
         for k in range(3):
-            coef_x[k, b] = g_s[k] + 2.0 * g_b * dc[k] + 2.0 * g_c * xc[k]
-        coef_raw[b] = k_raw
-        coef_eps[b] = k_eps
-        fracs[:, b] = read.frac
-        if idx is None:
-            idx = np.empty((16,) + full, dtype=read.corner.dtype)
-        idx[:, b] = read.corner
+            np.add(g_s[k] + g_b2 * dc[k], g_c2 * xc[k], out=coef_x[k].reshape(k_eps.shape))
+        pos = lo * row + (np.arange(n) if flat is None else flat)
+        saved.append((pos, coef_x, k_raw.reshape(-1), k_eps.reshape(-1),
+                      *(f.reshape(-1) for f in rd.frac), rd.corner.reshape(16, -1)))
     if not grad:
         return tp.Var(v.reshape(shape))
+    pos, coef_x, coef_raw, coef_eps, *fracs, idx = (
+        a[0] if len(a) == 1 else np.concatenate(a, axis=-1) for a in zip(*saved))
+    if pos.size == v.size:
+        pos = None  # every query is in band
+
+    def band(g):
+        """The output adjoint at the in-band queries, flat."""
+        g = g.reshape(-1)
+        return g if pos is None else g[pos]
 
     def vjp_x(g):
-        return np.moveaxis(coef_x * g.reshape(full), 0, -1)
+        gx = coef_x * band(g)
+        if pos is not None:
+            # zeros at the saturated queries, in the all-query layout, so
+            # that the tape's sum over broadcast axes adds in the same order
+            gx, rows = np.zeros((3, v.size)), gx
+            gx[:, pos] = rows
+        return np.moveaxis(gx.reshape((3,) + full), 0, -1)
 
     def vjp_grid(g):
         # the raw depth's adjoint through the lerp tree's transpose
-        return _grid_scatter(grid_shape, idx, fracs, (g.reshape(full) * coef_raw)[None])
+        return _grid_scatter(grid.shape, idx, fracs, (band(g) * coef_raw)[None])
 
     def vjp_eps(g):
-        return np.dot(g.reshape(-1), coef_eps.reshape(-1))
+        return np.dot(band(g), coef_eps)
 
     return tp._node("soft_visibility", v.reshape(shape), (x, bound.grid, eps),
                     (vjp_x, vjp_grid, vjp_eps))
@@ -368,8 +447,6 @@ def visibility_map(ddf, params, camera, scene_fields, dirs=None):
     hemisphere) at the expected surface point of 64 stratified samples per
     pixel (seed 0); a pixel whose accumulated weight is below 1e-3 (sky)
     reads 1. With one direction, the sun's, this is a shadow map."""
-    from . import fields as fd  # local import to keep module load acyclic
-
     rng = np.random.default_rng(0)
     chunk = 4096
     pixels = camera.all_pixels()

@@ -757,10 +757,32 @@ def test_step_log_written_as_json_lines(tiny_dataset, tmp_path):
     assert [json.loads(line) for line in lines] == trainer.history
     assert [rec["step"] for rec in trainer.history] == [0, 1, 2, 3]
     assert set(trainer.history[0]) == {
-        *tr.LOSS_TERMS, "step", "total", "epsilon", "rejected",
+        *tr.LOSS_TERMS, "step", "total", "epsilon", "vis_unsaturated", "rejected",
         "lr_fields", "lr_ddf", "lr_illum", "lr_eps"}
     assert all(rec["rejected"] is None for rec in trainer.history)
     assert trainer.rejected_steps == []
+
+
+def test_step_records_the_unsaturated_visibility_share(tiny_dataset, monkeypatch):
+    # vis_unsaturated is the share of the step's visibility queries with
+    # 0 < v < 1, read from the Var render_rays returns; 0.0 without
+    # visibility
+    _, dataset = tiny_dataset
+    seen = []
+    render_rays = tr.rd.render_rays
+
+    def spy(*args, **kwargs):
+        out = render_rays(*args, **kwargs)
+        seen.append(out["vis"])
+        return out
+
+    monkeypatch.setattr(tr.rd, "render_rays", spy)
+    rec = tr.Trainer(dataset, tiny_train_config(steps=2)).train_step()
+    v = seen[-1].data
+    assert v.size and np.any(v == 1.0) and np.any((v > 0.0) & (v < 1.0))
+    assert rec["vis_unsaturated"] == np.count_nonzero((v > 0.0) & (v < 1.0)) / v.size
+    rec = tr.Trainer(dataset, tiny_train_config(steps=2, use_visibility=False)).train_step()
+    assert seen[-1] is None and rec["vis_unsaturated"] == 0.0
 
 
 def test_nonfinite_step_rejected(tiny_dataset):

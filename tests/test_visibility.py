@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from skylit import fields as fd
 from skylit import tape as tp
+from skylit import train as tr
 from skylit import visibility as vz
 from skylit.geometry import (icosphere_directions, ray_sphere_exit, sample_sphere,
                              so3_jitter)
@@ -444,6 +445,73 @@ def test_soft_visibility_horizon_and_below_is_one_with_zero_gradient():
     grads = tp.backward(t, tp.vsum(v))
     assert grads["ddf_grid"].shape == (4, 6, 3, 6)
     assert not any(np.any(g) for g in grads.values())
+
+
+def _mixed_queries():
+    """Flat queries x, d (each (2592, 3)), a grid and epsilon under which
+    the values mix in-band queries (0 < v < 1) with exact 1s, sky-side and
+    below the horizon, and exact 0s."""
+    rng = np.random.default_rng(31)
+    dirs = icosphere_directions(2).directions @ so3_jitter(rng).T
+    x = rng.uniform(-0.6, 0.6, size=(16, 1, 3))
+    x, d = (a.reshape(-1, 3) for a in np.broadcast_arrays(x, dirs[None]))
+    return x, d, rng.normal(scale=3.0, size=(8, 16, 6, 12)), 0.05
+
+
+def test_soft_visibility_saturated_queries_add_nothing():
+    # a query that reads exactly 0 or 1 passes exactly 0: the grid, epsilon
+    # and x gradients of the mixed batch are, bit for bit, those of its
+    # in-band queries alone, and the saturated rows of x's are 0
+    x, d, grid, eps = _mixed_queries()
+    upstream = np.random.default_rng(32).normal(size=x.shape[0])
+    v, got = _visibility_and_grads(vz.soft_visibility, grid, eps, x, d, upstream)
+    band = (v > 0.0) & (v < 1.0)
+    sky = d[:, 2] > 0.0
+    assert np.any(band) and np.any(v == 0.0)
+    assert np.any((v == 1.0) & sky) and np.any(~sky)
+    v_band, want = _visibility_and_grads(vz.soft_visibility, grid, eps, x[band], d[band],
+                                         upstream[band])
+    assert np.array_equal(v_band, v[band])
+    assert np.any(want["ddf_grid"]) and want["vis_eps_raw"] != 0.0
+    assert np.array_equal(got["ddf_grid"], want["ddf_grid"])
+    assert np.array_equal(got["vis_eps_raw"], want["vis_eps_raw"])
+    assert np.array_equal(got["x"][band], want["x"])
+    assert not np.any(got["x"][~band])
+
+
+def test_soft_visibility_all_saturated_scatters_nothing():
+    # every query reads exactly 0 or 1: the grid's adjoint is an empty
+    # scatter, and an Adam step on it makes no ddf_grid entry live
+    x, d, grid, eps = _mixed_queries()
+    t = tp.Tape()
+    bd = vz.BoundDdf(t, vz.DdfField(grid), vz.VisibilityParams.default(epsilon=eps))
+    v_all = vz.soft_visibility(_constant_view(bd), x, d).data
+    sat = (v_all == 0.0) | (v_all == 1.0)
+    v = vz.soft_visibility(bd, t.parameter("x", x[sat]), d[sat])
+    assert np.array_equal(v.data, v_all[sat]) and np.any(v.data == 0.0)
+    vjp_grid = next(vjp for parent, vjp in v.parents if parent is bd.grid)
+    scatter = vjp_grid(np.ones(v.data.shape))
+    assert isinstance(scatter, tp._Scatter)
+    assert sum(index.size for index in scatter.index) == 0
+    assert not np.any(scatter.to_dense())
+    adam = tr.Adam()
+    loss = tp.vsum(v * np.random.default_rng(33).normal(size=v.data.shape))
+    assert adam.step(t, loss, {"ddf_grid": 1e-3, "vis_eps_raw": 1e-3}) is None
+    assert adam.live["ddf_grid"].size == 0 and adam.live["vis_eps_raw"].size == 0
+
+
+def test_soft_visibility_nan_query_keeps_a_non_finite_gradient():
+    # NaN is neither 0 nor 1, so a NaN query keeps its coefficients: every
+    # slot's gradient stays non-finite, for the optimiser's check to see
+    x, d, grid, eps = _mixed_queries()
+    x = x.copy()
+    i = np.flatnonzero(d[:, 2] > 0.0)[0]
+    x[i] = np.nan
+    upstream = np.random.default_rng(34).normal(size=x.shape[0])
+    v, grads = _visibility_and_grads(vz.soft_visibility, grid, eps, x, d, upstream)
+    assert np.isnan(v[i])
+    for name, g in grads.items():
+        assert not np.all(np.isfinite(g)), name
 
 
 def test_binary_oracle_empty_and_occluded():
