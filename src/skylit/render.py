@@ -58,9 +58,10 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
     depth ``t_e``, per-sample weights, the ray ``samples``, the un-normalized
     volume-rendered normals and albedo, the background radiance along
     each ray, and ``vis``, the visibility queries' values (a Var of (rays,
-    sky-side directions), or None when no query was made). Visibility is evaluated once at the expected termination point
-    x_e and shared by every sample on the ray; it is off (every direction
-    visible) when ``bound_ddf`` is None. Only sky-side directions (d_z > 0
+    sky-side directions), or None when no query was made). Visibility is
+    evaluated once at the expected termination point x_e and shared by
+    every sample on the ray; it is off (every direction visible) when
+    ``bound_ddf`` is None. Only sky-side directions (d_z > 0
     after ``jitter``) query it: a direction on or below the horizon is
     visible, as in ``soft_visibility``. With ``stop_grad_vis`` it reads
     constant copies of the DDF and of x_e: no gradient passes visibility.

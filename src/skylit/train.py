@@ -332,9 +332,8 @@ class Adam:
 
 def unsaturated_share(vis):
     """The share of the visibility queries ``vis`` (a Var, or None when
-    none were made) whose value lies strictly between 0 and 1: the queries
-    that carry a gradient (``visibility.soft_visibility``). 0.0 when there
-    are none."""
+    none were made) whose value lies strictly between 0 and 1; 0.0 when
+    there are none."""
     if vis is None or vis.data.size == 0:
         return 0.0
     return float(np.count_nonzero((vis.data > 0.0) & (vis.data < 1.0)) / vis.data.size)
@@ -569,7 +568,8 @@ class Trainer:
         # the step log's record, keys in the log's order
         rec = {name: done[name] for name in LOSS_TERMS} | dict(
             step=step, total=done["total"], epsilon=self.vis_params.epsilon,
-            vis_unsaturated=unsaturated_share(out["vis"]), rejected=done["rejected"], **{f"lr_{k}": v for k, v in lrs.items()})
+            vis_unsaturated=unsaturated_share(out["vis"]), rejected=done["rejected"],
+            **{f"lr_{k}": v for k, v in lrs.items()})
         self.history.append(rec)
         if self._log_fh:
             self._log_fh.write(json.dumps(rec) + "\n")

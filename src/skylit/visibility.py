@@ -19,7 +19,9 @@ per supervision batch and step, which the depth and levelset terms both
 read), and the visibility query ``soft_visibility``, which runs over
 blocks of whole rays and saves closed-form adjoint coefficients only for
 the queries whose value is neither exactly 0 nor exactly 1 (NaN
-included); every other query passes exactly 0. Each decides its mode
+included); every other query passes exactly 0. Its read keeps the lerp
+tree's value levels, and only those queries take the partials from
+them (``_DdfRead.select``). Each decides its mode
 from its inputs alone: when none of them is on a tape it computes values
 alone and returns a constant. A caller that holds visibility constant
 reads a constant binding (``BoundDdf(None, ..., trainable=False)``) at
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import tape as tp
 from . import fields as fd
-from .fields import _grid_read, _grid_scatter, _lerp_tree
+from .fields import _corner_index, _grid_read, _grid_scatter, _lerp_tree_vjp
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -203,58 +205,100 @@ def _depth_slope(g, sig):
     return g * SCENE_DIAMETER * (sig < 1.0 - 1e-12) * (sig > 1e-12) * sig * (1.0 - sig)
 
 
+def _lerp_levels(vals, fracs):
+    """``fields._lerp_tree``'s value rows at every level, without the
+    partials: the corner values ``vals`` (2^k, ...), then each axis's lerp
+    of the level before, each in a new array, so that the partials can be
+    taken later at any subset of the queries (``_lerp_partials``). The last
+    level is the value (1, ...), the same operations as the tree's and so
+    the same bits."""
+    levels = [vals]
+    for f in fracs:
+        half = levels[-1].shape[0] // 2
+        out = levels[-1][:half] * (1.0 - f)
+        out += levels[-1][half:] * f
+        levels.append(out)
+    return levels
+
+
+def _lerp_partials(levels, fracs):
+    """The k partials of ``fields._lerp_tree`` (k, ...) from the value
+    levels ``levels`` of ``_lerp_levels``: each axis's hi - lo of its level,
+    lerped along the later axes with the tree's operations, so bit for bit
+    the tree's partial rows."""
+    rows = np.empty((0,) + levels[0].shape)
+    for j, f in enumerate(fracs):
+        half = levels[j].shape[0] // 2
+        lo, hi = rows[:, :half], rows[:, half:]
+        out = np.empty((j + 1, half) + levels[j].shape[1:])
+        np.subtract(levels[j][half:], levels[j][:half], out=out[j])
+        lo *= 1.0 - f
+        hi *= f
+        np.add(lo, hi, out=out[:j])
+        rows = out
+    return rows[:, 0]
+
+
 class _DdfRead:
     """The DDF grid ``grid`` read at sphere points ``s`` looking along ``d``
     (three component arrays each, of one rank, broadcasting): the cell
-    coordinates ``u``, ``fields._grid_read``'s corners, fractions and lerp
-    tree (with the 4 partials if ``partials``), and ``_depth``'s output."""
+    coordinates ``u``, the corner indices ``corner`` and fractions
+    ``frac`` of ``fields._grid_read`` and ``_depth``'s output. With
+    ``partials`` the lerp tree carries the 4 partials along the coordinates
+    (``self.partials``, for ``pullback``). With ``levels`` instead the read
+    keeps the tree's value levels (``_lerp_levels``), from which ``select``
+    takes the partials of any subset of the queries."""
 
-    def __init__(self, grid, s, d, partials):
+    def __init__(self, grid, s, d, partials, levels=False):
         self.shape = grid.shape
         self.dmap = _DirectionMap(s, d, grid.shape)
         self.u = self.dmap.coords()
-        self.corner, self.frac, self.tree = _grid_read(grid, self.u, DDF_WRAP, partials)
-        self.depth, self.sig = _depth(self.tree[0])
+        if levels:
+            self.corner, self.frac = _corner_index(grid.shape, self.u, DDF_WRAP)
+            self.levels = _lerp_levels(np.take(grid.reshape(-1), self.corner, axis=0),
+                                       self.frac)
+            tree = self.levels[-1]
+        else:
+            self.corner, self.frac, tree = _grid_read(grid, self.u, DDF_WRAP, partials)
+            self.partials = tree[1:]
+        self.depth, self.sig = _depth(tree[0])
 
     def pullback(self, g_raw):
         """s's adjoint (three component arrays) from the raw depth's adjoint,
         through the partials; a clamped coordinate at or beyond an end node
         passes gradient 0."""
-        g_u = [g_raw * self.tree[1 + j] for j in range(4)]
+        g_u = [g_raw * self.partials[j] for j in range(4)]
         for j in (0, 2):
             g_u[j] = g_u[j] * ((self.u[j] > 0.0) & (self.u[j] < self.shape[j] - 1))
         return self.dmap.pullback(g_u)
 
-    def select(self, grid, flat):
-        """The queries at the flat indices ``flat`` of this read's query
-        shape (None for all of them) as a read with the partials: this
-        read's tree rows when it has the partials, else their 16 corners
-        gathered again for a lerp tree that carries them; coordinates,
-        fractions, direction terms and sigmoid are this read's. Returns the
-        read and the function that picks the same queries, flat, from any
-        array that broadcasts to the query shape."""
+    def select(self, flat):
+        """A read with ``levels`` at the flat indices ``flat`` of its
+        query shape (None for all of them), as a read with the partials:
+        its coordinates, corners, fractions, direction terms and sigmoid
+        picked, and the partials taken from its picked value levels.
+        Returns the read and the function that picks the same queries,
+        flat, from any array that broadcasts to the query shape."""
         shape = self.depth.shape
         if flat is None:
             def pick(a):
                 return a
-            corner = self.corner
         else:
             def pick(a):
-                return np.broadcast_to(a, shape).reshape(-1)[flat]
-            corner = np.take(self.corner.reshape(16, -1), flat, axis=1)
+                return np.broadcast_to(a, shape).reshape(-1).take(flat)
         sub = object.__new__(_DdfRead)
         sub.shape = self.shape
         sub.dmap = self.dmap.select(pick)
         sub.u = [pick(a) for a in self.u]
-        sub.corner = corner
         sub.frac = [pick(f) for f in self.frac]
-        if self.tree.shape[0] == 1:  # no partials: gather the corners again
-            sub.tree = _lerp_tree(np.take(grid.reshape(-1), corner, axis=0), sub.frac, True)
-        elif flat is None:
-            sub.tree = self.tree
+        if flat is None:
+            sub.corner, levels = self.corner, self.levels
         else:
-            sub.tree = np.take(self.tree.reshape(5, -1), flat, axis=1)
-        sub.depth, sub.sig = pick(self.depth), pick(self.sig)
+            # every level but the value, each query's rows gathered again
+            sub.corner, *levels = (np.take(a.reshape(a.shape[0], -1), flat, axis=1)
+                                   for a in (self.corner, *self.levels[:-1]))
+        sub.partials = _lerp_partials(levels, sub.frac)
+        sub.sig = pick(self.sig)
         return sub, pick
 
 
@@ -282,10 +326,6 @@ def ddf_eval(bound, s, d_world):
 
 
 VISIBILITY_BLOCK = 16384  # queries per block of whole rays in soft_visibility
-# the in-band share of a block from which the next block's DDF read carries
-# the partials for all its queries instead of gathering the in-band corners
-# again (about where the two cost the same)
-BAND_SHARE_FOR_PARTIALS = 0.25
 
 
 def soft_visibility(bound, x, d):
@@ -302,7 +342,8 @@ def soft_visibility(bound, x, d):
     One tape node with parents x, the grid and epsilon, evaluated over
     blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
     queries. Per block it finds the exit distance and point, reads the DDF
-    there once (``_DdfRead``) and applies both sigmoids.
+    there once (``_DdfRead``, the raw depth alone) and applies both
+    sigmoids.
 
     Gradients follow one rule: only a query whose v is neither exactly 0
     nor exactly 1 is in band and has adjoint coefficients; every other
@@ -310,19 +351,17 @@ def soft_visibility(bound, x, d):
     (below the horizon v is pinned to 1, and a sigmoid that rounds to 0 or
     1 has a slope below ETA * 2^-54). NaN is in band, so a non-finite input
     still gives a non-finite gradient. For the in-band queries it computes
-    and saves the closed-form coefficients dv/dx (3 per query), dv/draw and
-    dv/deps, their corner indices and 4 fractions, and their flat
-    positions, packed, so that its gradients recompute nothing and cost
-    what the in-band share costs: x takes the coefficient-weighted adjoint
-    (zeros elsewhere) summed over directions, epsilon one dot product, and
-    the grid one deferred scatter of the lerp tree's transpose over the
-    in-band queries (``fields._grid_scatter``; empty when none is in band).
-    The partials the coefficients need come from the block's read when it
-    carries them, and otherwise from the in-band queries' 16 corners
-    gathered again for a lerp tree that does: a block reads the partials
-    for all its queries when at least ``BAND_SHARE_FOR_PARTIALS`` of the
-    previous block's queries were in band (the first block always does).
-    Either way the values and coefficients are the same bits.
+    and saves, block by block and packed, the closed-form coefficients
+    dv/dx (3 per query), dv/draw and dv/deps, their corner indices and 4
+    fractions, and their flat positions, so that its gradients recompute
+    nothing and cost what the in-band share costs: x takes the
+    coefficient-weighted adjoint (zeros elsewhere) summed over directions,
+    epsilon one dot product, and the grid one deferred scatter of the lerp
+    tree's transpose over the in-band queries (empty when none is in band),
+    corner major, as the scatter of one read adds. The coefficients need
+    the raw depth's 4 partials, which only the in-band queries compute,
+    from the block read's lerp-tree levels picked at their positions
+    (``_DdfRead.select``): the same bits as a tree that carries them.
     When x, the grid and epsilon are all constants it computes v alone and
     returns a constant: no coefficients, no parents and no tape.
     """
@@ -338,9 +377,9 @@ def soft_visibility(bound, x, d):
 
     v = np.empty(full)
     row = math.prod(full[1:])
-    saved = []  # per block: the in-band queries' flat positions, coefficients,
-    # fractions and corner indices, in block order
-    partials = True  # whether this block's read carries the partials
+    saved = []  # per block: its in-band queries' flat positions (a slice
+    # when all of them are in band), and their coefficients, fractions and
+    # corner indices, packed
     step = max(1, VISIBILITY_BLOCK // max(1, row))
     # one block at least, so that an empty query still saves its empty arrays
     for lo in range(0, max(full[0], 1), step):
@@ -351,7 +390,7 @@ def soft_visibility(bound, x, d):
         xc = [xb[..., k] for k in range(3)]
         dc = [db[..., k] for k in range(3)]
         sc = [xk + q.t * dk for xk, dk in zip(xc, dc)]
-        read = _DdfRead(grid, sc, [-dk for dk in dc], grad and partials)
+        read = _DdfRead(grid, sc, [-dk for dk in dc], False, levels=grad)
         occluded = tp.sigmoid_np(ETA * ((q.t - read.depth) - eps.data))
         lower = np.broadcast_to(dc[2] <= 0.0, occluded.shape)
         v[b] = np.where(lower, 1.0, 1.0 - occluded)
@@ -361,9 +400,8 @@ def soft_visibility(bound, x, d):
         # (NaN included) has coefficients; the rest pass exactly 0
         band = (v[b] != 0.0) & (v[b] != 1.0)
         n = np.count_nonzero(band)
-        partials = n >= BAND_SHARE_FOR_PARTIALS * band.size
         flat = None if n == band.size else np.flatnonzero(band)
-        rd, pick = read.select(grid, flat)
+        rd, pick = read.select(flat)
         occ, t, root, near, qb = (pick(a) for a in (occluded, q.t, q.root, q.near, q.b))
         xc, dc = [pick(a) for a in xc], [pick(a) for a in dc]
         # dv/deps = dv/ddepth = -dv/dt
@@ -380,36 +418,38 @@ def soft_visibility(bound, x, d):
         coef_x = np.empty((3, n))
         for k in range(3):
             np.add(g_s[k] + g_b2 * dc[k], g_c2 * xc[k], out=coef_x[k].reshape(k_eps.shape))
-        pos = lo * row + (np.arange(n) if flat is None else flat)
-        saved.append((pos, coef_x, k_raw.reshape(-1), k_eps.reshape(-1),
-                      *(f.reshape(-1) for f in rd.frac), rd.corner.reshape(16, -1)))
+        at = slice(lo * row, lo * row + n) if flat is None else lo * row + flat
+        saved.append((at, coef_x, k_raw.reshape(-1), k_eps.reshape(-1),
+                      [f.reshape(-1) for f in rd.frac], rd.corner.reshape(16, -1)))
     if not grad:
         return tp.Var(v.reshape(shape))
-    pos, coef_x, coef_raw, coef_eps, *fracs, idx = (
-        a[0] if len(a) == 1 else np.concatenate(a, axis=-1) for a in zip(*saved))
-    if pos.size == v.size:
-        pos = None  # every query is in band
+    coef_eps = np.concatenate([c[3] for c in saved])
 
-    def band(g):
-        """The output adjoint at the in-band queries, flat."""
-        g = g.reshape(-1)
-        return g if pos is None else g[pos]
-
+    # the vjps run block by block over the saved pieces, with the same bits
+    # as over the pieces joined: x's adjoint is elementwise, epsilon's one
+    # dot product over the joined in-band queries, and the grid's scatter
+    # adds corner by corner, each corner's blocks in order (corner major,
+    # as one read's scatter adds)
     def vjp_x(g):
-        gx = coef_x * band(g)
-        if pos is not None:
-            # zeros at the saturated queries, in the all-query layout, so
-            # that the tape's sum over broadcast axes adds in the same order
-            gx, rows = np.zeros((3, v.size)), gx
-            gx[:, pos] = rows
+        # zeros at the saturated queries, in the all-query layout, so that
+        # the tape's sum over broadcast axes adds in the same order
+        g = g.reshape(-1)
+        gx = np.zeros((3, v.size))
+        for at, coef_x, *_ in saved:
+            gx[:, at] = coef_x * g[at]
         return np.moveaxis(gx.reshape((3,) + full), 0, -1)
 
     def vjp_grid(g):
         # the raw depth's adjoint through the lerp tree's transpose
-        return _grid_scatter(grid.shape, idx, fracs, (band(g) * coef_raw)[None])
+        g = g.reshape(-1)
+        rows = [_lerp_tree_vjp((g[at] * coef_raw)[None], fracs)
+                for at, _, coef_raw, _, fracs, _ in saved]
+        return tp._Scatter(grid.shape, [c[-1][k] for k in range(16) for c in saved],
+                           [r[k] for k in range(16) for r in rows])
 
     def vjp_eps(g):
-        return np.dot(band(g), coef_eps)
+        g = g.reshape(-1)
+        return np.dot(np.concatenate([g[c[0]] for c in saved]), coef_eps)
 
     return tp._node("soft_visibility", v.reshape(shape), (x, bound.grid, eps),
                     (vjp_x, vjp_grid, vjp_eps))

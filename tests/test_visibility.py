@@ -514,6 +514,54 @@ def test_soft_visibility_nan_query_keeps_a_non_finite_gradient():
         assert not np.all(np.isfinite(g)), name
 
 
+def test_lerp_levels_and_partials_are_the_lerp_trees_bits():
+    # soft_visibility's read keeps the value levels and takes the partials
+    # from them, at all queries or at a subset: both are fields._lerp_tree's
+    # rows bit for bit
+    rng = np.random.default_rng(36)
+    vals = rng.normal(scale=3.0, size=(16, 200))
+    fracs = [rng.uniform(size=200) for _ in range(4)]
+    fracs[1][:20] = 0.0
+    fracs[2][20:40] = 1.0
+    tree = fd._lerp_tree(vals.copy(), fracs, True)
+    levels = vz._lerp_levels(vals.copy(), fracs)
+    assert np.array_equal(levels[-1], tree[:1])
+    assert np.array_equal(vz._lerp_partials(levels, fracs), tree[1:])
+    pick = np.arange(3, 200, 7)
+    picked = vz._lerp_partials([a[:, pick] for a in levels], [f[pick] for f in fracs])
+    assert np.array_equal(picked, tree[1:, pick])
+
+
+@pytest.mark.parametrize("sky_only, scale, eps, radius",
+                         [(False, 3.0, 0.05, 0.6), (True, 0.5, 0.2, 0.3)])
+def test_soft_visibility_block_size_changes_no_bit(monkeypatch, sky_only, scale, eps,
+                                                   radius):
+    # the forward saves its pieces block by block, yet the values and the
+    # grid, epsilon and x gradients are the same bits for blocks of one
+    # ray, of three rays and one block for all; sky-side directions alone
+    # leave some rays wholly in band, whose pieces need no pick
+    rng = np.random.default_rng(35)
+    dirs = icosphere_directions(2).directions @ so3_jitter(rng).T
+    if sky_only:
+        dirs = dirs[dirs[:, 2] > 0.0]
+    x = rng.uniform(-radius, radius, size=(16, 1, 3))
+    grid = rng.normal(scale=scale, size=(8, 16, 6, 12))
+    upstream = rng.normal(size=(16, dirs.shape[0]))
+    runs = []
+    for rays in (1, 3, 16):
+        monkeypatch.setattr(vz, "VISIBILITY_BLOCK", rays * dirs.shape[0])
+        runs.append(_visibility_and_grads(vz.soft_visibility, grid, eps, x, dirs[None],
+                                          upstream))
+    (v, want), *rest = runs
+    band = (v > 0.0) & (v < 1.0)
+    assert np.any(band) and not np.all(band)
+    assert np.any(band.all(axis=1)) == sky_only
+    for got_v, got in rest:
+        assert np.array_equal(got_v, v)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
 def test_binary_oracle_empty_and_occluded():
     empty = fd.SceneFields.default(resolution=16)
     empty.sdf.grid[:] = 1.0  # SDF positive everywhere
