@@ -2,15 +2,20 @@
 
 Both fields are dense trilinear grids over the cube [-1, 1]^3 around the
 unit ball, which holds the whole scene. Every grid, the spherical DDF too,
-is read one way (``_grid_read``: one corner gather and a lerp tree for the
-value and, if asked, its cell partials), and its adjoint is that tree's
-transpose, scattered once (``_grid_scatter``). The tape nodes that call
-them are ``multilinear`` and, through ``visibility._DdfRead``,
-``visibility.ddf_eval`` and ``visibility.soft_visibility``; the sphere
-tracer's ``SdfField.sdf_np`` reads the value alone, with no node. Queries
-outside the cube take the value at the nearest boundary point. The SDF
-carries a single global steepness parameter for the logistic CDF used by
-the NeuS weight construction, stored in log space so it stays positive.
+is read one way: one corner gather (``_corner_index``) and one lerp tree
+(``_lerp_tree``) for the value and, if asked, its cell partials; its
+adjoint is that tree's transpose, scattered once (``_grid_scatter``).
+``_grid_read`` gathers and reduces for the tape node ``multilinear`` and
+for the sphere tracer's ``SdfField.sdf_np``, which reads the value alone,
+with no node; ``visibility._DdfRead`` does the same for
+``visibility.ddf_eval`` and ``visibility.soft_visibility``, keeping a copy
+of its corner values when a gradient is wanted, so that the same tree
+gives the partials later at the queries that need them. Queries outside
+the cube take the value at the nearest boundary point. The SDF carries a
+single global steepness parameter for the logistic CDF used by the NeuS
+weight construction, stored in log space so it stays positive. ``march``
+is the one NeuS march (stratified samples, the SDF, NeuS weights,
+expected depth) that rendering and the visibility map share.
 """
 
 from __future__ import annotations
@@ -365,6 +370,21 @@ def stratified_samples(origins, directions, n_samples, rng, near=0.02):
     u = rng.random((origins.shape[0], n_samples))
     t = lo + (hi - lo) * u
     return RaySamples(origins=origins, directions=directions, t=t, far=far)
+
+
+def march(bound, origins, dirs, n_samples, rng, near=0.02):
+    """The NeuS march of a ray batch through the bound fields: stratified
+    samples, the SDF at them, the NeuS weights and the mask of samples to
+    shade, and the expected depth. Returns the ``RaySamples``, the weights
+    (rays, samples), the shade mask, ``t_e`` and the accumulated weight
+    ``W`` (Vars of (rays,)), and the expected termination points ``x_e``
+    (a Var of (rays, 3))."""
+    samples = stratified_samples(origins, dirs, n_samples, rng, near=near)
+    f = tp.reshape(sdf_eval(bound, samples.positions.reshape(-1, 3)), samples.t.shape)
+    w, shaded = neus_weights(f, bound.inv_s())
+    t_e, w_sum = expected_depth(w, samples.t, samples.far)
+    x_e = tp._lift(samples.origins) + tp.reshape(t_e, (-1, 1)) * samples.directions
+    return samples, w, shaded, t_e, w_sum, x_e
 
 
 @dataclass

@@ -69,19 +69,15 @@ def render_rays(bound_fields, bound_illum, bound_ddf, origins, dirs, image_idx,
     origins = np.atleast_2d(origins)
     dirs = np.atleast_2d(dirs)
     n_rays = origins.shape[0]
-    samples = fd.stratified_samples(origins, dirs, n_samples, rng, near=near)
-
-    pts = samples.positions.reshape(-1, 3)
-    f = tp.reshape(fd.sdf_eval(bound_fields, pts), samples.t.shape)
-    w, shaded = fd.neus_weights(f, bound_fields.inv_s())
-    t_e, w_sum = fd.expected_depth(w, samples.t, samples.far)
-    x_e = tp._lift(origins) + tp.reshape(t_e, (-1, 1)) * dirs
+    samples, w, shaded, t_e, w_sum, x_e = fd.march(bound_fields, origins, dirs, n_samples,
+                                                   rng, near=near)
 
     # the shaded samples as rows, sorted by ray; the rest add exact zeros
     rows = np.flatnonzero(shaded)
     ray = rows // n_samples
-    albedo = fd.albedo_eval(bound_fields, pts[rows])
-    normals = fd.sdf_normals(bound_fields, pts[rows])
+    pts = samples.positions[shaded]
+    albedo = fd.albedo_eval(bound_fields, pts)
+    normals = fd.sdf_normals(bound_fields, pts)
     w_rows = tp.reshape(tp.take_rows(tp.reshape(w, (-1,)), rows), (-1, 1))
 
     d_world = dir_set.directions @ np.asarray(jitter).T

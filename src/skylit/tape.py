@@ -26,15 +26,18 @@ Conventions:
     indices and per-axis fractions, no corner weights, and with coordinates
     on a tape its lerp tree's partials); ``visibility.ddf_eval`` (the DDF
     losses' depth lookup: cell coordinates, grid read and clamped-sigmoid
-    depth in one node, whose VJPs use the corners, fractions and partials
-    of its read; a batch's depth and levelset terms share one); and
-    ``visibility.soft_visibility``, the whole outside-in visibility query in
-    one node, which saves adjoint coefficients (dv/dx, dv/draw, dv/deps)
-    computed in the forward pass, plus the corner indices and fractions of
-    the same DDF read, so that its gradients recompute nothing; it saves
-    them only for queries whose value is neither exactly 0 nor exactly 1
-    (NaN included), and every other query passes exactly 0. Light
-    directions are plain arrays (no direction gradient).
+    depth in one node, whose VJPs use the corner indices and fractions of
+    its read and, with s on a tape, its kept corner values, from which
+    ``fields._lerp_tree`` gives the partials; a batch's depth and levelset
+    terms share one); and ``visibility.soft_visibility``, the whole
+    outside-in visibility query in one node, which saves adjoint
+    coefficients (dv/dx, dv/draw, dv/deps) computed in the forward pass,
+    the partials taken by the same tree from the read's kept corner
+    values, plus the corner indices and fractions of that read, so that
+    its gradients recompute nothing; it saves them only for queries whose
+    value is neither exactly 0 nor exactly 1 (NaN included), and every
+    other query passes exactly 0. Light directions are plain arrays (no
+    direction gradient).
     Clamps in fused ops follow the tie rule above,
   * boolean masks (``where`` conditions, gather indices) are plain numpy
     arrays and carry no gradient,

@@ -11,21 +11,23 @@ scene geometry.
 
 The DDF is read one way, ``_DdfRead``: the four cell coordinates
 (``_DirectionMap``: no local frame is built, the local azimuth is an atan2
-of unnormalised frame components), ``fields._grid_read`` (one gather of the
-16 corners, a lerp tree for the raw depth and, if asked, its partials) and
-the clamped-sigmoid depth; its ``pullback`` is the sphere point's adjoint.
-Two tape nodes call it: ``ddf_eval``, the DDF losses' depth (one node
-per supervision batch and step, which the depth and levelset terms both
-read), and the visibility query ``soft_visibility``, which runs over
-blocks of whole rays and saves closed-form adjoint coefficients only for
-the queries whose value is neither exactly 0 nor exactly 1 (NaN
-included); every other query passes exactly 0. Its read keeps the lerp
-tree's value levels, and only those queries take the partials from
-them (``_DdfRead.select``). Each decides its mode
-from its inputs alone: when none of them is on a tape it computes values
-alone and returns a constant. A caller that holds visibility constant
-reads a constant binding (``BoundDdf(None, ..., trainable=False)``) at
-plain arrays. Light directions are plain arrays with no gradient.
+of unnormalised frame components), one gather of the 16 corners
+(``fields._corner_index``), ``fields._lerp_tree`` for the raw depth, and
+the clamped-sigmoid depth. Two tape nodes call it: ``ddf_eval``, the DDF
+losses' depth (one node per supervision batch and step, which the depth
+and levelset terms both read), and the visibility query
+``soft_visibility``, which runs over blocks of whole rays and saves
+closed-form adjoint coefficients only for the queries whose value is
+neither exactly 0 nor exactly 1 (NaN included); every other query passes
+exactly 0. When a gradient is wanted the read keeps a copy of its 16
+corner values, and the queries that need the raw depth's partials take
+them from the same ``fields._lerp_tree`` over their picked corners
+(``_DdfRead.select``); ``pullback`` turns them into the sphere point's
+adjoint. Each node decides its mode from its inputs alone: when none of
+them is on a tape it computes values alone and returns a constant. A
+caller that holds visibility constant reads a constant binding
+(``BoundDdf(None, ..., trainable=False)``) at plain arrays. Light
+directions are plain arrays with no gradient.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import tape as tp
 from . import fields as fd
-from .fields import _corner_index, _grid_read, _grid_scatter, _lerp_tree_vjp
+from .fields import _corner_index, _grid_scatter, _lerp_tree, _lerp_tree_vjp
 from .geometry import ConfigError, icosphere_directions, ray_sphere_exit
 
 SCENE_DIAMETER = 2.0
@@ -133,14 +135,6 @@ class _DirectionMap:
             den = np.where(pole, dx - sx * ds, den)
         self.terms = (sx, sy, sz, dx, dy, dz, ds, rho2, num, den, pole)
 
-    def select(self, pick):
-        """This map at a subset of its queries: each frame term through
-        ``pick``."""
-        sub = object.__new__(_DirectionMap)
-        sub.scale = self.scale
-        sub.terms = tuple(pick(a) for a in self.terms)
-        return sub
-
     def coords(self):
         """The four cell coordinates, as a tuple of arrays."""
         sx, sy, sz, _, _, _, ds, _, num, den, _ = self.terms
@@ -205,100 +199,64 @@ def _depth_slope(g, sig):
     return g * SCENE_DIAMETER * (sig < 1.0 - 1e-12) * (sig > 1e-12) * sig * (1.0 - sig)
 
 
-def _lerp_levels(vals, fracs):
-    """``fields._lerp_tree``'s value rows at every level, without the
-    partials: the corner values ``vals`` (2^k, ...), then each axis's lerp
-    of the level before, each in a new array, so that the partials can be
-    taken later at any subset of the queries (``_lerp_partials``). The last
-    level is the value (1, ...), the same operations as the tree's and so
-    the same bits."""
-    levels = [vals]
-    for f in fracs:
-        half = levels[-1].shape[0] // 2
-        out = levels[-1][:half] * (1.0 - f)
-        out += levels[-1][half:] * f
-        levels.append(out)
-    return levels
-
-
-def _lerp_partials(levels, fracs):
-    """The k partials of ``fields._lerp_tree`` (k, ...) from the value
-    levels ``levels`` of ``_lerp_levels``: each axis's hi - lo of its level,
-    lerped along the later axes with the tree's operations, so bit for bit
-    the tree's partial rows."""
-    rows = np.empty((0,) + levels[0].shape)
-    for j, f in enumerate(fracs):
-        half = levels[j].shape[0] // 2
-        lo, hi = rows[:, :half], rows[:, half:]
-        out = np.empty((j + 1, half) + levels[j].shape[1:])
-        np.subtract(levels[j][half:], levels[j][:half], out=out[j])
-        lo *= 1.0 - f
-        hi *= f
-        np.add(lo, hi, out=out[:j])
-        rows = out
-    return rows[:, 0]
-
-
 class _DdfRead:
     """The DDF grid ``grid`` read at sphere points ``s`` looking along ``d``
     (three component arrays each, of one rank, broadcasting): the cell
-    coordinates ``u``, the corner indices ``corner`` and fractions
-    ``frac`` of ``fields._grid_read`` and ``_depth``'s output. With
-    ``partials`` the lerp tree carries the 4 partials along the coordinates
-    (``self.partials``, for ``pullback``). With ``levels`` instead the read
-    keeps the tree's value levels (``_lerp_levels``), from which ``select``
-    takes the partials of any subset of the queries."""
+    coordinates ``u``, the corner indices ``corner`` and fractions ``frac``
+    of ``fields._corner_index``, and ``_depth`` of the raw depth that
+    ``fields._lerp_tree`` reduces the 16 gathered corner values to. With
+    ``grad`` (a gradient is wanted) the read keeps a copy of those corner
+    values, taken before the tree reduces them in place, from which
+    ``select`` takes the 4 partials along the coordinates at any subset of
+    the queries through the same tree."""
 
-    def __init__(self, grid, s, d, partials, levels=False):
+    def __init__(self, grid, s, d, grad):
         self.shape = grid.shape
+        self.s, self.d = s, d
         self.dmap = _DirectionMap(s, d, grid.shape)
         self.u = self.dmap.coords()
-        if levels:
-            self.corner, self.frac = _corner_index(grid.shape, self.u, DDF_WRAP)
-            self.levels = _lerp_levels(np.take(grid.reshape(-1), self.corner, axis=0),
-                                       self.frac)
-            tree = self.levels[-1]
-        else:
-            self.corner, self.frac, tree = _grid_read(grid, self.u, DDF_WRAP, partials)
-            self.partials = tree[1:]
-        self.depth, self.sig = _depth(tree[0])
+        self.corner, self.frac = _corner_index(grid.shape, self.u, DDF_WRAP)
+        vals = np.take(grid.reshape(-1), self.corner, axis=0)
+        self.corner_vals = vals.copy() if grad else None
+        self.depth, self.sig = _depth(_lerp_tree(vals, self.frac, False)[0])
 
     def pullback(self, g_raw):
         """s's adjoint (three component arrays) from the raw depth's adjoint,
-        through the partials; a clamped coordinate at or beyond an end node
-        passes gradient 0."""
+        through the partials of a read from ``select``; a clamped coordinate
+        at or beyond an end node passes gradient 0."""
         g_u = [g_raw * self.partials[j] for j in range(4)]
         for j in (0, 2):
             g_u[j] = g_u[j] * ((self.u[j] > 0.0) & (self.u[j] < self.shape[j] - 1))
         return self.dmap.pullback(g_u)
 
     def select(self, flat):
-        """A read with ``levels`` at the flat indices ``flat`` of its
-        query shape (None for all of them), as a read with the partials:
-        its coordinates, corners, fractions, direction terms and sigmoid
-        picked, and the partials taken from its picked value levels.
-        Returns the read and the function that picks the same queries,
-        flat, from any array that broadcasts to the query shape."""
+        """A read with ``grad`` at the flat indices ``flat`` of its query
+        shape (None for all of them), with the partials: its coordinates,
+        corner indices, fractions and sigmoid picked, the direction map
+        built from the picked s and d, and the partials from
+        ``fields._lerp_tree`` over a picked copy of the kept corner values,
+        so that this read is left unchanged. Returns the picked read and
+        the function that picks the same queries, flat, from any array that
+        broadcasts to the query shape."""
         shape = self.depth.shape
+        sub = object.__new__(_DdfRead)
+        sub.shape = self.shape
         if flat is None:
             def pick(a):
                 return a
+            sub.dmap, sub.corner = self.dmap, self.corner
+            vals = self.corner_vals.copy()
         else:
             def pick(a):
                 return np.broadcast_to(a, shape).reshape(-1).take(flat)
-        sub = object.__new__(_DdfRead)
-        sub.shape = self.shape
-        sub.dmap = self.dmap.select(pick)
+            sub.dmap = _DirectionMap([pick(a) for a in self.s], [pick(a) for a in self.d],
+                                     self.shape)
+            sub.corner, vals = (np.take(a.reshape(16, -1), flat, axis=1)
+                                for a in (self.corner, self.corner_vals))
         sub.u = [pick(a) for a in self.u]
         sub.frac = [pick(f) for f in self.frac]
-        if flat is None:
-            sub.corner, levels = self.corner, self.levels
-        else:
-            # every level but the value, each query's rows gathered again
-            sub.corner, *levels = (np.take(a.reshape(a.shape[0], -1), flat, axis=1)
-                                   for a in (self.corner, *self.levels[:-1]))
-        sub.partials = _lerp_partials(levels, sub.frac)
         sub.sig = pick(self.sig)
+        sub.partials = _lerp_tree(vals, sub.frac, True)[1:]
         return sub, pick
 
 
@@ -307,8 +265,10 @@ def ddf_eval(bound, s, d_world):
     the array ``d_world`` (an outward direction reads the grid all the
     same). Differentiable in the grid and (when a Var) in s; the direction
     gets no gradient; s and d broadcast. One ``ddf_depth`` node over a
-    ``_DdfRead`` (with partials only when s is on a tape): the grid's
-    adjoint is the read's transpose, scattered once.
+    ``_DdfRead``, which keeps its corner values only when s is on a tape:
+    the grid's adjoint is the lerp tree's transpose, scattered once, and
+    s's takes the partials from the tree over the kept corners
+    (``_DdfRead.select``) when it is asked for.
     """
     s = tp._lift(s)
     d_np = np.asarray(d_world, dtype=np.float64)
@@ -320,7 +280,8 @@ def ddf_eval(bound, s, d_world):
         return _grid_scatter(read.shape, read.corner, read.frac, raw[None])
 
     def vjp_s(g):
-        return np.stack(read.pullback(_depth_slope(g, read.sig)), axis=-1)
+        rd, _ = read.select(None)
+        return np.stack(rd.pullback(_depth_slope(g, read.sig)), axis=-1)
 
     return tp._node("ddf_depth", read.depth, (bound.grid, s), (vjp_grid, vjp_s))
 
@@ -342,8 +303,8 @@ def soft_visibility(bound, x, d):
     One tape node with parents x, the grid and epsilon, evaluated over
     blocks of whole rays (leading-axis rows) of about ``VISIBILITY_BLOCK``
     queries. Per block it finds the exit distance and point, reads the DDF
-    there once (``_DdfRead``, the raw depth alone) and applies both
-    sigmoids.
+    there once (``_DdfRead``: the raw depth, and with a gradient wanted a
+    copy of the 16 corner values) and applies both sigmoids.
 
     Gradients follow one rule: only a query whose v is neither exactly 0
     nor exactly 1 is in band and has adjoint coefficients; every other
@@ -359,9 +320,9 @@ def soft_visibility(bound, x, d):
     epsilon one dot product, and the grid one deferred scatter of the lerp
     tree's transpose over the in-band queries (empty when none is in band),
     corner major, as the scatter of one read adds. The coefficients need
-    the raw depth's 4 partials, which only the in-band queries compute,
-    from the block read's lerp-tree levels picked at their positions
-    (``_DdfRead.select``): the same bits as a tree that carries them.
+    the raw depth's 4 partials, which only the in-band queries compute:
+    ``fields._lerp_tree`` with its partials over their kept corner values,
+    picked at their positions (``_DdfRead.select``).
     When x, the grid and epsilon are all constants it computes v alone and
     returns a constant: no coefficients, no parents and no tape.
     """
@@ -390,7 +351,7 @@ def soft_visibility(bound, x, d):
         xc = [xb[..., k] for k in range(3)]
         dc = [db[..., k] for k in range(3)]
         sc = [xk + q.t * dk for xk, dk in zip(xc, dc)]
-        read = _DdfRead(grid, sc, [-dk for dk in dc], False, levels=grad)
+        read = _DdfRead(grid, sc, [-dk for dk in dc], grad)
         occluded = tp.sigmoid_np(ETA * ((q.t - read.depth) - eps.data))
         lower = np.broadcast_to(dc[2] <= 0.0, occluded.shape)
         v[b] = np.where(lower, 1.0, 1.0 - occluded)
@@ -484,9 +445,10 @@ def sun_direction(sun_dir):
 
 def visibility_map(ddf, params, camera, scene_fields, dirs=None):
     """Per-pixel ``ambient_occlusion`` over ``dirs`` (its default: the upper
-    hemisphere) at the expected surface point of 64 stratified samples per
-    pixel (seed 0); a pixel whose accumulated weight is below 1e-3 (sky)
-    reads 1. With one direction, the sun's, this is a shadow map."""
+    hemisphere) at the expected surface point x_e of ``fields.march``, 64
+    stratified samples per pixel (seed 0), as ``render_rays`` marches; a
+    pixel whose accumulated weight is below 1e-3 (sky) reads 1. With one
+    direction, the sun's, this is a shadow map."""
     rng = np.random.default_rng(0)
     chunk = 4096
     pixels = camera.all_pixels()
@@ -497,11 +459,7 @@ def visibility_map(ddf, params, camera, scene_fields, dirs=None):
         px = pixels[lo:lo + chunk]
         rays = camera.ray_dirs(px)
         origins = np.broadcast_to(camera.origin, rays.shape)
-        rs = fd.stratified_samples(origins, rays, 64, rng)
-        f = fd.sdf_eval(bnd_f, rs.positions.reshape(-1, 3))
-        w, _ = fd.neus_weights(tp.reshape(f, rs.t.shape), bnd_f.inv_s())
-        t_e, w_sum = fd.expected_depth(w, rs.t, rs.far)
-        x_e = origins + t_e.data[:, None] * rays
+        *_, w_sum, x_e = fd.march(bnd_f, origins, rays, 64, rng)
         vals = ambient_occlusion(bnd_d, x_e, dirs).data
         vals[w_sum.data < 1e-3] = 1.0
         out[lo:lo + chunk] = vals

@@ -514,22 +514,37 @@ def test_soft_visibility_nan_query_keeps_a_non_finite_gradient():
         assert not np.all(np.isfinite(g)), name
 
 
-def test_lerp_levels_and_partials_are_the_lerp_trees_bits():
-    # soft_visibility's read keeps the value levels and takes the partials
-    # from them, at all queries or at a subset: both are fields._lerp_tree's
-    # rows bit for bit
+def test_ddf_read_select_takes_the_lerp_trees_partials_and_keeps_its_read():
+    # a read that keeps its corners takes the partials at all queries or at
+    # a subset from fields._lerp_tree over them, bit for bit; select leaves
+    # the read unchanged, so two selects in either order give the same bits
     rng = np.random.default_rng(36)
-    vals = rng.normal(scale=3.0, size=(16, 200))
-    fracs = [rng.uniform(size=200) for _ in range(4)]
-    fracs[1][:20] = 0.0
-    fracs[2][20:40] = 1.0
-    tree = fd._lerp_tree(vals.copy(), fracs, True)
-    levels = vz._lerp_levels(vals.copy(), fracs)
-    assert np.array_equal(levels[-1], tree[:1])
-    assert np.array_equal(vz._lerp_partials(levels, fracs), tree[1:])
-    pick = np.arange(3, 200, 7)
-    picked = vz._lerp_partials([a[:, pick] for a in levels], [f[pick] for f in fracs])
-    assert np.array_equal(picked, tree[1:, pick])
+    grid = rng.normal(scale=3.0, size=(8, 16, 6, 12))
+    # sphere points by rows, directions broadcast along the columns
+    d = -icosphere_directions(1).directions
+    s_c = [np.broadcast_to(a[:, None], (40, d.shape[0])) for a in sample_sphere(rng, 40).T]
+    d_c = [a[None] for a in d.T]
+    flat = np.arange(3, s_c[0].size, 7)
+    g = rng.normal(size=s_c[0].shape)
+    for order in ((None, flat), (flat, None)):
+        read = vz._DdfRead(grid, s_c, d_c, True)
+        corners = np.take(grid.reshape(-1), read.corner, axis=0)
+        assert np.array_equal(read.corner_vals, corners)
+        tree = fd._lerp_tree(corners.copy(), read.frac, True)
+        assert np.array_equal(read.depth, vz._depth(tree[0])[0])
+        subs = {}
+        for at in order:
+            sub, pick = read.select(at)
+            subs[at is None] = sub, pick
+            want = tree[1:] if at is None else tree[1:].reshape(4, -1)[:, at]
+            assert np.array_equal(sub.partials, want)
+            assert np.all(np.any(sub.partials.reshape(4, -1) != 0.0, axis=1))
+            assert np.array_equal(read.corner_vals, corners)
+        # the picked read's direction map, built from the picked s and d,
+        # pulls back the picked adjoints of the whole read's
+        (whole, _), (part, pick) = subs[True], subs[False]
+        for got, want in zip(part.pullback(pick(g)), whole.pullback(g)):
+            assert np.array_equal(got, pick(want))
 
 
 @pytest.mark.parametrize("sky_only, scale, eps, radius",
